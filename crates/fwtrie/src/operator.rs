@@ -85,29 +85,21 @@ impl FirewallOp {
 }
 
 impl Operator for FirewallOp {
-    fn process(&mut self, batch: PacketBatch) -> PacketBatch {
-        let mut out = PacketBatch::with_capacity(batch.len());
-        for packet in batch {
-            let action = match FiveTuple::of(&packet) {
+    fn process(&mut self, mut batch: PacketBatch) -> PacketBatch {
+        batch.retain(|packet| {
+            let action = match FiveTuple::of(packet) {
                 Ok(flow) => self.decide(&flow),
                 // Non-flow traffic is dropped, like any default-deny box.
                 Err(_) => Action::Deny,
             };
             match action {
-                Action::Allow => {
-                    self.allowed += 1;
-                    out.push(packet);
-                }
-                Action::Deny => {
-                    self.denied += 1;
-                }
-                Action::RateLimit(_) => {
-                    self.rate_limited += 1;
-                    out.push(packet);
-                }
+                Action::Allow => self.allowed += 1,
+                Action::Deny => self.denied += 1,
+                Action::RateLimit(_) => self.rate_limited += 1,
             }
-        }
-        out
+            action != Action::Deny
+        });
+        batch
     }
 
     fn name(&self) -> &str {

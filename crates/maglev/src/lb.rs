@@ -5,14 +5,17 @@
 //! does: extract the five-tuple, consult the connection table (so
 //! established flows survive backend-set changes), fall back to the
 //! consistent-hash lookup table, then destination-NAT the packet to the
-//! chosen backend and fix checksums.
+//! chosen backend, patching the IPv4 and transport checksums for the
+//! changed address words (`Packet::rewrite_endpoints`). The connection
+//! table is the same deterministic [`FlowTable`] NAT and the flow
+//! tracker use.
 
 use crate::table::{Backend, MaglevTable, TableError};
 use rbs_netfx::batch::PacketBatch;
 use rbs_netfx::flow::FiveTuple;
+use rbs_netfx::flowtable::FlowTable;
 use rbs_netfx::packet::Packet;
 use rbs_netfx::pipeline::Operator;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Data-path statistics.
@@ -33,7 +36,7 @@ pub struct MaglevLb {
     table: MaglevTable,
     /// Backend name -> VIP-side address to DNAT to.
     backend_addrs: Vec<Ipv4Addr>,
-    conn_table: HashMap<FiveTuple, u32>,
+    conn_table: FlowTable<FiveTuple, u32>,
     stats: LbStats,
     /// When false, skip the connection table entirely (pure consistent
     /// hashing; used to measure the marginal cost of tracking).
@@ -63,7 +66,7 @@ impl MaglevLb {
         Ok(Self {
             table,
             backend_addrs: addrs,
-            conn_table: HashMap::new(),
+            conn_table: FlowTable::new(),
             stats: LbStats {
                 per_backend: vec![0; n],
                 ..Default::default()
@@ -162,52 +165,25 @@ impl MaglevLb {
             self.stats.hash_lookups += 1;
             self.table.lookup(tuple.stable_hash())
         };
-        self.rewrite(packet, idx);
+        // DNAT to the backend; the destination port is kept.
+        packet
+            .rewrite_endpoints(None, Some((self.backend_addrs[idx], tuple.dst_port)))
+            .expect("the packet yielded a five-tuple");
         self.stats.per_backend[idx] += 1;
         Some(idx)
-    }
-
-    /// DNAT: rewrite the destination IP to the backend and fix checksums.
-    fn rewrite(&self, packet: &mut Packet, backend: usize) {
-        let addr = self.backend_addrs[backend];
-        let (src, proto) = {
-            let ip = packet.ipv4().expect("steer() validated IPv4");
-            (ip.src(), ip.protocol())
-        };
-        {
-            let mut ip = packet.ipv4_mut().expect("validated above");
-            ip.set_dst(addr);
-            ip.update_checksum();
-        }
-        match proto {
-            rbs_netfx::headers::IpProto::Udp => {
-                let mut udp = packet.udp_mut().expect("five-tuple implies UDP parses");
-                udp.update_checksum(src, addr);
-            }
-            rbs_netfx::headers::IpProto::Tcp => {
-                let seg_len = {
-                    let ip = packet.ipv4().expect("validated above");
-                    (ip.total_len() as usize - ip.header_len()) as u16
-                };
-                let mut tcp = packet.tcp_mut().expect("five-tuple implies TCP parses");
-                tcp.update_checksum(src, addr, seg_len);
-            }
-            _ => {}
-        }
     }
 }
 
 impl Operator for MaglevLb {
-    fn process(&mut self, batch: PacketBatch) -> PacketBatch {
-        let mut out = PacketBatch::with_capacity(batch.len());
-        for mut p in batch {
-            if self.steer(&mut p).is_some() {
-                out.push(p);
-            } else {
+    fn process(&mut self, mut batch: PacketBatch) -> PacketBatch {
+        batch.retain_mut(|p| {
+            let steered = self.steer(p).is_some();
+            if !steered {
                 self.stats.dropped += 1;
             }
-        }
-        out
+            steered
+        });
+        batch
     }
 
     fn name(&self) -> &str {

@@ -81,6 +81,13 @@ impl PacketBatch {
         self.packets.retain(pred);
     }
 
+    /// Like [`retain`](Self::retain), but `pred` may rewrite the packet
+    /// it is deciding on: a filtering stage that also edits headers (NAT,
+    /// load balancer) passes over the batch once and allocates nothing.
+    pub fn retain_mut(&mut self, pred: impl FnMut(&mut Packet) -> bool) {
+        self.packets.retain_mut(pred);
+    }
+
     /// Splits the batch by a predicate: `(matching, rest)`.
     ///
     /// Ownership of every packet moves into exactly one of the two result
@@ -227,6 +234,21 @@ mod tests {
         b.retain(|p| p.udp().unwrap().dst_port() % 2 == 0);
         assert_eq!(b.len(), 5);
         assert!(b.iter().all(|p| p.udp().unwrap().dst_port() % 2 == 0));
+    }
+
+    #[test]
+    fn retain_mut_rewrites_survivors_without_reallocating() {
+        let mut b: PacketBatch = (1..=10).map(|p| pkt(p, 0)).collect();
+        let cap = b.capacity();
+        b.retain_mut(|p| {
+            let keep = p.udp().unwrap().dst_port() > 5;
+            p.ipv4_mut().unwrap().set_ttl(7);
+            keep
+        });
+        let ports: Vec<u16> = b.iter().map(|p| p.udp().unwrap().dst_port()).collect();
+        assert_eq!(ports, vec![6, 7, 8, 9, 10], "order preserved");
+        assert!(b.iter().all(|p| p.ipv4().unwrap().ttl() == 7));
+        assert_eq!(b.capacity(), cap, "the batch shell is reused");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! One's-complement sum of 16-bit big-endian words, folded and inverted.
 //! Implemented once here; the header modules compose it with their
-//! pseudo-headers.
+//! pseudo-headers. A packet under construction is summed whole
+//! ([`Checksum`]); a packet being rewritten has its stored checksum
+//! patched for the words that changed ([`adjust`], RFC 1624).
 
 /// Accumulates the one's-complement sum over byte slices.
 ///
@@ -68,6 +70,35 @@ impl Checksum {
         }
         !(sum as u16)
     }
+}
+
+/// Patches the stored checksum `check` for covered 16-bit words that
+/// changed from `old[i]` to `new[i]` (RFC 1624, eqn. 3:
+/// `HC' = ~(~HC + ~m + m')`), without reading the rest of the data.
+///
+/// The result verifies exactly when `check` did: a middlebox that
+/// rewrites addresses this way forwards a corrupted datagram still
+/// corrupted, where zero-and-recompute would launder it. Against a full
+/// recompute over intact data the result is equal, or differs only in
+/// the sign of one's-complement zero (`0x0000` vs `0xFFFF`), which every
+/// verifier treats alike.
+///
+/// # Panics
+///
+/// Panics if `old` and `new` differ in length, or hold more words than
+/// the 32-bit accumulator can sum without overflow (32 767).
+#[inline]
+pub fn adjust(check: u16, old: &[u16], new: &[u16]) -> u16 {
+    assert_eq!(old.len(), new.len(), "one new word per old word");
+    assert!(old.len() < 1 << 15, "too many words for a 32-bit sum");
+    let mut sum = u32::from(!check);
+    for (&m, &m_new) in old.iter().zip(new) {
+        sum += u32::from(!m) + u32::from(m_new);
+    }
+    // Two unconditional folds settle any `u32` (the first leaves at most
+    // 0x1FFFE, the second at most 0xFFFF), with no data-dependent branch.
+    let sum = (sum & 0xFFFF) + (sum >> 16);
+    !(((sum & 0xFFFF) + (sum >> 16)) as u16)
 }
 
 /// Computes the checksum of a single contiguous region.
@@ -138,6 +169,24 @@ mod tests {
         let sum = checksum(&hdr);
         hdr[10..12].copy_from_slice(&sum.to_be_bytes());
         assert!(verify(&hdr));
+    }
+
+    #[test]
+    fn adjust_matches_recompute_on_the_rfc1624_example() {
+        // RFC 1624 §4: HC = 0xDD2F, m = 0x5555 -> m' = 0x3285 gives 0x0000.
+        assert_eq!(adjust(0xDD2F, &[0x5555], &[0x3285]), 0x0000);
+
+        let mut data = [
+            0x45u8, 0x00, 0x00, 0x28, 0x12, 0x34, 0x40, 0x11, 10, 0, 0, 1,
+        ];
+        let before = checksum(&data);
+        data[8..12].copy_from_slice(&[192, 168, 7, 9]);
+        assert_eq!(
+            adjust(before, &[0x0A00, 0x0001], &[0xC0A8, 0x0709]),
+            checksum(&data)
+        );
+        // An unchanged word is a no-op.
+        assert_eq!(adjust(before, &[0x1234], &[0x1234]), before);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! runs so experiments are reproducible, cheap enough for the data path.
 
 use crate::headers::ipv4::IpProto;
+use crate::headers::ETHERNET_HDR_LEN;
 use crate::packet::{Packet, PacketError};
 use rbs_checkpoint::{CheckpointCtx, Checkpointable, RestoreCtx, Snapshot, SnapshotError};
 use std::net::Ipv4Addr;
@@ -27,34 +28,24 @@ pub struct FiveTuple {
 impl FiveTuple {
     /// Extracts the 5-tuple from a TCP or UDP packet.
     ///
-    /// Fails with [`PacketError::WrongProtocol`] for other protocols.
+    /// Fails with [`PacketError::WrongProtocol`] for other protocols, and
+    /// with whatever the `ipv4()` → `udp()`/`tcp()` views would report
+    /// for a frame they reject. The headers are validated once, not once
+    /// per view (see `Packet::transport_offset`).
+    #[inline]
     pub fn of(packet: &Packet) -> Result<FiveTuple, PacketError> {
-        let ip = packet.ipv4()?;
-        match ip.protocol() {
-            IpProto::Udp => {
-                let u = packet.udp()?;
-                Ok(FiveTuple {
-                    src_ip: ip.src(),
-                    dst_ip: ip.dst(),
-                    src_port: u.src_port(),
-                    dst_port: u.dst_port(),
-                    proto: IpProto::Udp,
-                })
-            }
-            IpProto::Tcp => {
-                let t = packet.tcp()?;
-                Ok(FiveTuple {
-                    src_ip: ip.src(),
-                    dst_ip: ip.dst(),
-                    src_port: t.src_port(),
-                    dst_port: t.dst_port(),
-                    proto: IpProto::Tcp,
-                })
-            }
-            _ => Err(PacketError::WrongProtocol {
-                expected: "tcp-or-udp",
-            }),
-        }
+        let (l4, proto) = packet.transport_offset()?;
+        let b = packet.as_slice();
+        // One slice (one bounds check) per header region.
+        let addrs = &b[ETHERNET_HDR_LEN + 12..ETHERNET_HDR_LEN + 20];
+        let ports = &b[l4..l4 + 4];
+        Ok(FiveTuple {
+            src_ip: Ipv4Addr::new(addrs[0], addrs[1], addrs[2], addrs[3]),
+            dst_ip: Ipv4Addr::new(addrs[4], addrs[5], addrs[6], addrs[7]),
+            src_port: u16::from_be_bytes([ports[0], ports[1]]),
+            dst_port: u16::from_be_bytes([ports[2], ports[3]]),
+            proto,
+        })
     }
 
     /// The reverse direction of this flow.
@@ -72,6 +63,7 @@ impl FiveTuple {
     ///
     /// Deterministic across processes (unlike `std`'s `RandomState`), so
     /// Maglev table assignments and experiment results are reproducible.
+    #[inline]
     pub fn stable_hash(&self) -> u64 {
         let mut h = Fx64::new();
         h.mix(u64::from(u32::from(self.src_ip)));
@@ -148,6 +140,7 @@ impl Fx64 {
         self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(Self::K);
     }
 
+    #[inline]
     pub(crate) fn finish(mut self) -> u64 {
         // A final avalanche round so low-entropy inputs spread to all bits.
         self.mix(0xFF51_AFD7_ED55_8CCD);

@@ -4,15 +4,16 @@
 //! canonical example of operator state whose loss is *observable*: after
 //! a crash, a cold-started tracker has forgotten every flow it had seen,
 //! while a warm-recovered one resumes within one snapshot interval of
-//! the truth. The table is a `BTreeMap` so iteration (and therefore
-//! checkpoint bytes) is deterministic across runs.
-
-use std::collections::BTreeMap;
+//! the truth. The table is a [`FlowTable`]: a snapshot walks its entries
+//! in the order the flows were first seen, which is a function of the
+//! input alone, so checkpoint bytes are deterministic across runs and a
+//! warm-restored tracker seals the bytes it was restored from.
 
 use rbs_checkpoint::{CheckpointCtx, Checkpointable, RestoreCtx, Snapshot, SnapshotError};
 
 use crate::batch::PacketBatch;
 use crate::flow::FiveTuple;
+use crate::flowtable::FlowTable;
 use crate::pipeline::Operator;
 
 /// Per-flow counters.
@@ -35,7 +36,7 @@ rbs_checkpoint::checkpointable!(struct FlowEntry { packets, bytes });
 /// without an extractable 5-tuple count as
 /// [`FlowTracker::untracked`].
 pub struct FlowTracker {
-    flows: BTreeMap<FiveTuple, FlowEntry>,
+    flows: FlowTable<FiveTuple, FlowEntry>,
     capacity: usize,
     overflow: u64,
     untracked: u64,
@@ -45,7 +46,7 @@ impl FlowTracker {
     /// Creates a tracker admitting at most `capacity` distinct flows.
     pub fn new(capacity: usize) -> Self {
         Self {
-            flows: BTreeMap::new(),
+            flows: FlowTable::new(),
             capacity: capacity.max(1),
             overflow: 0,
             untracked: 0,
@@ -62,9 +63,9 @@ impl FlowTracker {
         self.flows.get(tuple)
     }
 
-    /// The full flow table, in deterministic (tuple-ordered) order.
-    pub fn flows(&self) -> &BTreeMap<FiveTuple, FlowEntry> {
-        &self.flows
+    /// Every tracked flow, in the order the flows were first seen.
+    pub fn flows(&self) -> impl ExactSizeIterator<Item = (&FiveTuple, &FlowEntry)> {
+        self.flows.iter()
     }
 
     /// Packets on flows rejected because the table was full.
@@ -123,14 +124,17 @@ impl Operator for FlowTracker {
         snap: &Snapshot,
         ctx: &mut RestoreCtx<'_>,
     ) -> Result<(), SnapshotError> {
-        let flows = BTreeMap::restore(snap, ctx)?;
-        if flows.len() > self.capacity {
-            return Err(SnapshotError::WrongLength {
-                expected: self.capacity,
-                got: flows.len(),
-            });
+        // Bound the table before building it; the table itself rejects a
+        // snapshot that repeats a tuple. Either way `self` is untouched.
+        if let Snapshot::Map(pairs) = snap {
+            if pairs.len() > self.capacity {
+                return Err(SnapshotError::WrongLength {
+                    expected: self.capacity,
+                    got: pairs.len(),
+                });
+            }
         }
-        self.flows = flows;
+        self.flows = FlowTable::restore(snap, ctx)?;
         Ok(())
     }
 
@@ -223,6 +227,53 @@ mod tests {
         let again = replica.export_state();
         assert_ne!(again.root, cp.root);
         assert_eq!(replica.state_items(), 3);
+    }
+
+    #[test]
+    fn warm_restore_keeps_first_seen_order_and_seals_the_same_bytes() {
+        let spec = PipelineSpec::new().stage(|| FlowTracker::new(64));
+        let mut live = spec.build();
+        live.run_batch(batch(&[30, 10, 20, 10, 5]));
+        let sealed = live.export_state();
+        let replica = spec.build_with_state(&sealed).unwrap();
+        assert_eq!(replica.export_state().root, sealed.root);
+
+        let mut t = FlowTracker::new(64);
+        t.process(batch(&[30, 10, 20, 10, 5]));
+        let seen: Vec<u16> = t.flows().map(|(tuple, _)| tuple.src_port).collect();
+        assert_eq!(seen, vec![30, 10, 20, 5]);
+    }
+
+    #[test]
+    fn restore_rejects_a_repeated_tuple_and_applies_nothing() {
+        let mut t = FlowTracker::new(64);
+        t.process(batch(&[1, 2, 3]));
+        let cp = rbs_checkpoint::checkpoint_scope(Default::default(), |ctx| {
+            t.checkpoint_state(ctx).expect("the tracker is stateful")
+        });
+        let Snapshot::Map(mut pairs) = cp.root.clone() else {
+            panic!("the flow table checkpoints as a map");
+        };
+        pairs.push(pairs[1].clone());
+
+        let mut victim = FlowTracker::new(64);
+        victim.process(batch(&[9]));
+        let err = rbs_checkpoint::restore_scope(&cp, |_, ctx| {
+            victim.restore_state(&Snapshot::Map(pairs.clone()), ctx)
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SnapshotError::TypeMismatch {
+                    found: "repeated key",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(victim.flow_count(), 1, "nothing half-applied");
+        assert!(victim.flow(&FiveTuple::of(&pkt(9)).unwrap()).is_some());
     }
 
     #[test]

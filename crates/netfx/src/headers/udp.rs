@@ -1,6 +1,5 @@
 //! UDP header (RFC 768).
 
-use crate::checksum::Checksum;
 use crate::headers::ipv4::{pseudo_header_checksum, IpProto};
 use crate::packet::PacketError;
 use std::net::Ipv4Addr;
@@ -147,12 +146,6 @@ pub fn emit(data: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr, src_port: u16, dst_po
     h.set_len(len);
     h.update_checksum(src, dst);
     UDP_HDR_LEN
-}
-
-// Keep `Checksum` import used even if future edits drop `update_checksum`.
-#[allow(unused)]
-fn _keep(c: Checksum) -> u16 {
-    c.finish()
 }
 
 #[cfg(test)]

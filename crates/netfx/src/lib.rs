@@ -21,6 +21,9 @@
 //!   introduction (835 ns per 1 KB packet at 10 Gb/s);
 //! - [`flow`]: five-tuple extraction and flow hashing shared with the
 //!   Maglev load balancer;
+//! - [`flowtable`]: the deterministic, insertion-ordered flow table
+//!   every stateful operator (NAT, flow tracker, per-flow limiter, the
+//!   Maglev connection table) keeps its per-flow state in;
 //! - [`pool`]: a DPDK-mempool-style packet-buffer free list whose
 //!   recycling discipline is enforced by ownership transfer instead of
 //!   refcounts — the allocation-free steady state measured by E12.
@@ -29,6 +32,7 @@ pub mod batch;
 pub mod budget;
 pub mod checksum;
 pub mod flow;
+pub mod flowtable;
 pub mod flowtrack;
 pub mod headers;
 pub mod nat;
@@ -42,6 +46,7 @@ pub mod ratelimit;
 
 pub use batch::PacketBatch;
 pub use flow::FiveTuple;
+pub use flowtable::FlowTable;
 pub use flowtrack::{FlowEntry, FlowTracker};
 pub use nat::SourceNat;
 pub use packet::{Packet, PacketError};

@@ -7,15 +7,19 @@
 //!
 //! Outbound packets (source inside `inside_net`) get their source
 //! rewritten to `(nat_ip, allocated port)`; inbound packets addressed to
-//! `nat_ip` are translated back to the original endpoint. Checksums are
-//! fixed on every rewrite.
+//! `nat_ip` are translated back to the original endpoint. Both
+//! directions are [`FlowTable`]s, so port assignment depends only on the
+//! order packets arrive in. Every rewrite patches the IPv4 and transport
+//! checksums incrementally ([`Packet::rewrite_endpoints`]): a packet
+//! that arrives corrupted leaves corrupted, as a middlebox should leave
+//! it, and the payload is never read.
 
 use crate::batch::PacketBatch;
 use crate::flow::FiveTuple;
+use crate::flowtable::{hash_word, FlowTable, TableKey};
 use crate::headers::ipv4::IpProto;
 use crate::packet::Packet;
 use crate::pipeline::Operator;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// True when `addr` lies inside `net/len` (host-order network bits).
@@ -28,12 +32,30 @@ fn prefix_contains_addr(net: u32, len: u8, addr: Ipv4Addr) -> bool {
     (u32::from(addr) & mask) == net & mask
 }
 
-/// One direction's translation key: the *original* inside endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The outbound table's key: the *original* inside endpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct InsideKey {
     ip: Ipv4Addr,
     port: u16,
     proto: IpProto,
+}
+
+impl TableKey for InsideKey {
+    fn table_hash(&self) -> u64 {
+        hash_word(
+            u64::from(u32::from(self.ip)) << 24
+                | u64::from(self.port) << 8
+                | u64::from(u8::from(self.proto)),
+        )
+    }
+}
+
+/// The inbound table's key: an allocated port of the NAT address. Port
+/// numbers are a separate space per protocol.
+impl TableKey for (u16, IpProto) {
+    fn table_hash(&self) -> u64 {
+        hash_word(u64::from(self.0) << 8 | u64::from(u8::from(self.1)))
+    }
 }
 
 /// Statistics for the NAT data path.
@@ -55,9 +77,9 @@ pub struct SourceNat {
     inside_net: u32,
     inside_len: u8,
     /// inside endpoint -> allocated NAT port.
-    out_map: HashMap<InsideKey, u16>,
+    out_map: FlowTable<InsideKey, u16>,
     /// NAT port (+proto) -> inside endpoint.
-    in_map: HashMap<(u16, IpProto), InsideKey>,
+    in_map: FlowTable<(u16, IpProto), InsideKey>,
     next_port: u16,
     port_lo: u16,
     port_hi: u16,
@@ -84,8 +106,8 @@ impl SourceNat {
             nat_ip,
             inside_net: u32::from(inside_net),
             inside_len,
-            out_map: HashMap::new(),
-            in_map: HashMap::new(),
+            out_map: FlowTable::new(),
+            in_map: FlowTable::new(),
             next_port: port_lo,
             port_lo,
             port_hi,
@@ -157,13 +179,9 @@ impl SourceNat {
                 self.stats.dropped += 1;
                 return false;
             };
-            rewrite(
-                packet,
-                Rewrite {
-                    src: Some((self.nat_ip, nat_port)),
-                    dst: None,
-                },
-            );
+            packet
+                .rewrite_endpoints(Some((self.nat_ip, nat_port)), None)
+                .expect("the packet yielded a five-tuple");
             self.stats.outbound += 1;
             true
         } else if flow.dst_ip == self.nat_ip {
@@ -172,13 +190,9 @@ impl SourceNat {
                 self.stats.dropped += 1;
                 return false;
             };
-            rewrite(
-                packet,
-                Rewrite {
-                    src: None,
-                    dst: Some((key.ip, key.port)),
-                },
-            );
+            packet
+                .rewrite_endpoints(None, Some((key.ip, key.port)))
+                .expect("the packet yielded a five-tuple");
             self.stats.inbound += 1;
             true
         } else {
@@ -188,69 +202,10 @@ impl SourceNat {
     }
 }
 
-struct Rewrite {
-    src: Option<(Ipv4Addr, u16)>,
-    dst: Option<(Ipv4Addr, u16)>,
-}
-
-/// Applies address/port rewrites and re-checksums IP + transport.
-fn rewrite(packet: &mut Packet, rw: Rewrite) {
-    let proto = packet
-        .ipv4()
-        .expect("translate() validated the tuple")
-        .protocol();
-    {
-        let mut ip = packet.ipv4_mut().expect("validated");
-        if let Some((addr, _)) = rw.src {
-            ip.set_src(addr);
-        }
-        if let Some((addr, _)) = rw.dst {
-            ip.set_dst(addr);
-        }
-        ip.update_checksum();
-    }
-    let (src_ip, dst_ip, seg_len) = {
-        let ip = packet.ipv4().expect("validated");
-        (
-            ip.src(),
-            ip.dst(),
-            (ip.total_len() as usize - ip.header_len()) as u16,
-        )
-    };
-    match proto {
-        IpProto::Udp => {
-            let mut udp = packet.udp_mut().expect("tuple implies UDP");
-            if let Some((_, port)) = rw.src {
-                udp.set_src_port(port);
-            }
-            if let Some((_, port)) = rw.dst {
-                udp.set_dst_port(port);
-            }
-            udp.update_checksum(src_ip, dst_ip);
-        }
-        IpProto::Tcp => {
-            let mut tcp = packet.tcp_mut().expect("tuple implies TCP");
-            if let Some((_, port)) = rw.src {
-                tcp.set_src_port(port);
-            }
-            if let Some((_, port)) = rw.dst {
-                tcp.set_dst_port(port);
-            }
-            tcp.update_checksum(src_ip, dst_ip, seg_len);
-        }
-        _ => {}
-    }
-}
-
 impl Operator for SourceNat {
-    fn process(&mut self, batch: PacketBatch) -> PacketBatch {
-        let mut out = PacketBatch::with_capacity(batch.len());
-        for mut p in batch {
-            if self.translate(&mut p) {
-                out.push(p);
-            }
-        }
-        out
+    fn process(&mut self, mut batch: PacketBatch) -> PacketBatch {
+        batch.retain_mut(|p| self.translate(p));
+        batch
     }
 
     fn name(&self) -> &str {

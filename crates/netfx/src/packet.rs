@@ -6,6 +6,7 @@
 //! the sender can neither observe nor modify it afterwards — the property
 //! §3 of the paper builds zero-copy SFI on.
 
+use crate::checksum;
 use crate::headers::ethernet::{self, EtherType, EthernetHdr, EthernetHdrMut, MacAddr};
 use crate::headers::icmp::{self, IcmpHdr, IcmpHdrMut, IcmpType, ICMP_ECHO_HDR_LEN};
 use crate::headers::ipv4::{self, IpProto, Ipv4Hdr, Ipv4HdrMut, IPV4_MIN_HDR_LEN};
@@ -188,6 +189,103 @@ impl Packet {
             return Err(PacketError::WrongProtocol { expected: name });
         }
         Ok(ETHERNET_HDR_LEN + ip.header_len())
+    }
+
+    /// Locates the transport header of a TCP or UDP packet in one pass:
+    /// its byte offset and protocol, with every check the
+    /// `ipv4()` → `udp()`/`tcp()` view chain makes (and the same error
+    /// when one fails). At least the first [`UDP_HDR_LEN`] bytes of the
+    /// transport header — a full header for TCP — lie within the frame.
+    ///
+    /// The common frame (Ethernet II, IPv4 without options, UDP or
+    /// option-less TCP) is recognised from one length check and four
+    /// fixed-offset reads; anything else takes the view chain.
+    #[inline]
+    pub(crate) fn transport_offset(&self) -> Result<(usize, IpProto), PacketError> {
+        const L4: usize = ETHERNET_HDR_LEN + IPV4_MIN_HDR_LEN;
+        let b = &self.buf[..];
+        if b.len() >= L4 + UDP_HDR_LEN && b[12..14] == [0x08, 0x00] && b[14] == 0x45 {
+            match IpProto::from(b[ETHERNET_HDR_LEN + 9]) {
+                IpProto::Udp => return Ok((L4, IpProto::Udp)),
+                IpProto::Tcp if b.len() >= L4 + TCP_MIN_HDR_LEN && b[L4 + 12] >> 4 == 5 => {
+                    return Ok((L4, IpProto::Tcp));
+                }
+                _ => {}
+            }
+        }
+        let ip = self.ipv4()?;
+        let l4 = ETHERNET_HDR_LEN + ip.header_len();
+        match ip.protocol() {
+            IpProto::Udp => UdpHdr::parse(&b[l4..]).map(|_| (l4, IpProto::Udp)),
+            IpProto::Tcp => TcpHdr::parse(&b[l4..]).map(|_| (l4, IpProto::Tcp)),
+            _ => Err(PacketError::WrongProtocol {
+                expected: "tcp-or-udp",
+            }),
+        }
+    }
+
+    /// Rewrites the source and/or destination endpoint (address and
+    /// port) of a TCP or UDP packet and patches the IPv4 and transport
+    /// checksums for exactly the words that changed (RFC 1624, see
+    /// [`checksum::adjust`]) — the payload is never read. This is the
+    /// one rewrite NAT and the load balancer share.
+    ///
+    /// Checksums are *updated*, not repaired: a packet that arrived with
+    /// a bad checksum leaves with a bad checksum, so the end host still
+    /// gets to reject it. A UDP checksum of zero ("none", RFC 768) stays
+    /// zero, and a UDP result of zero is stored as `0xFFFF`.
+    ///
+    /// Fails, leaving the packet untouched, under the same conditions as
+    /// [`crate::FiveTuple::of`].
+    pub fn rewrite_endpoints(
+        &mut self,
+        src: Option<(Ipv4Addr, u16)>,
+        dst: Option<(Ipv4Addr, u16)>,
+    ) -> Result<(), PacketError> {
+        let (l4, proto) = self.transport_offset()?;
+        self.invalidate_flow_hash();
+        // `transport_offset` vouches for every byte touched below: the
+        // IPv4 header ends at `l4`, and at least eight bytes (UDP) or a
+        // full TCP header follow it.
+        let (ip, l4hdr) = self.buf[ETHERNET_HDR_LEN..].split_at_mut(l4 - ETHERNET_HDR_LEN);
+        let be32 = |b: &[u8]| u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
+        let be16 = |b: &[u8]| u16::from_be_bytes([b[0], b[1]]);
+        let halves = |v: u32| [(v >> 16) as u16, v as u16];
+
+        // The words both checksums may cover: source and destination
+        // address (in the IPv4 header, and again in the pseudo-header),
+        // then the two ports.
+        let [s0, s1] = halves(be32(&ip[12..16]));
+        let [d0, d1] = halves(be32(&ip[16..20]));
+        let old = [s0, s1, d0, d1, be16(&l4hdr[0..2]), be16(&l4hdr[2..4])];
+        let mut new = old;
+        if let Some((addr, port)) = src {
+            ip[12..16].copy_from_slice(&addr.octets());
+            l4hdr[0..2].copy_from_slice(&port.to_be_bytes());
+            let [a0, a1] = halves(u32::from(addr));
+            (new[0], new[1], new[4]) = (a0, a1, port);
+        }
+        if let Some((addr, port)) = dst {
+            ip[16..20].copy_from_slice(&addr.octets());
+            l4hdr[2..4].copy_from_slice(&port.to_be_bytes());
+            let [a0, a1] = halves(u32::from(addr));
+            (new[2], new[3], new[5]) = (a0, a1, port);
+        }
+
+        let patched = checksum::adjust(be16(&ip[10..12]), &old[..4], &new[..4]);
+        ip[10..12].copy_from_slice(&patched.to_be_bytes());
+
+        let at = if proto == IpProto::Udp { 6 } else { 16 };
+        let stored = be16(&l4hdr[at..at + 2]);
+        if proto == IpProto::Udp && stored == 0 {
+            return Ok(());
+        }
+        let mut patched = checksum::adjust(stored, &old, &new);
+        if proto == IpProto::Udp && patched == 0 {
+            patched = 0xFFFF;
+        }
+        l4hdr[at..at + 2].copy_from_slice(&patched.to_be_bytes());
+        Ok(())
     }
 
     /// UDP header view (validates EtherType and IP protocol).
@@ -544,6 +642,38 @@ mod tests {
         p.set_cached_flow_hash(3);
         let _ = p.ethernet_mut().unwrap();
         assert_eq!(p.cached_flow_hash(), None);
+        p.set_cached_flow_hash(4);
+        p.rewrite_endpoints(None, Some((Ipv4Addr::new(10, 9, 9, 9), 53)))
+            .unwrap();
+        assert_eq!(p.cached_flow_hash(), None);
+    }
+
+    #[test]
+    fn rewrite_endpoints_refuses_non_transport_packets_untouched() {
+        let mut p = Packet::build_icmp_echo(
+            MacAddr::ZERO,
+            MacAddr::ZERO,
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(10, 0, 0, 2),
+            IcmpType::EchoRequest,
+            1,
+            1,
+            8,
+        );
+        let before = p.as_slice().to_vec();
+        p.set_cached_flow_hash(9);
+        assert_eq!(
+            p.rewrite_endpoints(Some((Ipv4Addr::new(1, 2, 3, 4), 5)), None),
+            Err(PacketError::WrongProtocol {
+                expected: "tcp-or-udp"
+            })
+        );
+        assert_eq!(p.as_slice(), &before[..]);
+        assert_eq!(
+            p.cached_flow_hash(),
+            Some(9),
+            "nothing changed, nothing stale"
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use crate::batch::PacketBatch;
 use crate::flow::FiveTuple;
+use crate::flowtable::FlowTable;
 use crate::pipeline::Operator;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// A token bucket with explicit time: `rate` tokens per second refill,
@@ -193,18 +193,18 @@ impl RateLimiter {
 }
 
 impl Operator for RateLimiter {
-    fn process(&mut self, batch: PacketBatch) -> PacketBatch {
+    fn process(&mut self, mut batch: PacketBatch) -> PacketBatch {
         let now = self.now_ns();
-        let mut out = PacketBatch::with_capacity(batch.len());
-        for p in batch {
-            if self.bucket.admit(now) {
+        batch.retain(|_| {
+            let admit = self.bucket.admit(now);
+            if admit {
                 self.admitted += 1;
-                out.push(p);
             } else {
                 self.dropped += 1;
             }
-        }
-        out
+            admit
+        });
+        batch
     }
 
     fn name(&self) -> &str {
@@ -217,7 +217,7 @@ impl Operator for RateLimiter {
 pub struct PerFlowRateLimiter {
     pps: f64,
     burst: f64,
-    buckets: HashMap<FiveTuple, TokenBucket>,
+    buckets: FlowTable<FiveTuple, TokenBucket>,
     /// Cap on tracked flows; beyond it, new flows are admitted untracked
     /// (fail-open, counted) to bound memory.
     max_flows: usize,
@@ -234,7 +234,7 @@ impl PerFlowRateLimiter {
         Self {
             pps,
             burst,
-            buckets: HashMap::new(),
+            buckets: FlowTable::new(),
             max_flows,
             epoch: Instant::now(),
             admitted: 0,
@@ -282,25 +282,18 @@ impl PerFlowRateLimiter {
 }
 
 impl Operator for PerFlowRateLimiter {
-    fn process(&mut self, batch: PacketBatch) -> PacketBatch {
+    fn process(&mut self, mut batch: PacketBatch) -> PacketBatch {
         let now = self.epoch.elapsed().as_nanos() as u64;
-        let mut out = PacketBatch::with_capacity(batch.len());
-        for p in batch {
-            match FiveTuple::of(&p) {
-                Ok(flow) => {
-                    if self.admit_at(flow, now) {
-                        self.admitted += 1;
-                        out.push(p);
-                    } else {
-                        self.dropped += 1;
-                    }
-                }
-                Err(_) => {
-                    self.dropped += 1;
-                }
+        batch.retain(|p| {
+            let admit = FiveTuple::of(p).is_ok_and(|flow| self.admit_at(flow, now));
+            if admit {
+                self.admitted += 1;
+            } else {
+                self.dropped += 1;
             }
-        }
-        out
+            admit
+        });
+        batch
     }
 
     fn name(&self) -> &str {
