@@ -97,6 +97,20 @@ pub fn write_varint_signed(out: &mut Vec<u8>, v: i64) {
     write_varint(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
+/// Reads one unsigned LEB128 varint from `bytes` at `*pos`, advancing it.
+pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let b = *bytes.get(*pos).ok_or(CodecError::UnexpectedEof)?;
+        *pos += 1;
+        v |= u64::from(b & 0x7F) << shift;
+        if b & 0x80 == 0 {
+            return Ok(v);
+        }
+    }
+    Err(CodecError::VarintOverflow)
+}
+
 struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
@@ -120,15 +134,7 @@ impl<'a> Reader<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, CodecError> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let b = self.byte()?;
-            v |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(CodecError::VarintOverflow)
+        read_varint(self.data, &mut self.pos)
     }
 
     fn varint_signed(&mut self) -> Result<i64, CodecError> {
@@ -328,6 +334,7 @@ mod delta_tag {
     pub const SEG_MAP_KEY: u8 = 0x01;
     pub const SEG_MAP_VALUE: u8 = 0x02;
     pub const SEG_OPT_INNER: u8 = 0x03;
+    pub const SEG_BYTE_RANGES: u8 = 0x04;
 }
 
 fn encode_path(out: &mut Vec<u8>, path: &[PathSeg]) {
@@ -347,6 +354,7 @@ fn encode_path(out: &mut Vec<u8>, path: &[PathSeg]) {
                 write_varint(out, *i as u64);
             }
             PathSeg::OptInner => out.push(delta_tag::SEG_OPT_INNER),
+            PathSeg::ByteRanges => out.push(delta_tag::SEG_BYTE_RANGES),
         }
     }
 }
@@ -360,6 +368,7 @@ fn decode_path(r: &mut Reader<'_>) -> Result<Vec<PathSeg>, CodecError> {
             delta_tag::SEG_MAP_KEY => PathSeg::MapEntry(decode_usize(r)?, Side::Key),
             delta_tag::SEG_MAP_VALUE => PathSeg::MapEntry(decode_usize(r)?, Side::Value),
             delta_tag::SEG_OPT_INNER => PathSeg::OptInner,
+            delta_tag::SEG_BYTE_RANGES => PathSeg::ByteRanges,
             other => return Err(CodecError::BadTag(other)),
         };
         path.push(seg);

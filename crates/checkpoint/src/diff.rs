@@ -7,9 +7,20 @@
 //! [`crate::codec`] for bytes) costs space proportional to what
 //! *changed*, not to the structure's size.
 //!
+//! Trees are compared node by node. A `Bytes` blob — the packed image a
+//! flow table snapshots as — is compared *inside*: the delta carries the
+//! changed byte runs and the appended tail, as one run list per blob
+//! ([`PathSeg::ByteRanges`]), so an image in which a few records moved
+//! costs those records, not the table, and costs no heap node per
+//! record either.
+//!
 //! The diff is exact and total: `apply(base, &diff(base, next)) == next`
-//! for any two checkpoints (property-tested below).
+//! for any two checkpoints (property-tested below and in
+//! `tests/snapshot_fast_path.rs`). [`apply`] borrows its base and builds
+//! the next checkpoint beside it; [`apply_in_place`] is the same
+//! operation on a base the caller owns and no longer needs.
 
+use crate::codec;
 use crate::ctx::{Checkpoint, CheckpointStats};
 use crate::snapshot::{Snapshot, SnapshotError};
 use std::fmt;
@@ -23,6 +34,21 @@ pub enum PathSeg {
     MapEntry(usize, Side),
     /// Into the `Some` of an `Opt`.
     OptInner,
+    /// Into the bytes of a `Bytes` blob. Valid only as a path's last
+    /// segment, on a replacement whose subtree is a `Bytes` *run list*:
+    /// zero or more of
+    ///
+    /// ```text
+    /// gap: varint   unchanged bytes skipped since the previous run's end
+    /// len: varint   bytes in this run
+    /// len bytes     written over the blob from there, extending it where
+    ///               the run reaches past its end
+    /// ```
+    ///
+    /// A run may start at the blob's end (a pure append) but not beyond
+    /// it, so a blob grows by no more than the bytes the list itself
+    /// carries.
+    ByteRanges,
 }
 
 /// Which half of a map entry.
@@ -184,37 +210,158 @@ fn diff_snapshot(
             diff_snapshot(x, y, path, emit);
             path.pop();
         }
+        // A blob that kept its length or grew. (One that shrank is
+        // replaced whole: tables that snapshot as blobs only grow between
+        // a full record and the deltas on it.)
+        (Snapshot::Bytes(xs), Snapshot::Bytes(ys)) if xs.len() <= ys.len() => {
+            diff_bytes(xs, ys, path, emit);
+        }
         // Shape change (or scalar change): replace the whole subtree.
         _ => emit(path.clone(), b.clone()),
     }
 }
 
-/// Applies a delta, producing the `next` checkpoint it was computed for.
-pub fn apply(base: &Checkpoint, delta: &Delta) -> Result<Checkpoint, DiffError> {
-    let mut root = base.root.clone();
-    let mut shared = base.shared.clone();
-    for r in &delta.replacements {
-        match &r.target {
-            Target::Root(path) => {
-                let slot = navigate(&mut root, path)?;
-                *slot = r.subtree.clone();
+/// Changed runs separated by at most this many unchanged bytes ship as
+/// one run: a run's two varints and its turn of the splice loop cost
+/// about what the bytes between do.
+const RUN_GAP: usize = 8;
+
+/// Emits the run list ([`PathSeg::ByteRanges`]) that turns blob `a` into
+/// blob `b`, which differs from it and is at least as long; everything
+/// past `a`'s end counts as changed.
+fn diff_bytes(a: &[u8], b: &[u8], path: &[PathSeg], emit: &mut impl FnMut(Vec<PathSeg>, Snapshot)) {
+    let mut runs = Vec::new();
+    let mut written = 0;
+    let mut start = first_mismatch(a, b, 0);
+    while start < b.len() {
+        // `end` is one past the run's last changed byte; `next` is where
+        // the following run starts.
+        let mut end = start + 1;
+        let next = loop {
+            if end >= a.len() {
+                end = b.len();
+                break end;
             }
-            Target::Shared(id, path) => {
-                let entry = shared.get_mut(*id).ok_or(DiffError::BadSharedIndex(*id))?;
-                let slot = navigate(entry, path)?;
-                *slot = r.subtree.clone();
+            let next = first_mismatch(a, b, end);
+            if next - end > RUN_GAP || next == b.len() {
+                break next;
             }
+            end = next + 1;
+        };
+        codec::write_varint(&mut runs, (start - written) as u64);
+        codec::write_varint(&mut runs, (end - start) as u64);
+        runs.extend_from_slice(&b[start..end]);
+        written = end;
+        start = next;
+    }
+    let mut target = Vec::with_capacity(path.len() + 1);
+    target.extend_from_slice(path);
+    target.push(PathSeg::ByteRanges);
+    emit(target, Snapshot::Bytes(runs));
+}
+
+/// The first index at or after `from` where `a` and `b` differ, or
+/// `a.len()` when `b` agrees with the rest of `a`. Eight bytes per
+/// comparison: an unchanged blob is skipped at word speed.
+fn first_mismatch(a: &[u8], b: &[u8], from: usize) -> usize {
+    let (rest_a, rest_b) = (&a[from..], &b[from..a.len()]);
+    let mut at = from;
+    let (mut words_a, mut words_b) = (rest_a.chunks_exact(8), rest_b.chunks_exact(8));
+    for (x, y) in (&mut words_a).zip(&mut words_b) {
+        let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
+        let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if x != y {
+            return at + ((x ^ y).trailing_zeros() / 8) as usize;
         }
+        at += 8;
+    }
+    let (tail_a, tail_b) = (words_a.remainder(), words_b.remainder());
+    at + tail_a
+        .iter()
+        .zip(tail_b)
+        .position(|(x, y)| x != y)
+        .unwrap_or(tail_a.len())
+}
+
+/// Applies a delta, producing the `next` checkpoint it was computed for.
+/// `base` is left as it was, whether or not the delta fits.
+pub fn apply(base: &Checkpoint, delta: &Delta) -> Result<Checkpoint, DiffError> {
+    let mut next = Checkpoint {
+        root: base.root.clone(),
+        shared: base.shared.clone(),
+        stats: CheckpointStats::default(),
+    };
+    apply_in_place(&mut next, delta.clone())?;
+    Ok(next)
+}
+
+/// Turns `cp` into the checkpoint `delta` was computed for, moving the
+/// delta's subtrees in and copying nothing of `cp`. On an error `cp` is
+/// left partly rewritten: this is for a base the caller owns and drops
+/// on failure (a warm restore's freshly decoded envelope); everything
+/// else wants [`apply`].
+pub fn apply_in_place(cp: &mut Checkpoint, delta: Delta) -> Result<(), DiffError> {
+    for r in delta.replacements {
+        let (tree, path) = match &r.target {
+            Target::Root(path) => (&mut cp.root, path),
+            Target::Shared(id, path) => (
+                cp.shared
+                    .get_mut(*id)
+                    .ok_or(DiffError::BadSharedIndex(*id))?,
+                path,
+            ),
+        };
+        replace(tree, path, r.subtree)?;
     }
     if let Some(n) = delta.truncate_shared_to {
-        shared.truncate(n);
+        cp.shared.truncate(n);
     }
-    shared.extend(delta.appended_shared.iter().cloned());
-    Ok(Checkpoint {
-        root,
-        shared,
-        stats: CheckpointStats::default(),
-    })
+    cp.shared.extend(delta.appended_shared);
+    cp.stats = CheckpointStats::default();
+    Ok(())
+}
+
+/// Puts `subtree` at `path` inside `tree`: a node replacement, or — for
+/// a path ending in [`PathSeg::ByteRanges`] — a run list spliced into the
+/// blob there.
+fn replace(tree: &mut Snapshot, path: &[PathSeg], subtree: Snapshot) -> Result<(), DiffError> {
+    let Some((PathSeg::ByteRanges, blob_path)) = path.split_last() else {
+        *navigate(tree, path)? = subtree;
+        return Ok(());
+    };
+    match (navigate(tree, blob_path)?, &subtree) {
+        (Snapshot::Bytes(blob), Snapshot::Bytes(runs)) => splice_runs(blob, runs),
+        _ => Err(DiffError::PathMismatch),
+    }
+}
+
+/// Writes a run list into `blob`. Total on arbitrary lists: a run that
+/// starts past the blob's end, a length the list does not hold or a
+/// broken varint is a `PathMismatch`, and the blob never grows by more
+/// than the list is long.
+fn splice_runs(blob: &mut Vec<u8>, runs: &[u8]) -> Result<(), DiffError> {
+    let field = |pos: &mut usize| {
+        let v = codec::read_varint(runs, pos).map_err(|_| DiffError::PathMismatch)?;
+        usize::try_from(v).map_err(|_| DiffError::PathMismatch)
+    };
+    let (mut pos, mut at) = (0, 0usize);
+    while pos < runs.len() {
+        let (gap, len) = (field(&mut pos)?, field(&mut pos)?);
+        at = at
+            .checked_add(gap)
+            .filter(|&at| at <= blob.len())
+            .ok_or(DiffError::PathMismatch)?;
+        let run = pos
+            .checked_add(len)
+            .and_then(|end| runs.get(pos..end))
+            .ok_or(DiffError::PathMismatch)?;
+        let overwritten = len.min(blob.len() - at);
+        blob[at..at + overwritten].copy_from_slice(&run[..overwritten]);
+        blob.extend_from_slice(&run[overwritten..]);
+        pos += len;
+        at += len;
+    }
+    Ok(())
 }
 
 fn navigate<'a>(snap: &'a mut Snapshot, path: &[PathSeg]) -> Result<&'a mut Snapshot, DiffError> {
@@ -360,6 +507,7 @@ mod tests {
             any::<i64>().prop_map(Snapshot::Int),
             any::<bool>().prop_map(Snapshot::Bool),
             "[a-z]{0,6}".prop_map(Snapshot::Str),
+            proptest::collection::vec(0u8..3, 0..40).prop_map(Snapshot::Bytes),
             (0usize..4).prop_map(Snapshot::Shared),
             Just(Snapshot::Opt(None)),
         ];

@@ -3,11 +3,16 @@
 //! The codec ([`crate::codec`]) turns checkpoints into bytes; an
 //! *envelope* makes those bytes safe to trust after a crash. Each
 //! envelope carries a monotonic epoch, the logical tick and item count
-//! of the state it holds, a declared payload length, and an FNV-1a
-//! checksum footer over everything before it. Verification happens
-//! before a single payload byte is parsed, so a truncated or corrupted
-//! snapshot is *detected* — surfaced as a typed [`RestoreError`] — and
-//! never restored into a domain as garbage.
+//! of the state it holds, a declared payload length, and a word-wise
+//! multiplicative checksum footer over everything before it.
+//! Verification happens before a single payload byte is parsed, so a
+//! truncated or corrupted snapshot is *detected* — surfaced as a typed
+//! [`RestoreError`] — and never restored into a domain as garbage.
+//!
+//! The magic and the format version sit at fixed offsets and are read
+//! first: the version names the checksum, so an envelope of another
+//! version is reported as [`RestoreError::VersionMismatch`] without
+//! judging its footer by this version's rule.
 //!
 //! Envelopes come in two kinds: `Full` (a complete checkpoint) and
 //! `Delta` (an incremental [`Delta`](crate::diff::Delta) against an
@@ -21,12 +26,14 @@ use crate::snapshot::SnapshotError;
 use std::fmt;
 
 const MAGIC: &[u8; 4] = b"RBSE";
-/// Envelope wire-format version. Bumped to 2 when the header grew the
-/// state-schema varint (live-upgrade support); an envelope sealed by a
-/// different format version is rejected with
-/// [`RestoreError::VersionMismatch`] — found and expected versions
-/// attached — before any metadata is parsed.
-pub const VERSION: u8 = 2;
+/// Envelope wire-format version. 2 added the state-schema varint to the
+/// header (live-upgrade support); 3 replaced the byte-wise FNV-1a footer
+/// with the word-wise checksum and admits byte-range deltas and packed
+/// table images in the payload. An envelope sealed by a different format
+/// version is rejected with [`RestoreError::VersionMismatch`] — found
+/// and expected versions attached — before its footer or any metadata is
+/// read.
+pub const VERSION: u8 = 3;
 const KIND_FULL: u8 = 0;
 const KIND_DELTA: u8 = 1;
 /// Bytes of the checksum footer.
@@ -48,8 +55,9 @@ pub enum RestoreError {
     BadHeader,
     /// The envelope was sealed by a different wire-format version. Kept
     /// distinct from [`RestoreError::BadHeader`] so an upgrade path can
-    /// tell "foreign format" from "garbage": the envelope is intact
-    /// (its checksum verified), just written by other code.
+    /// tell "foreign format" from "garbage": the magic is right and the
+    /// version byte names other code. Nothing else was checked — how the
+    /// footer is computed is part of what a version defines.
     VersionMismatch {
         /// Version byte the envelope carries.
         found: u8,
@@ -197,17 +205,39 @@ pub enum Payload {
     Delta(Delta),
 }
 
-/// 64-bit FNV-1a. Not cryptographic — the threat model is bit rot and
-/// torn writes, not an adversary — but any single-bit flip anywhere in
-/// the content provably changes the hash (xor then multiply-by-odd-prime
-/// are both bijections of the running state).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The footer checksum: a 64-bit multiplicative hash taken eight bytes
+/// per step, then the tail a byte per step, then the length. Not
+/// cryptographic — the threat model is bit rot and torn writes, not an
+/// adversary.
+///
+/// One step is `h ← m(h ^ v)` with `m(x) = (x·K) ^ ((x·K) >> 32)` and `K`
+/// odd. Xor with a constant, multiplication by an odd number modulo 2⁶⁴
+/// and a right xorshift are each bijections of the 64-bit state, so a
+/// step is a bijection of `h` for a fixed `v` and of `v` for a fixed `h`.
+/// A flipped bit changes one step's `v`, hence that step's `h`, and every
+/// later step carries the difference through to the result: any
+/// single-bit flip anywhere in the content provably changes the hash. A
+/// truncation changes the length mixed in last (and, sooner, fails the
+/// declared-payload-length check).
+fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    #[inline]
+    fn step(h: u64, v: u64) -> u64 {
+        let x = (h ^ v).wrapping_mul(K);
+        x ^ (x >> 32)
     }
-    h
+    let mut words = bytes.chunks_exact(8);
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for word in &mut words {
+        h = step(
+            h,
+            u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+        );
+    }
+    for &b in words.remainder() {
+        h = step(h, u64::from(b));
+    }
+    step(h, bytes.len() as u64)
 }
 
 fn seal(kind: u8, meta: SnapshotMeta, payload: &[u8]) -> Vec<u8> {
@@ -222,8 +252,8 @@ fn seal(kind: u8, meta: SnapshotMeta, payload: &[u8]) -> Vec<u8> {
     codec::write_varint(&mut out, u64::from(meta.schema));
     codec::write_varint(&mut out, payload.len() as u64);
     out.extend_from_slice(payload);
-    let checksum = fnv1a(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    let footer = checksum(&out);
+    out.extend_from_slice(&footer.to_le_bytes());
     out
 }
 
@@ -241,39 +271,34 @@ pub fn seal_delta(meta: SnapshotMeta, delta: &Delta) -> Vec<u8> {
 }
 
 fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, RestoreError> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let b = *bytes.get(*pos).ok_or(RestoreError::Truncated)?;
-        *pos += 1;
-        v |= u64::from(b & 0x7F) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(RestoreError::Codec(CodecError::VarintOverflow))
+    codec::read_varint(bytes, pos).map_err(|e| match e {
+        CodecError::UnexpectedEof => RestoreError::Truncated,
+        other => RestoreError::Codec(other),
+    })
 }
 
-/// Verifies and opens one envelope: checksum first, then header, then
-/// payload decode. Total — arbitrary bytes produce an error, never a
-/// panic and never a wrong value.
+/// Verifies and opens one envelope: magic and version at their fixed
+/// offsets, then the checksum that version defines, then the header,
+/// then payload decode. Total — arbitrary bytes produce an error, never
+/// a panic and never a wrong value.
 pub fn open(bytes: &[u8]) -> Result<(SnapshotMeta, Payload), RestoreError> {
     if bytes.len() < FIXED_HEADER_LEN + FOOTER_LEN {
         return Err(RestoreError::Truncated);
     }
-    let (content, footer) = bytes.split_at(bytes.len() - FOOTER_LEN);
-    let stored = u64::from_le_bytes(footer.try_into().expect("footer is 8 bytes"));
-    let computed = fnv1a(content);
-    if stored != computed {
-        return Err(RestoreError::ChecksumMismatch { stored, computed });
-    }
-    if &content[..4] != MAGIC {
+    if &bytes[..4] != MAGIC {
         return Err(RestoreError::BadHeader);
     }
-    if content[4] != VERSION {
+    if bytes[4] != VERSION {
         return Err(RestoreError::VersionMismatch {
-            found: content[4],
+            found: bytes[4],
             expected: VERSION,
         });
+    }
+    let (content, footer) = bytes.split_at(bytes.len() - FOOTER_LEN);
+    let stored = u64::from_le_bytes(footer.try_into().expect("footer is 8 bytes"));
+    let computed = checksum(content);
+    if stored != computed {
+        return Err(RestoreError::ChecksumMismatch { stored, computed });
     }
     let kind = content[5];
     let mut pos = FIXED_HEADER_LEN;
@@ -382,6 +407,15 @@ mod tests {
     }
 
     #[test]
+    fn checksum_tells_lengths_apart() {
+        // A zero word and a zero tail byte feed a step the same value;
+        // only the length mixed in last separates the two contents.
+        assert_ne!(checksum(&[0; 8]), checksum(&[0]));
+        assert_ne!(checksum(&[0; 16]), checksum(&[0; 9]));
+        assert_ne!(checksum(&[]), checksum(&[0]));
+    }
+
+    #[test]
     fn kind_and_base_epoch_must_agree() {
         // A "full" envelope whose base_epoch differs is malformed even
         // when its checksum is intact.
@@ -399,17 +433,16 @@ mod tests {
 
     #[test]
     fn foreign_version_is_typed_not_garbage() {
-        // A structurally intact envelope stamped with a different format
-        // version: reseal the checksum so only the version byte differs.
+        // Only the version byte is restamped: the footer no longer
+        // matches the content under this version's checksum, and the
+        // envelope must still be reported as the foreign version it
+        // claims — the version is read before the footer is judged.
         let mut bytes = seal_full(meta(1), &checkpoint(&vec![1u8, 2]));
-        bytes[4] = VERSION + 1;
-        let content_len = bytes.len() - FOOTER_LEN;
-        let checksum = fnv1a(&bytes[..content_len]).to_le_bytes();
-        bytes[content_len..].copy_from_slice(&checksum);
+        bytes[4] = VERSION - 1;
         assert_eq!(
             open(&bytes).unwrap_err(),
             RestoreError::VersionMismatch {
-                found: VERSION + 1,
+                found: VERSION - 1,
                 expected: VERSION,
             }
         );

@@ -29,6 +29,8 @@
 //! - [`checkpointable!`](crate::checkpointable): a `macro_rules!` stand-in
 //!   for the paper's compiler plugin, generating the inductive impl for
 //!   user structs;
+//! - [`diff`]: structural deltas between checkpoints — subtree
+//!   replacements, and byte runs inside `Bytes` blobs;
 //! - [`envelope`] / [`store`]: sealed snapshots with integrity metadata
 //!   (checksum footer, monotonic epochs, typed [`RestoreError`]) and the
 //!   double-buffered full/delta [`SnapshotStore`] the runtime's warm
@@ -72,7 +74,7 @@ pub use ctx::{
     checkpoint, checkpoint_scope, checkpoint_with_mode, restore, restore_scope, Checkpoint,
     CheckpointCtx, CheckpointStats, DedupMode, RestoreCtx,
 };
-pub use diff::{apply, diff, Delta};
+pub use diff::{apply, apply_in_place, diff, Delta};
 pub use envelope::{RestoreError, SnapshotMeta};
 pub use migrate::{MigrateError, MigratorSet, StateMigrator};
 pub use snapshot::{Snapshot, SnapshotError};

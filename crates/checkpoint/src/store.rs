@@ -6,7 +6,9 @@
 //! records between seal an incremental [`Delta`](crate::diff::Delta)
 //! against the last full one, so steady-state snapshot cost scales with
 //! what *changed* since the base, not with total state size (§5's
-//! replication argument applied to recovery).
+//! replication argument applied to recovery). That holds inside a packed
+//! flow-table image too: the delta carries the byte runs of the records
+//! that moved and the records appended, not the image.
 //!
 //! The store keeps the two most recent records — `latest` and
 //! `previous` — so a snapshot corrupted in place still leaves one
@@ -68,15 +70,16 @@ impl SealedSnapshot {
 
     /// Verifies and decodes the record into the checkpoint it captured:
     /// checksum-check the full envelope, then (for incremental records)
-    /// checksum-check the delta and apply it. Any corruption anywhere in
-    /// the chain is a typed error, never a wrong checkpoint.
+    /// checksum-check the delta and apply it — in place, on the base
+    /// just decoded, which nothing else holds. Any corruption anywhere
+    /// in the chain is a typed error, never a wrong checkpoint.
     pub fn open(&self) -> Result<Checkpoint, RestoreError> {
         let (base_meta, base_payload) = envelope::open(&self.base)?;
-        let Payload::Full(base_cp) = base_payload else {
+        let Payload::Full(mut cp) = base_payload else {
             return Err(RestoreError::BadHeader);
         };
         match &self.delta {
-            None => Ok(base_cp),
+            None => Ok(cp),
             Some(bytes) => {
                 let (delta_meta, delta_payload) = envelope::open(bytes)?;
                 let Payload::Delta(delta) = delta_payload else {
@@ -88,7 +91,8 @@ impl SealedSnapshot {
                         found: base_meta.epoch,
                     });
                 }
-                Ok(diff::apply(&base_cp, &delta)?)
+                diff::apply_in_place(&mut cp, delta)?;
+                Ok(cp)
             }
         }
     }

@@ -76,10 +76,10 @@ fn meta(epoch: u64) -> SnapshotMeta {
     }
 }
 
-/// The envelope's checksum, recomputed independently (64-bit FNV-1a over
-/// everything before the 8-byte footer) so tests can reseal envelopes
-/// they deliberately malform.
-fn reseal_checksum(bytes: &mut [u8]) {
+/// Reseals an envelope the way format version 2 did — 64-bit FNV-1a over
+/// everything before the 8-byte footer — which is the footer an older
+/// build's snapshot arrives with. This build never computes it.
+fn reseal_as_version_2(bytes: &mut [u8]) {
     let content_len = bytes.len() - 8;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in &bytes[..content_len] {
@@ -205,13 +205,15 @@ proptest! {
         prop_assert!(open(&bytes).is_err(), "random bytes passed verification");
     }
 
-    /// An envelope sealed by *any* other format version — a future
-    /// build's snapshot landing on this one, the live-upgrade hazard —
-    /// must fail with the typed `VersionMismatch` carrying the found and
-    /// expected versions: never a checksum error (the envelope is
-    /// intact), never a panic, and never a successful open.
+    /// An envelope sealed by *any* other format version — an older
+    /// build's snapshot, or a future one's, landing on this build: the
+    /// live-upgrade hazard — must fail with the typed `VersionMismatch`
+    /// carrying the found and expected versions, whatever its footer
+    /// holds: this version's checksum, the FNV-1a footer version 2
+    /// wrote, or noise. Never a checksum error (a version defines its
+    /// checksum), never a panic, and never a successful open.
     #[test]
-    fn future_versions_fail_typed(
+    fn other_versions_fail_typed(
         arc_labels in proptest::collection::vec(any::<u64>(), 1..5),
         rc_pool in proptest::collection::vec(
             proptest::collection::vec(any::<u64>(), 0..4), 1..4),
@@ -219,13 +221,20 @@ proptest! {
         rc_picks in proptest::collection::vec(any::<u64>(), 0..8),
         epoch in any::<u64>(),
         foreign_version in any::<u8>().prop_filter("must differ", |v| *v != VERSION),
+        footer in prop_oneof![Just(None), Just(Some(None)), any::<u64>().prop_map(|n| Some(Some(n)))],
     ) {
         let (doc, _, _) = build_doc(&arc_labels, &arc_picks, &rc_pool, &rc_picks);
         let mut sealed = seal_full(meta(epoch), &checkpoint(&doc));
-        // Byte 4 is the format version; reseal so the checksum stays
-        // valid and the *only* anomaly is the foreign version.
+        // Byte 4 is the format version.
         sealed[4] = foreign_version;
-        reseal_checksum(&mut sealed);
+        match footer {
+            None => {}
+            Some(None) => reseal_as_version_2(&mut sealed),
+            Some(Some(noise)) => {
+                let at = sealed.len() - 8;
+                sealed[at..].copy_from_slice(&noise.to_le_bytes());
+            }
+        }
         prop_assert_eq!(
             open(&sealed).unwrap_err(),
             RestoreError::VersionMismatch { found: foreign_version, expected: VERSION }

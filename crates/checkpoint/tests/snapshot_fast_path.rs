@@ -1,0 +1,449 @@
+//! Tests for the generic half of the snapshot fast path — what the
+//! checkpoint layer does with a `Bytes` blob such as a packed flow-table
+//! image, and the envelope checksum over it:
+//!
+//! - `apply(base, diff(base, next)) == next` for arbitrary blob pairs —
+//!   equal, touched, grown, shrunk, emptied, blob↔non-blob — in memory
+//!   and through the delta wire format, with a sparse update shipping a
+//!   small fraction of the blob in a single replacement;
+//! - `apply` and `decode_delta` are total **and bounded** on hostile run
+//!   lists: a run past the blob's end, a length the list does not hold
+//!   or a broken varint is `PathMismatch`, nothing is resized to a size
+//!   an attacker names, and a failed `apply` leaves its base alone;
+//! - `SealedSnapshot::open` on a delta record rebuilds exactly the
+//!   checkpoint that was recorded;
+//! - the word-wise envelope checksum detects every single-bit flip and
+//!   every truncation, on an envelope of more than 16 KiB and on every
+//!   tail length from 0 to 17 bytes, and two flips of the same high bit
+//!   do not cancel.
+
+use proptest::prelude::*;
+use rbs_checkpoint::diff::{DiffError, PathSeg, Replacement, Target};
+use rbs_checkpoint::envelope::{open, seal_full};
+use rbs_checkpoint::{
+    apply, checkpoint, decode_delta, diff, encode, encode_delta, Checkpoint, Delta, Snapshot,
+    SnapshotMeta, SnapshotStore,
+};
+
+/// A pipeline-shaped checkpoint: a stateless stage, then `state`.
+fn staged(state: Snapshot) -> Checkpoint {
+    Checkpoint {
+        root: Snapshot::Seq(vec![
+            Snapshot::Opt(None),
+            Snapshot::Opt(Some(Box::new(state))),
+        ]),
+        shared: vec![],
+        stats: Default::default(),
+    }
+}
+
+/// The path `staged` puts its state at.
+fn state_path() -> Vec<PathSeg> {
+    vec![PathSeg::Index(1), PathSeg::OptInner]
+}
+
+/// How `next` is derived from `base`.
+#[derive(Debug, Clone)]
+enum Change {
+    Equal,
+    /// Overwrite the byte at each (position mod len) with the value.
+    Touch(Vec<(usize, u8)>),
+    Grow(Vec<u8>),
+    TouchAndGrow(Vec<(usize, u8)>, Vec<u8>),
+    /// Keep this many bytes (mod len + 1).
+    Shrink(usize),
+    Empty,
+    Unrelated(Vec<u8>),
+    NotABlob(u64),
+}
+
+fn change() -> impl Strategy<Value = Change> {
+    let touches = || proptest::collection::vec((any::<usize>(), any::<u8>()), 1..12);
+    let tail = || proptest::collection::vec(any::<u8>(), 1..80);
+    prop_oneof![
+        Just(Change::Equal),
+        touches().prop_map(Change::Touch),
+        tail().prop_map(Change::Grow),
+        (touches(), tail()).prop_map(|(t, g)| Change::TouchAndGrow(t, g)),
+        any::<usize>().prop_map(Change::Shrink),
+        Just(Change::Empty),
+        proptest::collection::vec(any::<u8>(), 0..300).prop_map(Change::Unrelated),
+        any::<u64>().prop_map(Change::NotABlob),
+    ]
+}
+
+fn changed(base: &[u8], change: &Change) -> Snapshot {
+    let touch = |blob: &mut Vec<u8>, touches: &[(usize, u8)]| {
+        for &(at, v) in touches {
+            if !blob.is_empty() {
+                let at = at % blob.len();
+                blob[at] = v;
+            }
+        }
+    };
+    let mut next = base.to_vec();
+    match change {
+        Change::Equal => {}
+        Change::Touch(t) => touch(&mut next, t),
+        Change::Grow(g) => next.extend_from_slice(g),
+        Change::TouchAndGrow(t, g) => {
+            touch(&mut next, t);
+            next.extend_from_slice(g);
+        }
+        Change::Shrink(keep) => next.truncate(keep % (base.len() + 1)),
+        Change::Empty => next.clear(),
+        Change::Unrelated(other) => next = other.clone(),
+        Change::NotABlob(n) => return Snapshot::UInt(*n),
+    }
+    Snapshot::Bytes(next)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The delta law over blobs, both directions, in memory and through
+    /// the wire format.
+    #[test]
+    fn blob_deltas_apply_back_exactly(
+        base in proptest::collection::vec(any::<u8>(), 0..300),
+        change in change(),
+    ) {
+        let a = staged(Snapshot::Bytes(base.clone()));
+        let b = staged(changed(&base, &change));
+        for (from, to) in [(&a, &b), (&b, &a)] {
+            let delta = diff(from, to);
+            prop_assert_eq!(delta.is_empty(), from == to);
+            prop_assert_eq!(&apply(from, &delta).unwrap(), to);
+            let wired = decode_delta(&encode_delta(&delta)).unwrap();
+            prop_assert_eq!(&wired, &delta);
+            prop_assert_eq!(&apply(from, &wired).unwrap(), to);
+        }
+    }
+
+    /// `apply` on a run list nobody diffed: total, and the blob grows by
+    /// at most what the list carries.
+    #[test]
+    fn hostile_run_lists_are_rejected_or_bounded(
+        blob in proptest::collection::vec(any::<u8>(), 0..64),
+        runs in hostile_runs(),
+    ) {
+        let base = staged(Snapshot::Bytes(blob.clone()));
+        let delta = byte_ranges(state_path(), Snapshot::Bytes(runs.clone()));
+        match apply(&base, &delta) {
+            Ok(next) => {
+                let Snapshot::Bytes(out) = state_of(&next) else {
+                    panic!("a run list turned a blob into something else");
+                };
+                prop_assert!(out.len() >= blob.len());
+                prop_assert!(out.len() <= blob.len() + runs.len());
+            }
+            Err(e) => prop_assert_eq!(e, DiffError::PathMismatch),
+        }
+        prop_assert_eq!(&base, &staged(Snapshot::Bytes(blob)), "base touched");
+        // The same list off the wire behaves the same.
+        let wired = decode_delta(&encode_delta(&delta)).unwrap();
+        prop_assert_eq!(apply(&base, &wired).is_ok(), apply(&base, &delta).is_ok());
+    }
+
+    /// A damaged delta payload decodes to an error or to a delta that
+    /// `apply` handles — never a panic, never an attacker-sized blob.
+    #[test]
+    fn damaged_delta_payloads_are_total_and_bounded(
+        at in any::<usize>(),
+        to in any::<u8>(),
+        cut in any::<usize>(),
+    ) {
+        let mut image = vec![7u8; 600];
+        let a = staged(Snapshot::Bytes(image.clone()));
+        for at in [3, 4, 200, 431] {
+            image[at] ^= 0x55;
+        }
+        image.extend_from_slice(&[9; 58]);
+        let b = staged(Snapshot::Bytes(image));
+        let mut payload = encode_delta(&diff(&a, &b));
+        let at = at % payload.len();
+        payload[at] = to;
+        payload.truncate(1 + cut % payload.len());
+        if let Ok(delta) = decode_delta(&payload) {
+            if let Ok(next) = apply(&a, &delta) {
+                prop_assert!(encode(&next).len() <= encode(&a).len() + payload.len());
+            }
+        }
+    }
+}
+
+/// Arbitrary bytes, or structurally plausible `(gap, len, bytes)` runs
+/// with hostile numbers in them.
+fn hostile_runs() -> impl Strategy<Value = Vec<u8>> {
+    let varint = |v: u64| {
+        let mut out = Vec::new();
+        rbs_checkpoint::codec::write_varint(&mut out, v);
+        out
+    };
+    let number = prop_oneof![
+        4 => 0u64..80,
+        1 => any::<u64>(),
+        1 => Just(u64::MAX),
+        1 => Just(usize::MAX as u64),
+    ];
+    let run = (
+        number.clone(),
+        number,
+        proptest::collection::vec(any::<u8>(), 0..24),
+        any::<bool>(),
+    )
+        .prop_map(move |(gap, len, bytes, honest)| {
+            let len = if honest { bytes.len() as u64 } else { len };
+            [varint(gap), varint(len), bytes].concat()
+        });
+    prop_oneof![
+        1 => proptest::collection::vec(any::<u8>(), 0..64),
+        3 => proptest::collection::vec(run, 0..5).prop_map(|runs| runs.concat()),
+    ]
+}
+
+/// A delta of one replacement at `path` + `ByteRanges`.
+fn byte_ranges(mut path: Vec<PathSeg>, subtree: Snapshot) -> Delta {
+    path.push(PathSeg::ByteRanges);
+    Delta {
+        replacements: vec![Replacement {
+            target: Target::Root(path),
+            subtree,
+        }],
+        ..Delta::default()
+    }
+}
+
+fn state_of(cp: &Checkpoint) -> &Snapshot {
+    match &cp.root {
+        Snapshot::Seq(stages) => match &stages[1] {
+            Snapshot::Opt(Some(state)) => state,
+            other => panic!("stage 1 holds state, got {}", other.kind_name()),
+        },
+        other => panic!("pipeline state is a seq, got {}", other.kind_name()),
+    }
+}
+
+fn runs(list: &[(u64, &[u8])]) -> Snapshot {
+    let mut out = Vec::new();
+    for (gap, bytes) in list {
+        rbs_checkpoint::codec::write_varint(&mut out, *gap);
+        rbs_checkpoint::codec::write_varint(&mut out, bytes.len() as u64);
+        out.extend_from_slice(bytes);
+    }
+    Snapshot::Bytes(out)
+}
+
+#[test]
+fn run_lists_splice_overwrite_and_append() {
+    let base = staged(Snapshot::Bytes(b"0123456789".to_vec()));
+    let spliced = |list: &[(u64, &[u8])]| {
+        apply(&base, &byte_ranges(state_path(), runs(list))).map(|cp| state_of(&cp).clone())
+    };
+    let blob = |s: &[u8]| Ok(Snapshot::Bytes(s.to_vec()));
+    assert_eq!(spliced(&[]), blob(b"0123456789"));
+    assert_eq!(spliced(&[(2, b"ab"), (3, b"c")]), blob(b"01ab456c89"));
+    // Straddling the end, and starting exactly at it.
+    assert_eq!(spliced(&[(8, b"xyz")]), blob(b"01234567xyz"));
+    assert_eq!(spliced(&[(10, b"!")]), blob(b"0123456789!"));
+    assert_eq!(spliced(&[(0, b"A"), (9, b"BC")]), blob(b"A123456789BC"));
+    // One past the end is out of range — also after an earlier run.
+    assert_eq!(spliced(&[(11, b"!")]), Err(DiffError::PathMismatch));
+    assert_eq!(
+        spliced(&[(0, b"A"), (10, b"!")]),
+        Err(DiffError::PathMismatch)
+    );
+}
+
+#[test]
+fn diff_emits_the_changed_runs_coalesced_and_nothing_else() {
+    let base = vec![b'.'; 40];
+    let emitted = |next: &[u8]| {
+        let delta = diff(
+            &staged(Snapshot::Bytes(base.clone())),
+            &staged(Snapshot::Bytes(next.to_vec())),
+        );
+        assert_eq!(delta.replacements.len(), 1);
+        delta.replacements[0].subtree.clone()
+    };
+    // Two changes three bytes apart travel as one run, the far one as
+    // its own, and the appended tail rides on the run that reaches it.
+    let mut next = base.clone();
+    (next[2], next[5], next[37]) = (b'A', b'B', b'C');
+    next.extend_from_slice(b"DE");
+    assert_eq!(emitted(&next), runs(&[(2, b"A..B"), (31, b"C..DE")]));
+    // A change near the end of an unchanged-length blob ships alone, not
+    // with the equal bytes after it.
+    let mut next = base.clone();
+    next[37] = b'C';
+    assert_eq!(emitted(&next), runs(&[(37, b"C")]));
+    // Changes more than a word apart stay apart.
+    let mut next = base.clone();
+    (next[10], next[19], next[20]) = (b'A', b'B', b'C');
+    assert_eq!(emitted(&next), runs(&[(10, b"A........BC")]));
+    (next[19], next[20]) = (b'.', b'B');
+    assert_eq!(emitted(&next), runs(&[(10, b"A"), (9, b"B")]));
+}
+
+#[test]
+fn hostile_byte_ranges_are_path_mismatches_not_resizes() {
+    let base = staged(Snapshot::Bytes(vec![1, 2, 3, 4]));
+    let rejected = |delta: &Delta| {
+        assert_eq!(apply(&base, delta).unwrap_err(), DiffError::PathMismatch);
+    };
+    let varint = |v: u64| {
+        let mut out = Vec::new();
+        rbs_checkpoint::codec::write_varint(&mut out, v);
+        out
+    };
+    let raw = |bytes: Vec<u8>| byte_ranges(state_path(), Snapshot::Bytes(bytes));
+
+    // A gap of 2^64 - 1 and of usize::MAX: no resize is attempted.
+    rejected(&raw([varint(u64::MAX), varint(1), vec![0]].concat()));
+    rejected(&raw([
+        varint(2),
+        varint(1),
+        vec![0],
+        varint(u64::MAX - 2),
+        varint(0),
+    ]
+    .concat()));
+    // A length the list does not hold, honest gap.
+    rejected(&raw([varint(0), varint(u64::MAX)].concat()));
+    rejected(&raw([varint(4), varint(1 << 40), vec![0; 16]].concat()));
+    // A varint that never ends, and one cut short.
+    rejected(&raw(vec![0xFF; 11]));
+    rejected(&raw(vec![0, 0x80]));
+    // The subtree is not a run list; the target is not a blob; the
+    // segment is not last.
+    rejected(&byte_ranges(state_path(), Snapshot::UInt(3)));
+    rejected(&byte_ranges(vec![PathSeg::Index(1)], runs(&[(0, b"x")])));
+    rejected(&byte_ranges(
+        vec![PathSeg::Index(1), PathSeg::ByteRanges, PathSeg::OptInner],
+        runs(&[(0, b"x")]),
+    ));
+    assert_eq!(base, staged(Snapshot::Bytes(vec![1, 2, 3, 4])));
+}
+
+/// A packed-table-like image: `records` records of 29 bytes.
+fn image(records: usize) -> Vec<u8> {
+    (0..records * 29).map(|i| (i * 31 % 251) as u8).collect()
+}
+
+#[test]
+fn sparse_update_ships_the_touched_records_in_one_replacement() {
+    let mut next = image(565); // 16 385 bytes
+    let base = staged(Snapshot::Bytes(next.clone()));
+    for record in [3, 4, 200, 431] {
+        next[record * 29 + 13] ^= 1; // the packet counter's low byte …
+        next[record * 29 + 21] ^= 0x40; // … and the byte counter's
+    }
+    next.extend(image(2));
+    let next = staged(Snapshot::Bytes(next));
+
+    let delta = diff(&base, &next);
+    assert_eq!(delta.replacements.len(), 1, "one run list per blob");
+    assert_eq!(delta.payload_nodes(), 1, "and no node per record");
+    let mut path = state_path();
+    path.push(PathSeg::ByteRanges);
+    assert_eq!(delta.replacements[0].target, Target::Root(path));
+    let (payload, full) = (encode_delta(&delta).len(), encode(&next).len());
+    // Four touched records (9 bytes each, counters coalesced) plus the
+    // two appended ones and framing — not the 16 KiB image.
+    assert!(payload < 4 * 16 + 2 * 29 + 32, "{payload} bytes of delta");
+    assert!(payload * 100 < full, "{payload} of {full}");
+    assert_eq!(apply(&base, &delta).unwrap(), next);
+}
+
+#[test]
+fn a_delta_record_opens_to_the_checkpoint_that_was_recorded() {
+    let mut store = SnapshotStore::new(4);
+    let mut table = image(100);
+    store.record(&staged(Snapshot::Bytes(table.clone())), 1, 100, 0);
+    for tick in 2..=4u64 {
+        table[tick as usize * 29 + 13] += 1;
+        table.extend(image(1));
+        let cp = staged(Snapshot::Bytes(table.clone()));
+        let meta = store.record(&cp, tick, 100 + tick, 0);
+        assert!(meta.is_delta());
+        let sealed = store.latest().unwrap();
+        assert_eq!(sealed.open().unwrap(), cp);
+        assert!(
+            sealed.payload_bytes() * 10 < store.stats().full_bytes as usize,
+            "a delta record of {} bytes",
+            sealed.payload_bytes()
+        );
+        // Opening applies in place on a fresh decode: the shared base
+        // envelope is unharmed and opens again.
+        assert_eq!(sealed.open().unwrap(), cp);
+    }
+    assert_eq!(store.stats().delta_snapshots, 3);
+}
+
+fn meta() -> SnapshotMeta {
+    SnapshotMeta {
+        epoch: 1,
+        base_epoch: 1,
+        tick: 300,
+        items: 565,
+        schema: 0,
+    }
+}
+
+fn assert_every_flip_and_cut_is_detected(sealed: &[u8]) {
+    assert!(open(sealed).is_ok());
+    let mut tampered = sealed.to_vec();
+    for byte in 0..sealed.len() {
+        for bit in 0..8 {
+            tampered[byte] ^= 1 << bit;
+            assert!(open(&tampered).is_err(), "bit {bit} of byte {byte}");
+            tampered[byte] ^= 1 << bit;
+        }
+    }
+    for cut in 0..sealed.len() {
+        assert!(open(&sealed[..cut]).is_err(), "cut at {cut}");
+    }
+}
+
+#[test]
+fn checksum_detects_every_flip_and_truncation_of_a_16k_envelope() {
+    let sealed = seal_full(meta(), &staged(Snapshot::Bytes(image(565))));
+    assert!(sealed.len() > 16 * 1024);
+    assert_every_flip_and_cut_is_detected(&sealed);
+}
+
+#[test]
+fn checksum_detects_every_flip_and_truncation_at_every_tail_length() {
+    // Eighteen consecutive content lengths: every tail from 0 to 7
+    // bytes, after none, one and two whole words beyond the header.
+    let lengths: Vec<usize> = (0..=17)
+        .map(|n| {
+            let sealed = seal_full(meta(), &checkpoint(&vec![0xA5u8; n]));
+            assert_every_flip_and_cut_is_detected(&sealed);
+            sealed.len()
+        })
+        .collect();
+    assert!(lengths.windows(2).all(|w| w[1] == w[0] + 1), "{lengths:?}");
+}
+
+#[test]
+fn checksum_does_not_let_two_high_bit_flips_cancel() {
+    // Under a bare multiply a flipped top bit stays a top-bit difference
+    // through every later word, so a second one cancels it; the xorshift
+    // in each step is what spreads it. Both flips land inside the blob,
+    // where nothing but the checksum could notice.
+    let sealed = seal_full(meta(), &staged(Snapshot::Bytes(image(20))));
+    let top_bit_of_word = |w: usize| 8 * w + 7;
+    assert!(top_bit_of_word(40) < sealed.len() - 8 - 29);
+    let mut tampered = sealed.clone();
+    for i in 8..40 {
+        for j in i + 1..=40 {
+            tampered[top_bit_of_word(i)] ^= 0x80;
+            tampered[top_bit_of_word(j)] ^= 0x80;
+            assert!(open(&tampered).is_err(), "words {i} and {j}");
+            tampered[top_bit_of_word(i)] ^= 0x80;
+            tampered[top_bit_of_word(j)] ^= 0x80;
+        }
+    }
+    assert_eq!(tampered, sealed);
+}

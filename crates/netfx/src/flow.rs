@@ -7,7 +7,6 @@
 use crate::headers::ipv4::IpProto;
 use crate::headers::ETHERNET_HDR_LEN;
 use crate::packet::{Packet, PacketError};
-use rbs_checkpoint::{CheckpointCtx, Checkpointable, RestoreCtx, Snapshot, SnapshotError};
 use std::net::Ipv4Addr;
 
 /// The 5-tuple identifying a transport flow.
@@ -82,43 +81,6 @@ impl FiveTuple {
         };
         h.mix(self.stable_hash());
         h.finish()
-    }
-}
-
-// Checkpointed as a 5-element Seq of widened scalars so flow tables
-// (keyed by tuple) survive warm recovery. Addresses travel as their u32
-// big-endian value, the protocol as its IANA number.
-impl Checkpointable for FiveTuple {
-    fn checkpoint(&self, ctx: &mut CheckpointCtx) -> Snapshot {
-        Snapshot::Seq(vec![
-            u32::from(self.src_ip).checkpoint(ctx),
-            u32::from(self.dst_ip).checkpoint(ctx),
-            self.src_port.checkpoint(ctx),
-            self.dst_port.checkpoint(ctx),
-            u8::from(self.proto).checkpoint(ctx),
-        ])
-    }
-
-    fn restore(snap: &Snapshot, ctx: &mut RestoreCtx<'_>) -> Result<Self, SnapshotError> {
-        let Snapshot::Seq(items) = snap else {
-            return Err(SnapshotError::TypeMismatch {
-                expected: "five-tuple",
-                found: snap.kind_name(),
-            });
-        };
-        if items.len() != 5 {
-            return Err(SnapshotError::WrongLength {
-                expected: 5,
-                got: items.len(),
-            });
-        }
-        Ok(FiveTuple {
-            src_ip: Ipv4Addr::from(u32::restore(&items[0], ctx)?),
-            dst_ip: Ipv4Addr::from(u32::restore(&items[1], ctx)?),
-            src_port: u16::restore(&items[2], ctx)?,
-            dst_port: u16::restore(&items[3], ctx)?,
-            proto: IpProto::from(u8::restore(&items[4], ctx)?),
-        })
     }
 }
 

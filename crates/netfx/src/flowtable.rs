@@ -10,9 +10,25 @@
 //! seed: the same inserts and removes always produce the same layout, so
 //! a walk of the entries — which is what a snapshot is — repeats byte for
 //! byte across runs.
+//!
+//! # Snapshot form
+//!
+//! A table has one snapshot form, the **packed image**: a single
+//! [`Snapshot::Bytes`] holding one fixed-width record per entry, key then
+//! value ([`Pack`]), in table order. Sealing a table is a linear write
+//! into one buffer and restoring it a linear read into a table sized
+//! once — no node per entry, per key or per counter — and because a
+//! record never changes width or (short of a [`remove`](FlowTable::remove))
+//! position, the checkpoint layer's byte-range deltas ship only the
+//! records that moved. Restore ([`FlowTable::from_image`]) is total on
+//! arbitrary bytes: a torn record, more records than the owner admits, an
+//! encoding a field type rejects or a repeated key is a typed
+//! [`SnapshotError`], and no table is returned.
 
 use crate::flow::{FiveTuple, Fx64};
+use crate::headers::ipv4::IpProto;
 use rbs_checkpoint::{CheckpointCtx, Checkpointable, RestoreCtx, Snapshot, SnapshotError};
+use std::net::Ipv4Addr;
 
 /// A key the table can place: equality plus a hash that does not vary
 /// from process to process.
@@ -34,6 +50,67 @@ pub(crate) fn hash_word(word: u64) -> u64 {
     let mut h = Fx64::new();
     h.mix(word);
     h.finish()
+}
+
+/// A key or value with a fixed-width byte encoding: one field of a
+/// packed table image's records.
+pub trait Pack: Sized {
+    /// Bytes the encoding occupies, for every value of the type.
+    const WIDTH: usize;
+
+    /// Writes the encoding into `out`, which is `WIDTH` bytes long.
+    fn pack(&self, out: &mut [u8]);
+
+    /// Reads a value back from `bytes`, which is `WIDTH` bytes long.
+    /// `None` when the bytes are not an encoding `pack` produces.
+    fn unpack(bytes: &[u8]) -> Option<Self>;
+}
+
+macro_rules! pack_le_int {
+    ($($int:ty),*) => {$(
+        impl Pack for $int {
+            const WIDTH: usize = std::mem::size_of::<$int>();
+
+            #[inline]
+            fn pack(&self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+
+            #[inline]
+            fn unpack(bytes: &[u8]) -> Option<Self> {
+                Some(<$int>::from_le_bytes(bytes.try_into().ok()?))
+            }
+        }
+    )*};
+}
+
+pack_le_int!(u16, u32, u64);
+
+/// Addresses and ports in network order, as on the wire, then the IANA
+/// protocol number: 13 bytes.
+impl Pack for FiveTuple {
+    const WIDTH: usize = 13;
+
+    #[inline]
+    fn pack(&self, out: &mut [u8]) {
+        out[0..4].copy_from_slice(&self.src_ip.octets());
+        out[4..8].copy_from_slice(&self.dst_ip.octets());
+        out[8..10].copy_from_slice(&self.src_port.to_be_bytes());
+        out[10..12].copy_from_slice(&self.dst_port.to_be_bytes());
+        out[12] = u8::from(self.proto);
+    }
+
+    #[inline]
+    fn unpack(b: &[u8]) -> Option<Self> {
+        let b: &[u8; 13] = b.try_into().ok()?;
+        Some(FiveTuple {
+            src_ip: Ipv4Addr::new(b[0], b[1], b[2], b[3]),
+            dst_ip: Ipv4Addr::new(b[4], b[5], b[6], b[7]),
+            src_port: u16::from_be_bytes([b[8], b[9]]),
+            dst_port: u16::from_be_bytes([b[10], b[11]]),
+            proto: IpProto::from(b[12]),
+        })
+    }
 }
 
 /// Marks an index slot no entry occupies.
@@ -225,51 +302,75 @@ impl<K, V> std::fmt::Debug for FlowTable<K, V> {
     }
 }
 
-// A snapshot is a linear walk of the dense entries, in table order — no
-// intermediate sorted map. Restore re-inserts in snapshot order, so the
-// restored table exports the bytes it was built from.
-impl<K, V> Checkpointable for FlowTable<K, V>
-where
-    K: TableKey + Checkpointable,
-    V: Checkpointable,
-{
-    fn checkpoint(&self, ctx: &mut CheckpointCtx) -> Snapshot {
-        Snapshot::Map(
-            self.entries
-                .iter()
-                .map(|(k, v)| (k.checkpoint(ctx), v.checkpoint(ctx)))
-                .collect(),
-        )
-    }
+impl<K: TableKey + Pack, V: Pack> FlowTable<K, V> {
+    /// Bytes one entry occupies in a packed image: key, then value.
+    pub const RECORD_WIDTH: usize = K::WIDTH + V::WIDTH;
 
-    /// Fails on a snapshot that repeats a key: every entry of a table is
-    /// distinct, so such a snapshot was not written by one.
-    fn restore(snap: &Snapshot, ctx: &mut RestoreCtx<'_>) -> Result<Self, SnapshotError> {
-        let Snapshot::Map(pairs) = snap else {
-            return Err(SnapshotError::TypeMismatch {
-                expected: "map",
-                found: snap.kind_name(),
-            });
+    /// Rebuilds a table from the packed image in `snap`, admitting at
+    /// most `max_records` entries. The table is sized once, from the
+    /// image's length, which the bound caps. Fails — returning no table
+    /// — on
+    ///
+    /// - anything but a `Bytes` snapshot, a length that is not a whole
+    ///   number of records (a torn record), or a field encoding its type
+    ///   rejects: [`SnapshotError::TypeMismatch`];
+    /// - more than `max_records` records: [`SnapshotError::WrongLength`];
+    /// - a repeated key: `TypeMismatch { expected: "map with distinct
+    ///   keys", .. }` — every entry of a table is distinct, so such an
+    ///   image was not written by one.
+    pub fn from_image(snap: &Snapshot, max_records: usize) -> Result<Self, SnapshotError> {
+        let mismatch = |expected, found| SnapshotError::TypeMismatch { expected, found };
+        let Snapshot::Bytes(image) = snap else {
+            return Err(mismatch("packed flow table", snap.kind_name()));
         };
-        // Sized once for the snapshot (which is already in memory, so its
-        // length is a bound the caller has paid for): no growth churn.
+        if image.len() % Self::RECORD_WIDTH != 0 {
+            return Err(mismatch("whole flow-table records", "torn record"));
+        }
+        let records = image.len() / Self::RECORD_WIDTH;
+        if records > max_records {
+            return Err(SnapshotError::WrongLength {
+                expected: max_records,
+                got: records,
+            });
+        }
         let mut table = FlowTable {
-            entries: Vec::with_capacity(pairs.len()),
+            entries: Vec::with_capacity(records),
             index: Vec::new(),
         };
-        table.reindex((pairs.len() * 2).next_power_of_two().max(MIN_SLOTS));
-        for (k, v) in pairs {
-            if table
-                .insert(K::restore(k, ctx)?, V::restore(v, ctx)?)
-                .is_some()
-            {
-                return Err(SnapshotError::TypeMismatch {
-                    expected: "map with distinct keys",
-                    found: "repeated key",
-                });
+        table.reindex((records * 2).next_power_of_two().max(MIN_SLOTS));
+        for record in image.chunks_exact(Self::RECORD_WIDTH) {
+            let (key, value) = record.split_at(K::WIDTH);
+            let (Some(key), Some(value)) = (K::unpack(key), V::unpack(value)) else {
+                return Err(mismatch("packed flow record", "invalid field encoding"));
+            };
+            if table.insert(key, value).is_some() {
+                return Err(mismatch("map with distinct keys", "repeated key"));
             }
         }
         Ok(table)
+    }
+}
+
+// The packed image (see the module docs): a linear walk of the dense
+// entries into one buffer. Restore re-inserts in image order, so the
+// restored table exports the bytes it was built from.
+impl<K: TableKey + Pack, V: Pack> Checkpointable for FlowTable<K, V> {
+    fn checkpoint(&self, _ctx: &mut CheckpointCtx) -> Snapshot {
+        let mut image = vec![0u8; self.entries.len() * Self::RECORD_WIDTH];
+        for ((k, v), record) in self
+            .entries
+            .iter()
+            .zip(image.chunks_exact_mut(Self::RECORD_WIDTH))
+        {
+            let (key, value) = record.split_at_mut(K::WIDTH);
+            k.pack(key);
+            v.pack(value);
+        }
+        Snapshot::Bytes(image)
+    }
+
+    fn restore(snap: &Snapshot, _ctx: &mut RestoreCtx<'_>) -> Result<Self, SnapshotError> {
+        Self::from_image(snap, usize::MAX)
     }
 }
 
@@ -338,21 +439,74 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_a_repeated_key() {
+    fn image_is_fixed_width_records_in_table_order() {
+        let mut t = FlowTable::new();
+        t.insert(tuple(1), 0x0102_0304_0506_0708u64);
+        t.insert(tuple(2), 9u64);
+        let Snapshot::Bytes(image) = checkpoint(&t).root else {
+            panic!("a table checkpoints as one blob");
+        };
+        assert_eq!(FlowTable::<FiveTuple, u64>::RECORD_WIDTH, 13 + 8);
+        assert_eq!(image.len(), 2 * 21);
+        // 10.0.0.1 -> 192.0.2.1, ports 1001 -> 80, UDP; then the value.
+        assert_eq!(
+            &image[..13],
+            &[10, 0, 0, 1, 192, 0, 2, 1, 0x03, 0xE9, 0, 80, 17]
+        );
+        assert_eq!(&image[13..21], &0x0102_0304_0506_0708u64.to_le_bytes());
+        assert_eq!(image[21 + 3], 2, "second record follows the first");
+    }
+
+    fn image_of(t: &FlowTable<FiveTuple, u64>) -> Vec<u8> {
+        match checkpoint(t).root {
+            Snapshot::Bytes(image) => image,
+            other => panic!("a table checkpoints as one blob, not {other:?}"),
+        }
+    }
+
+    #[test]
+    fn from_image_rejects_what_no_table_wrote() {
         let mut t = FlowTable::new();
         t.insert(tuple(1), 1u64);
         t.insert(tuple(2), 2u64);
-        let mut cp = checkpoint(&t);
-        let Snapshot::Map(pairs) = &mut cp.root else {
-            panic!("a table checkpoints as a map");
+        let image = image_of(&t);
+        let load = |image: Vec<u8>, max| {
+            FlowTable::<FiveTuple, u64>::from_image(&Snapshot::Bytes(image), max).map(|t| t.len())
         };
-        pairs.push(pairs[0].clone());
+        assert_eq!(load(image.clone(), 2), Ok(2));
+
+        let mut repeated = image.clone();
+        repeated.extend_from_slice(&image[..21]);
         assert_eq!(
-            restore::<FlowTable<FiveTuple, u64>>(&cp).unwrap_err(),
-            SnapshotError::TypeMismatch {
+            load(repeated, 8),
+            Err(SnapshotError::TypeMismatch {
                 expected: "map with distinct keys",
                 found: "repeated key",
-            }
+            })
+        );
+        assert!(matches!(
+            load(image[..30].to_vec(), 8),
+            Err(SnapshotError::TypeMismatch {
+                found: "torn record",
+                ..
+            })
+        ));
+        assert_eq!(
+            load(image, 1),
+            Err(SnapshotError::WrongLength {
+                expected: 1,
+                got: 2
+            })
+        );
+        assert!(matches!(
+            FlowTable::<FiveTuple, u64>::from_image(&Snapshot::Map(vec![]), 8),
+            Err(SnapshotError::TypeMismatch { found: "map", .. })
+        ));
+        assert_eq!(
+            restore::<FlowTable<FiveTuple, u64>>(&checkpoint(&t))
+                .map(|back| image_of(&back) == image_of(&t)),
+            Ok(true),
+            "a restored table seals the image it was built from"
         );
     }
 }

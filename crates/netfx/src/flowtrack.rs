@@ -4,16 +4,20 @@
 //! canonical example of operator state whose loss is *observable*: after
 //! a crash, a cold-started tracker has forgotten every flow it had seen,
 //! while a warm-recovered one resumes within one snapshot interval of
-//! the truth. The table is a [`FlowTable`]: a snapshot walks its entries
-//! in the order the flows were first seen, which is a function of the
-//! input alone, so checkpoint bytes are deterministic across runs and a
-//! warm-restored tracker seals the bytes it was restored from.
+//! the truth. The table is a [`FlowTable`], and the tracker's snapshot
+//! is that table's packed image: one 29-byte record per flow — the
+//! 5-tuple as on the wire, then the two counters — in the order the
+//! flows were first seen. That order is a function of the input alone,
+//! so checkpoint bytes are deterministic across runs and a warm-restored
+//! tracker seals the bytes it was restored from; and since a flow's
+//! record never moves, a delta snapshot carries the counters of the
+//! flows that saw traffic and the records of the flows that arrived.
 
 use rbs_checkpoint::{CheckpointCtx, Checkpointable, RestoreCtx, Snapshot, SnapshotError};
 
 use crate::batch::PacketBatch;
 use crate::flow::FiveTuple;
-use crate::flowtable::FlowTable;
+use crate::flowtable::{FlowTable, Pack};
 use crate::pipeline::Operator;
 
 /// Per-flow counters.
@@ -25,7 +29,26 @@ pub struct FlowEntry {
     pub bytes: u64,
 }
 
-rbs_checkpoint::checkpointable!(struct FlowEntry { packets, bytes });
+/// Both counters little-endian, packets first: 16 bytes.
+impl Pack for FlowEntry {
+    const WIDTH: usize = 16;
+
+    #[inline]
+    fn pack(&self, out: &mut [u8]) {
+        let (packets, bytes) = out.split_at_mut(8);
+        self.packets.pack(packets);
+        self.bytes.pack(bytes);
+    }
+
+    #[inline]
+    fn unpack(b: &[u8]) -> Option<Self> {
+        let (packets, bytes) = b.split_at_checked(8)?;
+        Some(FlowEntry {
+            packets: u64::unpack(packets)?,
+            bytes: u64::unpack(bytes)?,
+        })
+    }
+}
 
 /// A pass-through operator that tracks per-flow packet/byte counts.
 ///
@@ -122,19 +145,11 @@ impl Operator for FlowTracker {
     fn restore_state(
         &mut self,
         snap: &Snapshot,
-        ctx: &mut RestoreCtx<'_>,
+        _ctx: &mut RestoreCtx<'_>,
     ) -> Result<(), SnapshotError> {
-        // Bound the table before building it; the table itself rejects a
-        // snapshot that repeats a tuple. Either way `self` is untouched.
-        if let Snapshot::Map(pairs) = snap {
-            if pairs.len() > self.capacity {
-                return Err(SnapshotError::WrongLength {
-                    expected: self.capacity,
-                    got: pairs.len(),
-                });
-            }
-        }
-        self.flows = FlowTable::restore(snap, ctx)?;
+        // The image is bounded, checked and built before anything is
+        // assigned: on any error `self` is untouched.
+        self.flows = FlowTable::from_image(snap, self.capacity)?;
         Ok(())
     }
 
@@ -251,15 +266,16 @@ mod tests {
         let cp = rbs_checkpoint::checkpoint_scope(Default::default(), |ctx| {
             t.checkpoint_state(ctx).expect("the tracker is stateful")
         });
-        let Snapshot::Map(mut pairs) = cp.root.clone() else {
-            panic!("the flow table checkpoints as a map");
+        let Snapshot::Bytes(mut image) = cp.root.clone() else {
+            panic!("the flow table checkpoints as a packed image");
         };
-        pairs.push(pairs[1].clone());
+        let second = image[29..58].to_vec();
+        image.extend_from_slice(&second);
 
         let mut victim = FlowTracker::new(64);
         victim.process(batch(&[9]));
         let err = rbs_checkpoint::restore_scope(&cp, |_, ctx| {
-            victim.restore_state(&Snapshot::Map(pairs.clone()), ctx)
+            victim.restore_state(&Snapshot::Bytes(image.clone()), ctx)
         })
         .unwrap_err();
         assert!(

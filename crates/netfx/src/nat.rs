@@ -16,7 +16,7 @@
 
 use crate::batch::PacketBatch;
 use crate::flow::FiveTuple;
-use crate::flowtable::{hash_word, FlowTable, TableKey};
+use crate::flowtable::{hash_word, FlowTable, Pack, TableKey};
 use crate::headers::ipv4::IpProto;
 use crate::packet::Packet;
 use crate::pipeline::Operator;
@@ -50,11 +50,46 @@ impl TableKey for InsideKey {
     }
 }
 
+/// Address and port in network order, then the protocol number: 7 bytes.
+impl Pack for InsideKey {
+    const WIDTH: usize = 7;
+
+    fn pack(&self, out: &mut [u8]) {
+        out[..4].copy_from_slice(&self.ip.octets());
+        out[4..6].copy_from_slice(&self.port.to_be_bytes());
+        out[6] = u8::from(self.proto);
+    }
+
+    fn unpack(b: &[u8]) -> Option<Self> {
+        let b: &[u8; 7] = b.try_into().ok()?;
+        Some(InsideKey {
+            ip: Ipv4Addr::new(b[0], b[1], b[2], b[3]),
+            port: u16::from_be_bytes([b[4], b[5]]),
+            proto: IpProto::from(b[6]),
+        })
+    }
+}
+
 /// The inbound table's key: an allocated port of the NAT address. Port
 /// numbers are a separate space per protocol.
 impl TableKey for (u16, IpProto) {
     fn table_hash(&self) -> u64 {
         hash_word(u64::from(self.0) << 8 | u64::from(u8::from(self.1)))
+    }
+}
+
+/// The port in network order, then the protocol number: 3 bytes.
+impl Pack for (u16, IpProto) {
+    const WIDTH: usize = 3;
+
+    fn pack(&self, out: &mut [u8]) {
+        out[..2].copy_from_slice(&self.0.to_be_bytes());
+        out[2] = u8::from(self.1);
+    }
+
+    fn unpack(b: &[u8]) -> Option<Self> {
+        let b: &[u8; 3] = b.try_into().ok()?;
+        Some((u16::from_be_bytes([b[0], b[1]]), IpProto::from(b[2])))
     }
 }
 
@@ -438,6 +473,26 @@ mod tests {
         let out = p.run_batch(batch);
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|pk| pk.ipv4().unwrap().src() == NAT_IP));
+    }
+
+    #[test]
+    fn both_tables_restore_from_their_packed_images() {
+        use rbs_checkpoint::{checkpoint, restore, Snapshot};
+        let mut n = nat();
+        for port in [5555, 5556, 5557] {
+            assert!(n.translate(&mut outbound(port)));
+        }
+        let (out_cp, in_cp) = (checkpoint(&n.out_map), checkpoint(&n.in_map));
+        assert!(matches!(&out_cp.root, Snapshot::Bytes(image) if image.len() == 3 * (7 + 2)));
+        assert!(matches!(&in_cp.root, Snapshot::Bytes(image) if image.len() == 3 * (3 + 7)));
+        let out_map: FlowTable<InsideKey, u16> = restore(&out_cp).unwrap();
+        let in_map: FlowTable<(u16, IpProto), InsideKey> = restore(&in_cp).unwrap();
+        for (key, port) in n.out_map.iter() {
+            assert_eq!(out_map.get(key), Some(port));
+            assert_eq!(in_map.get(&(*port, key.proto)), Some(key));
+        }
+        assert_eq!(checkpoint(&out_map).root, out_cp.root);
+        assert_eq!(checkpoint(&in_map).root, in_cp.root);
     }
 
     #[test]

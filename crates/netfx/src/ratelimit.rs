@@ -8,7 +8,7 @@
 
 use crate::batch::PacketBatch;
 use crate::flow::FiveTuple;
-use crate::flowtable::FlowTable;
+use crate::flowtable::{FlowTable, Pack};
 use crate::pipeline::Operator;
 use std::time::Instant;
 
@@ -69,6 +69,37 @@ impl TokenBucket {
     /// Tokens currently available.
     pub fn available(&self) -> f64 {
         self.tokens
+    }
+}
+
+/// The three `f64`s as their IEEE-754 bits, then the refill time, all
+/// little-endian: 32 bytes. Bits that break what [`TokenBucket::new`]
+/// and `refill` maintain — a rate or burst that is not positive and
+/// finite, a level outside `0..=burst` — do not unpack.
+impl Pack for TokenBucket {
+    const WIDTH: usize = 32;
+
+    fn pack(&self, out: &mut [u8]) {
+        out[..8].copy_from_slice(&self.rate_per_sec.to_bits().to_le_bytes());
+        out[8..16].copy_from_slice(&self.burst.to_bits().to_le_bytes());
+        out[16..24].copy_from_slice(&self.tokens.to_bits().to_le_bytes());
+        out[24..].copy_from_slice(&self.last_refill_ns.to_le_bytes());
+    }
+
+    fn unpack(b: &[u8]) -> Option<Self> {
+        let b: &[u8; 32] = b.try_into().ok()?;
+        let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 of 32"));
+        let bucket = TokenBucket {
+            rate_per_sec: f64::from_bits(word(0)),
+            burst: f64::from_bits(word(8)),
+            tokens: f64::from_bits(word(16)),
+            last_refill_ns: word(24),
+        };
+        let positive = |x: f64| x > 0.0 && x.is_finite();
+        (positive(bucket.rate_per_sec)
+            && positive(bucket.burst)
+            && (0.0..=bucket.burst).contains(&bucket.tokens))
+        .then_some(bucket)
     }
 }
 
@@ -383,6 +414,32 @@ mod tests {
         assert_eq!(rl.admitted(), 4);
         assert_eq!(rl.dropped(), 6);
         assert_eq!(rl.name(), "rate-limiter");
+    }
+
+    #[test]
+    fn token_bucket_packs_its_state_and_rejects_what_it_never_holds() {
+        let mut bucket = TokenBucket::new(1_000.0, 8.0);
+        assert!(bucket.admit(5_000_000));
+        let mut packed = [0u8; TokenBucket::WIDTH];
+        bucket.pack(&mut packed);
+        let mut back = TokenBucket::unpack(&packed).expect("its own encoding");
+        assert_eq!(back.available(), bucket.available());
+        assert_eq!(back.admit(6_000_000), bucket.admit(6_000_000));
+        assert_eq!(back.available(), bucket.available());
+
+        let with = |at: usize, v: f64| {
+            let mut bad = packed;
+            bad[at..at + 8].copy_from_slice(&v.to_bits().to_le_bytes());
+            TokenBucket::unpack(&bad).is_none()
+        };
+        assert!(with(0, f64::NAN), "rate");
+        assert!(with(0, 0.0), "rate");
+        assert!(with(8, f64::INFINITY), "burst");
+        assert!(with(8, -1.0), "burst");
+        assert!(with(16, f64::NAN), "tokens");
+        assert!(with(16, 8.5), "more tokens than the burst");
+        assert!(with(16, -0.5), "tokens");
+        assert!(TokenBucket::unpack(&packed[..31]).is_none(), "short");
     }
 
     #[test]

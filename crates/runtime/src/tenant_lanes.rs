@@ -1004,20 +1004,18 @@ impl TenantLaneRuntime {
         // Open-timer expiry over the watch list only.
         self.open_watch.sort_unstable();
         self.open_watch.dedup();
-        let mut still_open = Vec::new();
-        for pos in 0..self.open_watch.len() {
-            let idx = self.open_watch[pos];
-            let mut g = self.shared.slots[idx].lock();
+        let shared = &self.shared;
+        self.open_watch.retain(|&idx| {
+            let mut g = shared.slots[idx].lock();
             if !g.present || g.phase != BreakerPhase::Open {
-                continue;
+                return false;
             }
-            if now >= g.open_until {
-                g.half_open(idx, now, &self.shared.policy, &self.shared.manager);
-            } else {
-                still_open.push(idx);
+            let expired = now >= g.open_until;
+            if expired {
+                g.half_open(idx, now, &shared.policy, &shared.manager);
             }
-        }
-        self.open_watch = still_open;
+            !expired
+        });
 
         // Staggered snapshots: one bucket of tenants per tick.
         if self.snapshot_every > 0 {
@@ -1450,6 +1448,48 @@ mod tests {
         let report = rt.finish();
         assert_eq!(report.unaccounted_packets(), 0);
         assert_eq!(report.rebuilds.len(), 2);
+    }
+
+    /// An open breaker is watched until its timer expires even when the
+    /// tenant has gone quiet: the watch list, not the tenant's traffic,
+    /// is what brings it back.
+    #[test]
+    fn an_idle_open_breaker_half_opens_when_its_timer_expires() {
+        let policy = BreakerPolicy::default();
+        let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
+            tenants: population(2),
+            lanes: 1,
+            // Any executed batch overruns: one strike per busy tick.
+            work_budget_per_tick: 1,
+            ..TenantLaneConfig::default()
+        })
+        .unwrap();
+        for round in 0..policy.open_after_strikes {
+            rt.offer(wave(round, 64));
+            rt.step();
+        }
+        for _ in 0..policy.open_ticks + 2 {
+            rt.step();
+        }
+        let report = rt.finish();
+        assert_eq!(report.unaccounted_packets(), 0);
+        let tick_of = |tenant: usize, kind: &TenantEventKind| {
+            report
+                .events
+                .iter()
+                .find(|e| e.tenant == tenant && e.kind == *kind)
+                .map(|e| e.tick)
+        };
+        for tenant in 0..2 {
+            let strikes = policy.open_after_strikes;
+            let opened = tick_of(tenant, &TenantEventKind::Opened { strikes })
+                .expect("four overrun ticks open the breaker");
+            assert_eq!(
+                tick_of(tenant, &TenantEventKind::HalfOpened),
+                Some(opened + policy.open_ticks),
+                "tenant {tenant} was dropped from the open watch"
+            );
+        }
     }
 
     /// The stable half of the report replays byte-identically; only the
