@@ -4,7 +4,9 @@
 //! Implemented once here; the header modules compose it with their
 //! pseudo-headers. A packet under construction is summed whole
 //! ([`Checksum`]); a packet being rewritten has its stored checksum
-//! patched for the words that changed ([`adjust`], RFC 1624).
+//! patched for the words that changed ([`adjust`], RFC 1624); the traffic
+//! generator sums the constant part of its frame once and folds in the
+//! per-flow words. All three end in the same branch-free `fold`.
 
 /// Accumulates the one's-complement sum over byte slices.
 ///
@@ -64,12 +66,18 @@ impl Checksum {
             // RFC 1071: a trailing odd byte is padded with a zero byte.
             self.add_word(u16::from_be_bytes([hi, 0]));
         }
-        let mut sum = self.sum;
-        while sum > 0xFFFF {
-            sum = (sum & 0xFFFF) + (sum >> 16);
-        }
-        !(sum as u16)
+        !fold(self.sum)
     }
+}
+
+/// Folds a 32-bit one's-complement accumulator to 16 bits (end-around
+/// carry). Two unconditional folds settle any `u32` — the first leaves at
+/// most `0x1FFFE`, the second at most `0xFFFF` — with no data-dependent
+/// branch. Zero comes out only for a zero sum.
+#[inline(always)]
+pub(crate) fn fold(sum: u32) -> u16 {
+    let sum = (sum & 0xFFFF) + (sum >> 16);
+    ((sum & 0xFFFF) + (sum >> 16)) as u16
 }
 
 /// Patches the stored checksum `check` for covered 16-bit words that
@@ -95,10 +103,7 @@ pub fn adjust(check: u16, old: &[u16], new: &[u16]) -> u16 {
     for (&m, &m_new) in old.iter().zip(new) {
         sum += u32::from(!m) + u32::from(m_new);
     }
-    // Two unconditional folds settle any `u32` (the first leaves at most
-    // 0x1FFFE, the second at most 0xFFFF), with no data-dependent branch.
-    let sum = (sum & 0xFFFF) + (sum >> 16);
-    !(((sum & 0xFFFF) + (sum >> 16)) as u16)
+    !fold(sum)
 }
 
 /// Computes the checksum of a single contiguous region.

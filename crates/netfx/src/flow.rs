@@ -31,7 +31,12 @@ impl FiveTuple {
     /// with whatever the `ipv4()` → `udp()`/`tcp()` views would report
     /// for a frame they reject. The headers are validated once, not once
     /// per view (see `Packet::transport_offset`).
-    #[inline]
+    ///
+    /// `inline(always)`, not a hint: every stateful operator calls this
+    /// once per packet, and an out-of-line copy returns the tuple through
+    /// memory — a decision `#[inline]` leaves LLVM free to revisit
+    /// whenever an unrelated edit changes the caller's size.
+    #[inline(always)]
     pub fn of(packet: &Packet) -> Result<FiveTuple, PacketError> {
         let (l4, proto) = packet.transport_offset()?;
         let b = packet.as_slice();

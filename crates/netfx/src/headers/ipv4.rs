@@ -211,6 +211,28 @@ impl<'a> Ipv4HdrMut<'a> {
         self.data[8]
     }
 
+    /// Decrements the TTL, saturating at zero, and patches the stored
+    /// header checksum for the one word that changed (RFC 1624, see
+    /// [`checksum::adjust`]) — the rest of the header, options included,
+    /// is never read. Returns the new TTL.
+    ///
+    /// The checksum is *updated*, not repaired: it verifies afterwards
+    /// exactly when it did before, and on a header that verified it is
+    /// bit-equal to [`update_checksum`](Self::update_checksum)'s.
+    pub fn decrement_ttl_patching_checksum(&mut self) -> u8 {
+        // TTL, protocol and the checksum are adjacent: one bounds check.
+        let w = &mut self.data[8..12];
+        let ttl = w[0].saturating_sub(1);
+        let patched = checksum::adjust(
+            u16::from_be_bytes([w[2], w[3]]),
+            &[u16::from_be_bytes([w[0], w[1]])],
+            &[u16::from_be_bytes([ttl, w[1]])],
+        );
+        w[0] = ttl;
+        w[2..4].copy_from_slice(&patched.to_be_bytes());
+        ttl
+    }
+
     /// Sets the payload protocol.
     pub fn set_protocol(&mut self, proto: IpProto) {
         self.data[9] = proto.into();

@@ -6,6 +6,11 @@
 //! stages used by the examples and integration tests: TTL decrement,
 //! port/protocol filters, a counter, a MAC bouncer, and a panic injector
 //! used by the fault-recovery experiment (E3).
+//!
+//! Stages that rewrite a header patch its checksum for the words they
+//! changed ([`crate::checksum::adjust`]) and never re-sum it: cheaper, and
+//! a header that arrived damaged is forwarded still damaged. Only
+//! [`EchoResponder`], which builds a new message, recomputes.
 
 use crate::batch::PacketBatch;
 use crate::headers::ipv4::IpProto;
@@ -83,7 +88,17 @@ impl Operator for Counter {
 }
 
 /// Decrements the IPv4 TTL of every packet, dropping expired ones, and
-/// fixes the header checksum — the core of any router hop.
+/// patches the header checksum — the core of any router hop.
+///
+/// One pass, one IPv4 parse per packet; the checksum is adjusted for the
+/// TTL word alone (RFC 1624,
+/// [`Ipv4HdrMut::decrement_ttl_patching_checksum`](crate::headers::Ipv4HdrMut::decrement_ttl_patching_checksum)),
+/// never re-summed. A header that arrived with a bad checksum therefore
+/// leaves with a bad checksum — the hop does not launder corruption into
+/// a datagram that verifies downstream — and one that verified leaves
+/// with exactly the checksum a full recompute would store. Expired
+/// (`ttl <= 1`) and non-IPv4 packets are dropped with their bytes
+/// untouched.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TtlDecrement {
     _private: (),
@@ -98,12 +113,13 @@ impl TtlDecrement {
 
 impl Operator for TtlDecrement {
     fn process(&mut self, mut batch: PacketBatch) -> PacketBatch {
-        batch.retain(|p| p.ipv4().map(|ip| ip.ttl() > 1).unwrap_or(false));
-        for p in batch.iter_mut() {
-            let mut ip = p.ipv4_mut().expect("non-IPv4 packets dropped above");
-            ip.decrement_ttl();
-            ip.update_checksum();
-        }
+        batch.retain_mut(|p| match p.ipv4_mut() {
+            Ok(mut ip) if ip.as_ref().ttl() > 1 => {
+                ip.decrement_ttl_patching_checksum();
+                true
+            }
+            _ => false,
+        });
         batch
     }
 

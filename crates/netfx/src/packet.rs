@@ -200,7 +200,8 @@ impl Packet {
     /// The common frame (Ethernet II, IPv4 without options, UDP or
     /// option-less TCP) is recognised from one length check and four
     /// fixed-offset reads; anything else takes the view chain.
-    #[inline]
+    /// `inline(always)` for the reason given on [`crate::FiveTuple::of`].
+    #[inline(always)]
     pub(crate) fn transport_offset(&self) -> Result<(usize, IpProto), PacketError> {
         const L4: usize = ETHERNET_HDR_LEN + IPV4_MIN_HDR_LEN;
         let b = &self.buf[..];

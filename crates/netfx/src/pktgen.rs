@@ -6,12 +6,26 @@
 //! (uniform or Zipf, matching how load-balancer evaluations model
 //! traffic), and configurable payload sizes. Generation is seeded and
 //! fully deterministic so experiments are reproducible run-to-run.
+//!
+//! A DPDK RX burst costs next to nothing per packet, so the stand-in is
+//! built to stay out of the measurement's way. All packets of one
+//! generator are the same frame but for the flow's endpoints and the two
+//! checksums those feed, so the frame is built once (`FrameTemplate`, by
+//! the public [`Packet`] builders) with the one's-complement sums of its
+//! constant words; a packet is a copy of the template, 12 endpoint bytes,
+//! and two checksums folded from *hoisted sum + endpoint words* — the
+//! builders' own sum with the terms reordered, so the bytes are theirs
+//! exactly. A Zipf draw looks up one cell of a cutpoint table over the
+//! CDF and searches only that cell; the index is the one a search of the
+//! whole table returns, for every `u`.
 
 use crate::batch::PacketBatch;
+use crate::checksum;
 use crate::flow::FiveTuple;
 use crate::headers::ethernet::MacAddr;
-use crate::headers::ipv4::IpProto;
+use crate::headers::ipv4::{pseudo_header_checksum, IpProto, IPV4_MIN_HDR_LEN};
 use crate::headers::tcp::TcpFlags;
+use crate::headers::ETHERNET_HDR_LEN;
 use crate::packet::Packet;
 use crate::pool::PacketPool;
 use bytes::BytesMut;
@@ -56,15 +70,126 @@ impl Default for TrafficConfig {
     }
 }
 
+/// A flow's endpoints: source and destination address and port.
+type Endpoints = (Ipv4Addr, Ipv4Addr, u16, u16);
+
+/// Frame offset of the IPv4 header checksum. It, the two addresses and
+/// the two ports are adjacent, so one 14-byte window covers every
+/// per-flow byte but the transport checksum.
+const IP_CSUM: usize = ETHERNET_HDR_LEN + 10;
+/// Frame offset of the transport header.
+const L4: usize = ETHERNET_HDR_LEN + IPV4_MIN_HDR_LEN;
+
+/// The frame every packet of a generator shares, built once by the
+/// public packet builders for all-zero endpoints, with the one's-
+/// complement sums of its constant words hoisted out of the per-packet
+/// path.
+#[derive(Debug)]
+struct FrameTemplate {
+    /// The whole frame; endpoint and checksum fields hold zeros.
+    bytes: Vec<u8>,
+    /// Folded sum of the IPv4 header with its checksum field zero.
+    ip_base: u32,
+    /// Folded sum of the pseudo-header's protocol and length words, the
+    /// transport header and the payload (odd-length pad included).
+    l4_base: u32,
+    /// Frame offset of the transport checksum.
+    l4_csum: usize,
+    /// The transport protocol the frame carries.
+    proto: IpProto,
+}
+
+impl FrameTemplate {
+    fn new(config: &TrafficConfig) -> Self {
+        let (src_mac, dst_mac) = (MacAddr([2, 0, 0, 0, 0, 1]), MacAddr([2, 0, 0, 0, 0, 2]));
+        let zero = Ipv4Addr::UNSPECIFIED;
+        let proto = PacketGen::wire_proto(config);
+        let (frame, l4_csum) = match proto {
+            IpProto::Tcp => (
+                Packet::build_tcp_into(
+                    BytesMut::new(),
+                    src_mac,
+                    dst_mac,
+                    zero,
+                    zero,
+                    0,
+                    0,
+                    TcpFlags(TcpFlags::ACK),
+                    config.payload_len,
+                ),
+                L4 + 16,
+            ),
+            _ => (
+                Packet::build_udp_into(
+                    BytesMut::new(),
+                    src_mac,
+                    dst_mac,
+                    zero,
+                    zero,
+                    0,
+                    0,
+                    config.payload_len,
+                ),
+                L4 + 6,
+            ),
+        };
+        let mut bytes = frame.into_bytes().to_vec();
+        bytes[IP_CSUM..IP_CSUM + 2].fill(0);
+        bytes[l4_csum..l4_csum + 2].fill(0);
+        // The builders above already refused a segment longer than a u16.
+        let mut l4 = pseudo_header_checksum(zero, zero, proto, (bytes.len() - L4) as u16);
+        l4.push(&bytes[L4..]);
+        Self {
+            ip_base: u32::from(!checksum::checksum(&bytes[ETHERNET_HDR_LEN..L4])),
+            l4_base: u32::from(!l4.finish()),
+            bytes,
+            l4_csum,
+            proto,
+        }
+    }
+
+    /// Writes the frame for `endpoints` into `buf`: the template, the
+    /// endpoint fields, and both checksums — the sums the builders would
+    /// compute over the whole frame, with the constant part already added.
+    #[inline]
+    fn stamp(&self, buf: &mut BytesMut, (src, dst, sport, dport): Endpoints) {
+        buf.clear();
+        buf.extend_from_slice(&self.bytes);
+        let (s, d) = (u32::from(src), u32::from(dst));
+        let addrs = (s >> 16) + (s & 0xFFFF) + (d >> 16) + (d & 0xFFFF);
+        let ip_csum = !checksum::fold(self.ip_base + addrs);
+        let mut l4_csum =
+            !checksum::fold(self.l4_base + addrs + u32::from(sport) + u32::from(dport));
+        if self.proto == IpProto::Udp && l4_csum == 0 {
+            // RFC 768: zero means "no checksum"; `udp::emit` does the same.
+            l4_csum = 0xFFFF;
+        }
+        let fields = &mut buf[IP_CSUM..L4 + 4];
+        fields[0..2].copy_from_slice(&ip_csum.to_be_bytes());
+        fields[2..6].copy_from_slice(&src.octets());
+        fields[6..10].copy_from_slice(&dst.octets());
+        fields[10..12].copy_from_slice(&sport.to_be_bytes());
+        fields[12..14].copy_from_slice(&dport.to_be_bytes());
+        buf[self.l4_csum..self.l4_csum + 2].copy_from_slice(&l4_csum.to_be_bytes());
+    }
+}
+
 /// A deterministic synthetic packet source.
 #[derive(Debug)]
 pub struct PacketGen {
     config: TrafficConfig,
     rng: StdRng,
     /// Pre-materialized flow endpoints, indexed by flow id.
-    endpoints: Vec<(Ipv4Addr, Ipv4Addr, u16, u16)>,
+    endpoints: Vec<Endpoints>,
     /// Cumulative probability table for Zipf sampling (empty for uniform).
     zipf_cdf: Vec<f64>,
+    /// Cutpoints into `zipf_cdf`: `zipf_guide[j]` counts the entries
+    /// below `j / K` for `j in 0..=K`, `K = zipf_cdf.len()` rounded up to
+    /// a power of two, so a draw `u` searches one cell of the table, not
+    /// all of it. `K` is a power of two so that `u * K`, its floor and
+    /// `j / K` are exact in `f64`: the cell provably brackets the index
+    /// the whole-table search finds.
+    zipf_guide: Vec<u32>,
     /// Flow ids this generator draws from. Equal to `0..flows` for a
     /// whole-mix generator; an RSS slice keeps only the flows whose
     /// stable hash lands on its lane.
@@ -72,6 +197,7 @@ pub struct PacketGen {
     /// This generator's probability mass within the whole mix (1.0 for
     /// a whole-mix generator).
     share: f64,
+    template: FrameTemplate,
     generated: u64,
 }
 
@@ -111,62 +237,25 @@ impl PacketGen {
     /// (population smaller than the lane count) is valid with
     /// `share() == 0.0`; drawing from it panics.
     pub fn rss_slice(config: TrafficConfig, lane: usize, lanes: usize) -> Self {
-        assert!(config.flows > 0, "flow population must be non-empty");
         assert!(lane < lanes, "lane {lane} out of range for {lanes} lanes");
         let (rng, endpoints) = Self::materialize_endpoints(&config);
+        if lanes == 1 {
+            // Whole mix: the mass is exactly 1.0 by definition, and the
+            // draws continue the endpoint rng's stream.
+            let flow_ids = (0..config.flows).collect();
+            return Self::from_kept(config, endpoints, flow_ids, Some(1.0), rng);
+        }
         let proto = Self::wire_proto(&config);
-        let flow_ids: Vec<usize> = (0..config.flows)
+        let flow_ids = (0..config.flows)
             .filter(|&i| {
-                if lanes == 1 {
-                    return true;
-                }
                 let tuple = Self::tuple_of(&endpoints, i, proto);
                 (tuple.stable_hash() % lanes as u64) as usize == lane
             })
             .collect();
-        let weights = Self::weights_for(&config);
-        // For the whole mix the mass is exactly 1.0 by definition; pin
-        // it so renormalization below is arithmetic-identical to the
-        // pre-slice generator (byte-stable streams stay byte-stable).
-        let share: f64 = if lanes == 1 {
-            1.0
-        } else {
-            flow_ids.iter().map(|&i| weights[i]).sum()
-        };
-        let zipf_cdf = match config.distribution {
-            FlowDistribution::Uniform => Vec::new(),
-            FlowDistribution::Zipf(_) => {
-                let mut cdf: Vec<f64> = Vec::with_capacity(flow_ids.len());
-                let mut acc = 0.0;
-                for &i in &flow_ids {
-                    acc += weights[i] / share.max(f64::MIN_POSITIVE);
-                    cdf.push(acc);
-                }
-                // Guard against floating-point shortfall at the end.
-                if let Some(last) = cdf.last_mut() {
-                    *last = 1.0;
-                }
-                cdf
-            }
-        };
-        let rng = if lanes == 1 {
-            // Whole-mix: keep drawing from the endpoint rng so the
-            // stream is byte-identical to the pre-slice generator.
-            rng
-        } else {
-            StdRng::seed_from_u64(
-                config.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(lane as u64 + 1),
-            )
-        };
-        Self {
-            config,
-            rng,
-            endpoints,
-            zipf_cdf,
-            flow_ids,
-            share,
-            generated: 0,
-        }
+        let rng = StdRng::seed_from_u64(
+            config.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(lane as u64 + 1),
+        );
+        Self::from_kept(config, endpoints, flow_ids, None, rng)
     }
 
     /// Creates a generator restricted to the flows `keep` accepts — the
@@ -191,41 +280,74 @@ impl PacketGen {
         stream_salt: u64,
         keep: impl Fn(&FiveTuple) -> bool,
     ) -> Self {
-        assert!(config.flows > 0, "flow population must be non-empty");
         let (_, endpoints) = Self::materialize_endpoints(&config);
         let proto = Self::wire_proto(&config);
-        let flow_ids: Vec<usize> = (0..config.flows)
+        let flow_ids = (0..config.flows)
             .filter(|&i| keep(&Self::tuple_of(&endpoints, i, proto)))
             .collect();
-        let weights = Self::weights_for(&config);
-        let share: f64 = flow_ids.iter().map(|&i| weights[i]).sum();
-        let zipf_cdf = match config.distribution {
-            FlowDistribution::Uniform => Vec::new(),
-            FlowDistribution::Zipf(_) => {
-                let mut cdf: Vec<f64> = Vec::with_capacity(flow_ids.len());
-                let mut acc = 0.0;
-                for &i in &flow_ids {
-                    acc += weights[i] / share.max(f64::MIN_POSITIVE);
-                    cdf.push(acc);
-                }
-                if let Some(last) = cdf.last_mut() {
-                    *last = 1.0;
-                }
-                cdf
-            }
-        };
         let rng = StdRng::seed_from_u64(
             config.seed ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(stream_salt.wrapping_add(1)),
         );
+        Self::from_kept(config, endpoints, flow_ids, None, rng)
+    }
+
+    /// The one constructor behind [`rss_slice`](Self::rss_slice) and
+    /// [`subset`](Self::subset): renormalizes the popularity weights over
+    /// the kept `flow_ids` (their mass is `share`, summed here when not
+    /// given) and builds the CDF, its cutpoint table and the frame
+    /// template.
+    fn from_kept(
+        config: TrafficConfig,
+        endpoints: Vec<Endpoints>,
+        flow_ids: Vec<usize>,
+        share: Option<f64>,
+        rng: StdRng,
+    ) -> Self {
+        let weights = Self::weights_for(&config);
+        let share = share.unwrap_or_else(|| flow_ids.iter().map(|&i| weights[i]).sum());
+        let mut zipf_cdf = Vec::new();
+        let mut zipf_guide = Vec::new();
+        if let FlowDistribution::Zipf(_) = config.distribution {
+            zipf_cdf.reserve_exact(flow_ids.len());
+            let mut acc = 0.0;
+            for &i in &flow_ids {
+                acc += weights[i] / share.max(f64::MIN_POSITIVE);
+                zipf_cdf.push(acc);
+            }
+            // Guard against floating-point shortfall at the end.
+            if let Some(last) = zipf_cdf.last_mut() {
+                *last = 1.0;
+            }
+            zipf_guide = Self::cutpoints(&zipf_cdf);
+        }
         Self {
+            template: FrameTemplate::new(&config),
             config,
             rng,
             endpoints,
             zipf_cdf,
+            zipf_guide,
             flow_ids,
             share,
             generated: 0,
         }
+    }
+
+    /// The cutpoint table of a (sorted) CDF: entry `j` counts the values
+    /// below `j / K`, for `j in 0..=K` and `K` the CDF's length rounded
+    /// up to a power of two. One merge pass.
+    fn cutpoints(cdf: &[f64]) -> Vec<u32> {
+        let cells = cdf.len().next_power_of_two();
+        let mut below = 0;
+        (0..=cells)
+            .map(|j| {
+                let cut = j as f64 / cells as f64;
+                while below < cdf.len() && cdf[below] < cut {
+                    below += 1;
+                }
+                u32::try_from(below).expect("flow population fits u32")
+            })
+            .collect()
     }
 
     /// Materializes the flow endpoints for `config` — identical for
@@ -233,9 +355,12 @@ impl PacketGen {
     /// no matter how the flows are then filtered. Returns the RNG in
     /// its post-materialization state (the whole-mix generator keeps
     /// drawing from it).
-    fn materialize_endpoints(
-        config: &TrafficConfig,
-    ) -> (StdRng, Vec<(Ipv4Addr, Ipv4Addr, u16, u16)>) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.flows` is zero.
+    fn materialize_endpoints(config: &TrafficConfig) -> (StdRng, Vec<Endpoints>) {
+        assert!(config.flows > 0, "flow population must be non-empty");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let endpoints = (0..config.flows)
             .map(|i| {
@@ -258,11 +383,7 @@ impl PacketGen {
     }
 
     /// The five-tuple of flow `i`.
-    fn tuple_of(
-        endpoints: &[(Ipv4Addr, Ipv4Addr, u16, u16)],
-        i: usize,
-        proto: IpProto,
-    ) -> FiveTuple {
+    fn tuple_of(endpoints: &[Endpoints], i: usize, proto: IpProto) -> FiveTuple {
         let (src, dst, sport, dport) = endpoints[i];
         FiveTuple {
             src_ip: src,
@@ -306,14 +427,22 @@ impl PacketGen {
             }
             FlowDistribution::Zipf(_) => {
                 let u: f64 = self.rng.gen();
-                // First slice index whose CDF value reaches `u`.
-                let k = self
-                    .zipf_cdf
-                    .partition_point(|&c| c < u)
-                    .min(self.flow_ids.len() - 1);
-                self.flow_ids[k]
+                self.flow_ids[self.zipf_index(u)]
             }
         }
+    }
+
+    /// The first slice index whose CDF value reaches `u`, for `u` in
+    /// `[0, 1)`. With `j / K <= u < (j + 1) / K` that index lies between
+    /// the two cutpoints of cell `j`, so only that cell is searched.
+    #[inline]
+    fn zipf_index(&self, u: f64) -> usize {
+        let cells = self.zipf_guide.len() - 1;
+        let j = (u * cells as f64) as usize;
+        let (lo, hi) = (self.zipf_guide[j] as usize, self.zipf_guide[j + 1] as usize);
+        let k = lo + self.zipf_cdf[lo..hi].partition_point(|&c| c < u);
+        debug_assert_eq!(k, self.zipf_cdf.partition_point(|&c| c < u));
+        k
     }
 
     /// This generator's probability mass within the whole configured
@@ -337,50 +466,18 @@ impl PacketGen {
     /// drawn from a [`PacketPool`]).
     ///
     /// The frame bytes are identical to [`next_packet`](Self::next_packet)
-    /// for the same generator state; only the buffer's provenance differs.
+    /// for the same generator state; only the buffer's provenance differs
+    /// — and identical to what [`Packet::build_udp_into`] /
+    /// [`Packet::build_tcp_into`] build for the drawn endpoints.
     /// The generator knows the flow endpoints it just wrote, so it stamps
     /// the flow hash on the packet for free — the dispatcher never has to
     /// re-parse the headers it already trusts.
-    pub fn next_packet_into(&mut self, buf: BytesMut) -> Packet {
+    pub fn next_packet_into(&mut self, mut buf: BytesMut) -> Packet {
         let flow = self.next_flow_id();
-        let (src, dst, sport, dport) = self.endpoints[flow];
         self.generated += 1;
-        let (mut packet, proto) = match self.config.proto {
-            IpProto::Tcp => (
-                Packet::build_tcp_into(
-                    buf,
-                    MacAddr([2, 0, 0, 0, 0, 1]),
-                    MacAddr([2, 0, 0, 0, 0, 2]),
-                    src,
-                    dst,
-                    sport,
-                    dport,
-                    TcpFlags(TcpFlags::ACK),
-                    self.config.payload_len,
-                ),
-                IpProto::Tcp,
-            ),
-            _ => (
-                Packet::build_udp_into(
-                    buf,
-                    MacAddr([2, 0, 0, 0, 0, 1]),
-                    MacAddr([2, 0, 0, 0, 0, 2]),
-                    src,
-                    dst,
-                    sport,
-                    dport,
-                    self.config.payload_len,
-                ),
-                IpProto::Udp,
-            ),
-        };
-        let tuple = FiveTuple {
-            src_ip: src,
-            dst_ip: dst,
-            src_port: sport,
-            dst_port: dport,
-            proto,
-        };
+        self.template.stamp(&mut buf, self.endpoints[flow]);
+        let mut packet = Packet::from_bytes(buf);
+        let tuple = Self::tuple_of(&self.endpoints, flow, self.template.proto);
         packet.set_cached_flow_hash(tuple.stable_hash());
         packet
     }
@@ -543,6 +640,135 @@ mod tests {
         });
         for _ in 0..1000 {
             assert!(g.next_flow_id() < 3);
+        }
+    }
+
+    /// The draw the cutpoint table replaced: a search of the whole CDF.
+    fn whole_table_index(g: &PacketGen, u: f64) -> usize {
+        g.zipf_cdf
+            .partition_point(|&c| c < u)
+            .min(g.flow_ids.len() - 1)
+    }
+
+    /// A whole-mix, an RSS-slice and a subset generator over one Zipf mix.
+    fn zipf_generators(flows: usize, exponent: f64) -> Vec<PacketGen> {
+        let cfg = TrafficConfig {
+            flows,
+            distribution: FlowDistribution::Zipf(exponent),
+            ..Default::default()
+        };
+        vec![
+            PacketGen::new(cfg.clone()),
+            PacketGen::rss_slice(cfg.clone(), 1, 3),
+            PacketGen::subset(cfg, 9, |t| t.src_port % 5 != 0),
+        ]
+    }
+
+    #[test]
+    fn guide_draw_matches_the_whole_table_search_at_every_edge() {
+        for flows in [1, 3, 100, 1000, 16_384] {
+            for exponent in [0.5, 1.1, 2.0] {
+                for g in zipf_generators(flows, exponent) {
+                    if g.flows_in_slice() == 0 {
+                        continue;
+                    }
+                    let cells = g.zipf_guide.len() - 1;
+                    assert_eq!(cells, g.zipf_cdf.len().next_power_of_two());
+                    // Every CDF value and every cell boundary, each with
+                    // its two neighbours, plus the ends of `[0, 1)`.
+                    let edges = g
+                        .zipf_cdf
+                        .iter()
+                        .copied()
+                        .chain((0..cells).map(|j| j as f64 / cells as f64));
+                    let mut us = vec![0.0, f64::MIN_POSITIVE, 1.0f64.next_down()];
+                    for edge in edges {
+                        us.extend([edge.next_down(), edge, edge.next_up()]);
+                    }
+                    for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                        assert_eq!(
+                            g.zipf_index(u),
+                            whole_table_index(&g, u),
+                            "u = {u:e}, {flows} flows, exponent {exponent}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn guide_draw_handles_cdf_values_on_cell_boundaries_and_ties() {
+        // Values that sit exactly on a cutpoint, and runs of equal values
+        // (flows whose weight underflowed to nothing).
+        for cdf in [
+            vec![0.25, 0.5, 0.5, 0.75, 1.0],
+            vec![0.0, 0.0, 0.5, 1.0],
+            vec![0.125, 0.125, 0.125, 0.875, 1.0, 1.0],
+            vec![0.5, 1.0],
+        ] {
+            let mut g = PacketGen::new(TrafficConfig {
+                flows: cdf.len(),
+                distribution: FlowDistribution::Zipf(1.0),
+                ..Default::default()
+            });
+            g.zipf_guide = PacketGen::cutpoints(&cdf);
+            g.zipf_cdf = cdf;
+            let cells = g.zipf_guide.len() - 1;
+            for step in 0..8 * cells {
+                let edge = step as f64 / (8 * cells) as f64;
+                for u in [
+                    edge,
+                    edge.next_up(),
+                    (edge + 0.125 / cells as f64).next_down(),
+                ] {
+                    assert_eq!(g.zipf_index(u), whole_table_index(&g, u), "u = {u:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn whole_mix_cdf_is_the_plain_prefix_sum() {
+        // The whole mix's mass is 1.0 by definition, not by summation:
+        // its CDF is the weights' running sum to the last bit, which is
+        // what keeps `new` replaying the streams it always produced.
+        for (flows, exponent) in [(100, 1.2), (1000, 1.1), (16_384, 1.1), (777, 0.5)] {
+            let cfg = TrafficConfig {
+                flows,
+                distribution: FlowDistribution::Zipf(exponent),
+                ..Default::default()
+            };
+            let weights = PacketGen::weights_for(&cfg);
+            let mut acc = 0.0;
+            let mut expected: Vec<f64> = weights
+                .iter()
+                .map(|w| {
+                    acc += w;
+                    acc
+                })
+                .collect();
+            *expected.last_mut().unwrap() = 1.0;
+            assert_eq!(PacketGen::new(cfg).zipf_cdf, expected);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn guide_draw_matches_the_whole_table_search(
+            flows in 1usize..600,
+            exponent in 0usize..3,
+            shape in 0usize..3,
+            draws in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..64),
+        ) {
+            let g = zipf_generators(flows, [0.5, 1.1, 2.0][exponent]).swap_remove(shape);
+            if g.flows_in_slice() > 0 {
+                for bits in draws {
+                    // The rng's own mapping onto `[0, 1)`.
+                    let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                    proptest::prop_assert_eq!(g.zipf_index(u), whole_table_index(&g, u));
+                }
+            }
         }
     }
 
