@@ -510,6 +510,45 @@ impl TenantReport {
     }
 }
 
+/// Queueing delays of executed batches, as exact counts indexed by the
+/// delay in ticks. Memory grows to the largest delay ever recorded (one
+/// word per tick of delay), never with the number of batches executed.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DelayLedger {
+    counts: Vec<u64>,
+}
+
+impl DelayLedger {
+    pub(crate) fn record(&mut self, delay_ticks: u64) {
+        let slot = usize::try_from(delay_ticks).expect("delay in ticks fits a usize");
+        if slot >= self.counts.len() {
+            self.counts.resize(slot + 1, 0);
+        }
+        self.counts[slot] += 1;
+    }
+
+    /// The delay at rank `(n − 1) · 99 / 100` of the ascending samples
+    /// (0 with no samples).
+    pub(crate) fn p99(&self) -> u64 {
+        let n: u64 = self.counts.iter().sum();
+        let rank = n.saturating_sub(1) * 99 / 100;
+        let mut below = 0u64;
+        for (delay, &count) in self.counts.iter().enumerate() {
+            below += count;
+            if below > rank {
+                return delay as u64;
+            }
+        }
+        0
+    }
+
+    /// The largest delay recorded (0 with no samples): `record` only
+    /// ever extends `counts` to a delay it then counts.
+    pub(crate) fn max(&self) -> u64 {
+        self.counts.len().saturating_sub(1) as u64
+    }
+}
+
 /// A batch queued on a lane, stamped with enough identity to audit it.
 struct QueuedWork {
     tenant: usize,
@@ -546,7 +585,7 @@ struct TenantState {
     cold_restores: u64,
     state_items_restored: u64,
     snapshots_taken: u64,
-    delays: Vec<u64>,
+    delays: DelayLedger,
     batches_executed: u64,
 }
 
@@ -652,7 +691,7 @@ impl TenantRuntime {
                 cold_restores: 0,
                 state_items_restored: 0,
                 snapshots_taken: 0,
-                delays: Vec::new(),
+                delays: DelayLedger::default(),
                 batches_executed: 0,
             });
         }
@@ -900,7 +939,7 @@ impl TenantRuntime {
                 t.ledger.shed_open += n_in;
                 return;
             }
-            t.delays.push(now - work.enqueue_tick);
+            t.delays.record(now - work.enqueue_tick);
             t.batches_executed += 1;
         }
         let fire = self.fault_decision(idx);
@@ -1265,14 +1304,7 @@ impl TenantRuntime {
         let mut outcomes = Vec::with_capacity(self.tenants.len());
         for idx in 0..self.tenants.len() {
             let final_state_items = self.state_items(idx);
-            let t = &mut self.tenants[idx];
-            t.delays.sort_unstable();
-            let p99 = if t.delays.is_empty() {
-                0
-            } else {
-                t.delays[(t.delays.len() - 1) * 99 / 100]
-            };
-            let max = t.delays.last().copied().unwrap_or(0);
+            let t = &self.tenants[idx];
             outcomes.push(TenantOutcome {
                 name: t.spec.name.clone(),
                 priority: t.spec.priority,
@@ -1288,8 +1320,8 @@ impl TenantRuntime {
                 state_items_restored: t.state_items_restored,
                 final_state_items,
                 snapshots_taken: t.snapshots_taken,
-                p99_delay_ticks: p99,
-                max_delay_ticks: max,
+                p99_delay_ticks: t.delays.p99(),
+                max_delay_ticks: t.delays.max(),
                 batches_executed: t.batches_executed,
             });
         }
@@ -1535,5 +1567,30 @@ mod tests {
         assert!(beta.warm_restores >= 1, "probe chain never warm-restored");
         assert_eq!(report.unaccounted_packets(), 0);
         let _ = std::panic::take_hook();
+    }
+
+    mod delay_ledger {
+        use super::DelayLedger;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The counted ledger reports what sorting every sample would.
+            #[test]
+            fn matches_the_sorted_samples(
+                n in prop_oneof![Just(0usize), Just(1usize), Just(100usize), Just(101usize), 2usize..=300],
+                spread in 1u64..=40,
+                samples in proptest::collection::vec(any::<u64>(), 300),
+            ) {
+                let mut sorted: Vec<u64> = samples[..n].iter().map(|s| s % spread).collect();
+                let mut ledger = DelayLedger::default();
+                for &delay in &sorted {
+                    ledger.record(delay);
+                }
+                sorted.sort_unstable();
+                let p99 = if n == 0 { 0 } else { sorted[(n - 1) * 99 / 100] };
+                prop_assert_eq!(ledger.p99(), p99);
+                prop_assert_eq!(ledger.max(), sorted.last().copied().unwrap_or(0));
+            }
+        }
     }
 }

@@ -3,10 +3,11 @@
 //! [`TenantRuntime`](crate::tenant::TenantRuntime) proves the containment
 //! *semantics* — breakers, admission, churn, exact ledgers — on a
 //! single-threaded logical tick clock. This module re-proves them on
-//! real CPUs: a [`TenantLaneRuntime`] places tenant domains onto N lane
-//! **threads** with a weighted placement policy, each lane tick-processes
-//! only its resident tenants with no cross-thread hand-off on the steady
-//! path, and idle lanes steal *whole tenant work items* through the same
+//! real CPUs: a [`TenantLaneRuntime`] places tenant domains onto N
+//! **lanes** — the calling thread is lane 0, lanes `1..N` are threads —
+//! with a weighted placement policy, each lane tick-processes only its
+//! resident tenants with no cross-thread hand-off on the steady path,
+//! and idle lanes steal *whole tenant work items* through the same
 //! Chase–Lev deques the lane engine trades batches on — under a
 //! priority-aware policy that never steals ahead of a higher-priority
 //! tenant's queued work.
@@ -14,11 +15,16 @@
 //! The design walks a narrow line: wall-clock parallel execution whose
 //! *accounting* is still byte-deterministic.
 //!
-//! - **Tick barrier.** The control thread steers, admits, and stages a
-//!   tick's work while the lanes are parked; the lanes then run the
-//!   tick's entire work set to completion and park again. Nothing is
-//!   pushed mid-tick, so every deque only shrinks while thieves scan —
-//!   the lemma behind the no-inversion guarantee.
+//! - **Tick barrier.** The caller steers, admits, and stages a tick's
+//!   work while the helper lanes are parked on `start`; `step` joins
+//!   that barrier and then runs the same tick body the helpers run, as
+//!   lane 0: adopt staged tokens, `pushed` rendezvous, run the tick's
+//!   work set to completion, `done` rendezvous. All three barriers have
+//!   `lanes` participants, so with one lane nothing is spawned and
+//!   nothing blocks. Nothing is pushed after `pushed`, so every deque
+//!   only shrinks while thieves scan — the lemma behind the
+//!   no-inversion guarantee. Admission takes each touched tenant's lock
+//!   once per wave.
 //! - **Per-tenant serialization.** Each tenant's admitted batches sit in
 //!   a FIFO behind the tenant's own mutex; the deques carry *claim
 //!   tokens*, not batches. Whichever lane claims a token executes the
@@ -32,7 +38,7 @@
 //!   audits each theft, counting a `priority_inversion` if a higher band
 //!   anywhere still held work — structurally impossible, and asserted
 //!   zero in the tests.
-//! - **O(resident) ticks.** Per tick the control thread touches only the
+//! - **O(resident) ticks.** Per tick the caller touches only the
 //!   tenants that received traffic (a dirty list), open breakers (a
 //!   watch list), and one staggered snapshot bucket — never the whole
 //!   tenant table. Scale to hundreds of tenants costs the lanes nothing.
@@ -60,7 +66,7 @@ use rbs_sfi::{BackendKind, Domain, DomainManager};
 
 use crate::deque::{LaneDeque, Steal, Stealer};
 use crate::tenant::{
-    default_tenant_chain, BreakerPhase, BreakerPolicy, LaneOccupancy, RebuildRecord,
+    default_tenant_chain, BreakerPhase, BreakerPolicy, DelayLedger, LaneOccupancy, RebuildRecord,
     TenantChainFactory, TenantError, TenantEvent, TenantEventKind, TenantOutcome, TenantReport,
     TenantSpec,
 };
@@ -70,7 +76,8 @@ use crate::tenant::{
 pub struct TenantLaneConfig {
     /// The tenant population. Index order is identity for the whole run.
     pub tenants: Vec<TenantSpec>,
-    /// Lane *threads* tenants are placed onto.
+    /// Executors tenants are placed onto, the calling thread included:
+    /// `lanes − 1` threads are spawned.
     pub lanes: usize,
     /// Maglev table size; must be prime.
     pub table_size: usize,
@@ -136,9 +143,9 @@ struct LaneChain {
     pipeline: Pipeline,
 }
 
-/// Everything about one tenant, serialized behind one mutex. The control
-/// thread holds it at ingress and supervision points; exactly one lane
-/// holds it while executing — which is what makes per-tenant streams
+/// Everything about one tenant, serialized behind one mutex. The caller
+/// holds it at ingress and supervision points; exactly one lane holds
+/// it while executing — which is what makes per-tenant streams
 /// executor-invariant.
 struct TenantInner {
     spec: TenantSpec,
@@ -159,7 +166,7 @@ struct TenantInner {
     cold_restores: u64,
     state_items_restored: u64,
     snapshots_taken: u64,
-    delays: Vec<u64>,
+    delays: DelayLedger,
     batches_executed: u64,
     work_this_tick: u64,
     home_lane: usize,
@@ -294,16 +301,16 @@ impl TenantInner {
     }
 }
 
-/// Per-lane state shared with thieves and the control thread.
+/// Per-lane state shared with thieves and the caller.
 struct LaneShared {
-    /// Tokens the control thread staged for this lane's coming tick,
-    /// band-indexed. The lane (deque owner) adopts them at tick start.
+    /// Tokens `step` staged for this lane's coming tick, band-indexed.
+    /// The lane (deque owner) adopts them at tick start.
     staged: Mutex<Vec<Vec<u32>>>,
     /// Steal handles onto this lane's band deques.
     stealers: Vec<Stealer<u32>>,
 }
 
-/// State shared by the control thread and every lane thread.
+/// State shared by every lane: the caller (lane 0) and the helper threads.
 struct Shared {
     slots: Vec<Mutex<TenantInner>>,
     lanes: Vec<LaneShared>,
@@ -313,12 +320,13 @@ struct Shared {
     /// The tick the lanes are currently executing.
     tick: AtomicU64,
     shutdown: AtomicBool,
-    /// Control + lanes: releases a staged tick (or the shutdown flag).
+    /// Releases a staged tick (or the shutdown flag) to the helpers.
+    /// Like `pushed` and `done`, one participant per lane.
     start: Barrier,
-    /// Lanes only: every owner has adopted its staged tokens. After this
-    /// point no deque grows for the rest of the tick.
+    /// Every owner has adopted its staged tokens. After this point no
+    /// deque grows for the rest of the tick.
     pushed: Barrier,
-    /// Control + lanes: the tick's work set is fully consumed.
+    /// The tick's work set is fully consumed.
     done: Barrier,
     manager: DomainManager,
     policy: BreakerPolicy,
@@ -329,7 +337,8 @@ struct Shared {
     faults: Option<Arc<FaultPlan>>,
 }
 
-/// What one lane thread hands back at shutdown.
+/// What one lane's executor did; handed back at shutdown.
+#[derive(Default)]
 struct LaneSideOutcome {
     executed_batches: u64,
     executed_packets: u64,
@@ -339,72 +348,62 @@ struct LaneSideOutcome {
     priority_inversions: u64,
 }
 
-/// Everything one lane thread owns.
+/// Everything one lane's executor owns: lane 0's lives in the runtime
+/// and runs on the calling thread, the others move into their threads.
 struct LaneCtx {
     index: usize,
-    shared: Arc<Shared>,
     /// Owner handles of this lane's band deques (band 0 = highest).
     bands: Vec<LaneDeque<u32>>,
-    executed_batches: u64,
-    executed_packets: u64,
-    steals_in: u64,
-    steal_bytes: u64,
-    stolen_from: Vec<u64>,
-    priority_inversions: u64,
+    side: LaneSideOutcome,
 }
 
 impl LaneCtx {
-    fn run(mut self) -> LaneSideOutcome {
+    /// A helper thread's life: park on `start`, run the tick, repeat.
+    fn run(mut self, shared: &Shared) -> LaneSideOutcome {
         loop {
-            self.shared.start.wait();
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                break;
+            shared.start.wait();
+            if shared.shutdown.load(Ordering::Acquire) {
+                return self.side;
             }
-            // Adopt the staged tokens: only the deque owner may push,
-            // so the control thread stages and the lane publishes.
-            {
-                let mut staged = self.shared.lanes[self.index].staged.lock();
-                for (band, list) in staged.iter_mut().enumerate() {
-                    for &t in list.iter() {
-                        self.bands[band].push(t);
-                    }
-                    list.clear();
-                }
-            }
-            self.shared.pushed.wait();
-            let now = self.shared.tick.load(Ordering::Acquire);
-            self.process_tick(now);
-            self.shared.done.wait();
-        }
-        LaneSideOutcome {
-            executed_batches: self.executed_batches,
-            executed_packets: self.executed_packets,
-            steals_in: self.steals_in,
-            steal_bytes: self.steal_bytes,
-            stolen_from: self.stolen_from,
-            priority_inversions: self.priority_inversions,
+            self.tick(shared);
         }
     }
 
-    /// Consumes tokens until the tick's work set is exhausted: own bands
-    /// highest-priority first, then a band-major steal sweep, then spin
-    /// (some token is in flight on another lane).
-    fn process_tick(&mut self, now: u64) {
-        while self.shared.outstanding.load(Ordering::Acquire) > 0 {
+    /// One tick on this lane, entered once `start` has released it: the
+    /// body the caller (lane 0) and every helper thread share.
+    fn tick(&mut self, shared: &Shared) {
+        // Adopt the staged tokens: only the deque owner may push, so
+        // `step` stages and the lane publishes.
+        {
+            let mut staged = shared.lanes[self.index].staged.lock();
+            for (band, list) in staged.iter_mut().enumerate() {
+                for &t in list.iter() {
+                    self.bands[band].push(t);
+                }
+                list.clear();
+            }
+        }
+        shared.pushed.wait();
+        let now = shared.tick.load(Ordering::Acquire);
+        // Consume tokens until the tick's work set is exhausted: own
+        // bands highest-priority first, then a band-major steal sweep,
+        // then spin (some token is in flight on another lane).
+        while shared.outstanding.load(Ordering::Acquire) > 0 {
             if let Some(t) = self.pop_own() {
-                self.run_token(t, now, false);
+                self.run_token(shared, t, now, false);
                 continue;
             }
-            if self.shared.steal {
-                if let Some((t, band)) = self.steal_token() {
-                    self.audit_no_inversion(band);
-                    self.run_token(t, now, true);
+            if shared.steal {
+                if let Some((t, band)) = self.steal_token(shared) {
+                    self.audit_no_inversion(shared, band);
+                    self.run_token(shared, t, now, true);
                     continue;
                 }
             }
             std::hint::spin_loop();
             std::thread::yield_now();
         }
+        shared.done.wait();
     }
 
     /// Pops this lane's own work, highest band first.
@@ -420,12 +419,12 @@ impl LaneCtx {
     /// Band-major steal sweep: every victim's band 0 is scanned before
     /// anyone's band 1, so a theft can never jump ahead of queued
     /// higher-priority work.
-    fn steal_token(&mut self) -> Option<(u32, usize)> {
-        let lanes = self.shared.lanes.len();
+    fn steal_token(&mut self, shared: &Shared) -> Option<(u32, usize)> {
+        let lanes = shared.lanes.len();
         for band in 0..self.bands.len() {
             for step in 1..lanes {
                 let victim = (self.index + step) % lanes;
-                let stealer = &self.shared.lanes[victim].stealers[band];
+                let stealer = &shared.lanes[victim].stealers[band];
                 loop {
                     match stealer.steal() {
                         Steal::Taken(t) => return Some((t, band)),
@@ -440,15 +439,15 @@ impl LaneCtx {
 
     /// Audits a theft from `band`: within a tick deques only shrink, so
     /// any non-empty higher band here would be a genuine inversion.
-    fn audit_no_inversion(&mut self, band: usize) {
+    fn audit_no_inversion(&mut self, shared: &Shared, band: usize) {
         for b in 0..band {
             if !self.bands[b].is_empty() {
-                self.priority_inversions += 1;
+                self.side.priority_inversions += 1;
                 return;
             }
-            for lane in &self.shared.lanes {
+            for lane in &shared.lanes {
                 if !lane.stealers[b].is_empty() {
-                    self.priority_inversions += 1;
+                    self.side.priority_inversions += 1;
                     return;
                 }
             }
@@ -457,17 +456,23 @@ impl LaneCtx {
 
     /// Redeems one token: locks the tenant, executes (or accounts) its
     /// next queued batch, releases the tick's outstanding count.
-    fn run_token(&mut self, t: u32, now: u64, stolen: bool) {
+    fn run_token(&mut self, shared: &Shared, t: u32, now: u64, stolen: bool) {
         let idx = t as usize;
-        let shared = Arc::clone(&self.shared);
         {
             let mut g = shared.slots[idx].lock();
-            self.execute_one(idx, &mut g, now, stolen);
+            self.execute_one(shared, idx, &mut g, now, stolen);
         }
         shared.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 
-    fn execute_one(&mut self, idx: usize, g: &mut TenantInner, now: u64, stolen: bool) {
+    fn execute_one(
+        &mut self,
+        shared: &Shared,
+        idx: usize,
+        g: &mut TenantInner,
+        now: u64,
+        stolen: bool,
+    ) {
         let Some(work) = g.queue.pop_front() else {
             // The batch this token claimed was already accounted (HWM
             // shed after staging); the token still pays its count.
@@ -482,14 +487,13 @@ impl LaneCtx {
             g.ledger.shed_open += n_in;
             return;
         }
-        g.delays.push(now - work.enqueue_tick);
+        g.delays.record(now - work.enqueue_tick);
         g.batches_executed += 1;
         g.work_this_tick += work.cost;
         let occurrence = g.occurrence;
         g.occurrence += 1;
         #[cfg(feature = "fault-injection")]
-        let fire = self
-            .shared
+        let fire = shared
             .faults
             .as_ref()
             .and_then(|plan| plan.decide(FaultSite::Operator(0), idx as u64, occurrence));
@@ -504,7 +508,7 @@ impl LaneCtx {
             // tax to the tenant's own isolation account.
             let bytes = work.batch.total_bytes();
             chain.domain.meter_crossing(Crossing::Steal, bytes);
-            self.steal_bytes += bytes as u64;
+            self.side.steal_bytes += bytes as u64;
         }
         let pipeline = &mut chain.pipeline;
         let batch = work.batch;
@@ -519,11 +523,11 @@ impl LaneCtx {
             }
             pipeline.run_batch(batch)
         });
-        self.executed_batches += 1;
-        self.executed_packets += n_in;
+        self.side.executed_batches += 1;
+        self.side.executed_packets += n_in;
         if stolen {
-            self.steals_in += 1;
-            self.stolen_from[idx] += 1;
+            self.side.steals_in += 1;
+            self.side.stolen_from[idx] += 1;
         }
         match result {
             Ok(out) => {
@@ -545,22 +549,26 @@ impl LaneCtx {
                 // The batch moved into the domain and died with it.
                 g.ledger.lost += n_in;
                 g.faults += 1;
-                g.strike(idx, now, &self.shared.policy, &self.shared.manager);
+                g.strike(idx, now, &shared.policy, &shared.manager);
                 if g.phase != BreakerPhase::Open {
-                    g.respawn(idx, now, &self.shared.manager);
+                    g.respawn(idx, now, &shared.manager);
                 }
             }
         }
     }
 }
 
-/// Multi-tenant containment on real lane threads with priority-aware
-/// work stealing. Same call shape as the single-threaded reference:
+/// Multi-tenant containment on real lanes — the calling thread plus
+/// `lanes − 1` helper threads — with priority-aware work stealing.
+/// Same call shape as the single-threaded reference:
 /// alternate [`offer`](TenantLaneRuntime::offer) and
 /// [`step`](TenantLaneRuntime::step), churn between ticks, then
 /// [`finish`](TenantLaneRuntime::finish).
 pub struct TenantLaneRuntime {
     shared: Arc<Shared>,
+    /// Lane 0: executed by whichever thread calls `step`.
+    lane0: LaneCtx,
+    /// Lanes `1..lanes`.
     handles: Vec<JoinHandle<LaneSideOutcome>>,
     factory: TenantChainFactory,
     specs: Vec<TenantSpec>,
@@ -571,6 +579,8 @@ pub struct TenantLaneRuntime {
     /// the warmed-up offer path allocates per queued batch, not per
     /// packet).
     staged: Vec<Vec<Packet>>,
+    /// Tenants the wave being offered has steered packets to.
+    touched: Vec<usize>,
     /// Tenants with queued work since the last step (the dirty list).
     active: Vec<usize>,
     is_active: Vec<bool>,
@@ -600,8 +610,8 @@ pub struct TenantLaneRuntime {
 impl TenantLaneRuntime {
     /// Builds the runtime: weighted placement of every tenant onto a
     /// lane, one domain + cold chain per tenant, per-priority band
-    /// deques on every lane, and the lane threads (parked until the
-    /// first [`step`](TenantLaneRuntime::step)).
+    /// deques on every lane, and the helper threads of lanes `1..`
+    /// (parked until the first [`step`](TenantLaneRuntime::step)).
     pub fn new(config: TenantLaneConfig) -> Result<Self, TenantError> {
         if config.tenants.is_empty() {
             return Err(TenantError::BadConfig("no tenants"));
@@ -675,7 +685,7 @@ impl TenantLaneRuntime {
                 cold_restores: 0,
                 state_items_restored: 0,
                 snapshots_taken: 0,
-                delays: Vec::new(),
+                delays: DelayLedger::default(),
                 batches_executed: 0,
                 work_this_tick: 0,
                 home_lane: home_lane[idx],
@@ -688,8 +698,8 @@ impl TenantLaneRuntime {
             }));
         }
 
-        // Band deques: owners move into the lane threads, stealers are
-        // published to everyone.
+        // Band deques: owners move into the lanes' executors, stealers
+        // are published to everyone.
         let mut owners: Vec<Vec<LaneDeque<u32>>> = Vec::with_capacity(config.lanes);
         let mut lane_shared = Vec::with_capacity(config.lanes);
         for _ in 0..config.lanes {
@@ -732,9 +742,9 @@ impl TenantLaneRuntime {
             outstanding: AtomicU64::new(0),
             tick: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            start: Barrier::new(config.lanes + 1),
+            start: Barrier::new(config.lanes),
             pushed: Barrier::new(config.lanes),
-            done: Barrier::new(config.lanes + 1),
+            done: Barrier::new(config.lanes),
             manager,
             policy: config.breaker,
             band_of,
@@ -743,30 +753,31 @@ impl TenantLaneRuntime {
             faults: config.faults.clone(),
         });
 
-        let handles = owners
+        let mut ctxs = owners
             .into_iter()
             .enumerate()
-            .map(|(index, bands)| {
-                let ctx = LaneCtx {
-                    index,
-                    shared: Arc::clone(&shared),
-                    bands,
-                    executed_batches: 0,
-                    executed_packets: 0,
-                    steals_in: 0,
-                    steal_bytes: 0,
+            .map(|(index, bands)| LaneCtx {
+                index,
+                bands,
+                side: LaneSideOutcome {
                     stolen_from: vec![0; tcount],
-                    priority_inversions: 0,
-                };
+                    ..LaneSideOutcome::default()
+                },
+            });
+        let lane0 = ctxs.next().expect("at least one lane");
+        let handles = ctxs
+            .map(|ctx| {
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("tenant-lane-{index}"))
-                    .spawn(move || ctx.run())
+                    .name(format!("tenant-lane-{}", ctx.index))
+                    .spawn(move || ctx.run(&shared))
                     .expect("spawning tenant lane")
             })
             .collect();
 
         Ok(Self {
             shared,
+            lane0,
             handles,
             factory,
             specs: config.tenants.clone(),
@@ -774,6 +785,7 @@ impl TenantLaneRuntime {
             table,
             table_map,
             staged: (0..tcount).map(|_| Vec::new()).collect(),
+            touched: Vec::new(),
             active: Vec::new(),
             is_active: vec![false; tcount],
             lane_depth: vec![0; config.lanes],
@@ -849,11 +861,14 @@ impl TenantLaneRuntime {
         }
     }
 
-    /// Steers one wave: run-batched Maglev lookup → ledger attribution →
-    /// breaker gate → admission → the tenant's FIFO on its home lane,
-    /// then the per-lane high-water mark. Runs on the control thread
-    /// while the lanes are parked, so it is exactly as deterministic as
-    /// the single-threaded runtime's offer.
+    /// Steers one wave: run-batched Maglev lookup into the per-tenant
+    /// staging buffers, then per touched tenant, in index order and
+    /// under one hold of its lock: ledger attribution → breaker gate →
+    /// admission → the tenant's FIFO on its home lane; then the per-lane
+    /// high-water mark. Phase and bucket are per-tenant and nothing
+    /// executes while the helper lanes are parked, so this is the
+    /// single-threaded runtime's per-packet loop with its iterations
+    /// regrouped by tenant — every ledger and event is identical.
     pub fn offer(&mut self, batch: PacketBatch) {
         let now = self.now;
         let mut last_hash = 0u64;
@@ -870,44 +885,48 @@ impl TenantLaneRuntime {
                 last_idx = self.table_map[self.table.lookup(hash)];
                 last_idx
             };
-            let mut g = self.shared.slots[idx].lock();
-            g.ledger.offered += 1;
-            if g.phase == BreakerPhase::Open {
-                g.ledger.shed_open += 1;
-                continue;
+            // Staging buffers are empty between offers: first touch.
+            if self.staged[idx].is_empty() {
+                self.touched.push(idx);
             }
-            if g.bucket.take(now, 1) == 0 {
-                g.ledger.shed_admission += 1;
-                continue;
-            }
-            drop(g);
             self.staged[idx].push(p);
-            if !self.is_active[idx] {
-                self.is_active[idx] = true;
-                self.active.push(idx);
-            }
         }
 
-        // Queue one batch per touched tenant, canonical (index) order.
-        self.active.sort_unstable();
-        for pos in 0..self.active.len() {
-            let idx = self.active[pos];
-            if self.staged[idx].is_empty() {
+        // Admit and queue one batch per touched tenant, canonical
+        // (index) order. A partial grant keeps the wave's first packets,
+        // exactly the ones per-packet admission would have let through.
+        self.touched.sort_unstable();
+        for idx in self.touched.drain(..) {
+            let staged = &mut self.staged[idx];
+            let n = staged.len() as u64;
+            let mut g = self.shared.slots[idx].lock();
+            g.ledger.offered += n;
+            if g.phase == BreakerPhase::Open {
+                g.ledger.shed_open += n;
+                staged.clear();
                 continue;
             }
-            let mut pkts = Vec::with_capacity(self.staged[idx].len());
-            pkts.append(&mut self.staged[idx]);
-            let cost = (pkts.len() as u64) * self.specs[idx].cost_per_packet.max(1);
-            let mut g = self.shared.slots[idx].lock();
+            let granted = g.bucket.take(now, n);
+            g.ledger.shed_admission += n - granted;
+            staged.truncate(granted as usize);
+            if granted == 0 {
+                continue;
+            }
+            let mut pkts = Vec::with_capacity(staged.len());
+            pkts.append(staged);
             let lane = g.home_lane;
             let epoch = g.epoch;
             g.queue.push_back(TenantWork {
                 epoch,
                 batch: PacketBatch::from_packets(pkts),
                 enqueue_tick: now,
-                cost,
+                cost: granted * self.specs[idx].cost_per_packet.max(1),
             });
             drop(g);
+            if !self.is_active[idx] {
+                self.is_active[idx] = true;
+                self.active.push(idx);
+            }
             self.lane_depth[lane] += 1;
             touched_lanes |= 1 << (lane % 64);
         }
@@ -950,11 +969,11 @@ impl TenantLaneRuntime {
         }
     }
 
-    /// Executes one tick on the lane threads: stage claim tokens for
-    /// every queued batch, release the lanes through the tick barrier,
-    /// wait for run-to-completion, then apply the deterministic
-    /// supervision pass (work-budget strikes, open-timer expiry, the
-    /// staggered snapshot cadence). Advances the clock.
+    /// Executes one tick: stage claim tokens for every queued batch,
+    /// release the helper lanes through the tick barrier, run the tick
+    /// to completion as lane 0, then apply the deterministic supervision
+    /// pass (work-budget strikes, open-timer expiry, the staggered
+    /// snapshot cadence). Advances the clock.
     pub fn step(&mut self) {
         let now = self.now;
         self.active.sort_unstable();
@@ -977,7 +996,7 @@ impl TenantLaneRuntime {
         self.shared.outstanding.store(total, Ordering::Release);
         self.shared.tick.store(now, Ordering::Release);
         self.shared.start.wait();
-        self.shared.done.wait();
+        self.lane0.tick(&self.shared);
 
         // Supervision pass, tenant-index order (active is sorted).
         for pos in 0..self.active.len() {
@@ -1172,7 +1191,7 @@ impl TenantLaneRuntime {
         Ok(remapped)
     }
 
-    /// Runs any still-queued work to completion, retires the lane
+    /// Runs any still-queued work to completion, retires the helper
     /// threads, destroys all domains, and returns the final report.
     pub fn finish(mut self) -> TenantReport {
         while !self.active.is_empty() {
@@ -1180,11 +1199,12 @@ impl TenantLaneRuntime {
         }
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.start.wait();
-        let sides: Vec<LaneSideOutcome> = self
-            .handles
-            .drain(..)
-            .map(|h| h.join().expect("lane thread panicked"))
-            .collect();
+        let mut sides = vec![std::mem::take(&mut self.lane0.side)];
+        sides.extend(
+            self.handles
+                .drain(..)
+                .map(|h| h.join().expect("lane thread panicked")),
+        );
 
         let tcount = self.specs.len();
         let mut outcomes = Vec::with_capacity(tcount);
@@ -1192,13 +1212,6 @@ impl TenantLaneRuntime {
         for idx in 0..tcount {
             let final_state_items = self.state_items(idx);
             let mut g = self.shared.slots[idx].lock();
-            g.delays.sort_unstable();
-            let p99 = if g.delays.is_empty() {
-                0
-            } else {
-                g.delays[(g.delays.len() - 1) * 99 / 100]
-            };
-            let max = g.delays.last().copied().unwrap_or(0);
             events.append(&mut g.events);
             outcomes.push(TenantOutcome {
                 name: g.spec.name.clone(),
@@ -1215,8 +1228,8 @@ impl TenantLaneRuntime {
                 state_items_restored: g.state_items_restored,
                 final_state_items,
                 snapshots_taken: g.snapshots_taken,
-                p99_delay_ticks: p99,
-                max_delay_ticks: max,
+                p99_delay_ticks: g.delays.p99(),
+                max_delay_ticks: g.delays.max(),
                 batches_executed: g.batches_executed,
             });
             if let Some(chain) = g.chain.take() {
@@ -1525,7 +1538,8 @@ mod tests {
                     .map(|t| {
                         let mut ledger = t.ledger;
                         ledger.stolen = 0; // scheduling-dependent
-                        (ledger, t.faults, t.opens, t.throttles, t.batches_executed)
+                        let counts = (t.faults, t.opens, t.throttles, t.batches_executed);
+                        (ledger, counts, t.p99_delay_ticks, t.max_delay_ticks)
                     })
                     .collect::<Vec<_>>(),
                 report.events,
@@ -1540,5 +1554,29 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// Dropping a runtime that was never finished retires every helper
+    /// (none stays parked on `start`) and destroys every tenant domain —
+    /// with one lane there is no helper to retire at all.
+    #[test]
+    fn drop_without_finish_retires_helpers_and_domains() {
+        for lanes in [1, 3] {
+            let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
+                tenants: population(6),
+                lanes,
+                ..TenantLaneConfig::default()
+            })
+            .unwrap();
+            assert_eq!(rt.handles.len(), lanes - 1);
+            rt.offer(wave(0, 192));
+            rt.step();
+            rt.offer(wave(1, 192));
+            let shared = Arc::clone(&rt.shared);
+            drop(rt);
+            // Each helper holds one clone until its thread returns.
+            assert_eq!(Arc::strong_count(&shared), 1, "{lanes} lanes");
+            assert!(shared.manager.domains().is_empty(), "{lanes} lanes");
+        }
     }
 }
