@@ -16,9 +16,12 @@
 //!   addresses whose leaves hold [`rbs_checkpoint::CkRc`]-shared rules —
 //!   the same rule object may sit under many prefixes (Figure 3a), and
 //!   checkpointing the trie copies it exactly once;
+//! - [`index`]: the flat stride-8 array lookups are answered from,
+//!   compiled lazily from the trie and never checkpointed;
 //! - [`operator`]: the trie wrapped as a `rbs-netfx` pipeline stage, so
 //!   the firewall can run inside the SFI-isolated pipelines of §3.
 
+pub mod index;
 pub mod operator;
 pub mod parse;
 pub mod rule;

@@ -4,6 +4,14 @@
 //! the (optionally SFI-isolated) pipelines of §3, and exposes the
 //! checkpoint hooks so a running firewall can be snapshotted and rolled
 //! back — the §5 scenario end to end.
+//!
+//! Per packet the stage touches no frame bytes and no rule object: the
+//! five-tuple is the packet's cached one ([`Packet::flow`], parsed here
+//! if this is the first stage to ask and reused by every stage after),
+//! and the verdict is read off the trie's compiled index
+//! ([`FwTrie::decide`]).
+//!
+//! [`Packet::flow`]: rbs_netfx::packet::Packet::flow
 
 use crate::rule::Action;
 use crate::trie::FwTrie;
@@ -38,11 +46,11 @@ impl FirewallOp {
     }
 
     /// The decision for one flow.
+    #[inline]
     pub fn decide(&self, flow: &FiveTuple) -> Action {
         self.trie
-            .lookup(flow)
-            .map(|r| r.action)
-            .unwrap_or(self.default_action)
+            .decide(flow)
+            .map_or(self.default_action, |(_id, action)| action)
     }
 
     /// Read access to the rule database.
@@ -86,8 +94,8 @@ impl FirewallOp {
 
 impl Operator for FirewallOp {
     fn process(&mut self, mut batch: PacketBatch) -> PacketBatch {
-        batch.retain(|packet| {
-            let action = match FiveTuple::of(packet) {
+        batch.retain_mut(|packet| {
+            let action = match packet.flow() {
                 Ok(flow) => self.decide(&flow),
                 // Non-flow traffic is dropped, like any default-deny box.
                 Err(_) => Action::Deny,
@@ -219,6 +227,17 @@ mod tests {
         let mut p = packet(Ipv4Addr::new(10, 0, 0, 1), 1);
         p.ipv4_mut().unwrap().set_protocol(IpProto::Icmp);
         let out = fw.process(vec![p].into_iter().collect());
+        assert_eq!(out.len(), 0);
+        assert_eq!(fw.denied(), 1);
+    }
+
+    #[test]
+    fn non_first_fragments_are_non_flow_traffic() {
+        let mut fw = FirewallOp::new(FwTrie::new(), Action::Allow);
+        let mut bytes = packet(Ipv4Addr::new(10, 0, 0, 1), 53).as_slice().to_vec();
+        // Fragment offset 2: no ports to decide on.
+        bytes[14 + 7] = 2;
+        let out = fw.process(vec![Packet::from_slice(&bytes)].into_iter().collect());
         assert_eq!(out.len(), 0);
         assert_eq!(fw.denied(), 1);
     }

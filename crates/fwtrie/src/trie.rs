@@ -6,20 +6,41 @@
 //! makes naïve checkpoint traversal duplicate rules (Figure 3b) and that
 //! [`rbs_checkpoint`]'s epoch-flag dedup handles in O(1) per alias.
 //!
-//! Lookup is classic LPM: walk the destination bits, remember the most
-//! specific node whose rule list matches the flow's residual fields,
-//! tie-break equal depth by rule id.
+//! Lookup is classic LPM: of the nodes on the destination's path, the
+//! most specific one whose rule list matches the flow's residual fields,
+//! equal depth tie-broken by rule id. The trie defines that answer and
+//! is the only thing edited or checkpointed; the answer is *computed*
+//! from a flat index compiled from the trie on the first lookup after a
+//! change ([`crate::index`]) — three or four array reads instead of one
+//! pointer per address bit. The index is derived state in the Theseus
+//! sense: single-owner, rebuilt on demand, never in a snapshot, and it
+//! copies rule fields instead of cloning `CkArc`s, so the sharing
+//! Figure 3 counts is untouched by lookups.
 
-use crate::rule::{mask_net, Rule};
+use crate::index::Index;
+use crate::rule::{mask_net, Action, Rule};
 use rbs_checkpoint::{CheckpointCtx, Checkpointable, CkArc, RestoreCtx, Snapshot, SnapshotError};
 use rbs_netfx::flow::FiveTuple;
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 #[derive(Debug, Default)]
-struct Node {
-    zero: Option<Box<Node>>,
-    one: Option<Box<Node>>,
-    rules: Vec<CkArc<Rule>>,
+pub(crate) struct Node {
+    pub(crate) zero: Option<Box<Node>>,
+    pub(crate) one: Option<Box<Node>>,
+    pub(crate) rules: Vec<CkArc<Rule>>,
+}
+
+impl Node {
+    /// The child on `addr`'s path below a node at `depth`.
+    pub(crate) fn child_towards(&self, addr: u32, depth: u8) -> Option<&Node> {
+        let bit = (addr >> (31 - u32::from(depth))) & 1;
+        if bit == 0 {
+            self.zero.as_deref()
+        } else {
+            self.one.as_deref()
+        }
+    }
 }
 
 impl Checkpointable for Node {
@@ -79,6 +100,8 @@ impl Checkpointable for Node {
 pub struct FwTrie {
     root: Node,
     rule_refs: usize,
+    /// The compiled form of `root`; emptied by every edit.
+    index: OnceLock<Index>,
 }
 
 impl FwTrie {
@@ -117,11 +140,44 @@ impl FwTrie {
         }
         node.rules.push(rule);
         self.rule_refs += 1;
+        self.index.take();
+    }
+
+    fn index(&self) -> &Index {
+        self.index.get_or_init(|| Index::compile(&self.root))
+    }
+
+    /// The `id` and action of the best rule for `flow` — the data-path
+    /// form of [`FwTrie::lookup`]: read off the compiled index, no rule
+    /// object touched.
+    #[inline]
+    pub fn decide(&self, flow: &FiveTuple) -> Option<(u32, Action)> {
+        self.index().find(flow).map(|hit| (hit.id, hit.action))
     }
 
     /// Looks up the best rule for `flow`: the deepest (most specific)
     /// matching prefix; equal depth resolved by smallest rule id.
+    ///
+    /// The index names the reference; fetching its handle walks the
+    /// binary trie down to it, which is the control plane's price, not
+    /// the data path's ([`FwTrie::decide`]).
     pub fn lookup(&self, flow: &FiveTuple) -> Option<&CkArc<Rule>> {
+        let hit = self.index().find(flow)?;
+        let dst = u32::from(flow.dst_ip);
+        let mut node = &self.root;
+        for depth in 0..hit.depth {
+            node = node
+                .child_towards(dst, depth)
+                .expect("the index names a node of the trie it was compiled from");
+        }
+        Some(&node.rules[hit.position as usize])
+    }
+
+    /// [`FwTrie::lookup`] by the definition: walk the destination bits,
+    /// remember the most specific node with a residual match. The oracle
+    /// the compiled index is tested against.
+    #[cfg(test)]
+    pub(crate) fn lookup_bit_walk(&self, flow: &FiveTuple) -> Option<&CkArc<Rule>> {
         let dst = u32::from(flow.dst_ip);
         let mut best: Option<&CkArc<Rule>> = None;
         let mut node = Some(&self.root);
@@ -141,15 +197,23 @@ impl FwTrie {
             if depth == 32 {
                 break;
             }
-            let bit = (dst >> (31 - u32::from(depth))) & 1;
-            node = if bit == 0 {
-                n.zero.as_deref()
-            } else {
-                n.one.as_deref()
-            };
+            node = n.child_towards(dst, depth);
             depth += 1;
         }
         best
+    }
+
+    /// Nodes of the compiled index (compiling it if need be).
+    #[cfg(test)]
+    pub(crate) fn index_nodes(&self) -> usize {
+        self.index().node_count()
+    }
+
+    /// True once a lookup has compiled the index and no edit has
+    /// retired it since.
+    #[cfg(test)]
+    pub(crate) fn index_is_compiled(&self) -> bool {
+        self.index.get().is_some()
     }
 
     /// Removes every attachment of the rule with id `id` (all aliases),
@@ -172,6 +236,7 @@ impl FwTrie {
         }
         let removed = walk(&mut self.root, id);
         self.rule_refs -= removed;
+        self.index.take();
         removed
     }
 
@@ -236,6 +301,7 @@ impl Checkpointable for FwTrie {
         Ok(FwTrie {
             root: Node::restore(&items[0], ctx)?,
             rule_refs: refs as usize,
+            index: OnceLock::new(),
         })
     }
 }

@@ -8,7 +8,17 @@
 //! chosen backend, patching the IPv4 and transport checksums for the
 //! changed address words (`Packet::rewrite_endpoints`). The connection
 //! table is the same deterministic [`FlowTable`] NAT and the flow
-//! tracker use.
+//! tracker use, probed with the key the packet already carries
+//! (`Packet::flow_key`): behind a flow tracker, neither the tuple nor
+//! its hash is computed again here.
+//!
+//! The connection table is bounded ([`MaglevLb::with_connection_capacity`]):
+//! its hash is seedless, so an unbounded table would hand a flow-churn
+//! flood both the memory and the probe length. A flow that arrives at a
+//! full table is still steered — by consistent hash, which sends every
+//! packet of it to the same backend for as long as the backend set
+//! stands — but is not remembered, and is counted in
+//! [`LbStats::untracked_flows`].
 
 use crate::table::{Backend, MaglevTable, TableError};
 use rbs_netfx::batch::PacketBatch;
@@ -25,6 +35,9 @@ pub struct LbStats {
     pub conn_table_hits: u64,
     /// Packets steered via the consistent-hash table (new flows).
     pub hash_lookups: u64,
+    /// Of those, packets whose flow was not remembered because the
+    /// connection table was at capacity.
+    pub untracked_flows: u64,
     /// Packets dropped because they carried no extractable five-tuple.
     pub dropped: u64,
     /// Per-backend packet counts, indexed like the table's backend list.
@@ -37,6 +50,8 @@ pub struct MaglevLb {
     /// Backend name -> VIP-side address to DNAT to.
     backend_addrs: Vec<Ipv4Addr>,
     conn_table: FlowTable<FiveTuple, u32>,
+    /// Most connections `conn_table` remembers.
+    conn_capacity: usize,
     stats: LbStats,
     /// When false, skip the connection table entirely (pure consistent
     /// hashing; used to measure the marginal cost of tracking).
@@ -67,12 +82,25 @@ impl MaglevLb {
             table,
             backend_addrs: addrs,
             conn_table: FlowTable::new(),
+            conn_capacity: Self::DEFAULT_CONNECTION_CAPACITY,
             stats: LbStats {
                 per_backend: vec![0; n],
                 ..Default::default()
             },
             track_connections: true,
         })
+    }
+
+    /// Connections remembered unless
+    /// [`with_connection_capacity`](Self::with_connection_capacity) says
+    /// otherwise.
+    pub const DEFAULT_CONNECTION_CAPACITY: usize = 1 << 20;
+
+    /// Remembers at most `capacity` connections (at least one); flows
+    /// beyond that are steered by consistent hash alone.
+    pub fn with_connection_capacity(mut self, capacity: usize) -> Self {
+        self.conn_capacity = capacity.max(1);
+        self
     }
 
     /// Disables the connection table (pure consistent hashing).
@@ -147,23 +175,29 @@ impl MaglevLb {
     /// Steers one packet, returning the chosen backend index, or `None`
     /// for packets without a five-tuple (dropped).
     pub fn steer(&mut self, packet: &mut Packet) -> Option<usize> {
-        let tuple = FiveTuple::of(packet).ok()?;
-        let idx = if self.track_connections {
-            match self.conn_table.get(&tuple) {
-                Some(&idx) => {
-                    self.stats.conn_table_hits += 1;
-                    idx as usize
-                }
-                None => {
-                    let idx = self.table.lookup(tuple.stable_hash());
-                    self.conn_table.insert(tuple, idx as u32);
-                    self.stats.hash_lookups += 1;
-                    idx
-                }
-            }
+        let (tuple, hash) = packet.flow_key().ok()?;
+        let remembered = if self.track_connections {
+            self.conn_table.get_hashed(hash, &tuple).copied()
         } else {
-            self.stats.hash_lookups += 1;
-            self.table.lookup(tuple.stable_hash())
+            None
+        };
+        let idx = match remembered {
+            Some(idx) => {
+                self.stats.conn_table_hits += 1;
+                idx as usize
+            }
+            None => {
+                let idx = self.table.lookup(hash);
+                self.stats.hash_lookups += 1;
+                if self.track_connections {
+                    if self.conn_table.len() < self.conn_capacity {
+                        self.conn_table.insert(tuple, idx as u32);
+                    } else {
+                        self.stats.untracked_flows += 1;
+                    }
+                }
+                idx
+            }
         };
         // DNAT to the backend; the destination port is kept.
         packet
@@ -335,6 +369,54 @@ mod tests {
         assert!(second < 2);
         let dst = p2.ipv4().unwrap().dst();
         assert_ne!(dst, Ipv4Addr::new(10, 1, 0, first as u8 + 1));
+    }
+
+    #[test]
+    fn flow_churn_cannot_grow_the_connection_table_past_its_capacity() {
+        let mut lb = lb(4).with_connection_capacity(64);
+        let established: Vec<usize> = (0..32u16)
+            .map(|sport| lb.steer(&mut udp_packet(sport)).unwrap())
+            .collect();
+
+        // A flood of one-packet flows: the first 32 fill the table, the
+        // rest are steered without being remembered.
+        for sport in 1_000..11_000u16 {
+            lb.steer(&mut udp_packet(sport)).unwrap();
+        }
+        assert_eq!(lb.tracked_connections(), 64);
+        assert_eq!(lb.stats().untracked_flows, 10_000 - 32);
+        // Flat from here on, however long the flood lasts.
+        for sport in 11_000..21_000u16 {
+            lb.steer(&mut udp_packet(sport)).unwrap();
+        }
+        assert_eq!(lb.tracked_connections(), 64);
+        assert_eq!(lb.stats().untracked_flows, 20_000 - 32);
+
+        // An unremembered flow still lands on one backend every time.
+        let first = lb.steer(&mut udp_packet(20_999)).unwrap();
+        assert_eq!(lb.steer(&mut udp_packet(20_999)).unwrap(), first);
+
+        // And the flows that were established before the flood keep their
+        // backend through it and through a backend-set change.
+        let hits = lb.stats().conn_table_hits;
+        let (b, a) = backends(5);
+        lb.update_backends(b, a, 503).unwrap();
+        for (sport, &backend) in established.iter().enumerate() {
+            assert_eq!(lb.steer(&mut udp_packet(sport as u16)).unwrap(), backend);
+        }
+        assert_eq!(lb.stats().conn_table_hits, hits + 32);
+    }
+
+    #[test]
+    fn non_first_fragments_are_dropped_not_rewritten() {
+        let mut bytes = udp_packet(4242).as_slice().to_vec();
+        // Fragment offset 3: the "ports" would be payload bytes.
+        bytes[14 + 6..14 + 8].copy_from_slice(&[0x00, 0x03]);
+        let mut lb = lb(3);
+        let out = lb.process(std::iter::once(Packet::from_slice(&bytes)).collect());
+        assert!(out.is_empty());
+        assert_eq!(lb.stats().dropped, 1);
+        assert_eq!(lb.tracked_connections(), 0);
     }
 
     #[test]

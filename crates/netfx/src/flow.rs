@@ -3,9 +3,14 @@
 //! Both the Maglev load balancer and the firewall classify packets by
 //! flow. The hash here is a deterministic FxHash-style mix — stable across
 //! runs so experiments are reproducible, cheap enough for the data path.
+//!
+//! A packet remembers both (see the flow-key cache in [`crate::packet`]):
+//! an operator that owns the packet asks [`Packet::flow`] or
+//! [`Packet::flow_key`] and the headers are parsed, and the tuple
+//! hashed, once per chain; [`FiveTuple::of`] is the same question
+//! through a shared reference, which can read the cache but not fill it.
 
 use crate::headers::ipv4::IpProto;
-use crate::headers::ETHERNET_HDR_LEN;
 use crate::packet::{Packet, PacketError};
 use std::net::Ipv4Addr;
 
@@ -25,31 +30,22 @@ pub struct FiveTuple {
 }
 
 impl FiveTuple {
-    /// Extracts the 5-tuple from a TCP or UDP packet.
+    /// Extracts the 5-tuple from a TCP or UDP packet: the packet's
+    /// cached tuple when it has one, a parse of the headers (which a
+    /// shared reference cannot cache — see [`Packet::flow`]) otherwise.
     ///
-    /// Fails with [`PacketError::WrongProtocol`] for other protocols, and
-    /// with whatever the `ipv4()` → `udp()`/`tcp()` views would report
-    /// for a frame they reject. The headers are validated once, not once
-    /// per view (see `Packet::transport_offset`).
+    /// Fails with [`PacketError::WrongProtocol`] for other protocols,
+    /// with `BadField` (`fragment_offset`) for a non-first IPv4 fragment,
+    /// and with whatever the `ipv4()` → `udp()`/`tcp()` views would
+    /// report for a frame they reject. The headers are validated once,
+    /// not once per view (see `Packet::locate_transport`).
     ///
-    /// `inline(always)`, not a hint: every stateful operator calls this
-    /// once per packet, and an out-of-line copy returns the tuple through
-    /// memory — a decision `#[inline]` leaves LLVM free to revisit
-    /// whenever an unrelated edit changes the caller's size.
+    /// `inline(always)`, not a hint: an out-of-line copy returns the
+    /// tuple through memory — a decision `#[inline]` leaves LLVM free to
+    /// revisit whenever an unrelated edit changes the caller's size.
     #[inline(always)]
     pub fn of(packet: &Packet) -> Result<FiveTuple, PacketError> {
-        let (l4, proto) = packet.transport_offset()?;
-        let b = packet.as_slice();
-        // One slice (one bounds check) per header region.
-        let addrs = &b[ETHERNET_HDR_LEN + 12..ETHERNET_HDR_LEN + 20];
-        let ports = &b[l4..l4 + 4];
-        Ok(FiveTuple {
-            src_ip: Ipv4Addr::new(addrs[0], addrs[1], addrs[2], addrs[3]),
-            dst_ip: Ipv4Addr::new(addrs[4], addrs[5], addrs[6], addrs[7]),
-            src_port: u16::from_be_bytes([ports[0], ports[1]]),
-            dst_port: u16::from_be_bytes([ports[2], ports[3]]),
-            proto,
-        })
+        packet.peek_flow()
     }
 
     /// The reverse direction of this flow.

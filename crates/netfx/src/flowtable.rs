@@ -11,6 +11,16 @@
 //! a walk of the entries — which is what a snapshot is — repeats byte for
 //! byte across runs.
 //!
+//! # Hashed probes
+//!
+//! Every lookup has a `_hashed` form that takes the key's
+//! [`TableKey::table_hash`] from the caller instead of computing it:
+//! a packet carries the hash of its own five-tuple
+//! ([`crate::Packet::flow_key`]), so two `FiveTuple`-keyed tables probed
+//! for the same packet — the flow tracker's and the load balancer's —
+//! share one hash, and [`FlowTable::get_or_insert_with`] finds an entry
+//! or appends it in the one probe that discovered it was missing.
+//!
 //! # Snapshot form
 //!
 //! A table has one snapshot form, the **packed image**: a single
@@ -128,9 +138,8 @@ const MIN_SLOTS: usize = 8;
 ///
 /// The price of a seedless hash is that an adversary who knows it can
 /// aim flows at one probe run. A bound on the table bounds the longest
-/// such run: the tracker's capacity, the NAT's port pool and the
-/// limiter's `max_flows` are that bound (the Maglev connection table has
-/// none — it was unbounded before this table, too).
+/// such run: the tracker's capacity, the NAT's port pool, the limiter's
+/// `max_flows` and the Maglev connection capacity are that bound.
 pub struct FlowTable<K, V> {
     entries: Vec<(K, V)>,
     /// Open-addressed positions into `entries`; a power of two long, or
@@ -169,38 +178,63 @@ impl<K: TableKey, V> FlowTable<K, V> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
 
-    /// Where `key` lives, if present: its index slot and the position in
-    /// `entries` that slot holds.
+    /// Walks the probe sequence of `hash` (which must be `key`'s
+    /// [`TableKey::table_hash`]): `Ok` with the index slot holding `key`
+    /// and its position in `entries`, or `Err` with the empty slot that
+    /// ended the run — where [`place`](Self::place) would put `key` —
+    /// or with `None` while the table has no index at all.
     #[inline]
-    fn find(&self, key: &K) -> Option<(usize, usize)> {
+    fn probe(&self, hash: u64, key: &K) -> Result<(usize, usize), Option<usize>> {
+        debug_assert!(hash == key.table_hash(), "probe with a foreign hash");
         if self.index.is_empty() {
-            return None;
+            return Err(None);
         }
         let mask = self.index.len() - 1;
-        let mut slot = key.table_hash() as usize & mask;
+        let mut slot = hash as usize & mask;
         loop {
             let pos = self.index[slot];
             if pos == EMPTY {
-                return None;
+                return Err(Some(slot));
             }
             if self.entries[pos as usize].0 == *key {
-                return Some((slot, pos as usize));
+                return Ok((slot, pos as usize));
             }
             slot = (slot + 1) & mask;
         }
     }
 
+    /// Where `key` lives, if present: its index slot and the position in
+    /// `entries` that slot holds.
+    #[inline]
+    fn find(&self, key: &K) -> Option<(usize, usize)> {
+        self.probe(key.table_hash(), key).ok()
+    }
+
     /// The value stored under `key`.
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
-        let (_, pos) = self.find(key)?;
+        self.get_hashed(key.table_hash(), key)
+    }
+
+    /// [`get`](Self::get) for a caller that already holds `hash`, the
+    /// key's [`TableKey::table_hash`].
+    #[inline]
+    pub fn get_hashed(&self, hash: u64, key: &K) -> Option<&V> {
+        let (_, pos) = self.probe(hash, key).ok()?;
         Some(&self.entries[pos].1)
     }
 
     /// The value stored under `key`, mutably.
     #[inline]
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let (_, pos) = self.find(key)?;
+        self.get_mut_hashed(key.table_hash(), key)
+    }
+
+    /// [`get_mut`](Self::get_mut) for a caller that already holds
+    /// `hash`, the key's [`TableKey::table_hash`].
+    #[inline]
+    pub fn get_mut_hashed(&mut self, hash: u64, key: &K) -> Option<&mut V> {
+        let (_, pos) = self.probe(hash, key).ok()?;
         Some(&mut self.entries[pos].1)
     }
 
@@ -213,19 +247,47 @@ impl<K: TableKey, V> FlowTable<K, V> {
     /// order; an existing key keeps its place and its old value is
     /// returned.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        if let Some(held) = self.get_mut(&key) {
+        let hash = key.table_hash();
+        if let Some(held) = self.get_mut_hashed(hash, &key) {
             return Some(std::mem::replace(held, value));
         }
-        if (self.entries.len() + 1) * 2 > self.index.len() {
-            self.reindex((self.index.len() * 2).max(MIN_SLOTS));
-        }
+        self.get_or_insert_with(hash, key, || Some(value));
+        None
+    }
+
+    /// The value under `key`, which `make` supplies — appended to the
+    /// table order — when the key is new: an upsert in one probe. `hash`
+    /// must be `key`'s [`TableKey::table_hash`]. A `make` that declines
+    /// (`None`) leaves the table as it was, and `None` is returned.
+    #[inline]
+    pub fn get_or_insert_with(
+        &mut self,
+        hash: u64,
+        key: K,
+        make: impl FnOnce() -> Option<V>,
+    ) -> Option<&mut V> {
+        let free = match self.probe(hash, &key) {
+            Ok((_, pos)) => return Some(&mut self.entries[pos].1),
+            Err(free) => free,
+        };
+        let value = make()?;
         assert!(
             self.entries.len() < EMPTY as usize,
             "flow table positions are u32"
         );
-        self.place(key.table_hash(), self.entries.len() as u32);
+        let pos = self.entries.len() as u32;
+        match free {
+            // The probe ended on the slot `place` would choose.
+            Some(slot) if (self.entries.len() + 1) * 2 <= self.index.len() => {
+                self.index[slot] = pos;
+            }
+            _ => {
+                self.reindex((self.index.len() * 2).max(MIN_SLOTS));
+                self.place(hash, pos);
+            }
+        }
         self.entries.push((key, value));
-        None
+        self.entries.last_mut().map(|(_, value)| value)
     }
 
     /// Writes `pos` into the first free slot of `hash`'s probe sequence.
@@ -418,6 +480,35 @@ mod tests {
         for n in 1..100 {
             assert!(t.contains_key(&tuple(n)), "key {n} lost by the removal");
         }
+    }
+
+    #[test]
+    fn upsert_appends_where_insert_would_and_declines_cleanly() {
+        let (mut inserted, mut upserted) = (FlowTable::new(), FlowTable::new());
+        // Past several index growths, with repeats.
+        for n in (0..300u16).chain(0..50) {
+            let value = u64::from(n) * 3;
+            if !inserted.contains_key(&tuple(n)) {
+                inserted.insert(tuple(n), value);
+            }
+            let held =
+                upserted.get_or_insert_with(tuple(n).stable_hash(), tuple(n), || Some(value));
+            assert_eq!(held.copied(), Some(value));
+        }
+        assert_eq!(image_of(&upserted), image_of(&inserted));
+        assert_eq!(
+            upserted.index, inserted.index,
+            "same slots, not just same order"
+        );
+
+        let declined = upserted.get_or_insert_with(tuple(999).stable_hash(), tuple(999), || None);
+        assert_eq!(declined, None);
+        assert_eq!(upserted.len(), 300);
+        assert!(!upserted.contains_key(&tuple(999)));
+        assert_eq!(
+            upserted.index, inserted.index,
+            "a declined upsert changes nothing"
+        );
     }
 
     #[test]

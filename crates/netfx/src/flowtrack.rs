@@ -12,6 +12,12 @@
 //! tracker seals the bytes it was restored from; and since a flow's
 //! record never moves, a delta snapshot carries the counters of the
 //! flows that saw traffic and the records of the flows that arrived.
+//!
+//! The tracker never reads frame bytes itself: it takes the packet's
+//! cached key ([`Packet::flow_key`](crate::Packet::flow_key)) — behind a
+//! NAT that is the tuple the NAT maintained and one fresh hash, which
+//! the load balancer after it reuses — and finds or appends the flow's
+//! record in a single probe.
 
 use rbs_checkpoint::{CheckpointCtx, Checkpointable, RestoreCtx, Snapshot, SnapshotError};
 
@@ -108,25 +114,26 @@ impl FlowTracker {
 }
 
 impl Operator for FlowTracker {
-    fn process(&mut self, batch: PacketBatch) -> PacketBatch {
-        for packet in batch.iter() {
-            let Ok(tuple) = FiveTuple::of(packet) else {
+    fn process(&mut self, mut batch: PacketBatch) -> PacketBatch {
+        for packet in batch.iter_mut() {
+            let Ok((tuple, hash)) = packet.flow_key() else {
                 self.untracked += 1;
                 continue;
             };
-            if let Some(entry) = self.flows.get_mut(&tuple) {
-                entry.packets += 1;
-                entry.bytes += packet.len() as u64;
-            } else if self.flows.len() < self.capacity {
-                self.flows.insert(
-                    tuple,
-                    FlowEntry {
-                        packets: 1,
-                        bytes: packet.len() as u64,
-                    },
-                );
+            // One probe either way: an upsert while there is room, a
+            // plain lookup once the table is full.
+            let entry = if self.flows.len() < self.capacity {
+                self.flows
+                    .get_or_insert_with(hash, tuple, || Some(FlowEntry::default()))
             } else {
-                self.overflow += 1;
+                self.flows.get_mut_hashed(hash, &tuple)
+            };
+            match entry {
+                Some(entry) => {
+                    entry.packets += 1;
+                    entry.bytes += packet.len() as u64;
+                }
+                None => self.overflow += 1,
             }
         }
         batch

@@ -15,7 +15,6 @@
 //! it, and the payload is never read.
 
 use crate::batch::PacketBatch;
-use crate::flow::FiveTuple;
 use crate::flowtable::{hash_word, FlowTable, Pack, TableKey};
 use crate::headers::ipv4::IpProto;
 use crate::packet::Packet;
@@ -176,30 +175,39 @@ impl SourceNat {
         }
     }
 
+    /// The NAT port of `key`, allocated on first sight (one probe of
+    /// the outbound table either way); `None` when the pool is spent.
     fn allocate_port(&mut self, key: InsideKey) -> Option<u16> {
-        if let Some(&p) = self.out_map.get(&key) {
-            return Some(p);
-        }
-        let pool = u32::from(self.port_hi) - u32::from(self.port_lo) + 1;
-        for _ in 0..pool {
-            let candidate = self.next_port;
-            self.next_port = if self.next_port == self.port_hi {
-                self.port_lo
-            } else {
-                self.next_port + 1
-            };
-            if !self.in_map.contains_key(&(candidate, key.proto)) {
-                self.out_map.insert(key, candidate);
-                self.in_map.insert((candidate, key.proto), key);
-                return Some(candidate);
+        let Self {
+            out_map,
+            in_map,
+            next_port,
+            port_lo,
+            port_hi,
+            ..
+        } = self;
+        let allocated = out_map.get_or_insert_with(key.table_hash(), key, || {
+            let pool = u32::from(*port_hi) - u32::from(*port_lo) + 1;
+            for _ in 0..pool {
+                let candidate = *next_port;
+                *next_port = if candidate == *port_hi {
+                    *port_lo
+                } else {
+                    candidate + 1
+                };
+                if !in_map.contains_key(&(candidate, key.proto)) {
+                    in_map.insert((candidate, key.proto), key);
+                    return Some(candidate);
+                }
             }
-        }
-        None
+            None
+        });
+        allocated.copied()
     }
 
     /// Rewrites one packet; `true` means forward, `false` means drop.
     fn translate(&mut self, packet: &mut Packet) -> bool {
-        let Ok(flow) = FiveTuple::of(packet) else {
+        let Ok(flow) = packet.flow() else {
             self.stats.passed += 1;
             return true;
         };

@@ -154,6 +154,9 @@ impl Operator for ProtoFilter {
 }
 
 /// Drops packets whose destination port is not in the allowed list.
+/// The port comes from the packet's cached five-tuple
+/// ([`Packet::flow`](crate::Packet::flow)), which the stateful stages
+/// behind the filter then reuse instead of parsing the headers again.
 #[derive(Debug, Clone)]
 pub struct DstPortFilter {
     allowed: Vec<u16>,
@@ -164,22 +167,13 @@ impl DstPortFilter {
     pub fn new(allowed: Vec<u16>) -> Self {
         Self { allowed }
     }
-
-    fn dst_port(p: &crate::packet::Packet) -> Option<u16> {
-        match p.ipv4().ok()?.protocol() {
-            IpProto::Udp => Some(p.udp().ok()?.dst_port()),
-            IpProto::Tcp => Some(p.tcp().ok()?.dst_port()),
-            _ => None,
-        }
-    }
 }
 
 impl Operator for DstPortFilter {
     fn process(&mut self, mut batch: PacketBatch) -> PacketBatch {
-        batch.retain(|p| {
-            Self::dst_port(p)
-                .map(|port| self.allowed.contains(&port))
-                .unwrap_or(false)
+        batch.retain_mut(|p| {
+            p.flow()
+                .is_ok_and(|flow| self.allowed.contains(&flow.dst_port))
         });
         batch
     }

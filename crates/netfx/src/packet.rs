@@ -1,12 +1,37 @@
 //! The owned [`Packet`] type.
 //!
 //! A packet is a uniquely-owned byte buffer ([`bytes::BytesMut`]) plus
-//! cached layer offsets. Ownership is the isolation mechanism: a packet
-//! handed to another pipeline stage (or protection domain) is *moved*, so
-//! the sender can neither observe nor modify it afterwards — the property
-//! §3 of the paper builds zero-copy SFI on.
+//! a cache of what flow it belongs to. Ownership is the isolation
+//! mechanism: a packet handed to another pipeline stage (or protection
+//! domain) is *moved*, so the sender can neither observe nor modify it
+//! afterwards — the property §3 of the paper builds zero-copy SFI on.
+//!
+//! # The flow-key cache
+//!
+//! The same property makes derived facts cheap to keep. The frame bytes
+//! are private; the only ways to write them are the `*_mut` views,
+//! [`Packet::as_mut_slice`] and [`Packet::rewrite_endpoints`], all of
+//! which take `&mut self` — and nothing can alias a `&mut Packet`. So a
+//! fact derived from the bytes stays true until one of those methods
+//! runs, and each of them knows what it is about to do to it:
+//!
+//! - every mutable view *drops* the whole cache before handing out the
+//!   bytes (a rewritten header may change the flow, or stop the frame
+//!   from parsing at all);
+//! - [`Packet::rewrite_endpoints`] *maintains* the tuple — it wrote the
+//!   four endpoint fields itself and touched nothing the parse branches
+//!   on — and drops only the hash;
+//! - the traffic generator stamps the *hash* of the tuple it just wrote
+//!   and nothing else: a chain that never asks for a key (plain
+//!   forwarding) should not pay for one.
+//!
+//! [`Packet::flow`] therefore parses the headers at most once, and
+//! [`Packet::flow_key`] hashes the tuple at most once, per distinct
+//! tuple the packet carries through a chain — however many stateful
+//! operators ask. The cache is 24 bytes; a `Packet` is 48.
 
 use crate::checksum;
+use crate::flow::FiveTuple;
 use crate::headers::ethernet::{self, EtherType, EthernetHdr, EthernetHdrMut, MacAddr};
 use crate::headers::icmp::{self, IcmpHdr, IcmpHdrMut, IcmpType, ICMP_ECHO_HDR_LEN};
 use crate::headers::ipv4::{self, IpProto, Ipv4Hdr, Ipv4HdrMut, IPV4_MIN_HDR_LEN};
@@ -75,15 +100,80 @@ impl fmt::Display for PacketError {
 
 impl std::error::Error for PacketError {}
 
-/// An owned network packet: Ethernet frame bytes plus parse metadata.
+/// What a packet remembers about its own flow (see the module docs for
+/// who may change it). A field is meaningful only while its bit in
+/// `valid` is set.
+///
+/// The tuple is kept as three plain words, not as a `FiveTuple`, so that
+/// an empty cache is three whole-word stores next to the buffer's three:
+/// the generator builds a packet per draw, and a field-by-field write of
+/// fourteen odd-sized bytes there is a cost `lane_forward` can see.
+#[derive(Clone, Copy)]
+struct FlowMeta {
+    /// [`crate::flow::packet_flow_hash`] of the frame bytes.
+    hash: u64,
+    /// [`FiveTuple::of`] the frame bytes: source then destination
+    /// address as on the wire, …
+    addrs: [u8; 8],
+    /// … the ports, and the protocol.
+    src_port: u16,
+    dst_port: u16,
+    proto: IpProto,
+    /// Byte offset of the transport header the tuple was read from.
+    l4: u8,
+    valid: u8,
+}
+
+impl FlowMeta {
+    const HASH: u8 = 1;
+    const TUPLE: u8 = 2;
+
+    const EMPTY: FlowMeta = FlowMeta::stamped(0, 0);
+
+    /// A cache holding `hash` under the `valid` bits and no tuple.
+    const fn stamped(hash: u64, valid: u8) -> FlowMeta {
+        FlowMeta {
+            hash,
+            addrs: [0; 8],
+            src_port: 0,
+            dst_port: 0,
+            proto: IpProto::Udp,
+            l4: 0,
+            valid,
+        }
+    }
+
+    /// The cached tuple, if there is one.
+    #[inline(always)]
+    fn tuple(&self) -> Option<FiveTuple> {
+        let [s0, s1, s2, s3, d0, d1, d2, d3] = self.addrs;
+        (self.valid & Self::TUPLE != 0).then_some(FiveTuple {
+            src_ip: Ipv4Addr::new(s0, s1, s2, s3),
+            dst_ip: Ipv4Addr::new(d0, d1, d2, d3),
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            proto: self.proto,
+        })
+    }
+
+    /// Caches `tuple`, found at transport offset `l4`, under `valid`.
+    #[inline(always)]
+    fn set_tuple(&mut self, tuple: FiveTuple, l4: usize, valid: u8) {
+        let ([s0, s1, s2, s3], [d0, d1, d2, d3]) = (tuple.src_ip.octets(), tuple.dst_ip.octets());
+        self.addrs = [s0, s1, s2, s3, d0, d1, d2, d3];
+        self.src_port = tuple.src_port;
+        self.dst_port = tuple.dst_port;
+        self.proto = tuple.proto;
+        // An IPv4 header is at most 60 bytes, so `l4 <= 74`.
+        self.l4 = l4 as u8;
+        self.valid = valid;
+    }
+}
+
+/// An owned network packet: Ethernet frame bytes plus the flow-key cache.
 pub struct Packet {
     buf: BytesMut,
-    /// Memoized flow hash (see [`crate::flow::packet_flow_hash`]): the
-    /// RSS dispatcher hashes every packet exactly once, so the tag is set
-    /// by the generator (which knows the 5-tuple it just emitted) or on
-    /// first access, and *invalidated by every mutable view* — a rewritten
-    /// header may change the flow the packet belongs to.
-    flow_hash: Option<u64>,
+    flow: FlowMeta,
 }
 
 impl Packet {
@@ -92,22 +182,30 @@ impl Packet {
     pub fn from_bytes(buf: BytesMut) -> Self {
         Self {
             buf,
-            flow_hash: None,
+            flow: FlowMeta::EMPTY,
+        }
+    }
+
+    /// Wraps frame bytes whose flow hash the caller already knows — the
+    /// generator's constructor: the whole packet is written once, with
+    /// no read-modify-write of the cache it has just initialised.
+    /// `hash` is held to [`Packet::set_cached_flow_hash`]'s contract.
+    pub(crate) fn with_flow_hash(buf: BytesMut, hash: u64) -> Self {
+        Self {
+            buf,
+            flow: FlowMeta::stamped(hash, FlowMeta::HASH),
         }
     }
 
     /// Wraps a byte slice by copying it into a fresh buffer.
     pub fn from_slice(bytes: &[u8]) -> Self {
-        Self {
-            buf: BytesMut::from(bytes),
-            flow_hash: None,
-        }
+        Self::from_bytes(BytesMut::from(bytes))
     }
 
     /// The memoized flow hash, if one has been computed (or stamped by
     /// the generator) since the last mutable access.
     pub fn cached_flow_hash(&self) -> Option<u64> {
-        self.flow_hash
+        (self.flow.valid & FlowMeta::HASH != 0).then_some(self.flow.hash)
     }
 
     /// Stamps the memoized flow hash.
@@ -118,12 +216,78 @@ impl Packet {
     /// guarantee that should let [`crate::flow::Packet::flow_hash`]
     /// (first access) compute it instead.
     pub fn set_cached_flow_hash(&mut self, hash: u64) {
-        self.flow_hash = Some(hash);
+        self.flow.hash = hash;
+        self.flow.valid |= FlowMeta::HASH;
     }
 
-    /// Drops the memoized flow hash; every mutable view calls this.
-    fn invalidate_flow_hash(&mut self) {
-        self.flow_hash = None;
+    /// Drops the whole flow-key cache; every mutable view calls this
+    /// before it hands out the bytes.
+    fn invalidate_flow(&mut self) {
+        self.flow.valid = 0;
+    }
+
+    /// The packet's five-tuple, parsed at most once: the answer is kept
+    /// until a mutable view is taken, and [`Packet::rewrite_endpoints`]
+    /// keeps it current. Fails as [`FiveTuple::of`] does; a failure is
+    /// not cached.
+    #[inline]
+    pub fn flow(&mut self) -> Result<FiveTuple, PacketError> {
+        if let Some(tuple) = self.flow.tuple() {
+            return Ok(tuple);
+        }
+        let (tuple, l4) = self.parse_flow()?;
+        self.flow
+            .set_tuple(tuple, l4, self.flow.valid | FlowMeta::TUPLE);
+        // The parsed value, not a re-read of the cache: a load of fields
+        // just stored is only as cheap as their layout lets store
+        // forwarding be (one wide load over narrower stores stalls until
+        // they retire), and the value is in registers anyway.
+        Ok(tuple)
+    }
+
+    /// The five-tuple and its [`FiveTuple::stable_hash`], each computed
+    /// at most once — the key every `FiveTuple`-keyed flow table takes
+    /// (`FlowTable::get_hashed`), so the operators of a chain that see
+    /// the same tuple share one hash of it.
+    #[inline]
+    pub fn flow_key(&mut self) -> Result<(FiveTuple, u64), PacketError> {
+        let tuple = self.flow()?;
+        if self.flow.valid & FlowMeta::HASH != 0 {
+            // The frame parses, so the cached flow hash is the tuple's.
+            return Ok((tuple, self.flow.hash));
+        }
+        let hash = tuple.stable_hash();
+        self.set_cached_flow_hash(hash);
+        Ok((tuple, hash))
+    }
+
+    /// [`Packet::flow`] through a shared reference: the cached tuple
+    /// when there is one, a parse that caches nothing otherwise.
+    #[inline(always)]
+    pub(crate) fn peek_flow(&self) -> Result<FiveTuple, PacketError> {
+        match self.flow.tuple() {
+            Some(tuple) => Ok(tuple),
+            None => self.parse_flow().map(|(tuple, _)| tuple),
+        }
+    }
+
+    /// Reads the five-tuple, and the transport offset it was found at,
+    /// from the frame bytes.
+    #[inline(always)]
+    fn parse_flow(&self) -> Result<(FiveTuple, usize), PacketError> {
+        let (l4, proto) = self.locate_transport()?;
+        let b = &self.buf[..];
+        // One slice (one bounds check) per header region.
+        let addrs = &b[ETHERNET_HDR_LEN + 12..ETHERNET_HDR_LEN + 20];
+        let ports = &b[l4..l4 + 4];
+        let tuple = FiveTuple {
+            src_ip: Ipv4Addr::new(addrs[0], addrs[1], addrs[2], addrs[3]),
+            dst_ip: Ipv4Addr::new(addrs[4], addrs[5], addrs[6], addrs[7]),
+            src_port: u16::from_be_bytes([ports[0], ports[1]]),
+            dst_port: u16::from_be_bytes([ports[2], ports[3]]),
+            proto,
+        };
+        Ok((tuple, l4))
     }
 
     /// Total frame length in bytes.
@@ -143,7 +307,7 @@ impl Packet {
 
     /// The raw frame bytes, mutably.
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        self.invalidate_flow_hash();
+        self.invalidate_flow();
         &mut self.buf
     }
 
@@ -159,7 +323,7 @@ impl Packet {
 
     /// Mutable Ethernet header view.
     pub fn ethernet_mut(&mut self) -> Result<EthernetHdrMut<'_>, PacketError> {
-        self.invalidate_flow_hash();
+        self.invalidate_flow();
         EthernetHdrMut::parse(&mut self.buf)
     }
 
@@ -178,7 +342,7 @@ impl Packet {
         if eth.ethertype() != EtherType::Ipv4 {
             return Err(PacketError::WrongProtocol { expected: "ipv4" });
         }
-        self.invalidate_flow_hash();
+        self.invalidate_flow();
         Ipv4HdrMut::parse(&mut self.buf[ETHERNET_HDR_LEN..])
     }
 
@@ -191,21 +355,42 @@ impl Packet {
         Ok(ETHERNET_HDR_LEN + ip.header_len())
     }
 
+    /// Byte offset and protocol of the transport header: the cached
+    /// answer when the tuple is cached, [`Packet::locate_transport`]
+    /// otherwise.
+    #[inline(always)]
+    fn transport_offset(&self) -> Result<(usize, IpProto), PacketError> {
+        if self.flow.valid & FlowMeta::TUPLE != 0 {
+            return Ok((usize::from(self.flow.l4), self.flow.proto));
+        }
+        self.locate_transport()
+    }
+
     /// Locates the transport header of a TCP or UDP packet in one pass:
     /// its byte offset and protocol, with every check the
     /// `ipv4()` → `udp()`/`tcp()` view chain makes (and the same error
     /// when one fails). At least the first [`UDP_HDR_LEN`] bytes of the
     /// transport header — a full header for TCP — lie within the frame.
     ///
-    /// The common frame (Ethernet II, IPv4 without options, UDP or
-    /// option-less TCP) is recognised from one length check and four
-    /// fixed-offset reads; anything else takes the view chain.
-    /// `inline(always)` for the reason given on [`crate::FiveTuple::of`].
+    /// A non-first IPv4 fragment is rejected (`BadField`,
+    /// `fragment_offset`): what follows its IP header is payload, not
+    /// ports. The first fragment — offset 0, "more fragments" set —
+    /// carries the transport header and is a flow like any other.
+    ///
+    /// The common frame (Ethernet II, IPv4 without options, unfragmented
+    /// or a first fragment, UDP or option-less TCP) is recognised from
+    /// one length check and five fixed-offset reads; anything else takes
+    /// the view chain. `inline(always)` for the reason given on
+    /// [`crate::FiveTuple::of`].
     #[inline(always)]
-    pub(crate) fn transport_offset(&self) -> Result<(usize, IpProto), PacketError> {
+    fn locate_transport(&self) -> Result<(usize, IpProto), PacketError> {
         const L4: usize = ETHERNET_HDR_LEN + IPV4_MIN_HDR_LEN;
         let b = &self.buf[..];
-        if b.len() >= L4 + UDP_HDR_LEN && b[12..14] == [0x08, 0x00] && b[14] == 0x45 {
+        if b.len() >= L4 + UDP_HDR_LEN
+            && b[12..14] == [0x08, 0x00]
+            && b[14] == 0x45
+            && (b[ETHERNET_HDR_LEN + 6] & 0x1F) | b[ETHERNET_HDR_LEN + 7] == 0
+        {
             match IpProto::from(b[ETHERNET_HDR_LEN + 9]) {
                 IpProto::Udp => return Ok((L4, IpProto::Udp)),
                 IpProto::Tcp if b.len() >= L4 + TCP_MIN_HDR_LEN && b[L4 + 12] >> 4 == 5 => {
@@ -215,6 +400,13 @@ impl Packet {
             }
         }
         let ip = self.ipv4()?;
+        if ip.fragment_offset() != 0 {
+            return Err(PacketError::BadField {
+                header: "ipv4",
+                field: "fragment_offset",
+                value: u64::from(ip.fragment_offset()),
+            });
+        }
         let l4 = ETHERNET_HDR_LEN + ip.header_len();
         match ip.protocol() {
             IpProto::Udp => UdpHdr::parse(&b[l4..]).map(|_| (l4, IpProto::Udp)),
@@ -237,14 +429,19 @@ impl Packet {
     /// zero, and a UDP result of zero is stored as `0xFFFF`.
     ///
     /// Fails, leaving the packet untouched, under the same conditions as
-    /// [`crate::FiveTuple::of`].
+    /// [`crate::FiveTuple::of`]. On success the cached tuple is the
+    /// rewritten one — the endpoints are the only tuple fields that
+    /// changed and no byte the parse branches on was written — and the
+    /// cached hash, which was the old tuple's, is dropped.
+    ///
+    /// `#[inline]`: the load balancer calls this from another crate.
+    #[inline]
     pub fn rewrite_endpoints(
         &mut self,
         src: Option<(Ipv4Addr, u16)>,
         dst: Option<(Ipv4Addr, u16)>,
     ) -> Result<(), PacketError> {
         let (l4, proto) = self.transport_offset()?;
-        self.invalidate_flow_hash();
         // `transport_offset` vouches for every byte touched below: the
         // IPv4 header ends at `l4`, and at least eight bytes (UDP) or a
         // full TCP header follow it.
@@ -276,6 +473,16 @@ impl Packet {
         let patched = checksum::adjust(be16(&ip[10..12]), &old[..4], &new[..4]);
         ip[10..12].copy_from_slice(&patched.to_be_bytes());
 
+        let join = |hi: u16, lo: u16| Ipv4Addr::from(u32::from(hi) << 16 | u32::from(lo));
+        let rewritten = FiveTuple {
+            src_ip: join(new[0], new[1]),
+            dst_ip: join(new[2], new[3]),
+            src_port: new[4],
+            dst_port: new[5],
+            proto,
+        };
+        self.flow.set_tuple(rewritten, l4, FlowMeta::TUPLE);
+
         let at = if proto == IpProto::Udp { 6 } else { 16 };
         let stored = be16(&l4hdr[at..at + 2]);
         if proto == IpProto::Udp && stored == 0 {
@@ -298,7 +505,7 @@ impl Packet {
     /// Mutable UDP header view.
     pub fn udp_mut(&mut self) -> Result<UdpHdrMut<'_>, PacketError> {
         let off = self.l4_offset(IpProto::Udp, "udp")?;
-        self.invalidate_flow_hash();
+        self.invalidate_flow();
         UdpHdrMut::parse(&mut self.buf[off..])
     }
 
@@ -311,7 +518,7 @@ impl Packet {
     /// Mutable TCP header view.
     pub fn tcp_mut(&mut self) -> Result<TcpHdrMut<'_>, PacketError> {
         let off = self.l4_offset(IpProto::Tcp, "tcp")?;
-        self.invalidate_flow_hash();
+        self.invalidate_flow();
         TcpHdrMut::parse(&mut self.buf[off..])
     }
 
@@ -324,7 +531,7 @@ impl Packet {
     /// Mutable ICMP message view.
     pub fn icmp_mut(&mut self) -> Result<IcmpHdrMut<'_>, PacketError> {
         let off = self.l4_offset(IpProto::Icmp, "icmp")?;
-        self.invalidate_flow_hash();
+        self.invalidate_flow();
         IcmpHdrMut::parse(&mut self.buf[off..])
     }
 
@@ -402,10 +609,7 @@ impl Packet {
             src_port,
             dst_port,
         );
-        Packet {
-            buf,
-            flow_hash: None,
-        }
+        Packet::from_bytes(buf)
     }
 
     /// Builds a complete Ethernet/IPv4/ICMP echo packet with
@@ -441,10 +645,7 @@ impl Packet {
             identifier,
             sequence,
         );
-        Packet {
-            buf,
-            flow_hash: None,
-        }
+        Packet::from_bytes(buf)
     }
 
     /// Builds a complete Ethernet/IPv4/TCP packet with `payload_len` zero
@@ -510,10 +711,7 @@ impl Packet {
             0,
             flags,
         );
-        Packet {
-            buf,
-            flow_hash: None,
-        }
+        Packet::from_bytes(buf)
     }
 }
 
@@ -647,6 +845,40 @@ mod tests {
         p.rewrite_endpoints(None, Some((Ipv4Addr::new(10, 9, 9, 9), 53)))
             .unwrap();
         assert_eq!(p.cached_flow_hash(), None);
+    }
+
+    #[test]
+    fn packet_is_the_buffer_plus_a_24_byte_cache() {
+        assert_eq!(std::mem::size_of::<FlowMeta>(), 24);
+        assert!(std::mem::size_of::<Packet>() <= 48);
+    }
+
+    #[test]
+    fn flow_is_remembered_and_rewrite_keeps_it_current() {
+        let mut p = udp_packet();
+        assert_eq!(p.flow.tuple(), None, "nothing is parsed until asked");
+        let (tuple, hash) = p.flow_key().unwrap();
+        assert_eq!(p.flow.tuple(), Some(tuple));
+        assert_eq!(p.cached_flow_hash(), Some(hash));
+        assert_eq!(hash, tuple.stable_hash());
+
+        let nat = (Ipv4Addr::new(203, 0, 113, 1), 40_000);
+        p.rewrite_endpoints(Some(nat), None).unwrap();
+        let translated = FiveTuple {
+            src_ip: nat.0,
+            src_port: nat.1,
+            ..tuple
+        };
+        assert_eq!(p.flow.tuple(), Some(translated), "maintained, not dropped");
+        assert_eq!(p.cached_flow_hash(), None, "the old tuple's hash is gone");
+        assert_eq!(p.flow_key(), Ok((translated, translated.stable_hash())));
+        assert_eq!(
+            FiveTuple::of(&Packet::from_slice(p.as_slice())),
+            Ok(translated)
+        );
+
+        let _ = p.ipv4_mut().unwrap();
+        assert_eq!(p.flow.tuple(), None, "a mutable view drops the tuple too");
     }
 
     #[test]

@@ -471,15 +471,23 @@ impl PacketGen {
     /// [`Packet::build_tcp_into`] build for the drawn endpoints.
     /// The generator knows the flow endpoints it just wrote, so it stamps
     /// the flow hash on the packet for free — the dispatcher never has to
-    /// re-parse the headers it already trusts.
+    /// re-parse the headers it already trusts. It stamps the hash only,
+    /// not the tuple: a forwarding chain never asks for one, and writing
+    /// it here would tax every packet for what a stateful chain's first
+    /// [`Packet::flow`] gets from the bytes it is about to read anyway.
+    ///
+    /// `inline(always)`: the packet is then built in the batch slot it
+    /// is pushed to. Out of line it is returned through the caller's
+    /// stack and copied from there with loads wider than the stores that
+    /// wrote it, which cannot be forwarded — a stall per packet that
+    /// grows with every field `Packet` gains.
+    #[inline(always)]
     pub fn next_packet_into(&mut self, mut buf: BytesMut) -> Packet {
         let flow = self.next_flow_id();
         self.generated += 1;
         self.template.stamp(&mut buf, self.endpoints[flow]);
-        let mut packet = Packet::from_bytes(buf);
         let tuple = Self::tuple_of(&self.endpoints, flow, self.template.proto);
-        packet.set_cached_flow_hash(tuple.stable_hash());
-        packet
+        Packet::with_flow_hash(buf, tuple.stable_hash())
     }
 
     /// Generates a batch of `n` packets.

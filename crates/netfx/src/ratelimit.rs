@@ -315,8 +315,8 @@ impl PerFlowRateLimiter {
 impl Operator for PerFlowRateLimiter {
     fn process(&mut self, mut batch: PacketBatch) -> PacketBatch {
         let now = self.epoch.elapsed().as_nanos() as u64;
-        batch.retain(|p| {
-            let admit = FiveTuple::of(p).is_ok_and(|flow| self.admit_at(flow, now));
+        batch.retain_mut(|p| {
+            let admit = p.flow().is_ok_and(|flow| self.admit_at(flow, now));
             if admit {
                 self.admitted += 1;
             } else {

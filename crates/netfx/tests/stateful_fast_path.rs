@@ -9,7 +9,8 @@
 //!   view chain, value for value and error for error, on arbitrary
 //!   bytes, and is total;
 //! - `FlowTable` agrees with a `BTreeMap` under random
-//!   insert/get/remove/retain, and the same operations seal the same
+//!   insert/get/upsert/remove/retain, through the hashing and the
+//!   caller-hashed probes alike, and the same operations seal the same
 //!   snapshot bytes.
 
 use proptest::prelude::*;
@@ -176,6 +177,14 @@ fn same_sum(a: u16, b: u16) -> bool {
 /// another, each re-validating the layers below it.
 fn view_chain(p: &Packet) -> Result<FiveTuple, PacketError> {
     let ip = p.ipv4()?;
+    // A non-first fragment carries payload where the ports would be.
+    if ip.fragment_offset() != 0 {
+        return Err(PacketError::BadField {
+            header: "ipv4",
+            field: "fragment_offset",
+            value: u64::from(ip.fragment_offset()),
+        });
+    }
     let (src_port, dst_port) = match ip.protocol() {
         IpProto::Udp => {
             let u = p.udp()?;
@@ -261,6 +270,9 @@ enum Op {
     Insert(u16, u64),
     Get(u16),
     Bump(u16),
+    /// `get_or_insert_with`: add to the value, which starts at the
+    /// addend when the key is new and `make` (the flag) supplies one.
+    Upsert(u16, u64, bool),
     Remove(u16),
     /// Keep the keys whose number is not a multiple of this.
     Retain(u16),
@@ -273,6 +285,7 @@ fn op() -> impl Strategy<Value = Op> {
         6 => (key.clone(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
         3 => key.clone().prop_map(Op::Get),
         2 => key.clone().prop_map(Op::Bump),
+        4 => (key.clone(), any::<u64>(), any::<bool>()).prop_map(|(k, v, make)| Op::Upsert(k, v, make)),
         3 => key.prop_map(Op::Remove),
         1 => (2u16..7).prop_map(Op::Retain),
     ]
@@ -301,14 +314,34 @@ fn run(ops: &[Op]) -> Result<FlowTable<FiveTuple, u64>, TestCaseError> {
             Op::Insert(k, v) => {
                 prop_assert_eq!(table.insert(tuple(k), v), oracle.insert(k, v));
             }
-            Op::Get(k) => prop_assert_eq!(table.get(&tuple(k)), oracle.get(&k)),
+            Op::Get(k) => {
+                prop_assert_eq!(table.get(&tuple(k)), oracle.get(&k));
+                let hashed = table.get_hashed(tuple(k).stable_hash(), &tuple(k));
+                prop_assert_eq!(hashed, oracle.get(&k));
+            }
             Op::Bump(k) => {
-                if let Some(v) = table.get_mut(&tuple(k)) {
+                if let Some(v) = table.get_mut_hashed(tuple(k).stable_hash(), &tuple(k)) {
                     *v = v.wrapping_add(1);
                 }
                 if let Some(v) = oracle.get_mut(&k) {
                     *v = v.wrapping_add(1);
                 }
+            }
+            Op::Upsert(k, add, make) => {
+                let held = table
+                    .get_or_insert_with(tuple(k).stable_hash(), tuple(k), || make.then_some(0))
+                    .map(|v| {
+                        *v = v.wrapping_add(add);
+                        *v
+                    });
+                if make {
+                    oracle.entry(k).or_insert(0);
+                }
+                let expected = oracle.get_mut(&k).map(|v| {
+                    *v = v.wrapping_add(add);
+                    *v
+                });
+                prop_assert_eq!(held, expected);
             }
             Op::Remove(k) => prop_assert_eq!(table.remove(&tuple(k)), oracle.remove(&k)),
             Op::Retain(m) => {
