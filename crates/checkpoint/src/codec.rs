@@ -80,6 +80,7 @@ mod tag {
 }
 
 /// Appends `v` as an unsigned LEB128 varint.
+#[inline]
 pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
@@ -92,9 +93,19 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`write_varint`] appends for `v`.
+pub(crate) fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Zig-zag encodes a signed value.
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
 /// Zig-zag encodes a signed value then varints it.
 pub fn write_varint_signed(out: &mut Vec<u8>, v: i64) {
-    write_varint(out, ((v << 1) ^ (v >> 63)) as u64);
+    write_varint(out, zigzag(v));
 }
 
 /// Reads one unsigned LEB128 varint from `bytes` at `*pos`, advancing it.
@@ -201,6 +212,32 @@ fn encode_snapshot(out: &mut Vec<u8>, snap: &Snapshot) {
     }
 }
 
+/// Bytes [`encode_snapshot`] appends for `snap`: the encoders reserve
+/// their output once instead of growing it through a packed table image.
+fn snapshot_len(snap: &Snapshot) -> usize {
+    1 + match snap {
+        Snapshot::Unit | Snapshot::Bool(_) | Snapshot::Opt(None) => 0,
+        Snapshot::UInt(v) => varint_len(*v),
+        Snapshot::Int(v) => varint_len(zigzag(*v)),
+        Snapshot::Float(_) => 8,
+        Snapshot::Char(c) => varint_len(u64::from(u32::from(*c))),
+        Snapshot::Str(s) => varint_len(s.len() as u64) + s.len(),
+        Snapshot::Bytes(b) => varint_len(b.len() as u64) + b.len(),
+        Snapshot::Seq(items) => {
+            varint_len(items.len() as u64) + items.iter().map(snapshot_len).sum::<usize>()
+        }
+        Snapshot::Map(pairs) => {
+            varint_len(pairs.len() as u64)
+                + pairs
+                    .iter()
+                    .map(|(k, v)| snapshot_len(k) + snapshot_len(v))
+                    .sum::<usize>()
+        }
+        Snapshot::Opt(Some(inner)) => snapshot_len(inner),
+        Snapshot::Shared(id) => varint_len(*id as u64),
+    }
+}
+
 fn decode_snapshot(r: &mut Reader<'_>, depth: usize) -> Result<Snapshot, CodecError> {
     if depth >= MAX_DECODE_DEPTH {
         return Err(CodecError::TooDeep);
@@ -272,16 +309,32 @@ fn decode_snapshot(r: &mut Reader<'_>, depth: usize) -> Result<Snapshot, CodecEr
 /// hit a bug mid-snapshot. Without an ambient plan the check is one
 /// thread-local read.
 pub fn encode(cp: &Checkpoint) -> Vec<u8> {
+    let mut out = Vec::with_capacity(encoded_len(cp));
+    encode_into(&mut out, cp);
+    out
+}
+
+/// Bytes [`encode`] produces for `cp`.
+pub fn encoded_len(cp: &Checkpoint) -> usize {
+    MAGIC.len()
+        + 1
+        + snapshot_len(&cp.root)
+        + varint_len(cp.shared.len() as u64)
+        + cp.shared.iter().map(snapshot_len).sum::<usize>()
+}
+
+/// [`encode`], appended to `out` — which an envelope sizes for it with
+/// [`encoded_len`], so the payload is written where it is sealed. The
+/// chaos site fires before the first byte.
+pub fn encode_into(out: &mut Vec<u8>, cp: &Checkpoint) {
     chaos_checkpoint_encode();
-    let mut out = Vec::with_capacity(64);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
-    encode_snapshot(&mut out, &cp.root);
-    write_varint(&mut out, cp.shared.len() as u64);
+    encode_snapshot(out, &cp.root);
+    write_varint(out, cp.shared.len() as u64);
     for s in &cp.shared {
-        encode_snapshot(&mut out, s);
+        encode_snapshot(out, s);
     }
-    out
 }
 
 /// Deserializes a checkpoint produced by [`encode`]; rejects trailing
@@ -337,6 +390,17 @@ mod delta_tag {
     pub const SEG_BYTE_RANGES: u8 = 0x04;
 }
 
+fn path_len(path: &[PathSeg]) -> usize {
+    varint_len(path.len() as u64)
+        + path
+            .iter()
+            .map(|seg| match seg {
+                PathSeg::Index(i) | PathSeg::MapEntry(i, _) => 1 + varint_len(*i as u64),
+                PathSeg::OptInner | PathSeg::ByteRanges => 1,
+            })
+            .sum::<usize>()
+}
+
 fn encode_path(out: &mut Vec<u8>, path: &[PathSeg]) {
     write_varint(out, path.len() as u64);
     for seg in path {
@@ -384,37 +448,65 @@ fn decode_usize(r: &mut Reader<'_>) -> Result<usize, CodecError> {
 /// [`CheckpointEncode`](rbs_core::fault::FaultSite::CheckpointEncode)
 /// chaos site as [`encode`].
 pub fn encode_delta(delta: &Delta) -> Vec<u8> {
+    let mut out = Vec::with_capacity(encoded_delta_len(delta));
+    encode_delta_into(&mut out, delta);
+    out
+}
+
+/// Bytes [`encode_delta`] produces for `delta`.
+pub fn encoded_delta_len(delta: &Delta) -> usize {
+    let replacements = delta.replacements.iter().map(|rep| {
+        let target = match &rep.target {
+            Target::Root(path) => path_len(path),
+            Target::Shared(id, path) => varint_len(*id as u64) + path_len(path),
+        };
+        1 + target + snapshot_len(&rep.subtree)
+    });
+    DELTA_MAGIC.len()
+        + 1
+        + varint_len(delta.replacements.len() as u64)
+        + replacements.sum::<usize>()
+        + varint_len(delta.appended_shared.len() as u64)
+        + delta
+            .appended_shared
+            .iter()
+            .map(snapshot_len)
+            .sum::<usize>()
+        + 1
+        + delta.truncate_shared_to.map_or(0, |n| varint_len(n as u64))
+}
+
+/// [`encode_delta`], appended to `out`; see [`encode_into`].
+pub fn encode_delta_into(out: &mut Vec<u8>, delta: &Delta) {
     chaos_checkpoint_encode();
-    let mut out = Vec::with_capacity(64);
     out.extend_from_slice(DELTA_MAGIC);
     out.push(VERSION);
-    write_varint(&mut out, delta.replacements.len() as u64);
+    write_varint(out, delta.replacements.len() as u64);
     for rep in &delta.replacements {
         match &rep.target {
             Target::Root(path) => {
                 out.push(delta_tag::TARGET_ROOT);
-                encode_path(&mut out, path);
+                encode_path(out, path);
             }
             Target::Shared(id, path) => {
                 out.push(delta_tag::TARGET_SHARED);
-                write_varint(&mut out, *id as u64);
-                encode_path(&mut out, path);
+                write_varint(out, *id as u64);
+                encode_path(out, path);
             }
         }
-        encode_snapshot(&mut out, &rep.subtree);
+        encode_snapshot(out, &rep.subtree);
     }
-    write_varint(&mut out, delta.appended_shared.len() as u64);
+    write_varint(out, delta.appended_shared.len() as u64);
     for s in &delta.appended_shared {
-        encode_snapshot(&mut out, s);
+        encode_snapshot(out, s);
     }
     match delta.truncate_shared_to {
         None => out.push(0),
         Some(n) => {
             out.push(1);
-            write_varint(&mut out, n as u64);
+            write_varint(out, n as u64);
         }
     }
-    out
 }
 
 /// Deserializes a delta produced by [`encode_delta`]; rejects trailing
@@ -676,6 +768,8 @@ mod tests {
         let mut big = Vec::new();
         write_varint(&mut big, u64::MAX);
         assert_eq!(big.len(), 10);
+        assert_eq!((varint_len(0), varint_len(5), varint_len(127)), (1, 1, 1));
+        assert_eq!((varint_len(128), varint_len(u64::MAX)), (2, 10));
     }
 
     fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
@@ -708,7 +802,9 @@ mod tests {
         #[test]
         fn arbitrary_snapshots_roundtrip(root in arb_snapshot(), shared in proptest::collection::vec(arb_snapshot(), 0..4)) {
             let cp = Checkpoint { root, shared, stats: CheckpointStats::default() };
-            let back = decode(&encode(&cp)).unwrap();
+            let bytes = encode(&cp);
+            prop_assert_eq!(encoded_len(&cp), bytes.len(), "the buffer is reserved exactly");
+            let back = decode(&bytes).unwrap();
             prop_assert_eq!(back.root, cp.root);
             prop_assert_eq!(back.shared, cp.shared);
         }
@@ -721,11 +817,18 @@ mod tests {
 
         /// The delta wire format roundtrips any diff exactly.
         #[test]
-        fn arbitrary_deltas_roundtrip(root_a in arb_snapshot(), root_b in arb_snapshot()) {
-            let a = Checkpoint { root: root_a, shared: vec![], stats: CheckpointStats::default() };
-            let b = Checkpoint { root: root_b, shared: vec![], stats: CheckpointStats::default() };
+        fn arbitrary_deltas_roundtrip(
+            root_a in arb_snapshot(),
+            root_b in arb_snapshot(),
+            shared_a in proptest::collection::vec(arb_snapshot(), 0..3),
+            shared_b in proptest::collection::vec(arb_snapshot(), 0..3),
+        ) {
+            let a = Checkpoint { root: root_a, shared: shared_a, stats: CheckpointStats::default() };
+            let b = Checkpoint { root: root_b, shared: shared_b, stats: CheckpointStats::default() };
             let d = crate::diff::diff(&a, &b);
-            prop_assert_eq!(decode_delta(&encode_delta(&d)).unwrap(), d);
+            let bytes = encode_delta(&d);
+            prop_assert_eq!(encoded_delta_len(&d), bytes.len(), "the buffer is reserved exactly");
+            prop_assert_eq!(decode_delta(&bytes).unwrap(), d);
         }
 
         /// The delta decoder is total over arbitrary bytes too.
@@ -739,6 +842,7 @@ mod tests {
         fn varint_roundtrip(v in any::<u64>(), s in any::<i64>()) {
             let mut buf = Vec::new();
             write_varint(&mut buf, v);
+            prop_assert_eq!(varint_len(v), buf.len());
             let mut r = Reader { data: &buf, pos: 0 };
             prop_assert_eq!(r.varint().unwrap(), v);
 

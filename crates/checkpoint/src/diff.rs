@@ -14,6 +14,16 @@
 //! costs those records, not the table, and costs no heap node per
 //! record either.
 //!
+//! The run list has one builder, [`byte_runs`] — where a run starts,
+//! which neighbours it absorbs, what becomes of the tail — and any
+//! number of *mismatch finders* behind the [`BlobView`] trait. A byte
+//! slice finds mismatches by scanning both blobs (what [`diff`] does, and
+//! the oracle every other finder is tested against); a structure that
+//! already knows which of its bytes may have changed since the base — a
+//! flow table that tracked the records it handed out mutably — answers
+//! from that knowledge, and gets the same list without materialising the
+//! blob.
+//!
 //! The diff is exact and total: `apply(base, &diff(base, next)) == next`
 //! for any two checkpoints (property-tested below and in
 //! `tests/snapshot_fast_path.rs`). [`apply`] borrows its base and builds
@@ -214,7 +224,12 @@ fn diff_snapshot(
         // replaced whole: tables that snapshot as blobs only grow between
         // a full record and the deltas on it.)
         (Snapshot::Bytes(xs), Snapshot::Bytes(ys)) if xs.len() <= ys.len() => {
-            diff_bytes(xs, ys, path, emit);
+            let mut runs = Vec::new();
+            byte_runs(xs, &mut ys.as_slice(), &mut runs);
+            let mut target = Vec::with_capacity(path.len() + 1);
+            target.extend_from_slice(path);
+            target.push(PathSeg::ByteRanges);
+            emit(target, Snapshot::Bytes(runs));
         }
         // Shape change (or scalar change): replace the whole subtree.
         _ => emit(path.clone(), b.clone()),
@@ -226,38 +241,105 @@ fn diff_snapshot(
 /// about what the bytes between do.
 const RUN_GAP: usize = 8;
 
-/// Emits the run list ([`PathSeg::ByteRanges`]) that turns blob `a` into
-/// blob `b`, which differs from it and is at least as long; everything
-/// past `a`'s end counts as changed.
-fn diff_bytes(a: &[u8], b: &[u8], path: &[PathSeg], emit: &mut impl FnMut(Vec<PathSeg>, Snapshot)) {
-    let mut runs = Vec::new();
+/// The newer side of a byte-range diff: a blob at least as long as its
+/// base that can say where it next departs from the base, and with which
+/// byte. [`byte_runs`] turns the answers into a run list — the bytes of
+/// a run that did *not* change it copies from the base itself, so a view
+/// is asked for bytes only where it reported a change and past the
+/// base's end.
+///
+/// A byte slice is one such view — it *finds* the changes by scanning,
+/// and serves any pair of blobs. A view that already *knows* which bytes
+/// may have changed (a flow table that tracked the records it handed out
+/// mutably) answers without materialising the blob; whatever it skips it
+/// asserts equal to the base, and its run list is then the scan's, byte
+/// for byte.
+#[expect(
+    clippy::len_without_is_empty,
+    reason = "a length to diff against, not a collection"
+)]
+pub trait BlobView {
+    /// Length of the blob this view stands for; at least the base's.
+    fn len(&self) -> usize;
+
+    /// The first index at or after `from` (and below `base.len()`) where
+    /// the blob differs from `base`, with the blob's byte there; `None`
+    /// when the blob agrees with the rest of `base`. The run builder
+    /// asks in ascending order of `from`.
+    fn next_mismatch(&mut self, base: &[u8], from: usize) -> Option<(usize, u8)>;
+
+    /// Appends the blob's bytes from `from` — the base's length — to its
+    /// end: what it grew by.
+    fn copy_tail(&mut self, from: usize, out: &mut Vec<u8>);
+}
+
+/// The scan: compares all of both blobs, eight bytes at a time.
+impl BlobView for &[u8] {
+    fn len(&self) -> usize {
+        <[u8]>::len(self)
+    }
+
+    fn next_mismatch(&mut self, base: &[u8], from: usize) -> Option<(usize, u8)> {
+        let at = first_mismatch(base, self, from);
+        (at < base.len()).then(|| (at, self[at]))
+    }
+
+    fn copy_tail(&mut self, from: usize, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self[from..]);
+    }
+}
+
+/// Appends to `runs` the run list ([`PathSeg::ByteRanges`]) that turns
+/// the blob `base` into the blob `next` stands for; everything past
+/// `base`'s end counts as changed. Nothing is appended when the two are
+/// equal.
+pub fn byte_runs(base: &[u8], next: &mut impl BlobView, runs: &mut Vec<u8>) {
+    let len = next.len();
     let mut written = 0;
-    let mut start = first_mismatch(a, b, 0);
-    while start < b.len() {
-        // `end` is one past the run's last changed byte; `next` is where
-        // the following run starts.
-        let mut end = start + 1;
-        let next = loop {
-            if end >= a.len() {
-                end = b.len();
+    // The next change within the base; where there is none left, the
+    // blob's growth past the base is the one change that remains.
+    let mut pending = next.next_mismatch(base, 0);
+    let mut start = pending.map_or(base.len(), |(at, _)| at);
+    while start < len {
+        codec::write_varint(runs, (start - written) as u64);
+        // The run's length goes here once it is known.
+        let len_at = runs.len();
+        runs.push(0);
+        // `start..end` is in `runs`, and the byte at `end` is a changed
+        // one: `pending`'s, or the first past the base.
+        let mut end = start;
+        let following = loop {
+            if let Some((_, byte)) = pending {
+                runs.push(byte);
+                end += 1;
+            }
+            if end >= base.len() {
+                next.copy_tail(base.len(), runs);
+                end = len;
                 break end;
             }
-            let next = first_mismatch(a, b, end);
-            if next - end > RUN_GAP || next == b.len() {
-                break next;
+            pending = next.next_mismatch(base, end);
+            let mismatch = pending.map_or(base.len(), |(at, _)| at);
+            if mismatch - end > RUN_GAP || mismatch == len {
+                break mismatch;
             }
-            end = next + 1;
+            runs.extend_from_slice(&base[end..mismatch]);
+            end = mismatch;
         };
-        codec::write_varint(&mut runs, (start - written) as u64);
-        codec::write_varint(&mut runs, (end - start) as u64);
-        runs.extend_from_slice(&b[start..end]);
+        // LEB128, as `write_varint` writes it: the low seven bits in the
+        // byte reserved, whatever is left — rarely anything — behind it.
+        let run = end - start;
+        runs[len_at] = (run & 0x7F) as u8;
+        if run >= 0x80 {
+            runs[len_at] |= 0x80;
+            let appended = runs.len();
+            codec::write_varint(runs, (run >> 7) as u64);
+            let width = runs.len() - appended;
+            runs[len_at + 1..].rotate_right(width);
+        }
         written = end;
-        start = next;
+        start = following;
     }
-    let mut target = Vec::with_capacity(path.len() + 1);
-    target.extend_from_slice(path);
-    target.push(PathSeg::ByteRanges);
-    emit(target, Snapshot::Bytes(runs));
 }
 
 /// The first index at or after `from` where `a` and `b` differ, or

@@ -240,34 +240,83 @@ fn checksum(bytes: &[u8]) -> u64 {
     step(h, bytes.len() as u64)
 }
 
-fn seal(kind: u8, meta: SnapshotMeta, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 48);
+/// Seals one envelope into `out`, replacing what it held: the header,
+/// the `payload_len` bytes `write_payload` appends, the footer. `out` is
+/// sized once, before the first byte, and the payload is serialized in
+/// place — a buffer with the capacity already (the store hands back the
+/// one a rotated-out record held) is reused as it is.
+fn seal_into(
+    out: &mut Vec<u8>,
+    kind: u8,
+    meta: SnapshotMeta,
+    payload_len: usize,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let fields = [
+        meta.epoch,
+        meta.base_epoch,
+        meta.tick,
+        meta.items,
+        u64::from(meta.schema),
+        payload_len as u64,
+    ];
+    let header_len = FIXED_HEADER_LEN + fields.map(codec::varint_len).iter().sum::<usize>();
+    out.clear();
+    out.reserve_exact(header_len + payload_len + FOOTER_LEN);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     out.push(kind);
-    codec::write_varint(&mut out, meta.epoch);
-    codec::write_varint(&mut out, meta.base_epoch);
-    codec::write_varint(&mut out, meta.tick);
-    codec::write_varint(&mut out, meta.items);
-    codec::write_varint(&mut out, u64::from(meta.schema));
-    codec::write_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    let footer = checksum(&out);
+    for field in fields {
+        codec::write_varint(out, field);
+    }
+    write_payload(out);
+    // The header has already declared the length: an encoder that
+    // disagrees with its own size function must not seal.
+    assert_eq!(
+        out.len(),
+        header_len + payload_len,
+        "payload length differs from the length declared for it"
+    );
+    let footer = checksum(out);
     out.extend_from_slice(&footer.to_le_bytes());
-    out
 }
 
 /// Seals a full checkpoint into an envelope. Serialization runs through
-/// [`codec::encode`], so the `CheckpointEncode` chaos site fires here.
+/// [`codec::encode_into`], so the `CheckpointEncode` chaos site fires
+/// here.
 pub fn seal_full(meta: SnapshotMeta, cp: &Checkpoint) -> Vec<u8> {
-    seal(KIND_FULL, meta, &codec::encode(cp))
+    let mut out = Vec::new();
+    seal_full_into(&mut out, meta, cp);
+    out
+}
+
+/// [`seal_full`] into a buffer the caller supplies (and whose old
+/// content is discarded).
+pub fn seal_full_into(out: &mut Vec<u8>, meta: SnapshotMeta, cp: &Checkpoint) {
+    seal_into(out, KIND_FULL, meta, codec::encoded_len(cp), |out| {
+        codec::encode_into(out, cp)
+    });
 }
 
 /// Seals an incremental delta into an envelope. Serialization runs
-/// through [`codec::encode_delta`], so the `CheckpointEncode` chaos site
-/// fires here too.
+/// through [`codec::encode_delta_into`], so the `CheckpointEncode` chaos
+/// site fires here too.
 pub fn seal_delta(meta: SnapshotMeta, delta: &Delta) -> Vec<u8> {
-    seal(KIND_DELTA, meta, &codec::encode_delta(delta))
+    let mut out = Vec::new();
+    seal_delta_into(&mut out, meta, delta);
+    out
+}
+
+/// [`seal_delta`] into a buffer the caller supplies (and whose old
+/// content is discarded).
+pub fn seal_delta_into(out: &mut Vec<u8>, meta: SnapshotMeta, delta: &Delta) {
+    seal_into(
+        out,
+        KIND_DELTA,
+        meta,
+        codec::encoded_delta_len(delta),
+        |out| codec::encode_delta_into(out, delta),
+    );
 }
 
 fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, RestoreError> {
@@ -427,7 +476,10 @@ mod tests {
             items: 0,
             schema: 0,
         };
-        let bytes = seal(KIND_FULL, m, &codec::encode(&cp));
+        let mut bytes = Vec::new();
+        seal_into(&mut bytes, KIND_FULL, m, codec::encoded_len(&cp), |out| {
+            codec::encode_into(out, &cp)
+        });
         assert_eq!(open(&bytes).unwrap_err(), RestoreError::BadHeader);
     }
 

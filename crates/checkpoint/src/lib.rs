@@ -74,10 +74,10 @@ pub use ctx::{
     checkpoint, checkpoint_scope, checkpoint_with_mode, restore, restore_scope, Checkpoint,
     CheckpointCtx, CheckpointStats, DedupMode, RestoreCtx,
 };
-pub use diff::{apply, apply_in_place, diff, Delta};
+pub use diff::{apply, apply_in_place, byte_runs, diff, BlobView, Delta};
 pub use envelope::{RestoreError, SnapshotMeta};
 pub use migrate::{MigrateError, MigratorSet, StateMigrator};
 pub use snapshot::{Snapshot, SnapshotError};
-pub use store::{Buffered, SealedSnapshot, SnapshotStore, StoreStats};
+pub use store::{BaseId, Buffered, SealedSnapshot, SnapshotSource, SnapshotStore, StoreStats};
 pub use traits::Checkpointable;
 pub use txn::{with_transaction, Transaction, TxnAborted};

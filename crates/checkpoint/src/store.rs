@@ -20,11 +20,78 @@
 //! mutation, so a fault mid-record unwinds with the buffers untouched —
 //! the last good snapshot survives the very fault being injected into
 //! the snapshot path.
+//!
+//! # Who finds the delta
+//!
+//! [`SnapshotStore::record`] is handed a whole checkpoint and finds an
+//! incremental record's delta by comparing it with the base
+//! ([`diff`](crate::diff::diff)) — the form for any
+//! [`Checkpointable`](crate::Checkpointable) state.
+//! [`SnapshotStore::record_from`] is handed a [`SnapshotSource`] instead
+//! and *drives* it: on a full record it takes the source's base export by
+//! value (the store keeps the plaintext as the diff base, so nothing is
+//! cloned) together with a [`BaseId`] naming that export; on an
+//! incremental record it asks the source for the delta against the id it
+//! holds — a source that tracked its own changes answers from those,
+//! without exporting — and only a source that declines (rebuilt or
+//! restored since, a part of it does not track, its state shrank) is
+//! exported whole and compared, exactly as `record` would. Cadence,
+//! epochs, stats and sealed bytes do not depend on which form, or which
+//! branch, produced a record.
+//!
+//! Envelopes are sized before the first byte and serialized in place,
+//! and the store seals into the buffers of records that rotated out of
+//! `previous`, so in steady state `record_from` allocates nothing the
+//! size of the state.
 
 use crate::ctx::Checkpoint;
-use crate::diff;
+use crate::diff::{self, Delta, Replacement};
 use crate::envelope::{self, Payload, RestoreError, SnapshotMeta};
+use crate::snapshot::Snapshot;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Names one base export of one [`SnapshotSource`], process-wide: what a
+/// source checks before answering [`SnapshotSource::export_delta`], so
+/// that a source which was rebuilt, restored or re-based since — and
+/// whose record of what changed therefore describes some other base —
+/// declines instead of answering for a base it did not produce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BaseId(u64);
+
+impl BaseId {
+    /// An id no earlier call in this process returned.
+    pub fn fresh() -> Self {
+        // Uniqueness is all that is asked of the counter.
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        BaseId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// State that can be snapshotted incrementally: besides exporting itself
+/// whole it can export a *base* and remember, from then on, what it
+/// changes — so that a later delta against that base costs what changed.
+/// [`SnapshotStore::record_from`] is the caller.
+pub trait SnapshotSource {
+    /// The whole state, with no effect on the source.
+    fn export_state(&self) -> Checkpoint;
+
+    /// The whole state — what [`export_state`](Self::export_state) would
+    /// return — as the base of the deltas to come, under a fresh id; the
+    /// source starts tracking its changes over from here. `spent` is the
+    /// base this one replaces, when the caller still holds it: its
+    /// buffers are the source's to reuse.
+    fn export_base(&mut self, spent: Option<Checkpoint>) -> (Checkpoint, BaseId);
+
+    /// The delta from `base` — the checkpoint `export_base` returned
+    /// with `id` — to the present state: exactly
+    /// `diff(base, &self.export_state())`, found without the export.
+    /// `None` when the source cannot answer for `id` (it never produced
+    /// it, or has lost track since); the caller then exports and diffs.
+    /// `scratch` is a buffer the source may take for a run list it
+    /// builds; the caller recovers it from the delta.
+    fn export_delta(&self, id: BaseId, base: &Checkpoint, scratch: &mut Vec<u8>) -> Option<Delta>;
+}
 
 /// Which of the two buffered records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +133,13 @@ impl SealedSnapshot {
     /// incremental records, the full envelope otherwise.
     pub fn payload_bytes(&self) -> usize {
         self.delta.as_ref().map_or(self.base.len(), Vec::len)
+    }
+
+    /// The sealed bytes themselves — what a replica would be shipped:
+    /// the full envelope and, for an incremental record, the delta
+    /// envelope that applies on top of it.
+    pub fn envelopes(&self) -> (&[u8], Option<&[u8]>) {
+        (&self.base, self.delta.as_deref())
     }
 
     /// Verifies and decodes the record into the checkpoint it captured:
@@ -126,12 +200,29 @@ pub struct SnapshotStore {
     /// Records sealed since the last full one.
     since_full: u32,
     next_epoch: u64,
-    /// The last full record's metadata, sealed bytes, and plaintext
-    /// checkpoint (the diff base for incremental records).
-    base: Option<(SnapshotMeta, Arc<Vec<u8>>, Checkpoint)>,
+    base: Option<Base>,
     latest: Option<SealedSnapshot>,
     previous: Option<SealedSnapshot>,
     stats: StoreStats,
+    /// Buffers of records rotated out of `previous`, kept for the full
+    /// and the delta envelopes to come: a store in steady state seals
+    /// into memory it already owns. (Several delta buffers, because the
+    /// two records held are at times both full ones.)
+    spare_full: Vec<u8>,
+    spare_delta: Vec<Vec<u8>>,
+    /// The run-list buffer lent to [`SnapshotSource::export_delta`].
+    scratch: Vec<u8>,
+}
+
+/// The last full record: the diff base of the incremental records.
+#[derive(Debug)]
+struct Base {
+    meta: SnapshotMeta,
+    sealed: Arc<Vec<u8>>,
+    /// The plaintext the deltas are computed against.
+    cp: Checkpoint,
+    /// The source's name for `cp`, when a source exported it.
+    id: Option<BaseId>,
 }
 
 impl SnapshotStore {
@@ -147,6 +238,9 @@ impl SnapshotStore {
             latest: None,
             previous: None,
             stats: StoreStats::default(),
+            spare_full: Vec::new(),
+            spare_delta: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -161,60 +255,144 @@ impl SnapshotStore {
     /// Serialization happens before any mutation: a panic injected into
     /// the encoder (the `CheckpointEncode` chaos site) leaves the store
     /// exactly as it was.
+    ///
+    /// This is the form for state that is only
+    /// [`Checkpointable`](crate::Checkpointable): every delta is found by
+    /// comparing `cp` with the base. State that tracks its own changes
+    /// records through [`record_from`](Self::record_from).
     pub fn record(&mut self, cp: &Checkpoint, tick: u64, items: u64, schema: u32) -> SnapshotMeta {
-        let epoch = self.next_epoch;
-        let full = match &self.base {
-            None => true,
-            Some(_) => self.since_full + 1 >= self.full_every,
-        };
-        if full {
-            let meta = SnapshotMeta {
-                epoch,
-                base_epoch: epoch,
-                tick,
-                items,
-                schema,
-            };
-            let bytes = Arc::new(envelope::seal_full(meta, cp));
-            self.next_epoch += 1;
-            self.since_full = 0;
-            self.stats.full_snapshots += 1;
-            self.stats.full_bytes += bytes.len() as u64;
-            self.base = Some((meta, Arc::clone(&bytes), cp.clone()));
-            self.rotate(SealedSnapshot {
-                meta,
-                base: bytes,
-                delta: None,
-            });
-            meta
-        } else {
-            let (base_meta, base_bytes, base_cp) =
-                self.base.as_ref().expect("delta records have a base");
-            let delta = diff::diff(base_cp, cp);
-            let meta = SnapshotMeta {
-                epoch,
-                base_epoch: base_meta.epoch,
-                tick,
-                items,
-                schema,
-            };
-            let delta_bytes = envelope::seal_delta(meta, &delta);
-            let base_bytes = Arc::clone(base_bytes);
-            self.next_epoch += 1;
-            self.since_full += 1;
-            self.stats.delta_snapshots += 1;
-            self.stats.delta_bytes += delta_bytes.len() as u64;
-            self.rotate(SealedSnapshot {
-                meta,
-                base: base_bytes,
-                delta: Some(delta_bytes),
-            });
-            meta
+        match &self.base {
+            Some(base) if !self.full_is_due() => {
+                let delta = diff::diff(&base.cp, cp);
+                self.seal_delta(&delta, tick, items, schema)
+            }
+            _ => self.seal_full(cp.clone(), None, tick, items, schema),
         }
     }
 
+    /// [`record`](Self::record) for a source that tracks its own
+    /// changes: same cadence, same epochs, same sealed bytes, but the
+    /// store asks for what the record needs instead of being handed an
+    /// export. A full record takes `source`'s base export by value (and
+    /// hands it the base being replaced, to build the new one in); an
+    /// incremental record asks for the delta against the base the store
+    /// holds, and only a source that cannot answer — it was rebuilt or
+    /// restored since, a stage of it does not track changes, its state
+    /// shrank — is exported whole and compared, as `record` does.
+    ///
+    /// A panic mid-record (the `CheckpointEncode` chaos site) leaves
+    /// `latest`, `previous`, the epoch counter and the stats as they
+    /// were; one in a full record also forgets the plaintext base, so
+    /// the next record is the full one that was due anyway.
+    pub fn record_from<S: SnapshotSource + ?Sized>(
+        &mut self,
+        source: &mut S,
+        tick: u64,
+        items: u64,
+        schema: u32,
+    ) -> SnapshotMeta {
+        match &self.base {
+            Some(base) if !self.full_is_due() => {
+                let mut delta = base
+                    .id
+                    .and_then(|id| source.export_delta(id, &base.cp, &mut self.scratch))
+                    .unwrap_or_else(|| diff::diff(&base.cp, &source.export_state()));
+                let meta = self.seal_delta(&delta, tick, items, schema);
+                if let Some(Replacement {
+                    subtree: Snapshot::Bytes(runs),
+                    ..
+                }) = delta.replacements.pop()
+                {
+                    self.scratch = runs;
+                }
+                meta
+            }
+            _ => {
+                let spent = self.base.take().map(|base| base.cp);
+                let (cp, id) = source.export_base(spent);
+                self.seal_full(cp, Some(id), tick, items, schema)
+            }
+        }
+    }
+
+    /// Whether the record after a base is the next full one.
+    fn full_is_due(&self) -> bool {
+        self.since_full + 1 >= self.full_every
+    }
+
+    fn seal_full(
+        &mut self,
+        cp: Checkpoint,
+        id: Option<BaseId>,
+        tick: u64,
+        items: u64,
+        schema: u32,
+    ) -> SnapshotMeta {
+        let epoch = self.next_epoch;
+        let meta = SnapshotMeta {
+            epoch,
+            base_epoch: epoch,
+            tick,
+            items,
+            schema,
+        };
+        let mut bytes = std::mem::take(&mut self.spare_full);
+        envelope::seal_full_into(&mut bytes, meta, &cp);
+        let sealed = Arc::new(bytes);
+        self.next_epoch += 1;
+        self.since_full = 0;
+        self.stats.full_snapshots += 1;
+        self.stats.full_bytes += sealed.len() as u64;
+        self.base = Some(Base {
+            meta,
+            sealed: Arc::clone(&sealed),
+            cp,
+            id,
+        });
+        self.rotate(SealedSnapshot {
+            meta,
+            base: sealed,
+            delta: None,
+        });
+        meta
+    }
+
+    fn seal_delta(&mut self, delta: &Delta, tick: u64, items: u64, schema: u32) -> SnapshotMeta {
+        let base = self.base.as_ref().expect("delta records have a base");
+        let meta = SnapshotMeta {
+            epoch: self.next_epoch,
+            base_epoch: base.meta.epoch,
+            tick,
+            items,
+            schema,
+        };
+        let base_bytes = Arc::clone(&base.sealed);
+        let mut delta_bytes = self.spare_delta.pop().unwrap_or_default();
+        envelope::seal_delta_into(&mut delta_bytes, meta, delta);
+        self.next_epoch += 1;
+        self.since_full += 1;
+        self.stats.delta_snapshots += 1;
+        self.stats.delta_bytes += delta_bytes.len() as u64;
+        self.rotate(SealedSnapshot {
+            meta,
+            base: base_bytes,
+            delta: Some(delta_bytes),
+        });
+        meta
+    }
+
+    /// Makes `record` the latest, and keeps the buffers of the record
+    /// that falls out of `previous` — its delta envelope, and its full
+    /// envelope once no other record shares it — for the records to come.
     fn rotate(&mut self, record: SealedSnapshot) {
-        self.previous = self.latest.take();
+        if let Some(spent) = std::mem::replace(&mut self.previous, self.latest.take()) {
+            if let Some(delta) = spent.delta {
+                self.spare_delta.push(delta);
+            }
+            if let Ok(full) = Arc::try_unwrap(spent.base) {
+                self.spare_full = full;
+            }
+        }
         self.latest = Some(record);
     }
 

@@ -12,6 +12,14 @@
 //!   an attacker names, and a failed `apply` leaves its base alone;
 //! - `SealedSnapshot::open` on a delta record rebuilds exactly the
 //!   checkpoint that was recorded;
+//! - a store *driven* by `record_from` over a scripted `SnapshotSource`
+//!   seals, record for record, the bytes of a twin store *fed* whole
+//!   exports — without asking for one — through three full/delta cycles;
+//!   a source that cannot answer (an unknown `BaseId`, a part that does
+//!   not track, a shrunk blob, a rebuild between records) is exported
+//!   and compared, to the same bytes; a `CheckpointEncode` panic inside
+//!   a base record or a delta record commits nothing, and the record
+//!   taken next is the one a store that never saw the failure takes;
 //! - the word-wise envelope checksum detects every single-bit flip and
 //!   every truncation, on an envelope of more than 16 KiB and on every
 //!   tail length from 0 to 17 bytes, and two flips of the same high bit
@@ -446,4 +454,268 @@ fn checksum_does_not_let_two_high_bit_flips_cancel() {
         }
     }
     assert_eq!(tampered, sealed);
+}
+
+// ---- `SnapshotStore::record_from`: the store drives a source ----
+
+use rbs_checkpoint::{byte_runs, BaseId, SnapshotSource};
+use rbs_core::fault::{self, FaultKind, FaultPlan, FaultSite};
+use std::cell::Cell;
+use std::sync::Arc;
+
+/// A scripted [`SnapshotSource`]: a `staged` blob that knows its base by
+/// keeping a copy (tracking by brute force — what it must *answer* is
+/// the point here, not how cheaply), with switches for each way a real
+/// source loses track.
+struct Script {
+    blob: Vec<u8>,
+    based: Option<(BaseId, Vec<u8>)>,
+    /// Answer like a stage that does not track changes.
+    whole: bool,
+    /// Whole exports asked for: the fallback's footprint.
+    exports: Cell<usize>,
+    /// Spent bases handed back for reuse.
+    recycled: usize,
+}
+
+impl Script {
+    fn new(blob: Vec<u8>) -> Self {
+        Script {
+            blob,
+            based: None,
+            whole: false,
+            exports: Cell::new(0),
+            recycled: 0,
+        }
+    }
+
+    /// What a respawn or a restore does to a real source: same state,
+    /// no memory of any base.
+    fn rebuild(&mut self) {
+        self.based = None;
+    }
+}
+
+impl SnapshotSource for Script {
+    fn export_state(&self) -> Checkpoint {
+        self.exports.set(self.exports.get() + 1);
+        staged(Snapshot::Bytes(self.blob.clone()))
+    }
+
+    fn export_base(&mut self, spent: Option<Checkpoint>) -> (Checkpoint, BaseId) {
+        self.recycled += usize::from(spent.is_some());
+        let id = BaseId::fresh();
+        self.based = Some((id, self.blob.clone()));
+        (staged(Snapshot::Bytes(self.blob.clone())), id)
+    }
+
+    fn export_delta(&self, id: BaseId, base: &Checkpoint, scratch: &mut Vec<u8>) -> Option<Delta> {
+        let (based, old) = self.based.as_ref()?;
+        if *based != id || self.whole || self.blob.len() < old.len() {
+            return None;
+        }
+        assert_eq!(state_of(base), &Snapshot::Bytes(old.clone()), "not my base");
+        let mut runs = std::mem::take(scratch);
+        runs.clear();
+        byte_runs(old, &mut self.blob.as_slice(), &mut runs);
+        Some(if runs.is_empty() {
+            *scratch = runs;
+            Delta::default()
+        } else {
+            byte_ranges(state_path(), Snapshot::Bytes(runs))
+        })
+    }
+}
+
+/// A store driven by a source and its twin fed whole exports of the
+/// same states: after every record the two hold the same sealed bytes.
+struct Twins {
+    driven: SnapshotStore,
+    fed: SnapshotStore,
+    tick: u64,
+}
+
+impl Twins {
+    fn new(full_every: u32) -> Self {
+        Twins {
+            driven: SnapshotStore::new(full_every),
+            fed: SnapshotStore::new(full_every),
+            tick: 0,
+        }
+    }
+
+    fn record(&mut self, source: &mut Script) -> SnapshotMeta {
+        self.tick += 1;
+        let state = staged(Snapshot::Bytes(source.blob.clone()));
+        let items = source.blob.len() as u64 / 29;
+        let meta = self.driven.record_from(source, self.tick, items, 7);
+        assert_eq!(self.fed.record(&state, self.tick, items, 7), meta);
+        self.assert_identical();
+        assert_eq!(self.driven.latest().unwrap().open().unwrap(), state);
+        meta
+    }
+
+    fn assert_identical(&self) {
+        assert_eq!(self.driven.stats(), self.fed.stats());
+        for (a, b) in [
+            (self.driven.latest(), self.fed.latest()),
+            (self.driven.previous(), self.fed.previous()),
+        ] {
+            assert_eq!(a.map(|r| r.meta()), b.map(|r| r.meta()));
+            assert_eq!(
+                a.map(|r| r.envelopes()),
+                b.map(|r| r.envelopes()),
+                "sealed bytes differ at tick {}",
+                self.tick
+            );
+        }
+    }
+}
+
+/// One interval of tenant-like traffic: some counters move, now and
+/// then a record arrives.
+fn traffic(blob: &mut Vec<u8>, round: usize) {
+    let records = blob.len() / 29;
+    for k in 0..5 {
+        let record = (round * 37 + k * 11) % records;
+        blob[record * 29 + 13] = blob[record * 29 + 13].wrapping_add(1);
+        blob[record * 29 + 21] = blob[record * 29 + 21].wrapping_add(60);
+    }
+    if round % 3 == 1 {
+        blob.extend(image(1));
+    }
+}
+
+#[test]
+fn a_driven_store_seals_what_a_fed_store_seals_without_exporting() {
+    let mut twins = Twins::new(4);
+    let mut source = Script::new(image(120));
+    let mut history = Vec::new();
+    for round in 0..13 {
+        traffic(&mut source.blob, round);
+        let meta = twins.record(&mut source);
+        assert_eq!(meta.is_delta(), round % 4 != 0, "cadence at record {round}");
+        history.push(staged(Snapshot::Bytes(source.blob.clone())));
+        // `previous` still opens to the state one record back.
+        if let Some(previous) = twins.driven.previous() {
+            assert_eq!(&previous.open().unwrap(), &history[round - 1]);
+        }
+    }
+    assert_eq!(twins.driven.stats().full_snapshots, 4);
+    assert_eq!(twins.driven.stats().delta_snapshots, 9);
+    assert_eq!(source.exports.get(), 0, "no record needed a whole export");
+    assert_eq!(source.recycled, 3, "every base but the first replaced one");
+    // Nothing happened since the base (the 13th record was a full one):
+    // an empty delta, as `diff` of two equal checkpoints gives.
+    assert!(twins.record(&mut source).is_delta());
+    assert!(twins.driven.latest().unwrap().payload_bytes() < 40);
+}
+
+#[test]
+fn a_source_that_cannot_answer_is_exported_and_compared() {
+    let mut twins = Twins::new(4);
+    let mut source = Script::new(image(60));
+    let fallbacks = |source: &Script| source.exports.get();
+    twins.record(&mut source); // full
+
+    // A stage that does not track changes.
+    source.whole = true;
+    traffic(&mut source.blob, 1);
+    assert!(twins.record(&mut source).is_delta());
+    assert_eq!(fallbacks(&source), 1);
+    source.whole = false;
+
+    // The source was rebuilt (a respawn, a restore): it knows no base,
+    // and the id the store holds names nothing it produced.
+    source.rebuild();
+    traffic(&mut source.blob, 2);
+    assert!(twins.record(&mut source).is_delta());
+    assert_eq!(fallbacks(&source), 2);
+
+    // Still unknown on the next delta; the next full record re-bases,
+    // and the deltas after it are answered again.
+    traffic(&mut source.blob, 3);
+    assert!(twins.record(&mut source).is_delta());
+    assert_eq!(fallbacks(&source), 3);
+    traffic(&mut source.blob, 4);
+    assert!(!twins.record(&mut source).is_delta());
+    traffic(&mut source.blob, 5);
+    assert!(twins.record(&mut source).is_delta());
+    assert_eq!(fallbacks(&source), 3);
+
+    // The blob shrank: no run list describes that, the scan replaces it
+    // whole.
+    source.blob.truncate(29 * 20);
+    assert!(twins.record(&mut source).is_delta());
+    assert_eq!(fallbacks(&source), 4);
+    let shrunk = twins.driven.latest().unwrap();
+    assert!(shrunk.payload_bytes() > 29 * 20, "the blob travels whole");
+
+    // A source the store has never based — `record` came first.
+    let mut mixed = SnapshotStore::new(4);
+    mixed.record(&staged(Snapshot::Bytes(source.blob.clone())), 1, 20, 7);
+    let before = fallbacks(&source);
+    traffic(&mut source.blob, 6);
+    assert!(mixed.record_from(&mut source, 2, 20, 7).is_delta());
+    assert_eq!(fallbacks(&source), before + 1);
+    assert_eq!(
+        mixed.latest().unwrap().open().unwrap(),
+        staged(Snapshot::Bytes(source.blob.clone()))
+    );
+}
+
+/// Runs `record` with the encoder set to panic on its next use.
+fn with_encode_panic(record: impl FnOnce()) {
+    let plan = Arc::new(FaultPlan::new(0).inject_window(
+        FaultSite::CheckpointEncode,
+        FaultKind::Panic,
+        0,
+        0,
+        1,
+    ));
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let outcome = fault::scoped(plan, || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(record))
+    });
+    std::panic::set_hook(hook);
+    assert!(outcome.is_err(), "the injected fault must fire");
+}
+
+#[test]
+fn an_encode_panic_mid_record_commits_nothing_and_the_next_record_is_right() {
+    // Records 0 and 4 are base records, the rest deltas: fail one of
+    // each kind, after the source has already been asked.
+    for failing in [4, 6] {
+        let mut twins = Twins::new(4);
+        let mut source = Script::new(image(80));
+        for round in 0..9 {
+            traffic(&mut source.blob, round);
+            if round == failing {
+                let was = (
+                    twins.driven.latest().map(|r| r.meta()),
+                    twins.driven.previous().map(|r| r.meta()),
+                    twins.driven.stats(),
+                );
+                with_encode_panic(|| {
+                    twins.driven.record_from(&mut source, 99, 0, 7);
+                });
+                let is = (
+                    twins.driven.latest().map(|r| r.meta()),
+                    twins.driven.previous().map(|r| r.meta()),
+                    twins.driven.stats(),
+                );
+                assert_eq!(is, was, "a failed record left a mark");
+                twins.assert_identical();
+                // More traffic, then the record is taken again: same
+                // kind, same epoch, same bytes as a store that never saw
+                // the failure.
+                traffic(&mut source.blob, 100 + round);
+            }
+            let meta = twins.record(&mut source);
+            assert_eq!(meta.epoch, round as u64 + 1);
+            assert_eq!(meta.is_delta(), round % 4 != 0);
+        }
+        assert_eq!(source.exports.get(), 0, "failing record {failing}");
+    }
 }

@@ -34,10 +34,41 @@
 //! arbitrary bytes: a torn record, more records than the owner admits, an
 //! encoding a field type rejects or a repeated key is a typed
 //! [`SnapshotError`], and no table is returned.
+//!
+//! # Incremental snapshots: the write barrier `&mut` gives for free
+//!
+//! A table knows which of its records may differ from an image it
+//! exported earlier, because nothing else can change them: a record is
+//! reachable only through the table, a `&self` method cannot write one,
+//! and every `&mut self` method that hands a record out or moves one is
+//! in this file. From [`checkpoint_base`](FlowTable::checkpoint_base) on,
+//! those methods mark the positions they touch in a bitmap (the *dirty
+//! set*; records appended since the export need no mark — they lie past
+//! the base's length), and [`checkpoint_delta`](FlowTable::checkpoint_delta)
+//! builds the byte-range run list against the base image from the marked
+//! records alone: each is packed into a stack buffer and compared with
+//! its bytes in the base, every other byte is known equal, and the same
+//! run builder the byte scan uses ([`rbs_checkpoint::byte_runs`]) turns
+//! that into the same list, byte for byte — without exporting, scanning
+//! or allocating anything the size of the table.
+//!
+//! Marking too much is always safe: a record marked and left equal costs
+//! one comparison and contributes no byte. Marking too little is the
+//! only way to be wrong, which is why the mark sits in the accessor that
+//! returns the `&mut`, not in its callers. A [`remove`](FlowTable::remove)
+//! or [`retain`](FlowTable::retain) shrinks or reorders the image —
+//! which the delta format answers by replacing the blob whole — so
+//! either simply ends tracking, and `checkpoint_delta` says
+//! [`StageDelta::Whole`] until the next base. A table that never exports
+//! a base (every table outside a snapshotting tenant chain) pays one
+//! not-tracking branch per mutable access and no memory.
 
 use crate::flow::{FiveTuple, Fx64};
 use crate::headers::ipv4::IpProto;
-use rbs_checkpoint::{CheckpointCtx, Checkpointable, RestoreCtx, Snapshot, SnapshotError};
+use crate::pipeline::StageDelta;
+use rbs_checkpoint::{
+    byte_runs, BlobView, CheckpointCtx, Checkpointable, RestoreCtx, Snapshot, SnapshotError,
+};
 use std::net::Ipv4Addr;
 
 /// A key the table can place: equality plus a hash that does not vary
@@ -145,6 +176,11 @@ pub struct FlowTable<K, V> {
     /// Open-addressed positions into `entries`; a power of two long, or
     /// empty until the first insert.
     index: Vec<u32>,
+    /// What may differ from the last base image; `None` while there is
+    /// no base to answer for (none exported yet, or a removal since —
+    /// so while it is `Some`, the entries it was taken over are all
+    /// still in place, and `entries` has only grown).
+    dirty: Option<DirtySet>,
 }
 
 impl<K, V> Default for FlowTable<K, V> {
@@ -152,7 +188,41 @@ impl<K, V> Default for FlowTable<K, V> {
         Self {
             entries: Vec::new(),
             index: Vec::new(),
+            dirty: None,
         }
+    }
+}
+
+/// The records of a base image that may have changed since its export.
+struct DirtySet {
+    /// Entries the table held at the export. Positions from here on are
+    /// the appended tail, changed by definition.
+    base_len: usize,
+    /// One bit per base position, set when the position is handed out
+    /// mutably. (The last word's bits past `base_len` may get set too;
+    /// readers stop at `base_len`.)
+    marks: Vec<u64>,
+}
+
+impl DirtySet {
+    #[inline]
+    fn mark(&mut self, pos: usize) {
+        if let Some(word) = self.marks.get_mut(pos / 64) {
+            *word |= 1 << (pos % 64);
+        }
+    }
+
+    /// The marked base positions, ascending.
+    fn marked(&self) -> impl Iterator<Item = usize> + '_ {
+        let words = self.marks.iter().enumerate();
+        words
+            .flat_map(|(i, &word)| {
+                // Lowest set bit first, cleared as it is yielded.
+                std::iter::successors(Some(word), |rest| Some(rest & rest.wrapping_sub(1)))
+                    .take_while(|&rest| rest != 0)
+                    .map(move |rest| i * 64 + rest.trailing_zeros() as usize)
+            })
+            .take_while(|&pos| pos < self.base_len)
     }
 }
 
@@ -235,7 +305,17 @@ impl<K: TableKey, V> FlowTable<K, V> {
     #[inline]
     pub fn get_mut_hashed(&mut self, hash: u64, key: &K) -> Option<&mut V> {
         let (_, pos) = self.probe(hash, key).ok()?;
+        self.mark(pos);
         Some(&mut self.entries[pos].1)
+    }
+
+    /// Records that the entry at `pos` is about to be handed out
+    /// mutably. Every path to a `&mut V` passes through here.
+    #[inline]
+    fn mark(&mut self, pos: usize) {
+        if let Some(dirty) = &mut self.dirty {
+            dirty.mark(pos);
+        }
     }
 
     /// True when `key` is present.
@@ -267,7 +347,10 @@ impl<K: TableKey, V> FlowTable<K, V> {
         make: impl FnOnce() -> Option<V>,
     ) -> Option<&mut V> {
         let free = match self.probe(hash, &key) {
-            Ok((_, pos)) => return Some(&mut self.entries[pos].1),
+            Ok((_, pos)) => {
+                self.mark(pos);
+                return Some(&mut self.entries[pos].1);
+            }
             Err(free) => free,
         };
         let value = make()?;
@@ -313,6 +396,8 @@ impl<K: TableKey, V> FlowTable<K, V> {
     /// removed entry's place in the table order.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let (slot, pos) = self.find(key)?;
+        // The image shrinks and an entry moves: no delta describes that.
+        self.dirty = None;
         self.vacate(slot);
         let last = self.entries.len() - 1;
         if pos != last {
@@ -347,6 +432,8 @@ impl<K: TableKey, V> FlowTable<K, V> {
     /// Keeps the entries `keep` accepts (it may update their values), in
     /// their existing order.
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
+        // `keep` may write every value and drop any entry.
+        self.dirty = None;
         let before = self.entries.len();
         self.entries.retain_mut(|(k, v)| keep(k, v));
         if self.entries.len() != before {
@@ -364,9 +451,100 @@ impl<K, V> std::fmt::Debug for FlowTable<K, V> {
     }
 }
 
+/// Widest record a table packs: what the stack buffer a record is
+/// packed into holds, and one mismatch bit per byte of it fits a word.
+const MAX_RECORD_WIDTH: usize = 64;
+
 impl<K: TableKey + Pack, V: Pack> FlowTable<K, V> {
     /// Bytes one entry occupies in a packed image: key, then value.
-    pub const RECORD_WIDTH: usize = K::WIDTH + V::WIDTH;
+    pub const RECORD_WIDTH: usize = {
+        assert!(
+            K::WIDTH + V::WIDTH <= MAX_RECORD_WIDTH,
+            "a packed flow record is at most 64 bytes"
+        );
+        K::WIDTH + V::WIDTH
+    };
+
+    /// One entry's record, in the first `RECORD_WIDTH` bytes.
+    #[inline]
+    fn pack_entry((key, value): &(K, V)) -> [u8; MAX_RECORD_WIDTH] {
+        let mut record = [0; MAX_RECORD_WIDTH];
+        key.pack(&mut record[..K::WIDTH]);
+        value.pack(&mut record[K::WIDTH..Self::RECORD_WIDTH]);
+        record
+    }
+
+    /// Appends the records of the entries from position `first` on.
+    fn append_records(&self, first: usize, out: &mut Vec<u8>) {
+        let (entries, start) = (&self.entries[first..], out.len());
+        out.resize(start + entries.len() * Self::RECORD_WIDTH, 0);
+        let records = out[start..].chunks_exact_mut(Self::RECORD_WIDTH);
+        for ((k, v), record) in entries.iter().zip(records) {
+            let (key, value) = record.split_at_mut(K::WIDTH);
+            k.pack(key);
+            v.pack(value);
+        }
+    }
+
+    /// Replaces `image`'s content with the packed image, in the
+    /// buffer's own capacity when it has it.
+    fn write_image(&self, image: &mut Vec<u8>) {
+        image.clear();
+        self.append_records(0, image);
+    }
+
+    /// The packed image — what [`Checkpointable::checkpoint`] returns —
+    /// exported as the *base* of the deltas to come: the table forgets
+    /// what it had marked and tracks its changes from here. `spent`, a
+    /// base this one replaces, donates its buffer.
+    pub fn checkpoint_base(&mut self, spent: Option<Snapshot>) -> Snapshot {
+        let mut image = match spent {
+            Some(Snapshot::Bytes(image)) => image,
+            _ => Vec::new(),
+        };
+        self.write_image(&mut image);
+        let base_len = self.entries.len();
+        let mut marks = self.dirty.take().map_or_else(Vec::new, |spent| spent.marks);
+        marks.clear();
+        marks.resize(base_len.div_ceil(64), 0);
+        self.dirty = Some(DirtySet { base_len, marks });
+        Snapshot::Bytes(image)
+    }
+
+    /// The byte-range run list from `base` — the image the last
+    /// [`checkpoint_base`](Self::checkpoint_base) returned — to the
+    /// table's image now, built from the records marked since (see the
+    /// module docs) and identical to what scanning the two images
+    /// yields. The list is built in the buffer taken from `runs`.
+    /// [`StageDelta::Whole`] when the table cannot vouch for `base`:
+    /// it tracks no base, an entry was removed since, or `base` is not
+    /// the image it exported.
+    pub fn checkpoint_delta(&self, base: &Snapshot, runs: &mut Vec<u8>) -> StageDelta {
+        let (Some(dirty), Snapshot::Bytes(base)) = (&self.dirty, base) else {
+            return StageDelta::Whole;
+        };
+        if base.len() != dirty.base_len * Self::RECORD_WIDTH {
+            return StageDelta::Whole;
+        }
+        let mut list = std::mem::take(runs);
+        list.clear();
+        byte_runs(base, &mut DirtyView::new(self, dirty.marked()), &mut list);
+        if list.is_empty() {
+            *runs = list;
+            StageDelta::Unchanged
+        } else {
+            StageDelta::Runs(list)
+        }
+    }
+
+    /// Records a [`checkpoint_delta`](Self::checkpoint_delta) would visit
+    /// now — those handed out mutably since the base plus those appended
+    /// — or `None` where it would answer [`StageDelta::Whole`] for want
+    /// of a tracked base.
+    pub fn dirty_len(&self) -> Option<usize> {
+        let dirty = self.dirty.as_ref()?;
+        Some(dirty.marked().count() + (self.entries.len() - dirty.base_len))
+    }
 
     /// Rebuilds a table from the packed image in `snap`, admitting at
     /// most `max_records` entries. The table is sized once, from the
@@ -398,6 +576,7 @@ impl<K: TableKey + Pack, V: Pack> FlowTable<K, V> {
         let mut table = FlowTable {
             entries: Vec::with_capacity(records),
             index: Vec::new(),
+            dirty: None,
         };
         table.reindex((records * 2).next_power_of_two().max(MIN_SLOTS));
         for record in image.chunks_exact(Self::RECORD_WIDTH) {
@@ -413,21 +592,132 @@ impl<K: TableKey + Pack, V: Pack> FlowTable<K, V> {
     }
 }
 
+/// Marked records a [`DirtyView`] loads at a time.
+const AHEAD: usize = 16;
+
+/// The table's present image as a [`BlobView`] that looks only where the
+/// dirty set points: a marked base record is packed and compared with
+/// its bytes in the base, everything between marked records is equal to
+/// the base by the write-barrier argument, and the appended tail is
+/// copied out record by record.
+///
+/// Marked records are loaded [`AHEAD`] at a time — each packed, and its
+/// bytes in the base copied out beside it — before any is compared: the
+/// loads of one record do not wait on another's, so the misses of a
+/// table and a base image gone cold overlap, and the word-wise compare
+/// does not read bytes the narrower stores of `pack` have yet to retire.
+struct DirtyView<'a, K, V, M> {
+    table: &'a FlowTable<K, V>,
+    /// The marked positions not yet loaded.
+    marked: M,
+    /// The loaded records: position, packed bytes, and one bit per byte
+    /// that differs from the base's.
+    at: [usize; AHEAD],
+    record: [[u8; MAX_RECORD_WIDTH]; AHEAD],
+    differs: [u64; AHEAD],
+    /// `cursor..loaded` of them are still to be reported on.
+    cursor: usize,
+    loaded: usize,
+}
+
+impl<'a, K: TableKey + Pack, V: Pack, M: Iterator<Item = usize>> DirtyView<'a, K, V, M> {
+    fn new(table: &'a FlowTable<K, V>, marked: M) -> Self {
+        Self {
+            table,
+            marked,
+            at: [0; AHEAD],
+            record: [[0; MAX_RECORD_WIDTH]; AHEAD],
+            differs: [0; AHEAD],
+            cursor: 0,
+            loaded: 0,
+        }
+    }
+
+    /// Loads the next marked records; false when none is left.
+    #[inline(never)]
+    fn load(&mut self, base: &[u8]) -> bool {
+        let width = FlowTable::<K, V>::RECORD_WIDTH;
+        (self.cursor, self.loaded) = (0, 0);
+        let mut old = [[0; MAX_RECORD_WIDTH]; AHEAD];
+        while self.loaded < AHEAD {
+            let Some(pos) = self.marked.next() else {
+                break;
+            };
+            self.at[self.loaded] = pos;
+            self.record[self.loaded] = FlowTable::pack_entry(&self.table.entries[pos]);
+            old[self.loaded][..width].copy_from_slice(&base[pos * width..][..width]);
+            self.loaded += 1;
+        }
+        for (i, old) in old.iter().enumerate().take(self.loaded) {
+            self.differs[i] = differing_bytes(&self.record[i], old, width);
+        }
+        self.loaded > 0
+    }
+}
+
+impl<K: TableKey + Pack, V: Pack, M: Iterator<Item = usize>> BlobView for DirtyView<'_, K, V, M> {
+    fn len(&self) -> usize {
+        self.table.entries.len() * FlowTable::<K, V>::RECORD_WIDTH
+    }
+
+    #[inline]
+    fn next_mismatch(&mut self, base: &[u8], from: usize) -> Option<(usize, u8)> {
+        let width = FlowTable::<K, V>::RECORD_WIDTH;
+        loop {
+            if self.cursor == self.loaded && !self.load(base) {
+                return None;
+            }
+            // The run builder asks in ascending order, so `from` lies in
+            // the record the cursor is on or short of it.
+            let start = self.at[self.cursor] * width;
+            let skip = from.saturating_sub(start);
+            if skip < width {
+                let ahead = self.differs[self.cursor] >> skip;
+                if ahead != 0 {
+                    let at = skip + ahead.trailing_zeros() as usize;
+                    return Some((start + at, self.record[self.cursor][at]));
+                }
+            }
+            self.cursor += 1;
+        }
+    }
+
+    fn copy_tail(&mut self, from: usize, out: &mut Vec<u8>) {
+        self.table
+            .append_records(from / FlowTable::<K, V>::RECORD_WIDTH, out);
+    }
+}
+
+/// One bit per byte among the first `width` of `new` that differs from
+/// `old`'s, eight bytes per step.
+#[inline]
+fn differing_bytes(
+    new: &[u8; MAX_RECORD_WIDTH],
+    old: &[u8; MAX_RECORD_WIDTH],
+    width: usize,
+) -> u64 {
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    let words = new.chunks_exact(8).zip(old.chunks_exact(8));
+    let mut bits = 0;
+    for (i, (new, old)) in words.take(width.div_ceil(8)).enumerate() {
+        let x = u64::from_le_bytes(new.try_into().expect("8-byte chunk"))
+            ^ u64::from_le_bytes(old.try_into().expect("8-byte chunk"));
+        // The high bit of every non-zero byte of `x`…
+        let nonzero = (((x & LOW7) + LOW7) | x) & !LOW7;
+        // …gathered into the top byte: byte k's lands on bit 56 + k, and
+        // no two of the product's terms share a bit, so nothing carries.
+        bits |= ((nonzero >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+    }
+    bits
+}
+
 // The packed image (see the module docs): a linear walk of the dense
 // entries into one buffer. Restore re-inserts in image order, so the
 // restored table exports the bytes it was built from.
 impl<K: TableKey + Pack, V: Pack> Checkpointable for FlowTable<K, V> {
     fn checkpoint(&self, _ctx: &mut CheckpointCtx) -> Snapshot {
-        let mut image = vec![0u8; self.entries.len() * Self::RECORD_WIDTH];
-        for ((k, v), record) in self
-            .entries
-            .iter()
-            .zip(image.chunks_exact_mut(Self::RECORD_WIDTH))
-        {
-            let (key, value) = record.split_at_mut(K::WIDTH);
-            k.pack(key);
-            v.pack(value);
-        }
+        let mut image = Vec::new();
+        self.write_image(&mut image);
         Snapshot::Bytes(image)
     }
 
@@ -546,6 +836,90 @@ mod tests {
         );
         assert_eq!(&image[13..21], &0x0102_0304_0506_0708u64.to_le_bytes());
         assert_eq!(image[21 + 3], 2, "second record follows the first");
+    }
+
+    #[test]
+    fn differing_bytes_is_the_bytewise_compare() {
+        let naive = |a: &[u8; 64], b: &[u8; 64], width: usize| {
+            (0..width).fold(0u64, |bits, i| bits | u64::from(a[i] != b[i]) << i)
+        };
+        let old: [u8; 64] = std::array::from_fn(|i| (i * 37) as u8);
+        for width in [1, 5, 8, 9, 29, 45, 63, 64] {
+            assert_eq!(differing_bytes(&old, &old, width), 0);
+            // Every single byte, by its lowest and by its highest bit;
+            // then every byte at once, then every other one.
+            for at in 0..width {
+                for flip in [0x01, 0x80, 0xFF] {
+                    let mut new = old;
+                    new[at] ^= flip;
+                    assert_eq!(differing_bytes(&new, &old, width), 1 << at, "byte {at}");
+                }
+            }
+            let all: [u8; 64] = std::array::from_fn(|i| if i < width { !old[i] } else { old[i] });
+            assert_eq!(differing_bytes(&all, &old, width), naive(&all, &old, width));
+            assert_eq!(naive(&all, &old, width).count_ones() as usize, width);
+            let odd: [u8; 64] = std::array::from_fn(|i| {
+                if i % 2 == 1 && i < width {
+                    old[i] ^ 0x10
+                } else {
+                    old[i]
+                }
+            });
+            assert_eq!(differing_bytes(&odd, &old, width), naive(&odd, &old, width));
+        }
+    }
+
+    #[test]
+    fn marks_are_walked_in_order_and_stop_at_the_base_length() {
+        let mut dirty = DirtySet {
+            base_len: 130,
+            marks: vec![0; 3],
+        };
+        assert_eq!(dirty.marked().count(), 0);
+        for pos in [129, 0, 64, 63, 7, 128, 64] {
+            dirty.mark(pos);
+        }
+        // The last word has room for positions the base does not hold,
+        // and the table never marks what lies past the words.
+        dirty.mark(131);
+        dirty.mark(192);
+        dirty.mark(usize::MAX);
+        assert_eq!(
+            dirty.marked().collect::<Vec<_>>(),
+            vec![0, 7, 63, 64, 128, 129]
+        );
+    }
+
+    #[test]
+    fn tracking_starts_at_the_first_base_and_costs_nothing_before() {
+        let mut t = FlowTable::new();
+        for n in 0..70 {
+            t.insert(tuple(n), u64::from(n));
+        }
+        *t.get_mut(&tuple(3)).unwrap() += 1;
+        assert!(t.dirty.is_none(), "no base, no bitmap");
+        assert_eq!(t.dirty_len(), None);
+        let base = t.checkpoint_base(None);
+        assert_eq!(base, Snapshot::Bytes(image_of(&t)));
+        assert_eq!(t.dirty.as_ref().map(|d| d.marks.len()), Some(2));
+        *t.get_mut(&tuple(3)).unwrap() += 1;
+        *t.get_mut(&tuple(3)).unwrap() += 1;
+        t.get_or_insert_with(tuple(69).stable_hash(), tuple(69), || None);
+        t.insert(tuple(200), 0);
+        assert_eq!(t.dirty_len(), Some(3), "3 and 69 marked, 200 appended");
+        // The spent base's buffer is the new base's.
+        let Snapshot::Bytes(spent) = base else {
+            panic!("a table checkpoints as one blob");
+        };
+        let (at, capacity) = (spent.as_ptr(), spent.capacity());
+        t.remove(&tuple(200));
+        assert!(t.dirty.is_none(), "a removal ends tracking");
+        let Snapshot::Bytes(again) = t.checkpoint_base(Some(Snapshot::Bytes(spent))) else {
+            panic!("a table checkpoints as one blob");
+        };
+        assert_eq!((again.as_ptr(), again.capacity()), (at, capacity));
+        assert_eq!(again, image_of(&t));
+        assert_eq!(t.dirty_len(), Some(0));
     }
 
     fn image_of(t: &FlowTable<FiveTuple, u64>) -> Vec<u8> {

@@ -11,7 +11,11 @@
 //! so checkpoint bytes are deterministic across runs and a warm-restored
 //! tracker seals the bytes it was restored from; and since a flow's
 //! record never moves, a delta snapshot carries the counters of the
-//! flows that saw traffic and the records of the flows that arrived.
+//! flows that saw traffic and the records of the flows that arrived —
+//! and is *built* from those records alone: the table marks every record
+//! it hands out mutably after a base export
+//! ([`Operator::checkpoint_base`]), so [`Operator::checkpoint_delta`]
+//! walks the flows that moved instead of exporting and scanning them all.
 //!
 //! The tracker never reads frame bytes itself: it takes the packet's
 //! cached key ([`Packet::flow_key`](crate::Packet::flow_key)) — behind a
@@ -24,7 +28,7 @@ use rbs_checkpoint::{CheckpointCtx, Checkpointable, RestoreCtx, Snapshot, Snapsh
 use crate::batch::PacketBatch;
 use crate::flow::FiveTuple;
 use crate::flowtable::{FlowTable, Pack};
-use crate::pipeline::Operator;
+use crate::pipeline::{Operator, StageDelta};
 
 /// Per-flow counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -111,6 +115,13 @@ impl FlowTracker {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
+
+    /// Flow records a delta snapshot would visit now: those that saw a
+    /// packet since the last base export plus those that arrived since.
+    /// `None` while no base export is being tracked against.
+    pub fn dirty_flows(&self) -> Option<usize> {
+        self.flows.dirty_len()
+    }
 }
 
 impl Operator for FlowTracker {
@@ -147,6 +158,18 @@ impl Operator for FlowTracker {
     // and untracked diagnostics restart from zero like any gauge.
     fn checkpoint_state(&self, ctx: &mut CheckpointCtx) -> Option<Snapshot> {
         Some(self.flows.checkpoint(ctx))
+    }
+
+    fn checkpoint_base(
+        &mut self,
+        _ctx: &mut CheckpointCtx,
+        spent: Option<Snapshot>,
+    ) -> Option<Snapshot> {
+        Some(self.flows.checkpoint_base(spent))
+    }
+
+    fn checkpoint_delta(&self, base: &Snapshot, runs: &mut Vec<u8>) -> StageDelta {
+        self.flows.checkpoint_delta(base, runs)
     }
 
     fn restore_state(

@@ -50,7 +50,7 @@ pub use flowtable::FlowTable;
 pub use flowtrack::{FlowEntry, FlowTracker};
 pub use nat::SourceNat;
 pub use packet::{Packet, PacketError};
-pub use pipeline::{Operator, Pipeline, PipelineSpec, StageStateMap, StageStats};
+pub use pipeline::{Operator, Pipeline, PipelineSpec, StageDelta, StageStateMap, StageStats};
 pub use pktgen::{FlowDistribution, PacketGen, TrafficConfig};
 pub use pool::{PacketPool, PoolStats};
 pub use ratelimit::{PerFlowRateLimiter, RateLimiter, TickBucket, TokenBucket};

@@ -9,9 +9,10 @@
 
 use std::sync::Arc;
 
+use rbs_checkpoint::diff::{Delta, PathSeg, Replacement, Target};
 use rbs_checkpoint::{
-    checkpoint_scope, restore_scope, Checkpoint, CheckpointCtx, DedupMode, RestoreCtx, Snapshot,
-    SnapshotError,
+    checkpoint_scope, restore_scope, BaseId, Checkpoint, CheckpointCtx, DedupMode, RestoreCtx,
+    Snapshot, SnapshotError, SnapshotSource,
 };
 
 use crate::batch::PacketBatch;
@@ -34,6 +35,11 @@ use crate::batch::PacketBatch;
 /// rejects injected state, and counts zero items. A supervisor uses the
 /// hooks to snapshot a live pipeline periodically and re-instantiate it
 /// *with* state after a crash (warm recovery).
+///
+/// A stage that can tell what it changed since an export additionally
+/// overrides the two *incremental* hooks, [`Operator::checkpoint_base`]
+/// and [`Operator::checkpoint_delta`]; by default a stage's delta is
+/// "export me whole and compare".
 pub trait Operator {
     /// Processes one batch to completion.
     fn process(&mut self, batch: PacketBatch) -> PacketBatch;
@@ -49,6 +55,26 @@ pub trait Operator {
     /// standalone checkpoint.
     fn checkpoint_state(&self, _ctx: &mut CheckpointCtx) -> Option<Snapshot> {
         None
+    }
+
+    /// [`Operator::checkpoint_state`] as the *base* of deltas to come: a
+    /// stage that tracks its changes starts over from this export.
+    /// `spent` is this stage's snapshot in the base being replaced, whose
+    /// buffers the stage may reuse.
+    fn checkpoint_base(
+        &mut self,
+        ctx: &mut CheckpointCtx,
+        _spent: Option<Snapshot>,
+    ) -> Option<Snapshot> {
+        self.checkpoint_state(ctx)
+    }
+
+    /// How this stage's state now differs from `base`, the snapshot its
+    /// last [`Operator::checkpoint_base`] returned — without exporting
+    /// the state. A stage may take the buffer in `runs` to build a run
+    /// list in. The default knows nothing and says [`StageDelta::Whole`].
+    fn checkpoint_delta(&self, _base: &Snapshot, _runs: &mut Vec<u8>) -> StageDelta {
+        StageDelta::Whole
     }
 
     /// Re-injects state captured by [`Operator::checkpoint_state`] into
@@ -72,6 +98,19 @@ pub trait Operator {
     fn state_items(&self) -> u64 {
         0
     }
+}
+
+/// A stage's answer to [`Operator::checkpoint_delta`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StageDelta {
+    /// The state is what the base holds.
+    Unchanged,
+    /// The state is a `Bytes` blob, like the base, and this run list
+    /// ([`PathSeg::ByteRanges`]) turns the base's into it: exactly the
+    /// list a byte-for-byte comparison of the two blobs produces.
+    Runs(Vec<u8>),
+    /// The stage cannot tell: export it whole and compare.
+    Whole,
 }
 
 // Closures are operators too; handy in tests and examples.
@@ -106,6 +145,8 @@ pub struct Pipeline {
     batches_processed: u64,
     packets_in: u64,
     packets_out: u64,
+    /// The base export the stages' change tracking refers to, if any.
+    base_id: Option<BaseId>,
 }
 
 impl Pipeline {
@@ -126,6 +167,7 @@ impl Pipeline {
 
     /// Appends a boxed stage.
     pub fn add_boxed(&mut self, op: Box<dyn Operator + Send>) {
+        self.base_id = None;
         self.stages.push(op);
         self.stage_stats.push(StageStats::default());
     }
@@ -187,6 +229,8 @@ impl Pipeline {
     /// stage count or per-stage statefulness does not match — a snapshot
     /// from a different pipeline shape must never be half-applied.
     pub fn import_state(&mut self, cp: &Checkpoint) -> Result<(), SnapshotError> {
+        // Whatever is restored, it is not the state the base led to.
+        self.base_id = None;
         let n_stages = self.stages.len();
         restore_scope(cp, |root, ctx| {
             let Snapshot::Seq(items) = root else {
@@ -236,6 +280,79 @@ impl Pipeline {
     /// Packets that left the last stage.
     pub fn packets_out(&self) -> u64 {
         self.packets_out
+    }
+}
+
+/// Incremental snapshots of a pipeline (see [`SnapshotSource`]): the
+/// base is [`Pipeline::export_state`]'s checkpoint taken through
+/// [`Operator::checkpoint_base`], and a delta is assembled from the
+/// stages' [`Operator::checkpoint_delta`] answers. The [`BaseId`] lives
+/// in the pipeline, so a pipeline that is rebuilt from its spec or has
+/// state imported — and whose stages therefore track nothing, or track
+/// against some other export — declines every id it is asked about.
+impl SnapshotSource for Pipeline {
+    fn export_state(&self) -> Checkpoint {
+        Pipeline::export_state(self)
+    }
+
+    fn export_base(&mut self, spent: Option<Checkpoint>) -> (Checkpoint, BaseId) {
+        // Stages re-base one by one: until all have, no id is answered
+        // for (an export that unwinds half way leaves it so).
+        self.base_id = None;
+        let mut spent = match spent.map(|cp| cp.root) {
+            Some(Snapshot::Seq(items)) if items.len() == self.stages.len() => items,
+            _ => Vec::new(),
+        }
+        .into_iter();
+        let cp = checkpoint_scope(DedupMode::EpochFlag, |ctx| {
+            Snapshot::Seq(
+                self.stages
+                    .iter_mut()
+                    .map(|stage| {
+                        let spent = match spent.next() {
+                            Some(Snapshot::Opt(Some(snap))) => Some(*snap),
+                            _ => None,
+                        };
+                        Snapshot::Opt(stage.checkpoint_base(ctx, spent).map(Box::new))
+                    })
+                    .collect(),
+            )
+        });
+        let id = BaseId::fresh();
+        self.base_id = Some(id);
+        (cp, id)
+    }
+
+    fn export_delta(&self, id: BaseId, base: &Checkpoint, scratch: &mut Vec<u8>) -> Option<Delta> {
+        let Snapshot::Seq(items) = &base.root else {
+            return None;
+        };
+        // A stage that answers for itself holds no aliased node, so a
+        // base with a shared table has a stage that must be exported.
+        if self.base_id != Some(id) || items.len() != self.stages.len() || !base.shared.is_empty() {
+            return None;
+        }
+        let mut delta = Delta::default();
+        for (i, (stage, item)) in self.stages.iter().zip(items).enumerate() {
+            let Snapshot::Opt(held) = item else {
+                return None;
+            };
+            // A stage that exported nothing into the base is stateless.
+            let Some(held) = held else { continue };
+            match stage.checkpoint_delta(held, scratch) {
+                StageDelta::Unchanged => {}
+                StageDelta::Runs(runs) => delta.replacements.push(Replacement {
+                    target: Target::Root(vec![
+                        PathSeg::Index(i),
+                        PathSeg::OptInner,
+                        PathSeg::ByteRanges,
+                    ]),
+                    subtree: Snapshot::Bytes(runs),
+                }),
+                StageDelta::Whole => return None,
+            }
+        }
+        Some(delta)
     }
 }
 

@@ -1153,17 +1153,17 @@ impl TenantRuntime {
             if !self.tenants[idx].present || self.tenants[idx].phase == BreakerPhase::Open {
                 continue;
             }
-            let Some(chain) = &self.chains[idx] else {
+            let Some(TenantChain { domain, pipeline }) = &mut self.chains[idx] else {
                 continue;
             };
-            let Ok((cp, items)) = chain
-                .domain
-                .execute(|| (chain.pipeline.export_state(), chain.pipeline.state_items()))
-            else {
+            let (store, schema) = (&mut self.stores[idx], self.specs[idx].state_schema());
+            let sealed = domain.execute(|| {
+                let items = pipeline.state_items();
+                store.record_from(pipeline, now, items, schema);
+            });
+            if sealed.is_err() {
                 continue;
-            };
-            let schema = self.specs[idx].state_schema();
-            self.stores[idx].record(&cp, now, items, schema);
+            }
             self.tenants[idx].snapshots_taken += 1;
         }
     }

@@ -1045,15 +1045,20 @@ impl TenantLaneRuntime {
                 if !g.present || g.phase == BreakerPhase::Open || !g.dirty_since_snapshot {
                     continue;
                 }
-                let Some(chain) = &g.chain else { continue };
-                let Ok((cp, items)) = chain
-                    .domain
-                    .execute(|| (chain.pipeline.export_state(), chain.pipeline.state_items()))
-                else {
+                let g = &mut *g;
+                let Some(LaneChain { domain, pipeline }) = &mut g.chain else {
                     continue;
                 };
-                let schema = g.pipeline_spec.state_schema();
-                g.store.record(&cp, now, items, schema);
+                let (store, schema) = (&mut g.store, g.pipeline_spec.state_schema());
+                // The store drives: it asks the chain for a base or for
+                // what changed since the base it holds.
+                let sealed = domain.execute(|| {
+                    let items = pipeline.state_items();
+                    store.record_from(pipeline, now, items, schema);
+                });
+                if sealed.is_err() {
+                    continue;
+                }
                 g.snapshots_taken += 1;
                 g.dirty_since_snapshot = false;
             }
