@@ -14,6 +14,8 @@
 //!   tracking so established flows stick to their backend across table
 //!   rebuilds, and destination-NAT packet rewriting.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod lb;
 pub mod table;

@@ -82,6 +82,9 @@ pub struct MaglevTable {
     backends: Vec<Backend>,
     /// entry[i] = index into `backends`.
     entries: Vec<u32>,
+    /// [`rem_magic`] of `entries.len()`: `lookup` takes its remainder by
+    /// multiplication.
+    magic: u128,
 }
 
 impl MaglevTable {
@@ -110,7 +113,11 @@ impl MaglevTable {
             }
         }
         let entries = populate(&backends, size);
-        Ok(Self { backends, entries })
+        Ok(Self {
+            backends,
+            entries,
+            magic: rem_magic(size as u64),
+        })
     }
 
     /// Number of table entries.
@@ -126,7 +133,7 @@ impl MaglevTable {
     /// Looks up the backend index for a flow hash.
     #[inline]
     pub fn lookup(&self, flow_hash: u64) -> usize {
-        self.entries[(flow_hash % self.entries.len() as u64) as usize] as usize
+        self.entries[fast_rem(flow_hash, self.magic, self.entries.len() as u64)] as usize
     }
 
     /// Looks up the backend itself.
@@ -228,6 +235,26 @@ impl MaglevTable {
             })
             .count()
     }
+}
+
+/// `ceil(2^128 / size)` for `size >= 2` (a prime is), the constant
+/// [`fast_rem`] multiplies by.
+fn rem_magic(size: u64) -> u128 {
+    u128::MAX / u128::from(size) + 1
+}
+
+/// `hash % size`, exactly, without a divide (Lemire, Kaser & Kurz,
+/// "Faster remainder by direct computation", 2019). The low 128 bits of
+/// `magic × hash` are the fraction `hash / size` leaves, scaled by 2^128;
+/// that fraction times `size` — the high 64 bits of a 128 × 64-bit
+/// product — is the remainder. 128 fraction bits make it exact for every
+/// 64-bit hash and size.
+#[inline]
+fn fast_rem(hash: u64, magic: u128, size: u64) -> usize {
+    let fraction = magic.wrapping_mul(u128::from(hash));
+    let (hi, lo) = (fraction >> 64, fraction & u128::from(u64::MAX));
+    let size = u128::from(size);
+    ((hi * size + ((lo * size) >> 64)) >> 64) as usize
 }
 
 /// Primality by trial division — table construction is a control-plane
@@ -434,6 +461,54 @@ mod tests {
         let a = MaglevTable::new(names(2), 101).unwrap();
         let b = MaglevTable::new(names(2), 103).unwrap();
         a.disruption(&b);
+    }
+
+    /// Hashes around every place the remainder could slip for `size`:
+    /// the ends of the range and both neighbours of small, middling and
+    /// the largest multiples.
+    fn edge_hashes(size: u64) -> Vec<u64> {
+        let mut hashes = vec![0, 1, size - 1, 1 << 32, 1 << 63, u64::MAX - 1, u64::MAX];
+        let largest = u64::MAX / size;
+        for k in [1, 2, 1 << 20, largest] {
+            let multiple = k.min(largest) * size;
+            hashes.extend([multiple - 1, multiple, multiple.saturating_add(1)]);
+        }
+        hashes
+    }
+
+    #[test]
+    fn fast_rem_is_the_remainder_for_every_table_size_in_use() {
+        // 251: the tenant engines' steering tables; `DEFAULT_SIZE`
+        // (65 537): the load balancer's; the rest bracket them.
+        let in_use = [251, MaglevTable::DEFAULT_SIZE as u64];
+        for size in in_use.into_iter().chain([2, 3, 1_000_003, u64::MAX]) {
+            let magic = rem_magic(size);
+            for h in edge_hashes(size) {
+                assert_eq!(fast_rem(h, magic, size) as u64, h % size, "{h} mod {size}");
+            }
+        }
+        // And through the table: a lookup reads the slot `%` names.
+        let t = MaglevTable::new(names(7), 251).unwrap();
+        for h in edge_hashes(251) {
+            assert_eq!(t.lookup(h), t.entries[(h % 251) as usize] as usize);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fast_rem_matches_the_divide(
+            size in 2u64..=u64::MAX,
+            small in 2u64..70_000,
+            hashes in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..64),
+        ) {
+            for size in [size, small] {
+                let magic = rem_magic(size);
+                let multiples = hashes.iter().map(|h| h / size * size);
+                for h in hashes.iter().copied().chain(multiples).chain(edge_hashes(size)) {
+                    proptest::prop_assert_eq!(fast_rem(h, magic, size) as u64, h % size);
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //!   recycling discipline is enforced by ownership transfer instead of
 //!   refcounts — the allocation-free steady state measured by E12.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod budget;
 pub mod checksum;

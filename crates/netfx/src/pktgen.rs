@@ -24,10 +24,11 @@ use crate::checksum;
 use crate::flow::FiveTuple;
 use crate::headers::ethernet::MacAddr;
 use crate::headers::ipv4::{pseudo_header_checksum, IpProto, IPV4_MIN_HDR_LEN};
-use crate::headers::tcp::TcpFlags;
+use crate::headers::tcp::{TcpFlags, TCP_MIN_HDR_LEN};
+use crate::headers::udp::UDP_HDR_LEN;
 use crate::headers::ETHERNET_HDR_LEN;
 use crate::packet::Packet;
-use crate::pool::PacketPool;
+use crate::pool::{self, PacketPool};
 use bytes::BytesMut;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,6 +68,19 @@ impl Default for TrafficConfig {
             payload_len: 64,
             seed: 0xBEEF_CAFE,
         }
+    }
+}
+
+impl TrafficConfig {
+    /// Length in bytes of every frame a generator for this config emits
+    /// (Ethernet + minimal IPv4 + transport header + payload) — what a
+    /// packet buffer must hold to carry one without growing.
+    pub fn frame_len(&self) -> usize {
+        let l4_hdr = match PacketGen::wire_proto(self) {
+            IpProto::Tcp => TCP_MIN_HDR_LEN,
+            _ => UDP_HDR_LEN,
+        };
+        L4 + l4_hdr + self.payload_len
     }
 }
 
@@ -134,6 +148,7 @@ impl FrameTemplate {
             ),
         };
         let mut bytes = frame.into_bytes().to_vec();
+        debug_assert_eq!(bytes.len(), config.frame_len());
         bytes[IP_CSUM..IP_CSUM + 2].fill(0);
         bytes[l4_csum..l4_csum + 2].fill(0);
         // The builders above already refused a segment longer than a u16.
@@ -457,9 +472,10 @@ impl PacketGen {
         self.flow_ids.len()
     }
 
-    /// Generates one packet.
+    /// Generates one packet into a buffer this thread has spent
+    /// ([`pool::recycle_local`]) when there is one, a fresh one otherwise.
     pub fn next_packet(&mut self) -> Packet {
-        self.next_packet_into(BytesMut::new())
+        self.next_packet_into(pool::take_local())
     }
 
     /// Generates one packet into a caller-provided buffer (e.g. one
@@ -490,7 +506,10 @@ impl PacketGen {
         Packet::with_flow_hash(buf, tuple.stable_hash())
     }
 
-    /// Generates a batch of `n` packets.
+    /// Generates a batch of `n` packets, each built like
+    /// [`next_packet`](Self::next_packet)'s: a client that offers its
+    /// batches to an engine on the same thread gets back the buffers the
+    /// engine finished with.
     pub fn next_batch(&mut self, n: usize) -> PacketBatch {
         (0..n).map(|_| self.next_packet()).collect()
     }
@@ -577,6 +596,21 @@ mod tests {
                 let p = g.next_packet();
                 let stamped = p.cached_flow_hash().expect("pktgen stamps the hash");
                 assert_eq!(stamped, crate::flow::packet_flow_hash(&p));
+            }
+        }
+    }
+
+    #[test]
+    fn frame_len_is_the_length_of_every_generated_frame() {
+        for proto in [IpProto::Udp, IpProto::Tcp, IpProto::Icmp] {
+            for payload_len in [0, 1, 7, 64, 1400] {
+                let cfg = TrafficConfig {
+                    proto,
+                    payload_len,
+                    ..Default::default()
+                };
+                let frame = PacketGen::new(cfg.clone()).next_packet();
+                assert_eq!(frame.len(), cfg.frame_len());
             }
         }
     }

@@ -24,9 +24,33 @@
 //! Every container here is pre-sized at construction, so the steady-state
 //! `take`/`put` cycle touches the allocator exactly zero times — the
 //! property `e12_hotpath` measures with a counting allocator.
+//!
+//! A slab is as large as the frame it carries, not as large as the
+//! largest frame there could be: the lane engine sizes fresh slabs to
+//! its traffic's frame length, so a pool's resident memory is the bytes
+//! in flight, and a frame that outgrows its slab grows it once — the
+//! buffer keeps what it grew to when it comes back.
+//!
+//! # The per-thread spare list
+//!
+//! Where no pool is in reach — a client that builds packets with
+//! [`PacketGen::next_batch`](crate::pktgen::PacketGen::next_batch) and an
+//! engine that consumes them on the same thread — a spent buffer still
+//! has somewhere to go other than `free`: [`recycle_local`] parks it on
+//! the *spending thread's* spare list and [`take_local`] (the unpooled
+//! generator's buffer source) draws from there before asking the
+//! allocator. The list is thread-local, so it needs no lock and a buffer
+//! given on one thread is never visible on another; it is bounded by
+//! bytes of capacity ([`SPARE_BYTES_MAX`]), so a jumbo-frame run pins no
+//! more than a small-frame run; overflow falls through to `free` and is
+//! counted. Which list (or which `malloc`) a buffer came from is
+//! invisible downstream: the generator clears a buffer and rewrites the
+//! whole frame, and no ledger counts buffers, only packets.
 
 use crate::batch::PacketBatch;
+use crate::packet::Packet;
 use bytes::BytesMut;
+use std::cell::{Cell, RefCell};
 
 /// Monotonic counters describing pool traffic.
 ///
@@ -51,6 +75,9 @@ pub struct PoolStats {
     pub shells_taken: u64,
     /// Batch shells returned by [`PacketPool::put_shell`].
     pub shells_returned: u64,
+    /// Bytes of buffer capacity the free list holds right now — a gauge,
+    /// not a counter: what the pool keeps resident while idle.
+    pub resident_bytes: u64,
 }
 
 /// A single-owner free list of fixed-size packet buffers plus reusable
@@ -202,10 +229,115 @@ impl PacketPool {
         self.slab_capacity
     }
 
-    /// A copy of the traffic counters.
+    /// A copy of the traffic counters, with the free list's capacity
+    /// summed into [`PoolStats::resident_bytes`].
     pub fn stats(&self) -> PoolStats {
-        self.stats
+        PoolStats {
+            resident_bytes: self.free.iter().map(|b| b.capacity() as u64).sum(),
+            ..self.stats
+        }
     }
+}
+
+/// Most buffer capacity, in bytes, one thread's spare list holds.
+pub const SPARE_BYTES_MAX: usize = 512 * 1024;
+
+/// Most buffers one thread's spare list holds: the list's single
+/// allocation, made on the thread's first give, is this many slots, so
+/// frames smaller than 128 bytes are bounded by count before bytes.
+const SPARE_SLOTS: usize = SPARE_BYTES_MAX / 128;
+
+/// What the calling thread's spare list holds and has turned away.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpareStats {
+    /// Buffers on the list.
+    pub buffers: usize,
+    /// Their capacity in bytes; never above [`SPARE_BYTES_MAX`].
+    pub bytes: usize,
+    /// Buffers given while the list was full, freed instead.
+    pub overflow_dropped: u64,
+}
+
+struct Spares {
+    bufs: Vec<BytesMut>,
+    bytes: usize,
+    overflow_dropped: u64,
+}
+
+thread_local! {
+    /// `SPARES.bufs.len()`, kept beside the list because it has no
+    /// destructor: a thread that never recycles (a lane drawing from its
+    /// pool, a test) pays one load and a branch per unpooled packet, not
+    /// a lazily registered thread-local and a borrow flag.
+    static SPARE_COUNT: Cell<usize> = const { Cell::new(0) };
+    static SPARES: RefCell<Spares> = const {
+        RefCell::new(Spares {
+            bufs: Vec::new(),
+            bytes: 0,
+            overflow_dropped: 0,
+        })
+    };
+}
+
+/// Parks the buffers of spent `packets` on the calling thread's spare
+/// list, up to its bounds; the rest are freed and counted. Pass a
+/// `drain` to keep the emptied shell.
+pub fn recycle_local(packets: impl IntoIterator<Item = Packet>) {
+    // `try_with`: a thread that is tearing its locals down just frees.
+    let _ = SPARES.try_with(|spares| {
+        let spares = &mut *spares.borrow_mut();
+        if spares.bufs.capacity() == 0 {
+            spares.bufs.reserve_exact(SPARE_SLOTS);
+        }
+        for packet in packets {
+            let buf = packet.into_bytes();
+            let cap = buf.capacity();
+            if cap == 0 {
+                continue;
+            }
+            if spares.bufs.len() < SPARE_SLOTS && spares.bytes + cap <= SPARE_BYTES_MAX {
+                spares.bytes += cap;
+                spares.bufs.push(buf);
+            } else {
+                spares.overflow_dropped += 1;
+            }
+        }
+        SPARE_COUNT.set(spares.bufs.len());
+    });
+}
+
+/// A buffer for one unpooled packet: the calling thread's most recently
+/// spent one when its spare list holds any, an empty one (which
+/// allocates on first write) otherwise. The contents are whatever the
+/// last owner left; callers overwrite them.
+#[inline]
+pub fn take_local() -> BytesMut {
+    if SPARE_COUNT.get() == 0 {
+        return BytesMut::new();
+    }
+    SPARES
+        .try_with(|spares| {
+            let spares = &mut *spares.borrow_mut();
+            let buf = spares.bufs.pop().unwrap_or_default();
+            spares.bytes -= buf.capacity();
+            SPARE_COUNT.set(spares.bufs.len());
+            buf
+        })
+        .unwrap_or_default()
+}
+
+/// The calling thread's spare list, in numbers.
+pub fn local_spares() -> SpareStats {
+    SPARES
+        .try_with(|spares| {
+            let spares = spares.borrow();
+            SpareStats {
+                buffers: spares.bufs.len(),
+                bytes: spares.bytes,
+                overflow_dropped: spares.overflow_dropped,
+            }
+        })
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -292,6 +424,102 @@ mod tests {
         let shell2 = pool.take_shell(3);
         assert!(shell2.capacity() >= shell_cap);
         assert_eq!(pool.stats().shells_taken, 2);
+    }
+
+    #[test]
+    fn resident_bytes_is_the_free_lists_capacity() {
+        let mut pool = PacketPool::new(300, 8);
+        pool.prewarm(4);
+        assert_eq!(pool.stats().resident_bytes, 4 * 300, "explicit slab size");
+        let buf = pool.take();
+        assert_eq!(buf.capacity(), 300);
+        assert_eq!(pool.stats().resident_bytes, 3 * 300);
+        pool.put(buf);
+        assert_eq!(pool.stats().resident_bytes, 4 * 300);
+    }
+
+    #[test]
+    fn a_frame_larger_than_its_slab_grows_it_once_and_the_pool_keeps_it() {
+        use crate::pktgen::{PacketGen, TrafficConfig};
+
+        let cfg = TrafficConfig::default();
+        let frame = cfg.frame_len();
+        let mut gen = PacketGen::new(cfg);
+        let mut pool = PacketPool::new(16, 4);
+        pool.prewarm(4);
+        assert_eq!(pool.stats().resident_bytes, 4 * 16);
+
+        let batch = gen.next_batch_from_pool(4, &mut pool);
+        let grown: Vec<_> = batch.iter().map(|p| p.as_slice().as_ptr()).collect();
+        pool.recycle_batch(batch);
+        assert_eq!(pool.stats().resident_bytes, (4 * frame) as u64);
+
+        // Same buffers, same addresses: nothing grows a second time.
+        let batch = gen.next_batch_from_pool(4, &mut pool);
+        let mut again: Vec<_> = batch.iter().map(|p| p.as_slice().as_ptr()).collect();
+        again.reverse();
+        assert_eq!(again, grown);
+        assert_eq!(pool.stats().misses, 0);
+    }
+
+    /// A packet over a buffer of exactly `capacity` bytes.
+    fn spent(capacity: usize) -> Packet {
+        Packet::from_bytes(BytesMut::with_capacity(capacity))
+    }
+
+    /// Empties this thread's spare list (the harness may run several
+    /// tests on one thread).
+    fn drain_spares() {
+        while local_spares().buffers > 0 {
+            take_local();
+        }
+    }
+
+    #[test]
+    fn spare_list_hands_back_what_it_was_given_newest_first() {
+        drain_spares();
+        assert_eq!(take_local().capacity(), 0, "empty list: a fresh buffer");
+        let mut shell = vec![spent(100), spent(200), spent(0)];
+        recycle_local(shell.drain(..));
+        assert!(shell.is_empty() && shell.capacity() >= 3, "shell stays");
+        let stats = local_spares();
+        assert_eq!(
+            (stats.buffers, stats.bytes),
+            (2, 300),
+            "nothing to keep of 0"
+        );
+        assert_eq!(take_local().capacity(), 200);
+        assert_eq!(take_local().capacity(), 100);
+        assert_eq!(local_spares().buffers, 0);
+        assert_eq!(take_local().capacity(), 0);
+    }
+
+    #[test]
+    fn spare_list_is_bounded_by_bytes_and_by_slots_and_counts_overflow() {
+        drain_spares();
+        let dropped = || local_spares().overflow_dropped;
+        let before = dropped();
+        // Jumbo frames hit the byte bound long before the slots run out.
+        let jumbo = 9_000;
+        let fit = SPARE_BYTES_MAX / jumbo;
+        recycle_local((0..fit + 5).map(|_| spent(jumbo)));
+        let stats = local_spares();
+        assert_eq!(stats.buffers, fit);
+        assert!(stats.bytes <= SPARE_BYTES_MAX && stats.bytes == fit * jumbo);
+        assert_eq!(dropped() - before, 5);
+        // A smaller buffer still fits in what the jumbos left.
+        recycle_local([spent(SPARE_BYTES_MAX - fit * jumbo)]);
+        assert_eq!(local_spares().bytes, SPARE_BYTES_MAX);
+        recycle_local([spent(1)]);
+        assert_eq!(dropped() - before, 6);
+
+        // Tiny frames hit the slot bound: the list never regrows.
+        drain_spares();
+        recycle_local((0..SPARE_SLOTS + 3).map(|_| spent(8)));
+        let stats = local_spares();
+        assert_eq!((stats.buffers, stats.bytes), (SPARE_SLOTS, SPARE_SLOTS * 8));
+        assert_eq!(dropped() - before, 9);
+        drain_spares();
     }
 
     #[test]

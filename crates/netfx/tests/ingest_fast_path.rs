@@ -10,6 +10,10 @@
 //!   and pooled buffers; plus flows engineered so the transport checksum
 //!   lands on zero, and a digest of two streams pinned at the commit
 //!   before the template.
+//! - `next_batch` draws its buffers from the calling thread's spare list
+//!   (`pool::recycle_local`): primed with dirty buffers of odd
+//!   capacities it emits the reference's frames all the same, it really
+//!   draws them, and a give on one thread is invisible on another.
 //! - `TtlDecrement` patches the header checksum for the TTL word alone:
 //!   on a header that verifies it stores what decrement-and-recompute
 //!   stores, over IP options and every TTL, including a result of
@@ -29,6 +33,7 @@ use rbs_netfx::headers::tcp::TcpFlags;
 use rbs_netfx::headers::IpProto;
 use rbs_netfx::operators::TtlDecrement;
 use rbs_netfx::pktgen::{FlowDistribution, PacketGen, TrafficConfig};
+use rbs_netfx::pool::{local_spares, recycle_local, take_local};
 use rbs_netfx::{FiveTuple, Operator, Packet, PacketBatch, PacketPool};
 use std::net::Ipv4Addr;
 
@@ -275,6 +280,70 @@ proptest! {
         }
         prop_assert_eq!(pool.stats().misses, 0);
     }
+}
+
+/// Empties this thread's spare list.
+fn drain_spares() {
+    while local_spares().buffers > 0 {
+        take_local();
+    }
+}
+
+proptest! {
+    #[test]
+    fn recycled_spares_yield_the_frames_of_a_fresh_generator(
+        cfg in traffic(),
+        capacities in proptest::collection::vec(1usize..2_000, 1..40),
+        fill in any::<u8>(),
+    ) {
+        drain_spares();
+        // Spent buffers shorter and longer than the frame, full of junk.
+        recycle_local(capacities.iter().map(|&c| Packet::from_bytes(BytesMut::from(&vec![fill; c][..]))));
+        prop_assert_eq!(local_spares().buffers, capacities.len());
+
+        let mut reference = Reference::new(&cfg, Shape::Whole);
+        let mut primed = PacketGen::new(cfg.clone());
+        for round in 0..2 {
+            // Three more packets than spares: the tail gets fresh buffers.
+            let mut batch = primed.next_batch(capacities.len() + 3).into_packets();
+            prop_assert_eq!(local_spares().buffers, 0, "the generator draws from the list");
+            for packet in &batch {
+                let expected = reference.next_packet();
+                prop_assert_eq!(packet.len(), cfg.frame_len());
+                prop_assert_eq!(packet.as_slice(), expected.as_slice(), "round {}", round);
+                prop_assert_eq!(packet.cached_flow_hash(), Some(packet_flow_hash(&expected)));
+            }
+            // The next round stamps over this round's frames.
+            recycle_local(batch.drain(..));
+        }
+        drain_spares();
+    }
+}
+
+#[test]
+fn a_give_on_one_thread_is_never_visible_on_another() {
+    use std::sync::mpsc::channel;
+
+    drain_spares();
+    let (given_tx, given_rx) = channel();
+    let (looked_tx, looked_rx) = channel::<()>();
+    let giver = std::thread::spawn(move || {
+        let mut batch = PacketGen::new(TrafficConfig::default())
+            .next_batch(32)
+            .into_packets();
+        recycle_local(batch.drain(..));
+        let held = local_spares();
+        given_tx.send(held).unwrap();
+        // Hold the list until the other thread has looked at its own.
+        looked_rx.recv().unwrap();
+        assert_eq!(local_spares(), held, "nobody else drew from this list");
+    });
+    let held = given_rx.recv().unwrap();
+    assert_eq!(held.buffers, 32);
+    assert_eq!(local_spares().buffers, 0);
+    assert_eq!(take_local().capacity(), 0, "this thread's list is empty");
+    looked_tx.send(()).unwrap();
+    giver.join().unwrap();
 }
 
 /// The only flow of the first population whose transport checksum, summed

@@ -129,7 +129,10 @@ pub struct LaneConfig {
     /// Deque ring capacity; `0` derives `2 × build_burst` (never grows
     /// in steady state).
     pub deque_capacity: usize,
-    /// Byte capacity of pooled packet buffers.
+    /// Byte capacity of fresh pooled packet buffers; `0` derives
+    /// `traffic`'s frame length ([`TrafficConfig::frame_len`]), so the
+    /// pool holds the bytes it carries and nothing more. A frame larger
+    /// than an explicit value grows its buffer once.
     pub pool_slab_bytes: usize,
     /// Buffers prewarmed into each lane's pool; `0` derives
     /// `(build_burst + 2) × batch_size`.
@@ -161,7 +164,7 @@ impl Default for LaneConfig {
             backend: BackendKind::TypedSfi,
             max_respawns: 3,
             deque_capacity: 0,
-            pool_slab_bytes: 2048,
+            pool_slab_bytes: 0,
             pool_prewarm: 0,
             warmup_batches: None,
             #[cfg(feature = "fault-injection")]
@@ -827,7 +830,11 @@ impl LaneCtx {
         manager: Arc<DomainManager>,
         cfg: LaneConfig,
     ) -> Self {
-        let mut pool = PacketPool::new(cfg.pool_slab_bytes, cfg.pool_prewarm_for().max(1));
+        let slab_bytes = match cfg.pool_slab_bytes {
+            0 => cfg.traffic.frame_len(),
+            explicit => explicit,
+        };
+        let mut pool = PacketPool::new(slab_bytes, cfg.pool_prewarm_for().max(1));
         pool.prewarm(cfg.pool_prewarm_for());
         pool.prewarm_shells(cfg.build_burst + 4, cfg.batch_size);
         let domain = manager

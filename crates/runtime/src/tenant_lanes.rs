@@ -42,6 +42,14 @@
 //!   tenants that received traffic (a dirty list), open breakers (a
 //!   watch list), and one staggered snapshot bucket — never the whole
 //!   tenant table. Scale to hundreds of tenants costs the lanes nothing.
+//! - **Buffers go home.** A warmed-up tick does not call the allocator:
+//!   an admitted wave's staging buffer leaves as the queued batch and an
+//!   emptied shell takes its place, and packets that die on the steady
+//!   path (egress, admission shed, open-breaker shed) hand their buffers
+//!   to the executing thread's spare list ([`rbs_netfx::pool`]), where a
+//!   client generating on that thread finds them. Helper lanes' lists
+//!   fill and overflow to `free`; returning those to the origin lane is
+//!   ROADMAP 5(b).
 //!
 //! Thefts are metered as [`Crossing::Steal`] against the *origin
 //! tenant's* domain and credited to its ledger (`TenantLedger::stolen`,
@@ -60,6 +68,7 @@ use rbs_core::fault::FaultPlan;
 use rbs_core::fault::{self, FaultKind, FaultSite};
 use rbs_maglev::{Backend, MaglevTable};
 use rbs_netfx::flow::packet_flow_hash;
+use rbs_netfx::pool::recycle_local;
 use rbs_netfx::{Packet, PacketBatch, Pipeline, PipelineSpec, TickBucket};
 use rbs_sfi::backend::Crossing;
 use rbs_sfi::{BackendKind, Domain, DomainManager};
@@ -171,12 +180,20 @@ struct TenantInner {
     work_this_tick: u64,
     home_lane: usize,
     queue: VecDeque<TenantWork>,
+    /// Emptied batch shells on their way back from `execute_one` to
+    /// `offer`, which swaps one in for each staging buffer it queues.
+    shells: Vec<Vec<Packet>>,
     chain: Option<LaneChain>,
     pipeline_spec: PipelineSpec,
     store: SnapshotStore,
     events: Vec<TenantEvent>,
     dirty_since_snapshot: bool,
 }
+
+/// Shells a tenant banks. With the staging buffer that is three vectors
+/// in rotation, which a client offering each tick in two waves never
+/// exhausts; a tenant queued more often than that regrows a buffer.
+const MAX_SHELLS: usize = 2;
 
 impl TenantInner {
     fn push_event(&mut self, tick: u64, idx: usize, kind: TenantEventKind) {
@@ -535,6 +552,13 @@ impl LaneCtx {
                 g.ledger.out += out.len() as u64;
                 g.ledger.drops += n_in - out.len() as u64;
                 g.dirty_since_snapshot = true;
+                // Egress: the buffers go to this thread's spare list,
+                // the emptied shell back to the tenant's next `offer`.
+                let mut shell = out.into_packets();
+                recycle_local(shell.drain(..));
+                if g.shells.len() < MAX_SHELLS {
+                    g.shells.push(shell);
+                }
                 if stolen {
                     g.ledger.stolen += n_in;
                 }
@@ -575,9 +599,9 @@ pub struct TenantLaneRuntime {
     present: Vec<bool>,
     table: MaglevTable,
     table_map: Vec<usize>,
-    /// Permanent per-tenant staging buffers (drained, never replaced —
-    /// the warmed-up offer path allocates per queued batch, not per
-    /// packet).
+    /// Per-tenant staging buffers. An admitted wave leaves as the queued
+    /// batch itself and one of the tenant's emptied shells takes its
+    /// place, so the warmed-up offer path does not allocate.
     staged: Vec<Vec<Packet>>,
     /// Tenants the wave being offered has steered packets to.
     touched: Vec<usize>,
@@ -690,6 +714,7 @@ impl TenantLaneRuntime {
                 work_this_tick: 0,
                 home_lane: home_lane[idx],
                 queue: VecDeque::new(),
+                shells: Vec::with_capacity(MAX_SHELLS),
                 chain: Some(LaneChain { domain, pipeline }),
                 pipeline_spec,
                 store: SnapshotStore::new(config.snapshot_full_every),
@@ -903,22 +928,23 @@ impl TenantLaneRuntime {
             g.ledger.offered += n;
             if g.phase == BreakerPhase::Open {
                 g.ledger.shed_open += n;
-                staged.clear();
+                recycle_local(staged.drain(..));
                 continue;
             }
             let granted = g.bucket.take(now, n);
             g.ledger.shed_admission += n - granted;
-            staged.truncate(granted as usize);
+            recycle_local(staged.drain(granted as usize..));
             if granted == 0 {
                 continue;
             }
-            let mut pkts = Vec::with_capacity(staged.len());
-            pkts.append(staged);
+            // The staging buffer *is* the queued batch; an emptied shell
+            // takes its place.
+            let shell = g.shells.pop().unwrap_or_default();
             let lane = g.home_lane;
             let epoch = g.epoch;
             g.queue.push_back(TenantWork {
                 epoch,
-                batch: PacketBatch::from_packets(pkts),
+                batch: PacketBatch::from_packets(std::mem::replace(staged, shell)),
                 enqueue_tick: now,
                 cost: granted * self.specs[idx].cost_per_packet.max(1),
             });
