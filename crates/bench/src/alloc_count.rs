@@ -4,7 +4,7 @@
 //! packet build, dispatch, pipeline, recycle, pool put — touches the
 //! global allocator exactly zero times. A claim like that cannot be
 //! trusted to code review; it has to be *measured*. This module installs
-//! a counting [`GlobalAlloc`] wrapper around the system allocator when
+//! [`rbs_core::alloc_count::CountingAlloc`] as the global allocator when
 //! the crate is built with `--features alloc-count`, and the experiment
 //! diffs the counter across its measured window.
 //!
@@ -20,73 +20,11 @@
 //! needs no `cfg` spaghetti); [`enabled`] reports `false` and the
 //! counter never moves.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-#[cfg(feature = "alloc-count")]
-use std::alloc::{GlobalAlloc, Layout, System};
-
-/// Allocation events observed since process start (`alloc`,
-/// `alloc_zeroed`, and `realloc`). Frees are not counted — the claim is
-/// about *acquiring* memory on the hot path, and a dealloc without a
-/// matching alloc is impossible anyway.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Byte sizes of the most recent allocations, in a fixed ring (written
-/// lock- and allocation-free from inside the allocator). Purely a
-/// diagnostic: when a supposedly quiet window shows a nonzero count,
-/// the sizes are often enough to identify the culprit.
-static RECENT_SIZES: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
-
-/// Sizes of the last allocations (oldest first is not guaranteed; this
-/// is a ring indexed by the global counter). All zeros when counting is
-/// disabled or nothing allocated yet.
-pub fn recent_sizes() -> [u64; 8] {
-    let mut out = [0u64; 8];
-    for (slot, v) in RECENT_SIZES.iter().zip(out.iter_mut()) {
-        *v = slot.load(Ordering::Relaxed);
-    }
-    out
-}
-
-/// The counting wrapper. Installed as `#[global_allocator]` only under
-/// the `alloc-count` feature; defined unconditionally so it is unit
-/// testable.
-pub struct CountingAllocator;
-
-#[cfg(feature = "alloc-count")]
-// SAFETY: defers every operation verbatim to `System`; the only added
-// behavior is a relaxed atomic increment, which allocates nothing.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let n = ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        RECENT_SIZES[(n % 8) as usize].store(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let n = ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        RECENT_SIZES[(n % 8) as usize].store(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let n = ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        RECENT_SIZES[(n % 8) as usize].store(new_size as u64, Ordering::Relaxed);
-        // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+pub use rbs_core::alloc_count::recent_sizes;
 
 #[cfg(feature = "alloc-count")]
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: rbs_core::alloc_count::CountingAlloc = rbs_core::alloc_count::CountingAlloc;
 
 /// Whether the counting allocator is actually installed in this build.
 pub fn enabled() -> bool {
@@ -97,7 +35,7 @@ pub fn enabled() -> bool {
 /// count the events inside a window. Always `0` when [`enabled`] is
 /// `false`.
 pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    rbs_core::alloc_count::events()
 }
 
 #[cfg(test)]

@@ -54,6 +54,8 @@
 //! assert!(CkRc::ptr_eq(&restored[0], &restored[1]), "sharing is rebuilt");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ckarc;
 pub mod ckrc;
 pub mod codec;

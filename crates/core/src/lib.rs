@@ -4,9 +4,19 @@
 //! counter on an Intel Xeon E5530; every experiment crate in this workspace
 //! measures the same way through [`cycles`]. The remaining modules provide
 //! statistics ([`stats`], [`histogram`]), plain-text result tables
-//! ([`table`]), and the [`exchange`] linearity marker used by the SFI layer
-//! to constrain what may cross a protection-domain boundary.
+//! ([`table`]), the [`exchange`] linearity marker used by the SFI layer
+//! to constrain what may cross a protection-domain boundary, and the
+//! counting allocator ([`alloc_count`]) the zero-allocation claims are
+//! measured with.
+//!
+//! `unsafe` is confined to the two modules that need it: the time-stamp
+//! counter intrinsics and the `GlobalAlloc` impl.
 
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)]
+pub mod alloc_count;
+#[allow(unsafe_code)]
 pub mod cycles;
 pub mod exchange;
 pub mod fault;

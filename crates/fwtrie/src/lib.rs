@@ -21,6 +21,8 @@
 //! - [`operator`]: the trie wrapped as a `rbs-netfx` pipeline stage, so
 //!   the firewall can run inside the SFI-isolated pipelines of §3.
 
+#![forbid(unsafe_code)]
+
 pub mod index;
 pub mod operator;
 pub mod parse;

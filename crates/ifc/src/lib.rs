@@ -34,6 +34,8 @@
 //! - [`examples`]: the paper's buffer example and the secure data store
 //!   (with its seeded bug).
 
+#![forbid(unsafe_code)]
+
 pub mod alias;
 pub mod declass;
 pub mod examples;

@@ -33,51 +33,18 @@
 //!   twice its sealed size (the scan path allocates at least the image);
 //! - the walk visits exactly the records touched since the base.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rbs_checkpoint::{CheckpointCtx, RestoreCtx, Snapshot, SnapshotError, SnapshotStore};
+use rbs_core::alloc_count::{bytes as allocated_bytes, CountingAlloc};
 use rbs_core::cycles::rdtsc;
 use rbs_netfx::headers::MacAddr;
 use rbs_netfx::operators::DstPortFilter;
 use rbs_netfx::{FlowTracker, Operator, Packet, PacketBatch, Pipeline, SourceNat, StageDelta};
-
-/// Bytes handed out by the allocator since the process started.
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator, counting the bytes it hands out.
-struct CountingAlloc;
-
-// SAFETY: every operation is forwarded verbatim to `System`; the only
-// addition is a relaxed atomic add, which allocates nothing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -233,22 +200,22 @@ fn run_cell(flows: usize, touched: usize, mut sweep: Option<&mut [u64]>) -> Cell
         if let Some(sweep) = sweep.as_deref_mut() {
             evict(sweep);
         }
-        let before = ALLOCATED.load(Ordering::Relaxed);
+        let before = allocated_bytes();
         let start = rdtsc();
         let cp = chain.export_state();
         scan_store.record(&cp, tick, items, 1);
         drop(cp);
         let scan_cycles = rdtsc() - start;
-        let scan_alloc = ALLOCATED.load(Ordering::Relaxed) - before;
+        let scan_alloc = allocated_bytes() - before;
 
         if let Some(sweep) = sweep.as_deref_mut() {
             evict(sweep);
         }
-        let before = ALLOCATED.load(Ordering::Relaxed);
+        let before = allocated_bytes();
         let start = rdtsc();
         walk_store.record_from(&mut chain, tick, items, 1);
         let walk_cycles = rdtsc() - start;
-        let walk_alloc = ALLOCATED.load(Ordering::Relaxed) - before;
+        let walk_alloc = allocated_bytes() - before;
 
         // Same state sequence, same records.
         let (scan, walk) = (

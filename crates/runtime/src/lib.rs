@@ -66,6 +66,9 @@
 //! assert_eq!(report.faults, 0);
 //! ```
 
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)] // the Chase–Lev deque: the crate's only `unsafe`
 pub mod deque;
 pub mod lane;
 pub mod runtime;
@@ -90,9 +93,11 @@ pub use stats::{RuntimeReport, WorkerSnapshot, WorkerStats};
 pub use supervisor::{BreakerState, RestartPolicy, SupervisorEvent, SupervisorEventKind};
 pub use tenant::{
     default_tenant_chain, BreakerPhase, BreakerPolicy, LaneOccupancy, RebuildRecord,
-    TenantChainFactory, TenantConfig, TenantError, TenantEvent, TenantEventKind, TenantLedger,
-    TenantOutcome, TenantReport, TenantRuntime, TenantSpec,
+    TenantChainFactory, TenantError, TenantEvent, TenantEventKind, TenantLedger, TenantOutcome,
+    TenantReport, TenantSpec,
 };
+#[doc(hidden)]
+pub use tenant::{TenantConfig, TenantRuntime};
 pub use tenant_lanes::{TenantLaneConfig, TenantLaneRuntime};
 pub use upgrade::{UpgradeError, UpgradeOutcome, UpgradePolicy};
 pub use worker::WorkItem;

@@ -1,16 +1,19 @@
-//! Threaded tenant lanes: blast-radius containment at wall-clock scale.
+//! Tenant lanes: blast-radius containment, deterministic at any lane
+//! count.
 //!
-//! [`TenantRuntime`](crate::tenant::TenantRuntime) proves the containment
-//! *semantics* — breakers, admission, churn, exact ledgers — on a
-//! single-threaded logical tick clock. This module re-proves them on
-//! real CPUs: a [`TenantLaneRuntime`] places tenant domains onto N
+//! The containment *semantics* — breakers, admission, churn, exact
+//! ledgers; vocabulary in [`crate::tenant`] — run on a logical tick
+//! clock, and this module runs that clock on real CPUs: a
+//! [`TenantLaneRuntime`] places tenant domains onto N
 //! **lanes** — the calling thread is lane 0, lanes `1..N` are threads —
 //! with a weighted placement policy, each lane tick-processes only its
 //! resident tenants with no cross-thread hand-off on the steady path,
 //! and idle lanes steal *whole tenant work items* through the same
 //! Chase–Lev deques the lane engine trades batches on — under a
 //! priority-aware policy that never steals ahead of a higher-priority
-//! tenant's queued work.
+//! tenant's queued work. At `lanes: 1` it is the single-threaded
+//! driver: nothing is spawned, nothing blocks, and a fixed offered
+//! trace replays byte-identically.
 //!
 //! The design walks a narrow line: wall-clock parallel execution whose
 //! *accounting* is still byte-deterministic.
@@ -111,9 +114,10 @@ pub struct TenantLaneConfig {
     /// Whether idle lanes steal resident work from busy lanes.
     pub steal: bool,
     /// Deterministic fault plan; stream = tenant index, occurrence = the
-    /// tenant's executed batch count (identical semantics to the
-    /// single-threaded runtime, *including* under stealing — the
-    /// per-tenant FIFO serializes the occurrence stream).
+    /// tenant's executed batch count — so a scripted crash loop targets
+    /// one tenant while background chaos salts all of them, reproducibly
+    /// at any lane count and under stealing: the per-tenant FIFO
+    /// serializes the occurrence stream.
     #[cfg(feature = "fault-injection")]
     pub faults: Option<Arc<FaultPlan>>,
 }
@@ -584,8 +588,7 @@ impl LaneCtx {
 
 /// Multi-tenant containment on real lanes — the calling thread plus
 /// `lanes − 1` helper threads — with priority-aware work stealing.
-/// Same call shape as the single-threaded reference:
-/// alternate [`offer`](TenantLaneRuntime::offer) and
+/// Alternate [`offer`](TenantLaneRuntime::offer) and
 /// [`step`](TenantLaneRuntime::step), churn between ticks, then
 /// [`finish`](TenantLaneRuntime::finish).
 pub struct TenantLaneRuntime {
@@ -891,9 +894,11 @@ impl TenantLaneRuntime {
     /// under one hold of its lock: ledger attribution → breaker gate →
     /// admission → the tenant's FIFO on its home lane; then the per-lane
     /// high-water mark. Phase and bucket are per-tenant and nothing
-    /// executes while the helper lanes are parked, so this is the
-    /// single-threaded runtime's per-packet loop with its iterations
-    /// regrouped by tenant — every ledger and event is identical.
+    /// executes while the helper lanes are parked, so this is per-packet
+    /// admission (`take(now, 1)` behind the `Open` gate, packet by
+    /// packet) with its iterations regrouped by tenant — every ledger
+    /// and event is identical, which `tests/tenant_fast_path.rs` holds
+    /// it to.
     pub fn offer(&mut self, batch: PacketBatch) {
         let now = self.now;
         let mut last_hash = 0u64;
@@ -1478,6 +1483,7 @@ mod tests {
             rt.step();
         }
         let out = rt.remove_tenant(5).unwrap();
+        assert!(out >= 251 / 7, "removal must move the victim's share");
         for round in 4..8 {
             rt.offer(wave(round, 96));
             rt.step();
@@ -1492,6 +1498,78 @@ mod tests {
         let report = rt.finish();
         assert_eq!(report.unaccounted_packets(), 0);
         assert_eq!(report.rebuilds.len(), 2);
+    }
+
+    #[test]
+    fn churn_refuses_what_would_break_steering() {
+        let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
+            tenants: population(2),
+            lanes: 1,
+            ..TenantLaneConfig::default()
+        })
+        .unwrap();
+        let refused = |r: Result<usize, TenantError>| format!("{:?}", r.unwrap_err());
+        assert_eq!(refused(rt.add_tenant(1)), "AlreadyPresent(1)");
+        assert_eq!(refused(rt.remove_tenant(2)), "UnknownTenant(2)");
+        rt.remove_tenant(1).unwrap();
+        assert_eq!(refused(rt.remove_tenant(1)), "NotPresent(1)");
+        // Nothing would be left to steer to.
+        assert_eq!(refused(rt.remove_tenant(0)), "LastTenant");
+        rt.add_tenant(1).unwrap();
+        rt.remove_tenant(0).unwrap();
+    }
+
+    /// A transient fault loop: the breaker opens, failed probes reopen
+    /// it, and once the chain runs clean the probes close it — back to
+    /// `Running` on a chain restored from the tenant's own snapshots.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn half_open_probe_closes_after_a_transient_loop() {
+        std::panic::set_hook(Box::new(|_| {}));
+        // Tenant 1 seals state over four clean batches, panics on its
+        // next six, then runs clean.
+        let faults =
+            FaultPlan::new(7).inject_window(FaultSite::Operator(0), FaultKind::Panic, 1, 4, 10);
+        let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
+            tenants: population(2),
+            lanes: 1,
+            breaker: BreakerPolicy {
+                open_ticks: 4,
+                ..BreakerPolicy::default()
+            },
+            snapshot_every_ticks: 2,
+            faults: Some(Arc::new(faults)),
+            ..TenantLaneConfig::default()
+        })
+        .unwrap();
+        for round in 0..60 {
+            rt.offer(wave(round, 64));
+            rt.step();
+        }
+        assert_eq!(rt.phase(1), BreakerPhase::Running, "probes never closed");
+        let report = rt.finish();
+        let _ = std::panic::take_hook();
+        assert_eq!(report.unaccounted_packets(), 0);
+        assert_eq!((report.tenants[1].faults, report.tenants[0].faults), (6, 0));
+        let journal: Vec<_> = report.events.iter().map(|e| e.kind).collect();
+        let probe = journal
+            .iter()
+            .rposition(|k| *k == TenantEventKind::HalfOpened)
+            .expect("the breaker never half-opened");
+        assert!(
+            matches!(
+                journal[probe + 1..],
+                [
+                    TenantEventKind::Respawned {
+                        warm: true,
+                        items: 1..
+                    },
+                    TenantEventKind::Closed
+                ]
+            ),
+            "the last probe did not run warm and close: {:?}",
+            &journal[probe + 1..]
+        );
     }
 
     /// An open breaker is watched until its timer expires even when the

@@ -14,9 +14,7 @@
 //!    and the open-breaker shed each hand their buffers to the spare
 //!    list — which stays inside its byte bound — and no ledger moves.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use rbs_core::alloc_count::{thread_events, CountingAlloc};
 use rbs_netfx::operators::{MacSwap, NullFilter, TtlDecrement};
 use rbs_netfx::pktgen::{PacketGen, TrafficConfig};
 use rbs_netfx::pool::{local_spares, take_local, SPARE_BYTES_MAX};
@@ -24,46 +22,6 @@ use rbs_netfx::PipelineSpec;
 use rbs_runtime::{
     LaneConfig, LaneRuntime, TenantLaneConfig, TenantLaneRuntime, TenantReport, TenantSpec,
 };
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator plus a per-thread count of `alloc`,
-/// `alloc_zeroed` and `realloc` calls.
-struct CountingAlloc;
-
-fn note() {
-    ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-}
-
-// SAFETY: every operation is forwarded verbatim to `System`; the only
-// addition bumps a const-initialised, destructor-free thread-local
-// `Cell`, which neither allocates nor can be re-entered.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -141,11 +99,11 @@ fn drain_spares() {
 fn tick(rt: &mut TenantLaneRuntime, gen: &mut PacketGen, wave: usize) -> u64 {
     let first = gen.next_batch(wave / 2);
     let second = gen.next_batch(wave - wave / 2);
-    let before = ALLOCATIONS.get();
+    let before = thread_events();
     rt.offer(first);
     rt.offer(second);
     rt.step();
-    ALLOCATIONS.get() - before
+    thread_events() - before
 }
 
 fn assert_conserved(report: &TenantReport, offered: u64) {

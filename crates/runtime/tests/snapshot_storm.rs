@@ -6,10 +6,10 @@
 //! panics, churn, snapshots every 4 ticks with every 4th record full),
 //! with the chaos rate raised so that warm restores — each of which
 //! hands the store a chain it has never seen, mid-cadence — happen by
-//! the dozen, replayed through both tenant engines.
+//! the dozen.
 //!
-//! The digests are **pinned at the commit before the change** (PR 16,
-//! `e481fd9`), where both engines exported the whole state and called
+//! The digest is **pinned at the commit before the change** (PR 16,
+//! `e481fd9`), where the engine exported the whole state and called
 //! `SnapshotStore::record`: ledgers, breaker and recovery counts
 //! (`snapshots_taken`, `warm_restores`, `state_items_restored`,
 //! `final_state_items`), rebuild records and the whole journal. A
@@ -25,11 +25,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use rbs_core::fault::{FaultKind, FaultPlan, FaultSite, InjectedFault};
-use rbs_netfx::{FiveTuple, PacketBatch, PacketGen, TrafficConfig};
-use rbs_runtime::{
-    TenantConfig, TenantLaneConfig, TenantLaneRuntime, TenantLedger, TenantReport, TenantRuntime,
-    TenantSpec,
-};
+use rbs_netfx::{FiveTuple, PacketGen, TrafficConfig};
+use rbs_runtime::{TenantLaneConfig, TenantLaneRuntime, TenantLedger, TenantReport, TenantSpec};
 
 const WEIGHTS: [u32; 8] = [8, 5, 3, 2, 1, 1, 1, 1];
 const FLOODER: usize = 1;
@@ -75,47 +72,6 @@ fn traffic() -> TrafficConfig {
     }
 }
 
-/// What the storm needs of either engine.
-trait Engine {
-    fn flood_gen(&self) -> PacketGen;
-    fn offer(&mut self, batch: PacketBatch);
-    fn step(&mut self);
-    fn churn(&mut self, leave: bool);
-    fn finish(self) -> TenantReport;
-}
-
-macro_rules! engine {
-    ($engine:ty) => {
-        impl Engine for $engine {
-            fn flood_gen(&self) -> PacketGen {
-                let table = self.table();
-                PacketGen::subset(traffic(), 0x0F_100D, |t: &FiveTuple| {
-                    table.lookup(t.stable_hash()) == FLOODER
-                })
-            }
-            fn offer(&mut self, batch: PacketBatch) {
-                <$engine>::offer(self, batch)
-            }
-            fn step(&mut self) {
-                <$engine>::step(self)
-            }
-            fn churn(&mut self, leave: bool) {
-                if leave {
-                    self.remove_tenant(CHURNER).expect("remove");
-                } else {
-                    self.add_tenant(CHURNER).expect("add");
-                }
-            }
-            fn finish(self) -> TenantReport {
-                <$engine>::finish(self)
-            }
-        }
-    };
-}
-
-engine!(TenantLaneRuntime);
-engine!(TenantRuntime);
-
 /// Keeps the hundreds of injected panics off the test's output, and
 /// every other panic on it.
 fn quiet_injected_faults() {
@@ -130,16 +86,19 @@ fn quiet_injected_faults() {
     });
 }
 
-fn storm(mut rt: impl Engine) -> TenantReport {
+fn storm(mut rt: TenantLaneRuntime) -> TenantReport {
     quiet_injected_faults();
     let mut gen = PacketGen::new(traffic());
-    let mut flood = rt.flood_gen();
+    let table = rt.table();
+    let mut flood = PacketGen::subset(traffic(), 0x0F_100D, |t: &FiveTuple| {
+        table.lookup(t.stable_hash()) == FLOODER
+    });
     for tick in 0..TICKS {
         if tick == TICKS / 3 {
-            rt.churn(true);
+            rt.remove_tenant(CHURNER).expect("remove");
         }
         if tick == 2 * TICKS / 3 {
-            rt.churn(false);
+            rt.add_tenant(CHURNER).expect("add");
         }
         rt.offer(gen.next_batch(96));
         rt.offer(gen.next_batch(96));
@@ -237,34 +196,5 @@ fn threaded_engine_storm_digest_is_the_parents() {
     );
 }
 
-#[test]
-fn reference_engine_storm_digest_is_the_parents() {
-    let report = storm(
-        TenantRuntime::new(TenantConfig {
-            tenants: tenants(),
-            lanes: 1,
-            lane_capacity: u64::MAX / 2,
-            queue_hwm: 32,
-            snapshot_every_ticks: 4,
-            faults: Some(faults()),
-            ..TenantConfig::default()
-        })
-        .expect("valid config"),
-    );
-    assert_stormy(&report);
-    assert_eq!(
-        fnv(&digest(&report)),
-        REFERENCE_DIGEST,
-        "the storm digest moved ({:#018x}):\n{}",
-        fnv(&digest(&report)),
-        digest(&report)
-            .lines()
-            .take(9)
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
-
 /// Pinned at `e481fd9` (see the module docs).
 const LANES_DIGEST: u64 = 0x0117_dea2_fdcf_0183;
-const REFERENCE_DIGEST: u64 = 0xe95b_0c0f_4767_ecdd;

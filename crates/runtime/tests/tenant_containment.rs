@@ -8,6 +8,10 @@
 //! under a new epoch, and warm restores must never resurrect another
 //! epoch's state.
 //!
+//! Every scenario runs at one lane (the deterministic single-threaded
+//! driver) and at two (a helper thread, stealing on): the lane count is
+//! one more input, never a different outcome.
+//!
 //! Everything here needs the `fault-injection` feature (the workspace
 //! test run enables it through `rbs-bench`):
 //!
@@ -23,7 +27,7 @@ use rbs_core::fault::{FaultKind, FaultPlan, FaultSite};
 use rbs_netfx::flow::packet_flow_hash;
 use rbs_netfx::headers::ethernet::MacAddr;
 use rbs_netfx::{Packet, PacketBatch};
-use rbs_runtime::{BreakerPhase, TenantConfig, TenantRuntime, TenantSpec};
+use rbs_runtime::{BreakerPhase, TenantLaneConfig, TenantLaneRuntime, TenantLedger, TenantSpec};
 
 fn http_packet(src_host: u8, sport: u16) -> Packet {
     let mut p = Packet::build_udp(
@@ -64,8 +68,13 @@ fn population(n: usize, aggressor: usize) -> Vec<TenantSpec> {
         .collect()
 }
 
-fn silence() {
+/// Runs `scenario` at one lane and at two, injected panics silenced.
+fn at_one_and_two_lanes(scenario: fn(usize)) {
     std::panic::set_hook(Box::new(|_| {}));
+    for lanes in [1, 2] {
+        scenario(lanes);
+    }
+    let _ = std::panic::take_hook();
 }
 
 /// The headline scenario: tenant 1 fault-loops forever, background chaos
@@ -74,21 +83,22 @@ fn silence() {
 /// and every packet is accounted.
 #[test]
 fn fault_loop_aggressor_is_contained_under_churn_and_chaos() {
-    silence();
+    at_one_and_two_lanes(fault_loop_aggressor);
+}
+
+fn fault_loop_aggressor(lanes: usize) {
     let faults = FaultPlan::new(2026)
         .inject(FaultSite::Operator(0), FaultKind::Panic, 800)
         .inject_window(FaultSite::Operator(0), FaultKind::Panic, 1, 0, u64::MAX);
-    let config = TenantConfig {
+    let config = TenantLaneConfig {
         tenants: population(4, 1),
-        lanes: 2,
-        table_size: 251,
-        lane_capacity: 2_048,
+        lanes,
         queue_hwm: 8,
         snapshot_every_ticks: 4,
         faults: Some(Arc::new(faults)),
-        ..TenantConfig::default()
+        ..TenantLaneConfig::default()
     };
-    let mut rt = TenantRuntime::new(config).unwrap();
+    let mut rt = TenantLaneRuntime::new(config).unwrap();
     let mut remapped_out = 0;
     let mut remapped_back = 0;
     for round in 0..60 {
@@ -129,7 +139,6 @@ fn fault_loop_aggressor_is_contained_under_churn_and_chaos() {
         assert_eq!(victim.opens, 0, "victim breaker tripped");
         assert_eq!(victim.ledger.shed(), 0, "victim was shed");
     }
-    let _ = std::panic::take_hook();
 }
 
 /// Churn epoch isolation (the flowtrack/NAT half of the reclamation
@@ -138,16 +147,17 @@ fn fault_loop_aggressor_is_contained_under_churn_and_chaos() {
 /// state it grows afterwards is new-epoch state only.
 #[test]
 fn removed_tenant_returns_stateless_and_snapshots_do_not_cross_epochs() {
-    silence();
-    let config = TenantConfig {
+    at_one_and_two_lanes(removed_tenant_returns_stateless);
+}
+
+fn removed_tenant_returns_stateless(lanes: usize) {
+    let config = TenantLaneConfig {
         tenants: population(3, usize::MAX),
-        lanes: 2,
-        table_size: 251,
-        lane_capacity: 4_096,
+        lanes,
         snapshot_every_ticks: 2,
-        ..TenantConfig::default()
+        ..TenantLaneConfig::default()
     };
-    let mut rt = TenantRuntime::new(config).unwrap();
+    let mut rt = TenantLaneRuntime::new(config).unwrap();
     for round in 0..12 {
         rt.offer(wave(round, 96));
         rt.step();
@@ -188,27 +198,28 @@ fn removed_tenant_returns_stateless_and_snapshots_do_not_cross_epochs() {
     );
     let report = rt.finish();
     assert_eq!(report.unaccounted_packets(), 0);
-    let _ = std::panic::take_hook();
 }
 
 /// Warm recovery stays within the epoch: a fault after re-add restores
 /// only state sealed since the re-add.
 #[test]
 fn warm_restore_after_churn_carries_only_new_epoch_state() {
-    silence();
-    // Tenant 1 panics once, late in the run (well after churn).
+    at_one_and_two_lanes(warm_restore_after_churn);
+}
+
+fn warm_restore_after_churn(lanes: usize) {
+    // Tenant 1 panics once, late in the run (well after churn): a
+    // tenant executes one batch per wave, so its 31st batch is round 30.
     let faults =
-        FaultPlan::new(5).inject_window(FaultSite::Operator(0), FaultKind::Panic, 1, 60, 61);
-    let config = TenantConfig {
+        FaultPlan::new(5).inject_window(FaultSite::Operator(0), FaultKind::Panic, 1, 30, 31);
+    let config = TenantLaneConfig {
         tenants: population(3, usize::MAX),
-        lanes: 2,
-        table_size: 251,
-        lane_capacity: 4_096,
+        lanes,
         snapshot_every_ticks: 2,
         faults: Some(Arc::new(faults)),
-        ..TenantConfig::default()
+        ..TenantLaneConfig::default()
     };
-    let mut rt = TenantRuntime::new(config).unwrap();
+    let mut rt = TenantLaneRuntime::new(config).unwrap();
     for round in 0..12 {
         rt.offer(wave(round, 96));
         rt.step();
@@ -231,7 +242,6 @@ fn warm_restore_after_churn_carries_only_new_epoch_state() {
         "restored more items than the epoch ever processed"
     );
     assert_eq!(report.unaccounted_packets(), 0);
-    let _ = std::panic::take_hook();
 }
 
 /// A flood aggressor is held to its admission contract: victims shed
@@ -240,22 +250,30 @@ fn warm_restore_after_churn_carries_only_new_epoch_state() {
 /// batches first.
 #[test]
 fn flood_aggressor_sheds_at_admission_and_backpressure() {
-    silence();
+    at_one_and_two_lanes(flood_aggressor);
+}
+
+fn flood_aggressor(lanes: usize) {
     let mut tenants = population(4, 1);
     // The flood tenant gets a tight admission contract and hammers it.
     tenants[1].rate_per_tick = 20;
     tenants[1].burst = 40;
-    let config = TenantConfig {
+    // Tenant 0 outweighs the rest, so with two lanes it is placed alone
+    // and the flood shares a lane with both other victims.
+    tenants[0].weight = 3;
+    let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
         tenants,
-        lanes: 2,
-        table_size: 251,
-        lane_capacity: 256,
-        queue_hwm: 4,
-        ..TenantConfig::default()
-    };
-    let mut rt = TenantRuntime::new(config).unwrap();
+        lanes,
+        // Two waves a tick queue two batches per victim; the high-water
+        // mark is what the victims on the flood's lane need, so backlog
+        // exceeds it by exactly the flood's own batch.
+        queue_hwm: if lanes == 1 { 6 } else { 4 },
+        ..TenantLaneConfig::default()
+    })
+    .unwrap();
     for round in 0..40 {
-        rt.offer(wave(round, 320));
+        rt.offer(wave(2 * round, 320));
+        rt.offer(wave(2 * round + 1, 320));
         rt.step();
     }
     let report = rt.finish();
@@ -264,6 +282,10 @@ fn flood_aggressor_sheds_at_admission_and_backpressure() {
     assert!(
         flood.ledger.shed_admission > 0,
         "flood never hit its bucket"
+    );
+    assert!(
+        flood.ledger.shed_backpressure > 0,
+        "backlog never shed the flood's batch"
     );
     for idx in [0usize, 2, 3] {
         let victim = &report.tenants[idx];
@@ -274,29 +296,27 @@ fn flood_aggressor_sheds_at_admission_and_backpressure() {
         );
         assert_eq!(victim.ledger.lost, 0);
     }
-    let _ = std::panic::take_hook();
 }
 
 /// The whole storm is replayable: two runs with identical configuration
-/// produce identical ledgers, breaker journals, and rebuild records.
+/// produce identical ledgers, breaker journals, and rebuild records —
+/// at either lane count, and the same ones at both.
 #[test]
 fn chaotic_multi_tenant_run_is_deterministic() {
-    silence();
-    let run = || {
+    std::panic::set_hook(Box::new(|_| {}));
+    let run = |lanes| {
         let faults = FaultPlan::new(99)
             .inject(FaultSite::Operator(0), FaultKind::Panic, 3_000)
-            .inject_window(FaultSite::Operator(0), FaultKind::Panic, 2, 10, 30);
-        let config = TenantConfig {
+            .inject_window(FaultSite::Operator(0), FaultKind::Panic, 2, 5, 15);
+        let config = TenantLaneConfig {
             tenants: population(4, 2),
-            lanes: 2,
-            table_size: 251,
-            lane_capacity: 2_048,
+            lanes,
             queue_hwm: 8,
             snapshot_every_ticks: 4,
             faults: Some(Arc::new(faults)),
-            ..TenantConfig::default()
+            ..TenantLaneConfig::default()
         };
-        let mut rt = TenantRuntime::new(config).unwrap();
+        let mut rt = TenantLaneRuntime::new(config).unwrap();
         for round in 0..40 {
             if round == 15 {
                 rt.remove_tenant(3).unwrap();
@@ -312,12 +332,24 @@ fn chaotic_multi_tenant_run_is_deterministic() {
             report
                 .tenants
                 .iter()
-                .map(|t| (t.ledger, t.faults, t.respawns, t.opens, t.p99_delay_ticks))
+                .map(|t| {
+                    // Which CPU ran a batch is the one thing a schedule moves.
+                    let ledger = TenantLedger {
+                        stolen: 0,
+                        ..t.ledger
+                    };
+                    (ledger, t.faults, t.respawns, t.opens, t.p99_delay_ticks)
+                })
                 .collect::<Vec<_>>(),
             report.events,
             report.rebuilds,
         )
     };
-    assert_eq!(run(), run());
+    let reference = run(1);
+    assert!(reference.0.iter().any(|t| t.3 > 0), "no breaker opened");
+    // Two lanes twice: a second schedule is a second chance to differ.
+    for lanes in [1, 2, 2] {
+        assert_eq!(run(lanes), reference, "{lanes} lanes");
+    }
     let _ = std::panic::take_hook();
 }

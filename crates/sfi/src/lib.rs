@@ -33,6 +33,8 @@
 //! owned arguments change ownership permanently; `RRef` arguments keep
 //! their pointee in its home domain.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod channel;
 pub mod domain;

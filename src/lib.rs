@@ -43,6 +43,8 @@
 //! See `examples/` for end-to-end scenarios and `crates/bench` for the
 //! experiment harness that regenerates the paper's figures.
 
+#![forbid(unsafe_code)]
+
 pub mod isolated;
 
 pub use isolated::IsolatedPipeline;
