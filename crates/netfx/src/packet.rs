@@ -316,6 +316,19 @@ impl Packet {
         self.buf
     }
 
+    /// Takes the packet's buffer, leaving an empty one (no allocation)
+    /// and an empty cache: how a spent packet inside a batch hands its
+    /// buffer over to be rewritten without leaving the batch.
+    pub(crate) fn take_bytes(&mut self) -> BytesMut {
+        self.invalidate_flow();
+        std::mem::take(&mut self.buf)
+    }
+
+    /// Byte capacity of the packet's buffer.
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
     /// Ethernet header view.
     pub fn ethernet(&self) -> Result<EthernetHdr<'_>, PacketError> {
         EthernetHdr::parse(&self.buf)

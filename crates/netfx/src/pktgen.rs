@@ -11,13 +11,24 @@
 //! built to stay out of the measurement's way. All packets of one
 //! generator are the same frame but for the flow's endpoints and the two
 //! checksums those feed, so the frame is built once (`FrameTemplate`, by
-//! the public [`Packet`] builders) with the one's-complement sums of its
-//! constant words; a packet is a copy of the template, 12 endpoint bytes,
-//! and two checksums folded from *hoisted sum + endpoint words* — the
-//! builders' own sum with the terms reordered, so the bytes are theirs
-//! exactly. A Zipf draw looks up one cell of a cutpoint table over the
-//! CDF and searches only that cell; the index is the one a search of the
-//! whole table returns, for every `u`.
+//! the public [`Packet`] builders), and everything that depends on the
+//! flow alone — the 14 bytes from the IPv4 checksum to the destination
+//! port, the transport checksum and the flow hash — is computed once per
+//! flow at construction, into a 24-byte `FlowStamp` per kept flow indexed
+//! by slice position. The checksums are folded from *hoisted sum +
+//! endpoint words*, the builders' own sum with the terms reordered, so
+//! the bytes are theirs exactly. A packet is then a draw, a copy of the
+//! template, one 14-byte and one 2-byte write from the drawn record, and
+//! the record's hash. A Zipf draw looks up one cell of a cutpoint table
+//! over the CDF and searches only that cell; the index is the one a
+//! search of the whole table returns, for every `u`.
+//!
+//! [`PacketGen::next_batch_from_pool`] takes back the batch a lane
+//! recycled, packets and all, and rewrites each packet where it lies
+//! through the same [`PacketGen::next_packet_into`] a fresh packet is
+//! made by: the whole frame is rewritten over whatever the buffer held,
+//! and the packet (flow cache included) is built anew, so a refilled
+//! batch is byte-for-byte what a fresh generator emits.
 
 use crate::batch::PacketBatch;
 use crate::checksum;
@@ -84,9 +95,6 @@ impl TrafficConfig {
     }
 }
 
-/// A flow's endpoints: source and destination address and port.
-type Endpoints = (Ipv4Addr, Ipv4Addr, u16, u16);
-
 /// Frame offset of the IPv4 header checksum. It, the two addresses and
 /// the two ports are adjacent, so one 14-byte window covers every
 /// per-flow byte but the transport checksum.
@@ -94,10 +102,29 @@ const IP_CSUM: usize = ETHERNET_HDR_LEN + 10;
 /// Frame offset of the transport header.
 const L4: usize = ETHERNET_HDR_LEN + IPV4_MIN_HDR_LEN;
 
+/// Everything a packet of one flow carries that the template does not,
+/// computed once per flow: a draw reads one 24-byte record.
+#[derive(Debug, Clone, Copy)]
+struct FlowStamp {
+    /// Frame bytes `IP_CSUM..L4 + 4`: IPv4 checksum, source and
+    /// destination address, source and destination port.
+    window: [u8; 14],
+    /// The transport checksum, big-endian (UDP's 0 already `0xFFFF`).
+    l4_csum: [u8; 2],
+    /// The flow's [`FiveTuple::stable_hash`].
+    hash: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<FlowStamp>() == 24);
+
+/// Which flows of the population a generator keeps, judged by tuple and
+/// stable hash; `None` keeps every flow (the whole mix).
+type Keep<'a> = Option<&'a dyn Fn(&FiveTuple, u64) -> bool>;
+
 /// The frame every packet of a generator shares, built once by the
 /// public packet builders for all-zero endpoints, with the one's-
-/// complement sums of its constant words hoisted out of the per-packet
-/// path.
+/// complement sums of its constant words hoisted out of the per-flow
+/// arithmetic.
 #[derive(Debug)]
 struct FrameTemplate {
     /// The whole frame; endpoint and checksum fields hold zeros.
@@ -108,7 +135,7 @@ struct FrameTemplate {
     /// transport header and the payload (odd-length pad included).
     l4_base: u32,
     /// Frame offset of the transport checksum.
-    l4_csum: usize,
+    l4_csum_at: usize,
     /// The transport protocol the frame carries.
     proto: IpProto,
 }
@@ -118,7 +145,7 @@ impl FrameTemplate {
         let (src_mac, dst_mac) = (MacAddr([2, 0, 0, 0, 0, 1]), MacAddr([2, 0, 0, 0, 0, 2]));
         let zero = Ipv4Addr::UNSPECIFIED;
         let proto = PacketGen::wire_proto(config);
-        let (frame, l4_csum) = match proto {
+        let (frame, l4_csum_at) = match proto {
             IpProto::Tcp => (
                 Packet::build_tcp_into(
                     BytesMut::new(),
@@ -150,7 +177,7 @@ impl FrameTemplate {
         let mut bytes = frame.into_bytes().to_vec();
         debug_assert_eq!(bytes.len(), config.frame_len());
         bytes[IP_CSUM..IP_CSUM + 2].fill(0);
-        bytes[l4_csum..l4_csum + 2].fill(0);
+        bytes[l4_csum_at..l4_csum_at + 2].fill(0);
         // The builders above already refused a segment longer than a u16.
         let mut l4 = pseudo_header_checksum(zero, zero, proto, (bytes.len() - L4) as u16);
         l4.push(&bytes[L4..]);
@@ -158,19 +185,17 @@ impl FrameTemplate {
             ip_base: u32::from(!checksum::checksum(&bytes[ETHERNET_HDR_LEN..L4])),
             l4_base: u32::from(!l4.finish()),
             bytes,
-            l4_csum,
+            l4_csum_at,
             proto,
         }
     }
 
-    /// Writes the frame for `endpoints` into `buf`: the template, the
-    /// endpoint fields, and both checksums — the sums the builders would
+    /// The record of `tuple`'s flow (whose stable hash is `hash`): its
+    /// endpoint fields and both checksums — the sums the builders would
     /// compute over the whole frame, with the constant part already added.
-    #[inline]
-    fn stamp(&self, buf: &mut BytesMut, (src, dst, sport, dport): Endpoints) {
-        buf.clear();
-        buf.extend_from_slice(&self.bytes);
-        let (s, d) = (u32::from(src), u32::from(dst));
+    fn flow_stamp(&self, tuple: &FiveTuple, hash: u64) -> FlowStamp {
+        let (s, d) = (u32::from(tuple.src_ip), u32::from(tuple.dst_ip));
+        let (sport, dport) = (tuple.src_port, tuple.dst_port);
         let addrs = (s >> 16) + (s & 0xFFFF) + (d >> 16) + (d & 0xFFFF);
         let ip_csum = !checksum::fold(self.ip_base + addrs);
         let mut l4_csum =
@@ -179,13 +204,46 @@ impl FrameTemplate {
             // RFC 768: zero means "no checksum"; `udp::emit` does the same.
             l4_csum = 0xFFFF;
         }
-        let fields = &mut buf[IP_CSUM..L4 + 4];
-        fields[0..2].copy_from_slice(&ip_csum.to_be_bytes());
-        fields[2..6].copy_from_slice(&src.octets());
-        fields[6..10].copy_from_slice(&dst.octets());
-        fields[10..12].copy_from_slice(&sport.to_be_bytes());
-        fields[12..14].copy_from_slice(&dport.to_be_bytes());
-        buf[self.l4_csum..self.l4_csum + 2].copy_from_slice(&l4_csum.to_be_bytes());
+        let mut window = [0; 14];
+        window[0..2].copy_from_slice(&ip_csum.to_be_bytes());
+        window[2..6].copy_from_slice(&s.to_be_bytes());
+        window[6..10].copy_from_slice(&d.to_be_bytes());
+        window[10..12].copy_from_slice(&sport.to_be_bytes());
+        window[12..14].copy_from_slice(&dport.to_be_bytes());
+        FlowStamp {
+            window,
+            l4_csum: l4_csum.to_be_bytes(),
+            hash,
+        }
+    }
+
+    /// Writes the frame of `stamp`'s flow over `buf`, whatever it held:
+    /// the template, then the record's two byte ranges.
+    ///
+    /// A spent frame of this generator (every buffer a refill rewrites,
+    /// unless a chain resized it) already has the frame's length, so the
+    /// template is copied over it where it lies; any other buffer is
+    /// cleared and the template appended, out of line. The buffer moves
+    /// through by value so that only that cold call needs it in memory.
+    #[inline(always)]
+    fn write(&self, mut buf: BytesMut, stamp: &FlowStamp) -> BytesMut {
+        if buf.len() == self.bytes.len() {
+            buf.copy_from_slice(&self.bytes);
+        } else {
+            buf = self.refit(buf);
+        }
+        buf[IP_CSUM..L4 + 4].copy_from_slice(&stamp.window);
+        buf[self.l4_csum_at..self.l4_csum_at + 2].copy_from_slice(&stamp.l4_csum);
+        buf
+    }
+
+    /// `buf` cleared and holding the template.
+    #[cold]
+    #[inline(never)]
+    fn refit(&self, mut buf: BytesMut) -> BytesMut {
+        buf.clear();
+        buf.extend_from_slice(&self.bytes);
+        buf
     }
 }
 
@@ -194,9 +252,14 @@ impl FrameTemplate {
 pub struct PacketGen {
     config: TrafficConfig,
     rng: StdRng,
-    /// Pre-materialized flow endpoints, indexed by flow id.
-    endpoints: Vec<Endpoints>,
-    /// Cumulative probability table for Zipf sampling (empty for uniform).
+    /// One record per flow this generator draws from, indexed by slice
+    /// position — what a draw reads, and all it reads.
+    stamps: Vec<FlowStamp>,
+    /// The flow id at each slice position of an RSS slice or subset;
+    /// empty for a whole-mix generator, where the position *is* the id.
+    flow_ids: Vec<u32>,
+    /// Cumulative probability table for Zipf sampling (empty for uniform),
+    /// by slice position.
     zipf_cdf: Vec<f64>,
     /// Cutpoints into `zipf_cdf`: `zipf_guide[j]` counts the entries
     /// below `j / K` for `j in 0..=K`, `K = zipf_cdf.len()` rounded up to
@@ -205,10 +268,6 @@ pub struct PacketGen {
     /// `j / K` are exact in `f64`: the cell provably brackets the index
     /// the whole-table search finds.
     zipf_guide: Vec<u32>,
-    /// Flow ids this generator draws from. Equal to `0..flows` for a
-    /// whole-mix generator; an RSS slice keeps only the flows whose
-    /// stable hash lands on its lane.
-    flow_ids: Vec<usize>,
     /// This generator's probability mass within the whole mix (1.0 for
     /// a whole-mix generator).
     share: f64,
@@ -253,24 +312,19 @@ impl PacketGen {
     /// `share() == 0.0`; drawing from it panics.
     pub fn rss_slice(config: TrafficConfig, lane: usize, lanes: usize) -> Self {
         assert!(lane < lanes, "lane {lane} out of range for {lanes} lanes");
-        let (rng, endpoints) = Self::materialize_endpoints(&config);
+        let template = FrameTemplate::new(&config);
         if lanes == 1 {
             // Whole mix: the mass is exactly 1.0 by definition, and the
-            // draws continue the endpoint rng's stream.
-            let flow_ids = (0..config.flows).collect();
-            return Self::from_kept(config, endpoints, flow_ids, Some(1.0), rng);
+            // draws continue the population rng's stream.
+            let (rng, stamps, _) = Self::materialize(&config, &template, None);
+            return Self::from_kept(config, template, stamps, Vec::new(), Some(1.0), rng);
         }
-        let proto = Self::wire_proto(&config);
-        let flow_ids = (0..config.flows)
-            .filter(|&i| {
-                let tuple = Self::tuple_of(&endpoints, i, proto);
-                (tuple.stable_hash() % lanes as u64) as usize == lane
-            })
-            .collect();
+        let on_lane = |_: &FiveTuple, hash: u64| (hash % lanes as u64) as usize == lane;
+        let (_, stamps, flow_ids) = Self::materialize(&config, &template, Some(&on_lane));
         let rng = StdRng::seed_from_u64(
             config.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(lane as u64 + 1),
         );
-        Self::from_kept(config, endpoints, flow_ids, None, rng)
+        Self::from_kept(config, template, stamps, flow_ids, None, rng)
     }
 
     /// Creates a generator restricted to the flows `keep` accepts — the
@@ -295,38 +349,38 @@ impl PacketGen {
         stream_salt: u64,
         keep: impl Fn(&FiveTuple) -> bool,
     ) -> Self {
-        let (_, endpoints) = Self::materialize_endpoints(&config);
-        let proto = Self::wire_proto(&config);
-        let flow_ids = (0..config.flows)
-            .filter(|&i| keep(&Self::tuple_of(&endpoints, i, proto)))
-            .collect();
+        let template = FrameTemplate::new(&config);
+        let keep_tuple = |tuple: &FiveTuple, _: u64| keep(tuple);
+        let (_, stamps, flow_ids) = Self::materialize(&config, &template, Some(&keep_tuple));
         let rng = StdRng::seed_from_u64(
             config.seed ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(stream_salt.wrapping_add(1)),
         );
-        Self::from_kept(config, endpoints, flow_ids, None, rng)
+        Self::from_kept(config, template, stamps, flow_ids, None, rng)
     }
 
     /// The one constructor behind [`rss_slice`](Self::rss_slice) and
     /// [`subset`](Self::subset): renormalizes the popularity weights over
-    /// the kept `flow_ids` (their mass is `share`, summed here when not
-    /// given) and builds the CDF, its cutpoint table and the frame
-    /// template.
+    /// the kept flows (those at `flow_ids`, or every flow for the whole
+    /// mix, which has no ids; their mass is `share`, summed here when not
+    /// given) and builds the CDF and its cutpoint table.
     fn from_kept(
         config: TrafficConfig,
-        endpoints: Vec<Endpoints>,
-        flow_ids: Vec<usize>,
+        template: FrameTemplate,
+        stamps: Vec<FlowStamp>,
+        flow_ids: Vec<u32>,
         share: Option<f64>,
         rng: StdRng,
     ) -> Self {
-        let weights = Self::weights_for(&config);
-        let share = share.unwrap_or_else(|| flow_ids.iter().map(|&i| weights[i]).sum());
+        let weight = Self::weights_for(&config);
+        let kept_weight = |k: usize| weight(flow_ids.get(k).map_or(k, |&id| id as usize));
+        let share = share.unwrap_or_else(|| (0..stamps.len()).map(kept_weight).sum());
         let mut zipf_cdf = Vec::new();
         let mut zipf_guide = Vec::new();
         if let FlowDistribution::Zipf(_) = config.distribution {
-            zipf_cdf.reserve_exact(flow_ids.len());
+            zipf_cdf.reserve_exact(stamps.len());
             let mut acc = 0.0;
-            for &i in &flow_ids {
-                acc += weights[i] / share.max(f64::MIN_POSITIVE);
+            for k in 0..stamps.len() {
+                acc += kept_weight(k) / share.max(f64::MIN_POSITIVE);
                 zipf_cdf.push(acc);
             }
             // Guard against floating-point shortfall at the end.
@@ -336,13 +390,13 @@ impl PacketGen {
             zipf_guide = Self::cutpoints(&zipf_cdf);
         }
         Self {
-            template: FrameTemplate::new(&config),
+            template,
             config,
             rng,
-            endpoints,
+            stamps,
+            flow_ids,
             zipf_cdf,
             zipf_guide,
-            flow_ids,
             share,
             generated: 0,
         }
@@ -365,28 +419,48 @@ impl PacketGen {
             .collect()
     }
 
-    /// Materializes the flow endpoints for `config` — identical for
-    /// every constructor, so the same seed yields the same population
-    /// no matter how the flows are then filtered. Returns the RNG in
-    /// its post-materialization state (the whole-mix generator keeps
-    /// drawing from it).
+    /// Materializes the flow population for `config` — identical for
+    /// every constructor, so the same seed yields the same flows no
+    /// matter how they are then filtered — and keeps the record of each
+    /// flow `keep` accepts (every flow when `keep` is `None`), in flow-id
+    /// order, with its flow id beside it (no ids when every flow is kept:
+    /// position and id coincide). Returns the RNG in its
+    /// post-materialization state (the whole-mix generator keeps drawing
+    /// from it).
     ///
     /// # Panics
     ///
     /// Panics if `config.flows` is zero.
-    fn materialize_endpoints(config: &TrafficConfig) -> (StdRng, Vec<Endpoints>) {
+    fn materialize(
+        config: &TrafficConfig,
+        template: &FrameTemplate,
+        keep: Keep<'_>,
+    ) -> (StdRng, Vec<FlowStamp>, Vec<u32>) {
         assert!(config.flows > 0, "flow population must be non-empty");
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let endpoints = (0..config.flows)
-            .map(|i| {
-                let src = Ipv4Addr::from(0x0A00_0000 | (i as u32 & 0x00FF_FFFF));
-                let dst = Ipv4Addr::new(192, 0, 2, 1); // the VIP, TEST-NET-1
-                let sport = rng.gen_range(1024..=u16::MAX);
-                let dport = 80;
-                (src, dst, sport, dport)
-            })
-            .collect();
-        (rng, endpoints)
+        let mut stamps = Vec::new();
+        let mut flow_ids = Vec::new();
+        if keep.is_none() {
+            stamps.reserve_exact(config.flows);
+        }
+        for i in 0..config.flows {
+            let tuple = FiveTuple {
+                src_ip: Ipv4Addr::from(0x0A00_0000 | (i as u32 & 0x00FF_FFFF)),
+                dst_ip: Ipv4Addr::new(192, 0, 2, 1), // the VIP, TEST-NET-1
+                src_port: rng.gen_range(1024..=u16::MAX),
+                dst_port: 80,
+                proto: template.proto,
+            };
+            let hash = tuple.stable_hash();
+            if let Some(keep) = keep {
+                if !keep(&tuple, hash) {
+                    continue;
+                }
+                flow_ids.push(u32::try_from(i).expect("flow population fits u32"));
+            }
+            stamps.push(template.flow_stamp(&tuple, hash));
+        }
+        (rng, stamps, flow_ids)
     }
 
     /// The transport protocol packets are actually built with.
@@ -397,33 +471,27 @@ impl PacketGen {
         }
     }
 
-    /// The five-tuple of flow `i`.
-    fn tuple_of(endpoints: &[Endpoints], i: usize, proto: IpProto) -> FiveTuple {
-        let (src, dst, sport, dport) = endpoints[i];
-        FiveTuple {
-            src_ip: src,
-            dst_ip: dst,
-            src_port: sport,
-            dst_port: dport,
-            proto,
-        }
-    }
-
-    /// Normalized popularity weights over the whole population.
-    fn weights_for(config: &TrafficConfig) -> Vec<f64> {
-        match config.distribution {
-            FlowDistribution::Uniform => vec![1.0 / config.flows as f64; config.flows],
+    /// The normalized popularity weight of each flow id over the whole
+    /// population, computed per call instead of kept: the same
+    /// arithmetic, so the same bits, as a table of them.
+    fn weights_for(config: &TrafficConfig) -> impl Fn(usize) -> f64 {
+        let zipf = match config.distribution {
+            FlowDistribution::Uniform => None,
             FlowDistribution::Zipf(s) => {
                 assert!(
                     s > 0.0 && s.is_finite(),
                     "Zipf exponent must be positive, got {s}"
                 );
-                let raw: Vec<f64> = (1..=config.flows)
+                let total: f64 = (1..=config.flows)
                     .map(|rank| 1.0 / (rank as f64).powf(s))
-                    .collect();
-                let total: f64 = raw.iter().sum();
-                raw.into_iter().map(|w| w / total).collect()
+                    .sum();
+                Some((s, total))
             }
+        };
+        let uniform = 1.0 / config.flows as f64;
+        move |i| match zipf {
+            None => uniform,
+            Some((s, total)) => 1.0 / ((i + 1) as f64).powf(s) / total,
         }
     }
 
@@ -434,15 +502,24 @@ impl PacketGen {
     ///
     /// Panics on an empty slice (`share() == 0.0`).
     pub fn next_flow_id(&mut self) -> usize {
-        assert!(!self.flow_ids.is_empty(), "drawing from an empty RSS slice");
+        let k = self.next_position();
+        self.flow_ids.get(k).map_or(k, |&id| id as usize)
+    }
+
+    /// Draws the slice position of the next flow according to the
+    /// configured distribution.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty slice (`share() == 0.0`).
+    #[inline(always)]
+    fn next_position(&mut self) -> usize {
+        assert!(!self.stamps.is_empty(), "drawing from an empty RSS slice");
         match self.config.distribution {
-            FlowDistribution::Uniform => {
-                let k = self.rng.gen_range(0..self.flow_ids.len());
-                self.flow_ids[k]
-            }
+            FlowDistribution::Uniform => self.rng.gen_range(0..self.stamps.len()),
             FlowDistribution::Zipf(_) => {
                 let u: f64 = self.rng.gen();
-                self.flow_ids[self.zipf_index(u)]
+                self.zipf_index(u)
             }
         }
     }
@@ -469,7 +546,7 @@ impl PacketGen {
 
     /// Number of flows in this generator's slice.
     pub fn flows_in_slice(&self) -> usize {
-        self.flow_ids.len()
+        self.stamps.len()
     }
 
     /// Generates one packet into a buffer this thread has spent
@@ -479,31 +556,33 @@ impl PacketGen {
     }
 
     /// Generates one packet into a caller-provided buffer (e.g. one
-    /// drawn from a [`PacketPool`]).
+    /// drawn from a [`PacketPool`]), whatever it held before.
     ///
     /// The frame bytes are identical to [`next_packet`](Self::next_packet)
     /// for the same generator state; only the buffer's provenance differs
     /// — and identical to what [`Packet::build_udp_into`] /
     /// [`Packet::build_tcp_into`] build for the drawn endpoints.
-    /// The generator knows the flow endpoints it just wrote, so it stamps
-    /// the flow hash on the packet for free — the dispatcher never has to
-    /// re-parse the headers it already trusts. It stamps the hash only,
-    /// not the tuple: a forwarding chain never asks for one, and writing
-    /// it here would tax every packet for what a stateful chain's first
+    /// Per packet this is a draw, the template copied over the buffer
+    /// and the drawn flow's record written into it; the record's
+    /// checksums and hash were computed when the generator was built.
+    /// The generator knows the flow it just wrote, so it stamps the flow
+    /// hash on the packet for free — the dispatcher never has to re-parse
+    /// the headers it already trusts. It stamps the hash only, not the
+    /// tuple: a forwarding chain never asks for one, and writing it here
+    /// would tax every packet for what a stateful chain's first
     /// [`Packet::flow`] gets from the bytes it is about to read anyway.
     ///
     /// `inline(always)`: the packet is then built in the batch slot it
-    /// is pushed to. Out of line it is returned through the caller's
+    /// is written to. Out of line it is returned through the caller's
     /// stack and copied from there with loads wider than the stores that
     /// wrote it, which cannot be forwarded — a stall per packet that
     /// grows with every field `Packet` gains.
     #[inline(always)]
-    pub fn next_packet_into(&mut self, mut buf: BytesMut) -> Packet {
-        let flow = self.next_flow_id();
+    pub fn next_packet_into(&mut self, buf: BytesMut) -> Packet {
+        let k = self.next_position();
         self.generated += 1;
-        self.template.stamp(&mut buf, self.endpoints[flow]);
-        let tuple = Self::tuple_of(&self.endpoints, flow, self.template.proto);
-        Packet::with_flow_hash(buf, tuple.stable_hash())
+        let stamp = &self.stamps[k];
+        Packet::with_flow_hash(self.template.write(buf, stamp), stamp.hash)
     }
 
     /// Generates a batch of `n` packets, each built like
@@ -517,15 +596,23 @@ impl PacketGen {
     /// Generates a batch of `n` packets drawing every buffer — and the
     /// batch shell itself — from `pool`.
     ///
-    /// With a prewarmed pool this is the allocation-free entry point to
-    /// the data path: buffers cycle generator → pipeline → recycle
-    /// channel → pool without the global allocator ever being consulted.
+    /// The batch is the one `pool` banked last
+    /// ([`PacketPool::recycle_batch`]), with up to `n` of its spent
+    /// packets still inside: each is rewritten where it lies, by
+    /// [`next_packet_into`](Self::next_packet_into) over its own buffer,
+    /// and a batch that came back short (a chain dropped packets) is
+    /// topped up from the free list. With a prewarmed pool this is the
+    /// allocation-free entry point to the data path: buffers cycle
+    /// generator → pipeline → pool without the global allocator ever
+    /// being consulted, and a lane's batches without leaving their shell.
     pub fn next_batch_from_pool(&mut self, n: usize, pool: &mut PacketPool) -> PacketBatch {
-        let mut batch = pool.take_shell(n);
-        for _ in 0..n {
+        let mut batch = pool.take_refill(n);
+        for packet in batch.iter_mut() {
+            *packet = self.next_packet_into(packet.take_bytes());
+        }
+        for _ in batch.len()..n {
             let buf = pool.take();
-            let packet = self.next_packet_into(buf);
-            batch.push(packet);
+            batch.push(self.next_packet_into(buf));
         }
         batch
     }
@@ -689,7 +776,7 @@ mod tests {
     fn whole_table_index(g: &PacketGen, u: f64) -> usize {
         g.zipf_cdf
             .partition_point(|&c| c < u)
-            .min(g.flow_ids.len() - 1)
+            .min(g.stamps.len() - 1)
     }
 
     /// A whole-mix, an RSS-slice and a subset generator over one Zipf mix.
@@ -781,10 +868,9 @@ mod tests {
                 distribution: FlowDistribution::Zipf(exponent),
                 ..Default::default()
             };
-            let weights = PacketGen::weights_for(&cfg);
             let mut acc = 0.0;
-            let mut expected: Vec<f64> = weights
-                .iter()
+            let mut expected: Vec<f64> = (0..flows)
+                .map(PacketGen::weights_for(&cfg))
                 .map(|w| {
                     acc += w;
                     acc

@@ -21,6 +21,16 @@
 //! those buffers drop with the poisoned domain and show up as
 //! [`PacketPool::outstanding`], never as corruption.
 //!
+//! A spent batch comes home whole: [`PacketPool::recycle_batch`] banks
+//! it with its packets inside, and the generator's next
+//! [`next_batch_from_pool`](crate::pktgen::PacketGen::next_batch_from_pool)
+//! takes it back and rewrites each packet where it lies — the batch has
+//! one owner, so that needs no refcount, lock or copy, and no buffer
+//! makes a round trip through the free list. Banked packets count as
+//! returned, as held (against `max_free`) and as resident; what wants an
+//! empty shell ([`PacketPool::take_shell`], [`PacketPool::try_take_shell`])
+//! gets one, the banked buffers moved to the free list first.
+//!
 //! Every container here is pre-sized at construction, so the steady-state
 //! `take`/`put` cycle touches the allocator exactly zero times — the
 //! property `e12_hotpath` measures with a counting allocator.
@@ -44,8 +54,8 @@
 //! bytes of capacity ([`SPARE_BYTES_MAX`]), so a jumbo-frame run pins no
 //! more than a small-frame run; overflow falls through to `free` and is
 //! counted. Which list (or which `malloc`) a buffer came from is
-//! invisible downstream: the generator clears a buffer and rewrites the
-//! whole frame, and no ledger counts buffers, only packets.
+//! invisible downstream: the generator rewrites the whole frame over
+//! whatever a buffer held, and no ledger counts buffers, only packets.
 
 use crate::batch::PacketBatch;
 use crate::packet::Packet;
@@ -61,36 +71,50 @@ use std::cell::{Cell, RefCell};
 /// domain), never a silent loss.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Buffers handed out by [`PacketPool::take`].
+    /// Buffers handed out: by [`PacketPool::take`] (`hits + misses`) and
+    /// inside a banked batch (`refilled`).
     pub taken: u64,
-    /// `take` calls served from the free list (no allocation).
+    /// `take` calls served from the free list or the bank (no
+    /// allocation).
     pub hits: u64,
     /// `take` calls that had to allocate a fresh slab.
     pub misses: u64,
-    /// Buffers that came back through [`PacketPool::put`].
+    /// Packets handed out again inside the banked batch they came home
+    /// in, for the generator to rewrite in place.
+    pub refilled: u64,
+    /// Buffers that came back: through [`PacketPool::put`], or inside a
+    /// batch [`PacketPool::recycle_batch`] banked.
     pub returned: u64,
-    /// Returned buffers dropped because the free list was full.
+    /// Returned buffers dropped because the pool held `max_free` already.
     pub overflow_dropped: u64,
-    /// Batch shells handed out by [`PacketPool::take_shell`].
+    /// Batch shells handed out (with or without banked packets inside).
     pub shells_taken: u64,
-    /// Batch shells returned by [`PacketPool::put_shell`].
+    /// Batch shells returned by [`PacketPool::put_shell`] or
+    /// [`PacketPool::recycle_batch`].
     pub shells_returned: u64,
-    /// Bytes of buffer capacity the free list holds right now — a gauge,
-    /// not a counter: what the pool keeps resident while idle.
+    /// Bytes of buffer capacity the pool holds right now, free or banked
+    /// — a gauge, not a counter: what the pool keeps resident while idle.
     pub resident_bytes: u64,
 }
 
-/// A single-owner free list of fixed-size packet buffers plus reusable
-/// batch shells.
+/// A single-owner free list of fixed-size packet buffers plus a bank of
+/// batch shells, which may hold the spent packets they came home with.
 ///
 /// `slab_capacity` is the byte capacity each fresh buffer is created
 /// with; recycled buffers keep whatever capacity they grew to.
-/// `max_free` bounds the free list so a burst of returns cannot pin
-/// unbounded memory — excess buffers are dropped (and counted).
+/// `max_free` bounds the buffers the pool holds, free or banked, so a
+/// burst of returns cannot pin unbounded memory — excess buffers are
+/// dropped (and counted).
 #[derive(Debug)]
 pub struct PacketPool {
     free: Vec<BytesMut>,
-    shells: Vec<PacketBatch>,
+    /// Returned batches, newest last: emptied shells and spent batches
+    /// with their packets inside.
+    bank: Vec<PacketBatch>,
+    /// Packets inside `bank`'s batches. `free.len() + banked` never
+    /// exceeds `max_free`, so moving banked buffers to `free` never
+    /// grows it.
+    banked: usize,
     slab_capacity: usize,
     max_free: usize,
     stats: PoolStats,
@@ -102,14 +126,15 @@ const MAX_SHELLS: usize = 64;
 
 impl PacketPool {
     /// Creates a pool whose fresh slabs hold `slab_capacity` bytes and
-    /// whose free list retains at most `max_free` buffers.
+    /// which holds at most `max_free` buffers, free or banked.
     ///
     /// Both internal lists are allocated to their maximum size up front,
     /// so no later `take`/`put` ever grows them.
     pub fn new(slab_capacity: usize, max_free: usize) -> Self {
         Self {
             free: Vec::with_capacity(max_free),
-            shells: Vec::with_capacity(MAX_SHELLS),
+            bank: Vec::with_capacity(MAX_SHELLS),
+            banked: 0,
             slab_capacity,
             max_free,
             stats: PoolStats::default(),
@@ -121,7 +146,7 @@ impl PacketPool {
     /// Call once before the measured region so steady-state `take`s are
     /// all hits.
     pub fn prewarm(&mut self, n: usize) {
-        let n = n.min(self.max_free.saturating_sub(self.free.len()));
+        let n = n.min(self.max_free.saturating_sub(self.free_buffers()));
         for _ in 0..n {
             self.free.push(BytesMut::with_capacity(self.slab_capacity));
         }
@@ -133,33 +158,45 @@ impl PacketPool {
     /// Pre-sizing shells to the driver's batch size means no later
     /// [`Self::take_shell`] or scratch push ever grows one.
     pub fn prewarm_shells(&mut self, n: usize, capacity: usize) {
-        let n = n.min(MAX_SHELLS.saturating_sub(self.shells.len()));
+        let n = n.min(MAX_SHELLS.saturating_sub(self.bank.len()));
         for _ in 0..n {
-            self.shells.push(PacketBatch::with_capacity(capacity));
+            self.bank.push(PacketBatch::with_capacity(capacity));
         }
     }
 
-    /// Takes a buffer: from the free list when possible (a *hit*, no
-    /// allocation), freshly allocated otherwise (a *miss*).
+    /// Takes a buffer: from the free list when possible, else out of a
+    /// banked batch (either is a *hit*, no allocation), freshly
+    /// allocated otherwise (a *miss*).
     pub fn take(&mut self) -> BytesMut {
         self.stats.taken += 1;
-        match self.free.pop() {
-            Some(buf) => {
-                self.stats.hits += 1;
-                buf
-            }
-            None => {
-                self.stats.misses += 1;
-                BytesMut::with_capacity(self.slab_capacity)
-            }
+        if let Some(buf) = self.free.pop() {
+            self.stats.hits += 1;
+            return buf;
         }
+        self.take_past_free()
     }
 
-    /// Returns a buffer to the free list, dropping it if the list is
-    /// full.
+    /// [`Self::take`] once the free list is dry: one buffer out of the
+    /// newest banked batch that holds any, else a fresh slab.
+    #[cold]
+    fn take_past_free(&mut self) -> BytesMut {
+        if self.banked == 0 {
+            self.stats.misses += 1;
+            return BytesMut::with_capacity(self.slab_capacity);
+        }
+        let packet = self.bank.iter_mut().rev().find_map(PacketBatch::pop);
+        self.banked -= 1;
+        self.stats.hits += 1;
+        packet
+            .expect("`banked` counts the packets in the bank")
+            .into_bytes()
+    }
+
+    /// Returns a buffer to the free list, dropping it if the pool holds
+    /// `max_free` buffers already.
     pub fn put(&mut self, buf: BytesMut) {
         self.stats.returned += 1;
-        if self.free.len() < self.max_free {
+        if self.free_buffers() < self.max_free {
             self.free.push(buf);
         } else {
             self.stats.overflow_dropped += 1;
@@ -169,11 +206,13 @@ impl PacketPool {
     /// Takes an empty batch shell with room for at least `cap` packets.
     ///
     /// Steady state pops a previously returned shell whose capacity has
-    /// already grown to the high-water mark — no allocation.
+    /// already grown to the high-water mark — no allocation. Packets
+    /// banked inside it move to the free list.
     pub fn take_shell(&mut self, cap: usize) -> PacketBatch {
         self.stats.shells_taken += 1;
-        match self.shells.pop() {
+        match self.bank.pop() {
             Some(mut shell) => {
+                self.unbank_into_free(&mut shell);
                 shell.reserve(cap.saturating_sub(shell.capacity()));
                 shell
             }
@@ -181,16 +220,50 @@ impl PacketPool {
         }
     }
 
-    /// Takes a banked shell *without ever allocating*: `None` when the
-    /// bank is empty.
+    /// Takes an empty banked shell *without ever allocating*: `None`
+    /// when the bank is empty. Packets banked inside it move to the free
+    /// list.
     ///
     /// The dispatcher tops up its spare-shell bank from this reservoir
     /// on the reclaim path; an allocating fallback there would defeat
     /// the zero-allocation claim, so the caller must tolerate `None`.
     pub fn try_take_shell(&mut self) -> Option<PacketBatch> {
-        let shell = self.shells.pop()?;
+        let mut shell = self.bank.pop()?;
+        self.unbank_into_free(&mut shell);
         self.stats.shells_taken += 1;
         Some(shell)
+    }
+
+    /// Moves the packets of a batch leaving the bank onto the free list.
+    /// They were counted returned and held when banked, so this neither
+    /// overflows nor grows the list.
+    fn unbank_into_free(&mut self, batch: &mut PacketBatch) {
+        self.banked -= batch.len();
+        self.free.extend(batch.drain().map(Packet::into_bytes));
+    }
+
+    /// The batch the generator fills next
+    /// ([`PacketGen::next_batch_from_pool`](crate::pktgen::PacketGen::next_batch_from_pool)):
+    /// the newest banked one with up to `n` of its spent packets still
+    /// inside — handed out again, counted `taken` and `refilled`, for the
+    /// caller to rewrite in place — and the rest moved to the free list;
+    /// a fresh shell when the bank is empty. Room for `n` packets either
+    /// way.
+    pub(crate) fn take_refill(&mut self, n: usize) -> PacketBatch {
+        self.stats.shells_taken += 1;
+        let Some(mut batch) = self.bank.pop() else {
+            return PacketBatch::with_capacity(n);
+        };
+        self.banked -= batch.len();
+        while batch.len() > n {
+            let surplus = batch.pop().expect("the batch holds more than n");
+            self.free.push(surplus.into_bytes());
+        }
+        let refilled = batch.len() as u64;
+        self.stats.taken += refilled;
+        self.stats.refilled += refilled;
+        batch.reserve(n - batch.len());
+        batch
     }
 
     /// Returns a shell for reuse; any packets still inside are recycled
@@ -200,15 +273,24 @@ impl PacketPool {
             self.put(packet.into_bytes());
         }
         self.stats.shells_returned += 1;
-        if self.shells.len() < MAX_SHELLS {
-            self.shells.push(shell);
+        if self.bank.len() < MAX_SHELLS {
+            self.bank.push(shell);
         }
     }
 
-    /// Recycles a spent batch: every packet's buffer back to the free
-    /// list, the batch's own allocation back as a shell.
+    /// Recycles a spent batch by banking it whole, packets inside: the
+    /// next [`PacketGen::next_batch_from_pool`](crate::pktgen::PacketGen::next_batch_from_pool)
+    /// rewrites them where they lie. A batch the bank or `max_free` has
+    /// no room for goes the way of [`Self::put_shell`] instead.
     pub fn recycle_batch(&mut self, batch: PacketBatch) {
-        self.put_shell(batch);
+        if self.bank.len() >= MAX_SHELLS || self.free_buffers() + batch.len() > self.max_free {
+            self.put_shell(batch);
+            return;
+        }
+        self.stats.returned += batch.len() as u64;
+        self.stats.shells_returned += 1;
+        self.banked += batch.len();
+        self.bank.push(batch);
     }
 
     /// Buffers currently checked out (taken but not yet returned).
@@ -219,9 +301,10 @@ impl PacketPool {
         self.stats.taken - self.stats.returned
     }
 
-    /// Buffers sitting in the free list right now.
+    /// Buffers the pool holds right now, on the free list or inside
+    /// banked batches — what `take` can hand out without allocating.
     pub fn free_buffers(&self) -> usize {
-        self.free.len()
+        self.free.len() + self.banked
     }
 
     /// Byte capacity of freshly allocated slabs.
@@ -229,11 +312,13 @@ impl PacketPool {
         self.slab_capacity
     }
 
-    /// A copy of the traffic counters, with the free list's capacity
-    /// summed into [`PoolStats::resident_bytes`].
+    /// A copy of the traffic counters, with the capacity of every buffer
+    /// the pool holds summed into [`PoolStats::resident_bytes`].
     pub fn stats(&self) -> PoolStats {
+        let free = self.free.iter().map(BytesMut::capacity);
+        let banked = self.bank.iter().flatten().map(Packet::capacity);
         PoolStats {
-            resident_bytes: self.free.iter().map(|b| b.capacity() as u64).sum(),
+            resident_bytes: free.chain(banked).map(|c| c as u64).sum(),
             ..self.stats
         }
     }
@@ -415,15 +500,24 @@ mod tests {
         assert_eq!(pool.outstanding(), 3);
         assert_eq!(pool.free_buffers(), 0);
 
+        // Banked whole: the packets are returned and held, inside the shell.
         pool.recycle_batch(shell);
         assert_eq!(pool.outstanding(), 0);
         assert_eq!(pool.free_buffers(), 3);
         assert_eq!(pool.stats().shells_returned, 1);
 
-        // The shell allocation itself round-trips.
+        // The shell allocation itself round-trips, emptied: its buffers
+        // move to the free list, where `take` finds them.
         let shell2 = pool.take_shell(3);
+        assert!(shell2.is_empty());
         assert!(shell2.capacity() >= shell_cap);
         assert_eq!(pool.stats().shells_taken, 2);
+        assert_eq!(pool.free_buffers(), 3);
+        assert_eq!(pool.outstanding(), 0);
+        for _ in 0..3 {
+            pool.take();
+        }
+        assert_eq!((pool.stats().hits, pool.stats().misses), (6, 0));
     }
 
     #[test]
@@ -435,6 +529,12 @@ mod tests {
         assert_eq!(buf.capacity(), 300);
         assert_eq!(pool.stats().resident_bytes, 3 * 300);
         pool.put(buf);
+        assert_eq!(pool.stats().resident_bytes, 4 * 300);
+
+        // A banked batch's packets are held, so they are resident too.
+        let batch: PacketBatch = (0..2).map(|_| Packet::from_bytes(pool.take())).collect();
+        assert_eq!(pool.stats().resident_bytes, 2 * 300);
+        pool.recycle_batch(batch);
         assert_eq!(pool.stats().resident_bytes, 4 * 300);
     }
 
@@ -454,12 +554,40 @@ mod tests {
         pool.recycle_batch(batch);
         assert_eq!(pool.stats().resident_bytes, (4 * frame) as u64);
 
-        // Same buffers, same addresses: nothing grows a second time.
+        // Same buffers, same addresses, same slots — the batch came home
+        // whole and was rewritten in place: nothing grows a second time.
         let batch = gen.next_batch_from_pool(4, &mut pool);
-        let mut again: Vec<_> = batch.iter().map(|p| p.as_slice().as_ptr()).collect();
-        again.reverse();
+        let again: Vec<_> = batch.iter().map(|p| p.as_slice().as_ptr()).collect();
         assert_eq!(again, grown);
         assert_eq!(pool.stats().misses, 0);
+        assert_eq!(pool.stats().refilled, 4);
+    }
+
+    #[test]
+    fn a_banked_batch_is_refilled_up_to_n_and_never_past_max_free() {
+        let mut pool = PacketPool::new(64, 6);
+        pool.prewarm(6);
+        let batch: PacketBatch = (0..5).map(|_| Packet::from_bytes(pool.take())).collect();
+        pool.recycle_batch(batch);
+        assert_eq!((pool.free_buffers(), pool.outstanding()), (6, 0));
+
+        // Longer than asked: three stay inside, two go to the free list.
+        let refill = pool.take_refill(3);
+        assert_eq!(refill.len(), 3);
+        assert!(refill.capacity() >= 3);
+        let stats = pool.stats();
+        assert_eq!(
+            (stats.refilled, stats.taken, pool.free_buffers()),
+            (3, 8, 3)
+        );
+
+        // A batch that would take the pool past `max_free` is drained
+        // like `put_shell`: what fits is kept, the rest dropped, counted.
+        let extra: PacketBatch = (0..4).map(|_| spent(64)).collect();
+        pool.recycle_batch(extra);
+        assert_eq!(pool.free_buffers(), 6);
+        assert_eq!(pool.stats().overflow_dropped, 1);
+        assert_eq!(pool.stats().returned - pool.stats().taken, 4 - 3);
     }
 
     /// A packet over a buffer of exactly `capacity` bytes.

@@ -14,6 +14,12 @@
 //!   (`pool::recycle_local`): primed with dirty buffers of odd
 //!   capacities it emits the reference's frames all the same, it really
 //!   draws them, and a give on one thread is invisible on another.
+//! - `next_batch_from_pool` rewrites the batch `recycle_batch` banked
+//!   whole, packet by packet where it lies: after a real chain (TTL hop,
+//!   MAC swap, a NAT rewrite that leaves the translated tuple cached),
+//!   drops, a grown buffer and foreign packets, a refill is the fresh
+//!   generator's and the reference's frames and hashes, its `flow()` the
+//!   new bytes' tuple, and the pool's books balance.
 //! - `TtlDecrement` patches the header checksum for the TTL word alone:
 //!   on a header that verifies it stores what decrement-and-recompute
 //!   stores, over IP options and every TTL, including a result of
@@ -31,10 +37,10 @@ use rbs_netfx::flow::{packet_flow_hash, stable_hash_bytes};
 use rbs_netfx::headers::ethernet::{EtherType, MacAddr};
 use rbs_netfx::headers::tcp::TcpFlags;
 use rbs_netfx::headers::IpProto;
-use rbs_netfx::operators::TtlDecrement;
+use rbs_netfx::operators::{MacSwap, TtlDecrement};
 use rbs_netfx::pktgen::{FlowDistribution, PacketGen, TrafficConfig};
 use rbs_netfx::pool::{local_spares, recycle_local, take_local};
-use rbs_netfx::{FiveTuple, Operator, Packet, PacketBatch, PacketPool};
+use rbs_netfx::{FiveTuple, Operator, Packet, PacketBatch, PacketPool, SourceNat};
 use std::net::Ipv4Addr;
 
 const ETH: usize = 14;
@@ -279,6 +285,117 @@ proptest! {
             pool.recycle_batch(batch);
         }
         prop_assert_eq!(pool.stats().misses, 0);
+    }
+}
+
+/// How the chain spends one refilled batch before it is recycled.
+#[derive(Debug, Clone, Copy)]
+struct Spend {
+    /// Packets the next refill asks for.
+    n: usize,
+    /// Bit `i % 8` set: the chain drops the `i`-th packet.
+    drops: u8,
+    /// The first surviving packet comes back in a buffer grown past the
+    /// frame.
+    grow: bool,
+    /// Foreign packets appended, so the batch may come back longer than
+    /// the next refill asks for.
+    extra: usize,
+}
+
+fn spends() -> impl Strategy<Value = Vec<Spend>> {
+    let spend =
+        (1usize..24, any::<u8>(), any::<bool>(), 0usize..6).prop_map(|(n, drops, grow, extra)| {
+            Spend {
+                n,
+                drops,
+                grow,
+                extra,
+            }
+        });
+    proptest::collection::vec(spend, 1..6)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A lane's batches come home whole and are rewritten in place: what
+    /// a refill yields is byte for byte, hash for hash, what a fresh
+    /// generator's `next_batch` and the from-scratch reference build —
+    /// whatever the chain did to the spent batch (a TTL hop, a MAC swap,
+    /// a NAT rewrite that leaves a translated tuple cached, drops, a
+    /// grown buffer, packets that were never the generator's) — and the
+    /// refilled packet's `flow()` is its new bytes' tuple, never a stale
+    /// one.
+    #[test]
+    fn refilled_batches_are_the_frames_of_a_fresh_generator(
+        cfg in traffic(),
+        shape in shape(),
+        spends in spends(),
+    ) {
+        let mut reference = Reference::new(&cfg, shape);
+        if reference.flow_ids.is_empty() {
+            return Ok(());
+        }
+        let mut fresh = generator(&cfg, shape);
+        let mut refilling = generator(&cfg, shape);
+        // Slabs smaller than most frames: fresh ones grow on first use.
+        let mut pool = PacketPool::new(64, 4096);
+        let mut ttl = TtlDecrement::new();
+        let mut mac = MacSwap::new();
+        let mut nat = SourceNat::new(
+            Ipv4Addr::new(203, 0, 113, 1),
+            Ipv4Addr::new(10, 0, 0, 0),
+            8,
+            1024..=65_535,
+        );
+        // `taken - returned`: what the chain holds, plus what it dropped
+        // (freed, never returned), less what it added (returned, never
+        // taken).
+        let outstanding = |pool: &PacketPool| {
+            let stats = pool.stats();
+            stats.taken as i64 - stats.returned as i64
+        };
+        let (mut spent_packets, mut refilled, mut leaked) = (0, 0, 0);
+        for (round, spend) in spends.iter().enumerate() {
+            let mut batch = refilling.next_batch_from_pool(spend.n, &mut pool);
+            let expected = fresh.next_batch(spend.n);
+            prop_assert_eq!(batch.len(), spend.n);
+            for (got, want) in batch.iter_mut().zip(expected.iter()) {
+                let built = reference.next_packet();
+                prop_assert_eq!(got.as_slice(), built.as_slice(), "round {}", round);
+                prop_assert_eq!(want.as_slice(), built.as_slice());
+                prop_assert_eq!(got.cached_flow_hash(), Some(packet_flow_hash(&built)));
+                prop_assert_eq!(got.cached_flow_hash(), want.cached_flow_hash());
+                prop_assert_eq!(got.flow(), FiveTuple::of(&built), "a stale tuple");
+            }
+            // Last round's batch, banked whole, was this round's shell.
+            refilled += spent_packets.min(spend.n) as u64;
+            prop_assert_eq!(pool.stats().refilled, refilled, "round {}", round);
+            prop_assert_eq!(outstanding(&pool), leaked + spend.n as i64);
+
+            let mut batch = nat.process(mac.process(ttl.process(batch)));
+            let mut i = 0;
+            batch.retain(|_| {
+                i += 1;
+                spend.drops & (1 << ((i - 1) % 8)) == 0
+            });
+            leaked += (spend.n - batch.len()) as i64;
+            if spend.grow {
+                if let Some(first) = batch.iter_mut().next() {
+                    let mut grown = std::mem::replace(first, Packet::from_slice(&[])).into_bytes();
+                    grown.extend_from_slice(&[0xEE; 1600]);
+                    *first = Packet::from_bytes(grown);
+                }
+            }
+            for k in 0..spend.extra {
+                batch.push(Packet::from_slice(&vec![0x5A; 7 * k]));
+            }
+            leaked -= spend.extra as i64;
+            spent_packets = batch.len();
+            pool.recycle_batch(batch);
+            prop_assert_eq!(outstanding(&pool), leaked, "banked packets count as returned");
+        }
     }
 }
 

@@ -1,8 +1,11 @@
 //! One buffer lifecycle, held to counts instead of timings:
 //!
-//! 1. **Slabs the size of the frame.** A lane's pool, left to derive its
-//!    slab size, keeps resident what its traffic's frames need and no
-//!    more; an explicit `pool_slab_bytes` is honoured to the byte.
+//! 1. **Slabs the size of the frame, batches that come home whole.** A
+//!    lane's pool, left to derive its slab size, keeps resident what its
+//!    traffic's frames need and no more; an explicit `pool_slab_bytes` is
+//!    honoured to the byte. After its first burst a warm lane generates
+//!    every packet by rewriting the batch it recycled, in place
+//!    (`PoolStats::refilled`, counted exactly).
 //! 2. **A tick that never calls the allocator.** After warm-up a
 //!    64-tenant steady run allocates nothing in `offer` + `step`: the
 //!    staging buffer leaves as the queued batch, an emptied shell takes
@@ -71,6 +74,49 @@ fn a_lane_pool_keeps_resident_the_frames_it_carries() {
         },
     );
     assert_eq!(explicit.lanes[0].pool.resident_bytes, prewarm * 2_048);
+}
+
+#[test]
+fn a_warm_lane_refills_every_batch_it_generates_in_place() {
+    // `lane_forward`'s shape: one lane, 4 096 uniform flows, 64-byte
+    // payloads, 256-packet batches, the forwarding chain, a warm-up.
+    const WARMUP: u64 = 16;
+    const MEASURED: u64 = 48;
+    let cfg = LaneConfig {
+        lanes: 1,
+        traffic: TrafficConfig {
+            flows: 4_096,
+            payload_len: 64,
+            seed: 0x00F0_12AD,
+            ..TrafficConfig::default()
+        },
+        total_batches: MEASURED,
+        batch_size: 256,
+        warmup_batches: Some(WARMUP),
+        ..LaneConfig::default()
+    };
+    let (burst, batch) = (cfg.build_burst as u64, cfg.batch_size as u64);
+    assert!(WARMUP >= burst, "the warm-up spans the first burst");
+    let rt = LaneRuntime::start(forward(), cfg);
+    rt.wait_warmed();
+    rt.release_warm();
+    rt.wait_done();
+    rt.release_exit();
+    let report = rt.join();
+    assert_eq!(report.unaccounted_packets(), 0);
+    assert_eq!(report.outstanding_buffers(), 0);
+    let pool = report.lanes[0].pool;
+    let offered = (WARMUP + MEASURED) * batch;
+    assert_eq!(report.offered(), offered);
+    // Counts, not timings: the first burst's buffers come off the
+    // prewarmed free list, and from then on every batch the lane
+    // generates — every measured packet among them — is the batch it
+    // recycled, rewritten in place. A lane that drains spent batches to
+    // the free list again reads `refilled == 0` here.
+    assert_eq!(pool.misses, 0);
+    assert_eq!(pool.hits, burst * batch);
+    assert_eq!(pool.refilled, offered - burst * batch);
+    assert_eq!(pool.taken, pool.returned);
 }
 
 fn tenants(n: usize) -> Vec<TenantSpec> {

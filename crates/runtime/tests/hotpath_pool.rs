@@ -24,12 +24,13 @@ use bytes::BytesMut;
 use proptest::prelude::*;
 use rbs_netfx::flow::packet_flow_hash;
 use rbs_netfx::operators::{MacSwap, TtlDecrement};
-use rbs_netfx::{Packet, PacketGen, PacketPool, PipelineSpec, TrafficConfig};
+use rbs_netfx::{Packet, PacketBatch, PacketGen, PacketPool, PipelineSpec, TrafficConfig};
 use rbs_runtime::{shard_of_packet, shard_of_packet_mut, RuntimeConfig, ShardedRuntime};
 
-/// Pops every banked buffer out of the pool and asserts their slab
-/// addresses are pairwise distinct — a double-recycle would have to
-/// surface as the same allocation banked twice.
+/// Pops every buffer the pool holds — free or inside a banked batch —
+/// out of it and asserts their slab addresses are pairwise distinct — a
+/// double-recycle would have to surface as the same allocation held
+/// twice.
 fn assert_free_list_has_no_duplicates(pool: &mut PacketPool) {
     let mut seen = HashSet::new();
     while pool.free_buffers() > 0 {
@@ -51,18 +52,24 @@ proptest! {
     /// live would mean two owners for one slab. Some buffers are
     /// "leaked" (parked, never returned) the way a poisoned domain
     /// leaks its in-flight batch — they stay on the books as
-    /// outstanding, never as corruption.
+    /// outstanding, never as corruption. Buffers also go home inside a
+    /// batch banked whole, come back out of it rewritten in place by the
+    /// generator's refill, or move to the free list when a shell is
+    /// taken empty.
     #[test]
-    fn pool_linearity_matches_pointer_model(ops in proptest::collection::vec(0u8..4, 1..256)) {
+    fn pool_linearity_matches_pointer_model(
+        ops in proptest::collection::vec((0u8..7, 0usize..6), 1..256),
+    ) {
         let mut pool = PacketPool::new(512, 4096);
         pool.prewarm(8);
+        let mut gen = PacketGen::new(TrafficConfig::default());
         let mut live: Vec<BytesMut> = Vec::new();
         let mut live_ptrs: HashSet<usize> = HashSet::new();
         // Leaked buffers are held (not dropped) so the allocator cannot
         // reuse their addresses and fake a collision.
         let mut leaked: Vec<BytesMut> = Vec::new();
 
-        for op in ops {
+        for (op, n) in ops {
             match op {
                 // take (twice as likely as each return flavor)
                 0 | 1 => {
@@ -72,6 +79,36 @@ proptest! {
                         "pool handed out a slab that is already live"
                     );
                     live.push(buf);
+                }
+                // recycle a filled batch: banked whole, packets inside
+                4 => {
+                    let spent: PacketBatch = live
+                        .drain(live.len().saturating_sub(n)..)
+                        .map(|buf| {
+                            live_ptrs.remove(&(buf.as_ptr() as usize));
+                            Packet::from_bytes(buf)
+                        })
+                        .collect();
+                    pool.recycle_batch(spent);
+                }
+                // refill from the bank: the generator rewrites the
+                // newest banked batch in place, topped up to `n`
+                5 => {
+                    for packet in gen.next_batch_from_pool(n, &mut pool) {
+                        let buf = packet.into_bytes();
+                        prop_assert!(
+                            live_ptrs.insert(buf.as_ptr() as usize),
+                            "a refill handed out a slab that is already live"
+                        );
+                        live.push(buf);
+                    }
+                }
+                // take a shell: it comes out empty, its banked buffers
+                // move to the free list
+                6 => {
+                    let shell = pool.take_shell(n);
+                    prop_assert!(shell.is_empty(), "take_shell drains what was banked");
+                    pool.put_shell(shell);
                 }
                 // return to the pool
                 2 => {
