@@ -32,9 +32,7 @@ use rbs_netfx::flow::FiveTuple;
 use rbs_netfx::operators::{MacSwap, NullFilter, TtlDecrement};
 use rbs_netfx::pktgen::{FlowDistribution, PacketGen, TrafficConfig};
 use rbs_netfx::{Operator, PacketBatch, PipelineSpec};
-use rbs_runtime::{
-    shard_of_packet, LaneConfig, LaneRuntime, RuntimeConfig, ShardedRuntime, VictimOrder,
-};
+use rbs_runtime::{shard_of_packet, LaneConfig, LaneRuntime, RuntimeConfig, ShardedRuntime};
 
 use crate::harness::silence_panics;
 
@@ -265,7 +263,6 @@ fn measure_lane_run(
             total_batches: batches as u64,
             batch_size: BATCH_SIZE,
             steal_batch,
-            victim_order: VictimOrder::RingNearest,
             warmup_batches: Some(warmup),
             ..LaneConfig::default()
         },

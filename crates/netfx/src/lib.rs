@@ -6,8 +6,8 @@
 //! that only one stage can touch a batch at a time. This crate rebuilds the
 //! subset the paper relies on:
 //!
-//! - [`packet`] / [`headers`]: packets over [`bytes`] buffers with typed,
-//!   bounds-checked views of Ethernet, IPv4, TCP and UDP headers;
+//! - [`packet`] / [`headers`]: packets over owned `Vec<u8>` buffers with
+//!   typed, bounds-checked views of Ethernet, IPv4, TCP and UDP headers;
 //! - [`batch`]: the linear [`PacketBatch`] that moves (never copies)
 //!   through the pipeline;
 //! - [`pipeline`] / [`operators`]: the operator abstraction, composition,

@@ -1,7 +1,7 @@
 //! The owned [`Packet`] type.
 //!
-//! A packet is a uniquely-owned byte buffer ([`bytes::BytesMut`]) plus
-//! a cache of what flow it belongs to. Ownership is the isolation
+//! A packet is a uniquely-owned byte buffer (a plain `Vec<u8>`) plus a
+//! cache of what flow it belongs to. Ownership is the isolation
 //! mechanism: a packet handed to another pipeline stage (or protection
 //! domain) is *moved*, so the sender can neither observe nor modify it
 //! afterwards — the property §3 of the paper builds zero-copy SFI on.
@@ -38,7 +38,6 @@ use crate::headers::ipv4::{self, IpProto, Ipv4Hdr, Ipv4HdrMut, IPV4_MIN_HDR_LEN}
 use crate::headers::tcp::{self, TcpFlags, TcpHdr, TcpHdrMut, TCP_MIN_HDR_LEN};
 use crate::headers::udp::{self, UdpHdr, UdpHdrMut, UDP_HDR_LEN};
 use crate::headers::ETHERNET_HDR_LEN;
-use bytes::BytesMut;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -172,14 +171,14 @@ impl FlowMeta {
 
 /// An owned network packet: Ethernet frame bytes plus the flow-key cache.
 pub struct Packet {
-    buf: BytesMut,
+    buf: Vec<u8>,
     flow: FlowMeta,
 }
 
 impl Packet {
     /// Wraps raw frame bytes; no validation is performed until a header
     /// view is requested.
-    pub fn from_bytes(buf: BytesMut) -> Self {
+    pub fn from_bytes(buf: Vec<u8>) -> Self {
         Self {
             buf,
             flow: FlowMeta::EMPTY,
@@ -190,7 +189,7 @@ impl Packet {
     /// generator's constructor: the whole packet is written once, with
     /// no read-modify-write of the cache it has just initialised.
     /// `hash` is held to [`Packet::set_cached_flow_hash`]'s contract.
-    pub(crate) fn with_flow_hash(buf: BytesMut, hash: u64) -> Self {
+    pub(crate) fn with_flow_hash(buf: Vec<u8>, hash: u64) -> Self {
         Self {
             buf,
             flow: FlowMeta::stamped(hash, FlowMeta::HASH),
@@ -199,7 +198,7 @@ impl Packet {
 
     /// Wraps a byte slice by copying it into a fresh buffer.
     pub fn from_slice(bytes: &[u8]) -> Self {
-        Self::from_bytes(BytesMut::from(bytes))
+        Self::from_bytes(bytes.to_vec())
     }
 
     /// The memoized flow hash, if one has been computed (or stamped by
@@ -312,14 +311,14 @@ impl Packet {
     }
 
     /// Consumes the packet, returning its buffer.
-    pub fn into_bytes(self) -> BytesMut {
+    pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     /// Takes the packet's buffer, leaving an empty one (no allocation)
     /// and an empty cache: how a spent packet inside a batch hands its
     /// buffer over to be rewritten without leaving the batch.
-    pub(crate) fn take_bytes(&mut self) -> BytesMut {
+    pub(crate) fn take_bytes(&mut self) -> Vec<u8> {
         self.invalidate_flow();
         std::mem::take(&mut self.buf)
     }
@@ -557,8 +556,8 @@ impl Packet {
 
     /// Resets `buf` to `total` zero bytes, reusing its allocation when
     /// the capacity suffices — the byte-for-byte equivalent of
-    /// `BytesMut::zeroed(total)` without the fresh allocation.
-    fn reset_zeroed(buf: &mut BytesMut, total: usize) {
+    /// `vec![0; total]` without the fresh allocation.
+    fn reset_zeroed(buf: &mut Vec<u8>, total: usize) {
         buf.clear();
         buf.resize(total, 0);
     }
@@ -576,7 +575,7 @@ impl Packet {
         payload_len: usize,
     ) -> Packet {
         Self::build_udp_into(
-            BytesMut::new(),
+            Vec::new(),
             src_mac,
             dst_mac,
             src_ip,
@@ -593,7 +592,7 @@ impl Packet {
     /// identical to the freshly allocated path.
     #[allow(clippy::too_many_arguments)]
     pub fn build_udp_into(
-        mut buf: BytesMut,
+        mut buf: Vec<u8>,
         src_mac: MacAddr,
         dst_mac: MacAddr,
         src_ip: Ipv4Addr,
@@ -641,7 +640,7 @@ impl Packet {
         let icmp_len = ICMP_ECHO_HDR_LEN + payload_len;
         let ip_len = IPV4_MIN_HDR_LEN + icmp_len;
         let total = ETHERNET_HDR_LEN + ip_len;
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         Self::reset_zeroed(&mut buf, total);
         ethernet::emit(&mut buf, src_mac, dst_mac, EtherType::Ipv4);
         ipv4::emit(
@@ -675,7 +674,7 @@ impl Packet {
         payload_len: usize,
     ) -> Packet {
         Self::build_tcp_into(
-            BytesMut::new(),
+            Vec::new(),
             src_mac,
             dst_mac,
             src_ip,
@@ -692,7 +691,7 @@ impl Packet {
     /// buffer's capacity is too small.
     #[allow(clippy::too_many_arguments)]
     pub fn build_tcp_into(
-        mut buf: BytesMut,
+        mut buf: Vec<u8>,
         src_mac: MacAddr,
         dst_mac: MacAddr,
         src_ip: Ipv4Addr,
@@ -925,7 +924,7 @@ mod tests {
     #[test]
     fn build_into_reuses_capacity_and_matches_fresh_bytes() {
         let fresh = udp_packet();
-        let recycled = BytesMut::with_capacity(256);
+        let recycled = Vec::with_capacity(256);
         let cap_ptr = recycled.as_ptr();
         let p = Packet::build_udp_into(
             recycled,

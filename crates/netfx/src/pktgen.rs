@@ -40,7 +40,6 @@ use crate::headers::udp::UDP_HDR_LEN;
 use crate::headers::ETHERNET_HDR_LEN;
 use crate::packet::Packet;
 use crate::pool::{self, PacketPool};
-use bytes::BytesMut;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
@@ -148,7 +147,7 @@ impl FrameTemplate {
         let (frame, l4_csum_at) = match proto {
             IpProto::Tcp => (
                 Packet::build_tcp_into(
-                    BytesMut::new(),
+                    Vec::new(),
                     src_mac,
                     dst_mac,
                     zero,
@@ -162,7 +161,7 @@ impl FrameTemplate {
             ),
             _ => (
                 Packet::build_udp_into(
-                    BytesMut::new(),
+                    Vec::new(),
                     src_mac,
                     dst_mac,
                     zero,
@@ -226,7 +225,7 @@ impl FrameTemplate {
     /// cleared and the template appended, out of line. The buffer moves
     /// through by value so that only that cold call needs it in memory.
     #[inline(always)]
-    fn write(&self, mut buf: BytesMut, stamp: &FlowStamp) -> BytesMut {
+    fn write(&self, mut buf: Vec<u8>, stamp: &FlowStamp) -> Vec<u8> {
         if buf.len() == self.bytes.len() {
             buf.copy_from_slice(&self.bytes);
         } else {
@@ -240,7 +239,7 @@ impl FrameTemplate {
     /// `buf` cleared and holding the template.
     #[cold]
     #[inline(never)]
-    fn refit(&self, mut buf: BytesMut) -> BytesMut {
+    fn refit(&self, mut buf: Vec<u8>) -> Vec<u8> {
         buf.clear();
         buf.extend_from_slice(&self.bytes);
         buf
@@ -578,7 +577,7 @@ impl PacketGen {
     /// wrote it, which cannot be forwarded — a stall per packet that
     /// grows with every field `Packet` gains.
     #[inline(always)]
-    pub fn next_packet_into(&mut self, buf: BytesMut) -> Packet {
+    pub fn next_packet_into(&mut self, buf: Vec<u8>) -> Packet {
         let k = self.next_position();
         self.generated += 1;
         let stamp = &self.stamps[k];

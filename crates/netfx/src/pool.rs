@@ -5,8 +5,9 @@
 //! around a ring forever — NIC → pipeline → NIC — without the allocator
 //! on the data path. In C that ring is guarded by conventions (a
 //! use-after-free away from silent corruption); here it is guarded by the
-//! type system. A [`Packet`](crate::packet::Packet) owns its `BytesMut`
-//! outright, so a buffer can only re-enter the pool by *moving* back
+//! type system. A [`Packet`](crate::packet::Packet) owns its buffer, a
+//! plain `Vec<u8>`, outright, so a buffer can only re-enter the pool by
+//! *moving* back
 //! ([`Packet::into_bytes`](crate::packet::Packet::into_bytes)),
 //! and the borrow checker makes "recycled but still referenced"
 //! unrepresentable. That is the paper's §3 claim made load-bearing: no
@@ -59,7 +60,6 @@
 
 use crate::batch::PacketBatch;
 use crate::packet::Packet;
-use bytes::BytesMut;
 use std::cell::{Cell, RefCell};
 
 /// Monotonic counters describing pool traffic.
@@ -107,7 +107,7 @@ pub struct PoolStats {
 /// dropped (and counted).
 #[derive(Debug)]
 pub struct PacketPool {
-    free: Vec<BytesMut>,
+    free: Vec<Vec<u8>>,
     /// Returned batches, newest last: emptied shells and spent batches
     /// with their packets inside.
     bank: Vec<PacketBatch>,
@@ -148,7 +148,7 @@ impl PacketPool {
     pub fn prewarm(&mut self, n: usize) {
         let n = n.min(self.max_free.saturating_sub(self.free_buffers()));
         for _ in 0..n {
-            self.free.push(BytesMut::with_capacity(self.slab_capacity));
+            self.free.push(Vec::with_capacity(self.slab_capacity));
         }
     }
 
@@ -167,7 +167,7 @@ impl PacketPool {
     /// Takes a buffer: from the free list when possible, else out of a
     /// banked batch (either is a *hit*, no allocation), freshly
     /// allocated otherwise (a *miss*).
-    pub fn take(&mut self) -> BytesMut {
+    pub fn take(&mut self) -> Vec<u8> {
         self.stats.taken += 1;
         if let Some(buf) = self.free.pop() {
             self.stats.hits += 1;
@@ -179,10 +179,10 @@ impl PacketPool {
     /// [`Self::take`] once the free list is dry: one buffer out of the
     /// newest banked batch that holds any, else a fresh slab.
     #[cold]
-    fn take_past_free(&mut self) -> BytesMut {
+    fn take_past_free(&mut self) -> Vec<u8> {
         if self.banked == 0 {
             self.stats.misses += 1;
-            return BytesMut::with_capacity(self.slab_capacity);
+            return Vec::with_capacity(self.slab_capacity);
         }
         let packet = self.bank.iter_mut().rev().find_map(PacketBatch::pop);
         self.banked -= 1;
@@ -194,7 +194,7 @@ impl PacketPool {
 
     /// Returns a buffer to the free list, dropping it if the pool holds
     /// `max_free` buffers already.
-    pub fn put(&mut self, buf: BytesMut) {
+    pub fn put(&mut self, buf: Vec<u8>) {
         self.stats.returned += 1;
         if self.free_buffers() < self.max_free {
             self.free.push(buf);
@@ -315,7 +315,7 @@ impl PacketPool {
     /// A copy of the traffic counters, with the capacity of every buffer
     /// the pool holds summed into [`PoolStats::resident_bytes`].
     pub fn stats(&self) -> PoolStats {
-        let free = self.free.iter().map(BytesMut::capacity);
+        let free = self.free.iter().map(Vec::capacity);
         let banked = self.bank.iter().flatten().map(Packet::capacity);
         PoolStats {
             resident_bytes: free.chain(banked).map(|c| c as u64).sum(),
@@ -344,7 +344,7 @@ pub struct SpareStats {
 }
 
 struct Spares {
-    bufs: Vec<BytesMut>,
+    bufs: Vec<Vec<u8>>,
     bytes: usize,
     overflow_dropped: u64,
 }
@@ -396,9 +396,9 @@ pub fn recycle_local(packets: impl IntoIterator<Item = Packet>) {
 /// allocates on first write) otherwise. The contents are whatever the
 /// last owner left; callers overwrite them.
 #[inline]
-pub fn take_local() -> BytesMut {
+pub fn take_local() -> Vec<u8> {
     if SPARE_COUNT.get() == 0 {
-        return BytesMut::new();
+        return Vec::new();
     }
     SPARES
         .try_with(|spares| {
@@ -464,7 +464,7 @@ mod tests {
         let mut pool = PacketPool::new(64, 2);
         pool.prewarm(10);
         assert_eq!(pool.free_buffers(), 2, "prewarm respects max_free");
-        let bufs: Vec<BytesMut> = (0..4).map(|_| pool.take()).collect();
+        let bufs: Vec<Vec<u8>> = (0..4).map(|_| pool.take()).collect();
         for b in bufs {
             pool.put(b);
         }
@@ -592,7 +592,7 @@ mod tests {
 
     /// A packet over a buffer of exactly `capacity` bytes.
     fn spent(capacity: usize) -> Packet {
-        Packet::from_bytes(BytesMut::with_capacity(capacity))
+        Packet::from_bytes(Vec::with_capacity(capacity))
     }
 
     /// Empties this thread's spare list (the harness may run several

@@ -29,7 +29,6 @@
 //! (The cutpoint table against the whole-table search for arbitrary `u`
 //! is a unit test in `pktgen.rs`: it needs the private draw.)
 
-use bytes::BytesMut;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -181,7 +180,7 @@ fn wire_proto(cfg: &TrafficConfig) -> IpProto {
 
 /// One generator frame, built whole by the public builders.
 fn build(cfg: &TrafficConfig, (src, dst, sport, dport): (Ipv4Addr, Ipv4Addr, u16, u16)) -> Packet {
-    let buf = BytesMut::new();
+    let buf = Vec::new();
     match wire_proto(cfg) {
         IpProto::Tcp => {
             let ack = TcpFlags(TcpFlags::ACK);
@@ -275,7 +274,7 @@ proptest! {
                 prop_assert_eq!(packet.as_slice(), expected.as_slice(), "round {}", round);
                 prop_assert_eq!(packet.cached_flow_hash(), Some(packet_flow_hash(&expected)));
                 // A recycled buffer that last held a longer frame.
-                let stale = BytesMut::from(&[0xA5u8; 1600][..]);
+                let stale = vec![0xA5u8; 1600];
                 let restamped = dirty.next_packet_into(stale);
                 prop_assert_eq!(restamped.as_slice(), expected.as_slice());
                 prop_assert_eq!(from_pool.as_slice(), expected.as_slice());
@@ -415,7 +414,7 @@ proptest! {
     ) {
         drain_spares();
         // Spent buffers shorter and longer than the frame, full of junk.
-        recycle_local(capacities.iter().map(|&c| Packet::from_bytes(BytesMut::from(&vec![fill; c][..]))));
+        recycle_local(capacities.iter().map(|&c| Packet::from_bytes(vec![fill; c])));
         prop_assert_eq!(local_spares().buffers, capacities.len());
 
         let mut reference = Reference::new(&cfg, Shape::Whole);

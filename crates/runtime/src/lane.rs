@@ -26,11 +26,10 @@
 //! thief charges [`Crossing::Steal`] with the batch's wire bytes on its
 //! own domain, so the steal tax lands in the backend's cost model
 //! exactly like a channel hand-off: free under `TypedSfi`, a gate spin
-//! under `MpkSim`, a real memcpy under `CopyBoundary`. Victim order is
-//! a knob: [`VictimOrder::RingNearest`] scans outward from the thief's
-//! own index (locality-aware — neighbours first), `FixedSweep` always
-//! scans from lane 0 (the contrast case: every thief contends on the
-//! same victims).
+//! under `MpkSim`, a real memcpy under `CopyBoundary`. A thief scans
+//! victims outward from its own index around the lane ring, neighbours
+//! first, so steals stay local and thieves starting from different
+//! indices spread over different victims instead of contending.
 //!
 //! # Accounting
 //!
@@ -86,20 +85,6 @@ use rbs_sfi::{Domain, DomainManager, ThreadAttachment};
 use crate::deque::{LaneDeque, Steal, Stealer};
 use crate::stats::CYCLE_HIST_PRECISION;
 
-/// In what order an idle lane scans victims for work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VictimOrder {
-    /// Scan outward from the thief's own index around the lane ring:
-    /// distance-1 neighbours first (alternating above/below), then
-    /// distance 2, … Locality-aware: steals stay topologically close,
-    /// and thieves starting from different indices spread over
-    /// different victims instead of contending.
-    RingNearest,
-    /// Always scan from lane 0 upward. The contrast knob: every thief
-    /// hammers the same low-index victims first.
-    FixedSweep,
-}
-
 /// Configuration for a [`LaneRuntime`].
 #[derive(Clone)]
 pub struct LaneConfig {
@@ -115,28 +100,23 @@ pub struct LaneConfig {
     /// Packets per generated batch.
     pub batch_size: usize,
     /// Batches a lane builds per generation turn before draining its
-    /// deque again — the window thieves can steal from.
+    /// deque again — the window thieves can steal from. It also sizes
+    /// the lane's deque ring (`2 × build_burst`, never grown in steady
+    /// state) and its prewarmed buffers (`(build_burst + 2) ×
+    /// batch_size`).
     pub build_burst: usize,
     /// Maximum batches a thief takes per steal round; `0` disables
     /// stealing entirely.
     pub steal_batch: usize,
-    /// Victim scan order when stealing.
-    pub victim_order: VictimOrder,
     /// Isolation backend every lane domain is created under.
     pub backend: BackendKind,
     /// Domain rebuilds a lane attempts before going dead.
     pub max_respawns: u32,
-    /// Deque ring capacity; `0` derives `2 × build_burst` (never grows
-    /// in steady state).
-    pub deque_capacity: usize,
     /// Byte capacity of fresh pooled packet buffers; `0` derives
     /// `traffic`'s frame length ([`TrafficConfig::frame_len`]), so the
     /// pool holds the bytes it carries and nothing more. A frame larger
     /// than an explicit value grows its buffer once.
     pub pool_slab_bytes: usize,
-    /// Buffers prewarmed into each lane's pool; `0` derives
-    /// `(build_burst + 2) × batch_size`.
-    pub pool_prewarm: usize,
     /// When set, each lane first runs this many whole-mix batches
     /// (split like `total_batches`) as warmup, then parks on a
     /// rendezvous until the driver calls
@@ -160,12 +140,9 @@ impl Default for LaneConfig {
             batch_size: 64,
             build_burst: 4,
             steal_batch: 2,
-            victim_order: VictimOrder::RingNearest,
             backend: BackendKind::TypedSfi,
             max_respawns: 3,
-            deque_capacity: 0,
             pool_slab_bytes: 0,
-            pool_prewarm: 0,
             warmup_batches: None,
             #[cfg(feature = "fault-injection")]
             faults: None,
@@ -182,22 +159,6 @@ impl LaneConfig {
         #[cfg(not(feature = "fault-injection"))]
         {
             None
-        }
-    }
-
-    fn deque_capacity_for(&self) -> usize {
-        if self.deque_capacity > 0 {
-            self.deque_capacity
-        } else {
-            self.build_burst * 2
-        }
-    }
-
-    fn pool_prewarm_for(&self) -> usize {
-        if self.pool_prewarm > 0 {
-            self.pool_prewarm
-        } else {
-            (self.build_burst + 2) * self.batch_size
         }
     }
 }
@@ -545,7 +506,7 @@ impl LaneRuntime {
         let mut deques = Vec::with_capacity(config.lanes);
         let mut lane_shared = Vec::with_capacity(config.lanes);
         for _ in 0..config.lanes {
-            let (deque, stealer) = LaneDeque::with_capacity(config.deque_capacity_for());
+            let (deque, stealer) = LaneDeque::with_capacity(config.build_burst * 2);
             deques.push(deque);
             lane_shared.push(LaneShared {
                 stealer,
@@ -743,28 +704,17 @@ fn split_quota(total: u64, shares: &[f64]) -> Vec<u64> {
     quotas
 }
 
-/// The `step`-th victim (0-based) lane `me` of `lanes` scans under
-/// `order`. Steps `0..lanes-1` enumerate every other lane exactly once.
-fn victim_at(order: VictimOrder, me: usize, lanes: usize, step: usize) -> usize {
-    match order {
-        VictimOrder::RingNearest => {
-            // 0 → +1, 1 → -1, 2 → +2, 3 → -2, … around the ring; for
-            // even lane counts the last step keeps only the +distance
-            // victim (the -distance one coincides with it).
-            let distance = step / 2 + 1;
-            if step.is_multiple_of(2) {
-                (me + distance) % lanes
-            } else {
-                (me + lanes - (distance % lanes)) % lanes
-            }
-        }
-        VictimOrder::FixedSweep => {
-            if step >= me {
-                step + 1
-            } else {
-                step
-            }
-        }
+/// The `step`-th victim (0-based) lane `me` of `lanes` scans. Steps
+/// `0..lanes-1` enumerate every other lane exactly once.
+fn victim_at(me: usize, lanes: usize, step: usize) -> usize {
+    // 0 → +1, 1 → -1, 2 → +2, 3 → -2, … around the ring; for even lane
+    // counts the last step keeps only the +distance victim (the
+    // -distance one coincides with it).
+    let distance = step / 2 + 1;
+    if step.is_multiple_of(2) {
+        (me + distance) % lanes
+    } else {
+        (me + lanes - (distance % lanes)) % lanes
     }
 }
 
@@ -834,8 +784,9 @@ impl LaneCtx {
             0 => cfg.traffic.frame_len(),
             explicit => explicit,
         };
-        let mut pool = PacketPool::new(slab_bytes, cfg.pool_prewarm_for().max(1));
-        pool.prewarm(cfg.pool_prewarm_for());
+        let prewarm = (cfg.build_burst + 2) * cfg.batch_size;
+        let mut pool = PacketPool::new(slab_bytes, prewarm.max(1));
+        pool.prewarm(prewarm);
         pool.prewarm_shells(cfg.build_burst + 4, cfg.batch_size);
         let domain = manager
             .create_domain(format!("lane-{index}"))
@@ -1033,13 +984,13 @@ impl LaneCtx {
             .push(LaneEvent::Respawned { seq: self.respawns });
     }
 
-    /// One steal attempt: scan victims in the configured order, take up
+    /// One steal attempt: scan victims ring-nearest first, take up
     /// to `steal_batch` items from the first lane that yields any.
     /// Returns true when work was taken.
     fn steal_round(&mut self) -> bool {
         let lanes = self.cfg.lanes;
         for step in 0..lanes - 1 {
-            let victim = self.victim_at(step);
+            let victim = victim_at(self.index, lanes, step);
             let stealer = &self.shared.lanes[victim].stealer;
             while self.stolen_pending.len() < self.cfg.steal_batch {
                 match stealer.steal() {
@@ -1060,11 +1011,6 @@ impl LaneCtx {
             }
         }
         false
-    }
-
-    /// The `step`-th victim in the configured scan order.
-    fn victim_at(&self, step: usize) -> usize {
-        victim_at(self.cfg.victim_order, self.index, self.cfg.lanes, step)
     }
 
     fn all_deques_empty(&self) -> bool {
@@ -1288,23 +1234,19 @@ mod tests {
 
     #[test]
     fn victim_order_covers_every_other_lane_once() {
-        for order in [VictimOrder::RingNearest, VictimOrder::FixedSweep] {
-            for lanes in [2usize, 3, 4, 5, 8] {
-                for me in 0..lanes {
-                    let mut victims: Vec<usize> = (0..lanes - 1)
-                        .map(|step| victim_at(order, me, lanes, step))
-                        .collect();
-                    victims.sort_unstable();
-                    let expected: Vec<usize> = (0..lanes).filter(|&v| v != me).collect();
-                    assert_eq!(victims, expected, "{order:?}, {lanes} lanes, thief {me}");
-                }
+        for lanes in [2usize, 3, 4, 5, 8] {
+            for me in 0..lanes {
+                let mut victims: Vec<usize> = (0..lanes - 1)
+                    .map(|step| victim_at(me, lanes, step))
+                    .collect();
+                victims.sort_unstable();
+                let expected: Vec<usize> = (0..lanes).filter(|&v| v != me).collect();
+                assert_eq!(victims, expected, "{lanes} lanes, thief {me}");
             }
         }
-        // Locality: ring-nearest visits the direct neighbours first.
-        assert_eq!(victim_at(VictimOrder::RingNearest, 2, 8, 0), 3);
-        assert_eq!(victim_at(VictimOrder::RingNearest, 2, 8, 1), 1);
-        // Contention: fixed sweep always starts at lane 0.
-        assert_eq!(victim_at(VictimOrder::FixedSweep, 5, 8, 0), 0);
+        // Locality: the direct neighbours come first.
+        assert_eq!(victim_at(2, 8, 0), 3);
+        assert_eq!(victim_at(2, 8, 1), 1);
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub mod worker;
 pub use deque::{LaneDeque, Steal, Stealer};
 pub use lane::{
     LaneConfig, LaneEvent, LaneLedgerSnapshot, LaneOutcome, LaneReport, LaneRuntime,
-    LaneUpgradeError, LaneUpgradeOutcome, VictimOrder,
+    LaneUpgradeError, LaneUpgradeOutcome,
 };
 pub use rbs_checkpoint::{Buffered, SnapshotMeta};
 pub use rbs_sfi::backend::{BackendKind, BackendTotals};

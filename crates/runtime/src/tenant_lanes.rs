@@ -52,7 +52,7 @@
 //!   to the executing thread's spare list ([`rbs_netfx::pool`]), where a
 //!   client generating on that thread finds them. Helper lanes' lists
 //!   fill and overflow to `free`; returning those to the origin lane is
-//!   ROADMAP 5(b).
+//!   ROADMAP item 7(a).
 //!
 //! Thefts are metered as [`Crossing::Steal`] against the *origin
 //! tenant's* domain and credited to its ledger (`TenantLedger::stolen`,

@@ -20,7 +20,6 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use bytes::BytesMut;
 use proptest::prelude::*;
 use rbs_netfx::flow::packet_flow_hash;
 use rbs_netfx::operators::{MacSwap, TtlDecrement};
@@ -63,11 +62,11 @@ proptest! {
         let mut pool = PacketPool::new(512, 4096);
         pool.prewarm(8);
         let mut gen = PacketGen::new(TrafficConfig::default());
-        let mut live: Vec<BytesMut> = Vec::new();
+        let mut live: Vec<Vec<u8>> = Vec::new();
         let mut live_ptrs: HashSet<usize> = HashSet::new();
         // Leaked buffers are held (not dropped) so the allocator cannot
         // reuse their addresses and fake a collision.
-        let mut leaked: Vec<BytesMut> = Vec::new();
+        let mut leaked: Vec<Vec<u8>> = Vec::new();
 
         for (op, n) in ops {
             match op {

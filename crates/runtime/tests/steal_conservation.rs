@@ -14,8 +14,8 @@
 //! the point), `lost` counting packets destroyed by a domain fault
 //! mid-batch, and `shed` counting backlog drained unprocessed by a dead
 //! lane. Proptest drives the knobs that change the interleaving: lane
-//! count, steal batch (including stealing off), victim order, flow-mix
-//! skew, fault rate, respawn budget, and the isolation backend.
+//! count, steal batch (including stealing off), flow-mix skew, fault
+//! rate, respawn budget, and the isolation backend.
 //!
 //! Needs the `fault-injection` feature (the workspace test run enables
 //! it through `rbs-bench`):
@@ -32,7 +32,7 @@ use rbs_core::fault::{FaultKind, FaultPlan, FaultSite};
 use rbs_netfx::operators::ChaosPoint;
 use rbs_netfx::pktgen::{FlowDistribution, TrafficConfig};
 use rbs_netfx::PipelineSpec;
-use rbs_runtime::{BackendKind, LaneConfig, LaneRuntime, VictimOrder};
+use rbs_runtime::{BackendKind, LaneConfig, LaneRuntime};
 
 /// A pipeline whose only stage is a chaos point: transparent until the
 /// plan says otherwise.
@@ -47,7 +47,6 @@ proptest! {
     fn stealing_conserves_packets_under_chaos(
         lanes in 2usize..=4,
         steal_batch in 0usize..=4,
-        fixed_sweep in any::<bool>(),
         zipf in any::<bool>(),
         backend_idx in 0usize..3,
         fault_seed in any::<u64>(),
@@ -83,11 +82,6 @@ proptest! {
                 total_batches: 64,
                 batch_size: 32,
                 steal_batch,
-                victim_order: if fixed_sweep {
-                    VictimOrder::FixedSweep
-                } else {
-                    VictimOrder::RingNearest
-                },
                 backend,
                 max_respawns: 1,
                 faults: Some(Arc::new(plan)),

@@ -169,9 +169,9 @@ fn run_pool_script(kind: BackendKind, ops: &[PoolOp]) -> (u64, u64, u64, u64, u6
     pool.prewarm(16);
     // Meter by capacity: these are empty buffers, but a charging backend
     // still bills the hand-off per crossing.
-    let (tx, rx) = recycle_path_metered::<bytes::BytesMut>(&home, 8, |b| b.capacity());
+    let (tx, rx) = recycle_path_metered::<Vec<u8>>(&home, 8, |b| b.capacity());
 
-    let mut in_flight: Vec<bytes::BytesMut> = Vec::new();
+    let mut in_flight: Vec<Vec<u8>> = Vec::new();
     let mut leaked = 0u64;
     let mut dropped_by_path = 0u64;
     for op in ops {
@@ -267,7 +267,7 @@ fn charging_backend_observes_recycle_crossings() {
         let mgr = DomainManager::with_backend_kind(kind);
         let home = mgr.create_domain("pool-home").unwrap();
         let mut pool = PacketPool::new(256, 64);
-        let (tx, rx) = recycle_path_metered::<bytes::BytesMut>(&home, 8, |b| b.capacity());
+        let (tx, rx) = recycle_path_metered::<Vec<u8>>(&home, 8, |b| b.capacity());
         for op in ops {
             match op {
                 PoolOp::Take => assert!(tx.give(pool.take())),

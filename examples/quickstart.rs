@@ -1,11 +1,14 @@
-//! Quickstart: the three capabilities in thirty lines each.
+//! Quickstart: isolation and checkpointing in thirty lines each.
 //!
 //! ```sh
 //! cargo run --example quickstart
 //! ```
+//!
+//! The paper's third capability, information flow control, lives in the
+//! `rbs-ifc` crate with its own examples:
+//! `cargo run -p rbs-ifc --example ifc_secure_store`.
 
 use rust_beyond_safety::checkpoint::{checkpoint, restore, CkRc};
-use rust_beyond_safety::ifc::verify::{verify_source, Verdict};
 use rust_beyond_safety::sfi::{DomainManager, RRef};
 
 fn main() {
@@ -33,29 +36,6 @@ fn main() {
         "  after revoke, invoke -> {:?}",
         store.invoke(|s| s.len()).unwrap_err()
     );
-
-    // ── Analysis: information flow control ────────────────────────────
-    println!("\n== IFC: the paper's buffer program ==");
-    let verdict = verify_source(
-        "channel term public;
-         fn main() {
-             let buf = alloc;
-             let nonsec = vec[1, 2, 3];
-             let sec = vec[4, 5, 6] label secret;
-             append buf, nonsec;
-             append buf, sec;
-             output term, buf;          # line 16: leaks secret data
-         }",
-    )
-    .expect("program parses");
-    match verdict {
-        Verdict::Leaky(violations) => {
-            for v in violations {
-                println!("  leak found: {v}");
-            }
-        }
-        other => println!("  unexpected verdict: {other:?}"),
-    }
 
     // ── Automation: checkpointing with aliasing ───────────────────────
     println!("\n== Checkpointing: shared rules copied once ==");

@@ -11,9 +11,11 @@
 //!   domains share a heap but exchange data only by *moving* ownership across
 //!   [`sfi::RRef`] remote references; a failed domain is recovered by clearing
 //!   its reference table and re-initialising it.
-//! - **Analysis** ([`ifc`]): static information flow control by verifying an
-//!   abstract interpretation of the program in which every value is a security
-//!   label. Move semantics make the analysis precise without alias analysis.
+//! - **Analysis** (the `rbs-ifc` crate): static information flow control by
+//!   verifying an abstract interpretation of the program in which every value
+//!   is a security label. Move semantics make the analysis precise without
+//!   alias analysis. It is the paper's §4 reproduction, with its own examples
+//!   and tests; this facade re-exports the dataplane and does not link it.
 //! - **Automation** ([`checkpoint`]): automatic checkpointing of arbitrary
 //!   pointer-linked data structures. Unique ownership makes traversal trivially
 //!   correct; only explicitly aliased [`checkpoint::CkRc`] nodes need (O(1))
@@ -22,11 +24,17 @@
 //! Substrates: [`netfx`] is a NetBricks-style packet-processing framework with
 //! a synthetic traffic generator, [`maglev`] is a Maglev consistent-hashing
 //! load balancer network function, and [`fwtrie`] is the firewall rule trie of
-//! the paper's Figure 3. The [`runtime`] crate composes them into a sharded
-//! multi-worker pipeline runtime: flows are RSS-hashed across worker threads,
-//! each worker runs its pipeline inside its own [`sfi`] domain, and a panic in
-//! one worker is healed (domain recovery + worker respawn) without disturbing
-//! the others.
+//! the paper's Figure 3. The [`runtime`] crate composes them into three
+//! engines, each running every pipeline inside its own [`sfi`] domain and
+//! healing a panic (domain recovery + respawn) without disturbing the rest:
+//!
+//! - [`runtime::ShardedRuntime`], the dispatcher: one thread RSS-hashes flows
+//!   across worker threads;
+//! - [`runtime::LaneRuntime`], run-to-completion lanes that each generate
+//!   their own RSS slice and steal from one another when idle;
+//! - [`runtime::TenantLaneRuntime`], tenant domains placed onto lanes under
+//!   admission control and per-tenant breakers, with snapshots, warm restore
+//!   and ledgers that are byte-deterministic at any lane count.
 //!
 //! # Quickstart
 //!
@@ -51,7 +59,6 @@ pub use isolated::IsolatedPipeline;
 pub use rbs_checkpoint as checkpoint;
 pub use rbs_core as core;
 pub use rbs_fwtrie as fwtrie;
-pub use rbs_ifc as ifc;
 pub use rbs_maglev as maglev;
 pub use rbs_netfx as netfx;
 pub use rbs_runtime as runtime;

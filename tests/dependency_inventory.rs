@@ -1,0 +1,88 @@
+//! What the dataplane is built from, pinned like `unsafe_inventory.rs`
+//! pins where it is not safe: the root crate links only what the
+//! dataplane runs (the IFC analysis is its own crate, with its own
+//! examples and tests), packets own plain `Vec<u8>` buffers, and
+//! `vendor/` holds exactly the shims something still needs. A new
+//! dependency or shim is then a reviewed diff to this file.
+
+use std::path::Path;
+
+/// The vendored shims, sorted.
+const VENDORED: &[&str] = &["crossbeam", "parking_lot", "proptest", "rand"];
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The dependency names a manifest declares, with the table each sits in.
+fn dependencies(manifest: &str) -> Vec<(String, String)> {
+    let mut table = String::new();
+    let mut found = Vec::new();
+    for line in manifest
+        .lines()
+        .map(|l| l.split('#').next().unwrap_or("").trim())
+    {
+        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            table = header.to_owned();
+        } else if table.ends_with("dependencies") {
+            if let Some(key) = line
+                .split(['=', '.'])
+                .next()
+                .filter(|k| !k.trim().is_empty())
+            {
+                found.push((table.clone(), key.trim().to_owned()));
+            }
+        }
+    }
+    found
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn the_root_crate_links_neither_ifc_nor_rand() {
+    let linked: Vec<String> = dependencies(&read(&root().join("Cargo.toml")))
+        .into_iter()
+        .filter(|(table, _)| table == "dependencies")
+        .map(|(_, name)| name)
+        .collect();
+    assert!(
+        linked.contains(&"rbs-netfx".to_owned()),
+        "parsed {linked:?}"
+    );
+    for gone in ["rbs-ifc", "rand"] {
+        assert!(
+            !linked.iter().any(|name| name == gone),
+            "{gone} in {linked:?}"
+        );
+    }
+}
+
+#[test]
+fn no_crate_depends_on_bytes() {
+    for krate in std::fs::read_dir(root().join("crates")).expect("crates/") {
+        let manifest = krate.expect("readable entry").path().join("Cargo.toml");
+        for (table, name) in dependencies(&read(&manifest)) {
+            assert_ne!(name, "bytes", "{} [{table}]", manifest.display());
+        }
+    }
+}
+
+#[test]
+fn vendor_holds_exactly_the_pinned_shims() {
+    let mut shims: Vec<String> = std::fs::read_dir(root().join("vendor"))
+        .expect("vendor/")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|path| path.is_dir())
+        .map(|path| {
+            path.file_name()
+                .expect("named")
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    shims.sort();
+    assert_eq!(shims, VENDORED, "update VENDORED in the same reviewed diff");
+}
