@@ -127,7 +127,7 @@ pub struct LaneConfig {
     pub warmup_batches: Option<u64>,
     /// Deterministic fault plan installed as each lane thread's ambient
     /// plan (stream = lane index), mirroring the dispatcher runtime.
-    #[cfg(feature = "fault-injection")]
+    /// `None` runs clean.
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -144,21 +144,7 @@ impl Default for LaneConfig {
             max_respawns: 3,
             pool_slab_bytes: 0,
             warmup_batches: None,
-            #[cfg(feature = "fault-injection")]
             faults: None,
-        }
-    }
-}
-
-impl LaneConfig {
-    fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        #[cfg(feature = "fault-injection")]
-        {
-            self.faults.clone()
-        }
-        #[cfg(not(feature = "fault-injection"))]
-        {
-            None
         }
     }
 }
@@ -542,7 +528,7 @@ impl LaneRuntime {
                 let cfg = config.clone();
                 let quota = quotas[index];
                 let warmup = warmups[index];
-                let plan = config.fault_plan();
+                let plan = config.faults.clone();
                 std::thread::Builder::new()
                     .name(format!("rbs-lane-{index}"))
                     .spawn(move || {

@@ -31,11 +31,10 @@
 //!   no central dispatcher, stealing across lanes when idle
 //!   ([`LaneRuntime`](lane::LaneRuntime)).
 //!
-//! With the `fault-injection` feature, a seeded
-//! [`rbs_core::FaultPlan`](rbs_core::fault::FaultPlan) can be installed
-//! via [`RuntimeConfig`] to inject deterministic panics, hangs, torn
-//! channels, and delays at named sites — the substrate of the chaos
-//! experiment.
+//! A seeded [`rbs_core::FaultPlan`](rbs_core::fault::FaultPlan) can be
+//! installed via [`RuntimeConfig`] to inject deterministic panics, hangs,
+//! torn channels, and delays at named sites — the substrate of the chaos
+//! experiment. `faults: None` runs clean.
 //!
 //! ```
 //! use rbs_netfx::{Operator, PacketBatch, PipelineSpec};

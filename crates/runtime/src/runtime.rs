@@ -45,8 +45,8 @@ pub struct RuntimeConfig {
     /// declared hung: the watchdog force-fails its domain, abandons the
     /// thread, and respawns the shard.
     pub hang_timeout: Duration,
-    /// Seed for deterministic backoff jitter (used even without the
-    /// `fault-injection` feature).
+    /// Seed for deterministic backoff jitter (used even when `faults`
+    /// is `None`).
     pub supervisor_seed: u64,
     /// Take a per-worker state snapshot every this many supervision
     /// ticks; `0` disables snapshotting entirely (no snapshot work
@@ -82,7 +82,6 @@ pub struct RuntimeConfig {
     pub backend: BackendKind,
     /// Deterministic fault schedule injected into workers and the
     /// dispatch path; `None` runs clean.
-    #[cfg(feature = "fault-injection")]
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -100,21 +99,7 @@ impl Default for RuntimeConfig {
             recycle_capacity: 0,
             scratch_capacity: 0,
             backend: BackendKind::TypedSfi,
-            #[cfg(feature = "fault-injection")]
             faults: None,
-        }
-    }
-}
-
-impl RuntimeConfig {
-    fn plan(&self) -> Option<Arc<FaultPlan>> {
-        #[cfg(feature = "fault-injection")]
-        {
-            self.faults.clone()
-        }
-        #[cfg(not(feature = "fault-injection"))]
-        {
-            None
         }
     }
 }
@@ -404,7 +389,7 @@ impl ShardedRuntime {
                 spec.clone(),
                 Arc::clone(&stats),
                 config.queue_capacity,
-                config.plan(),
+                config.faults.clone(),
                 Arc::clone(&store),
                 None,
                 recycler.as_ref().map(|r| r.sender.clone()),
@@ -831,7 +816,7 @@ impl ShardedRuntime {
         let packets = batch.len() as u64;
         let occurrence = self.slots[target].send_attempts;
         self.slots[target].send_attempts += 1;
-        if let Some(plan) = self.config.plan() {
+        if let Some(plan) = self.config.faults.clone() {
             match plan.decide(FaultSite::ChannelSend, target as u64, occurrence) {
                 Some(FaultKind::Panic | FaultKind::PoisonTable | FaultKind::CloseChannel) => {
                     // A torn transport: the worker's channel dies
@@ -969,7 +954,7 @@ impl ShardedRuntime {
         // fleet's committed one.
         let spec = self.slots[index].spec.clone();
         let capacity = self.config.queue_capacity;
-        let plan = self.config.plan();
+        let plan = self.config.faults.clone();
         let slot = &mut self.slots[index];
 
         if let Some(thread) = slot.thread.take() {
@@ -1294,7 +1279,7 @@ impl ShardedRuntime {
         if forward {
             let occurrence = self.slots[worker].upgrade_quiesces;
             self.slots[worker].upgrade_quiesces += 1;
-            if let Some(plan) = self.config.plan() {
+            if let Some(plan) = self.config.faults.clone() {
                 match plan.decide(FaultSite::UpgradeQuiesce, worker as u64, occurrence) {
                     Some(FaultKind::Panic | FaultKind::PoisonTable | FaultKind::CloseChannel) => {
                         self.slots[worker].domain.force_fail();
@@ -1531,7 +1516,7 @@ impl ShardedRuntime {
         if forward {
             let occurrence = self.slots[index].upgrade_restores;
             self.slots[index].upgrade_restores += 1;
-            if let Some(plan) = self.config.plan() {
+            if let Some(plan) = self.config.faults.clone() {
                 match plan.decide(FaultSite::UpgradeRestore, index as u64, occurrence) {
                     Some(FaultKind::Panic | FaultKind::PoisonTable | FaultKind::CloseChannel) => {
                         self.slots[index].domain.force_fail();
@@ -1560,7 +1545,7 @@ impl ShardedRuntime {
         };
         let recycle = self.recycler.as_ref().map(|r| r.sender.clone());
         let capacity = self.config.queue_capacity;
-        let plan = self.config.plan();
+        let plan = self.config.faults.clone();
         let slot = &mut self.slots[index];
         slot.spawn_seq += 1;
         let (sender, thread) = spawn_worker(

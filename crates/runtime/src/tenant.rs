@@ -42,7 +42,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-#[cfg(feature = "fault-injection")]
 use rbs_core::fault::FaultPlan;
 use rbs_maglev::{MaglevTable, TableError};
 use rbs_netfx::operators::DstPortFilter;
@@ -509,7 +508,6 @@ pub struct TenantConfig {
     /// which `clippy::needless_update` would otherwise reject there.
     pub breaker: BreakerPolicy,
     pub snapshot_every_ticks: u64,
-    #[cfg(feature = "fault-injection")]
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -527,7 +525,6 @@ impl TenantRuntime {
             breaker: config.breaker,
             snapshot_every_ticks: config.snapshot_every_ticks,
             steal: false,
-            #[cfg(feature = "fault-injection")]
             faults: config.faults,
             ..TenantLaneConfig::default()
         })

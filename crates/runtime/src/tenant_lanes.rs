@@ -66,9 +66,7 @@ use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 use rbs_checkpoint::SnapshotStore;
-#[cfg(feature = "fault-injection")]
-use rbs_core::fault::FaultPlan;
-use rbs_core::fault::{self, FaultKind, FaultSite};
+use rbs_core::fault::{self, FaultKind, FaultPlan, FaultSite};
 use rbs_maglev::{Backend, MaglevTable};
 use rbs_netfx::flow::packet_flow_hash;
 use rbs_netfx::pool::recycle_local;
@@ -118,7 +116,6 @@ pub struct TenantLaneConfig {
     /// one tenant while background chaos salts all of them, reproducibly
     /// at any lane count and under stealing: the per-tenant FIFO
     /// serializes the occurrence stream.
-    #[cfg(feature = "fault-injection")]
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -136,7 +133,6 @@ impl Default for TenantLaneConfig {
             backend: BackendKind::TypedSfi,
             chain: None,
             steal: true,
-            #[cfg(feature = "fault-injection")]
             faults: None,
         }
     }
@@ -354,7 +350,6 @@ struct Shared {
     /// Tenant index → priority band (0 = highest priority).
     band_of: Vec<usize>,
     steal: bool,
-    #[cfg(feature = "fault-injection")]
     faults: Option<Arc<FaultPlan>>,
 }
 
@@ -513,16 +508,10 @@ impl LaneCtx {
         g.work_this_tick += work.cost;
         let occurrence = g.occurrence;
         g.occurrence += 1;
-        #[cfg(feature = "fault-injection")]
         let fire = shared
             .faults
             .as_ref()
             .and_then(|plan| plan.decide(FaultSite::Operator(0), idx as u64, occurrence));
-        #[cfg(not(feature = "fault-injection"))]
-        let fire: Option<FaultKind> = {
-            let _ = occurrence;
-            None
-        };
         let chain = g.chain.as_mut().expect("live tenant has a chain");
         if stolen {
             // The batch is executing off its home lane: bill the steal
@@ -777,7 +766,6 @@ impl TenantLaneRuntime {
             policy: config.breaker,
             band_of,
             steal: config.steal,
-            #[cfg(feature = "fault-injection")]
             faults: config.faults.clone(),
         });
 
@@ -1522,7 +1510,6 @@ mod tests {
     /// A transient fault loop: the breaker opens, failed probes reopen
     /// it, and once the chain runs clean the probes close it — back to
     /// `Running` on a chain restored from the tenant's own snapshots.
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn half_open_probe_closes_after_a_transient_loop() {
         std::panic::set_hook(Box::new(|_| {}));

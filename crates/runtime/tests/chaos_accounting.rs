@@ -3,13 +3,9 @@
 //! budget, the watchdog reclaims hung shards, and a fixed seed replays
 //! the whole supervision history deterministically.
 //!
-//! Everything here needs the `fault-injection` feature (the workspace
-//! test run enables it through `rbs-bench`):
-//!
 //! ```text
-//! cargo test -p rbs-runtime --features fault-injection
+//! cargo test -p rbs-runtime --test chaos_accounting
 //! ```
-#![cfg(feature = "fault-injection")]
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -92,7 +88,6 @@ fn run_chaos(
             snapshot_interval_ticks: snapshot_interval,
             snapshot_full_every: 2,
             backend,
-            #[cfg(feature = "fault-injection")]
             faults: Some(Arc::new(plan)),
             ..RuntimeConfig::default()
         },

@@ -249,7 +249,6 @@ fn pooled_round_trip_returns_every_buffer() {
     assert_free_list_has_no_duplicates(&mut pool);
 }
 
-#[cfg(feature = "fault-injection")]
 mod chaos {
     use super::*;
     use rbs_core::fault::{FaultKind, FaultPlan, FaultSite};

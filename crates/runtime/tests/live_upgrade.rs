@@ -7,10 +7,6 @@
 //! the fleet back to a consistent (never mixed) spec; the dispatcher
 //! never wedges on a quiescing shard; and a cadence snapshot never
 //! collides with the quiesce's final snapshot on the same tick.
-//!
-//! Everything here needs the `fault-injection` feature (the workspace
-//! test run enables it through `rbs-bench`).
-#![cfg(feature = "fault-injection")]
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;

@@ -17,9 +17,8 @@
 //! a record skipped or doubled moves `snaps=`.
 //!
 //! ```text
-//! cargo test -p rbs-runtime --features fault-injection --test snapshot_storm
+//! cargo test -p rbs-runtime --test snapshot_storm
 //! ```
-#![cfg(feature = "fault-injection")]
 
 use std::fmt::Write as _;
 use std::sync::Arc;

@@ -17,13 +17,9 @@
 //! count, steal batch (including stealing off), flow-mix skew, fault
 //! rate, respawn budget, and the isolation backend.
 //!
-//! Needs the `fault-injection` feature (the workspace test run enables
-//! it through `rbs-bench`):
-//!
 //! ```text
-//! cargo test -p rbs-runtime --features fault-injection
+//! cargo test -p rbs-runtime --test steal_conservation
 //! ```
-#![cfg(feature = "fault-injection")]
 
 use std::sync::Arc;
 

@@ -12,13 +12,9 @@
 //! driver) and at two (a helper thread, stealing on): the lane count is
 //! one more input, never a different outcome.
 //!
-//! Everything here needs the `fault-injection` feature (the workspace
-//! test run enables it through `rbs-bench`):
-//!
 //! ```text
-//! cargo test -p rbs-runtime --features fault-injection --test tenant_containment
+//! cargo test -p rbs-runtime --test tenant_containment
 //! ```
-#![cfg(feature = "fault-injection")]
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;

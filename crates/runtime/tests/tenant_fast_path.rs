@@ -16,13 +16,9 @@
 //!    lane thread: injected panics unwind under `step()` itself, which
 //!    must still return every tick with exact conservation.
 //!
-//! Needs the `fault-injection` feature (the workspace test run enables
-//! it through `rbs-bench`):
-//!
 //! ```text
-//! cargo test -p rbs-runtime --features fault-injection --test tenant_fast_path
+//! cargo test -p rbs-runtime --test tenant_fast_path
 //! ```
-#![cfg(feature = "fault-injection")]
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;

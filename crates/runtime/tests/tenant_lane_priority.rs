@@ -20,13 +20,9 @@
 //! rate (kills → breaker opens → respawns), mid-run churn of a random
 //! tenant, and the isolation backend.
 //!
-//! Needs the `fault-injection` feature (the workspace test run enables
-//! it through `rbs-bench`):
-//!
 //! ```text
-//! cargo test -p rbs-runtime --features fault-injection
+//! cargo test -p rbs-runtime --test tenant_lane_priority
 //! ```
-#![cfg(feature = "fault-injection")]
 
 use std::sync::Arc;
 

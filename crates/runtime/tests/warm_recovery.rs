@@ -3,10 +3,6 @@
 //! never restored (the chain falls back latest → previous → cold); an
 //! injected encode fault cannot poison the store; and a clean shutdown
 //! seals a final snapshot equal to the live state.
-//!
-//! Everything here needs the `fault-injection` feature (the workspace
-//! test run enables it through `rbs-bench`).
-#![cfg(feature = "fault-injection")]
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;

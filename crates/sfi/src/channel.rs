@@ -14,6 +14,11 @@
 //! cleanup, destruction) closes the channel, and senders start failing
 //! with [`ChannelError::Revoked`] instead of feeding a dead domain.
 //!
+//! The bounded queue is the channel's own: one mutex guards the queue
+//! together with the revocation and receiver-liveness flags, so a
+//! sender parked on a full queue is woken by the revocation itself,
+//! never by polling.
+//!
 //! ```compile_fail
 //! use rbs_sfi::{channel::channel, DomainManager};
 //!
@@ -31,11 +36,11 @@ use crate::backend::{Crossing, IsolationBackend};
 use crate::domain::Domain;
 use crate::reftable::SlotHandle;
 use crate::tls::DomainId;
-use crossbeam::channel::{bounded, Receiver, SendTimeoutError, Sender, TryRecvError};
 use rbs_core::Exchangeable;
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Why a channel operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,16 +74,24 @@ impl fmt::Display for ChannelError {
 
 impl std::error::Error for ChannelError {}
 
-/// The shared core. Senders hold weak references to it; the *table*
-/// holds a [`TableEntry`] guard whose drop flips `closed`. The explicit
-/// flag matters: senders transiently upgrade their weak pointers during
-/// sends, and overlapping upgrades from several threads could otherwise
-/// keep a revoked core alive indefinitely (a livelock where `upgrade()`
-/// never fails) — the flag makes revocation observable regardless of the
-/// core's momentary strong count.
+/// What the core's mutex guards.
+struct State<T> {
+    queue: VecDeque<T>,
+    /// Set once the receive side's table entry is dropped.
+    revoked: bool,
+    /// Cleared when the [`DomainReceiver`] is dropped.
+    receiver_alive: bool,
+}
+
+/// The shared core, held by every sender, the receiver and the table
+/// entry. Every wait re-checks `revoked` and `receiver_alive` under the
+/// same lock the queue sits behind, and both flags are set with a
+/// `notify_all`, so no waiter can miss either.
 struct ChannelCore<T: Exchangeable> {
-    tx: Sender<T>,
-    closed: AtomicBool,
+    state: Mutex<State<T>>,
+    not_empty: Condvar,
+    not_full: Condvar,
+    capacity: usize,
     /// The receiving domain's isolation backend; sends charge a
     /// [`Crossing::ChannelSend`] against it when `charged` is set.
     backend: Arc<dyn IsolationBackend>,
@@ -90,6 +103,18 @@ struct ChannelCore<T: Exchangeable> {
     meter: fn(&T) -> usize,
 }
 
+impl<T: Exchangeable> ChannelCore<T> {
+    /// Poisoning is ignored: every critical section leaves `State`
+    /// consistent, and a panicking holder must not wedge the channel.
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, cv: &Condvar, state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
+        cv.wait(state).unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The value actually stored in the reference table: dropping it (table
 /// clear on fault/destroy, or explicit revocation) closes the channel.
 struct TableEntry<T: Exchangeable> {
@@ -98,20 +123,30 @@ struct TableEntry<T: Exchangeable> {
 
 impl<T: Exchangeable> Drop for TableEntry<T> {
     fn drop(&mut self) {
-        self.core.closed.store(true, Ordering::Release);
+        self.core.lock().revoked = true;
+        self.core.not_full.notify_all();
+        self.core.not_empty.notify_all();
     }
+}
+
+/// How long a send may park on a full queue.
+#[derive(Clone, Copy)]
+enum Park {
+    Never,
+    Forever,
+    Until(Instant),
 }
 
 /// The sending endpoint, held outside the receiving domain.
 pub struct DomainSender<T: Exchangeable> {
-    core: Weak<ChannelCore<T>>,
+    core: Arc<ChannelCore<T>>,
     target: DomainId,
 }
 
 impl<T: Exchangeable> Clone for DomainSender<T> {
     fn clone(&self) -> Self {
         Self {
-            core: self.core.clone(),
+            core: Arc::clone(&self.core),
             target: self.target,
         }
     }
@@ -125,32 +160,20 @@ impl<T: Exchangeable> DomainSender<T> {
 
     /// True while the receiving domain still accepts messages.
     pub fn is_open(&self) -> bool {
-        match self.core.upgrade() {
-            Some(core) => !core.closed.load(Ordering::Acquire),
-            None => false,
-        }
+        !self.core.lock().revoked
     }
 
     /// Moves `value` into the receiving domain, blocking while the
     /// bounded queue is full.
     ///
-    /// Blocking is done in short rounds so a sender parked on a full
-    /// queue still observes revocation promptly: between rounds the weak
-    /// proxy is re-upgraded, and the strong reference is *not* held
-    /// while parked (holding it would keep a revoked channel alive and
-    /// deadlock the sender forever).
+    /// A sender parked on a full queue wakes as soon as a slot frees,
+    /// the channel is revoked, or the receiver is dropped.
     ///
     /// On failure the value comes back in the error's payload slot —
     /// ownership returns to the caller rather than being silently
     /// dropped.
     pub fn send(&self, value: T) -> Result<(), (ChannelError, T)> {
-        match self.send_rounds(value, None) {
-            Ok(()) => Ok(()),
-            Err((ChannelError::TimedOut, _)) => {
-                unreachable!("unbounded send cannot time out")
-            }
-            Err(e) => Err(e),
-        }
+        self.send_parked(value, Park::Forever)
     }
 
     /// Like [`DomainSender::send`] but gives up once the queue has
@@ -160,87 +183,59 @@ impl<T: Exchangeable> DomainSender<T> {
     /// This is the dispatcher-safe send: a worker that stops draining
     /// its queue (hung, livelocked, stalled on I/O) can delay the caller
     /// by at most `max_wait` instead of wedging it forever. Revocation
-    /// is still observed promptly between rounds.
-    pub fn send_deadline(
-        &self,
-        value: T,
-        max_wait: std::time::Duration,
-    ) -> Result<(), (ChannelError, T)> {
-        self.send_rounds(value, Some(std::time::Instant::now() + max_wait))
-    }
-
-    fn send_rounds(
-        &self,
-        value: T,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<(), (ChannelError, T)> {
-        let mut value = value;
-        loop {
-            let Some(core) = self.core.upgrade() else {
-                return Err((ChannelError::Revoked, value));
-            };
-            if core.closed.load(Ordering::Acquire) {
-                return Err((ChannelError::Revoked, value));
-            }
-            let bytes = if core.charged {
-                (core.meter)(&value)
-            } else {
-                0
-            };
-            match core
-                .tx
-                .send_timeout(value, std::time::Duration::from_millis(5))
-            {
-                Ok(()) => {
-                    if core.charged {
-                        core.backend
-                            .crossing(self.target, Crossing::ChannelSend, bytes);
-                    }
-                    return Ok(());
-                }
-                Err(SendTimeoutError::Timeout(v)) => {
-                    // Queue full: re-check the closed flag (and the
-                    // caller's deadline) next round.
-                    if let Some(d) = deadline {
-                        if std::time::Instant::now() >= d {
-                            return Err((ChannelError::TimedOut, v));
-                        }
-                    }
-                    value = v;
-                }
-                Err(SendTimeoutError::Disconnected(v)) => {
-                    return Err((ChannelError::Disconnected, v));
-                }
-            }
-        }
+    /// still ends the wait at once.
+    pub fn send_deadline(&self, value: T, max_wait: Duration) -> Result<(), (ChannelError, T)> {
+        self.send_parked(value, Park::Until(Instant::now() + max_wait))
     }
 
     /// Like [`DomainSender::send`] but fails immediately when full.
     pub fn try_send(&self, value: T) -> Result<(), (ChannelError, T)> {
-        let Some(core) = self.core.upgrade() else {
-            return Err((ChannelError::Revoked, value));
-        };
-        if core.closed.load(Ordering::Acquire) {
-            return Err((ChannelError::Revoked, value));
-        }
+        self.send_parked(value, Park::Never)
+    }
+
+    /// Fails with `Revoked`, then `Disconnected`, then `Full` or
+    /// `TimedOut`: the first that holds when the sender looks.
+    fn send_parked(&self, value: T, park: Park) -> Result<(), (ChannelError, T)> {
+        let core = &*self.core;
         let bytes = if core.charged {
             (core.meter)(&value)
         } else {
             0
         };
-        match core.tx.try_send(value) {
-            Ok(()) => {
-                if core.charged {
-                    core.backend
-                        .crossing(self.target, Crossing::ChannelSend, bytes);
+        let mut state = core.lock();
+        loop {
+            if state.revoked {
+                return Err((ChannelError::Revoked, value));
+            }
+            if !state.receiver_alive {
+                return Err((ChannelError::Disconnected, value));
+            }
+            if state.queue.len() < core.capacity {
+                break;
+            }
+            state = match park {
+                Park::Never => return Err((ChannelError::Full, value)),
+                Park::Forever => core.wait(&core.not_full, state),
+                Park::Until(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err((ChannelError::TimedOut, value));
+                    }
+                    core.not_full
+                        .wait_timeout(state, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
                 }
-                Ok(())
-            }
-            Err(crossbeam::channel::TrySendError::Full(v)) => Err((ChannelError::Full, v)),
-            Err(crossbeam::channel::TrySendError::Disconnected(v)) => {
-                Err((ChannelError::Disconnected, v))
-            }
+            };
         }
+        state.queue.push_back(value);
+        drop(state);
+        core.not_empty.notify_one();
+        if core.charged {
+            core.backend
+                .crossing(self.target, Crossing::ChannelSend, bytes);
+        }
+        Ok(())
     }
 }
 
@@ -256,56 +251,80 @@ impl<T: Exchangeable> fmt::Debug for DomainSender<T> {
 /// The receiving endpoint, intended to be used by code running in (or on
 /// behalf of) the receiving domain.
 pub struct DomainReceiver<T: Exchangeable> {
-    rx: Receiver<T>,
+    core: Arc<ChannelCore<T>>,
     home: Domain,
     slot: SlotHandle,
-    meter: fn(&T) -> usize,
 }
 
 impl<T: Exchangeable> DomainReceiver<T> {
-    /// Charge the copy-out half of the hand-off: the value leaving the
-    /// queue and landing in the receiving domain.
-    #[inline]
-    fn charge_recv(&self, value: &T) {
+    /// Hands a dequeued value out: frees its slot for a parked sender
+    /// and charges the copy-out half of the hand-off, the value leaving
+    /// the queue and landing in the receiving domain.
+    fn take(&self, state: MutexGuard<'_, State<T>>, value: T) -> T {
+        drop(state);
+        self.core.not_full.notify_one();
         if self.home.inner.charged {
             self.home
                 .inner
-                .charge(Crossing::ChannelRecv, (self.meter)(value));
+                .charge(Crossing::ChannelRecv, (self.core.meter)(&value));
         }
+        value
     }
 
-    /// Receives the next message, blocking until one arrives or every
-    /// sender is gone.
+    /// Receives the next message, blocking until one arrives. Once the
+    /// channel is revoked, what was queued still drains, then this
+    /// fails with [`ChannelError::Disconnected`].
     pub fn recv(&self) -> Result<T, ChannelError> {
-        let v = self.rx.recv().map_err(|_| ChannelError::Disconnected)?;
-        self.charge_recv(&v);
-        Ok(v)
+        let mut state = self.core.lock();
+        loop {
+            if let Some(v) = state.queue.pop_front() {
+                return Ok(self.take(state, v));
+            }
+            if state.revoked {
+                return Err(ChannelError::Disconnected);
+            }
+            state = self.core.wait(&self.core.not_empty, state);
+        }
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<T, ChannelError> {
-        let v = self.rx.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => ChannelError::Empty,
-            TryRecvError::Disconnected => ChannelError::Disconnected,
-        })?;
-        self.charge_recv(&v);
-        Ok(v)
+        let mut state = self.core.lock();
+        match state.queue.pop_front() {
+            Some(v) => Ok(self.take(state, v)),
+            None if state.revoked => Err(ChannelError::Disconnected),
+            None => Err(ChannelError::Empty),
+        }
     }
 
     /// Messages currently queued.
     pub fn len(&self) -> usize {
-        self.rx.len()
+        self.core.lock().queue.len()
     }
 
     /// True when no messages are queued.
     pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
+        self.len() == 0
     }
 
     /// Closes the channel from the receiving side by revoking its table
     /// entry; queued messages remain receivable, new sends fail.
     pub fn revoke(&self) -> bool {
         self.home.inner.ref_table.remove(self.slot).is_some()
+    }
+}
+
+impl<T: Exchangeable> Drop for DomainReceiver<T> {
+    /// Senders outlive the receiver, so what is still queued is dropped
+    /// here rather than with the last sender, and parked senders fail
+    /// with [`ChannelError::Disconnected`].
+    fn drop(&mut self) {
+        let mut state = self.core.lock();
+        state.receiver_alive = false;
+        let queued = std::mem::take(&mut state.queue);
+        drop(state);
+        self.core.not_full.notify_all();
+        drop(queued);
     }
 }
 
@@ -325,6 +344,10 @@ impl<T: Exchangeable> fmt::Debug for DomainReceiver<T> {
 /// threads; the receive half belongs to the receiving domain. The
 /// channel closes when the domain's reference table is cleared (fault,
 /// destruction, or explicit [`DomainReceiver::revoke`]).
+///
+/// # Panics
+///
+/// Panics on `capacity == 0`.
 pub fn channel<T: Exchangeable>(
     receiver: &Domain,
     capacity: usize,
@@ -341,34 +364,44 @@ pub fn channel<T: Exchangeable>(
 /// right for inline values but undercounts containers; pass the real
 /// payload size here (e.g. a packet batch's total bytes). Under the
 /// default zero-cost backend the meter is never called.
+///
+/// # Panics
+///
+/// Panics on `capacity == 0`: a rendezvous channel has no queue to own.
 pub fn channel_metered<T: Exchangeable>(
     receiver: &Domain,
     capacity: usize,
     meter: fn(&T) -> usize,
 ) -> (DomainSender<T>, DomainReceiver<T>) {
-    let (tx, rx) = bounded(capacity);
+    assert!(
+        capacity > 0,
+        "rendezvous (zero-capacity) channels unsupported"
+    );
     let core = Arc::new(ChannelCore {
-        tx,
-        closed: AtomicBool::new(false),
+        state: Mutex::new(State {
+            queue: VecDeque::with_capacity(capacity),
+            revoked: false,
+            receiver_alive: true,
+        }),
+        not_empty: Condvar::new(),
+        not_full: Condvar::new(),
+        capacity,
         backend: Arc::clone(&receiver.inner.backend),
         charged: receiver.inner.charged,
         meter,
     });
-    let weak = Arc::downgrade(&core);
-    let slot = receiver
-        .inner
-        .ref_table
-        .insert(Arc::new(TableEntry { core }));
+    let slot = receiver.inner.ref_table.insert(Arc::new(TableEntry {
+        core: Arc::clone(&core),
+    }));
     (
         DomainSender {
-            core: weak,
+            core: Arc::clone(&core),
             target: receiver.id(),
         },
         DomainReceiver {
-            rx,
+            core,
             home: receiver.clone(),
             slot,
-            meter,
         },
     )
 }
@@ -471,6 +504,21 @@ mod tests {
         let (e, v) = waiter.join().unwrap().unwrap_err();
         assert_eq!(e, ChannelError::Revoked);
         assert_eq!(v, 2);
+    }
+
+    #[test]
+    fn receiver_drop_fails_a_parked_sender_with_disconnected() {
+        let d = setup();
+        let (tx, rx) = channel::<u32>(&d, 1);
+        tx.send(1).unwrap();
+        let waiter = std::thread::spawn(move || tx.send(2));
+        // Parked or not yet parked, the sender must see the same error;
+        // the pause only makes the parked case the one exercised.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        drop(rx);
+        let (e, v) = waiter.join().unwrap().unwrap_err();
+        assert_eq!(e, ChannelError::Disconnected);
+        assert_eq!(v, 2, "ownership returns on disconnect");
     }
 
     #[test]

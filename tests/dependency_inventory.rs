@@ -1,14 +1,19 @@
 //! What the dataplane is built from, pinned like `unsafe_inventory.rs`
 //! pins where it is not safe: the root crate links only what the
 //! dataplane runs (the IFC analysis is its own crate, with its own
-//! examples and tests), packets own plain `Vec<u8>` buffers, and
-//! `vendor/` holds exactly the shims something still needs. A new
-//! dependency or shim is then a reviewed diff to this file.
+//! examples and tests), packets own plain `Vec<u8>` buffers, channels
+//! own their queues, fault injection is compiled into every build rather
+//! than behind a feature, and `vendor/` holds exactly the shims something
+//! still needs. A new dependency, shim or build fork is then a reviewed
+//! diff to this file.
 
 use std::path::Path;
 
 /// The vendored shims, sorted.
-const VENDORED: &[&str] = &["crossbeam", "parking_lot", "proptest", "rand"];
+const VENDORED: &[&str] = &["parking_lot", "proptest", "rand"];
+
+/// Dependencies that were deleted and must not come back.
+const DELETED: &[&str] = &["bytes", "crossbeam"];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -41,6 +46,29 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
+/// The root manifest and every crate's.
+fn manifests() -> Vec<std::path::PathBuf> {
+    let mut all = vec![root().join("Cargo.toml")];
+    for krate in std::fs::read_dir(root().join("crates")).expect("crates/") {
+        all.push(krate.expect("readable entry").path().join("Cargo.toml"));
+    }
+    all
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("readable entry").path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "target") {
+                rust_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
 #[test]
 fn the_root_crate_links_neither_ifc_nor_rand() {
     let linked: Vec<String> = dependencies(&read(&root().join("Cargo.toml")))
@@ -68,6 +96,51 @@ fn no_crate_depends_on_bytes() {
             assert_ne!(name, "bytes", "{} [{table}]", manifest.display());
         }
     }
+}
+
+#[test]
+fn no_manifest_names_a_deleted_dependency() {
+    for manifest in manifests() {
+        for (table, name) in dependencies(&read(&manifest)) {
+            assert!(
+                !DELETED.contains(&name.as_str()),
+                "{name} in {} [{table}]",
+                manifest.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn fault_injection_is_not_a_build_fork() {
+    // Spelled in two pieces so this file does not match itself.
+    let gate = concat!("feature = ", "\"fault-injection\"");
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    assert!(files.len() > 100, "walked only {} files", files.len());
+    let gated: Vec<_> = files
+        .iter()
+        .filter(|path| read(path).contains(gate))
+        .map(|path| path.display().to_string())
+        .collect();
+    assert!(gated.is_empty(), "{gate} in {gated:?}");
+
+    let runtime = read(&root().join("crates/runtime/Cargo.toml"));
+    let features: Vec<&str> = runtime
+        .lines()
+        .map(|l| l.split('#').next().unwrap_or("").trim())
+        .skip_while(|l| *l != "[features]")
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.is_empty())
+        .collect();
+    assert_eq!(
+        features,
+        ["fault-injection = []"],
+        "the feature turns nothing on"
+    );
 }
 
 #[test]
