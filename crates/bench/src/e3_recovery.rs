@@ -33,8 +33,8 @@ pub fn measure(rounds: usize) -> RecoveryCosts {
     let domain = mgr.create_domain("null-filter").expect("no quota");
     // Recovery re-creates the (immediately faulting) operator so every
     // round exercises the identical catch/clean/rebuild path.
-    let slot: std::sync::Arc<parking_lot::Mutex<Option<RRef<PanicAfter>>>> =
-        std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let slot: std::sync::Arc<rbs_core::sync::Mutex<Option<RRef<PanicAfter>>>> =
+        std::sync::Arc::new(rbs_core::sync::Mutex::new(None));
     {
         let slot = std::sync::Arc::clone(&slot);
         domain.set_recovery(move |d: &Domain| {

@@ -6,14 +6,14 @@
 //! case). Runs never trust marks from other epochs, so concurrent
 //! checkpoint runs cannot corrupt each other — a cross-run interleaving
 //! at worst costs an extra copy (losing one dedup opportunity within one
-//! run), never a wrong snapshot. Combined with the `Mutex<T>` impl from
-//! [`crate::traits`], this is the paper's "efficient and thread-safe"
-//! checkpointing of shared mutable state.
+//! run), never a wrong snapshot. Combined with the impl for
+//! [`rbs_core::sync::Mutex`] in [`crate::traits`], this is the paper's
+//! "efficient and thread-safe" checkpointing of shared mutable state.
 
 use crate::ctx::{CheckpointCtx, DedupMode, RestoreCtx};
 use crate::snapshot::{mismatch, Snapshot, SnapshotError};
 use crate::traits::Checkpointable;
-use parking_lot::Mutex;
+use rbs_core::sync::Mutex;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -198,12 +198,12 @@ mod tests {
     fn shared_mutable_state_via_mutex() {
         // The paper's "thread-safe" claim: Arc<Mutex<T>>-style shared
         // mutable state, checkpointed consistently.
-        let counter = CkArc::new(parking_lot::Mutex::new(0u64));
+        let counter = CkArc::new(Mutex::new(0u64));
         let v = vec![counter.clone(), counter.clone()];
         *v[0].lock() = 42;
         let cp = checkpoint(&v);
         assert_eq!(cp.stats.shared_copied, 1);
-        let back: Vec<CkArc<parking_lot::Mutex<u64>>> = restore(&cp).unwrap();
+        let back: Vec<CkArc<Mutex<u64>>> = restore(&cp).unwrap();
         assert_eq!(*back[1].lock(), 42);
         assert!(CkArc::ptr_eq(&back[0], &back[1]));
     }
@@ -213,9 +213,7 @@ mod tests {
         // Writers mutate shared cells while a checkpoint runs; the run
         // must complete and contain internally-consistent per-cell
         // values (each cell's lock is held during its copy).
-        let cells: Vec<CkArc<parking_lot::Mutex<u64>>> = (0..16)
-            .map(|_| CkArc::new(parking_lot::Mutex::new(0)))
-            .collect();
+        let cells: Vec<CkArc<Mutex<u64>>> = (0..16).map(|_| CkArc::new(Mutex::new(0))).collect();
         let shared = cells.clone();
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let writer_stop = std::sync::Arc::clone(&stop);
@@ -229,7 +227,7 @@ mod tests {
         for _ in 0..50 {
             let cp = checkpoint(&cells);
             assert_eq!(cp.stats.shared_copied, 16);
-            let back: Vec<CkArc<parking_lot::Mutex<u64>>> = restore(&cp).unwrap();
+            let back: Vec<CkArc<Mutex<u64>>> = restore(&cp).unwrap();
             assert_eq!(back.len(), 16);
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -270,6 +268,6 @@ mod tests {
     fn send_sync_bounds() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CkArc<u64>>();
-        assert_send_sync::<CkArc<parking_lot::Mutex<Vec<u8>>>>();
+        assert_send_sync::<CkArc<Mutex<Vec<u8>>>>();
     }
 }

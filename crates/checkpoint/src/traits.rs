@@ -5,12 +5,13 @@
 //! other checkpointable types". The impls here are that induction,
 //! hand-rolled once for the standard building blocks: scalars, strings,
 //! tuples, arrays, `Box`, `Option`, `Vec`, `VecDeque`, maps, `RefCell`
-//! and `Mutex`. User structs get theirs from
+//! and the workspace's non-poisoning [`Mutex`]. User structs get theirs from
 //! [`checkpointable!`](crate::checkpointable), and the aliased cases live
 //! in [`crate::ckrc`]/[`crate::ckarc`].
 
 use crate::ctx::{CheckpointCtx, RestoreCtx};
 use crate::snapshot::{mismatch, Snapshot, SnapshotError};
+use rbs_core::sync::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// A type whose values can be checkpointed to a [`Snapshot`] and
@@ -393,14 +394,16 @@ impl<T: Checkpointable> Checkpointable for std::cell::RefCell<T> {
 /// "When write aliasing is essential ... single ownership can be
 /// enforced dynamically by additionally wrapping the object with the
 /// Mutex type" (§2) — checkpointing locks the mutex, giving a consistent
-/// per-object snapshot even while other threads use the structure.
-impl<T: Checkpointable> Checkpointable for parking_lot::Mutex<T> {
+/// per-object snapshot even while other threads use the structure. The
+/// lock ignores poisoning, so a value whose holder panicked (a domain
+/// unwound mid-update, §3) still checkpoints as whatever it held.
+impl<T: Checkpointable> Checkpointable for Mutex<T> {
     fn checkpoint(&self, ctx: &mut CheckpointCtx) -> Snapshot {
         self.lock().checkpoint(ctx)
     }
 
     fn restore(snap: &Snapshot, ctx: &mut RestoreCtx<'_>) -> Result<Self, SnapshotError> {
-        Ok(parking_lot::Mutex::new(T::restore(snap, ctx)?))
+        Ok(Mutex::new(T::restore(snap, ctx)?))
     }
 }
 
@@ -510,10 +513,26 @@ mod tests {
         let back: std::cell::RefCell<u32> = restore(&cp).unwrap();
         assert_eq!(*back.borrow(), 5);
 
-        let m = parking_lot::Mutex::new(String::from("locked"));
+        let m = Mutex::new(String::from("locked"));
         let cp = checkpoint(&m);
-        let back: parking_lot::Mutex<String> = restore(&cp).unwrap();
+        let back: Mutex<String> = restore(&cp).unwrap();
         assert_eq!(*back.lock(), "locked");
+    }
+
+    #[test]
+    fn mutex_whose_holder_panicked_checkpoints_what_it_held() {
+        let m = Mutex::new(vec![1u32, 2]);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut g = m.lock();
+            g.push(3);
+            panic!("domain fault mid-update");
+        }));
+        assert!(unwound.is_err());
+        let cp = checkpoint(&m);
+        let back: Mutex<Vec<u32>> = restore(&cp).unwrap();
+        assert_eq!(*back.lock(), [1, 2, 3]);
+        m.lock().push(4);
+        assert_eq!(*m.lock(), [1, 2, 3, 4], "the lock is still usable");
     }
 
     #[test]

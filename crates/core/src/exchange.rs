@@ -63,7 +63,8 @@ pub fn assert_exchangeable<T: Exchangeable>() {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
+    use crate::sync::Mutex;
+    use std::sync::Arc;
 
     #[test]
     fn owned_types_are_exchangeable() {

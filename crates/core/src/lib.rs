@@ -5,9 +5,10 @@
 //! measures the same way through [`cycles`]. The remaining modules provide
 //! statistics ([`stats`], [`histogram`]), plain-text result tables
 //! ([`table`]), the [`exchange`] linearity marker used by the SFI layer
-//! to constrain what may cross a protection-domain boundary, and the
+//! to constrain what may cross a protection-domain boundary, the
 //! counting allocator ([`alloc_count`]) the zero-allocation claims are
-//! measured with.
+//! measured with, and the workspace's locks ([`sync`]), which do not
+//! poison.
 //!
 //! `unsafe` is confined to the two modules that need it: the time-stamp
 //! counter intrinsics and the `GlobalAlloc` impl.
@@ -22,6 +23,7 @@ pub mod exchange;
 pub mod fault;
 pub mod histogram;
 pub mod stats;
+pub mod sync;
 pub mod table;
 
 pub use cycles::{cycles_per_ns, rdtsc, rdtscp_serialized, CycleTimer};

@@ -34,7 +34,7 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicBool, AtomicIsize, AtomicPtr, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use rbs_core::sync::Mutex;
 
 /// Smallest ring the deque will allocate.
 const MIN_CAPACITY: usize = 8;

@@ -72,10 +72,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rbs_core::fault::FaultPlan;
 use rbs_core::histogram::LogHistogram;
 use rbs_core::stats::Summary;
+use rbs_core::sync::Mutex;
 use rbs_netfx::pktgen::{PacketGen, TrafficConfig};
 use rbs_netfx::pool::{PacketPool, PoolStats};
 use rbs_netfx::{PacketBatch, Pipeline, PipelineSpec};

@@ -3,9 +3,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rbs_checkpoint::{Buffered, Checkpoint, SnapshotMeta, SnapshotStore, StateMigrator};
 use rbs_core::fault::FaultPlan;
+use rbs_core::sync::Mutex;
 use rbs_netfx::pool::PacketPool;
 use rbs_netfx::{PacketBatch, PipelineSpec};
 use rbs_sfi::backend::{BackendKind, BackendTotals};

@@ -10,9 +10,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rbs_core::histogram::LogHistogram;
 use rbs_core::stats::Summary;
+use rbs_core::sync::Mutex;
 use rbs_netfx::pipeline::StageStats;
 
 use crate::supervisor::{BreakerState, SupervisorEvent, SupervisorEventKind};

@@ -64,9 +64,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
 use rbs_checkpoint::SnapshotStore;
 use rbs_core::fault::{self, FaultKind, FaultPlan, FaultSite};
+use rbs_core::sync::Mutex;
 use rbs_maglev::{Backend, MaglevTable};
 use rbs_netfx::flow::packet_flow_hash;
 use rbs_netfx::pool::recycle_local;

@@ -3,9 +3,9 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
 use rbs_checkpoint::{Checkpoint, SnapshotStore};
 use rbs_core::fault::{self, FaultKind, FaultPlan, FaultSite};
+use rbs_core::sync::Mutex;
 use rbs_netfx::{PacketBatch, PipelineSpec};
 use rbs_sfi::channel::channel_metered;
 use rbs_sfi::recycle::RecycleSender;

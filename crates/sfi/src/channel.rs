@@ -36,10 +36,11 @@ use crate::backend::{Crossing, IsolationBackend};
 use crate::domain::Domain;
 use crate::reftable::SlotHandle;
 use crate::tls::DomainId;
+use rbs_core::sync::{Condvar, Mutex, MutexGuard};
 use rbs_core::Exchangeable;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why a channel operation failed.
@@ -88,6 +89,8 @@ struct State<T> {
 /// same lock the queue sits behind, and both flags are set with a
 /// `notify_all`, so no waiter can miss either.
 struct ChannelCore<T: Exchangeable> {
+    /// Every critical section leaves `State` consistent, so a holder's
+    /// panic cannot leave it torn; the lock ignores poisoning.
     state: Mutex<State<T>>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -103,18 +106,6 @@ struct ChannelCore<T: Exchangeable> {
     meter: fn(&T) -> usize,
 }
 
-impl<T: Exchangeable> ChannelCore<T> {
-    /// Poisoning is ignored: every critical section leaves `State`
-    /// consistent, and a panicking holder must not wedge the channel.
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wait<'a>(&self, cv: &Condvar, state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
-        cv.wait(state).unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 /// The value actually stored in the reference table: dropping it (table
 /// clear on fault/destroy, or explicit revocation) closes the channel.
 struct TableEntry<T: Exchangeable> {
@@ -123,7 +114,7 @@ struct TableEntry<T: Exchangeable> {
 
 impl<T: Exchangeable> Drop for TableEntry<T> {
     fn drop(&mut self) {
-        self.core.lock().revoked = true;
+        self.core.state.lock().revoked = true;
         self.core.not_full.notify_all();
         self.core.not_empty.notify_all();
     }
@@ -160,7 +151,7 @@ impl<T: Exchangeable> DomainSender<T> {
 
     /// True while the receiving domain still accepts messages.
     pub fn is_open(&self) -> bool {
-        !self.core.lock().revoked
+        !self.core.state.lock().revoked
     }
 
     /// Moves `value` into the receiving domain, blocking while the
@@ -202,7 +193,7 @@ impl<T: Exchangeable> DomainSender<T> {
         } else {
             0
         };
-        let mut state = core.lock();
+        let mut state = core.state.lock();
         loop {
             if state.revoked {
                 return Err((ChannelError::Revoked, value));
@@ -215,16 +206,13 @@ impl<T: Exchangeable> DomainSender<T> {
             }
             state = match park {
                 Park::Never => return Err((ChannelError::Full, value)),
-                Park::Forever => core.wait(&core.not_full, state),
+                Park::Forever => core.not_full.wait(state),
                 Park::Until(deadline) => {
                     let now = Instant::now();
                     if now >= deadline {
                         return Err((ChannelError::TimedOut, value));
                     }
-                    core.not_full
-                        .wait_timeout(state, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
+                    core.not_full.wait_timeout(state, deadline - now).0
                 }
             };
         }
@@ -275,7 +263,7 @@ impl<T: Exchangeable> DomainReceiver<T> {
     /// channel is revoked, what was queued still drains, then this
     /// fails with [`ChannelError::Disconnected`].
     pub fn recv(&self) -> Result<T, ChannelError> {
-        let mut state = self.core.lock();
+        let mut state = self.core.state.lock();
         loop {
             if let Some(v) = state.queue.pop_front() {
                 return Ok(self.take(state, v));
@@ -283,13 +271,13 @@ impl<T: Exchangeable> DomainReceiver<T> {
             if state.revoked {
                 return Err(ChannelError::Disconnected);
             }
-            state = self.core.wait(&self.core.not_empty, state);
+            state = self.core.not_empty.wait(state);
         }
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<T, ChannelError> {
-        let mut state = self.core.lock();
+        let mut state = self.core.state.lock();
         match state.queue.pop_front() {
             Some(v) => Ok(self.take(state, v)),
             None if state.revoked => Err(ChannelError::Disconnected),
@@ -299,7 +287,7 @@ impl<T: Exchangeable> DomainReceiver<T> {
 
     /// Messages currently queued.
     pub fn len(&self) -> usize {
-        self.core.lock().queue.len()
+        self.core.state.lock().queue.len()
     }
 
     /// True when no messages are queued.
@@ -319,7 +307,7 @@ impl<T: Exchangeable> Drop for DomainReceiver<T> {
     /// here rather than with the last sender, and parked senders fail
     /// with [`ChannelError::Disconnected`].
     fn drop(&mut self) {
-        let mut state = self.core.lock();
+        let mut state = self.core.state.lock();
         state.receiver_alive = false;
         let queued = std::mem::take(&mut state.queue);
         drop(state);

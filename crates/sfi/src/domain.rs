@@ -23,7 +23,7 @@ use crate::policy::{AllowAll, Policy};
 use crate::reftable::RefTable;
 use crate::stats::DomainStats;
 use crate::tls::{enter_domain, DomainId};
-use parking_lot::{Mutex, RwLock};
+use rbs_core::sync::{Mutex, RwLock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};

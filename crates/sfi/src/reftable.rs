@@ -9,7 +9,7 @@
 //! therefore "automatically deallocate[s] all memory and resources owned
 //! by the domain" (§3), which is the first step of fault recovery.
 
-use parking_lot::Mutex;
+use rbs_core::sync::Mutex;
 use std::any::Any;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -206,8 +206,8 @@ mod tests {
     use super::*;
     use std::sync::Weak;
 
-    fn entry(v: u32) -> (Entry, Weak<parking_lot::Mutex<u32>>) {
-        let strong = Arc::new(parking_lot::Mutex::new(v));
+    fn entry(v: u32) -> (Entry, Weak<Mutex<u32>>) {
+        let strong = Arc::new(Mutex::new(v));
         let weak = Arc::downgrade(&strong);
         (strong as Entry, weak)
     }
@@ -334,7 +334,7 @@ mod tests {
     #[test]
     fn poison_tracks_and_drains_inflight() {
         let t = RefTable::new();
-        let strong = Arc::new(parking_lot::Mutex::new(5u32));
+        let strong = Arc::new(Mutex::new(5u32));
         t.insert(Arc::clone(&strong) as Entry);
         // `strong` plays the role of an invocation that upgraded the
         // entry and is still mid-call when the fault hits.
@@ -354,12 +354,12 @@ mod tests {
     #[test]
     fn repeated_poison_accumulates_only_live_inflight() {
         let t = RefTable::new();
-        let s1 = Arc::new(parking_lot::Mutex::new(1u32));
+        let s1 = Arc::new(Mutex::new(1u32));
         t.insert(Arc::clone(&s1) as Entry);
         t.poison();
         assert_eq!(t.inflight(), 1);
         drop(s1);
-        let s2 = Arc::new(parking_lot::Mutex::new(2u32));
+        let s2 = Arc::new(Mutex::new(2u32));
         t.insert(Arc::clone(&s2) as Entry);
         t.poison();
         assert_eq!(t.inflight(), 1, "dead weaks from round 1 were pruned");

@@ -36,7 +36,7 @@ use crate::domain::{Domain, DomainInner};
 use crate::error::RpcError;
 use crate::reftable::SlotHandle;
 use crate::tls::{current_domain, enter_domain};
-use parking_lot::Mutex;
+use rbs_core::sync::Mutex;
 use rbs_core::Exchangeable;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Weak};

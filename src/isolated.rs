@@ -15,7 +15,7 @@
 //! [`IsolatedPipeline::heal`] to pick up the recovered stage's fresh
 //! remote reference, making the failure transparent from then on.
 
-use parking_lot::Mutex;
+use rbs_core::sync::Mutex;
 use rbs_netfx::batch::PacketBatch;
 use rbs_netfx::pipeline::Operator;
 use rbs_sfi::{Domain, DomainManager, RRef, RpcError};

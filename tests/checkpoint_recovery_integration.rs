@@ -6,7 +6,7 @@
 //! fault and runs recovery; the checkpoint library supplies the "clean
 //! state" the domain is re-initialized from.
 
-use parking_lot::Mutex;
+use rbs_core::sync::Mutex;
 use rust_beyond_safety::checkpoint::{checkpoint, restore, Checkpoint};
 use rust_beyond_safety::fwtrie::{Action, FirewallOp, FwTrie, Rule};
 use rust_beyond_safety::netfx::pipeline::Operator;

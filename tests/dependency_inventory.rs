@@ -3,17 +3,19 @@
 //! dataplane runs (the IFC analysis is its own crate, with its own
 //! examples and tests), packets own plain `Vec<u8>` buffers, channels
 //! own their queues, fault injection is compiled into every build rather
-//! than behind a feature, and `vendor/` holds exactly the shims something
-//! still needs. A new dependency, shim or build fork is then a reviewed
-//! diff to this file.
+//! than behind a feature, every lock comes from `rbs_core::sync`, every
+//! declared dependency is used, and `vendor/` holds exactly the shims
+//! something still needs. A new dependency, shim, lock policy or build
+//! fork is then a reviewed diff to this file.
 
 use std::path::Path;
 
 /// The vendored shims, sorted.
-const VENDORED: &[&str] = &["parking_lot", "proptest", "rand"];
+const VENDORED: &[&str] = &["proptest", "rand"];
 
-/// Dependencies that were deleted and must not come back.
-const DELETED: &[&str] = &["bytes", "crossbeam"];
+/// Dependencies that were deleted and must not come back (the lock shim
+/// spelled in pieces, as `locks_come_from_rbs_core_sync` bans its name).
+const DELETED: &[&str] = &["bytes", "crossbeam", concat!("parking", "_lot")];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -141,6 +143,78 @@ fn fault_injection_is_not_a_build_fork() {
         ["fault-injection = []"],
         "the feature turns nothing on"
     );
+}
+
+/// Whether `name` occurs in `text` with no identifier character on
+/// either side.
+fn names_word(text: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(name)
+        .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + name.len()..].starts_with(ident))
+}
+
+#[test]
+fn every_declared_dependency_is_used() {
+    let mut unused = Vec::new();
+    for manifest in manifests() {
+        let package = manifest.parent().expect("in a directory");
+        let mut files = Vec::new();
+        if package == root() {
+            for dir in ["src", "tests", "examples"] {
+                rust_files(&root().join(dir), &mut files);
+            }
+        } else {
+            rust_files(package, &mut files);
+        }
+        let sources: Vec<String> = files.iter().map(|path| read(path)).collect();
+        for (table, name) in dependencies(&read(&manifest)) {
+            if table != "dependencies" && table != "dev-dependencies" {
+                continue;
+            }
+            let krate = name.replace('-', "_");
+            if !sources.iter().any(|text| names_word(text, &krate)) {
+                unused.push(format!("{} [{table}] {name}", manifest.display()));
+            }
+        }
+    }
+    assert!(unused.is_empty(), "declared, never named: {unused:#?}");
+}
+
+#[test]
+fn locks_come_from_rbs_core_sync() {
+    // Spelled in pieces so this file does not match itself.
+    let std_sync = concat!("std::", "sync::");
+    let banned = [concat!("parking", "_lot"), concat!("Poison", "Error")];
+    let locks = ["Mutex", "MutexGuard", "RwLock", "Condvar"];
+    let home = root().join("crates/core/src/sync.rs");
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    let mut found = Vec::new();
+    for path in files.iter().filter(|path| **path != home) {
+        let text = read(path);
+        for needle in banned.iter().filter(|needle| text.contains(*needle)) {
+            found.push(format!("{}: {needle}", path.display()));
+        }
+        // What follows each `std::sync::`: one name, or a `{...}` group.
+        for (at, _) in text.match_indices(std_sync) {
+            let rest = &text[at + std_sync.len()..];
+            let imported = match rest.strip_prefix('{') {
+                Some(group) => &group[..group.find('}').unwrap_or(group.len())],
+                None => {
+                    &rest[..rest
+                        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                        .unwrap_or(rest.len())]
+                }
+            };
+            for lock in locks.iter().filter(|lock| names_word(imported, lock)) {
+                found.push(format!("{}: {std_sync}{lock}", path.display()));
+            }
+        }
+    }
+    assert!(found.is_empty(), "locks outside rbs_core::sync: {found:#?}");
+    assert!(files.contains(&home), "{} is missing", home.display());
 }
 
 #[test]
