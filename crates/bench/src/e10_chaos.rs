@@ -502,9 +502,14 @@ pub fn to_json(r: &ChaosResults) -> String {
     out
 }
 
+/// Rounds per sweep point behind the committed `BENCH_chaos.json`.
+pub const ROUNDS: usize = 150;
+/// Rounds per sweep point under `--quick`.
+const QUICK_ROUNDS: usize = 40;
+
 /// Regenerates the chaos table, writing `BENCH_chaos.json` beside it.
 pub fn run(quick: bool) -> String {
-    let rounds = if quick { 40 } else { 150 };
+    let rounds = if quick { QUICK_ROUNDS } else { ROUNDS };
     let results = measure(rounds);
 
     let mut t = Table::new(&[

@@ -501,10 +501,15 @@ pub fn to_json(r: &RecoveryResults) -> String {
     out
 }
 
+/// Rounds per sweep point behind the committed `BENCH_recovery.json`.
+pub const ROUNDS: usize = 80;
+/// Rounds per sweep point under `--quick`.
+const QUICK_ROUNDS: usize = 24;
+
 /// Regenerates the recovery table, writing `BENCH_recovery.json` beside
 /// it.
 pub fn run(quick: bool) -> String {
-    let rounds = if quick { 24 } else { 80 };
+    let rounds = if quick { QUICK_ROUNDS } else { ROUNDS };
     let results = measure(rounds);
 
     let mut t = Table::new(&[

@@ -336,11 +336,23 @@ pub fn to_json(r: &IsolationResults, batch_sizes: &[usize]) -> String {
     out
 }
 
+/// Measured rounds per cell behind the committed `BENCH_isolation.json`.
+pub const ROUNDS: usize = 512;
+/// Batch sizes behind the committed `BENCH_isolation.json`.
+pub const BATCH_SIZES: &[usize] = &[64, 256, 512];
+/// Measured rounds per cell under `--quick`.
+const QUICK_ROUNDS: usize = 64;
+/// Batch sizes under `--quick`.
+const QUICK_BATCH_SIZES: &[usize] = &[64, 256];
+
 /// Regenerates the isolation-tax table, writing `BENCH_isolation.json`
 /// beside it.
 pub fn run(quick: bool) -> String {
-    let rounds = if quick { 64 } else { 512 };
-    let batch_sizes: &[usize] = if quick { &[64, 256] } else { &[64, 256, 512] };
+    let (rounds, batch_sizes) = if quick {
+        (QUICK_ROUNDS, QUICK_BATCH_SIZES)
+    } else {
+        (ROUNDS, BATCH_SIZES)
+    };
     let results = measure(rounds, batch_sizes);
 
     let mut t = Table::new(&[

@@ -414,10 +414,15 @@ pub fn to_json(r: &UpgradeResults) -> String {
     out
 }
 
+/// Rounds per cell behind the committed `BENCH_upgrade.json`.
+pub const ROUNDS: usize = 40;
+/// Rounds per cell under `--quick`.
+const QUICK_ROUNDS: usize = 12;
+
 /// Regenerates the upgrade matrix, writing `BENCH_upgrade.json` beside
 /// it.
 pub fn run(quick: bool) -> String {
-    let rounds = if quick { 12 } else { 40 };
+    let rounds = if quick { QUICK_ROUNDS } else { ROUNDS };
     let results = measure(rounds);
 
     let mut t = Table::new(&[

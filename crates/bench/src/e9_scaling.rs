@@ -13,7 +13,7 @@
 //!    flat curve on a small host reads as honest, not broken.
 //! 2. **Skew and stealing** — the same fleet under a Zipf(1.2) flow mix
 //!    loads lanes unevenly. With work stealing off, the hottest lane's
-//!    quota dominates the wall clock; with Chase–Lev stealing on, idle
+//!    quota dominates the wall clock; with work stealing on, idle
 //!    lanes pull batches from loaded deques (paying the isolation
 //!    crossing tax per stolen batch) and the gap closes. The cell
 //!    reports both runs and the speedup.

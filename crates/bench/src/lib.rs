@@ -26,6 +26,8 @@
 //! typed result structs the tests assert *shape* properties on — who
 //! wins, by roughly what factor, where crossovers fall.
 
+#![forbid(unsafe_code)]
+
 pub mod alloc_count;
 pub mod e10_chaos;
 pub mod e11_recovery;

@@ -1,166 +1,62 @@
-//! Chase–Lev work-stealing deque.
+//! The lanes' work-stealing deque: one lock around a `VecDeque`.
 //!
-//! One owner thread pushes and pops work at the *bottom*; any number of
-//! thief threads steal from the *top*. The implementation follows the
-//! C11 formulation of Lê, Pop, Cohen & Zappa Nardelli, "Correct and
-//! Efficient Work-Stealing for Weak Memory Models" (PPoPP 2013): the
-//! owner's `pop` publishes its claim on the bottom slot with a seq-cst
-//! fence before reading `top`, and thieves claim the top slot with a
-//! seq-cst compare-exchange, so for each index exactly one side wins.
+//! One owner pushes and pops work at the *back*; any number of thieves
+//! steal from the *front*. Every operation takes the same
+//! [`rbs_core::sync::Mutex`], so each item is claimed exactly once by
+//! construction: no `unsafe`, no memory-ordering argument, and a thief
+//! never loses a race it has to retry. The items are coarse — a lane
+//! trades 256-packet batches, a tenant lane one token per tenant tick —
+//! so one uncontended lock per operation is small beside the work an
+//! item carries.
 //!
-//! Two deliberate simplifications versus a general-purpose deque:
+//! A `closed` latch serves live upgrades. A lane entering `Upgrading`
+//! stops advertising its deque: thieves see [`Steal::Closed`] and move
+//! on, while the owner keeps full access. The latch is read under the
+//! lock that guards the items, so closing is exact: once
+//! [`close_steals`](LaneDeque::close_steals) returns, no thief takes
+//! another item until [`open_steals`](LaneDeque::open_steals).
 //!
-//! - **Retired buffers are kept until the deque drops.** When the owner
-//!   grows the ring it swaps in a doubled buffer and parks the old one
-//!   instead of freeing it, so a thief that loaded the stale buffer
-//!   pointer still reads valid memory; its subsequent claim on `top`
-//!   fails (the owner's copy already advanced past it) and the stale
-//!   read is discarded. Lanes size the ring to their burst up front, so
-//!   in steady state nothing grows and nothing is parked.
-//! - **A `closed` latch for live upgrades.** A lane entering `Upgrading`
-//!   stops advertising its deque: thieves see [`Steal::Closed`] and move
-//!   on, while the owner keeps full access. Closing is advisory — it
-//!   never races with item ownership, which only the `top`/`bottom`
-//!   protocol decides.
-//!
-//! The owner handle is `Send` but not `Sync`/`Clone` (single owner, like
-//! the pool); [`Stealer`] handles are cheap clones shared with every
-//! other lane.
+//! The owner handle is not `Clone` (single owner, like the pool);
+//! [`Stealer`] handles are cheap clones shared with every other lane.
 
-use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::fmt;
-use std::marker::PhantomData;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicIsize, AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use rbs_core::sync::Mutex;
 
-/// Smallest ring the deque will allocate.
-const MIN_CAPACITY: usize = 8;
-
-/// A fixed-capacity power-of-two ring of `MaybeUninit` slots.
-///
-/// Slots are bitwise copies managed entirely by the `top`/`bottom`
-/// protocol; the buffer itself never drops items (the deque does, once,
-/// at drop time, for the live range of the *current* buffer only).
-struct Buffer<T> {
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    mask: usize,
-}
-
-impl<T> Buffer<T> {
-    fn alloc(capacity: usize) -> *mut Buffer<T> {
-        debug_assert!(capacity.is_power_of_two());
-        let slots = (0..capacity)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Box::into_raw(Box::new(Buffer {
-            slots,
-            mask: capacity - 1,
-        }))
-    }
-
-    fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
-    /// Bitwise-writes `value` into the slot for logical index `i`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold the owner role and `i` must be outside the live
-    /// `top..bottom` range (it becomes live only when `bottom` is
-    /// published afterwards).
-    unsafe fn write(&self, i: isize, value: T) {
-        let slot = self.slots[(i as usize) & self.mask].get();
-        slot.write(MaybeUninit::new(value));
-    }
-
-    /// Bitwise-reads the slot for logical index `i`.
-    ///
-    /// # Safety
-    ///
-    /// The copy duplicates ownership: the caller must either win the
-    /// `top`/`bottom` claim for `i` or `mem::forget` the result.
-    unsafe fn read(&self, i: isize) -> T {
-        let slot = self.slots[(i as usize) & self.mask].get();
-        slot.read().assume_init()
-    }
-}
-
-struct Inner<T> {
-    /// Next index thieves claim. Only ever increments.
-    top: AtomicIsize,
-    /// One past the owner's last pushed index.
-    bottom: AtomicIsize,
-    /// Current ring; swapped (never mutated in place) on grow.
-    buffer: AtomicPtr<Buffer<T>>,
-    /// Rings replaced by grow, parked until drop so stale thief loads
-    /// stay backed by live memory.
-    retired: Mutex<Vec<*mut Buffer<T>>>,
+struct State<T> {
+    items: VecDeque<T>,
     /// Steal-advertising latch (see module docs).
-    closed: AtomicBool,
-}
-
-unsafe impl<T: Send> Send for Inner<T> {}
-unsafe impl<T: Send> Sync for Inner<T> {}
-
-impl<T> Drop for Inner<T> {
-    fn drop(&mut self) {
-        // Sole reference left: plain loads are fine.
-        let top = self.top.load(Ordering::Relaxed);
-        let bottom = self.bottom.load(Ordering::Relaxed);
-        let buf = self.buffer.load(Ordering::Relaxed);
-        unsafe {
-            for i in top..bottom {
-                drop((*buf).read(i));
-            }
-            drop(Box::from_raw(buf));
-            for &old in self.retired.lock().iter() {
-                // Retired rings hold only stale bitwise copies; their
-                // live items were re-homed by grow. Free the memory
-                // without dropping any slot.
-                drop(Box::from_raw(old));
-            }
-        }
-    }
+    closed: bool,
 }
 
 /// Result of a [`Stealer::steal`] attempt.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Steal<T> {
-    /// Claimed the top item.
+    /// Claimed the front item.
     Taken(T),
-    /// The deque was observably empty.
+    /// The deque was empty.
     Empty,
-    /// Lost a race (another thief or the owner claimed the item);
-    /// retrying immediately may succeed.
-    Retry,
     /// The owner has closed the deque to thieves (e.g. mid-upgrade).
     Closed,
 }
 
-/// The owner-side handle: push/pop at the bottom, plus the
-/// steal-advertising latch. Single-owner by construction.
+/// The owner-side handle: push/pop at the back, plus the
+/// steal-advertising latch.
 pub struct LaneDeque<T> {
-    inner: Arc<Inner<T>>,
-    /// !Sync: the owner role is a single-thread contract.
-    _not_sync: PhantomData<std::cell::Cell<()>>,
+    state: Arc<Mutex<State<T>>>,
 }
-
-unsafe impl<T: Send> Send for LaneDeque<T> {}
 
 /// A thief-side handle; clone one per stealing lane.
 pub struct Stealer<T> {
-    inner: Arc<Inner<T>>,
+    state: Arc<Mutex<State<T>>>,
 }
 
 impl<T> Clone for Stealer<T> {
     fn clone(&self) -> Self {
         Stealer {
-            inner: Arc::clone(&self.inner),
+            state: Arc::clone(&self.state),
         }
     }
 }
@@ -180,80 +76,37 @@ impl<T> fmt::Debug for Stealer<T> {
 }
 
 impl<T> LaneDeque<T> {
-    /// Creates a deque whose initial ring holds at least `capacity`
-    /// items without growing (rounded up to a power of two).
+    /// Creates a deque that holds at least `capacity` items before its
+    /// first reallocation.
     pub fn with_capacity(capacity: usize) -> (LaneDeque<T>, Stealer<T>) {
-        let cap = capacity.max(MIN_CAPACITY).next_power_of_two();
-        let inner = Arc::new(Inner {
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(0),
-            buffer: AtomicPtr::new(Buffer::alloc(cap)),
-            retired: Mutex::new(Vec::new()),
-            closed: AtomicBool::new(false),
-        });
+        let state = Arc::new(Mutex::new(State {
+            items: VecDeque::with_capacity(capacity),
+            closed: false,
+        }));
         (
             LaneDeque {
-                inner: Arc::clone(&inner),
-                _not_sync: PhantomData,
+                state: Arc::clone(&state),
             },
-            Stealer { inner },
+            Stealer { state },
         )
     }
 
-    /// Pushes `value` at the bottom. Grows (doubling) when full.
+    /// Pushes `value` at the back.
     pub fn push(&self, value: T) {
-        let b = self.inner.bottom.load(Ordering::Relaxed);
-        let t = self.inner.top.load(Ordering::Acquire);
-        let mut buf = self.inner.buffer.load(Ordering::Relaxed);
-        unsafe {
-            if b - t >= (*buf).capacity() as isize {
-                buf = self.grow(buf, t, b);
-            }
-            (*buf).write(b, value);
-        }
-        self.inner.bottom.store(b + 1, Ordering::Release);
+        self.state.lock().items.push_back(value);
     }
 
-    /// Pops from the bottom (LIFO relative to the owner's pushes).
+    /// Pops from the back (LIFO relative to the owner's pushes).
     pub fn pop(&self) -> Option<T> {
-        let b = self.inner.bottom.load(Ordering::Relaxed) - 1;
-        let buf = self.inner.buffer.load(Ordering::Relaxed);
-        self.inner.bottom.store(b, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let t = self.inner.top.load(Ordering::Relaxed);
-        if t > b {
-            // Already empty; restore bottom.
-            self.inner.bottom.store(b + 1, Ordering::Relaxed);
-            return None;
-        }
-        if t < b {
-            // More than one item: the bottom slot is uncontended.
-            return Some(unsafe { (*buf).read(b) });
-        }
-        // Exactly one item: race thieves for it via `top`.
-        let won = self
-            .inner
-            .top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok();
-        self.inner.bottom.store(b + 1, Ordering::Relaxed);
-        if won {
-            // Thieves can no longer touch index t: safe to read after
-            // the claim.
-            Some(unsafe { (*buf).read(b) })
-        } else {
-            None
-        }
+        self.state.lock().items.pop_back()
     }
 
-    /// Number of queued items as the owner sees it.
+    /// Number of queued items.
     pub fn len(&self) -> usize {
-        let b = self.inner.bottom.load(Ordering::Relaxed);
-        let t = self.inner.top.load(Ordering::Relaxed);
-        (b - t).max(0) as usize
+        self.state.lock().items.len()
     }
 
-    /// True when the owner sees no queued items.
+    /// True when no items are queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -261,73 +114,33 @@ impl<T> LaneDeque<T> {
     /// Stops advertising the deque to thieves: steals return
     /// [`Steal::Closed`] until [`open_steals`](Self::open_steals).
     pub fn close_steals(&self) {
-        self.inner.closed.store(true, Ordering::Release);
+        self.state.lock().closed = true;
     }
 
     /// Re-advertises the deque to thieves.
     pub fn open_steals(&self) {
-        self.inner.closed.store(false, Ordering::Release);
-    }
-
-    /// Doubles the ring, copying the live `t..b` range across, and
-    /// parks the old ring. Owner-only.
-    unsafe fn grow(&self, old: *mut Buffer<T>, t: isize, b: isize) -> *mut Buffer<T> {
-        let new = Buffer::alloc((*old).capacity() * 2);
-        for i in t..b {
-            let slot = (*old).slots[(i as usize) & (*old).mask].get();
-            (*new).write(i, slot.read().assume_init());
-        }
-        self.inner.buffer.store(new, Ordering::Release);
-        self.inner.retired.lock().push(old);
-        new
+        self.state.lock().closed = false;
     }
 }
 
 impl<T> Stealer<T> {
-    /// Attempts to claim the top item.
+    /// Claims the front item, unless the deque is empty or closed.
     pub fn steal(&self) -> Steal<T> {
-        if self.inner.closed.load(Ordering::Acquire) {
+        let mut state = self.state.lock();
+        if state.closed {
             return Steal::Closed;
         }
-        let t = self.inner.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
-        let b = self.inner.bottom.load(Ordering::Acquire);
-        if t >= b {
-            return Steal::Empty;
-        }
-        let buf = self.inner.buffer.load(Ordering::Acquire);
-        // Speculative copy: only the winner of the `top` claim keeps it.
-        let value = unsafe { (*buf).read(t) };
-        if self
-            .inner
-            .top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-        {
-            Steal::Taken(value)
-        } else {
-            std::mem::forget(value);
-            Steal::Retry
+        match state.items.pop_front() {
+            Some(value) => Steal::Taken(value),
+            None => Steal::Empty,
         }
     }
 
-    /// Snapshot of the queued-item count (may be stale immediately).
-    pub fn len(&self) -> usize {
-        let t = self.inner.top.load(Ordering::Acquire);
-        let b = self.inner.bottom.load(Ordering::Acquire);
-        (b - t).max(0) as usize
-    }
-
-    /// True when the deque looks empty right now. Items may appear or
+    /// True when the deque is empty right now. Items may appear or
     /// vanish immediately after; termination protocols must pair this
     /// with their own quiescence condition.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True while the owner has the deque closed to thieves.
-    pub fn is_closed(&self) -> bool {
-        self.inner.closed.load(Ordering::Acquire)
+        self.state.lock().items.is_empty()
     }
 }
 
@@ -335,7 +148,8 @@ impl<T> Stealer<T> {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
     use std::thread;
 
     #[test]
@@ -356,7 +170,7 @@ mod tests {
 
     #[test]
     fn grows_past_initial_capacity() {
-        let (d, _s) = LaneDeque::with_capacity(MIN_CAPACITY);
+        let (d, _s) = LaneDeque::with_capacity(8);
         for i in 0..1000 {
             d.push(i);
         }
@@ -373,7 +187,6 @@ mod tests {
         d.push(1);
         d.close_steals();
         assert_eq!(s.steal(), Steal::Closed);
-        assert!(s.is_closed());
         assert_eq!(d.pop(), Some(1));
         d.push(2);
         d.open_steals();
@@ -392,7 +205,7 @@ mod tests {
         {
             let (d, _s) = LaneDeque::with_capacity(4);
             for _ in 0..10 {
-                d.push(Counted(&drops)); // forces a grow, exercising retired rings
+                d.push(Counted(&drops));
             }
             drop(d.pop()); // 1 explicit
         }
@@ -419,7 +232,6 @@ mod tests {
                     loop {
                         match st.steal() {
                             Steal::Taken(v) => got.push(v),
-                            Steal::Retry => {}
                             Steal::Empty | Steal::Closed => {
                                 if done.load(Ordering::Acquire) && st.is_empty() {
                                     break;
@@ -454,5 +266,61 @@ mod tests {
         assert_eq!(all.len(), ITEMS, "lost or duplicated items");
         let distinct: HashSet<usize> = all.iter().copied().collect();
         assert_eq!(distinct.len(), ITEMS, "duplicated items");
+    }
+
+    /// Once `close_steals` returns, no thief takes another item: the
+    /// length the owner reads right after closing holds while thieves
+    /// keep spinning, and with what they took before the close it
+    /// accounts for every push. An upgrading lane's drain-then-snapshot
+    /// step rests on this.
+    #[test]
+    fn close_is_exact_under_racing_thieves() {
+        const ITEMS: usize = 20_000;
+        const THIEVES: usize = 3;
+        let (d, s) = LaneDeque::with_capacity(ITEMS);
+        let start = Arc::new(Barrier::new(THIEVES + 1));
+        let refused = Arc::new(AtomicUsize::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+
+        let handles: Vec<_> = (0..THIEVES)
+            .map(|_| {
+                let st = s.clone();
+                let (start, refused, stop) =
+                    (Arc::clone(&start), Arc::clone(&refused), Arc::clone(&stop));
+                thread::spawn(move || {
+                    let (mut taken, mut was_refused) = (0, false);
+                    start.wait();
+                    while !stop.load(Ordering::Acquire) {
+                        match st.steal() {
+                            Steal::Taken(_) => taken += 1,
+                            Steal::Closed if !was_refused => {
+                                was_refused = true;
+                                refused.fetch_add(1, Ordering::AcqRel);
+                            }
+                            Steal::Empty | Steal::Closed => {}
+                        }
+                    }
+                    taken
+                })
+            })
+            .collect();
+
+        start.wait();
+        for i in 0..ITEMS {
+            d.push(i);
+        }
+        d.close_steals();
+        let left = d.len();
+        // Once every thief has been refused, any steal that raced the
+        // close has returned; the thieves keep spinning regardless.
+        while refused.load(Ordering::Acquire) < THIEVES {
+            thread::yield_now();
+        }
+        let after = d.len();
+        stop.store(true, Ordering::Release);
+
+        let taken: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(after, left, "a thief took an item after close_steals");
+        assert_eq!(taken + left, ITEMS, "lost or duplicated items");
     }
 }

@@ -1,4 +1,4 @@
-//! Run-to-completion lanes with Chase–Lev work stealing.
+//! Run-to-completion lanes with work stealing.
 //!
 //! The dispatcher runtime ([`crate::runtime::ShardedRuntime`]) funnels
 //! every packet through one thread that flow-hashes and hands batches to
@@ -16,7 +16,7 @@
 //! 4. recycles buffers locally,
 //!
 //! with no cross-thread hand-off on the steady path. Lanes trade work
-//! only when idle, by **stealing** from the top of other lanes' deques
+//! only when idle, by **stealing** from the front of other lanes' deques
 //! ([`crate::deque`]): under a Zipf-skewed mix the hot lane's backlog is
 //! drained by the cold ones instead of wedging the run.
 //!
@@ -101,9 +101,8 @@ pub struct LaneConfig {
     pub batch_size: usize,
     /// Batches a lane builds per generation turn before draining its
     /// deque again — the window thieves can steal from. It also sizes
-    /// the lane's deque ring (`2 × build_burst`, never grown in steady
-    /// state) and its prewarmed buffers (`(build_burst + 2) ×
-    /// batch_size`).
+    /// the lane's deque (`2 × build_burst`, never grown in steady state)
+    /// and its prewarmed buffers (`(build_burst + 2) × batch_size`).
     pub build_burst: usize,
     /// Maximum batches a thief takes per steal round; `0` disables
     /// stealing entirely.
@@ -988,7 +987,6 @@ impl LaneCtx {
                         self.steal_bytes += bytes as u64;
                         self.stolen_pending.push(item);
                     }
-                    Steal::Retry => continue,
                     Steal::Empty | Steal::Closed => break,
                 }
             }
@@ -1025,7 +1023,8 @@ impl LaneCtx {
             return;
         }
         // 1. Stop advertising the deque: thieves must not pull work
-        //    from a lane whose pipeline is mid-swap.
+        //    from a lane whose pipeline is mid-swap. Closing is exact:
+        //    once `close_steals` returns, no thief takes another batch.
         self.deque.close_steals();
         self.events.push(LaneEvent::StealsClosed);
         // 2. Drain stolen-in batches through the *old* pipeline — they

@@ -24,8 +24,8 @@
 //! - [`upgrade`] — zero-downtime rolling reconfiguration: the policy
 //!   knobs, typed rejection, and per-upgrade outcome records for
 //!   [`ShardedRuntime::upgrade_pipeline`](runtime::ShardedRuntime::upgrade_pipeline).
-//! - [`deque`] — the Chase–Lev work-stealing deque lanes trade work
-//!   through.
+//! - [`deque`] — the work-stealing deque lanes trade work through: one
+//!   lock around a `VecDeque`, so the crate holds no `unsafe` code.
 //! - [`lane`] — the run-to-completion lane engine: N ingress lanes,
 //!   each generating, processing, and recycling its own RSS slice with
 //!   no central dispatcher, stealing across lanes when idle
@@ -65,9 +65,8 @@
 //! assert_eq!(report.faults, 0);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
-#[allow(unsafe_code)] // the Chase–Lev deque: the crate's only `unsafe`
 pub mod deque;
 pub mod lane;
 pub mod runtime;

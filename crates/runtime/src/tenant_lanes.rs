@@ -9,11 +9,11 @@
 //! with a weighted placement policy, each lane tick-processes only its
 //! resident tenants with no cross-thread hand-off on the steady path,
 //! and idle lanes steal *whole tenant work items* through the same
-//! Chase–Lev deques the lane engine trades batches on — under a
-//! priority-aware policy that never steals ahead of a higher-priority
-//! tenant's queued work. At `lanes: 1` it is the single-threaded
-//! driver: nothing is spawned, nothing blocks, and a fixed offered
-//! trace replays byte-identically.
+//! deques the lane engine trades batches on — under a priority-aware
+//! policy that never steals ahead of a higher-priority tenant's queued
+//! work. At `lanes: 1` it is the single-threaded driver: nothing is
+//! spawned, nothing blocks, and a fixed offered trace replays
+//! byte-identically.
 //!
 //! The design walks a narrow line: wall-clock parallel execution whose
 //! *accounting* is still byte-deterministic.
@@ -441,12 +441,8 @@ impl LaneCtx {
             for step in 1..lanes {
                 let victim = (self.index + step) % lanes;
                 let stealer = &shared.lanes[victim].stealers[band];
-                loop {
-                    match stealer.steal() {
-                        Steal::Taken(t) => return Some((t, band)),
-                        Steal::Retry => continue,
-                        Steal::Empty | Steal::Closed => break,
-                    }
+                if let Steal::Taken(t) = stealer.steal() {
+                    return Some((t, band));
                 }
             }
         }
