@@ -3,9 +3,10 @@
 //! `e12_hotpath` asserts that the steady-state data path — pool take,
 //! packet build, dispatch, pipeline, recycle, pool put — touches the
 //! global allocator exactly zero times. A claim like that cannot be
-//! trusted to code review; it has to be *measured*. This module installs
-//! [`rbs_core::alloc_count::CountingAlloc`] as the global allocator when
-//! the crate is built with `--features alloc-count`, and the experiment
+//! trusted to code review; it has to be *measured*. A binary that wants
+//! it measured installs [`rbs_core::alloc_count::CountingAlloc`] as its
+//! global allocator — the `experiments` binary does under `--features
+//! alloc-count`, the `hotpath_records` test always — and the experiment
 //! diffs the counter across its measured window.
 //!
 //! The counter is process-wide and thread-global on purpose: worker
@@ -13,22 +14,22 @@
 //! an allocation smuggled in *anywhere* on the hot path shows up. The
 //! cost is that the measured window must be quiet — `e12_hotpath` runs
 //! it around a dispatch→drain→reclaim cycle with nothing else going on
-//! in the process, which is exactly how the CI perf-smoke job invokes
-//! it.
+//! in the process, which is why `hotpath_records` is the only test in
+//! its binary.
 //!
-//! Without the feature the module still compiles (so experiment code
-//! needs no `cfg` spaghetti); [`enabled`] reports `false` and the
+//! Without a counting allocator the module still works (so experiment
+//! code needs no `cfg` spaghetti); [`enabled`] reports `false` and the
 //! counter never moves.
 
 pub use rbs_core::alloc_count::recent_sizes;
 
-#[cfg(feature = "alloc-count")]
-#[global_allocator]
-static GLOBAL: rbs_core::alloc_count::CountingAlloc = rbs_core::alloc_count::CountingAlloc;
-
-/// Whether the counting allocator is actually installed in this build.
+/// Whether this process counts allocations: a probe that allocates one
+/// box and sees whether the counter moved, so any binary that installs
+/// `CountingAlloc` counts, whichever feature it was built with.
 pub fn enabled() -> bool {
-    cfg!(feature = "alloc-count")
+    let before = allocations();
+    drop(std::hint::black_box(Box::new(0u8)));
+    allocations() != before
 }
 
 /// Allocation events since process start. Monotonic; diff two reads to
@@ -43,7 +44,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_is_monotonic_and_tracks_feature() {
+    fn counter_is_monotonic_and_tracks_the_probe() {
         let before = allocations();
         let v: Vec<u64> = (0..64).collect();
         let after = allocations();
@@ -51,7 +52,7 @@ mod tests {
         if enabled() {
             assert!(after > before, "a fresh Vec must be counted");
         } else {
-            assert_eq!(after, 0, "without the feature the counter is dead");
+            assert_eq!(after, 0, "without a counting allocator the counter is dead");
         }
         drop(v);
         assert!(allocations() >= after, "frees are not subtracted");

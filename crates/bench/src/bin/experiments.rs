@@ -9,6 +9,13 @@
 
 use std::process::ExitCode;
 
+/// Counts allocations so `e12` measures its zero-allocation claim. Off
+/// by default: counting costs an atomic increment per allocation, which
+/// the cycle figures of the other experiments should not pay.
+#[cfg(feature = "alloc-count")]
+#[global_allocator]
+static GLOBAL: rbs_core::alloc_count::CountingAlloc = rbs_core::alloc_count::CountingAlloc;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");

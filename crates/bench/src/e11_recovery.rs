@@ -450,7 +450,8 @@ pub fn measure(rounds: usize) -> RecoveryResults {
 /// Renders the result set as the `BENCH_recovery.json` payload.
 ///
 /// Integer-only by construction: two runs of the same build and seed
-/// must produce byte-identical output (CI diffs them).
+/// must produce byte-identical output, which the tier-1 test
+/// `stable_records` holds to the committed file.
 pub fn to_json(r: &RecoveryResults) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"e11_recovery\",\n");

@@ -16,10 +16,11 @@
 //!    *generation* is inside the window: that is the point — buffers
 //!    cycle driver → worker → driver without ever visiting the
 //!    allocator.
-//! 2. **Allocations per packet** — when built with `--features
-//!    alloc-count`, a counting global allocator is diffed across the
-//!    window. With the pool enabled the count must be exactly zero; a
-//!    pool-disabled baseline point documents what the allocator would
+//! 2. **Allocations per packet** — when the process installs a counting
+//!    global allocator (the `experiments` binary built with `--features
+//!    alloc-count`, or the `hotpath_records` test), it is diffed across
+//!    the window. With the pool enabled the count must be exactly zero;
+//!    a pool-disabled baseline point documents what the allocator would
 //!    otherwise charge.
 //! 3. **Conservation** — `offered == packets_in + lost + shed` on the
 //!    runtime ledger, and `taken == returned + outstanding` with
@@ -28,8 +29,9 @@
 //!
 //! Results land in `BENCH_hotpath.json` as one record per line, each
 //! tagged `"kind": "stable"` (byte-identical across runs on any host)
-//! or `"kind": "timing"` (wall-clock dependent). CI diffs two runs after
-//! `grep -v '"kind": "timing"'`.
+//! or `"kind": "timing"` (wall-clock dependent). The tier-1 test
+//! `crates/bench/tests/hotpath_records.rs` renders the committed sizes
+//! and compares every stable line with the committed file.
 
 use std::time::{Duration, Instant};
 
@@ -92,10 +94,10 @@ pub struct HotpathPoint {
     pub mpps: f64,
     /// Median per-batch processing cycles inside the workers.
     pub cycles_per_batch_p50: Option<f64>,
-    /// Allocation events inside the window (`None` without the
-    /// `alloc-count` feature).
+    /// Allocation events inside the window (`None` without a counting
+    /// allocator).
     pub allocs_steady: Option<u64>,
-    /// Allocations per packet (`None` without the feature).
+    /// Allocations per packet (`None` without a counting allocator).
     pub allocs_per_packet: Option<f64>,
     /// Runtime ledger balance: offered == packets_in + lost + shed.
     pub conservation_ok: bool,
@@ -272,8 +274,8 @@ pub struct LanePoint {
     pub elapsed_ns: u128,
     /// Million packets per second over the window.
     pub mpps: f64,
-    /// Allocation events inside the window (`None` without the
-    /// `alloc-count` feature).
+    /// Allocation events inside the window (`None` without a counting
+    /// allocator).
     pub allocs_steady: Option<u64>,
     /// Ledger balance: every generated packet handled exactly once.
     pub conservation_ok: bool,
@@ -346,7 +348,7 @@ pub fn measure_lane_point(lanes: usize, batch_size: usize, rounds: usize) -> Lan
 pub struct HotpathResults {
     /// Host parallelism the run actually had available.
     pub host_cpus: usize,
-    /// Whether the counting allocator was compiled in.
+    /// Whether a counting allocator was installed.
     pub alloc_counting: bool,
     /// Pooled sweep points plus the unpooled baseline (last).
     pub points: Vec<HotpathPoint>,
@@ -455,11 +457,23 @@ pub fn to_json(r: &HotpathResults) -> String {
     out
 }
 
+/// Measured rounds per point behind the committed `BENCH_hotpath.json`.
+pub const ROUNDS: usize = 1_024;
+/// Batch sizes behind the committed `BENCH_hotpath.json`.
+pub const BATCH_SIZES: &[usize] = &[64, 256, 512];
+/// Measured rounds per point under `--quick`.
+const QUICK_ROUNDS: usize = 128;
+/// Batch sizes under `--quick`.
+const QUICK_BATCH_SIZES: &[usize] = &[64, 256];
+
 /// Regenerates the hot-path table, writing `BENCH_hotpath.json` beside
 /// it.
 pub fn run(quick: bool) -> String {
-    let rounds = if quick { 128 } else { 1_024 };
-    let batch_sizes: &[usize] = if quick { &[64, 256] } else { &[64, 256, 512] };
+    let (rounds, batch_sizes) = if quick {
+        (QUICK_ROUNDS, QUICK_BATCH_SIZES)
+    } else {
+        (ROUNDS, BATCH_SIZES)
+    };
     let results = measure(rounds, batch_sizes);
 
     let mut t = Table::new(&[
@@ -593,16 +607,6 @@ mod tests {
         assert!(p.pool_balanced, "every taken buffer came back");
         assert!(p.mpps > 0.0);
         assert!(p.recycled_batches > 0, "workers fed the recycle path");
-        if alloc_count::enabled() {
-            assert_eq!(
-                p.allocs_steady,
-                Some(0),
-                "pooled steady state must not allocate (recent sizes: {:?})",
-                alloc_count::recent_sizes()
-            );
-        } else {
-            assert!(p.allocs_steady.is_none());
-        }
     }
 
     #[test]
@@ -612,12 +616,6 @@ mod tests {
         assert!(p.pool_balanced, "vacuous without a pool");
         assert_eq!(p.pool_hits + p.pool_misses, 0, "the pool was never touched");
         assert_eq!(p.recycled_batches, 0, "no recycle path configured");
-        if alloc_count::enabled() {
-            assert!(
-                p.allocs_per_packet.unwrap() >= 1.0,
-                "without the pool every packet costs at least its buffer"
-            );
-        }
     }
 
     #[test]
@@ -627,16 +625,6 @@ mod tests {
         assert!(p.conservation_ok, "every generated packet handled once");
         assert!(p.pool_balanced, "every buffer returned to a lane pool");
         assert!(p.mpps > 0.0);
-        if alloc_count::enabled() {
-            assert_eq!(
-                p.allocs_steady,
-                Some(0),
-                "lane steady state must not allocate (recent sizes: {:?})",
-                alloc_count::recent_sizes()
-            );
-        } else {
-            assert!(p.allocs_steady.is_none());
-        }
     }
 
     #[test]
@@ -677,7 +665,7 @@ mod tests {
         };
         let j = to_json(&r);
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-        // Every wall-clock-dependent field lives on a line CI can strip.
+        // Every wall-clock-dependent field lives on a line the replay drops.
         for line in j.lines() {
             if line.contains("mpps") || line.contains("elapsed_ns") || line.contains("pool_hits") {
                 assert!(

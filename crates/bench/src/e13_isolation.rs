@@ -34,7 +34,8 @@
 //!
 //! Results land in `BENCH_isolation.json`, one record per line, tagged
 //! `"kind": "stable"` (byte-identical across runs) or `"kind":
-//! "timing"`. CI diffs two runs after `grep -v '"kind": "timing"'`.
+//! "timing"`. The tier-1 test `stable_records` holds every stable line
+//! to the committed file and asserts the spectrum is ordered.
 
 use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};

@@ -24,7 +24,9 @@
 //! Results are also emitted as `BENCH_upgrade.json` in the repo root.
 //! All JSON fields are integers derived from the logical supervision
 //! clock and the packet/state ledgers — never wall time — so two runs
-//! of the same seed are byte-identical (CI diffs them).
+//! of the same seed are byte-identical. The tier-1 test
+//! `stable_records` holds them to the committed file and asserts that
+//! the chaos cells roll back with every packet accounted for.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -379,7 +381,8 @@ pub fn measure(rounds: usize) -> UpgradeResults {
 /// Renders the result set as the `BENCH_upgrade.json` payload.
 ///
 /// Integer-only by construction: two runs of the same build and seed
-/// must produce byte-identical output (CI diffs them).
+/// must produce byte-identical output, which the tier-1 test
+/// `stable_records` holds to the committed file.
 pub fn to_json(r: &UpgradeResults) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"e14_upgrade\",\n");

@@ -6,42 +6,19 @@
 //! once those lines are dropped. A change meant to move a record
 //! regenerates the file with `experiments eN`; any other change that
 //! moves one fails here, naming the file and its first differing line.
+//! Each test then asserts the experiment's headline claims on the typed
+//! results it rendered.
 //!
 //! Each test renders with the module's `to_json(&measure(..))` and never
-//! calls `run`, so it writes no file. e9 and e12 stay out: each has a
-//! record that depends on thread timing.
+//! calls `run`, so it writes no file. e12 replays in `hotpath_records`,
+//! its own test binary because it counts allocations process-wide. e9
+//! stays out: its record carries the host's core count.
 
+mod common;
+
+use common::{assert_replays, require};
 use rbs_bench::{e10_chaos, e11_recovery, e13_isolation, e14_upgrade, e15_tenants};
-
-/// `json`'s lines with their 1-based line numbers, timing lines dropped.
-fn stable(json: &str) -> Vec<(usize, &str)> {
-    json.lines()
-        .enumerate()
-        .filter(|(_, line)| !line.contains(r#""kind": "timing""#))
-        .map(|(i, line)| (i + 1, line))
-        .collect()
-}
-
-fn assert_replays(file: &str, rendered: &str) {
-    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
-    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let (want, got) = (stable(&committed), stable(rendered));
-    let first_diff = (0..want.len().max(got.len()))
-        .find(|&i| want.get(i).map(|w| w.1) != got.get(i).map(|g| g.1));
-    if let Some(i) = first_diff {
-        let line = want.get(i).or(got.get(i)).map_or(0, |l| l.0);
-        let message = format!(
-            "{file}:{line}: stable record differs\n committed: {}\n  rendered: {}\n\
-             (a deliberate change regenerates the file with `experiments`)",
-            want.get(i).map_or("<end of file>", |l| l.1),
-            got.get(i).map_or("<end of output>", |l| l.1),
-        );
-        // The experiments silence the process-wide panic hook, so the
-        // panic alone would fail without a word.
-        eprintln!("{message}");
-        panic!("{message}");
-    }
-}
+use rbs_runtime::BackendKind;
 
 #[test]
 fn e10_chaos_replays_its_committed_records() {
@@ -60,16 +37,52 @@ fn e13_isolation_replays_its_committed_records() {
     let results = e13_isolation::measure(e13_isolation::ROUNDS, e13_isolation::BATCH_SIZES);
     let json = e13_isolation::to_json(&results, e13_isolation::BATCH_SIZES);
     assert_replays("BENCH_isolation.json", &json);
+
+    require(results.spectrum_ordered(e13_isolation::BATCH_SIZES), || {
+        "e13: modeled cycles break typed-sfi <= mpk-sim <= copy-boundary".into()
+    });
 }
 
 #[test]
 fn e14_upgrade_replays_its_committed_records() {
+    use e14_upgrade::Scenario;
     let results = e14_upgrade::measure(e14_upgrade::ROUNDS);
     assert_replays("BENCH_upgrade.json", &e14_upgrade::to_json(&results));
+
+    // A kill at the quiesce or the restore site rolls the fleet back on
+    // both charging extremes, and every packet stays accounted for.
+    for backend in [BackendKind::TypedSfi, BackendKind::CopyBoundary] {
+        for scenario in [Scenario::ChaosQuiesce, Scenario::ChaosRestore] {
+            let cell =
+                (results.cells.iter()).find(|c| c.backend == backend && c.scenario == scenario);
+            require(
+                cell.is_some_and(|c| c.outcome == "rolled-back" && c.unaccounted == 0),
+                || format!("e14 {backend:?}/{scenario:?} did not roll back cleanly: {cell:?}"),
+            );
+        }
+    }
 }
 
 #[test]
 fn e15_tenants_replays_its_committed_records() {
     let results = e15_tenants::measure(e15_tenants::TICKS);
     assert_replays("BENCH_tenant.json", &e15_tenants::to_json(&results));
+
+    // Every cell contains its aggressor, and every ledger balances; the
+    // six 64-tenant cells also hold the goodput floor with no priority
+    // inversion on any of their four lanes.
+    let cells = &results.cells;
+    let scale_cells = cells.iter().filter(|c| c.tenants == 64).count();
+    require(cells.len() == 12 && scale_cells == 6, || {
+        format!("e15: {} cells, {scale_cells} at 64 tenants", cells.len())
+    });
+    for cell in cells {
+        let leaks = (cell.rows.iter()).any(|r| r.outcome.ledger.unaccounted() != 0);
+        let inverted = cell.occupancy.iter().any(|l| l.priority_inversions != 0);
+        let floor = cell.worst_victim_goodput_ppm() >= 990_000;
+        let scale_ok = cell.tenants != 64 || (floor && !inverted);
+        require(cell.victims_contained && !leaks && scale_ok, || {
+            format!("e15 {}: SLA or ledger breached\n{cell:#?}", cell.name())
+        });
+    }
 }

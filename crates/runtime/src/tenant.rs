@@ -40,6 +40,8 @@
 //! asserts victims keep ≥ 99% goodput.
 
 use std::fmt;
+use std::net::Ipv4Addr;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use rbs_core::fault::FaultPlan;
@@ -139,22 +141,44 @@ impl Default for BreakerPolicy {
     }
 }
 
+/// Tenants the stock chain can give a NAT identity of their own: one per
+/// host address of 203.0.113.10..=.255 in each port band.
+pub(crate) const STOCK_CHAIN_MAX_TENANTS: usize = NAT_HOSTS * NAT_PORT_BANDS.len();
+
+/// Host addresses 203.0.113.10..=.255.
+const NAT_HOSTS: usize = 246;
+
+/// Disjoint source-port ranges, one tenant per host address in each.
+const NAT_PORT_BANDS: [RangeInclusive<u16>; 2] = [40_000..=50_000, 50_001..=60_001];
+
+/// Tenant `idx`'s NAT identity under the stock chain — its external
+/// address and source-port range — or `None` past the last one.
+fn stock_nat_identity(idx: usize) -> Option<(Ipv4Addr, RangeInclusive<u16>)> {
+    let ports = NAT_PORT_BANDS.get(idx / NAT_HOSTS)?.clone();
+    let host = 10 + (idx % NAT_HOSTS) as u8;
+    Some((Ipv4Addr::new(203, 0, 113, host), ports))
+}
+
 /// The stock tenant chain: a port-80/53 filter, a per-tenant source NAT
-/// (distinct NAT IP per tenant index, so cross-tenant translation state
-/// is structurally impossible to confuse), and a flow tracker — the
-/// stateful trio whose reclamation the churn tests audit.
+/// and a flow tracker — the stateful trio whose reclamation the churn
+/// tests audit.
+///
+/// Each of the first 492 indices gets a NAT identity of its own: index
+/// `i < 246` translates to `203.0.113.(10 + i)`, ports `40000..=50000`,
+/// and index `246 + i` to the same address, ports `50001..=60001`. The
+/// `stock_nat_identities_are_pairwise_disjoint` test checks that no two
+/// indices share an address and port, and [`TenantLaneRuntime::new`]
+/// refuses a larger population on this chain with
+/// [`TenantError::BadConfig`].
+///
+/// # Panics
+///
+/// For `idx >= 492`: no NAT identity is left.
 pub fn default_tenant_chain(idx: usize, _spec: &TenantSpec) -> PipelineSpec {
-    let nat_ip = std::net::Ipv4Addr::new(203, 0, 113, 10 + (idx as u8));
+    let (nat_ip, ports) = stock_nat_identity(idx).expect("tenant index beyond the stock chain");
     PipelineSpec::new()
         .stage(|| DstPortFilter::new(vec![80, 53]))
-        .stage(move || {
-            SourceNat::new(
-                nat_ip,
-                std::net::Ipv4Addr::new(10, 0, 0, 0),
-                8,
-                40_000..=50_000,
-            )
-        })
+        .stage(move || SourceNat::new(nat_ip, Ipv4Addr::new(10, 0, 0, 0), 8, ports.clone()))
         .stage(|| FlowTracker::new(4_096))
         .with_state_schema(1)
 }
@@ -562,6 +586,113 @@ impl TenantRuntime {
 
 #[cfg(test)]
 mod tests {
+    mod stock_chain {
+        use std::net::Ipv4Addr;
+
+        use rbs_netfx::flow::packet_flow_hash;
+        use rbs_netfx::headers::ethernet::MacAddr;
+        use rbs_netfx::{FiveTuple, Packet, PacketBatch};
+
+        use crate::tenant::{
+            default_tenant_chain, stock_nat_identity, TenantError, TenantSpec,
+            STOCK_CHAIN_MAX_TENANTS,
+        };
+        use crate::tenant_lanes::{TenantLaneConfig, TenantLaneRuntime};
+
+        fn population(n: usize) -> Vec<TenantSpec> {
+            (0..n).map(|i| TenantSpec::new(format!("t{i}"))).collect()
+        }
+
+        /// A port-80 packet from inside the NAT's 10.0.0.0/8.
+        fn http(src_host: u16, sport: u16) -> Packet {
+            let [hi, lo] = src_host.to_be_bytes();
+            let mut p = Packet::build_udp(
+                MacAddr::ZERO,
+                MacAddr::ZERO,
+                Ipv4Addr::new(10, 0, hi, lo),
+                Ipv4Addr::new(192, 0, 2, 1),
+                sport,
+                80,
+                16,
+            );
+            p.set_cached_flow_hash(packet_flow_hash(&p));
+            p
+        }
+
+        /// No two indices share an address and a port, and the first 246
+        /// keep the identities every committed record was measured with.
+        #[test]
+        fn stock_nat_identities_are_pairwise_disjoint() {
+            assert_eq!(STOCK_CHAIN_MAX_TENANTS, 492);
+            let ids: Vec<_> = (0..STOCK_CHAIN_MAX_TENANTS)
+                .map(|i| stock_nat_identity(i).expect("below the maximum"))
+                .collect();
+            for (i, (ip, ports)) in ids.iter().enumerate() {
+                for (j, (other_ip, other_ports)) in ids.iter().enumerate().skip(i + 1) {
+                    let overlap =
+                        ports.start() <= other_ports.end() && other_ports.start() <= ports.end();
+                    assert!(ip != other_ip || !overlap, "tenants {i} and {j} share {ip}");
+                }
+            }
+            for (idx, host) in [(0, 10), (245, 255)] {
+                let legacy = (Ipv4Addr::new(203, 0, 113, host), 40_000..=50_000);
+                assert_eq!(stock_nat_identity(idx), Some(legacy));
+            }
+            assert_eq!(stock_nat_identity(STOCK_CHAIN_MAX_TENANTS), None);
+        }
+
+        /// 300 tenants on the stock chain — past the 246 at which a
+        /// `u8` host byte once overflowed — each translate into an
+        /// identity of their own, and the runtime carries them all.
+        #[test]
+        fn three_hundred_tenants_translate_to_disjoint_identities() {
+            const TENANTS: usize = 300;
+            let mut translated = std::collections::HashSet::new();
+            for (idx, spec) in population(TENANTS).iter().enumerate() {
+                let packet = http(1, 1_024);
+                let out = default_tenant_chain(idx, spec)
+                    .build()
+                    .run_batch(PacketBatch::from_packets(vec![packet]));
+                let flow = FiveTuple::of(out.iter().next().expect("forwarded")).unwrap();
+                let (ip, ports) = stock_nat_identity(idx).unwrap();
+                assert_eq!(flow.src_ip, ip, "tenant {idx}");
+                assert!(ports.contains(&flow.src_port), "tenant {idx}");
+                assert!(
+                    translated.insert((flow.src_ip, flow.src_port)),
+                    "tenant {idx} reuses {}:{}",
+                    flow.src_ip,
+                    flow.src_port
+                );
+            }
+
+            let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
+                tenants: population(TENANTS),
+                lanes: 1,
+                table_size: 1_009,
+                queue_hwm: 1_024,
+                ..TenantLaneConfig::default()
+            })
+            .expect("300 tenants on the stock chain");
+            for wave in 0..4u16 {
+                let batch = (0..1_024u16).map(|i| http(i % 200 + 1, 1_024 + wave * 1_024 + i));
+                rt.offer(batch.collect());
+                rt.step();
+            }
+            let report = rt.finish();
+            assert_eq!(report.offered(), 4 * 1_024);
+            assert_eq!(report.unaccounted_packets(), 0);
+            for t in &report.tenants {
+                assert_eq!(t.ledger.out, t.ledger.offered, "{} dropped traffic", t.name);
+            }
+
+            let refused = TenantLaneRuntime::new(TenantLaneConfig {
+                tenants: population(STOCK_CHAIN_MAX_TENANTS + 1),
+                ..TenantLaneConfig::default()
+            });
+            assert!(matches!(refused, Err(TenantError::BadConfig(_))));
+        }
+    }
+
     mod delay_ledger {
         use crate::tenant::DelayLedger;
         use proptest::prelude::*;

@@ -78,7 +78,7 @@ use crate::deque::{LaneDeque, Steal, Stealer};
 use crate::tenant::{
     default_tenant_chain, BreakerPhase, BreakerPolicy, DelayLedger, LaneOccupancy, RebuildRecord,
     TenantChainFactory, TenantError, TenantEvent, TenantEventKind, TenantOutcome, TenantReport,
-    TenantSpec,
+    TenantSpec, STOCK_CHAIN_MAX_TENANTS,
 };
 
 /// Configuration for a [`TenantLaneRuntime`].
@@ -633,6 +633,11 @@ impl TenantLaneRuntime {
         }
         if config.tenants.iter().any(|t| t.burst == 0) {
             return Err(TenantError::BadConfig("zero admission burst"));
+        }
+        if config.chain.is_none() && config.tenants.len() > STOCK_CHAIN_MAX_TENANTS {
+            return Err(TenantError::BadConfig(
+                "more tenants than the stock chain has NAT identities",
+            ));
         }
         let tcount = config.tenants.len();
         let factory: TenantChainFactory = config

@@ -16,6 +16,8 @@
 //! 3. **Every steady-path death recycles.** Egress, the admission shed
 //!    and the open-breaker shed each hand their buffers to the spare
 //!    list — which stays inside its byte bound — and no ledger moves.
+//! 4. **Steering that does not allocate per packet.** Offering four
+//!    times the packets costs the same allocations once staging is warm.
 
 use rbs_core::alloc_count::{thread_events, CountingAlloc};
 use rbs_netfx::operators::{MacSwap, NullFilter, TtlDecrement};
@@ -239,4 +241,85 @@ fn every_steady_path_death_recycles_its_buffers() {
     );
     assert_eq!(sum(|l| l.lost) + sum(|l| l.shed_backpressure), 0);
     drain_spares();
+}
+
+/// The batched-steering fast path: with cached flow hashes, `offer`
+/// performs one Maglev lookup per flow-hash run and its allocation count
+/// does not depend on the number of packets — offering 4× the packets
+/// costs exactly the same allocations once the staging buffers are warm.
+/// One lane: everything runs on this thread, which the count covers.
+#[test]
+fn steering_is_alloc_free_per_packet() {
+    let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
+        tenants: (0..8)
+            .map(|i| TenantSpec::new(format!("steer-{i}")).rate(1 << 20, 1 << 20))
+            .collect(),
+        lanes: 1,
+        table_size: 251,
+        queue_hwm: 1 << 20,
+        ..TenantLaneConfig::default()
+    })
+    .expect("tenant runtime");
+    // A NIC delivering RSS-coalesced bursts hands the runtime runs
+    // of same-flow packets; `n / 64` consecutive packets per flow
+    // models that, with per-flow counts exact so every staging cell
+    // sees the same share in every batch.
+    let runs = |n: usize| {
+        use rbs_netfx::headers::ethernet::MacAddr;
+        use rbs_netfx::Packet;
+        use std::net::Ipv4Addr;
+        let mut pkts = Vec::with_capacity(n);
+        for flow in 0..64u16 {
+            for _ in 0..(n / 64) {
+                let mut p = Packet::build_udp(
+                    MacAddr::ZERO,
+                    MacAddr::ZERO,
+                    Ipv4Addr::new(10, 0, 0, (flow % 23) as u8 + 1),
+                    Ipv4Addr::new(192, 0, 2, 1),
+                    flow + 1_024,
+                    80,
+                    16,
+                );
+                let hash = rbs_netfx::flow::packet_flow_hash(&p);
+                p.set_cached_flow_hash(hash);
+                pkts.push(p);
+            }
+        }
+        rbs_netfx::PacketBatch::from_packets(pkts)
+    };
+    let small: Vec<_> = (0..4).map(|_| runs(256)).collect();
+    let big: Vec<_> = (0..4).map(|_| runs(1_024)).collect();
+
+    // Two waves a tick — the rotation a tenant's staging buffer and
+    // its banked shells sustain — returning the allocator calls.
+    let ticks = |rt: &mut TenantLaneRuntime, waves: Vec<rbs_netfx::PacketBatch>| {
+        let before = thread_events();
+        for (i, batch) in waves.into_iter().enumerate() {
+            rt.offer(batch);
+            if i % 2 == 1 {
+                rt.step();
+            }
+        }
+        thread_events() - before
+    };
+    // Warm every buffer on the path past the largest measured wave.
+    ticks(&mut rt, (0..8).map(|_| runs(1_024)).collect());
+
+    let lookups_before = rt.steering_lookups();
+    let small_allocs = ticks(&mut rt, small);
+    let big_allocs = ticks(&mut rt, big);
+
+    // Run-batched steering: far fewer lookups than packets.
+    let lookups = rt.steering_lookups() - lookups_before;
+    assert!(lookups > 0);
+    assert!(
+        lookups < (4 * 256 + 4 * 1_024) / 2,
+        "steering resolved per packet: {lookups} lookups"
+    );
+    assert_eq!(
+        small_allocs, big_allocs,
+        "steering allocations scale with packets (N: {small_allocs}, 4N: {big_allocs})"
+    );
+    let report = rt.finish();
+    assert_eq!(report.unaccounted_packets(), 0);
 }
