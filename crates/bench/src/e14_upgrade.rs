@@ -1,13 +1,13 @@
-//! E14 — live upgrade: zero-downtime rolling reconfiguration under load.
+//! E14 — live upgrade: every tenant's chain swapped between two ticks.
 //!
-//! Every cell runs a sharded stateful pipeline (firewall rules + a
-//! per-flow tracker) under sustained traffic, then walks a rolling
-//! upgrade through the fleet one worker at a time while the load keeps
-//! coming. Three upgrade shapes × three isolation backends:
+//! Every cell runs the tenant engine over a stateful chain (firewall
+//! rules + a per-flow tracker) under sustained traffic, then upgrades
+//! every tenant at once with a wave still queued. Three upgrade shapes ×
+//! three isolation backends:
 //!
 //! 1. **Operator bugfix** — same chain, same state schema (a tracker
-//!    capacity bump). State restores directly; the compatible path must
-//!    account **exactly zero** lost packets.
+//!    capacity bump). State restores directly; the upgrade must account
+//!    **exactly zero** lost and shed packets.
 //! 2. **Rule push** — a new firewall rule database. The state schema
 //!    changes; a [`StageStateMap`] migrator rebuilds the firewall slot
 //!    fresh (new rules) while carrying every tracked flow across.
@@ -15,23 +15,24 @@
 //!    migrator remaps both the firewall and tracker slots into their
 //!    new positions.
 //!
-//! Two chaos cells per backend then kill a worker mid-upgrade — once at
-//! the [`UpgradeQuiesce`](FaultSite::UpgradeQuiesce) site, once at
-//! [`UpgradeRestore`](FaultSite::UpgradeRestore) — and assert the walk
-//! reverses: already-upgraded workers return to the old spec from their
-//! latest snapshots and the fleet ends **uniform**, never mixed.
+//! Two chaos cells per backend then kill the upgrade — once at the
+//! [`UpgradeQuiesce`](FaultSite::UpgradeQuiesce) site (inside a tenant's
+//! live domain, while its state is sealed), once at
+//! [`UpgradeRestore`](FaultSite::UpgradeRestore) (inside the fresh
+//! domain the first target is built in) — and assert that every staged
+//! target is discarded: the fleet stays **uniform** on the old chain and
+//! every ledger balances.
 //!
 //! Results are also emitted as `BENCH_upgrade.json` in the repo root.
-//! All JSON fields are integers derived from the logical supervision
-//! clock and the packet/state ledgers — never wall time — so two runs
-//! of the same seed are byte-identical. The tier-1 test
-//! `stable_records` holds them to the committed file and asserts that
-//! the chaos cells roll back with every packet accounted for.
+//! All JSON fields are integers derived from the logical tick clock and
+//! the packet/state ledgers — never wall time — so two runs of the same
+//! seed are byte-identical. The tier-1 test `stable_records` holds them
+//! to the committed file and asserts each cell's outcome.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use std::time::Duration;
 
+use rbs_checkpoint::StateMigrator;
 use rbs_core::fault::{FaultKind, FaultPlan, FaultSite};
 use rbs_core::table::Table;
 use rbs_fwtrie::{Action, FirewallOp, FwTrie, Rule};
@@ -39,17 +40,21 @@ use rbs_netfx::operators::{ChaosPoint, Counter};
 use rbs_netfx::pktgen::{PacketGen, TrafficConfig};
 use rbs_netfx::{FlowTracker, PipelineSpec, StageStateMap};
 use rbs_runtime::{
-    BackendKind, RestartPolicy, RuntimeConfig, RuntimeReport, ShardedRuntime, UpgradeOutcome,
-    UpgradePolicy,
+    BackendKind, TenantChainFactory, TenantLaneConfig, TenantLaneRuntime, TenantReport, TenantSpec,
+    UpgradeOutcome,
 };
 
 use crate::harness::silence_panics;
 
-/// Packets per dispatched batch.
+/// Packets offered per tick.
 const BATCH_SIZE: usize = 256;
 
-/// Workers in every cell's runtime.
-const WORKERS: usize = 4;
+/// Tenants in every cell's runtime.
+const TENANTS: usize = 4;
+
+/// Lanes the tenants are placed onto: the caller plus one helper, so
+/// every upgrade runs with a helper parked on the tick barrier.
+const LANES: usize = 2;
 
 /// Distinct flows in the traffic population.
 const FLOWS: usize = 512;
@@ -57,8 +62,8 @@ const FLOWS: usize = 512;
 /// The one seed behind every cell.
 const SEED: u64 = 0x14_06AD;
 
-/// The worker the chaos cells kill mid-upgrade.
-const CHAOS_WORKER: u64 = 2;
+/// The tenant the quiesce chaos cell kills mid-upgrade.
+const CHAOS_TENANT: u64 = 2;
 
 /// Builds a small firewall rule database; `generation` changes the rule
 /// set so a rule push is observable as different state, not a no-op.
@@ -81,7 +86,7 @@ fn rule_db(generation: u32) -> FwTrie {
     t
 }
 
-/// The running pipeline: chaos point → firewall (generation-1 rules) →
+/// The running chain: chaos point → firewall (generation-1 rules) →
 /// flow tracker. Schema 1.
 fn spec_v1() -> PipelineSpec {
     PipelineSpec::new()
@@ -91,10 +96,15 @@ fn spec_v1() -> PipelineSpec {
         .with_state_schema(1)
 }
 
+/// The same chain for every tenant.
+fn every_tenant(spec: fn() -> PipelineSpec) -> TenantChainFactory {
+    Arc::new(move |_, _| spec())
+}
+
 /// The five upgrade cells run against every backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
-    /// Same schema: tracker capacity bump, direct restore both ways.
+    /// Same schema: tracker capacity bump, direct restore.
     OperatorBugfix,
     /// New rule database (schema 2): firewall slot rebuilt fresh, flows
     /// migrated across.
@@ -102,9 +112,10 @@ pub enum Scenario {
     /// Counter stage spliced in (schema 3): firewall *and* tracker
     /// slots remapped into their new positions.
     ChainReshape,
-    /// The bugfix upgrade with the target worker killed at its quiesce.
+    /// The bugfix upgrade with one tenant killed while its state is
+    /// sealed.
     ChaosQuiesce,
-    /// The bugfix upgrade with the first worker killed at its restore.
+    /// The bugfix upgrade with the first target killed while it builds.
     ChaosRestore,
 }
 
@@ -134,47 +145,60 @@ impl Scenario {
         !matches!(self, Scenario::ChaosQuiesce | Scenario::ChaosRestore)
     }
 
-    /// The spec the fleet upgrades to.
-    fn target(self) -> PipelineSpec {
+    /// True when the cell changes the state schema.
+    pub fn migrates(self) -> bool {
+        matches!(self, Scenario::RulePush | Scenario::ChainReshape)
+    }
+
+    /// The chain every tenant upgrades to.
+    fn target(self) -> TenantChainFactory {
         match self {
             Scenario::OperatorBugfix | Scenario::ChaosQuiesce | Scenario::ChaosRestore => {
+                every_tenant(|| {
+                    PipelineSpec::new()
+                        .stage(|| ChaosPoint::new(0))
+                        .stage(|| FirewallOp::new(rule_db(1), Action::Allow))
+                        .stage(|| FlowTracker::new(200_000))
+                        .with_state_schema(1)
+                })
+            }
+            Scenario::RulePush => every_tenant(|| {
+                PipelineSpec::new()
+                    .stage(|| ChaosPoint::new(0))
+                    .stage(|| FirewallOp::new(rule_db(2), Action::Allow))
+                    .stage(|| FlowTracker::new(100_000))
+                    .with_state_schema(2)
+            }),
+            Scenario::ChainReshape => every_tenant(|| {
                 PipelineSpec::new()
                     .stage(|| ChaosPoint::new(0))
                     .stage(|| FirewallOp::new(rule_db(1), Action::Allow))
-                    .stage(|| FlowTracker::new(200_000))
-                    .with_state_schema(1)
-            }
-            Scenario::RulePush => PipelineSpec::new()
-                .stage(|| ChaosPoint::new(0))
-                .stage(|| FirewallOp::new(rule_db(2), Action::Allow))
-                .stage(|| FlowTracker::new(100_000))
-                .with_state_schema(2),
-            Scenario::ChainReshape => PipelineSpec::new()
-                .stage(|| ChaosPoint::new(0))
-                .stage(|| FirewallOp::new(rule_db(1), Action::Allow))
-                .stage(Counter::new)
-                .stage(|| FlowTracker::new(100_000))
-                .with_state_schema(3),
+                    .stage(Counter::new)
+                    .stage(|| FlowTracker::new(100_000))
+                    .with_state_schema(3)
+            }),
         }
     }
 
-    /// The upgrade policy: schema-changing cells carry a stage-state
-    /// migrator; same-schema cells need none.
-    fn policy(self) -> UpgradePolicy {
+    /// The migrator: schema-changing cells carry a stage-state map;
+    /// same-schema cells need none.
+    fn migrator(self) -> Option<Arc<dyn StateMigrator>> {
         match self {
-            Scenario::OperatorBugfix | Scenario::ChaosQuiesce | Scenario::ChaosRestore => {
-                UpgradePolicy::default()
-            }
+            Scenario::OperatorBugfix | Scenario::ChaosQuiesce | Scenario::ChaosRestore => None,
             // Old stages: 0 chaos, 1 firewall, 2 tracker. The firewall
             // slot goes fresh (the push is the point); flows carry.
-            Scenario::RulePush => UpgradePolicy::default().with_migrator(Arc::new(
-                StageStateMap::new(1, 2, vec![None, None, Some(2)]),
-            )),
+            Scenario::RulePush => Some(Arc::new(StageStateMap::new(
+                1,
+                2,
+                vec![None, None, Some(2)],
+            ))),
             // The reshape keeps the firewall state and moves the
             // tracker down one slot past the inserted counter.
-            Scenario::ChainReshape => UpgradePolicy::default().with_migrator(Arc::new(
-                StageStateMap::new(1, 3, vec![None, Some(1), None, Some(2)]),
-            )),
+            Scenario::ChainReshape => Some(Arc::new(StageStateMap::new(
+                1,
+                3,
+                vec![None, Some(1), None, Some(2)],
+            ))),
         }
     }
 
@@ -184,7 +208,7 @@ impl Scenario {
             Scenario::ChaosQuiesce => Some(FaultPlan::new(SEED).inject_window(
                 FaultSite::UpgradeQuiesce,
                 FaultKind::Panic,
-                CHAOS_WORKER,
+                CHAOS_TENANT,
                 0,
                 1,
             )),
@@ -209,150 +233,122 @@ pub struct UpgradeCell {
     pub scenario: Scenario,
     /// "committed" or "rolled-back".
     pub outcome: &'static str,
-    /// Workers walked (upgraded on commit, swapped back on rollback).
-    pub workers_walked: u64,
-    /// Supervision ticks worker ingress was paused, fleet total.
-    pub pause_ticks: u64,
-    /// Packets drained from paused queues after ingress stopped.
-    pub drained_packets: u64,
-    /// State items carried across a schema change by the migrator.
+    /// Tenants whose targets were installed (committed) or discarded
+    /// (rolled back).
+    pub tenants_staged: u64,
+    /// State items the migrator carried across a schema change.
     pub state_items_migrated: u64,
-    /// Packets offered to the dispatcher over the whole run.
+    /// Packets offered over the whole run.
     pub offered: u64,
-    /// Packets lost — asserted zero on every compatible path.
+    /// Packets lost to domain faults.
     pub lost_packets: u64,
-    /// Packets shed with accounting (chaos cells only).
+    /// Packets shed, all reasons.
     pub shed_packets: u64,
-    /// Packets rerouted off paused shards by the degradation machinery.
-    pub redistributed_packets: u64,
+    /// Domain faults absorbed, the quiesce kill included.
+    pub faults: u64,
     /// Goodput in ppm of offered (integer-exact).
     pub goodput_ppm: u64,
-    /// Spec generation every worker ended on (uniform by assertion).
-    pub spec_generation: u64,
-    /// Live state items summed over workers at shutdown.
+    /// The spec generation each tenant ended on, in tenant order.
+    pub generations: Vec<u64>,
+    /// Live state items summed over tenants at the end.
     pub final_state_items: u64,
-    /// Conservation residue — asserted zero.
-    pub unaccounted: i64,
+    /// Conservation residue.
+    pub unaccounted: i128,
 }
 
-fn goodput_ppm(report: &RuntimeReport) -> u64 {
-    if report.offered_packets == 0 {
-        return 1_000_000;
-    }
-    report.packets_out * 1_000_000 / report.offered_packets
-}
-
-/// Runs one cell: `rounds` pre-upgrade rounds of lockstep traffic, the
-/// rolling walk under continued load, then `rounds` more to show the
-/// new fleet keeps processing.
+/// Runs one cell: `rounds` ticks of traffic, the upgrade with one more
+/// wave queued across it, then `rounds` more ticks to show the fleet
+/// keeps processing.
 pub fn measure_cell(backend: BackendKind, scenario: Scenario, rounds: usize) -> UpgradeCell {
     silence_panics();
-    let mut rt = ShardedRuntime::new(
-        spec_v1(),
-        RuntimeConfig {
-            workers: WORKERS,
-            queue_capacity: 64,
-            restart: RestartPolicy::default(),
-            supervisor_seed: SEED,
-            snapshot_interval_ticks: 2,
-            snapshot_full_every: 1,
-            backend,
-            faults: scenario.plan().map(Arc::new),
-            ..RuntimeConfig::default()
-        },
-    )
-    .expect("runtime construction");
+    let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
+        tenants: (0..TENANTS)
+            .map(|i| TenantSpec::new(format!("e14-{i}")))
+            .collect(),
+        lanes: LANES,
+        snapshot_every_ticks: 2,
+        snapshot_full_every: 1,
+        backend,
+        chain: Some(every_tenant(spec_v1)),
+        faults: scenario.plan().map(Arc::new),
+        ..TenantLaneConfig::default()
+    })
+    .expect("tenant runtime construction");
     let mut gen = PacketGen::new(TrafficConfig {
         flows: FLOWS,
         payload_len: 64,
         seed: SEED,
         ..Default::default()
     });
-    let mut step = |rt: &mut ShardedRuntime| {
-        rt.dispatch(gen.next_batch(BATCH_SIZE)).expect("dispatch");
-        assert!(rt.drain(Duration::from_secs(30)), "every round drains");
-    };
     for _ in 0..rounds {
-        step(&mut rt);
+        rt.offer(gen.next_batch(BATCH_SIZE));
+        rt.step();
     }
-    rt.upgrade_pipeline(scenario.target(), scenario.policy())
+    rt.offer(gen.next_batch(BATCH_SIZE));
+    let outcome = rt
+        .upgrade(scenario.target(), scenario.migrator())
         .expect("upgrade accepted");
-    let mut guard = 0;
-    while rt.upgrade_in_progress() {
-        step(&mut rt);
-        guard += 1;
-        assert!(guard < 64, "{} walk failed to terminate", scenario.name());
-    }
+    rt.step();
     for _ in 0..rounds {
-        step(&mut rt);
+        rt.offer(gen.next_batch(BATCH_SIZE));
+        rt.step();
     }
+    cell(backend, scenario, outcome, &rt.finish())
+}
 
-    let report = rt.shutdown();
-    let outcome = *report
-        .upgrades
-        .last()
-        .expect("the walk recorded an outcome");
-    let (outcome_name, workers_walked) = match outcome {
-        UpgradeOutcome::Committed { workers, .. } => ("committed", workers as u64),
-        UpgradeOutcome::RolledBack {
-            workers_rolled_back,
-            ..
-        } => ("rolled-back", workers_rolled_back as u64),
+/// Reduces a finished run to its cell, asserting what every cell of its
+/// kind must show.
+fn cell(
+    backend: BackendKind,
+    scenario: Scenario,
+    outcome: UpgradeOutcome,
+    report: &TenantReport,
+) -> UpgradeCell {
+    let (tenants_staged, state_items_migrated) = match outcome {
+        UpgradeOutcome::Committed {
+            tenants,
+            state_items_migrated,
+        } => (tenants, state_items_migrated),
+        UpgradeOutcome::RolledBack { discarded, .. } => (discarded, 0),
     };
-    let generations: Vec<u64> = report.workers.iter().map(|w| w.spec_generation).collect();
-    assert!(
-        generations.iter().all(|&g| g == generations[0]),
-        "{}: fleet ended mixed: {generations:?}",
-        scenario.name()
-    );
+    let sum = |f: fn(&rbs_runtime::TenantOutcome) -> u64| report.tenants.iter().map(f).sum::<u64>();
     let cell = UpgradeCell {
         backend,
         scenario,
-        outcome: outcome_name,
-        workers_walked,
-        pause_ticks: report.upgrade_pause_ticks,
-        drained_packets: report.upgrade_drained_packets,
-        state_items_migrated: report.state_items_migrated,
-        offered: report.offered_packets,
-        lost_packets: report.lost_packets,
-        shed_packets: report.shed_packets,
-        redistributed_packets: report.redistributed_packets,
-        goodput_ppm: goodput_ppm(&report),
-        spec_generation: generations[0],
-        final_state_items: report.workers.iter().map(|w| w.state_items).sum(),
+        outcome: outcome.name(),
+        tenants_staged: tenants_staged as u64,
+        state_items_migrated,
+        offered: report.offered(),
+        lost_packets: sum(|t| t.ledger.lost),
+        shed_packets: sum(|t| t.ledger.shed()),
+        faults: sum(|t| t.faults),
+        goodput_ppm: (report.out() * 1_000_000)
+            .checked_div(report.offered())
+            .unwrap_or(1_000_000),
+        generations: report.tenants.iter().map(|t| t.generation).collect(),
+        final_state_items: sum(|t| t.final_state_items),
         unaccounted: report.unaccounted_packets(),
     };
-    assert_eq!(
-        cell.unaccounted,
-        0,
-        "{}: packets vanished on {backend}",
-        scenario.name()
+    let name = scenario.name();
+    assert_eq!(cell.unaccounted, 0, "{name}: packets vanished on {backend}");
+    let generation = u64::from(scenario.expects_commit());
+    assert!(
+        cell.generations.iter().all(|&g| g == generation),
+        "{name}: the fleet is not uniform on generation {generation}: {:?}",
+        cell.generations
     );
     if scenario.expects_commit() {
-        assert_eq!(cell.outcome, "committed");
-        assert_eq!(
-            cell.lost_packets,
-            0,
-            "{}: a compatible upgrade loses nothing",
-            scenario.name()
-        );
-        assert_eq!(cell.shed_packets, 0, "peers absorbed every paused shard");
-        assert_eq!(cell.spec_generation, 1);
-        assert_eq!(cell.workers_walked, WORKERS as u64);
+        assert_eq!(cell.outcome, "committed", "{name}");
+        assert_eq!(cell.lost_packets, 0, "{name}: an upgrade loses nothing");
+        assert_eq!(cell.shed_packets, 0, "{name}: an upgrade sheds nothing");
+        assert_eq!(cell.tenants_staged, TENANTS as u64, "{name}");
     } else {
-        assert_eq!(cell.outcome, "rolled-back");
-        assert_eq!(
-            cell.spec_generation,
-            0,
-            "{}: rollback returns the whole fleet to the old spec",
-            scenario.name()
-        );
+        assert_eq!(cell.outcome, "rolled-back", "{name}");
     }
-    if matches!(scenario, Scenario::RulePush | Scenario::ChainReshape) {
+    if scenario.migrates() {
         assert!(
             cell.state_items_migrated > 0,
-            "{}: the migrator carried the flow tables",
-            scenario.name()
+            "{name}: the migrator carried the flow tables"
         );
     }
     cell
@@ -361,7 +357,7 @@ pub fn measure_cell(backend: BackendKind, scenario: Scenario, rounds: usize) -> 
 /// The full backend × scenario matrix.
 #[derive(Debug, Clone)]
 pub struct UpgradeResults {
-    /// Pre- and post-upgrade rounds per cell.
+    /// Ticks before and after the upgrade in each cell.
     pub rounds: usize,
     /// Cells, backend-major then scenario order.
     pub cells: Vec<UpgradeCell>,
@@ -387,27 +383,26 @@ pub fn to_json(r: &UpgradeResults) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"e14_upgrade\",\n");
     out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"workers\": {WORKERS},\n"));
+    out.push_str(&format!("  \"tenants\": {TENANTS},\n"));
+    out.push_str(&format!("  \"lanes\": {LANES},\n"));
     out.push_str(&format!("  \"batch_size\": {BATCH_SIZE},\n"));
     out.push_str(&format!("  \"flows\": {FLOWS},\n"));
     out.push_str(&format!("  \"rounds\": {},\n", r.rounds));
     out.push_str("  \"cells\": [\n");
     for (i, c) in r.cells.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"scenario\": \"{}\", \"outcome\": \"{}\", \"workers_walked\": {}, \"pause_ticks\": {}, \"drained_packets\": {}, \"state_items_migrated\": {}, \"offered\": {}, \"lost_packets\": {}, \"shed_packets\": {}, \"redistributed_packets\": {}, \"goodput_ppm\": {}, \"spec_generation\": {}, \"final_state_items\": {}, \"unaccounted\": {}}}{}\n",
+            "    {{\"backend\": \"{}\", \"scenario\": \"{}\", \"outcome\": \"{}\", \"tenants_staged\": {}, \"state_items_migrated\": {}, \"offered\": {}, \"lost_packets\": {}, \"shed_packets\": {}, \"faults\": {}, \"goodput_ppm\": {}, \"generations\": {:?}, \"final_state_items\": {}, \"unaccounted\": {}}}{}\n",
             c.backend,
             c.scenario.name(),
             c.outcome,
-            c.workers_walked,
-            c.pause_ticks,
-            c.drained_packets,
+            c.tenants_staged,
             c.state_items_migrated,
             c.offered,
             c.lost_packets,
             c.shed_packets,
-            c.redistributed_packets,
+            c.faults,
             c.goodput_ppm,
-            c.spec_generation,
+            c.generations,
             c.final_state_items,
             c.unaccounted,
             if i + 1 < r.cells.len() { "," } else { "" },
@@ -417,9 +412,10 @@ pub fn to_json(r: &UpgradeResults) -> String {
     out
 }
 
-/// Rounds per cell behind the committed `BENCH_upgrade.json`.
+/// Ticks before and after the upgrade behind the committed
+/// `BENCH_upgrade.json`.
 pub const ROUNDS: usize = 40;
-/// Rounds per cell under `--quick`.
+/// The same under `--quick`.
 const QUICK_ROUNDS: usize = 12;
 
 /// Regenerates the upgrade matrix, writing `BENCH_upgrade.json` beside
@@ -432,12 +428,11 @@ pub fn run(quick: bool) -> String {
         "backend",
         "scenario",
         "outcome",
-        "walked",
-        "pause ticks",
-        "drained",
+        "staged",
         "migrated",
         "lost",
         "shed",
+        "faults",
         "goodput %",
         "gen",
     ]);
@@ -446,24 +441,24 @@ pub fn run(quick: bool) -> String {
             c.backend.to_string(),
             c.scenario.name().to_owned(),
             c.outcome.to_owned(),
-            c.workers_walked.to_string(),
-            c.pause_ticks.to_string(),
-            c.drained_packets.to_string(),
+            c.tenants_staged.to_string(),
             c.state_items_migrated.to_string(),
             c.lost_packets.to_string(),
             c.shed_packets.to_string(),
+            c.faults.to_string(),
             format!("{:.2}", c.goodput_ppm as f64 / 10_000.0),
-            c.spec_generation.to_string(),
+            c.generations[0].to_string(),
         ]);
     }
 
     let mut out = String::from(
-        "E14 — live upgrade: rolling reconfiguration under load, by backend and upgrade shape\n",
+        "E14 — live upgrade: every tenant's chain swapped between two ticks, by backend and upgrade shape\n",
     );
     out.push_str(&t.render());
     out.push_str(
-        "\nCompatible cells commit with exactly 0 lost packets; chaos cells roll the fleet\n\
-         back to a uniform generation-0 spec with every packet accounted.\n",
+        "\nCompatible cells commit with exactly 0 lost and 0 shed packets; chaos cells\n\
+         discard every staged target and leave a uniform generation-0 fleet with\n\
+         every packet accounted.\n",
     );
 
     let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_upgrade.json");
@@ -482,11 +477,9 @@ mod tests {
     fn bugfix_upgrade_commits_zero_loss() {
         let c = measure_cell(BackendKind::TypedSfi, Scenario::OperatorBugfix, 8);
         assert_eq!(c.outcome, "committed");
-        assert_eq!(c.lost_packets, 0);
-        assert_eq!(c.shed_packets, 0);
-        assert!(c.drained_packets > 0, "pause-tick batches drained");
-        assert!(c.redistributed_packets > 0, "paused shards redistributed");
+        assert_eq!((c.lost_packets, c.shed_packets, c.faults), (0, 0, 0));
         assert_eq!(c.state_items_migrated, 0, "same schema: direct restore");
+        assert!(c.final_state_items > 0, "the flow tables came across");
     }
 
     #[test]
@@ -501,24 +494,27 @@ mod tests {
     fn chaos_cells_roll_back_uniform() {
         let q = measure_cell(BackendKind::TypedSfi, Scenario::ChaosQuiesce, 8);
         assert_eq!(q.outcome, "rolled-back");
-        assert_eq!(q.spec_generation, 0);
-        assert_eq!(q.unaccounted, 0);
+        assert_eq!(q.generations, vec![0; TENANTS]);
+        assert_eq!(q.tenants_staged, CHAOS_TENANT, "tenants 0 and 1 discarded");
+        assert_eq!(q.faults, 1, "the kill is one fault on the sealed tenant");
+        assert_eq!(q.lost_packets, 0, "no batch was in the chain");
         let r = measure_cell(BackendKind::TypedSfi, Scenario::ChaosRestore, 8);
         assert_eq!(r.outcome, "rolled-back");
-        assert_eq!(r.spec_generation, 0);
-        assert_eq!(r.lost_packets, 0, "the drain finished before the kill");
+        assert_eq!(r.generations, vec![0; TENANTS]);
+        assert_eq!((r.tenants_staged, r.faults), (0, 0), "no live domain died");
     }
 
     #[test]
     fn cells_are_deterministic() {
         let a = measure_cell(BackendKind::MpkSim, Scenario::ChainReshape, 8);
         let b = measure_cell(BackendKind::MpkSim, Scenario::ChainReshape, 8);
-        assert_eq!(a.offered, b.offered);
-        assert_eq!(a.goodput_ppm, b.goodput_ppm);
-        assert_eq!(a.pause_ticks, b.pause_ticks);
-        assert_eq!(a.drained_packets, b.drained_packets);
-        assert_eq!(a.state_items_migrated, b.state_items_migrated);
-        assert_eq!(a.final_state_items, b.final_state_items);
+        let json = |c: UpgradeCell| {
+            to_json(&UpgradeResults {
+                rounds: 8,
+                cells: vec![c],
+            })
+        };
+        assert_eq!(json(a), json(b));
     }
 
     #[test]
@@ -529,16 +525,14 @@ mod tests {
                 backend: BackendKind::TypedSfi,
                 scenario: Scenario::OperatorBugfix,
                 outcome: "committed",
-                workers_walked: 4,
-                pause_ticks: 8,
-                drained_packets: 120,
+                tenants_staged: 4,
                 state_items_migrated: 0,
                 offered: 4096,
                 lost_packets: 0,
                 shed_packets: 0,
-                redistributed_packets: 96,
+                faults: 0,
                 goodput_ppm: 1_000_000,
-                spec_generation: 1,
+                generations: vec![1; TENANTS],
                 final_state_items: 512,
                 unaccounted: 0,
             }],
@@ -546,6 +540,7 @@ mod tests {
         let j = to_json(&r);
         assert!(j.contains("\"experiment\": \"e14_upgrade\""));
         assert!(j.contains("\"scenario\": \"operator-bugfix\""));
+        assert!(j.contains("\"generations\": [1, 1, 1, 1]"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

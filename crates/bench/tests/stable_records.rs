@@ -18,7 +18,6 @@ mod common;
 
 use common::{assert_replays, require};
 use rbs_bench::{e10_chaos, e11_recovery, e13_isolation, e14_upgrade, e15_tenants};
-use rbs_runtime::BackendKind;
 
 #[test]
 fn e10_chaos_replays_its_committed_records() {
@@ -45,21 +44,33 @@ fn e13_isolation_replays_its_committed_records() {
 
 #[test]
 fn e14_upgrade_replays_its_committed_records() {
-    use e14_upgrade::Scenario;
     let results = e14_upgrade::measure(e14_upgrade::ROUNDS);
     assert_replays("BENCH_upgrade.json", &e14_upgrade::to_json(&results));
 
-    // A kill at the quiesce or the restore site rolls the fleet back on
-    // both charging extremes, and every packet stays accounted for.
-    for backend in [BackendKind::TypedSfi, BackendKind::CopyBoundary] {
-        for scenario in [Scenario::ChaosQuiesce, Scenario::ChaosRestore] {
-            let cell =
-                (results.cells.iter()).find(|c| c.backend == backend && c.scenario == scenario);
-            require(
-                cell.is_some_and(|c| c.outcome == "rolled-back" && c.unaccounted == 0),
-                || format!("e14 {backend:?}/{scenario:?} did not roll back cleanly: {cell:?}"),
-            );
-        }
+    // On every backend: a compatible cell commits with nothing lost or
+    // shed, every ledger balanced and every tenant on generation 1, and
+    // a schema-changing one carries state; a chaos cell rolls back and
+    // leaves every tenant on generation 0.
+    require(results.cells.len() == 15, || {
+        format!("e14: {} cells", results.cells.len())
+    });
+    for cell in &results.cells {
+        let scenario = cell.scenario;
+        let uniform_on = |generation| cell.generations.iter().all(|&g| g == generation);
+        let held = if scenario.expects_commit() {
+            cell.outcome == "committed"
+                && (cell.lost_packets, cell.shed_packets, cell.unaccounted) == (0, 0, 0)
+                && uniform_on(1)
+                && (!scenario.migrates() || cell.state_items_migrated > 0)
+        } else {
+            cell.outcome == "rolled-back" && cell.unaccounted == 0 && uniform_on(0)
+        };
+        require(held, || {
+            format!(
+                "e14 {:?}/{scenario:?} broke its claim: {cell:?}",
+                cell.backend
+            )
+        });
     }
 }
 

@@ -17,8 +17,8 @@
 //! specific ordered pair, so one migrator can support forward migration
 //! only (rollback falls back to the old-schema snapshot that is still
 //! buffered) or both directions. An upgrade whose schemas differ and
-//! whose policy carries no capable migrator is rejected up front with a
-//! typed error — before any worker is quiesced.
+//! that is handed no capable migrator is rejected up front with a typed
+//! error, before any state is sealed.
 
 use crate::ctx::Checkpoint;
 use std::fmt;

@@ -39,13 +39,14 @@ pub enum FaultSite {
     /// Checkpoint serialization ([`encode`](FaultSite::CheckpointEncode)
     /// of a captured snapshot).
     CheckpointEncode,
-    /// A live upgrade pausing one worker's ingress and draining its
-    /// queue (stream = shard index, occurrence = per-shard quiesce
-    /// count). A kill here dies with work still queued.
+    /// A live upgrade sealing one tenant's state inside its running
+    /// chain's domain (stream = tenant index, occurrence = upgrades
+    /// accepted before this one). A kill here is a fault of the running
+    /// chain, and the upgrade rolls back.
     UpgradeQuiesce,
-    /// A live upgrade restoring migrated state into the replacement
-    /// worker (same stream/occurrence convention). A kill here dies
-    /// after the old generation is gone but before the new one runs.
+    /// A live upgrade building the target chain with the migrated state
+    /// in a fresh domain (same stream/occurrence convention). A kill
+    /// here destroys only that domain, and the upgrade rolls back.
     UpgradeRestore,
 }
 

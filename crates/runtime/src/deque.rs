@@ -9,7 +9,7 @@
 //! so one uncontended lock per operation is small beside the work an
 //! item carries.
 //!
-//! A `closed` latch serves live upgrades. A lane entering `Upgrading`
+//! A `closed` latch serves live upgrades. A lane starting its upgrade
 //! stops advertising its deque: thieves see [`Steal::Closed`] and move
 //! on, while the owner keeps full access. The latch is read under the
 //! lock that guards the items, so closing is exact: once

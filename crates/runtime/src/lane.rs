@@ -52,8 +52,8 @@
 //! A panic inside a lane's pipeline unwinds to its domain boundary like
 //! any worker fault; the in-flight batch is accounted lost, the domain
 //! is destroyed, and the lane rebuilds a cold pipeline in a fresh
-//! domain (run-to-completion lanes have no snapshot cadence; warm
-//! recovery stays the dispatcher runtime's job). Past `max_respawns`
+//! domain. Lanes have no snapshot cadence: warm recovery is what the
+//! dispatcher and tenant engines do. Past `max_respawns`
 //! the lane goes dead: it sheds its remaining backlog and stops
 //! offering its deque.
 //!
@@ -400,9 +400,9 @@ impl LaneReport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LaneUpgradeError {
     /// The proposed spec declares a different state schema. Lane
-    /// upgrades restore state directly (no migrator plumbing — that is
-    /// the dispatcher runtime's job), so only equal-schema targets are
-    /// accepted, and they are rejected before any lane is touched.
+    /// upgrades restore state directly, with no migrator (the tenant
+    /// engine's upgrade takes one), so only equal-schema targets are
+    /// accepted; others are rejected before any lane is touched.
     IncompatibleSchema {
         /// Schema the fleet is running.
         running: u32,

@@ -21,15 +21,18 @@
 //!   supervisor event journal.
 //! - [`stats`] — cumulative per-worker counters that survive respawns,
 //!   plus the merged [`RuntimeReport`].
-//! - [`upgrade`] — zero-downtime rolling reconfiguration: the policy
-//!   knobs, typed rejection, and per-upgrade outcome records for
-//!   [`ShardedRuntime::upgrade_pipeline`](runtime::ShardedRuntime::upgrade_pipeline).
 //! - [`deque`] — the work-stealing deque lanes trade work through: one
 //!   lock around a `VecDeque`, so the crate holds no `unsafe` code.
 //! - [`lane`] — the run-to-completion lane engine: N ingress lanes,
 //!   each generating, processing, and recycling its own RSS slice with
 //!   no central dispatcher, stealing across lanes when idle
-//!   ([`LaneRuntime`](lane::LaneRuntime)).
+//!   ([`LaneRuntime`]).
+//! - [`tenant`] — the tenant contract: specs, breaker policy, ledgers,
+//!   reports, and the typed outcome of a live upgrade.
+//! - [`tenant_lanes`] — the tenant engine ([`TenantLaneRuntime`]): tenant
+//!   domains placed onto lanes under admission control and per-tenant
+//!   breakers. Between ticks it churns tenants and upgrades every
+//!   tenant's chain at once, committing all of them or none.
 //!
 //! A seeded [`rbs_core::FaultPlan`](rbs_core::fault::FaultPlan) can be
 //! installed via [`RuntimeConfig`] to inject deterministic panics, hangs,
@@ -75,7 +78,6 @@ pub mod stats;
 pub mod supervisor;
 pub mod tenant;
 pub mod tenant_lanes;
-pub mod upgrade;
 pub mod worker;
 
 pub use deque::{LaneDeque, Steal, Stealer};
@@ -92,10 +94,9 @@ pub use supervisor::{BreakerState, RestartPolicy, SupervisorEvent, SupervisorEve
 pub use tenant::{
     default_tenant_chain, BreakerPhase, BreakerPolicy, LaneOccupancy, RebuildRecord,
     TenantChainFactory, TenantError, TenantEvent, TenantEventKind, TenantLedger, TenantOutcome,
-    TenantReport, TenantSpec,
+    TenantReport, TenantSpec, UpgradeError, UpgradeOutcome,
 };
 #[doc(hidden)]
 pub use tenant::{TenantConfig, TenantRuntime};
 pub use tenant_lanes::{TenantLaneConfig, TenantLaneRuntime};
-pub use upgrade::{UpgradeError, UpgradeOutcome, UpgradePolicy};
 pub use worker::WorkItem;

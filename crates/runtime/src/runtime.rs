@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rbs_checkpoint::{Buffered, Checkpoint, SnapshotMeta, SnapshotStore, StateMigrator};
+use rbs_checkpoint::{Buffered, Checkpoint, SnapshotMeta, SnapshotStore};
 use rbs_core::fault::FaultPlan;
 use rbs_core::sync::Mutex;
 use rbs_netfx::pool::PacketPool;
@@ -17,9 +17,6 @@ use crate::shard::shard_of_packet_mut;
 use crate::stats::{RuntimeReport, WorkerSnapshot, WorkerStats};
 use crate::supervisor::{
     BreakerState, RestartPolicy, SlotHealth, SupervisorEvent, SupervisorEventKind,
-};
-use crate::upgrade::{
-    Quiesce, UpgradeDirection, UpgradeError, UpgradeOutcome, UpgradePolicy, UpgradeRun,
 };
 use crate::worker::{spawn_worker, WorkItem};
 
@@ -114,12 +111,6 @@ pub enum RuntimeError {
         /// Shard index of the dead slot.
         worker: usize,
     },
-    /// The targeted send refused to touch a slot a live upgrade is
-    /// quiescing; the upgrade machinery owns its lifecycle.
-    WorkerUpgrading {
-        /// Shard index of the quiescing slot.
-        worker: usize,
-    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -128,9 +119,6 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::DomainCreation(e) => write!(f, "creating worker domain: {e}"),
             RuntimeError::Unrecoverable { worker } => {
                 write!(f, "worker {worker} is unrecoverable (domain destroyed)")
-            }
-            RuntimeError::WorkerUpgrading { worker } => {
-                write!(f, "worker {worker} is quiescing for a live upgrade")
             }
         }
     }
@@ -156,25 +144,6 @@ struct Recycler {
 
 struct WorkerSlot {
     domain: Domain,
-    /// The spec this slot's current worker generation runs. Equal to the
-    /// runtime's spec except mid-upgrade, when the fleet is intentionally
-    /// mixed — one worker at a time — until the walk commits or rolls
-    /// back.
-    spec: PipelineSpec,
-    /// Generation counter of `spec`: the fleet-committed generation, plus
-    /// one while the slot runs a not-yet-committed upgrade target.
-    spec_generation: u64,
-    /// Total spawns of this slot's worker thread minus one (0 for the
-    /// initial spawn). Unlike `respawns` it also counts upgrade swaps, so
-    /// heartbeat tokens and attach-site fault occurrences stay unique per
-    /// generation.
-    spawn_seq: u64,
-    /// Quiesce attempts on this slot — the occurrence counter for
-    /// upgrade-quiesce fault injection.
-    upgrade_quiesces: u64,
-    /// Upgrade restore attempts on this slot — the occurrence counter
-    /// for upgrade-restore fault injection.
-    upgrade_restores: u64,
     sender: DomainSender<WorkItem>,
     thread: Option<std::thread::JoinHandle<()>>,
     /// Hung threads abandoned by the watchdog. They self-terminate once
@@ -192,7 +161,10 @@ struct WorkerSlot {
     dispatched: u64,
     /// Batches confirmed lost to faults.
     lost: u64,
-    /// Thread respawns performed by the supervisor.
+    /// Thread respawns performed by the supervisor. Also the spawn number
+    /// of the running generation (0 for the initial spawn), which keeps
+    /// heartbeat tokens and attach-site fault occurrences unique per
+    /// generation.
     respawns: u64,
     /// Hung generations force-failed by the watchdog.
     watchdog_kills: u64,
@@ -250,7 +222,6 @@ impl WorkerSlot {
             breaker: self.health.state,
             consecutive_faults: self.health.consecutive_faults,
             generation: self.domain.generation(),
-            spec_generation: self.spec_generation,
             respawns: self.respawns,
             watchdog_kills: self.watchdog_kills,
             dispatched: self.dispatched,
@@ -336,13 +307,6 @@ pub struct ShardedRuntime {
     spare_shells: Vec<PacketBatch>,
     /// Buffer-return path; `None` unless recycling is configured.
     recycler: Option<Recycler>,
-    /// Generation counter of the fleet-committed spec; bumped by every
-    /// committed upgrade.
-    spec_generation: u64,
-    /// The rolling upgrade currently walking the fleet, if any.
-    upgrade: Option<UpgradeRun>,
-    /// Outcomes of finished upgrades, in completion order.
-    upgrade_history: Vec<UpgradeOutcome>,
     /// Set once the workers have been stopped and joined; makes the
     /// teardown idempotent between [`ShardedRuntime::shutdown`] and
     /// `Drop`.
@@ -396,11 +360,6 @@ impl ShardedRuntime {
             );
             slots.push(WorkerSlot {
                 domain,
-                spec: spec.clone(),
-                spec_generation: 0,
-                spawn_seq: 0,
-                upgrade_quiesces: 0,
-                upgrade_restores: 0,
                 sender,
                 thread: Some(thread),
                 zombies: Vec::new(),
@@ -440,9 +399,6 @@ impl ShardedRuntime {
                 .collect(),
             spare_shells: Vec::with_capacity(workers * 2 + 4),
             recycler,
-            spec_generation: 0,
-            upgrade: None,
-            upgrade_history: Vec::new(),
             finished: false,
         })
     }
@@ -493,7 +449,6 @@ impl ShardedRuntime {
     /// number of batches enqueued.
     pub fn dispatch(&mut self, mut batch: PacketBatch) -> Result<usize, RuntimeError> {
         self.supervise()?;
-        self.stage_upgrade_pause();
         let n = self.slots.len();
         // Single pass: each packet's flow hash is computed at most once
         // (pktgen-stamped tags are served from the cache) and the packet
@@ -522,9 +477,6 @@ impl ShardedRuntime {
                 enqueued += 1;
             }
         }
-        // After routing, so the batch routed to a worker on its pause
-        // tick is already queued — it drains, it is never lost.
-        self.advance_upgrade()?;
         Ok(enqueued)
     }
 
@@ -639,20 +591,7 @@ impl ShardedRuntime {
     fn request_snapshots(&mut self) {
         let deadline = self.config.send_deadline;
         let tick = self.tick;
-        // Tick-collision guard: the worker whose quiesce begins at the
-        // end of this very pass would otherwise snapshot twice on one
-        // tick — the cadence snapshot here, then the final quiesce
-        // snapshot moments later. The quiesce snapshot is authoritative
-        // (it captures the fully drained state), so the cadence one is
-        // skipped.
-        let quiescing_next = match &self.upgrade {
-            Some(run) if run.active.is_none() => run.queue.front().copied(),
-            _ => None,
-        };
-        for (index, slot) in self.slots.iter_mut().enumerate() {
-            if Some(index) == quiescing_next {
-                continue;
-            }
+        for slot in &mut self.slots {
             if !slot.health.state.accepts_work() || !slot.is_healthy() {
                 continue;
             }
@@ -877,13 +816,6 @@ impl ShardedRuntime {
     /// resets the slot's breaker, and the send blocks on a full queue.
     /// Production traffic goes through [`ShardedRuntime::dispatch`].
     pub fn send_to(&mut self, index: usize, batch: PacketBatch) -> Result<(), RuntimeError> {
-        if self.slots[index].health.state == BreakerState::Upgrading {
-            // The upgrade machinery owns this slot until its swap (or
-            // rollback) completes; healing it here would fight the
-            // quiesce. The batch was never offered, so conservation is
-            // untouched.
-            return Err(RuntimeError::WorkerUpgrading { worker: index });
-        }
         self.offered_packets += batch.len() as u64;
         if !self.slots[index].is_healthy() {
             self.heal_slot(index)?;
@@ -924,11 +856,6 @@ impl ShardedRuntime {
     pub fn heal(&mut self) -> Result<usize, RuntimeError> {
         let mut healed = 0;
         for index in 0..self.slots.len() {
-            if self.slots[index].health.state == BreakerState::Upgrading {
-                // Mid-quiesce slots look unhealthy on purpose (their
-                // worker exited); the upgrade walk repairs them.
-                continue;
-            }
             if !self.slots[index].is_healthy() {
                 self.heal_slot(index)?;
                 self.slots[index].health.reset();
@@ -949,10 +876,7 @@ impl ShardedRuntime {
     /// Breaker bookkeeping belongs to the callers: the policy path keeps
     /// its consecutive-fault count, the manual path resets it.
     fn heal_slot(&mut self, index: usize) -> Result<(), RuntimeError> {
-        // Per-slot spec: mid-upgrade, an already-swapped worker that
-        // faults must come back on the spec it was running, not the
-        // fleet's committed one.
-        let spec = self.slots[index].spec.clone();
+        let spec = self.spec.clone();
         let capacity = self.config.queue_capacity;
         let plan = self.config.faults.clone();
         let slot = &mut self.slots[index];
@@ -1004,10 +928,9 @@ impl ShardedRuntime {
         let recycle = self.recycler.as_ref().map(|r| r.sender.clone());
         let slot = &mut self.slots[index];
         slot.respawns += 1;
-        slot.spawn_seq += 1;
         let (sender, thread) = spawn_worker(
             index,
-            slot.spawn_seq,
+            slot.respawns,
             slot.domain.clone(),
             spec,
             Arc::clone(&slot.stats),
@@ -1031,31 +954,6 @@ impl ShardedRuntime {
     /// Returns the checkpoint to inject into the replacement, or `None`
     /// for a cold start.
     fn restore_chain(&mut self, index: usize) -> Option<Arc<Checkpoint>> {
-        let schema = self.slots[index].spec.state_schema();
-        // Mid-upgrade, a slot's store can briefly hold snapshots sealed
-        // under the other spec's schema (a swapped worker crashing
-        // before its first new-schema snapshot); the run's migrator
-        // carries those across instead of rejecting them.
-        let migrator = self
-            .upgrade
-            .as_ref()
-            .and_then(|run| run.policy.migrator.clone());
-        self.restore_for(index, schema, migrator)
-    }
-
-    /// [`ShardedRuntime::restore_chain`] with an explicit target schema
-    /// and optional migrator — the upgrade path restores *across* a
-    /// schema change with it. A buffered snapshot sealed under a
-    /// different schema is migrated when the migrator can carry the
-    /// pair, and rejected (falling through the chain) otherwise; the
-    /// schema fence means a restore can never inject state the new spec
-    /// would misread.
-    fn restore_for(
-        &mut self,
-        index: usize,
-        target_schema: u32,
-        migrator: Option<Arc<dyn StateMigrator>>,
-    ) -> Option<Arc<Checkpoint>> {
         // The gauge still holds the dead generation's last value: the
         // state the crash destroyed.
         let items_at_crash = self.slots[index].stats.state_items();
@@ -1067,48 +965,6 @@ impl ShardedRuntime {
             match candidate {
                 None => continue,
                 Some((meta, Ok(cp))) => {
-                    let cp = if meta.schema == target_schema {
-                        cp
-                    } else {
-                        let Some(m) = migrator.as_ref() else {
-                            self.slots[index].snapshot_rejects += 1;
-                            self.push_event(
-                                index,
-                                SupervisorEventKind::SnapshotRejected {
-                                    which: which.name(),
-                                    reason: "schema-mismatch",
-                                },
-                            );
-                            continue;
-                        };
-                        match m.migrate(&cp, meta.schema, target_schema) {
-                            Ok(migrated) => {
-                                self.push_event(
-                                    index,
-                                    SupervisorEventKind::StateMigrated {
-                                        from: meta.schema,
-                                        to: target_schema,
-                                        items: meta.items,
-                                    },
-                                );
-                                if let Some(run) = self.upgrade.as_mut() {
-                                    run.items_migrated += meta.items;
-                                }
-                                migrated
-                            }
-                            Err(_) => {
-                                self.slots[index].snapshot_rejects += 1;
-                                self.push_event(
-                                    index,
-                                    SupervisorEventKind::SnapshotRejected {
-                                        which: which.name(),
-                                        reason: "migrate-failed",
-                                    },
-                                );
-                                continue;
-                            }
-                        }
-                    };
                     let age_ticks = self.tick.saturating_sub(meta.tick);
                     let items_lost = items_at_crash.saturating_sub(meta.items);
                     let slot = &mut self.slots[index];
@@ -1155,486 +1011,6 @@ impl ShardedRuntime {
         None
     }
 
-    /// Begins a zero-downtime rolling upgrade to `new_spec`.
-    ///
-    /// The upgrade is validated here and *walked* by subsequent
-    /// [`ShardedRuntime::dispatch`] passes, one worker per tick: pause
-    /// the worker's ingress (its shard redistributes to healthy peers
-    /// through the normal degradation machinery), let it drain its
-    /// queued tail and seal a final state snapshot, tear down its
-    /// domain, spawn the new spec in a fresh one, restore the snapshot
-    /// through the schema fence (migrating across a schema change when
-    /// the policy's [`StateMigrator`] can carry the pair), and resume.
-    /// At most one shard of capacity is ever out; a compatible upgrade
-    /// under load loses exactly zero packets.
-    ///
-    /// A schema-changing upgrade the policy cannot migrate is rejected
-    /// up front with [`UpgradeError::IncompatibleSchema`] — before any
-    /// worker is touched. A failure mid-walk (chaos kill, drain
-    /// timeout) rolls the fleet back: already-upgraded workers return
-    /// to the old spec, restored from their latest snapshots, and the
-    /// fleet ends uniform either way.
-    ///
-    /// Fleet-scoped journal entries (`upgrade-started`,
-    /// `upgrade-committed`, `upgrade-rolled-back`) carry worker index 0.
-    pub fn upgrade_pipeline(
-        &mut self,
-        new_spec: PipelineSpec,
-        policy: UpgradePolicy,
-    ) -> Result<(), UpgradeError> {
-        if self.upgrade.is_some() {
-            return Err(UpgradeError::InProgress);
-        }
-        let from = self.spec.state_schema();
-        let to = new_spec.state_schema();
-        if from != to
-            && !policy
-                .migrator
-                .as_ref()
-                .is_some_and(|m| m.can_migrate(from, to))
-        {
-            return Err(UpgradeError::IncompatibleSchema { from, to });
-        }
-        self.push_event(
-            0,
-            SupervisorEventKind::UpgradeStarted {
-                from_schema: from,
-                to_schema: to,
-            },
-        );
-        self.upgrade = Some(UpgradeRun {
-            target: new_spec,
-            old: self.spec.clone(),
-            policy,
-            direction: UpgradeDirection::Forward,
-            queue: (0..self.slots.len()).collect(),
-            done: Vec::new(),
-            active: None,
-            staged_packets_at_pause: None,
-            started_tick: self.tick,
-            pause_ticks: 0,
-            drained_packets: 0,
-            items_migrated: 0,
-        });
-        Ok(())
-    }
-
-    /// Whether a rolling upgrade is still walking the fleet.
-    pub fn upgrade_in_progress(&self) -> bool {
-        self.upgrade.is_some()
-    }
-
-    /// Outcome of the most recently finished upgrade, if any.
-    pub fn last_upgrade(&self) -> Option<&UpgradeOutcome> {
-        self.upgrade_history.last()
-    }
-
-    /// Outcomes of all finished upgrades, in completion order.
-    pub fn upgrade_history(&self) -> &[UpgradeOutcome] {
-        &self.upgrade_history
-    }
-
-    /// Generation counter of the fleet-committed spec (bumped by every
-    /// committed upgrade).
-    pub fn spec_generation(&self) -> u64 {
-        self.spec_generation
-    }
-
-    /// The spec the fleet is committed to (mid-upgrade: the spec the
-    /// walk started from — the target commits only when every worker
-    /// runs it).
-    pub fn spec(&self) -> &PipelineSpec {
-        match &self.upgrade {
-            Some(run) => &run.old,
-            None => &self.spec,
-        }
-    }
-
-    /// Start-of-tick half of the quiesce handoff: captures the next
-    /// quiesce target's progress counter *before* this pass routes
-    /// anything, so the drained-tail accounting is exact in lockstep
-    /// harnesses (the whole pause-tick batch counts as drained), and
-    /// fires the upgrade-quiesce chaos site — a kill here takes the
-    /// worker down at the top of its pause tick, so the shard's batch
-    /// this tick is shed deterministically and the quiesce is found
-    /// dead on the next.
-    fn stage_upgrade_pause(&mut self) {
-        use rbs_core::fault::{fire_sleep, FaultKind, FaultSite};
-        let target = match &self.upgrade {
-            Some(run) if run.active.is_none() => run
-                .queue
-                .front()
-                .copied()
-                .map(|w| (w, matches!(run.direction, UpgradeDirection::Forward))),
-            _ => None,
-        };
-        let Some((worker, forward)) = target else {
-            if let Some(run) = self.upgrade.as_mut() {
-                run.staged_packets_at_pause = None;
-            }
-            return;
-        };
-        // Rollback quiesces never consult the plan (and never consume
-        // an occurrence): rollback must always complete.
-        if forward {
-            let occurrence = self.slots[worker].upgrade_quiesces;
-            self.slots[worker].upgrade_quiesces += 1;
-            if let Some(plan) = self.config.faults.clone() {
-                match plan.decide(FaultSite::UpgradeQuiesce, worker as u64, occurrence) {
-                    Some(FaultKind::Panic | FaultKind::PoisonTable | FaultKind::CloseChannel) => {
-                        self.slots[worker].domain.force_fail();
-                    }
-                    Some(other) => fire_sleep(other),
-                    None => {}
-                }
-            }
-        }
-        let packets = self.slots[worker].stats.packets_in();
-        let run = self.upgrade.as_mut().expect("upgrade checked above");
-        run.staged_packets_at_pause = Some(packets);
-    }
-
-    /// End-of-dispatch half of the walk: step the in-flight quiesce, or
-    /// begin the next one, or finish. At most one worker is ever
-    /// quiescing, and a new quiesce begins only on a tick whose start
-    /// staged it.
-    fn advance_upgrade(&mut self) -> Result<(), RuntimeError> {
-        let Some(run) = &self.upgrade else {
-            return Ok(());
-        };
-        if run.active.is_some() {
-            return self.step_quiesce();
-        }
-        let next = self
-            .upgrade
-            .as_mut()
-            .expect("upgrade checked above")
-            .queue
-            .pop_front();
-        match next {
-            Some(worker) => {
-                self.begin_quiesce(worker);
-                Ok(())
-            }
-            None => {
-                self.finish_upgrade();
-                Ok(())
-            }
-        }
-    }
-
-    /// Pauses one worker's ingress at the end of the current tick: flip
-    /// its breaker to [`BreakerState::Upgrading`] (the dispatcher
-    /// redistributes its shard from the next pass) and send the
-    /// shutdown control item that makes the worker drain its queue,
-    /// seal a final snapshot, and exit.
-    fn begin_quiesce(&mut self, worker: usize) {
-        let tick = self.tick;
-        let snapshot_tick = (self.config.snapshot_interval_ticks > 0).then_some(tick);
-        let deadline = self.config.send_deadline;
-        let slot = &mut self.slots[worker];
-        slot.health.state = BreakerState::Upgrading;
-        // Control traffic, like the snapshot cadence: not routed through
-        // `send_accounted`, so it consumes no channel-send occurrences
-        // and no batch accounting.
-        let shutdown_sent = slot
-            .sender
-            .send_deadline(WorkItem::Shutdown { snapshot_tick }, deadline)
-            .is_ok();
-        self.push_event(worker, SupervisorEventKind::UpgradePause);
-        let run = self.upgrade.as_mut().expect("upgrade active");
-        let packets_at_pause = run
-            .staged_packets_at_pause
-            .take()
-            .expect("pause was staged at tick start");
-        run.active = Some(Quiesce {
-            worker,
-            paused_tick: tick,
-            packets_at_pause,
-            shutdown_sent,
-        });
-    }
-
-    /// One tick of the active quiesce: retry the shutdown send if it
-    /// never landed, then — once the control item is in the queue —
-    /// wait out the worker's drain (bounded by the policy's wall-clock
-    /// deadline), and close the quiesce out. Any failure on the forward
-    /// walk flips the upgrade into rollback.
-    fn step_quiesce(&mut self) -> Result<(), RuntimeError> {
-        let (worker, paused_tick, packets_at_pause, shutdown_sent) = {
-            let run = self.upgrade.as_ref().expect("upgrade active");
-            let q = run.active.as_ref().expect("quiesce active");
-            (q.worker, q.paused_tick, q.packets_at_pause, q.shutdown_sent)
-        };
-        if !shutdown_sent {
-            // The shutdown item missed a full queue last tick; retry
-            // while the worker is alive. A dead worker (chaos kill at
-            // the quiesce site, or a fault racing the pause) fails the
-            // quiesce.
-            let snapshot_tick = (self.config.snapshot_interval_ticks > 0).then_some(paused_tick);
-            let slot = &mut self.slots[worker];
-            if slot.is_healthy()
-                && slot
-                    .sender
-                    .send_deadline(
-                        WorkItem::Shutdown { snapshot_tick },
-                        self.config.send_deadline,
-                    )
-                    .is_ok()
-            {
-                let run = self.upgrade.as_mut().expect("upgrade active");
-                run.active.as_mut().expect("quiesce active").shutdown_sent = true;
-                return Ok(());
-            }
-            return self.complete_quiesce(worker, paused_tick, packets_at_pause, false);
-        }
-        // Bounded wall-clock drain: the worker processes its queued
-        // tail on its own thread, so logical ticks cannot bound it.
-        let drain_deadline = self
-            .upgrade
-            .as_ref()
-            .expect("upgrade active")
-            .policy
-            .drain_deadline;
-        let deadline = Instant::now() + drain_deadline;
-        let drained = loop {
-            let Some(thread) = self.slots[worker].thread.as_ref() else {
-                break true;
-            };
-            if thread.is_finished() {
-                break true;
-            }
-            if Instant::now() >= deadline {
-                break false;
-            }
-            std::thread::yield_now();
-        };
-        if !drained {
-            self.push_event(worker, SupervisorEventKind::UpgradeDrainTimeout);
-        }
-        self.complete_quiesce(worker, paused_tick, packets_at_pause, drained)
-    }
-
-    /// Closes out one worker's quiesce: join (or abandon) its old
-    /// generation, account the drained tail and the pause, then swap it
-    /// to the walk's target spec — or flip the upgrade into rollback if
-    /// anything went wrong on the forward walk.
-    fn complete_quiesce(
-        &mut self,
-        worker: usize,
-        paused_tick: u64,
-        packets_at_pause: u64,
-        drained: bool,
-    ) -> Result<(), RuntimeError> {
-        {
-            let slot = &mut self.slots[worker];
-            if drained {
-                if let Some(thread) = slot.thread.take() {
-                    let _ = thread.join();
-                }
-            } else {
-                // Wedged past the deadline (or dead before the shutdown
-                // landed): force-fail so the stall's end finds a revoked
-                // channel, and abandon the thread as a zombie — exactly
-                // the watchdog's discipline.
-                slot.domain.force_fail();
-                if let Some(thread) = slot.thread.take() {
-                    if thread.is_finished() {
-                        let _ = thread.join();
-                    } else {
-                        slot.zombies.push(thread);
-                    }
-                }
-            }
-            slot.refresh_losses();
-            slot.stats.clear_busy();
-        }
-        let drained_packets = self.slots[worker]
-            .stats
-            .packets_in()
-            .saturating_sub(packets_at_pause);
-        let pause_ticks = self.tick.saturating_sub(paused_tick);
-        let clean = drained && self.slots[worker].domain.state() == DomainState::Active;
-        let forward = {
-            let run = self.upgrade.as_mut().expect("upgrade active");
-            run.active = None;
-            run.drained_packets += drained_packets;
-            run.pause_ticks += pause_ticks;
-            matches!(run.direction, UpgradeDirection::Forward)
-        };
-        if !clean && forward {
-            return self.abort_upgrade(worker);
-        }
-        if !self.swap_worker(worker, forward)? {
-            // The forward restore chaos site killed the swap.
-            return self.abort_upgrade(worker);
-        }
-        let generation = self.slots[worker].spec_generation;
-        self.upgrade
-            .as_mut()
-            .expect("upgrade active")
-            .done
-            .push(worker);
-        if forward {
-            self.push_event(
-                worker,
-                SupervisorEventKind::WorkerUpgraded {
-                    generation,
-                    drained_packets,
-                    pause_ticks,
-                },
-            );
-        } else {
-            self.push_event(worker, SupervisorEventKind::WorkerRolledBack { generation });
-        }
-        Ok(())
-    }
-
-    /// Tears down one slot's domain and respawns it on the walk's spec
-    /// (target when forward, old when rolling back), restoring state
-    /// through the schema fence. Returns `Ok(false)` when the forward
-    /// restore chaos site killed the swap — the caller flips to
-    /// rollback; rollback swaps never consult the plan.
-    fn swap_worker(&mut self, index: usize, forward: bool) -> Result<bool, RuntimeError> {
-        use rbs_core::fault::{fire_sleep, FaultKind, FaultSite};
-        let (spec, generation, migrator) = {
-            let run = self.upgrade.as_ref().expect("upgrade active");
-            if forward {
-                (
-                    run.target.clone(),
-                    self.spec_generation + 1,
-                    run.policy.migrator.clone(),
-                )
-            } else {
-                (
-                    run.old.clone(),
-                    self.spec_generation,
-                    run.policy.migrator.clone(),
-                )
-            }
-        };
-        if forward {
-            let occurrence = self.slots[index].upgrade_restores;
-            self.slots[index].upgrade_restores += 1;
-            if let Some(plan) = self.config.faults.clone() {
-                match plan.decide(FaultSite::UpgradeRestore, index as u64, occurrence) {
-                    Some(FaultKind::Panic | FaultKind::PoisonTable | FaultKind::CloseChannel) => {
-                        self.slots[index].domain.force_fail();
-                        return Ok(false);
-                    }
-                    Some(other) => fire_sleep(other),
-                    None => {}
-                }
-            }
-        }
-        // The paper's teardown → spawn discipline, not an in-place
-        // recover: the old generation's domain dies with everything it
-        // owned, and the new spec starts in a fresh one.
-        self.manager.destroy_domain(&self.slots[index].domain);
-        let domain = self
-            .manager
-            .create_domain(format!("worker-{index}"))
-            .map_err(RuntimeError::DomainCreation)?;
-        self.slots[index].domain = domain;
-        let initial_state = if self.config.snapshot_interval_ticks > 0 {
-            self.restore_for(index, spec.state_schema(), migrator)
-        } else {
-            // Snapshotting off: upgrades carry no state by definition,
-            // exactly like crash recovery.
-            None
-        };
-        let recycle = self.recycler.as_ref().map(|r| r.sender.clone());
-        let capacity = self.config.queue_capacity;
-        let plan = self.config.faults.clone();
-        let slot = &mut self.slots[index];
-        slot.spawn_seq += 1;
-        let (sender, thread) = spawn_worker(
-            index,
-            slot.spawn_seq,
-            slot.domain.clone(),
-            spec.clone(),
-            Arc::clone(&slot.stats),
-            capacity,
-            plan,
-            Arc::clone(&slot.store),
-            initial_state,
-            recycle,
-        );
-        slot.sender = sender;
-        slot.thread = Some(thread);
-        slot.spec = spec;
-        slot.spec_generation = generation;
-        slot.health.reset();
-        Ok(true)
-    }
-
-    /// A forward step failed: journal the abort, return the failed
-    /// worker to the old spec immediately, and reverse the walk over
-    /// the workers already upgraded (newest first). Chaos sites are
-    /// never consulted on the way back, so rollback always completes —
-    /// cold restore is its worst case, a mixed fleet is not an outcome.
-    fn abort_upgrade(&mut self, failed_worker: usize) -> Result<(), RuntimeError> {
-        self.push_event(failed_worker, SupervisorEventKind::UpgradeAborted);
-        let swapped = self.swap_worker(failed_worker, false)?;
-        debug_assert!(swapped, "rollback swaps never consult the fault plan");
-        self.push_event(
-            failed_worker,
-            SupervisorEventKind::WorkerRolledBack {
-                generation: self.slots[failed_worker].spec_generation,
-            },
-        );
-        let run = self.upgrade.as_mut().expect("upgrade active");
-        run.direction = UpgradeDirection::Rollback { failed_worker };
-        run.queue = run.done.drain(..).rev().collect();
-        run.done.push(failed_worker);
-        Ok(())
-    }
-
-    /// The walk is over (no active quiesce, empty queue): commit the
-    /// target spec fleet-wide, or close out the rollback. The fleet is
-    /// uniform either way.
-    fn finish_upgrade(&mut self) {
-        let run = self.upgrade.take().expect("upgrade active");
-        let finished_tick = self.tick;
-        let outcome = match run.direction {
-            UpgradeDirection::Forward => {
-                self.spec = run.target;
-                self.spec_generation += 1;
-                self.push_event(
-                    0,
-                    SupervisorEventKind::UpgradeCommitted {
-                        workers: run.done.len(),
-                    },
-                );
-                UpgradeOutcome::Committed {
-                    workers: run.done.len(),
-                    pause_ticks: run.pause_ticks,
-                    drained_packets: run.drained_packets,
-                    state_items_migrated: run.items_migrated,
-                    started_tick: run.started_tick,
-                    finished_tick,
-                }
-            }
-            UpgradeDirection::Rollback { failed_worker } => {
-                self.push_event(
-                    0,
-                    SupervisorEventKind::UpgradeRolledBack {
-                        workers: run.done.len(),
-                    },
-                );
-                UpgradeOutcome::RolledBack {
-                    failed_worker,
-                    workers_rolled_back: run.done.len(),
-                    pause_ticks: run.pause_ticks,
-                    drained_packets: run.drained_packets,
-                    started_tick: run.started_tick,
-                    finished_tick,
-                }
-            }
-        };
-        self.upgrade_history.push(outcome);
-    }
-
     /// Waits until every dispatched batch is either processed or
     /// accounted lost, detecting (and accounting) faults as they are
     /// discovered.
@@ -1650,16 +1026,6 @@ impl ShardedRuntime {
         let deadline = Instant::now() + timeout;
         loop {
             for index in 0..self.slots.len() {
-                if self.slots[index].health.state == BreakerState::Upgrading {
-                    // The upgrade walk owns this slot's fault handling,
-                    // but its losses must stay fresh here or a worker
-                    // killed mid-quiesce would keep the drain from ever
-                    // settling.
-                    if !self.slots[index].is_healthy() {
-                        self.slots[index].refresh_losses();
-                    }
-                    continue;
-                }
                 self.observe_slot(index);
             }
             let settled = self
@@ -1774,7 +1140,6 @@ impl ShardedRuntime {
             histograms,
             self.offered_packets,
             std::mem::take(&mut self.events),
-            std::mem::take(&mut self.upgrade_history),
         )
     }
 }

@@ -234,11 +234,6 @@ pub struct WorkerSnapshot {
     pub consecutive_faults: u32,
     /// Domain generation (bumped by every recovery).
     pub generation: u64,
-    /// Generation of the pipeline spec this worker runs (bumped by
-    /// every committed upgrade; transiently ahead while an upgrade
-    /// walks the fleet). A finished run's workers all report the same
-    /// value — the never-mixed invariant.
-    pub spec_generation: u64,
     /// Times the supervisor respawned this worker's thread.
     pub respawns: u64,
     /// Hung generations force-failed by the watchdog.
@@ -361,22 +356,6 @@ pub struct RuntimeReport {
     pub breaker_half_opens: u64,
     /// Times a probe generation closed its breaker.
     pub breaker_closes: u64,
-    /// Rolling upgrades that committed (fleet ended on the new spec).
-    pub upgrades_committed: u64,
-    /// Rolling upgrades that rolled back (fleet returned to the old
-    /// spec).
-    pub upgrades_rolled_back: u64,
-    /// Supervision ticks worker ingress was paused for upgrades, summed
-    /// over all upgrades and workers.
-    pub upgrade_pause_ticks: u64,
-    /// Packets drained from paused queues during upgrades — processed
-    /// by the old generations after their ingress stopped, not lost.
-    pub upgrade_drained_packets: u64,
-    /// State items carried across a schema change by a migrator during
-    /// committed upgrades.
-    pub state_items_migrated: u64,
-    /// Per-upgrade outcome records, in completion order.
-    pub upgrades: Vec<crate::upgrade::UpgradeOutcome>,
     /// The supervisor's journal, in observation order.
     pub events: Vec<SupervisorEvent>,
     /// Summary of per-batch processing cycles, merged across workers
@@ -391,9 +370,7 @@ impl RuntimeReport {
         histograms: Vec<LogHistogram>,
         offered_packets: u64,
         events: Vec<SupervisorEvent>,
-        upgrades: Vec<crate::upgrade::UpgradeOutcome>,
     ) -> Self {
-        use crate::upgrade::UpgradeOutcome;
         let mut merged = LogHistogram::new(CYCLE_HIST_PRECISION);
         for h in &histograms {
             merged.merge(h);
@@ -401,26 +378,6 @@ impl RuntimeReport {
         let count = |pred: fn(&SupervisorEventKind) -> bool| {
             events.iter().filter(|e| pred(&e.kind)).count() as u64
         };
-        let upgrades_committed = upgrades.iter().filter(|u| u.committed()).count() as u64;
-        let (upgrade_pause_ticks, upgrade_drained_packets, state_items_migrated) = upgrades
-            .iter()
-            .fold((0, 0, 0), |(ticks, drained, items), u| match *u {
-                UpgradeOutcome::Committed {
-                    pause_ticks,
-                    drained_packets,
-                    state_items_migrated,
-                    ..
-                } => (
-                    ticks + pause_ticks,
-                    drained + drained_packets,
-                    items + state_items_migrated,
-                ),
-                UpgradeOutcome::RolledBack {
-                    pause_ticks,
-                    drained_packets,
-                    ..
-                } => (ticks + pause_ticks, drained + drained_packets, items),
-            });
         Self {
             batches: workers.iter().map(|w| w.processed).sum(),
             offered_packets,
@@ -447,12 +404,6 @@ impl RuntimeReport {
             breaker_opens: count(|k| matches!(k, SupervisorEventKind::BreakerOpened { .. })),
             breaker_half_opens: count(|k| matches!(k, SupervisorEventKind::BreakerHalfOpened)),
             breaker_closes: count(|k| matches!(k, SupervisorEventKind::BreakerClosed)),
-            upgrades_committed,
-            upgrades_rolled_back: upgrades.len() as u64 - upgrades_committed,
-            upgrade_pause_ticks,
-            upgrade_drained_packets,
-            state_items_migrated,
-            upgrades,
             events,
             cycles: merged.summary(),
             workers,

@@ -89,12 +89,6 @@ pub enum BreakerState {
     /// Probe generation after an open breaker's cooldown: one completed
     /// batch closes the breaker, one more fault reopens it.
     HalfOpen,
-    /// Quiescing for a live upgrade: ingress paused, queue draining.
-    /// The dispatcher redistributes this shard's packets exactly as it
-    /// does for `Backoff`/`Open`, but the supervisor leaves the slot
-    /// alone — the upgrade machinery owns its lifecycle until the swap
-    /// (or rollback) completes.
-    Upgrading,
 }
 
 impl BreakerState {
@@ -105,7 +99,6 @@ impl BreakerState {
             BreakerState::Backoff => "backoff",
             BreakerState::Open => "open",
             BreakerState::HalfOpen => "half-open",
-            BreakerState::Upgrading => "upgrading",
         }
     }
 
@@ -223,63 +216,6 @@ pub enum SupervisorEventKind {
         /// State items lost with the crash (live gauge at crash).
         items_lost: u64,
     },
-    /// A rolling upgrade was accepted and began with worker 0's quiesce
-    /// pending. (Incompatible upgrades are rejected before any event is
-    /// journaled.)
-    UpgradeStarted {
-        /// State schema of the running spec.
-        from_schema: u32,
-        /// State schema of the target spec.
-        to_schema: u32,
-    },
-    /// One worker's ingress was paused for quiesce: from this tick its
-    /// shard is redistributed while the queued tail drains.
-    UpgradePause,
-    /// A quiescing worker did not drain within the policy's deadline; it
-    /// was force-failed and its thread abandoned as a zombie.
-    UpgradeDrainTimeout,
-    /// A snapshot sealed under one state schema was carried across to
-    /// another by the policy's [`StateMigrator`](rbs_checkpoint::StateMigrator)
-    /// instead of falling back cold.
-    StateMigrated {
-        /// Schema the snapshot was sealed under.
-        from: u32,
-        /// Schema it was migrated to.
-        to: u32,
-        /// State items carried across.
-        items: u64,
-    },
-    /// One worker finished its quiesce → snapshot → swap → restore cycle
-    /// and is running the target spec.
-    WorkerUpgraded {
-        /// Spec generation the worker now runs.
-        generation: u64,
-        /// Packets the worker drained from its queue after its ingress
-        /// paused (processed, not lost).
-        drained_packets: u64,
-        /// Supervision ticks the worker's ingress was paused.
-        pause_ticks: u64,
-    },
-    /// During rollback, a worker was swapped back to the old spec and
-    /// restored from its latest snapshot.
-    WorkerRolledBack {
-        /// Spec generation the worker was returned to.
-        generation: u64,
-    },
-    /// A worker failed mid-upgrade (chaos kill during quiesce or
-    /// restore); the upgrade reversed direction.
-    UpgradeAborted,
-    /// Every worker runs the target spec; the upgrade committed.
-    UpgradeCommitted {
-        /// Workers upgraded.
-        workers: usize,
-    },
-    /// Rollback completed: every worker runs the old spec again.
-    UpgradeRolledBack {
-        /// Workers that had to be rolled back (had already upgraded, or
-        /// failed mid-swap).
-        workers: usize,
-    },
 }
 
 impl SupervisorEventKind {
@@ -298,15 +234,6 @@ impl SupervisorEventKind {
             SupervisorEventKind::WarmRestore { .. } => "warm-restore",
             SupervisorEventKind::SnapshotRejected { .. } => "snapshot-rejected",
             SupervisorEventKind::ColdRestore { .. } => "cold-restore",
-            SupervisorEventKind::UpgradeStarted { .. } => "upgrade-started",
-            SupervisorEventKind::UpgradePause => "upgrade-pause",
-            SupervisorEventKind::UpgradeDrainTimeout => "upgrade-drain-timeout",
-            SupervisorEventKind::StateMigrated { .. } => "state-migrated",
-            SupervisorEventKind::WorkerUpgraded { .. } => "worker-upgraded",
-            SupervisorEventKind::WorkerRolledBack { .. } => "worker-rolled-back",
-            SupervisorEventKind::UpgradeAborted => "upgrade-aborted",
-            SupervisorEventKind::UpgradeCommitted { .. } => "upgrade-committed",
-            SupervisorEventKind::UpgradeRolledBack { .. } => "upgrade-rolled-back",
         }
     }
 }
@@ -343,35 +270,12 @@ mod tests {
         assert!(BreakerState::HalfOpen.accepts_work());
         assert!(!BreakerState::Backoff.accepts_work());
         assert!(!BreakerState::Open.accepts_work());
-        assert!(
-            !BreakerState::Upgrading.accepts_work(),
-            "a quiescing shard must be redistributed, not fed"
-        );
     }
 
     #[test]
     fn names_are_stable() {
         assert_eq!(BreakerState::HalfOpen.name(), "half-open");
-        assert_eq!(BreakerState::Upgrading.name(), "upgrading");
         assert_eq!(SupervisorEventKind::WatchdogKill.name(), "watchdog-kill");
         assert_eq!(SupervisorEventKind::Shed { packets: 3 }.name(), "shed");
-        assert_eq!(
-            SupervisorEventKind::WorkerUpgraded {
-                generation: 1,
-                drained_packets: 0,
-                pause_ticks: 1
-            }
-            .name(),
-            "worker-upgraded"
-        );
-        assert_eq!(
-            SupervisorEventKind::StateMigrated {
-                from: 1,
-                to: 2,
-                items: 0
-            }
-            .name(),
-            "state-migrated"
-        );
     }
 }

@@ -38,6 +38,10 @@
 //! open-breaker, backpressure and removal sheds. E15 sweeps this
 //! machinery against flood, fault-loop and slow-operator aggressors and
 //! asserts victims keep ≥ 99% goodput.
+//!
+//! Between ticks the engine can also move every tenant onto a new chain
+//! at once ([`TenantLaneRuntime::upgrade`]): [`UpgradeError`] is why it
+//! refused, [`UpgradeOutcome`] how it ended. E14 drives it.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -51,8 +55,9 @@ use rbs_netfx::{FlowTracker, PacketBatch, PipelineSpec, SourceNat};
 
 use crate::tenant_lanes::{TenantLaneConfig, TenantLaneRuntime};
 
-/// Builds one tenant's operator chain. Called once per epoch (cold
-/// build) and reused for every warm respawn within that epoch.
+/// Builds one tenant's operator chain. Called at construction, on every
+/// re-add and by every upgrade; the spec it returns is reused for every
+/// respawn until the next of those.
 pub type TenantChainFactory = Arc<dyn Fn(usize, &TenantSpec) -> PipelineSpec + Send + Sync>;
 
 /// One tenant's contract with the runtime.
@@ -221,6 +226,65 @@ impl From<TableError> for TenantError {
     }
 }
 
+/// Why [`TenantLaneRuntime::upgrade`] refused a target before touching
+/// any tenant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpgradeError {
+    /// The target changes a tenant's state schema and no migrator was
+    /// passed that can carry state across the pair.
+    IncompatibleSchema {
+        /// The running chain's state schema.
+        from: u32,
+        /// The target chain's state schema.
+        to: u32,
+    },
+}
+
+impl fmt::Display for UpgradeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UpgradeError::IncompatibleSchema { from, to } => write!(
+                f,
+                "no migrator can carry state from schema {from} to schema {to}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for UpgradeError {}
+
+/// How an accepted [`TenantLaneRuntime::upgrade`] ended. Either way the
+/// fleet is uniform: every present tenant runs the target, or every one
+/// runs the chain it ran before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpgradeOutcome {
+    /// Every present tenant runs the target chain.
+    Committed {
+        /// Present tenants moved onto the target.
+        tenants: usize,
+        /// State items the migrator carried across a schema change.
+        state_items_migrated: u64,
+    },
+    /// One tenant's seal, migration or build failed, and every target
+    /// chain built so far was discarded.
+    RolledBack {
+        /// The tenant whose staging failed.
+        failed_tenant: usize,
+        /// Tenants staged before it, whose targets were discarded.
+        discarded: usize,
+    },
+}
+
+impl UpgradeOutcome {
+    /// Stable short name (used in reports and JSON).
+    pub fn name(&self) -> &'static str {
+        match self {
+            UpgradeOutcome::Committed { .. } => "committed",
+            UpgradeOutcome::RolledBack { .. } => "rolled-back",
+        }
+    }
+}
+
 /// Where a tenant's circuit breaker currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerPhase {
@@ -371,6 +435,9 @@ pub struct TenantOutcome {
     pub final_phase: BreakerPhase,
     /// Epoch at shutdown (number of times re-added).
     pub epoch: u64,
+    /// Committed upgrades behind the chain the tenant runs: 0 for the
+    /// chain it started on.
+    pub generation: u64,
     /// Domain faults absorbed.
     pub faults: u64,
     /// Chain rebuilds after faults or half-open probes.

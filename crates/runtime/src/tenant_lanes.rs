@@ -54,6 +54,10 @@
 //!   fill and overflow to `free`; returning those to the origin lane is
 //!   ROADMAP item 7(a).
 //!
+//! - **Between ticks, one owner.** While the helpers are parked on
+//!   `start`, the caller owns every chain: churn and live upgrade
+//!   ([`TenantLaneRuntime::upgrade`]) swap chains with no protocol.
+//!
 //! Thefts are metered as [`Crossing::Steal`] against the *origin
 //! tenant's* domain and credited to its ledger (`TenantLedger::stolen`,
 //! a subset of `processed`), so the steal tax shows up in the isolation
@@ -64,7 +68,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 
-use rbs_checkpoint::SnapshotStore;
+use rbs_checkpoint::{Checkpoint, SnapshotStore, StateMigrator};
 use rbs_core::fault::{self, FaultKind, FaultPlan, FaultSite};
 use rbs_core::sync::Mutex;
 use rbs_maglev::{Backend, MaglevTable};
@@ -78,7 +82,7 @@ use crate::deque::{LaneDeque, Steal, Stealer};
 use crate::tenant::{
     default_tenant_chain, BreakerPhase, BreakerPolicy, DelayLedger, LaneOccupancy, RebuildRecord,
     TenantChainFactory, TenantError, TenantEvent, TenantEventKind, TenantOutcome, TenantReport,
-    TenantSpec, STOCK_CHAIN_MAX_TENANTS,
+    TenantSpec, UpgradeError, UpgradeOutcome, STOCK_CHAIN_MAX_TENANTS,
 };
 
 /// Configuration for a [`TenantLaneRuntime`].
@@ -185,9 +189,33 @@ struct TenantInner {
     shells: Vec<Vec<Packet>>,
     chain: Option<LaneChain>,
     pipeline_spec: PipelineSpec,
+    /// Committed upgrades behind `pipeline_spec`.
+    generation: u64,
     store: SnapshotStore,
     events: Vec<TenantEvent>,
     dirty_since_snapshot: bool,
+}
+
+/// One tenant's target, built by an upgrade's first phase and installed
+/// by its second.
+struct StagedTenant {
+    spec: PipelineSpec,
+    /// `None` for a tenant whose breaker is open.
+    chain: Option<LaneChain>,
+    /// A store holding only the target's state.
+    store: SnapshotStore,
+}
+
+/// Fires an injected fault at `site`: a panic for the kill kinds, a
+/// sleep for the others.
+fn inject(site: FaultSite, fire: Option<FaultKind>) {
+    match fire {
+        Some(FaultKind::Panic | FaultKind::PoisonTable | FaultKind::CloseChannel) => {
+            fault::fire_panic(site)
+        }
+        Some(sleepy) => fault::fire_sleep(sleepy),
+        None => {}
+    }
 }
 
 /// Shells a tenant banks. With the staging buffer that is three vectors
@@ -519,14 +547,7 @@ impl LaneCtx {
         let pipeline = &mut chain.pipeline;
         let batch = work.batch;
         let result = chain.domain.execute(move || {
-            if let Some(kind) = fire {
-                match kind {
-                    FaultKind::Panic | FaultKind::PoisonTable | FaultKind::CloseChannel => {
-                        fault::fire_panic(FaultSite::Operator(0))
-                    }
-                    sleepy => fault::fire_sleep(sleepy),
-                }
-            }
+            inject(FaultSite::Operator(0), fire);
             pipeline.run_batch(batch)
         });
         self.side.executed_batches += 1;
@@ -617,6 +638,11 @@ pub struct TenantLaneRuntime {
     snapshot_every: u64,
     snapshot_full_every: u32,
     steering_lookups: u64,
+    /// Committed upgrades: the generation `factory` builds.
+    generation: u64,
+    /// Upgrades accepted so far: the occurrence of the upgrade fault
+    /// sites.
+    upgrades: u64,
 }
 
 impl TenantLaneRuntime {
@@ -633,6 +659,9 @@ impl TenantLaneRuntime {
         }
         if config.tenants.iter().any(|t| t.burst == 0) {
             return Err(TenantError::BadConfig("zero admission burst"));
+        }
+        if config.breaker.throttle_divisor == 0 {
+            return Err(TenantError::BadConfig("zero breaker throttle divisor"));
         }
         if config.chain.is_none() && config.tenants.len() > STOCK_CHAIN_MAX_TENANTS {
             return Err(TenantError::BadConfig(
@@ -710,6 +739,7 @@ impl TenantLaneRuntime {
                 shells: Vec::with_capacity(MAX_SHELLS),
                 chain: Some(LaneChain { domain, pipeline }),
                 pipeline_spec,
+                generation: 0,
                 store: SnapshotStore::new(config.snapshot_full_every),
                 events: Vec::new(),
                 dirty_since_snapshot: false,
@@ -821,6 +851,8 @@ impl TenantLaneRuntime {
             snapshot_every: config.snapshot_every_ticks,
             snapshot_full_every: config.snapshot_full_every,
             steering_lookups: 0,
+            generation: 0,
+            upgrades: 0,
         })
     }
 
@@ -1165,6 +1197,7 @@ impl TenantLaneRuntime {
             g.bucket = TickBucket::new(g.spec.rate_per_tick, g.spec.burst);
             g.home_lane = lane;
             g.pipeline_spec = (self.factory)(idx, &g.spec);
+            g.generation = self.generation;
             let domain = self
                 .shared
                 .manager
@@ -1196,6 +1229,189 @@ impl TenantLaneRuntime {
             },
         );
         Ok(remapped)
+    }
+
+    /// Moves every present tenant onto the chain `chain` builds for it,
+    /// or leaves every one on the chain it runs.
+    ///
+    /// Called between ticks, like churn: every helper lane is parked on
+    /// `start`, so each tenant's chain has one owner, the caller, and
+    /// needs no quiesce or drain. A target that changes a tenant's state
+    /// schema with no `migrator` able to carry the pair is refused
+    /// before any tenant is touched. Otherwise the upgrade runs in two
+    /// phases:
+    ///
+    /// 1. **Stage**, in tenant-index order: seal the live chain's state
+    ///    inside its own domain (the [`FaultSite::UpgradeQuiesce`]
+    ///    site), migrate the seal across a schema change, and build the
+    ///    target with it in a fresh domain (the
+    ///    [`FaultSite::UpgradeRestore`] site). A tenant whose breaker is
+    ///    open has no live chain; its latest verified snapshot is
+    ///    migrated instead. A failure discards every staged target and
+    ///    returns [`UpgradeOutcome::RolledBack`]. A kill in a live
+    ///    domain is one more fault on that tenant's breaker, recovered on
+    ///    the chain it runs like any other.
+    /// 2. **Commit**: swap every chain, destroy the old domains, re-base
+    ///    each snapshot store on the target's state (when snapshots are
+    ///    on), and build later adds and half-open probes with `chain`.
+    ///
+    /// Queued batches wait out the upgrade and run on the tenant's chain
+    /// at the next `step`; the ledgers do not move. Both fault sites use
+    /// stream = tenant index, occurrence = upgrades accepted before this
+    /// one.
+    pub fn upgrade(
+        &mut self,
+        chain: TenantChainFactory,
+        migrator: Option<Arc<dyn StateMigrator>>,
+    ) -> Result<UpgradeOutcome, UpgradeError> {
+        let targets: Vec<(usize, PipelineSpec)> = (0..self.specs.len())
+            .filter(|&idx| self.present[idx])
+            .map(|idx| (idx, chain(idx, &self.specs[idx])))
+            .collect();
+        for (idx, target) in &targets {
+            let from = self.shared.slots[*idx].lock().pipeline_spec.state_schema();
+            let to = target.state_schema();
+            if from != to && !migrator.as_ref().is_some_and(|m| m.can_migrate(from, to)) {
+                return Err(UpgradeError::IncompatibleSchema { from, to });
+            }
+        }
+        let occurrence = self.upgrades;
+        self.upgrades += 1;
+
+        let mut staged: Vec<(usize, StagedTenant)> = Vec::with_capacity(targets.len());
+        let mut state_items_migrated = 0;
+        for (idx, target) in targets {
+            let Some((tenant, migrated)) = self.stage(idx, target, migrator.as_deref(), occurrence)
+            else {
+                let discarded = staged.len();
+                for (_, tenant) in staged {
+                    if let Some(chain) = tenant.chain {
+                        self.shared.manager.destroy_domain(&chain.domain);
+                    }
+                }
+                return Ok(UpgradeOutcome::RolledBack {
+                    failed_tenant: idx,
+                    discarded,
+                });
+            };
+            state_items_migrated += migrated;
+            staged.push((idx, tenant));
+        }
+
+        self.generation += 1;
+        let tenants = staged.len();
+        for (idx, tenant) in staged {
+            let mut g = self.shared.slots[idx].lock();
+            if let Some(old) = std::mem::replace(&mut g.chain, tenant.chain) {
+                self.shared.manager.destroy_domain(&old.domain);
+            }
+            g.pipeline_spec = tenant.spec;
+            g.store = tenant.store;
+            g.generation = self.generation;
+        }
+        self.factory = chain;
+        Ok(UpgradeOutcome::Committed {
+            tenants,
+            state_items_migrated,
+        })
+    }
+
+    /// Phase 1 of [`upgrade`](Self::upgrade) for one tenant: seals its
+    /// state, migrates it to the target's schema and builds the target
+    /// with it in a fresh domain. Returns the staged target and the state
+    /// items migrated, or `None` once staging failed and whatever it
+    /// built is destroyed.
+    fn stage(
+        &mut self,
+        idx: usize,
+        target: PipelineSpec,
+        migrator: Option<&dyn StateMigrator>,
+        occurrence: u64,
+    ) -> Option<(StagedTenant, u64)> {
+        let now = self.now;
+        let shared = &self.shared;
+        let decide = |site| {
+            let plan = shared.faults.as_ref()?;
+            plan.decide(site, idx as u64, occurrence)
+        };
+        let mut guard = shared.slots[idx].lock();
+        let g = &mut *guard;
+
+        // The state to carry: the live chain's, sealed inside its own
+        // domain, or an open breaker's latest verified snapshot.
+        let sealed: Option<(u32, Checkpoint, u64)> = match &g.chain {
+            Some(LaneChain { domain, pipeline }) => {
+                let fire = decide(FaultSite::UpgradeQuiesce);
+                let seal = domain.execute(|| {
+                    inject(FaultSite::UpgradeQuiesce, fire);
+                    (pipeline.export_state(), pipeline.state_items())
+                });
+                let Ok((cp, items)) = seal else {
+                    g.faults += 1;
+                    g.strike(idx, now, &shared.policy, &shared.manager);
+                    if g.phase == BreakerPhase::Open {
+                        self.open_watch.push(idx);
+                    } else {
+                        g.respawn(idx, now, &shared.manager);
+                    }
+                    return None;
+                };
+                Some((g.pipeline_spec.state_schema(), cp, items))
+            }
+            None => [g.store.latest(), g.store.previous()]
+                .into_iter()
+                .flatten()
+                .find_map(|sealed| {
+                    let meta = sealed.meta();
+                    Some((meta.schema, sealed.open().ok()?, meta.items))
+                }),
+        };
+
+        let to = target.state_schema();
+        let mut migrated = 0;
+        let state = match sealed {
+            Some((from, cp, items)) if from != to => {
+                let migrator = migrator.filter(|m| m.can_migrate(from, to))?;
+                migrated = items;
+                Some(migrator.migrate(&cp, from, to).ok()?)
+            }
+            sealed => sealed.map(|(_, cp, _)| cp),
+        };
+
+        let name = format!("tlane-{}-e{}-u{}", g.spec.name, g.epoch, occurrence + 1);
+        let domain = shared.manager.create_domain(name).expect("tenant domain");
+        let fire = decide(FaultSite::UpgradeRestore);
+        let mut store = SnapshotStore::new(self.snapshot_full_every);
+        let rebase = self.snapshot_every > 0;
+        let built = domain.execute(|| {
+            inject(FaultSite::UpgradeRestore, fire);
+            let pipeline = match &state {
+                Some(cp) => target.build_with_state(cp).ok()?,
+                None => target.build(),
+            };
+            if let (Some(cp), true) = (&state, rebase) {
+                store.record(cp, now, pipeline.state_items(), to);
+            }
+            Some(pipeline)
+        });
+        let Ok(Some(pipeline)) = built else {
+            shared.manager.destroy_domain(&domain);
+            return None;
+        };
+        let chain = if g.chain.is_some() {
+            Some(LaneChain { domain, pipeline })
+        } else {
+            // The breaker stays open; the half-open probe builds the
+            // target from the re-based store.
+            shared.manager.destroy_domain(&domain);
+            None
+        };
+        let tenant = StagedTenant {
+            spec: target,
+            chain,
+            store,
+        };
+        Some((tenant, migrated))
     }
 
     /// Rebuilds the Maglev table over the present tenants and counts the
@@ -1244,6 +1460,7 @@ impl TenantLaneRuntime {
                 ledger: g.ledger,
                 final_phase: g.phase,
                 epoch: g.epoch,
+                generation: g.generation,
                 faults: g.faults,
                 respawns: g.respawns,
                 opens: g.opens,
@@ -1651,6 +1868,97 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// A throttle divisor of zero is refused at construction: a faulting
+    /// tenant would divide by it on its throttle strike, panicking the
+    /// caller at one lane and, at two, a helper lane while the caller
+    /// waits on `done` for good.
+    #[test]
+    fn a_zero_throttle_divisor_is_refused_at_construction() {
+        for lanes in [1, 2] {
+            let faults =
+                FaultPlan::new(3).inject(FaultSite::Operator(0), FaultKind::Panic, 500_000);
+            let built = TenantLaneRuntime::new(TenantLaneConfig {
+                tenants: population(2),
+                lanes,
+                breaker: BreakerPolicy {
+                    throttle_divisor: 0,
+                    ..BreakerPolicy::default()
+                },
+                faults: Some(Arc::new(faults)),
+                ..TenantLaneConfig::default()
+            });
+            assert!(
+                matches!(built, Err(TenantError::BadConfig(_))),
+                "{lanes} lanes"
+            );
+        }
+    }
+
+    /// After a commit every present tenant's store holds only snapshots
+    /// of the target's schema, the open-breaker tenant's included, and
+    /// the half-open probe then comes back warm on the target.
+    #[test]
+    fn a_committed_upgrade_rebases_every_store_on_the_target_schema() {
+        std::panic::set_hook(Box::new(|_| {}));
+        // Tenant 1 seals state over four clean batches, then panics on
+        // its next six: its breaker is open when the upgrade runs.
+        let faults =
+            FaultPlan::new(7).inject_window(FaultSite::Operator(0), FaultKind::Panic, 1, 4, 10);
+        let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
+            tenants: population(3),
+            lanes: 2,
+            snapshot_every_ticks: 2,
+            faults: Some(Arc::new(faults)),
+            ..TenantLaneConfig::default()
+        })
+        .unwrap();
+        let mut round = 0;
+        while rt.phase(1) != BreakerPhase::Open {
+            rt.offer(wave(round, 64));
+            rt.step();
+            round += 1;
+        }
+        let target: TenantChainFactory =
+            Arc::new(|idx, spec| default_tenant_chain(idx, spec).with_state_schema(2));
+        let identity = rbs_netfx::StageStateMap::new(1, 2, vec![Some(0), Some(1), Some(2)]);
+        let outcome = rt.upgrade(target, Some(Arc::new(identity))).unwrap();
+        assert!(matches!(
+            outcome,
+            UpgradeOutcome::Committed {
+                tenants: 3,
+                state_items_migrated: 1..
+            }
+        ));
+        for idx in 0..3 {
+            let g = rt.shared.slots[idx].lock();
+            let latest = g.store.latest().expect("a re-based store holds the seal");
+            assert_eq!(latest.meta().schema, 2, "tenant {idx}");
+            assert!(g.store.previous().is_none(), "tenant {idx}");
+            assert_eq!(g.generation, 1, "tenant {idx}");
+        }
+        while rt.phase(1) != BreakerPhase::Running {
+            rt.offer(wave(round, 64));
+            rt.step();
+            round += 1;
+            assert!(round < 200, "tenant 1 never closed");
+        }
+        let report = rt.finish();
+        let _ = std::panic::take_hook();
+        assert_eq!(report.unaccounted_packets(), 0);
+        let probe = report
+            .events
+            .iter()
+            .rposition(|e| e.tenant == 1 && e.kind == TenantEventKind::HalfOpened)
+            .expect("the breaker half-opened");
+        assert!(matches!(
+            report.events[probe + 1].kind,
+            TenantEventKind::Respawned {
+                warm: true,
+                items: 1..
+            }
+        ));
     }
 
     /// Dropping a runtime that was never finished retires every helper

@@ -1,25 +1,26 @@
-//! Live-upgrade tests: a compatible rolling upgrade under load loses
-//! exactly zero packets and carries operator state across the swap; a
-//! schema-changing upgrade migrates state through the policy's
-//! [`StateMigrator`](rbs_checkpoint::StateMigrator) instead of falling
-//! back cold; incompatible upgrades are rejected up front, typed, with
-//! no worker touched; chaos kills at the quiesce and restore sites roll
-//! the fleet back to a consistent (never mixed) spec; the dispatcher
-//! never wedges on a quiescing shard; and a cadence snapshot never
-//! collides with the quiesce's final snapshot on the same tick.
+//! Live-upgrade tests. The tenant engine swaps every tenant's chain
+//! between two ticks: a compatible upgrade under load loses exactly zero
+//! packets and carries operator state across the swap; a
+//! schema-changing upgrade migrates state through the
+//! [`StateMigrator`](rbs_checkpoint::StateMigrator) it is handed instead
+//! of starting cold; an incompatible target is refused up front, typed,
+//! with no tenant touched; chaos kills at the quiesce and restore sites
+//! discard every staged target and leave a uniform old-spec fleet; and a
+//! tenant whose breaker is open, or that was removed, comes back on the
+//! new spec. The lane engine's per-lane protocol closes the file.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use rbs_core::fault::{FaultKind, FaultPlan, FaultSite};
+use rbs_fwtrie::{Action, FirewallOp, FwTrie, Rule};
+use rbs_netfx::flow::packet_flow_hash;
 use rbs_netfx::headers::ethernet::MacAddr;
-use rbs_netfx::operators::{ChaosPoint, Counter};
-use rbs_netfx::pool::PacketPool;
+use rbs_netfx::operators::{ChaosPoint, Counter, DstPortFilter};
 use rbs_netfx::{FlowTracker, Packet, PacketBatch, PipelineSpec, StageStateMap};
 use rbs_runtime::{
-    BreakerState, RestartPolicy, RuntimeConfig, RuntimeError, RuntimeReport, ShardedRuntime,
-    SupervisorEventKind, UpgradeError, UpgradeOutcome, UpgradePolicy,
+    BreakerPhase, TenantChainFactory, TenantEventKind, TenantLaneConfig, TenantLaneRuntime,
+    TenantReport, TenantSpec, UpgradeError, UpgradeOutcome,
 };
 
 /// Flows per round; every round's flows are distinct, so tracked-flow
@@ -27,7 +28,7 @@ use rbs_runtime::{
 const FLOWS_PER_ROUND: u16 = 24;
 
 fn udp(src_port: u16, dst_port: u16) -> Packet {
-    Packet::build_udp(
+    let mut p = Packet::build_udp(
         MacAddr::ZERO,
         MacAddr::ZERO,
         Ipv4Addr::new(10, 0, 0, 1),
@@ -35,7 +36,9 @@ fn udp(src_port: u16, dst_port: u16) -> Packet {
         src_port,
         dst_port,
         16,
-    )
+    );
+    p.set_cached_flow_hash(packet_flow_hash(&p));
+    p
 }
 
 fn wave(round: usize) -> PacketBatch {
@@ -44,20 +47,35 @@ fn wave(round: usize) -> PacketBatch {
         .collect()
 }
 
-/// The running pipeline: a chaos point in front of a flow tracker whose
-/// table is the state that must survive the upgrade.
+/// One firewall rule, so the firewall stage carries state of its own.
+fn rules() -> FwTrie {
+    let mut t = FwTrie::new();
+    t.insert(Rule::new(
+        0,
+        "deny 14.0.0.0/24",
+        Ipv4Addr::new(14, 0, 0, 0),
+        24,
+        Action::Deny,
+    ));
+    t
+}
+
+/// The running chain: a chaos point, a firewall and a flow tracker
+/// whose table is the state that must survive the upgrade.
 fn spec_v1() -> PipelineSpec {
     PipelineSpec::new()
         .stage(|| ChaosPoint::new(0))
+        .stage(|| FirewallOp::new(rules(), Action::Allow))
         .stage(|| FlowTracker::new(100_000))
         .with_state_schema(1)
 }
 
 /// The operator-bugfix upgrade: same shape, same schema (a capacity
-/// bump), so state restores directly in both directions.
+/// bump), so state restores directly.
 fn spec_v1_fixed() -> PipelineSpec {
     PipelineSpec::new()
         .stage(|| ChaosPoint::new(0))
+        .stage(|| FirewallOp::new(rules(), Action::Allow))
         .stage(|| FlowTracker::new(200_000))
         .with_state_schema(1)
 }
@@ -67,477 +85,306 @@ fn spec_v1_fixed() -> PipelineSpec {
 fn spec_v2_reshaped() -> PipelineSpec {
     PipelineSpec::new()
         .stage(|| ChaosPoint::new(0))
+        .stage(|| FirewallOp::new(rules(), Action::Allow))
         .stage(Counter::new)
         .stage(|| FlowTracker::new(100_000))
         .with_state_schema(2)
 }
 
-fn config(workers: usize, plan: Option<FaultPlan>) -> RuntimeConfig {
-    RuntimeConfig {
-        workers,
-        queue_capacity: 8,
-        snapshot_interval_ticks: 2,
+/// A port-53 filter spliced in where the reshape puts its counter: it
+/// drops every packet these tests send (port 80), so a tenant's ledger
+/// shows which chain it runs.
+fn spec_v2_dns_only() -> PipelineSpec {
+    PipelineSpec::new()
+        .stage(|| ChaosPoint::new(0))
+        .stage(|| FirewallOp::new(rules(), Action::Allow))
+        .stage(|| DstPortFilter::new(vec![53]))
+        .stage(|| FlowTracker::new(100_000))
+        .with_state_schema(2)
+}
+
+/// Old stage 1 (the firewall) stays at 1 and old stage 2 (the tracker)
+/// becomes new stage 3; the inserted counter and the chaos point start
+/// fresh.
+fn reshape_migrator() -> Arc<StageStateMap> {
+    Arc::new(StageStateMap::new(1, 2, vec![None, Some(1), None, Some(2)]))
+}
+
+fn every_tenant(spec: fn() -> PipelineSpec) -> TenantChainFactory {
+    Arc::new(move |_, _| spec())
+}
+
+fn runtime(tenants: usize, lanes: usize, plan: Option<FaultPlan>) -> TenantLaneRuntime {
+    TenantLaneRuntime::new(TenantLaneConfig {
+        tenants: (0..tenants)
+            .map(|i| TenantSpec::new(format!("t{i}")))
+            .collect(),
+        lanes,
+        snapshot_every_ticks: 2,
         snapshot_full_every: 1,
-        restart: RestartPolicy::default(),
+        chain: Some(every_tenant(spec_v1)),
         faults: plan.map(Arc::new),
-        ..RuntimeConfig::default()
+        ..TenantLaneConfig::default()
+    })
+    .unwrap()
+}
+
+/// Offers a fresh wave of flows and runs the tick, `rounds` times.
+fn drive(rt: &mut TenantLaneRuntime, round: &mut usize, rounds: usize) {
+    for _ in 0..rounds {
+        rt.offer(wave(*round));
+        rt.step();
+        *round += 1;
     }
 }
 
-fn assert_conserved(report: &RuntimeReport) {
-    assert_eq!(
-        report.unaccounted_packets(),
-        0,
-        "offered == packets_in + lost + shed must hold: {report:#?}"
-    );
-    assert_eq!(report.packets_in, report.packets_out + report.drops);
-}
-
-/// Drives dispatch+drain rounds until the upgrade walk finishes,
-/// feeding a fresh wave of flows every tick (sustained load).
-fn walk_upgrade(rt: &mut ShardedRuntime, mut round: usize) -> usize {
-    let mut guard = 0;
-    while rt.upgrade_in_progress() {
-        rt.dispatch(wave(round)).expect("dispatch during upgrade");
-        assert!(rt.drain(Duration::from_secs(30)), "drained during upgrade");
-        round += 1;
-        guard += 1;
-        assert!(guard < 64, "upgrade walk failed to terminate");
+fn assert_conserved(report: &TenantReport) {
+    assert_eq!(report.unaccounted_packets(), 0, "{report:#?}");
+    for t in &report.tenants {
+        let l = t.ledger;
+        assert_eq!(l.processed, l.out + l.drops, "{}", t.name);
     }
-    round
 }
 
-/// The tentpole acceptance: a compatible rolling upgrade under
-/// sustained load commits with exactly zero lost packets, zero shed
-/// packets, every worker on the new spec generation, and every worker's
-/// flow table carried warm across the swap.
+fn generations(report: &TenantReport) -> Vec<u64> {
+    report.tenants.iter().map(|t| t.generation).collect()
+}
+
+/// Every flow offered is tracked by some tenant's chain.
+fn tracked_flows(report: &TenantReport, rounds: usize) -> bool {
+    let items: u64 = report.tenants.iter().map(|t| t.final_state_items).sum();
+    let rules = report.tenants.len() as u64;
+    items == rules + u64::from(FLOWS_PER_ROUND) * rounds as u64
+}
+
+/// A compatible upgrade under sustained load commits with exactly zero
+/// lost and zero shed packets, every tenant on the new generation and
+/// every flow table carried across the swap, at one lane and with a
+/// helper lane parked on the tick barrier.
 #[test]
 fn compatible_rolling_upgrade_is_zero_loss_under_load() {
-    let mut rt = ShardedRuntime::new(spec_v1(), config(4, None)).unwrap();
-    let mut round = 0;
-    for _ in 0..6 {
-        rt.dispatch(wave(round)).unwrap();
-        assert!(rt.drain(Duration::from_secs(30)));
+    for lanes in [1, 2] {
+        let mut rt = runtime(4, lanes, None);
+        let mut round = 0;
+        drive(&mut rt, &mut round, 6);
+        // A wave queued across the upgrade runs on the new chains.
+        rt.offer(wave(round));
+        let outcome = rt.upgrade(every_tenant(spec_v1_fixed), None).unwrap();
+        assert_eq!(
+            outcome,
+            UpgradeOutcome::Committed {
+                tenants: 4,
+                state_items_migrated: 0
+            },
+            "{lanes} lanes"
+        );
+        rt.step();
         round += 1;
-    }
-    rt.upgrade_pipeline(spec_v1_fixed(), UpgradePolicy::default())
-        .expect("same-schema upgrade accepted");
-    assert!(rt.upgrade_in_progress());
-    round = walk_upgrade(&mut rt, round);
-    // Keep the load up after the commit too.
-    for _ in 0..4 {
-        rt.dispatch(wave(round)).unwrap();
-        assert!(rt.drain(Duration::from_secs(30)));
-        round += 1;
-    }
+        drive(&mut rt, &mut round, 4);
 
-    assert_eq!(rt.spec_generation(), 1, "fleet committed to generation 1");
-    match rt.last_upgrade() {
-        Some(UpgradeOutcome::Committed {
-            workers,
-            drained_packets,
-            pause_ticks,
-            ..
-        }) => {
-            assert_eq!(*workers, 4);
-            assert!(
-                *drained_packets > 0,
-                "each worker drains its pause-tick batch"
-            );
-            assert!(*pause_ticks >= 4, "every worker paused at least one tick");
+        let report = rt.finish();
+        assert_conserved(&report);
+        for t in &report.tenants {
+            assert_eq!((t.ledger.lost, t.ledger.shed()), (0, 0), "{}", t.name);
+            assert_eq!((t.faults, t.respawns), (0, 0), "{}", t.name);
         }
-        other => panic!("expected a committed upgrade, got {other:?}"),
-    }
-
-    let upgraded: Vec<_> = rt
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, SupervisorEventKind::WorkerUpgraded { .. }))
-        .map(|e| e.worker)
-        .collect();
-    assert_eq!(upgraded, vec![0, 1, 2, 3], "one worker at a time, in order");
-    let warm = rt
-        .events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            SupervisorEventKind::WarmRestore {
-                items_restored,
-                items_lost,
-                ..
-            } => Some((items_restored, items_lost)),
-            _ => None,
-        })
-        .collect::<Vec<_>>();
-    assert_eq!(warm.len(), 4, "every swap restored from a snapshot");
-    for (restored, lost) in warm {
-        assert!(restored > 0, "state carried across the swap");
-        assert_eq!(lost, 0, "the quiesce snapshot captured the drained state");
-    }
-
-    let report = rt.shutdown();
-    assert_conserved(&report);
-    assert_eq!(report.lost_packets, 0, "compatible upgrade loses nothing");
-    assert_eq!(report.shed_packets, 0, "peers absorbed every paused shard");
-    assert!(
-        report.redistributed_packets > 0,
-        "paused shards redistributed"
-    );
-    assert_eq!(report.upgrades_committed, 1);
-    assert_eq!(report.upgrades_rolled_back, 0);
-    assert!(report.upgrade_drained_packets > 0);
-    for w in &report.workers {
-        assert_eq!(w.spec_generation, 1, "never-mixed: worker {}", w.index);
+        assert_eq!(generations(&report), [1; 4], "{lanes} lanes");
+        assert!(tracked_flows(&report, round), "{lanes} lanes: state lost");
     }
 }
 
-/// Satellite: a schema-changing upgrade with a capable migrator carries
-/// the flow table into the reshaped chain instead of starting cold.
+/// A schema-changing upgrade with a capable migrator carries the flow
+/// tables and the firewall rules into the reshaped chain instead of
+/// starting cold.
 #[test]
 fn schema_migration_carries_state_across_reshape() {
-    let mut rt = ShardedRuntime::new(spec_v1(), config(2, None)).unwrap();
+    let mut rt = runtime(2, 2, None);
     let mut round = 0;
-    for _ in 0..4 {
-        rt.dispatch(wave(round)).unwrap();
-        assert!(rt.drain(Duration::from_secs(30)));
-        round += 1;
-    }
-    // Old stage 1 (the tracker) becomes new stage 2; the inserted
-    // counter (new stage 1) and the chaos point start fresh.
-    let migrator = Arc::new(StageStateMap::new(1, 2, vec![None, None, Some(1)]));
-    rt.upgrade_pipeline(
-        spec_v2_reshaped(),
-        UpgradePolicy::default().with_migrator(migrator),
-    )
-    .expect("migrated upgrade accepted");
-    round = walk_upgrade(&mut rt, round);
-    for _ in 0..2 {
-        rt.dispatch(wave(round)).unwrap();
-        assert!(rt.drain(Duration::from_secs(30)));
-        round += 1;
-    }
+    drive(&mut rt, &mut round, 4);
+    let outcome = rt
+        .upgrade(every_tenant(spec_v2_reshaped), Some(reshape_migrator()))
+        .unwrap();
+    let UpgradeOutcome::Committed {
+        tenants: 2,
+        state_items_migrated,
+    } = outcome
+    else {
+        panic!("expected a commit, got {outcome:?}");
+    };
+    // Each tenant's seal held its rule and its flows.
+    assert_eq!(
+        state_items_migrated,
+        2 + u64::from(FLOWS_PER_ROUND) * round as u64
+    );
+    drive(&mut rt, &mut round, 2);
 
-    let migrated: Vec<_> = rt
-        .events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            SupervisorEventKind::StateMigrated { from, to, items } => Some((from, to, items)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(migrated.len(), 2, "each worker's snapshot was migrated");
-    for (from, to, items) in migrated {
-        assert_eq!((from, to), (1, 2));
-        assert!(items > 0, "the flow table crossed the schema change");
-    }
-
-    let report = rt.shutdown();
+    let report = rt.finish();
     assert_conserved(&report);
-    assert_eq!(report.lost_packets, 0);
-    assert_eq!(report.upgrades_committed, 1);
-    assert!(report.state_items_migrated > 0);
-    assert_eq!(report.cold_restores, 0, "migration, not a cold fallback");
-    // The carried flow tables kept growing under the new spec: every
-    // flow ever offered is tracked somewhere.
-    let tracked: u64 = report.workers.iter().map(|w| w.state_items).sum();
-    assert_eq!(tracked, u64::from(FLOWS_PER_ROUND) * round as u64);
+    assert_eq!(generations(&report), [1, 1]);
+    assert!(
+        tracked_flows(&report, round),
+        "the carried tables kept growing"
+    );
 }
 
-/// Satellite: an incompatible upgrade (schema change, no migrator) is
-/// rejected before any worker is touched — typed, not a panic, not a
-/// half-started walk.
+/// An incompatible target — a schema change with no migrator, or with
+/// one that cannot carry the pair — is refused before any tenant is
+/// touched: typed, with the journal unchanged.
 #[test]
 fn incompatible_schema_is_rejected_up_front() {
-    let mut rt = ShardedRuntime::new(spec_v1(), config(2, None)).unwrap();
-    rt.dispatch(wave(0)).unwrap();
-    assert!(rt.drain(Duration::from_secs(30)));
-    let events_before = rt.events().len();
+    let mut rt = runtime(2, 1, None);
+    let mut round = 0;
+    drive(&mut rt, &mut round, 2);
 
     let err = rt
-        .upgrade_pipeline(spec_v2_reshaped(), UpgradePolicy::default())
+        .upgrade(every_tenant(spec_v2_reshaped), None)
         .unwrap_err();
     assert_eq!(err, UpgradeError::IncompatibleSchema { from: 1, to: 2 });
-    assert!(!rt.upgrade_in_progress());
-    assert_eq!(
-        rt.events().len(),
-        events_before,
-        "rejection journals nothing — no worker was touched"
-    );
-
-    // A wrong-direction migrator is just as incompatible.
     let wrong_way = Arc::new(StageStateMap::new(2, 1, vec![None, Some(2)]));
     let err = rt
-        .upgrade_pipeline(
-            spec_v2_reshaped(),
-            UpgradePolicy::default().with_migrator(wrong_way),
-        )
+        .upgrade(every_tenant(spec_v2_reshaped), Some(wrong_way))
         .unwrap_err();
     assert_eq!(err, UpgradeError::IncompatibleSchema { from: 1, to: 2 });
+    drive(&mut rt, &mut round, 2);
 
-    let report = rt.shutdown();
+    let report = rt.finish();
     assert_conserved(&report);
-    assert_eq!(report.upgrades_committed + report.upgrades_rolled_back, 0);
-    for w in &report.workers {
-        assert_eq!(w.spec_generation, 0);
-    }
+    assert!(report.events.is_empty(), "{:?}", report.events);
+    assert_eq!(generations(&report), [0, 0]);
+    assert!(tracked_flows(&report, round));
 }
 
-/// Starting a second upgrade while one is walking is refused, and the
-/// targeted send path refuses to touch a quiescing slot instead of
-/// healing it out from under the walk.
-#[test]
-fn concurrent_upgrade_and_targeted_send_are_refused() {
-    let mut rt = ShardedRuntime::new(spec_v1(), config(2, None)).unwrap();
-    rt.dispatch(wave(0)).unwrap();
-    assert!(rt.drain(Duration::from_secs(30)));
-    rt.upgrade_pipeline(spec_v1_fixed(), UpgradePolicy::default())
-        .unwrap();
-    assert_eq!(
-        rt.upgrade_pipeline(spec_v1_fixed(), UpgradePolicy::default()),
-        Err(UpgradeError::InProgress)
-    );
-    // One dispatch begins worker 0's quiesce (pause at end of tick).
-    rt.dispatch(wave(1)).unwrap();
-    match rt.send_to(0, wave(2)) {
-        Err(RuntimeError::WorkerUpgrading { worker: 0 }) => {}
-        other => panic!("expected WorkerUpgrading for the quiescing slot, got {other:?}"),
-    }
-    walk_upgrade(&mut rt, 3);
-    let report = rt.shutdown();
-    assert_conserved(&report);
-    assert_eq!(report.upgrades_committed, 1);
-}
-
-/// Satellite (bounded-wait regression): with zero scratch headroom and
-/// with the pooled zero-allocation configuration, dispatch into a
-/// pipeline mid-upgrade keeps flowing — the paused shard's packets
-/// redistribute within the send deadline, the dispatcher never wedges.
-#[test]
-fn quiesce_path_never_wedges_dispatcher_scratch_zero_and_pooled() {
-    // scratch_capacity = 0: shells grow organically, the configuration
-    // most sensitive to a send path that blocks.
-    let mut rt = ShardedRuntime::new(
-        spec_v1(),
-        RuntimeConfig {
-            send_deadline: Duration::from_millis(200),
-            scratch_capacity: 0,
-            ..config(2, None)
-        },
-    )
-    .unwrap();
-    rt.upgrade_pipeline(spec_v1_fixed(), UpgradePolicy::default())
-        .unwrap();
-    let round = walk_upgrade(&mut rt, 0);
-    let report = rt.shutdown();
-    assert_conserved(&report);
-    assert_eq!(report.lost_packets, 0);
-    assert_eq!(report.send_timeouts, 0, "no send ever waited out a pause");
-    assert!(round > 0);
-
-    // Pooled configuration: recycling on, batches drawn from the pool.
-    let mut rt = ShardedRuntime::new(
-        spec_v1(),
-        RuntimeConfig {
-            send_deadline: Duration::from_millis(200),
-            recycle_capacity: 32,
-            scratch_capacity: FLOWS_PER_ROUND as usize,
-            ..config(2, None)
-        },
-    )
-    .unwrap();
-    let mut pool = PacketPool::new(256, 64);
-    rt.upgrade_pipeline(spec_v1_fixed(), UpgradePolicy::default())
-        .unwrap();
-    let mut round = 0;
-    let mut guard = 0;
-    while rt.upgrade_in_progress() {
-        rt.reclaim_buffers(&mut pool);
-        rt.dispatch(wave(round)).expect("pooled dispatch");
-        assert!(rt.drain(Duration::from_secs(30)));
-        round += 1;
-        guard += 1;
-        assert!(guard < 64, "pooled upgrade walk failed to terminate");
-    }
-    let report = rt.shutdown();
-    assert_conserved(&report);
-    assert_eq!(report.lost_packets, 0);
-    assert_eq!(report.send_timeouts, 0);
-    assert_eq!(report.upgrades_committed, 1);
-}
-
-/// Satellite (tick-clock collision): with a snapshot every tick, the
-/// cadence snapshot is skipped on the quiesce tick — exactly one
-/// snapshot (the authoritative final one, containing the drained
-/// pause-tick batch) lands on that tick, and the double-buffered store
-/// is never torn.
-#[test]
-fn cadence_snapshot_never_collides_with_quiesce_snapshot() {
-    let mut rt = ShardedRuntime::new(
-        spec_v1(),
-        RuntimeConfig {
-            snapshot_interval_ticks: 1,
-            ..config(1, None)
-        },
-    )
-    .unwrap();
-    // Ticks 1..=3: one cadence snapshot each (3 total).
-    for round in 0..3 {
-        rt.dispatch(wave(round)).unwrap();
-        assert!(rt.drain(Duration::from_secs(30)));
-    }
-    rt.upgrade_pipeline(spec_v1_fixed(), UpgradePolicy::default())
-        .unwrap();
-    // Tick 4 is the pause tick: its wave routes to worker 0 *before*
-    // the pause lands, so those flows are in the quiesce snapshot.
-    rt.dispatch(wave(3)).unwrap();
-    assert!(rt.drain(Duration::from_secs(30)));
-    // Ticks 5.. walk the swap and the commit; no new flows.
-    let mut guard = 0;
-    while rt.upgrade_in_progress() {
-        rt.dispatch(PacketBatch::new()).unwrap();
-        assert!(rt.drain(Duration::from_secs(30)));
-        guard += 1;
-        assert!(guard < 16, "single-worker walk failed to terminate");
-    }
-
-    // The swap restored the final quiesce snapshot: all 4 waves (96
-    // flows), zero items lost — proof the drained batch made it into
-    // exactly one, untorn, authoritative snapshot.
-    let warm: Vec<_> = rt
-        .events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            SupervisorEventKind::WarmRestore {
-                epoch,
-                age_ticks,
-                items_restored,
-                items_lost,
-            } => Some((epoch, age_ticks, items_restored, items_lost)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(
-        warm,
-        vec![(4, 1, 4 * u64::from(FLOWS_PER_ROUND), 0)],
-        "restored the tick-4 quiesce snapshot (epoch 4), one tick old, \
-         all 96 flows, nothing lost"
-    );
-
-    let report = rt.shutdown();
-    assert_conserved(&report);
-    assert_eq!(report.lost_packets, 0);
-    // Cadence @1,2,3 + quiesce @4 (cadence skipped) + tick 5 skipped
-    // (slot still quiescing at supervise time) + cadence @6 + the
-    // shutdown snapshot: 6 — a tick-4 collision would make it 7.
-    assert_eq!(report.snapshots_taken, 6, "exactly one snapshot per tick");
-}
-
-/// Chaos: a worker killed at the quiesce site rolls the whole upgrade
-/// back — the already-upgraded worker returns to the old spec from its
-/// latest snapshot, the fleet ends uniform on generation 0, and every
-/// packet is accounted.
+/// A tenant killed at the quiesce site — inside its live domain, while
+/// its state is sealed — fails the upgrade: the target already staged
+/// for tenant 0 is discarded, the kill is one fault on tenant 1's
+/// breaker, recovered warm on the old chain, and the fleet stays uniform
+/// on generation 0 with exact ledgers.
 #[test]
 fn chaos_kill_at_quiesce_rolls_back_to_uniform_fleet() {
-    // Worker 1 dies at its first quiesce (occurrence 0); worker 0 has
-    // already upgraded by then.
+    std::panic::set_hook(Box::new(|_| {}));
     let plan =
         FaultPlan::new(21).inject_window(FaultSite::UpgradeQuiesce, FaultKind::Panic, 1, 0, 1);
-    let mut rt = ShardedRuntime::new(spec_v1(), config(3, Some(plan))).unwrap();
+    let mut rt = runtime(3, 2, Some(plan));
     let mut round = 0;
-    for _ in 0..4 {
-        rt.dispatch(wave(round)).unwrap();
-        assert!(rt.drain(Duration::from_secs(30)));
-        round += 1;
-    }
-    rt.upgrade_pipeline(spec_v1_fixed(), UpgradePolicy::default())
-        .unwrap();
-    round = walk_upgrade(&mut rt, round);
-    for _ in 0..2 {
-        rt.dispatch(wave(round)).unwrap();
-        assert!(rt.drain(Duration::from_secs(30)));
-        round += 1;
-    }
-
-    match rt.last_upgrade() {
-        Some(UpgradeOutcome::RolledBack {
-            failed_worker,
-            workers_rolled_back,
-            ..
-        }) => {
-            assert_eq!(*failed_worker, 1);
-            assert_eq!(
-                *workers_rolled_back, 2,
-                "worker 0 (already upgraded) plus the failed worker 1"
-            );
+    drive(&mut rt, &mut round, 4);
+    let outcome = rt.upgrade(every_tenant(spec_v1_fixed), None).unwrap();
+    assert_eq!(
+        outcome,
+        UpgradeOutcome::RolledBack {
+            failed_tenant: 1,
+            discarded: 1
         }
-        other => panic!("expected a rollback, got {other:?}"),
-    }
-    assert!(rt
-        .events()
-        .iter()
-        .any(|e| e.worker == 1 && matches!(e.kind, SupervisorEventKind::UpgradeAborted)));
+    );
+    drive(&mut rt, &mut round, 2);
 
-    let report = rt.shutdown();
+    let report = rt.finish();
+    let _ = std::panic::take_hook();
     assert_conserved(&report);
-    assert_eq!(rt_generation(&report), vec![0, 0, 0], "never mixed");
-    assert_eq!(report.upgrades_rolled_back, 1);
-    assert_eq!(report.upgrades_committed, 0);
+    assert_eq!(generations(&report), [0, 0, 0], "never mixed");
+    let faults: Vec<u64> = report.tenants.iter().map(|t| t.faults).collect();
+    assert_eq!(faults, [0, 1, 0]);
+    assert!(report.tenants.iter().all(|t| t.ledger.lost == 0));
+    assert!(report
+        .events
+        .iter()
+        .any(|e| e.tenant == 1 && matches!(e.kind, TenantEventKind::Respawned { warm: true, .. })));
     // The fleet kept running after the rollback.
-    for w in &report.workers {
-        assert_eq!(w.breaker, BreakerState::Running);
-    }
+    assert!(report
+        .tenants
+        .iter()
+        .all(|t| t.final_phase == BreakerPhase::Running));
 }
 
-/// Chaos: a worker killed at the restore site (after a clean drain)
-/// rolls back immediately — its own latest snapshot brings the old spec
-/// back warm, and the fleet stays uniform.
+/// A kill at the restore site dies in the fresh domain the first target
+/// builds in: nothing was installed, no live chain is touched, and every
+/// tenant keeps its state on the old chain.
 #[test]
 fn chaos_kill_at_restore_rolls_back_warm() {
+    std::panic::set_hook(Box::new(|_| {}));
     let plan =
-        FaultPlan::new(22).inject_window(FaultSite::UpgradeRestore, FaultKind::Panic, 0, 0, 1);
-    let mut rt = ShardedRuntime::new(spec_v1(), config(2, Some(plan))).unwrap();
+        || FaultPlan::new(22).inject_window(FaultSite::UpgradeRestore, FaultKind::Panic, 0, 0, 1);
+    let mut rt = runtime(2, 2, Some(plan()));
     let mut round = 0;
-    for _ in 0..4 {
-        rt.dispatch(wave(round)).unwrap();
-        assert!(rt.drain(Duration::from_secs(30)));
-        round += 1;
-    }
-    rt.upgrade_pipeline(spec_v1_fixed(), UpgradePolicy::default())
-        .unwrap();
-    round = walk_upgrade(&mut rt, round);
-    for _ in 0..2 {
-        rt.dispatch(wave(round)).unwrap();
-        assert!(rt.drain(Duration::from_secs(30)));
-        round += 1;
-    }
-
-    match rt.last_upgrade() {
-        Some(UpgradeOutcome::RolledBack {
-            failed_worker,
-            workers_rolled_back,
-            ..
-        }) => {
-            assert_eq!(*failed_worker, 0);
-            assert_eq!(*workers_rolled_back, 1, "no other worker was ever touched");
-        }
-        other => panic!("expected a rollback, got {other:?}"),
-    }
-
-    let report = rt.shutdown();
-    assert_conserved(&report);
+    drive(&mut rt, &mut round, 4);
+    let outcome = rt.upgrade(every_tenant(spec_v1_fixed), None).unwrap();
     assert_eq!(
-        report.lost_packets, 0,
-        "the drain completed before the kill"
+        outcome,
+        UpgradeOutcome::RolledBack {
+            failed_tenant: 0,
+            discarded: 0
+        }
     );
-    assert_eq!(rt_generation(&report), vec![0, 0], "never mixed");
-    assert!(
-        report.warm_restores > 0,
-        "rollback restored the quiesce snapshot, not a cold start"
-    );
-    assert_eq!(report.upgrades_rolled_back, 1);
+    drive(&mut rt, &mut round, 2);
+
+    let report = rt.finish();
+    assert_conserved(&report);
+    assert_eq!(generations(&report), [0, 0], "never mixed");
+    assert!(report.events.is_empty(), "no live domain died");
+    assert!(tracked_flows(&report, round), "no state was lost");
+
+    // A retry is the sites' next occurrence: it commits.
+    let mut rt = runtime(2, 1, Some(plan()));
+    let outcome = rt.upgrade(every_tenant(spec_v1_fixed), None).unwrap();
+    assert_eq!(outcome.name(), "rolled-back");
+    let outcome = rt.upgrade(every_tenant(spec_v1_fixed), None).unwrap();
+    assert_eq!(outcome.name(), "committed");
+    let _ = std::panic::take_hook();
 }
 
-fn rt_generation(report: &RuntimeReport) -> Vec<u64> {
-    report.workers.iter().map(|w| w.spec_generation).collect()
+/// A tenant whose breaker is open when the upgrade runs migrates its
+/// latest snapshot and probes back warm on the new chain; a tenant
+/// removed before the upgrade comes back on it when re-added.
+#[test]
+fn open_breaker_and_removed_tenants_come_back_on_the_new_spec() {
+    std::panic::set_hook(Box::new(|_| {}));
+    // Tenant 1 seals state over its first four batches, then panics on
+    // the next six.
+    let plan = FaultPlan::new(23).inject_window(FaultSite::Operator(0), FaultKind::Panic, 1, 4, 10);
+    let mut rt = runtime(3, 2, Some(plan));
+    let mut round = 0;
+    while rt.phase(1) != BreakerPhase::Open {
+        drive(&mut rt, &mut round, 1);
+    }
+    rt.remove_tenant(2).unwrap();
+    let drops_before: Vec<u64> = (0..3).map(|idx| rt.ledger(idx).drops).collect();
+    assert_eq!(drops_before, [0, 0, 0], "the old chain drops nothing");
+    let outcome = rt
+        .upgrade(every_tenant(spec_v2_dns_only), Some(reshape_migrator()))
+        .unwrap();
+    assert!(
+        matches!(outcome, UpgradeOutcome::Committed { tenants: 2, .. }),
+        "{outcome:?}"
+    );
+    rt.add_tenant(2).unwrap();
+    while rt.phase(1) != BreakerPhase::Running {
+        drive(&mut rt, &mut round, 1);
+        assert!(round < 200, "tenant 1 never closed");
+    }
+    drive(&mut rt, &mut round, 2);
+
+    let report = rt.finish();
+    let _ = std::panic::take_hook();
+    assert_conserved(&report);
+    assert_eq!(generations(&report), [1, 1, 1]);
+    for t in &report.tenants {
+        assert!(t.ledger.drops > 0, "{} never ran the new chain", t.name);
+    }
+    let probe = report
+        .events
+        .iter()
+        .rposition(|e| e.tenant == 1 && e.kind == TenantEventKind::HalfOpened)
+        .expect("tenant 1 half-opened");
+    assert!(
+        matches!(
+            report.events[probe + 1].kind,
+            TenantEventKind::Respawned {
+                warm: true,
+                items: 2..
+            }
+        ),
+        "the probe restored the migrated snapshot: {:?}",
+        report.events[probe + 1]
+    );
 }
 
 // ---------------------------------------------------------------------------

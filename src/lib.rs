@@ -34,7 +34,9 @@
 //!   their own RSS slice and steal from one another when idle;
 //! - [`runtime::TenantLaneRuntime`], tenant domains placed onto lanes under
 //!   admission control and per-tenant breakers, with snapshots, warm restore
-//!   and ledgers that are byte-deterministic at any lane count.
+//!   and ledgers that are byte-deterministic at any lane count; between
+//!   ticks it upgrades every tenant's chain to a new spec, carrying state
+//!   across a schema change, and commits all tenants or none.
 //!
 //! # Quickstart
 //!

@@ -1,14 +1,16 @@
-//! Every file and cargo target the docs name exists.
+//! Every file, cargo target and item the docs name exists.
 //!
-//! The docs point readers at files (`crates/runtime/src/tenant.rs:147`)
-//! and at commands (`cargo test -p rbs-runtime --test tenant_fast_path`).
-//! Both rot without a sound when code moves, so this test fails listing
-//! each `doc:line token` that no longer resolves.
+//! The docs point readers at files (`crates/runtime/src/tenant.rs:147`),
+//! at commands (`cargo test -p rbs-runtime --test tenant_fast_path`) and
+//! at items (`rbs_core::sync::Mutex`). All three rot without a sound when
+//! code moves, so this test fails listing each `doc:line token` that no
+//! longer resolves.
 //!
 //! Scanned: every `*.md` in the tree except the logs (`CHANGES.md`,
-//! `ROADMAP.md`), the paper notes (`PAPER*.md`,
-//! `SNIPPETS.md`), `docs/perf/`, `vendor/`, and the frozen
-//! `crates/benchmark/README.md`. Checked:
+//! `ROADMAP.md`), the paper notes (`PAPER*.md`, `SNIPPETS.md`),
+//! `docs/perf/`, `vendor/`, the frozen `crates/benchmark/README.md`, and
+//! any doc with an open checklist item (`- [ ]`): a to-do list names code
+//! a change is about to delete. Checked:
 //!
 //! - a backticked path — one with a known extension, or a `/` after a
 //!   top-level directory — with any `:line` suffix removed, must be the
@@ -17,9 +19,13 @@
 //!   or as a bare file name (`tenant.rs`);
 //! - the argument of every `cargo` `-p`, `--example`, `--bin`, `--test`
 //!   and `--features`, inline or in a fenced block, must name a package,
-//!   example, binary, test target or feature.
+//!   example, binary, test target or feature;
+//! - an item path `rbs_<crate>::…::Item`, inline or in a fenced block,
+//!   must name a workspace crate, and its last segment (a trailing `()`
+//!   dropped) an item that crate's `src/` declares `pub` or re-exports
+//!   with `pub use`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Docs that are logs or frozen, not descriptions of the tree.
@@ -36,6 +42,11 @@ const SKIPPED_DIRS: &[&str] = &["docs/perf", "vendor"];
 /// Extensions that make a backticked token a file path.
 const EXTENSIONS: &[&str] = &["rs", "md", "json", "toml", "yml"];
 
+/// Keywords whose next word is the name of the item they declare.
+const ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
+];
+
 /// What a doc may name: every path in the tree and every cargo target.
 #[derive(Default)]
 struct Index {
@@ -46,6 +57,9 @@ struct Index {
     examples: BTreeSet<String>,
     tests: BTreeSet<String>,
     features: BTreeSet<String>,
+    /// Per workspace crate, as code names it (`rbs_core`): the names its
+    /// `src/` makes public.
+    items: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl Index {
@@ -64,17 +78,32 @@ impl Index {
                 _ => false,
             };
         }
-        let manifests: Vec<String> = (index.paths.iter())
-            .filter(|p| p.ends_with("Cargo.toml"))
-            .map(|p| std::fs::read_to_string(root.join(p)).expect("manifest"))
+        let manifests: Vec<(String, String)> = (index.paths.iter())
+            .filter_map(|p| Some((p.strip_suffix("Cargo.toml")?, p)))
+            .map(|(dir, p)| {
+                let manifest = std::fs::read_to_string(root.join(p)).expect("manifest");
+                (dir.to_owned(), manifest)
+            })
             .collect();
-        for manifest in &manifests {
-            index.read_manifest(manifest);
+        for (dir, manifest) in &manifests {
+            let Some(package) = index.read_manifest(manifest) else {
+                continue;
+            };
+            let src = format!("{dir}src/");
+            let mut names = BTreeSet::new();
+            for path in (index.paths.iter()).filter(|p| p.starts_with(&src) && p.ends_with(".rs")) {
+                let source = std::fs::read_to_string(root.join(path)).expect("source");
+                pub_names(&source, &mut names);
+            }
+            index.items.insert(package.replace('-', "_"), names);
         }
         index
     }
 
-    fn read_manifest(&mut self, manifest: &str) {
+    /// Records the manifest's targets and features; returns its package
+    /// name.
+    fn read_manifest(&mut self, manifest: &str) -> Option<String> {
+        let mut package = None;
         let mut table = "";
         for line in manifest
             .lines()
@@ -89,12 +118,26 @@ impl Index {
             };
             let (key, value) = (key.trim(), value.trim().trim_matches('"'));
             match table {
-                "[package]" if key == "name" => self.packages.insert(value.to_owned()),
+                "[package]" if key == "name" => {
+                    package = Some(value.to_owned());
+                    self.packages.insert(value.to_owned())
+                }
                 "[[bin]]" if key == "name" => self.bins.insert(value.to_owned()),
                 "[features]" => self.features.insert(key.to_owned()),
                 _ => false,
             };
         }
+        package
+    }
+
+    /// Whether an `rbs_<crate>::…::Item` path names a public item of a
+    /// workspace crate.
+    fn has_item(&self, path: &str) -> bool {
+        let (krate, item) = path.split_once("::").expect("an item path");
+        let item = item.rsplit("::").next().unwrap_or(item);
+        self.items
+            .get(krate)
+            .is_some_and(|names| names.contains(item))
     }
 
     /// Whether some path in the tree ends with `token`'s components.
@@ -128,6 +171,62 @@ impl Index {
             _ => None,
         }
     }
+}
+
+/// Adds the names `source` declares `pub`: each item's, and every name a
+/// `pub use` statement mentions. Over-inclusive on purpose: the test
+/// asks whether a name is public, not where it lives.
+fn pub_names(source: &str, names: &mut BTreeSet<String>) {
+    let mut lines = source.lines().map(str::trim);
+    while let Some(line) = lines.next() {
+        let Some(decl) = line.strip_prefix("pub ") else {
+            continue;
+        };
+        if decl.starts_with("use ") {
+            let mut statement = decl.to_owned();
+            while !statement.contains(';') {
+                let Some(more) = lines.next() else { break };
+                statement.push_str(more);
+            }
+            names.extend(identifiers(&statement).map(str::to_owned));
+            continue;
+        }
+        let words: Vec<&str> = decl.split_whitespace().collect();
+        for pair in words.windows(2) {
+            if ITEM_KEYWORDS.contains(&pair[0]) {
+                names.extend(identifiers(pair[1]).take(1).map(str::to_owned));
+            }
+        }
+    }
+}
+
+/// The Rust identifiers in `text`, in order.
+fn identifiers(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
+}
+
+/// The `rbs_<crate>::…` paths in `code` that go past the crate name, each
+/// cut at the first character that cannot continue a path.
+fn item_paths(code: &str) -> Vec<&str> {
+    let mut paths = Vec::new();
+    let mut rest = code;
+    while let Some(at) = rest.find("rbs_") {
+        let boundary = rest[..at]
+            .chars()
+            .next_back()
+            .is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_'));
+        let tail = &rest[at..];
+        let len = tail
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
+            .unwrap_or(tail.len());
+        let path = tail[..len].trim_end_matches(':');
+        if boundary && path.contains("::") {
+            paths.push(path);
+        }
+        rest = &tail[len.max(1)..];
+    }
+    paths
 }
 
 /// Every file and directory below `dir`, as `/`-separated paths from the
@@ -221,6 +320,9 @@ fn stale_references(doc: &str, text: &str, index: &Index) -> Vec<String> {
         if inline && line_suffix && index.is_path(path) && !index.has_path(path) {
             stale.push(format!("{doc}:{line} {token}"));
         }
+        for item in item_paths(&code).into_iter().filter(|p| !index.has_item(p)) {
+            stale.push(format!("{doc}:{line} {item}"));
+        }
         let words: Vec<&str> = code.split_whitespace().collect();
         for (at, _) in words.iter().enumerate().filter(|(_, w)| **w == "cargo") {
             let args = words[at + 1..]
@@ -256,6 +358,9 @@ fn every_file_and_cargo_target_the_docs_name_exists() {
         .iter()
         .flat_map(|doc| {
             let text = std::fs::read_to_string(root.join(doc)).expect("doc");
+            if text.lines().any(|l| l.trim_start().starts_with("- [ ]")) {
+                return Vec::new(); // a to-do list, not a description
+            }
             stale_references(doc, &text, &index)
         })
         .collect();
@@ -273,6 +378,7 @@ fn a_stale_path_or_cargo_target_is_reported() {
     let doc = "\
 Held by `crates/runtime/tests/buffer_lifecycle.rs:20` and
 `tests/flow_key_cache.rs`; timed by `benches/maglev.rs`.
+Locks are `rbs_core::sync::Mutex`; upgrades walked `rbs_runtime::upgrade::UpgradeRun`.
 
 Run `cargo test -q -p rbs-runtime --test
 buffer_lifecycle` or `cargo run -p rbs-bench --features alloc-count`.
@@ -286,8 +392,9 @@ cargo run --release -p rbs-nope \\
         stale_references("NOTES.md", doc, &index),
         [
             "NOTES.md:2 benches/maglev.rs",
-            "NOTES.md:8 -p rbs-nope",
-            "NOTES.md:8 --test no_such_test",
+            "NOTES.md:3 rbs_runtime::upgrade::UpgradeRun",
+            "NOTES.md:9 -p rbs-nope",
+            "NOTES.md:9 --test no_such_test",
         ]
     );
 }
