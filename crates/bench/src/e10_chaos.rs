@@ -1,70 +1,105 @@
 //! E10 — chaos experiment: goodput retained and recovery latency under
 //! deterministic fault injection.
 //!
-//! Three scenarios against the `rbs-runtime` supervisor, all driven by a
-//! seeded [`FaultPlan`] so every number here replays bit-identically:
+//! Three scenarios against the tenant engine ([`TenantLaneRuntime`]),
+//! all driven by a seeded [`FaultPlan`] so every number here replays
+//! bit-identically:
 //!
-//! 1. **Fault-rate sweep** — the same pipeline and offered load at
-//!    injected fault rates from 0 to 5%, mixing mid-pipeline panics,
-//!    torn channels, spawn-time crashes, and micro-delays. Reported per
-//!    rate: goodput retained, unserved packets (lost + shed), recovery
-//!    latency percentiles in supervision ticks, and breaker activity.
-//!    The acceptance bar — ≥ 90% goodput at a 1% fault rate with zero
-//!    unaccounted packets — is asserted, not just printed.
-//! 2. **Crash loop** — a worker that dies at every (re)spawn must trip
-//!    its circuit breaker within the restart budget, probe after the
-//!    cooldown, and reopen when the probe dies.
-//! 3. **Watchdog** — a worker that *hangs* mid-batch is detected by the
-//!    heartbeat watchdog, force-failed, and replaced; the hung batch
-//!    still lands in the ledger when the abandoned thread finishes.
+//! 1. **Fault-rate sweep** — the same chain and offered load at injected
+//!    fault rates from 0 to 5%, mixing panics inside each tenant's domain
+//!    with micro-delays. Reported per rate: goodput retained, unserved
+//!    packets (lost + shed), recovery latency percentiles in ticks, and
+//!    breaker activity. The acceptance bar — ≥ 90% goodput at a 1% fault
+//!    rate with zero unaccounted packets — is asserted, not just printed.
+//! 2. **Crash loop** — a tenant whose chain dies on every batch must trip
+//!    its breaker within the strike budget, probe after the open timer,
+//!    and reopen when the probe dies, while its peer keeps full goodput.
+//! 3. **Budget overrun** — a tenant that spends more than
+//!    `work_budget_per_tick` on every tick is struck like a faulting one
+//!    and contained by the same breaker, with no packet lost.
 //!
 //! Results are also emitted as `BENCH_chaos.json` in the repo root. All
-//! JSON fields are integers derived from the logical supervision clock
-//! and the packet ledgers — never wall time — which is what makes two
-//! runs of the same seed byte-identical.
+//! JSON fields are integers derived from the logical tick clock and the
+//! per-tenant ledgers — never wall time — which is what makes two runs
+//! of the same seed byte-identical.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use rbs_core::fault::{FaultKind, FaultPlan, FaultSite};
 use rbs_core::table::{fmt_f64, Table};
-use rbs_netfx::operators::{ChaosPoint, MacSwap, TtlDecrement};
+use rbs_netfx::operators::{MacSwap, TtlDecrement};
 use rbs_netfx::pktgen::{PacketGen, TrafficConfig};
 use rbs_netfx::{PacketBatch, PipelineSpec};
 use rbs_runtime::{
-    shard_of_packet, RestartPolicy, RuntimeConfig, RuntimeReport, ShardedRuntime,
-    SupervisorEventKind,
+    BreakerPolicy, TenantEventKind, TenantLaneConfig, TenantLaneRuntime, TenantReport, TenantSpec,
 };
 
 use crate::harness::silence_panics;
 
-/// Packets per dispatched batch.
+/// Packets per offered wave (one per tick).
 const BATCH_SIZE: usize = 256;
 
-/// Workers in the sweep runtime.
-const WORKERS: usize = 4;
+/// Tenants in the sweep runtime.
+const TENANTS: usize = 4;
+
+/// Lanes every scenario runs on: the ledgers are the same at any count.
+const LANES: usize = 1;
 
 /// The one seed behind every scenario.
 const SEED: u64 = 0x10_CA05;
 
-/// The representative pipeline: a chaos point ahead of two real
-/// header-rewriting stages.
+/// Admission rate per tenant and tick: well above a tenant's share of a
+/// wave even when throttled, so admission never sheds and every unserved
+/// packet is the breaker's doing.
+const RATE_PER_TICK: u64 = 4_096;
+
+/// Ticks of the crash-loop and budget-overrun scenarios: open at tick 2,
+/// half-open probe at tick 8, reopen at tick 9.
+const SCRIPTED_TICKS: usize = 12;
+
+/// Work units per tick the budget-overrun scenario allows a tenant.
+const WORK_BUDGET: u64 = 512;
+
+/// Per-packet cost of the overrunning tenant: ~128 packets a tick cost
+/// it 2 048 units, four times the budget.
+const HOG_COST: u64 = 16;
+
+/// The representative chain: two real header-rewriting stages. The
+/// engine injects `Operator(0)` faults around the whole chain.
 fn spec() -> PipelineSpec {
     PipelineSpec::new()
-        .stage(|| ChaosPoint::new(0))
         .stage(TtlDecrement::new)
         .stage(MacSwap::new)
 }
 
-/// The supervision policy under test: tight budget, real backoff.
-fn policy() -> RestartPolicy {
-    RestartPolicy {
-        max_consecutive_faults: 3,
-        backoff_base_ticks: 1,
-        backoff_cap_ticks: 8,
-        breaker_cooldown_ticks: 6,
-        backoff_jitter_ticks: 2,
+/// The breaker under test: a tight strike budget and a short open timer.
+fn policy() -> BreakerPolicy {
+    BreakerPolicy {
+        throttle_after_strikes: 2,
+        open_after_strikes: 3,
+        open_ticks: 6,
+        half_open_probes: 2,
+        throttle_divisor: 4,
     }
+}
+
+fn runtime(tenants: Vec<TenantSpec>, work_budget: u64, plan: FaultPlan) -> TenantLaneRuntime {
+    TenantLaneRuntime::new(TenantLaneConfig {
+        tenants,
+        lanes: LANES,
+        breaker: policy(),
+        work_budget_per_tick: work_budget,
+        chain: Some(Arc::new(|_, _| spec())),
+        faults: Some(Arc::new(plan)),
+        ..TenantLaneConfig::default()
+    })
+    .expect("runtime construction")
+}
+
+fn tenants(n: usize) -> Vec<TenantSpec> {
+    (0..n)
+        .map(|i| TenantSpec::new(format!("t{i}")).rate(RATE_PER_TICK, 2 * RATE_PER_TICK))
+        .collect()
 }
 
 fn traffic(batches: usize) -> Vec<PacketBatch> {
@@ -77,30 +112,35 @@ fn traffic(batches: usize) -> Vec<PacketBatch> {
     (0..batches).map(|_| g.next_batch(BATCH_SIZE)).collect()
 }
 
-/// Goodput as integer parts-per-million of offered load — exact, so it
-/// is comparable byte-for-byte across runs.
-fn goodput_ppm(report: &RuntimeReport) -> u64 {
-    if report.offered_packets == 0 {
-        return 1_000_000;
+/// Offers one wave per tick, then drains the runtime into its report.
+fn drive(mut rt: TenantLaneRuntime, waves: Vec<PacketBatch>) -> TenantReport {
+    for wave in waves {
+        rt.offer(wave);
+        rt.step();
     }
-    report.packets_out * 1_000_000 / report.offered_packets
+    rt.finish()
 }
 
-/// Per-worker `Fault → Respawn` tick deltas from the journal: how long
-/// each crash kept its shard out of rotation.
-fn recovery_latencies(report: &RuntimeReport) -> Vec<u64> {
+/// Delivered packets in ppm of offered — exact, so it is comparable
+/// byte-for-byte across runs.
+fn goodput_ppm(out: u64, offered: u64) -> u64 {
+    (out * 1_000_000).checked_div(offered).unwrap_or(1_000_000)
+}
+
+/// Per-tenant fault → respawn tick deltas from the journal: 0 for a
+/// fault respawned on the spot, the open timer for one that opened the
+/// breaker (its respawn is the half-open probe's).
+fn recovery_latencies(report: &TenantReport) -> Vec<u64> {
     let mut out = Vec::new();
-    for w in 0..report.workers.len() {
-        let mut pending: Option<u64> = None;
-        for e in report.events.iter().filter(|e| e.worker == w) {
+    for t in 0..report.tenants.len() {
+        let mut opened: Option<u64> = None;
+        for e in report.events.iter().filter(|e| e.tenant == t) {
             match e.kind {
-                SupervisorEventKind::Fault => {
-                    pending.get_or_insert(e.tick);
+                TenantEventKind::Opened { .. } | TenantEventKind::Reopened => {
+                    opened.get_or_insert(e.tick);
                 }
-                SupervisorEventKind::Respawn => {
-                    if let Some(start) = pending.take() {
-                        out.push(e.tick - start);
-                    }
+                TenantEventKind::Respawned { .. } => {
+                    out.push(e.tick - opened.take().unwrap_or(e.tick));
                 }
                 _ => {}
             }
@@ -117,29 +157,36 @@ fn percentile(sorted: &[u64], tenths: usize) -> u64 {
     sorted[(sorted.len() * tenths / 10).min(sorted.len() - 1)]
 }
 
+/// Tick of tenant `idx`'s first breaker opening.
+fn first_open(report: &TenantReport, idx: usize) -> u64 {
+    report
+        .events
+        .iter()
+        .find(|e| e.tenant == idx && matches!(e.kind, TenantEventKind::Opened { .. }))
+        .expect("the breaker opened")
+        .tick
+}
+
 /// One point of the fault-rate sweep.
 #[derive(Debug, Clone)]
 pub struct ChaosPoint10 {
-    /// Injected fault rate at the primary (panic) site, in ppm.
+    /// Injected fault rate at the panic site, in ppm.
     pub rate_ppm: u32,
-    /// Packets offered to the dispatcher.
+    /// Packets offered to the runtime.
     pub offered: u64,
-    /// Packets that made it out of a pipeline.
+    /// Packets that made it out of a chain.
     pub packets_out: u64,
     /// Goodput in ppm of offered (integer-exact).
     pub goodput_ppm: u64,
-    /// Packets lost to faults or shed with accounting. The split between
-    /// the two depends on panic timing; the sum does not.
+    /// Packets lost to faults or shed by an open breaker.
     pub unserved: u64,
-    /// Packets rerouted away from down shards (kept flowing).
-    pub redistributed: u64,
     /// Contained panics.
     pub faults: u64,
-    /// Supervisor respawns.
+    /// Chain rebuilds (on the spot and half-open probes).
     pub respawns: u64,
     /// Breaker openings.
     pub breaker_opens: u64,
-    /// Fault→respawn latency percentiles, in supervision ticks.
+    /// Fault → respawn latency percentiles, in ticks.
     pub recovery_ticks_p50: u64,
     /// 90th percentile of the same.
     pub recovery_ticks_p90: u64,
@@ -154,30 +201,36 @@ pub struct ChaosPoint10 {
 pub struct CrashLoopOutcome {
     /// Tick at which the breaker first opened.
     pub ticks_to_open: u64,
-    /// Restart budget it had to stay within.
+    /// Strikes that open the breaker: one fault per tick, so it must
+    /// open before tick `budget_faults`.
     pub budget_faults: u32,
     /// Total breaker openings (≥ 2: the half-open probe died too).
     pub breaker_opens: u64,
-    /// Half-open probes admitted.
+    /// Half-open probes started.
     pub breaker_half_opens: u64,
-    /// Goodput in ppm while the victim's flows were redistributed.
-    pub goodput_ppm: u64,
-    /// Packets rerouted off the crash-looping shard.
-    pub redistributed: u64,
+    /// Packets the victim shed while its breaker was open.
+    pub victim_shed_open: u64,
+    /// Goodput in ppm of the healthy peer.
+    pub peer_goodput_ppm: u64,
     /// Conservation residue — asserted zero.
     pub unaccounted: i64,
 }
 
-/// Watchdog scenario outcome.
+/// Budget-overrun scenario outcome.
 #[derive(Debug, Clone)]
-pub struct WatchdogOutcome {
-    /// Hung workers force-failed (exactly 1).
-    pub watchdog_kills: u64,
-    /// Supervisor respawns (≥ 1).
-    pub respawns: u64,
-    /// Goodput in ppm — 1_000_000: the hung batch completes in the
-    /// abandoned thread and still counts.
-    pub goodput_ppm: u64,
+pub struct BudgetOverrunOutcome {
+    /// Work units per tick a tenant may spend.
+    pub work_budget: u64,
+    /// The overrunning tenant's per-packet cost.
+    pub hog_cost: u64,
+    /// Tick at which its breaker first opened.
+    pub ticks_to_open: u64,
+    /// Its breaker openings (≥ 2: the half-open probe overran too).
+    pub breaker_opens: u64,
+    /// Packets it lost: 0, an overrun is not a fault.
+    pub hog_lost: u64,
+    /// Goodput in ppm of the healthy peer.
+    pub peer_goodput_ppm: u64,
     /// Conservation residue — asserted zero.
     pub unaccounted: i64,
 }
@@ -185,18 +238,17 @@ pub struct WatchdogOutcome {
 /// The full experiment result set.
 #[derive(Debug, Clone)]
 pub struct ChaosResults {
-    /// Rounds (= supervision ticks carrying traffic) per sweep point.
+    /// Ticks carrying traffic per sweep point.
     pub rounds: usize,
     /// Sweep over injected fault rates.
     pub sweep: Vec<ChaosPoint10>,
     /// The scripted crash loop.
     pub crash_loop: CrashLoopOutcome,
-    /// The scripted hang.
-    pub watchdog: WatchdogOutcome,
+    /// The scripted work-budget overrun.
+    pub budget_overrun: BudgetOverrunOutcome,
 }
 
-/// The sweep plan at `rate_ppm`: panics dominate, with torn channels and
-/// spawn-time crashes at a fifth of the rate and micro-delays alongside.
+/// The sweep plan at `rate_ppm`: panics, and micro-delays alongside.
 fn sweep_plan(rate_ppm: u32) -> FaultPlan {
     FaultPlan::new(SEED)
         .inject(FaultSite::Operator(0), FaultKind::Panic, rate_ppm)
@@ -205,214 +257,91 @@ fn sweep_plan(rate_ppm: u32) -> FaultPlan {
             FaultKind::Delay { micros: 50 },
             rate_ppm,
         )
-        .inject(
-            FaultSite::ChannelSend,
-            FaultKind::CloseChannel,
-            rate_ppm / 5,
-        )
-        .inject(FaultSite::DomainAttach, FaultKind::Panic, rate_ppm / 5)
 }
 
-/// Runs one sweep point: `rounds` lockstep dispatch+drain rounds of the
-/// same pre-generated traffic under `rate_ppm` injection.
+/// Runs one sweep point: `rounds` ticks of the same pre-generated
+/// traffic under `rate_ppm` injection.
 pub fn measure_sweep_point(rate_ppm: u32, rounds: usize) -> ChaosPoint10 {
     silence_panics();
-    let mut rt = ShardedRuntime::new(
-        spec(),
-        RuntimeConfig {
-            workers: WORKERS,
-            queue_capacity: 64,
-            restart: policy(),
-            supervisor_seed: SEED,
-            faults: Some(Arc::new(sweep_plan(rate_ppm))),
-            ..RuntimeConfig::default()
-        },
-    )
-    .expect("runtime construction");
-    for batch in traffic(rounds) {
-        rt.dispatch(batch).expect("dispatch under chaos");
-        assert!(
-            rt.drain(Duration::from_secs(30)),
-            "every round drains, faults included"
-        );
-    }
-    let report = rt.shutdown();
+    let rt = runtime(tenants(TENANTS), 0, sweep_plan(rate_ppm));
+    let report = drive(rt, traffic(rounds));
     let latencies = recovery_latencies(&report);
+    let sum = |f: fn(&rbs_runtime::TenantOutcome) -> u64| report.tenants.iter().map(f).sum();
     let point = ChaosPoint10 {
         rate_ppm,
-        offered: report.offered_packets,
-        packets_out: report.packets_out,
-        goodput_ppm: goodput_ppm(&report),
-        unserved: report.lost_packets + report.shed_packets,
-        redistributed: report.redistributed_packets,
-        faults: report.faults,
-        respawns: report.respawns,
-        breaker_opens: report.breaker_opens,
+        offered: report.offered(),
+        packets_out: report.out(),
+        goodput_ppm: goodput_ppm(report.out(), report.offered()),
+        unserved: sum(|t| t.ledger.lost + t.ledger.shed()),
+        faults: sum(|t| t.faults),
+        respawns: sum(|t| t.respawns),
+        breaker_opens: sum(|t| t.opens),
         recovery_ticks_p50: percentile(&latencies, 5),
         recovery_ticks_p90: percentile(&latencies, 9),
         recovery_ticks_max: latencies.last().copied().unwrap_or(0),
-        unaccounted: report.unaccounted_packets(),
+        unaccounted: report.unaccounted_packets() as i64,
     };
     assert_eq!(point.unaccounted, 0, "packets vanished at {rate_ppm} ppm");
     point
 }
 
-/// Scripted crash loop: worker 0 dies at every (re)spawn; the breaker
-/// must open within the budget while the peer absorbs the flows.
+/// Scripted crash loop: tenant 0 dies on every batch; the breaker must
+/// open within the strike budget while tenant 1 keeps full goodput.
 pub fn measure_crash_loop() -> CrashLoopOutcome {
     silence_panics();
     const VICTIM: usize = 0;
     let plan = FaultPlan::new(SEED).inject_window(
-        FaultSite::DomainAttach,
+        FaultSite::Operator(0),
         FaultKind::Panic,
         VICTIM as u64,
         0,
-        1_000_000,
+        u64::MAX,
     );
-    let pol = policy();
-    let mut rt = ShardedRuntime::new(
-        spec(),
-        RuntimeConfig {
-            workers: 2,
-            queue_capacity: 64,
-            restart: pol.clone(),
-            supervisor_seed: SEED,
-            faults: Some(Arc::new(plan)),
-            ..RuntimeConfig::default()
-        },
-    )
-    .expect("runtime construction");
-
-    let opened = |rt: &ShardedRuntime| {
-        rt.events()
-            .iter()
-            .filter(|e| matches!(e.kind, SupervisorEventKind::BreakerOpened { .. }))
-            .count() as u64
-    };
-    // Supervision-only ticks until the breaker opens.
-    while opened(&rt) == 0 {
-        assert!(rt.tick() < 64, "breaker failed to open within budget");
-        rt.dispatch(PacketBatch::new()).expect("supervision tick");
-    }
-    let ticks_to_open = rt.tick();
-
-    // Degraded traffic: the victim's flows must reroute to the peer.
-    // Fewer rounds than the breaker cooldown, so no round lands on the
-    // half-open probe (which is stillborn and would shed its shard).
-    let degraded_rounds = (pol.breaker_cooldown_ticks as usize)
-        .saturating_sub(2)
-        .max(1);
-    for batch in traffic(degraded_rounds) {
-        rt.dispatch(batch).expect("degraded dispatch");
-        assert!(rt.drain(Duration::from_secs(30)), "degraded drain");
-    }
-    // Keep ticking until the half-open probe has died and reopened the
-    // breaker.
-    while opened(&rt) < 2 {
-        assert!(rt.tick() < 128, "probe failure failed to reopen breaker");
-        rt.dispatch(PacketBatch::new()).expect("supervision tick");
-    }
-
-    let report = rt.shutdown();
+    let report = drive(runtime(tenants(2), 0, plan), traffic(SCRIPTED_TICKS));
+    let (victim, peer) = (&report.tenants[VICTIM], &report.tenants[1]);
     let out = CrashLoopOutcome {
-        ticks_to_open,
-        budget_faults: pol.max_consecutive_faults,
-        breaker_opens: report.breaker_opens,
-        breaker_half_opens: report.breaker_half_opens,
-        goodput_ppm: goodput_ppm(&report),
-        redistributed: report.redistributed_packets,
-        unaccounted: report.unaccounted_packets(),
+        ticks_to_open: first_open(&report, VICTIM),
+        budget_faults: policy().open_after_strikes,
+        breaker_opens: victim.opens,
+        breaker_half_opens: (report.events.iter())
+            .filter(|e| e.tenant == VICTIM && e.kind == TenantEventKind::HalfOpened)
+            .count() as u64,
+        victim_shed_open: victim.ledger.shed_open,
+        peer_goodput_ppm: peer.ledger.goodput_ppm(),
+        unaccounted: report.unaccounted_packets() as i64,
     };
     assert_eq!(out.unaccounted, 0, "crash loop lost packets");
     assert_eq!(
-        out.goodput_ppm, 1_000_000,
-        "the healthy peer must absorb every redistributed flow"
+        out.peer_goodput_ppm, 1_000_000,
+        "the healthy peer never notices the crash loop"
     );
     out
 }
 
-/// Scripted hang: worker 0's first batch stalls far past the hang
-/// timeout; the watchdog reclaims the shard while the runtime keeps
-/// serving, and the stalled batch still lands in the ledger.
-pub fn measure_watchdog() -> WatchdogOutcome {
-    silence_panics();
-    const N: usize = 2;
-    let plan = FaultPlan::new(SEED).inject_window(
-        FaultSite::Operator(0),
-        FaultKind::Stall { millis: 1_500 },
-        0,
-        0,
-        1,
-    );
-    let mut rt = ShardedRuntime::new(
-        spec(),
-        RuntimeConfig {
-            workers: N,
-            queue_capacity: 64,
-            hang_timeout: Duration::from_millis(40),
-            supervisor_seed: SEED,
-            faults: Some(Arc::new(plan)),
-            ..RuntimeConfig::default()
-        },
-    )
-    .expect("runtime construction");
-
-    // One fixed wave reaching both shards; shard 0's batch hangs.
-    let mut wave = traffic(1).pop().expect("one batch");
-    // Ensure both shards are actually touched (the generator's flow
-    // population covers them; this is a belt-and-braces check, not a
-    // mutation).
-    assert!(
-        (0..N).all(|s| wave.iter().any(|p| shard_of_packet(p, N) == s)),
-        "wave must cover every shard"
-    );
-    rt.dispatch(std::mem::take(&mut wave))
-        .expect("hang dispatch");
-
-    // Supervision-only ticks (empty dispatches — deterministic ledgers)
-    // until the heartbeat ages past the timeout and the watchdog fires.
-    let kills = |rt: &ShardedRuntime| {
-        rt.events()
-            .iter()
-            .filter(|e| e.kind == SupervisorEventKind::WatchdogKill)
-            .count() as u64
+/// Scripted overrun: tenant 0 costs four times the work budget every
+/// tick; the breaker contains it without a fault while tenant 1 keeps
+/// full goodput.
+pub fn measure_budget_overrun() -> BudgetOverrunOutcome {
+    const HOG: usize = 0;
+    let mut specs = tenants(2);
+    specs[HOG] = specs[HOG].clone().cost_per_packet(HOG_COST);
+    let rt = runtime(specs, WORK_BUDGET, FaultPlan::new(SEED));
+    let report = drive(rt, traffic(SCRIPTED_TICKS));
+    let (hog, peer) = (&report.tenants[HOG], &report.tenants[1]);
+    let out = BudgetOverrunOutcome {
+        work_budget: WORK_BUDGET,
+        hog_cost: HOG_COST,
+        ticks_to_open: first_open(&report, HOG),
+        breaker_opens: hog.opens,
+        hog_lost: hog.ledger.lost,
+        peer_goodput_ppm: peer.ledger.goodput_ppm(),
+        unaccounted: report.unaccounted_packets() as i64,
     };
-    for _ in 0..2_000 {
-        if kills(&rt) > 0 {
-            break;
-        }
-        rt.dispatch(PacketBatch::new()).expect("supervision tick");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-
-    // The healthy shard keeps serving while the zombie's stall pends.
-    // (Shard 0 stays unfed: the fault window is per worker generation,
-    // so fresh traffic would hang the replacement too.)
-    let shard1: Vec<PacketBatch> = traffic(6)
-        .into_iter()
-        .map(|b| {
-            b.into_iter()
-                .filter(|p| shard_of_packet(p, N) == 1)
-                .collect()
-        })
-        .collect();
-    for batch in shard1 {
-        rt.dispatch(batch).expect("post-kill dispatch");
-        assert!(rt.drain(Duration::from_secs(30)), "post-kill drain");
-    }
-
-    let report = rt.shutdown();
-    let out = WatchdogOutcome {
-        watchdog_kills: report.watchdog_kills,
-        respawns: report.respawns,
-        goodput_ppm: goodput_ppm(&report),
-        unaccounted: report.unaccounted_packets(),
-    };
-    assert_eq!(out.watchdog_kills, 1, "exactly one kill");
-    assert_eq!(out.unaccounted, 0, "hang lost packets");
+    assert_eq!(out.unaccounted, 0, "budget overrun lost packets");
+    assert_eq!(out.hog_lost, 0, "an overrun is contained, not a fault");
     assert_eq!(
-        out.goodput_ppm, 1_000_000,
-        "the zombie's batch completes and counts"
+        out.peer_goodput_ppm, 1_000_000,
+        "the peer never pays for the hog"
     );
     out
 }
@@ -437,7 +366,7 @@ pub fn measure(rounds: usize) -> ChaosResults {
         rounds,
         sweep,
         crash_loop: measure_crash_loop(),
-        watchdog: measure_watchdog(),
+        budget_overrun: measure_budget_overrun(),
     }
 }
 
@@ -450,28 +379,28 @@ pub fn to_json(r: &ChaosResults) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"e10_chaos\",\n");
     out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"workers\": {WORKERS},\n"));
+    out.push_str(&format!("  \"tenants\": {TENANTS},\n"));
+    out.push_str(&format!("  \"lanes\": {LANES},\n"));
     out.push_str(&format!("  \"batch_size\": {BATCH_SIZE},\n"));
     out.push_str(&format!("  \"rounds\": {},\n", r.rounds));
     let p = policy();
     out.push_str(&format!(
-        "  \"policy\": {{\"max_consecutive_faults\": {}, \"backoff_base_ticks\": {}, \"backoff_cap_ticks\": {}, \"breaker_cooldown_ticks\": {}, \"backoff_jitter_ticks\": {}}},\n",
-        p.max_consecutive_faults,
-        p.backoff_base_ticks,
-        p.backoff_cap_ticks,
-        p.breaker_cooldown_ticks,
-        p.backoff_jitter_ticks,
+        "  \"policy\": {{\"throttle_after_strikes\": {}, \"open_after_strikes\": {}, \"open_ticks\": {}, \"half_open_probes\": {}, \"throttle_divisor\": {}}},\n",
+        p.throttle_after_strikes,
+        p.open_after_strikes,
+        p.open_ticks,
+        p.half_open_probes,
+        p.throttle_divisor,
     ));
     out.push_str("  \"sweep\": [\n");
     for (i, s) in r.sweep.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"rate_ppm\": {}, \"offered\": {}, \"packets_out\": {}, \"goodput_ppm\": {}, \"unserved\": {}, \"redistributed\": {}, \"faults\": {}, \"respawns\": {}, \"breaker_opens\": {}, \"recovery_ticks_p50\": {}, \"recovery_ticks_p90\": {}, \"recovery_ticks_max\": {}, \"unaccounted\": {}}}{}\n",
+            "    {{\"rate_ppm\": {}, \"offered\": {}, \"packets_out\": {}, \"goodput_ppm\": {}, \"unserved\": {}, \"faults\": {}, \"respawns\": {}, \"breaker_opens\": {}, \"recovery_ticks_p50\": {}, \"recovery_ticks_p90\": {}, \"recovery_ticks_max\": {}, \"unaccounted\": {}}}{}\n",
             s.rate_ppm,
             s.offered,
             s.packets_out,
             s.goodput_ppm,
             s.unserved,
-            s.redistributed,
             s.faults,
             s.respawns,
             s.breaker_opens,
@@ -485,27 +414,33 @@ pub fn to_json(r: &ChaosResults) -> String {
     out.push_str("  ],\n");
     let c = &r.crash_loop;
     out.push_str(&format!(
-        "  \"crash_loop\": {{\"ticks_to_open\": {}, \"budget_faults\": {}, \"breaker_opens\": {}, \"breaker_half_opens\": {}, \"goodput_ppm\": {}, \"redistributed\": {}, \"unaccounted\": {}}},\n",
+        "  \"crash_loop\": {{\"ticks_to_open\": {}, \"budget_faults\": {}, \"breaker_opens\": {}, \"breaker_half_opens\": {}, \"victim_shed_open\": {}, \"peer_goodput_ppm\": {}, \"unaccounted\": {}}},\n",
         c.ticks_to_open,
         c.budget_faults,
         c.breaker_opens,
         c.breaker_half_opens,
-        c.goodput_ppm,
-        c.redistributed,
+        c.victim_shed_open,
+        c.peer_goodput_ppm,
         c.unaccounted,
     ));
-    let w = &r.watchdog;
+    let b = &r.budget_overrun;
     out.push_str(&format!(
-        "  \"watchdog\": {{\"watchdog_kills\": {}, \"respawns\": {}, \"goodput_ppm\": {}, \"unaccounted\": {}}}\n",
-        w.watchdog_kills, w.respawns, w.goodput_ppm, w.unaccounted,
+        "  \"budget_overrun\": {{\"work_budget\": {}, \"hog_cost\": {}, \"ticks_to_open\": {}, \"breaker_opens\": {}, \"hog_lost\": {}, \"peer_goodput_ppm\": {}, \"unaccounted\": {}}}\n",
+        b.work_budget,
+        b.hog_cost,
+        b.ticks_to_open,
+        b.breaker_opens,
+        b.hog_lost,
+        b.peer_goodput_ppm,
+        b.unaccounted,
     ));
     out.push_str("}\n");
     out
 }
 
-/// Rounds per sweep point behind the committed `BENCH_chaos.json`.
+/// Ticks per sweep point behind the committed `BENCH_chaos.json`.
 pub const ROUNDS: usize = 150;
-/// Rounds per sweep point under `--quick`.
+/// Ticks per sweep point under `--quick`.
 const QUICK_ROUNDS: usize = 40;
 
 /// Regenerates the chaos table, writing `BENCH_chaos.json` beside it.
@@ -518,7 +453,6 @@ pub fn run(quick: bool) -> String {
         "offered",
         "goodput %",
         "unserved",
-        "rerouted",
         "faults",
         "respawns",
         "opens",
@@ -530,7 +464,6 @@ pub fn run(quick: bool) -> String {
             s.offered.to_string(),
             fmt_f64(s.goodput_ppm as f64 / 10_000.0, 2),
             s.unserved.to_string(),
-            s.redistributed.to_string(),
             s.faults.to_string(),
             s.respawns.to_string(),
             s.breaker_opens.to_string(),
@@ -542,20 +475,23 @@ pub fn run(quick: bool) -> String {
     out.push_str(&t.render());
     let c = &results.crash_loop;
     out.push_str(&format!(
-        "\ncrash loop: breaker opened at tick {} (budget {} faults), reopened after \
-         half-open probe died; {} packets rerouted, goodput {:.2}%\n",
+        "\ncrash loop: breaker opened at tick {} (budget {} strikes), reopened after the \
+         half-open probe died; victim shed {} packets, peer goodput {:.2}%\n",
         c.ticks_to_open,
         c.budget_faults,
-        c.redistributed,
-        c.goodput_ppm as f64 / 10_000.0,
+        c.victim_shed_open,
+        c.peer_goodput_ppm as f64 / 10_000.0,
     ));
-    let w = &results.watchdog;
+    let b = &results.budget_overrun;
     out.push_str(&format!(
-        "watchdog: {} hung worker killed, {} respawns, goodput {:.2}% \
-         (the stalled batch completed in the abandoned thread)\n",
-        w.watchdog_kills,
-        w.respawns,
-        w.goodput_ppm as f64 / 10_000.0,
+        "budget overrun: a tenant costing {} units a packet against a {}-unit budget opened \
+         at tick {} ({} opens, {} lost); peer goodput {:.2}%\n",
+        b.hog_cost,
+        b.work_budget,
+        b.ticks_to_open,
+        b.breaker_opens,
+        b.hog_lost,
+        b.peer_goodput_ppm as f64 / 10_000.0,
     ));
 
     let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
@@ -590,14 +526,13 @@ mod tests {
     fn five_percent_point_is_deterministic() {
         let a = measure_sweep_point(50_000, 25);
         let b = measure_sweep_point(50_000, 25);
-        assert!(a.faults > 0, "5% over 25 rounds injects something");
-        assert!(a.respawns > 0, "the supervisor healed");
+        assert!(a.faults > 0, "5% over 25 ticks injects something");
+        assert!(a.respawns > 0, "the breaker healed");
         // Bit-stability of every reported field.
         assert_eq!(a.offered, b.offered);
         assert_eq!(a.packets_out, b.packets_out);
         assert_eq!(a.goodput_ppm, b.goodput_ppm);
         assert_eq!(a.unserved, b.unserved);
-        assert_eq!(a.redistributed, b.redistributed);
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.respawns, b.respawns);
         assert_eq!(a.breaker_opens, b.breaker_opens);
@@ -609,21 +544,26 @@ mod tests {
     #[test]
     fn crash_loop_trips_breaker_on_schedule() {
         let c = measure_crash_loop();
-        assert!(c.ticks_to_open <= 8, "opened at tick {}", c.ticks_to_open);
+        assert!(
+            c.ticks_to_open < u64::from(c.budget_faults),
+            "opened at tick {}",
+            c.ticks_to_open
+        );
         assert!(c.breaker_opens >= 2);
         assert_eq!(c.breaker_half_opens, 1);
-        assert!(c.redistributed > 0);
+        assert!(c.victim_shed_open > 0);
         // And the schedule replays.
         let d = measure_crash_loop();
         assert_eq!(c.ticks_to_open, d.ticks_to_open);
-        assert_eq!(c.redistributed, d.redistributed);
+        assert_eq!(c.victim_shed_open, d.victim_shed_open);
     }
 
     #[test]
-    fn watchdog_scenario_is_clean() {
-        let w = measure_watchdog();
-        assert_eq!(w.watchdog_kills, 1);
-        assert!(w.respawns >= 1);
+    fn budget_overrun_scenario_is_clean() {
+        let b = measure_budget_overrun();
+        assert!(b.ticks_to_open < u64::from(policy().open_after_strikes));
+        assert!(b.breaker_opens >= 2, "the half-open probe overran too");
+        assert_eq!(b.hog_lost, 0);
     }
 
     #[test]
@@ -636,28 +576,30 @@ mod tests {
                 packets_out: 250,
                 goodput_ppm: 976_562,
                 unserved: 6,
-                redistributed: 12,
                 faults: 1,
                 respawns: 1,
                 breaker_opens: 0,
-                recovery_ticks_p50: 2,
-                recovery_ticks_p90: 2,
-                recovery_ticks_max: 2,
+                recovery_ticks_p50: 0,
+                recovery_ticks_p90: 0,
+                recovery_ticks_max: 6,
                 unaccounted: 0,
             }],
             crash_loop: CrashLoopOutcome {
-                ticks_to_open: 6,
+                ticks_to_open: 2,
                 budget_faults: 3,
                 breaker_opens: 2,
                 breaker_half_opens: 1,
-                goodput_ppm: 1_000_000,
-                redistributed: 1024,
+                victim_shed_open: 700,
+                peer_goodput_ppm: 1_000_000,
                 unaccounted: 0,
             },
-            watchdog: WatchdogOutcome {
-                watchdog_kills: 1,
-                respawns: 1,
-                goodput_ppm: 1_000_000,
+            budget_overrun: BudgetOverrunOutcome {
+                work_budget: 512,
+                hog_cost: 16,
+                ticks_to_open: 2,
+                breaker_opens: 2,
+                hog_lost: 0,
+                peer_goodput_ppm: 1_000_000,
                 unaccounted: 0,
             },
         };

@@ -19,14 +19,19 @@
 //! The *mechanism* is identical in all three (same channels, same
 //! reference tables, same fault semantics — pinned by the
 //! `backend_invariants` proptests in `rbs-sfi`); only the per-crossing
-//! cost model differs. Each (backend × workload × batch-size) point
-//! reports:
+//! cost model differs. Each point runs the tenant engine
+//! ([`TenantLaneRuntime`]) on one lane, so every tenant batch executes
+//! on the calling thread in a fixed order. Each (backend × workload ×
+//! batch-size) point reports:
 //!
-//! 1. **Crossing census** — crossings and boundary bytes observed over
-//!    the measured window. Deterministic: the dispatcher's flow-hash and
-//!    the seeded generator fix how many shard batches exist, and each
-//!    one costs exactly send + recv + call + return. typed-sfi records
-//!    zero by design (its hooks are compiled out of the hot path).
+//! 1. **Crossing census** — crossings and boundary bytes observed from
+//!    the first offer to the end of the measured window. Deterministic:
+//!    Maglev steering and the seeded generator fix how many tenant
+//!    batches exist, and each one costs exactly one call into its
+//!    tenant's domain and one return of the batch. The batch moves by
+//!    ownership, so the return carries the batch handle, not its
+//!    payload. typed-sfi records zero by design (its hooks are compiled
+//!    out of the hot path).
 //! 2. **Modeled tax** — `model_cycles` from the backend's cost model, a
 //!    pure function of the census, so byte-stable across runs and hosts.
 //!    The spectrum `typed-sfi ≤ mpk-sim ≤ copy-boundary` is asserted.
@@ -38,24 +43,27 @@
 //! to the committed file and asserts the spectrum is ordered.
 
 use std::net::Ipv4Addr;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use rbs_core::table::{fmt_f64, Table};
 use rbs_fwtrie::{Action, FirewallOp, FwTrie, Rule};
 use rbs_netfx::operators::NullFilter;
 use rbs_netfx::pktgen::{PacketGen, TrafficConfig};
 use rbs_netfx::{FlowTracker, PipelineSpec};
-use rbs_runtime::{BackendKind, RuntimeConfig, ShardedRuntime};
+use rbs_runtime::{BackendKind, TenantLaneConfig, TenantLaneRuntime, TenantSpec};
 
-/// Worker (= shard) count for every point. Two is the smallest count
-/// that exercises the flow-hash split, keeping the crossing census
+/// Tenant (= domain) count for every point. Two is the smallest count
+/// that exercises the steering split, keeping the crossing census
 /// non-trivial without drowning the tax in scheduling noise.
-const WORKERS: usize = 2;
+const TENANTS: usize = 2;
 
-/// Per-worker input queue depth, in batches.
-const QUEUE_CAPACITY: usize = 64;
+/// Lanes every point runs on: one, so no batch is stolen and the census
+/// is a function of the traffic alone.
+const LANES: usize = 1;
 
-/// Rounds dispatched before the measured window opens.
+/// Rounds (one offered wave and one tick each) before the measured
+/// window opens.
 const WARMUP_ROUNDS: usize = 32;
 
 /// Firewall rules in the stateful workload's trie.
@@ -134,20 +142,20 @@ pub struct IsolationPoint {
     pub workload: Workload,
     /// Packets per generated batch.
     pub batch_size: usize,
-    /// Batches dispatched inside the measured window.
+    /// Waves offered inside the measured window.
     pub rounds: usize,
     /// Packets offered inside the measured window.
     pub packets: u64,
     /// Boundary crossings the backend observed (warmup included —
-    /// crossings are charged from the first dispatch; still
-    /// deterministic because the warmup schedule is too).
+    /// crossings are charged from the first tick; still deterministic
+    /// because the warmup schedule is too).
     pub crossings: u64,
     /// Payload bytes carried across those crossings.
     pub boundary_bytes: u64,
     /// Modeled cycle cost of the crossings — deterministic, unlike
     /// wall-clock time.
     pub model_cycles: u64,
-    /// Runtime ledger balance: offered == packets_in + lost + shed.
+    /// Every tenant ledger balances: offered == processed + lost + shed.
     pub conservation_ok: bool,
     /// Wall-clock nanoseconds for the measured window.
     pub elapsed_ns: u128,
@@ -176,53 +184,43 @@ impl IsolationPoint {
 }
 
 /// Runs one (backend × workload × batch size) point: warmup rounds,
-/// then `rounds` measured batches, full drain, census capture, orderly
-/// shutdown.
+/// then `rounds` measured waves, census capture, finish.
 pub fn measure_point(
     backend: BackendKind,
     workload: Workload,
     batch_size: usize,
     rounds: usize,
 ) -> IsolationPoint {
-    let mut rt = ShardedRuntime::new(
-        workload.spec(),
-        RuntimeConfig {
-            workers: WORKERS,
-            queue_capacity: QUEUE_CAPACITY,
-            backend,
-            // No snapshots, no recycling, no faults: every crossing in
-            // the census is a data-path crossing, and the census is a
-            // pure function of the traffic schedule.
-            snapshot_interval_ticks: 0,
-            recycle_capacity: 0,
-            ..RuntimeConfig::default()
-        },
-    )
+    let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
+        // Admission and the lane high-water mark never shed: every
+        // crossing in the census is a data-path crossing.
+        tenants: (0..TENANTS)
+            .map(|i| TenantSpec::new(format!("t{i}")).rate(4_096, 8_192))
+            .collect(),
+        lanes: LANES,
+        backend,
+        chain: Some(Arc::new(move |_, _| workload.spec())),
+        ..TenantLaneConfig::default()
+    })
     .expect("runtime construction");
     let mut gen = generator();
     for _ in 0..WARMUP_ROUNDS {
-        rt.dispatch(gen.next_batch(batch_size))
-            .expect("warmup dispatch");
+        rt.offer(gen.next_batch(batch_size));
+        rt.step();
     }
 
     let start = Instant::now();
     for _ in 0..rounds {
-        rt.dispatch(gen.next_batch(batch_size))
-            .expect("clean dispatch");
+        rt.offer(gen.next_batch(batch_size));
+        rt.step();
     }
-    let drained = rt.drain(Duration::from_secs(60));
     let elapsed = start.elapsed();
-    assert!(drained, "measured window drains within a minute");
 
-    // Census BEFORE shutdown: the orderly-stop items shutdown() sends
-    // are themselves crossings, but their count depends on how the
-    // final queue states interleave — everything up to the settled
-    // drain is deterministic, so that is where the stable record ends.
+    // Census BEFORE finish: finish reads every chain's state inside its
+    // domain, which is a crossing of its own.
     let totals = rt.backend_totals();
-    let report = rt.shutdown();
+    let report = rt.finish();
     let packets = (rounds * batch_size) as u64;
-    let conservation_ok =
-        report.offered_packets == report.packets_in + report.lost_packets + report.shed_packets;
     IsolationPoint {
         backend,
         workload,
@@ -232,7 +230,8 @@ pub fn measure_point(
         crossings: totals.crossings,
         boundary_bytes: totals.bytes,
         model_cycles: totals.model_cycles,
-        conservation_ok,
+        conservation_ok: report.unaccounted_packets() == 0
+            && report.tenants.iter().all(|t| t.ledger.shed() == 0),
         elapsed_ns: elapsed.as_nanos(),
         mpps: packets as f64 / elapsed.as_secs_f64() / 1e6,
     }
@@ -299,7 +298,7 @@ pub fn to_json(r: &IsolationResults, batch_sizes: &[usize]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"e13_isolation\",\n");
     out.push_str(&format!(
-        "  \"workers\": {WORKERS},\n  \"warmup_rounds\": {WARMUP_ROUNDS},\n  \"rounds\": {},\n",
+        "  \"tenants\": {TENANTS},\n  \"lanes\": {LANES},\n  \"warmup_rounds\": {WARMUP_ROUNDS},\n  \"rounds\": {},\n",
         r.rounds
     ));
     out.push_str(&format!(
@@ -380,7 +379,7 @@ pub fn run(quick: bool) -> String {
     }
 
     let mut out = format!(
-        "E13 — isolation-tax spectrum ({} CPUs available; {WORKERS} workers, {} rounds)\n",
+        "E13 — isolation-tax spectrum ({} CPUs available; {TENANTS} tenants on {LANES} lane, {} rounds)\n",
         results.host_cpus, results.rounds,
     );
     out.push_str(&t.render());

@@ -1,12 +1,12 @@
-//! E9 — scaling: run-to-completion lanes vs the central dispatcher.
+//! E9 — scaling: run-to-completion lanes.
 //!
-//! Three questions about the `rbs-runtime` execution models:
+//! Three questions about the lane engine ([`rbs_runtime::LaneRuntime`]):
 //!
 //! 1. **Lane scaling** — aggregate throughput of the same pipeline at 1,
-//!    2, 4 and 8 run-to-completion lanes ([`rbs_runtime::LaneRuntime`]),
-//!    identical whole-mix offered load. Each lane generates its own RSS
-//!    slice, processes it in its own domain and recycles locally — no
-//!    central dispatcher on the steady path, so on a many-core host the
+//!    2, 4 and 8 run-to-completion lanes, identical whole-mix offered
+//!    load. Each lane generates its own RSS slice, processes it in its
+//!    own domain and recycles locally — no central hand-off on the
+//!    steady path, so on a many-core host the
 //!    curve rises monotonically up to the core count. The run reports
 //!    the host's *logical and physical* core counts next to the numbers
 //!    and flags every oversubscribed point (more lanes than cores), so a
@@ -17,29 +17,33 @@
 //!    lanes pull batches from loaded deques (paying the isolation
 //!    crossing tax per stolen batch) and the gap closes. The cell
 //!    reports both runs and the speedup.
-//! 3. **Recovery under load** — a poison packet crashes one dispatcher
-//!    worker mid-run; the report proves containment and rejoin. (Kept on
-//!    the dispatcher runtime, whose supervisor owns respawn policy.)
+//! 3. **Recovery under load** — a scripted fault crashes one lane's
+//!    pipeline halfway through its quota; the report proves containment
+//!    (no other lane faults) and rejoin (the victim rebuilds its domain
+//!    and finishes its quota).
 //!
-//! The dispatcher-mode curve at the same points is kept as the
-//! comparison baseline. Results are also emitted as `BENCH_scaling.json`
-//! in the repo root for machine consumption.
+//! The curve of the retired central dispatcher at the same points is a
+//! frozen table in EXPERIMENTS.md (E9). Results are also emitted as
+//! `BENCH_scaling.json` in the repo root for machine consumption.
 
 use std::time::Instant;
 
+use std::sync::Arc;
+
+use rbs_core::fault::{FaultKind, FaultPlan, FaultSite};
 use rbs_core::table::{fmt_f64, Table};
 use rbs_netfx::flow::FiveTuple;
-use rbs_netfx::operators::{MacSwap, NullFilter, TtlDecrement};
-use rbs_netfx::pktgen::{FlowDistribution, PacketGen, TrafficConfig};
+use rbs_netfx::operators::{ChaosPoint, MacSwap, NullFilter, TtlDecrement};
+use rbs_netfx::pktgen::{FlowDistribution, TrafficConfig};
 use rbs_netfx::{Operator, PacketBatch, PipelineSpec};
-use rbs_runtime::{shard_of_packet, LaneConfig, LaneRuntime, RuntimeConfig, ShardedRuntime};
+use rbs_runtime::{LaneConfig, LaneRuntime};
 
 use crate::harness::silence_panics;
 
 /// Destination port that trips the poison operator.
 const POISON_PORT: u16 = 0xDEAD;
 
-/// Packets per dispatched/generated batch.
+/// Packets per generated batch.
 const BATCH_SIZE: usize = 256;
 
 /// Zipf exponent of the skew cell (heavy-tailed Internet-like mix).
@@ -48,8 +52,10 @@ const ZIPF_S: f64 = 1.2;
 /// Lanes in the skew cell.
 const SKEW_LANES: usize = 4;
 
-/// Panics the moment it sees a packet addressed to [`POISON_PORT`] — the
-/// crafted-input crash of the recovery experiment.
+/// Panics the moment it sees a packet addressed to [`POISON_PORT`]: a
+/// per-packet header inspection, kept so the lane curve runs the same
+/// pipeline as the frozen dispatcher table (generated traffic never
+/// carries that port).
 struct PoisonPort;
 
 impl Operator for PoisonPort {
@@ -83,11 +89,6 @@ fn uniform_traffic() -> TrafficConfig {
         seed: 0xE9,
         ..Default::default()
     }
-}
-
-fn traffic(batches: usize) -> Vec<PacketBatch> {
-    let mut g = PacketGen::new(uniform_traffic());
-    (0..batches).map(|_| g.next_batch(BATCH_SIZE)).collect()
 }
 
 /// What the run actually had to scale onto.
@@ -148,10 +149,10 @@ fn physical_cores_from(text: &str) -> Option<usize> {
     }
 }
 
-/// One point on a scaling curve (either execution model).
+/// One point on the lane scaling curve.
 #[derive(Debug, Clone)]
 pub struct ScalingPoint {
-    /// Worker (dispatcher mode) or lane (lane mode) count.
+    /// Lane count (`"workers"` in the record).
     pub workers: usize,
     /// Packets pushed through the runtime in the measured window.
     pub packets: u64,
@@ -159,11 +160,11 @@ pub struct ScalingPoint {
     pub elapsed_ns: u128,
     /// Aggregate throughput in million packets per second.
     pub mpps: f64,
-    /// Median per-batch processing cycles (dispatcher mode only).
+    /// Median per-batch processing cycles, when any batch ran.
     pub cycles_per_batch_p50: Option<f64>,
     /// Batches that changed lanes via stealing (lane mode only).
     pub stolen_batches: u64,
-    /// More workers than logical cores: the point measures
+    /// More lanes than logical cores: the point measures
     /// oversubscription, not scaling.
     pub oversubscribed: bool,
 }
@@ -187,22 +188,21 @@ pub struct SkewRun {
     pub max_share: f64,
 }
 
-/// Outcome of the crash-one-worker-mid-run experiment.
+/// Outcome of the crash-one-lane-mid-run experiment.
 #[derive(Debug, Clone)]
 pub struct RecoveryOutcome {
-    /// Worker count of the run.
+    /// Lane count of the run.
     pub workers: usize,
-    /// Shard the poison packet was routed to.
+    /// The lane whose pipeline was crashed.
     pub victim: usize,
     /// Contained panics observed (must be exactly 1).
     pub faults: u64,
-    /// Worker respawns performed by the supervisor.
+    /// Domain rebuilds the lanes performed.
     pub respawns: u64,
-    /// Batches lost with the crash (the poison batch, plus anything
-    /// queued behind it on the victim).
+    /// Batches lost with the crash (the one in flight).
     pub lost_batches: u64,
-    /// Batches the victim processed — across the crash, so > 0 proves it
-    /// rejoined.
+    /// Batches the victim executed — across the crash, so more than its
+    /// pre-crash half proves it rejoined.
     pub victim_processed: u64,
     /// Fewest batches processed by any survivor (all of its share).
     pub survivor_processed_min: u64,
@@ -210,7 +210,7 @@ pub struct RecoveryOutcome {
     pub survivor_faults: u64,
     /// Packets processed end to end.
     pub packets: u64,
-    /// Deepest any worker input queue got during the run.
+    /// Deepest any lane's deque got during the run.
     pub queue_depth_hwm: u64,
 }
 
@@ -223,11 +223,9 @@ pub struct ScalingResults {
     pub host: HostInfo,
     /// Lane-mode (run-to-completion) throughput at 1/2/4/8 lanes.
     pub lane_points: Vec<ScalingPoint>,
-    /// Dispatcher-mode throughput at the same points — the baseline.
-    pub dispatcher_points: Vec<ScalingPoint>,
     /// The Zipf(1.2) skew cell, stealing off then on.
     pub skew: Vec<SkewRun>,
-    /// The recovery-under-load run (4 workers).
+    /// The recovery-under-load run (4 lanes).
     pub recovery: RecoveryOutcome,
 }
 
@@ -341,139 +339,54 @@ pub fn measure_skew_run(batches: usize, steal: bool) -> SkewRun {
     }
 }
 
-/// Pushes `batches` pre-generated batches through an `n`-worker
-/// dispatcher runtime and measures dispatch-to-drain wall time.
-pub fn measure_point(n: usize, batches: usize) -> ScalingPoint {
-    let mut rt = ShardedRuntime::new(
-        spec(),
-        RuntimeConfig {
-            workers: n,
-            queue_capacity: 64,
-            ..RuntimeConfig::default()
-        },
-    )
-    .expect("runtime construction");
-    let load = traffic(batches);
-    let packets: u64 = load.iter().map(|b| b.len() as u64).sum();
-    let start = Instant::now();
-    for batch in load {
-        rt.dispatch(batch).expect("healthy dispatch");
-    }
-    assert!(
-        rt.drain(std::time::Duration::from_secs(60)),
-        "drain within a minute"
-    );
-    let elapsed = start.elapsed();
-    let report = rt.shutdown();
-    assert_eq!(report.packets_in, packets, "no packet went missing");
-    assert_eq!(report.faults, 0);
-    let logical = std::thread::available_parallelism().map_or(1, |c| c.get());
-    ScalingPoint {
-        workers: n,
-        packets,
-        elapsed_ns: elapsed.as_nanos(),
-        mpps: packets as f64 / elapsed.as_secs_f64() / 1e6,
-        cycles_per_batch_p50: report.cycles.as_ref().map(|s| s.p50),
-        stolen_batches: 0,
-        oversubscribed: n > logical,
-    }
-}
+/// Lanes in the recovery run.
+const RECOVERY_LANES: usize = 4;
 
-/// Crashes one of 4 workers mid-run and verifies containment + rejoin.
+/// The lane whose pipeline the recovery run crashes.
+const VICTIM: usize = 1;
+
+/// Crashes one of [`RECOVERY_LANES`] lanes halfway through its quota
+/// and verifies containment + rejoin. Stealing is off, so every lane
+/// runs exactly its own slice and the fault lands on the victim's
+/// `batches / (2 × lanes)`-th batch.
 pub fn measure_recovery(batches: usize) -> RecoveryOutcome {
     silence_panics();
-    const WORKERS: usize = 4;
-    let mut rt = ShardedRuntime::new(
-        spec(),
-        RuntimeConfig {
-            workers: WORKERS,
-            queue_capacity: 64,
-            ..RuntimeConfig::default()
+    let half = (batches / (2 * RECOVERY_LANES)) as u64;
+    let plan = FaultPlan::new(0xE9).inject_window(
+        FaultSite::Operator(0),
+        FaultKind::Panic,
+        VICTIM as u64,
+        half,
+        half + 1,
+    );
+    let report = LaneRuntime::run(
+        spec().stage(|| ChaosPoint::new(0)),
+        LaneConfig {
+            lanes: RECOVERY_LANES,
+            traffic: uniform_traffic(),
+            total_batches: batches as u64,
+            batch_size: BATCH_SIZE,
+            steal_batch: 0,
+            faults: Some(Arc::new(plan)),
+            ..LaneConfig::default()
         },
-    )
-    .expect("runtime construction");
-    let load = traffic(batches);
-    let packets_offered: u64 = load.iter().map(|b| b.len() as u64).sum();
-
-    // The poison flow determines its own victim via the same RSS hash as
-    // any other flow.
-    let poison = rbs_netfx::Packet::build_udp(
-        rbs_netfx::headers::ethernet::MacAddr::ZERO,
-        rbs_netfx::headers::ethernet::MacAddr::ZERO,
-        std::net::Ipv4Addr::new(192, 0, 2, 1),
-        std::net::Ipv4Addr::new(192, 0, 2, 2),
-        31337,
-        POISON_PORT,
-        16,
     );
-    let victim = shard_of_packet(&poison, WORKERS);
-    // Packets are linear (no Clone); the poison moves out exactly once.
-    let mut poison = Some(poison);
-
-    let half = batches / 2;
-    for (i, batch) in load.into_iter().enumerate() {
-        if i == half {
-            let mut b = PacketBatch::new();
-            b.push(poison.take().expect("poison dispatched once"));
-            rt.dispatch(b).expect("poison dispatch");
-        }
-        rt.dispatch(batch).expect("dispatch under fault");
-    }
-    // The single-pass dispatcher can enqueue the entire load before the
-    // victim even reaches the poison batch sitting in its queue; the
-    // crash would then only surface while draining, which deliberately
-    // never advances the supervision clock (no respawns during drain).
-    // Real deployments dispatch continuously — model that by pumping
-    // extra traffic (with a short yield so the victim gets cycles to hit
-    // the poison) until the supervisor has healed it, then a little more
-    // so the healed worker provably processes post-crash packets.
-    let mut pump = PacketGen::new(TrafficConfig {
-        flows: 4096,
-        payload_len: 64,
-        seed: 0xE9_0002,
-        ..Default::default()
-    });
-    let mut packets_offered = packets_offered;
-    for _ in 0..512 {
-        if rt.snapshots()[victim].respawns >= 1 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let b = pump.next_batch(BATCH_SIZE);
-        packets_offered += b.len() as u64;
-        rt.dispatch(b).expect("recovery pump dispatch");
-    }
-    for _ in 0..8 {
-        let b = pump.next_batch(BATCH_SIZE);
-        packets_offered += b.len() as u64;
-        rt.dispatch(b).expect("post-heal dispatch");
-    }
-    assert!(
-        rt.drain(std::time::Duration::from_secs(60)),
-        "drain despite the crash"
-    );
-    let report = rt.shutdown();
-
-    let victim_snap = &report.workers[victim];
-    let survivors: Vec<_> = report
-        .workers
-        .iter()
-        .filter(|w| w.index != victim)
-        .collect();
-    // Offered = processed + lost-with-the-crash (poison batch included);
-    // lost batches carry packets that were never counted in.
-    assert!(report.packets_in <= packets_offered + 1);
+    assert_eq!(report.unaccounted_packets(), 0, "lane conservation");
+    let survivors = || report.lanes.iter().filter(|l| l.lane != VICTIM);
     RecoveryOutcome {
-        workers: WORKERS,
-        victim,
-        faults: report.faults,
-        respawns: report.respawns,
-        lost_batches: report.lost_batches,
-        victim_processed: victim_snap.processed,
-        survivor_processed_min: survivors.iter().map(|w| w.processed).min().unwrap_or(0),
-        survivor_faults: survivors.iter().map(|w| w.faults).sum(),
-        packets: report.packets_in,
-        queue_depth_hwm: report.queue_depth_hwm,
+        workers: RECOVERY_LANES,
+        victim: VICTIM,
+        faults: report.lanes.iter().map(|l| l.faults).sum(),
+        respawns: report.lanes.iter().map(|l| u64::from(l.respawns)).sum(),
+        lost_batches: report.lost() / BATCH_SIZE as u64,
+        victim_processed: report.lanes[VICTIM].executed_batches,
+        survivor_processed_min: survivors().map(|l| l.executed_batches).min().unwrap_or(0),
+        survivor_faults: survivors().map(|l| l.faults).sum(),
+        packets: report.processed(),
+        queue_depth_hwm: (report.lanes.iter())
+            .map(|l| l.deque_hwm as u64)
+            .max()
+            .unwrap_or(0),
     }
 }
 
@@ -486,10 +399,6 @@ pub fn measure(batches: usize) -> ScalingResults {
         lane_points: counts
             .into_iter()
             .map(|n| measure_lane_point(n, batches, &host))
-            .collect(),
-        dispatcher_points: counts
-            .into_iter()
-            .map(|n| measure_point(n, batches))
             .collect(),
         skew: vec![
             measure_skew_run(batches, false),
@@ -554,11 +463,6 @@ pub fn to_json(r: &ScalingResults) -> String {
         out.push_str(&point_json(p, i + 1 == r.lane_points.len()));
     }
     out.push_str("  ],\n");
-    out.push_str("  \"dispatcher_points\": [\n");
-    for (i, p) in r.dispatcher_points.iter().enumerate() {
-        out.push_str(&point_json(p, i + 1 == r.dispatcher_points.len()));
-    }
-    out.push_str("  ],\n");
     out.push_str(&format!(
         "  \"skew\": {{\"lanes\": {SKEW_LANES}, \"zipf_s\": {ZIPF_S}, \"runs\": [\n"
     ));
@@ -620,16 +524,12 @@ pub fn run(quick: bool) -> String {
     };
 
     let mut out = format!(
-        "E9 — scaling: lanes vs dispatcher ({} logical / {} physical cores; scaling needs >1)\n",
+        "E9 — scaling: run-to-completion lanes ({} logical / {} physical cores; scaling needs >1)\n",
         results.host.logical_cores, results.host.physical_cores
     );
     out.push_str(&render_curve(
         "lane mode (run-to-completion):",
         &results.lane_points,
-    ));
-    out.push_str(&render_curve(
-        "dispatcher mode (baseline):",
-        &results.dispatcher_points,
     ));
 
     out.push_str(&format!(
@@ -648,7 +548,7 @@ pub fn run(quick: bool) -> String {
 
     let rec = &results.recovery;
     out.push_str(&format!(
-        "\nrecovery under load ({} workers): victim={} faults={} respawns={} \
+        "\nrecovery under load ({} lanes): victim={} faults={} respawns={} \
          lost_batches={} victim_processed={} survivor_min={} survivor_faults={} queue_hwm={}\n",
         rec.workers,
         rec.victim,
@@ -672,15 +572,6 @@ pub fn run(quick: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn throughput_points_conserve_packets() {
-        let p = measure_point(2, 20);
-        assert_eq!(p.workers, 2);
-        assert_eq!(p.packets, 20 * BATCH_SIZE as u64);
-        assert!(p.mpps > 0.0);
-        assert!(p.cycles_per_batch_p50.is_some());
-    }
 
     #[test]
     fn lane_points_conserve_packets() {
@@ -720,13 +611,13 @@ mod tests {
     #[test]
     fn recovery_under_load_is_contained() {
         let rec = measure_recovery(40);
-        assert_eq!(rec.faults, 1, "exactly the poison panic");
-        assert_eq!(rec.respawns, 1, "the supervisor healed once");
+        assert_eq!(rec.faults, 1, "exactly the scripted panic");
+        assert_eq!(rec.respawns, 1, "the lane rebuilt its domain once");
         assert_eq!(rec.survivor_faults, 0, "no fault leaked");
-        assert!(rec.lost_batches >= 1, "the poison batch died");
+        assert_eq!(rec.lost_batches, 1, "only the faulted batch died");
         assert!(
-            rec.victim_processed > 0,
-            "the victim rejoined and processed traffic"
+            rec.victim_processed > (40 / (2 * RECOVERY_LANES)) as u64,
+            "the victim rejoined and finished its quota"
         );
         assert!(
             rec.survivor_processed_min > 0,
@@ -756,8 +647,7 @@ mod tests {
                 logical_cores: 1,
                 physical_cores: 1,
             },
-            lane_points: vec![lane_point],
-            dispatcher_points: vec![point],
+            lane_points: vec![point, lane_point],
             skew: vec![SkewRun {
                 steal: true,
                 packets: 256,
@@ -782,8 +672,8 @@ mod tests {
         };
         let j = to_json(&r);
         assert!(j.contains("\"experiment\": \"e9_scaling\""));
-        // The dispatcher fixture point has no histogram; the lane point
-        // carries one — both renderings must survive.
+        // A point without a histogram and one with — both renderings
+        // must survive.
         assert!(j.contains("\"cycles_per_batch_p50\": null"));
         assert!(j.contains("\"cycles_per_batch_p50\": 124"));
         assert!(j.contains("\"lane_points\""));

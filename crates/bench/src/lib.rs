@@ -13,7 +13,7 @@
 //! | [`e6_checkpoint`] | Figure 3 / §5 — dedup vs. address-set vs. naïve checkpointing |
 //! | [`e7_budget`] | §1 — line-rate cycle budgets |
 //! | [`e8_maglev`] | §3 context — Maglev balance & disruption validation |
-//! | [`e9_scaling`] | ROADMAP north star — sharded runtime throughput scaling + recovery under load |
+//! | [`e9_scaling`] | ROADMAP north star — lane throughput scaling + recovery under load |
 //! | [`e10_chaos`] | ROADMAP robustness — goodput retained & recovery latency under deterministic fault injection |
 //! | [`e11_recovery`] | ROADMAP robustness — checkpoint-backed warm recovery: state survival by snapshot cadence |
 //! | [`e12_hotpath`] | ROADMAP perf — zero-allocation hot path: pooled buffers, batch recycling, single-pass dispatch |

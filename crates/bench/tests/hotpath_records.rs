@@ -21,31 +21,20 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn e12_hotpath_replays_its_committed_records_and_pooled_paths_never_allocate() {
-    let results = e12_hotpath::measure(e12_hotpath::ROUNDS, e12_hotpath::BATCH_SIZES);
+    let results = e12_hotpath::measure(e12_hotpath::ROUNDS);
     assert_replays("BENCH_hotpath.json", &e12_hotpath::to_json(&results));
 
-    // Pooled and lane steady states never call the allocator; without
-    // the pool every packet costs at least its buffer.
+    // Lane steady states never call the allocator.
     require(results.alloc_counting, || {
         "e12: allocations not counted".into()
     });
-    let report = |p: &dyn std::fmt::Debug| {
-        format!(
-            "e12 {p:?}\n recent allocation sizes {:?}",
-            alloc_count::recent_sizes()
-        )
-    };
-    for p in &results.points {
-        let allocs_ok = if p.pooled {
-            p.zero_alloc() == Some(true)
-        } else {
-            p.allocs_steady.is_some_and(|n| n >= p.packets)
-        };
-        let ok = p.conservation_ok && p.pool_balanced && allocs_ok;
-        require(ok, || report(p));
-    }
     for p in &results.lane_points {
         let ok = p.conservation_ok && p.pool_balanced && p.zero_alloc() == Some(true);
-        require(ok, || report(p));
+        require(ok, || {
+            format!(
+                "e12 {p:?}\n recent allocation sizes {:?}",
+                alloc_count::recent_sizes()
+            )
+        });
     }
 }

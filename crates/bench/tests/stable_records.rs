@@ -72,6 +72,23 @@ fn e14_upgrade_replays_its_committed_records() {
             )
         });
     }
+
+    // What a migration carries is what lands: rule-push drops the
+    // firewall's slot, which chain-reshape moves, so it carries less.
+    for backend in results.cells.iter().map(|c| c.backend) {
+        let migrated = |scenario| {
+            (results.cells.iter())
+                .find(|c| c.backend == backend && c.scenario == scenario)
+                .map_or(0, |c| c.state_items_migrated)
+        };
+        let (push, reshape) = (
+            migrated(e14_upgrade::Scenario::RulePush),
+            migrated(e14_upgrade::Scenario::ChainReshape),
+        );
+        require(push < reshape, || {
+            format!("e14 {backend:?}: rule-push migrated {push} items, chain-reshape {reshape}")
+        });
+    }
 }
 
 #[test]

@@ -10,10 +10,10 @@
 //! Terminology:
 //!
 //! - **site** — a named program location that consults the plan
-//!   ([`FaultSite`]): an operator in a pipeline, a worker attaching to
-//!   its domain, a channel send, a checkpoint encode.
-//! - **stream** — the caller-chosen sub-identity at a site (typically a
-//!   worker/shard index), so faults can target one worker.
+//!   ([`FaultSite`]): an operator in a pipeline, a checkpoint encode, a
+//!   live upgrade's seal or restore.
+//! - **stream** — the caller-chosen sub-identity at a site (a lane or
+//!   tenant index), so faults can target one lane or tenant.
 //! - **occurrence** — the caller-maintained count of how many times
 //!   *this stream* has reached the site. Callers own their counters;
 //!   keeping them caller-local is what removes cross-thread ordering
@@ -32,10 +32,6 @@ pub enum FaultSite {
     /// Inside pipeline execution, at the given stage index (runtimes
     /// that inject around the whole pipeline use stage 0).
     Operator(u16),
-    /// A worker thread attaching to its protection domain at (re)spawn.
-    DomainAttach,
-    /// A cross-domain channel send on the dispatch path.
-    ChannelSend,
     /// Checkpoint serialization ([`encode`](FaultSite::CheckpointEncode)
     /// of a captured snapshot).
     CheckpointEncode,
@@ -55,19 +51,18 @@ impl FaultSite {
     pub fn name(&self) -> &'static str {
         match self {
             FaultSite::Operator(_) => "operator",
-            FaultSite::DomainAttach => "domain-attach",
-            FaultSite::ChannelSend => "channel-send",
             FaultSite::CheckpointEncode => "checkpoint-encode",
             FaultSite::UpgradeQuiesce => "upgrade-quiesce",
             FaultSite::UpgradeRestore => "upgrade-restore",
         }
     }
 
+    /// The site's salt in every decision. Tags 1 and 2 belonged to two
+    /// retired sites; they are not reused, so no other site's decisions
+    /// move.
     fn tag(&self) -> u64 {
         match self {
             FaultSite::Operator(stage) => 0x10_000 + u64::from(*stage),
-            FaultSite::DomainAttach => 1,
-            FaultSite::ChannelSend => 2,
             FaultSite::CheckpointEncode => 3,
             FaultSite::UpgradeQuiesce => 4,
             FaultSite::UpgradeRestore => 5,
@@ -300,9 +295,9 @@ pub fn scoped<R>(plan: Arc<FaultPlan>, f: impl FnOnce() -> R) -> R {
 }
 
 /// Like [`scoped`], but ambient decisions made inside `f` use `stream`
-/// as their stream identity — this is how a worker thread makes its
-/// shard index visible to injection sites buried in library code, so a
-/// plan can target one worker out of many.
+/// as their stream identity — this is how a lane thread makes its index
+/// visible to injection sites buried in library code, so a plan can
+/// target one lane out of many.
 pub fn scoped_stream<R>(plan: Arc<FaultPlan>, stream: u64, f: impl FnOnce() -> R) -> R {
     AMBIENT.with(|a| {
         a.borrow_mut().push(AmbientScope {
@@ -382,9 +377,10 @@ mod tests {
 
     #[test]
     fn rate_is_roughly_respected() {
-        let p = FaultPlan::new(7).inject(FaultSite::ChannelSend, FaultKind::CloseChannel, 10_000);
+        let p =
+            FaultPlan::new(7).inject(FaultSite::CheckpointEncode, FaultKind::CloseChannel, 10_000);
         let fired = (0..100_000u64)
-            .filter(|&n| p.decide(FaultSite::ChannelSend, 0, n).is_some())
+            .filter(|&n| p.decide(FaultSite::CheckpointEncode, 0, n).is_some())
             .count();
         // 1% of 100k = 1000; allow a generous band.
         assert!((500..2000).contains(&fired), "fired {fired} of 100k at 1%");
@@ -392,12 +388,13 @@ mod tests {
 
     #[test]
     fn window_rules_are_exact() {
-        let p = FaultPlan::new(0).inject_window(FaultSite::DomainAttach, FaultKind::Panic, 2, 5, 8);
+        let p =
+            FaultPlan::new(0).inject_window(FaultSite::CheckpointEncode, FaultKind::Panic, 2, 5, 8);
         for n in 0..12 {
-            let hit = p.decide(FaultSite::DomainAttach, 2, n).is_some();
+            let hit = p.decide(FaultSite::CheckpointEncode, 2, n).is_some();
             assert_eq!(hit, (5..8).contains(&n), "occurrence {n}");
             assert_eq!(
-                p.decide(FaultSite::DomainAttach, 1, n),
+                p.decide(FaultSite::CheckpointEncode, 1, n),
                 None,
                 "other stream"
             );
@@ -420,12 +417,16 @@ mod tests {
     fn sites_do_not_alias() {
         let p = FaultPlan::new(5)
             .inject(FaultSite::Operator(0), FaultKind::Panic, 300_000)
-            .inject(FaultSite::ChannelSend, FaultKind::CloseChannel, 300_000);
+            .inject(
+                FaultSite::CheckpointEncode,
+                FaultKind::CloseChannel,
+                300_000,
+            );
         let op: Vec<_> = (0..64)
             .map(|n| p.decide(FaultSite::Operator(0), 0, n))
             .collect();
         let ch: Vec<_> = (0..64)
-            .map(|n| p.decide(FaultSite::ChannelSend, 0, n))
+            .map(|n| p.decide(FaultSite::CheckpointEncode, 0, n))
             .collect();
         assert!(op.iter().flatten().all(|k| *k == FaultKind::Panic));
         assert!(ch.iter().flatten().all(|k| *k == FaultKind::CloseChannel));
@@ -548,7 +549,7 @@ mod tests {
     #[test]
     fn names_are_stable() {
         assert_eq!(FaultSite::Operator(3).name(), "operator");
-        assert_eq!(FaultSite::DomainAttach.name(), "domain-attach");
+        assert_eq!(FaultSite::CheckpointEncode.name(), "checkpoint-encode");
         assert_eq!(FaultKind::Stall { millis: 1 }.name(), "stall");
         assert_eq!(FaultKind::Delay { micros: 1 }.name(), "delay");
     }

@@ -139,9 +139,9 @@ impl PacketBatch {
 
     /// Removes all packets front-to-back, keeping the allocation.
     ///
-    /// Order-preserving (unlike repeated [`pop`](Self::pop)) — the
-    /// dispatcher relies on this to keep per-flow packet order intact
-    /// while recycling the batch's own allocation as scratch.
+    /// Order-preserving (unlike repeated [`pop`](Self::pop)), so a
+    /// caller splitting a batch keeps per-flow packet order intact while
+    /// recycling the batch's own allocation as scratch.
     pub fn drain(&mut self) -> std::vec::Drain<'_, Packet> {
         self.packets.drain(..)
     }

@@ -118,9 +118,9 @@ impl Fx64 {
 /// The canonical flow hash of a packet: the 5-tuple hash when the frame
 /// parses as TCP/UDP over IPv4, otherwise a stable hash of the raw bytes.
 ///
-/// This is the single definition both the dispatcher (sharding) and the
-/// pool-aware generator (hash stamping) agree on; [`Packet::flow_hash`]
-/// memoizes it on the packet.
+/// This is the single definition steering (lane RSS slices, tenant
+/// Maglev lookups) and the pool-aware generator (hash stamping) agree
+/// on; [`Packet::flow_hash`] memoizes it on the packet.
 pub fn packet_flow_hash(packet: &Packet) -> u64 {
     match FiveTuple::of(packet) {
         Ok(tuple) => tuple.stable_hash(),

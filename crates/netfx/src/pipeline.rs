@@ -267,6 +267,19 @@ impl Pipeline {
         self.stages.iter().map(|s| s.state_items()).sum()
     }
 
+    /// State items held by the stages `cp` carries state for: what
+    /// importing `cp` landed, without what the stages it leaves fresh
+    /// (`Opt(None)`, say a migrator's dropped slot) were built with.
+    pub fn carried_items(&self, cp: &Checkpoint) -> u64 {
+        let Snapshot::Seq(slots) = &cp.root else {
+            return 0;
+        };
+        (self.stages.iter().zip(slots))
+            .filter(|(_, slot)| matches!(slot, Snapshot::Opt(Some(_))))
+            .map(|(stage, _)| stage.state_items())
+            .sum()
+    }
+
     /// Batches processed since construction.
     pub fn batches_processed(&self) -> u64 {
         self.batches_processed

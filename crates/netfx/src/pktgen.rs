@@ -290,9 +290,8 @@ impl PacketGen {
     /// The flow population, endpoints, and per-flow popularity weights
     /// are materialized identically on every lane (same seed ⇒ same
     /// flows everywhere); the slice then keeps exactly the flows whose
-    /// [`FiveTuple::stable_hash`] lands on `lane` modulo `lanes` — the
-    /// same mapping the dispatcher's `shard_for` uses — and
-    /// renormalizes the popularity distribution over the kept flows.
+    /// [`FiveTuple::stable_hash`] lands on `lane` modulo `lanes` — RSS's
+    /// flow placement — and renormalizes the popularity distribution over the kept flows.
     /// The union of all `lanes` slices is the whole mix, each flow on
     /// exactly one lane; [`share`](Self::share) reports the slice's
     /// probability mass so callers can split a packet budget
@@ -565,8 +564,8 @@ impl PacketGen {
     /// and the drawn flow's record written into it; the record's
     /// checksums and hash were computed when the generator was built.
     /// The generator knows the flow it just wrote, so it stamps the flow
-    /// hash on the packet for free — the dispatcher never has to re-parse
-    /// the headers it already trusts. It stamps the hash only, not the
+    /// hash on the packet for free — steering never has to re-parse the
+    /// headers it already trusts. It stamps the hash only, not the
     /// tuple: a forwarding chain never asks for one, and writing it here
     /// would tax every packet for what a stateful chain's first
     /// [`Packet::flow`] gets from the bytes it is about to read anyway.

@@ -224,9 +224,9 @@ impl PacketPool {
     /// when the bank is empty. Packets banked inside it move to the free
     /// list.
     ///
-    /// The dispatcher tops up its spare-shell bank from this reservoir
-    /// on the reclaim path; an allocating fallback there would defeat
-    /// the zero-allocation claim, so the caller must tolerate `None`.
+    /// For a caller topping up a spare-shell bank on a path that must
+    /// not allocate: an allocating fallback would defeat the
+    /// zero-allocation claim, so the caller must tolerate `None`.
     pub fn try_take_shell(&mut self) -> Option<PacketBatch> {
         let mut shell = self.bank.pop()?;
         self.unbank_into_free(&mut shell);

@@ -1,16 +1,14 @@
 //! Run-to-completion lanes with work stealing.
 //!
-//! The dispatcher runtime ([`crate::runtime::ShardedRuntime`]) funnels
-//! every packet through one thread that flow-hashes and hands batches to
-//! workers over bounded channels. That serializes ingress: past ~2
-//! workers the dispatcher is the bottleneck and aggregate throughput
-//! *falls* as workers rise. The lane engine removes the funnel: **N
-//! ingress lanes**, each one thread that
+//! A central dispatcher that flow-hashes every packet on one thread and
+//! hands batches to workers serializes ingress: past ~2 workers the
+//! funnel is the bottleneck (E9 keeps the measured curve). The lane
+//! engine has no funnel: **N ingress lanes**, each one thread that
 //!
 //! 1. pulls shells and buffers from its **own** [`PacketPool`],
 //! 2. generates its **own RSS slice** of the flow mix
-//!    ([`PacketGen::rss_slice`] — the same `stable_hash % lanes` flow
-//!    placement the dispatcher uses, so per-flow affinity is preserved),
+//!    ([`PacketGen::rss_slice`] — `stable_hash % lanes`, so per-flow
+//!    affinity is preserved),
 //! 3. processes batches through its **own** [`Pipeline`] replica inside
 //!    its **own** [`Domain`], and
 //! 4. recycles buffers locally,
@@ -53,7 +51,7 @@
 //! any worker fault; the in-flight batch is accounted lost, the domain
 //! is destroyed, and the lane rebuilds a cold pipeline in a fresh
 //! domain. Lanes have no snapshot cadence: warm recovery is what the
-//! dispatcher and tenant engines do. Past `max_respawns`
+//! tenant engine does. Past `max_respawns`
 //! the lane goes dead: it sheds its remaining backlog and stops
 //! offering its deque.
 //!
@@ -83,7 +81,10 @@ use rbs_sfi::backend::{BackendKind, BackendTotals, Crossing};
 use rbs_sfi::{Domain, DomainManager, ThreadAttachment};
 
 use crate::deque::{LaneDeque, Steal, Stealer};
-use crate::stats::CYCLE_HIST_PRECISION;
+
+/// Sub-buckets per octave for per-batch cycle histograms (~3% relative
+/// error, 16 KiB per lane).
+const CYCLE_HIST_PRECISION: u32 = 32;
 
 /// Configuration for a [`LaneRuntime`].
 #[derive(Clone)]
@@ -125,8 +126,9 @@ pub struct LaneConfig {
     /// This brackets a steady-state window for allocation counting.
     pub warmup_batches: Option<u64>,
     /// Deterministic fault plan installed as each lane thread's ambient
-    /// plan (stream = lane index), mirroring the dispatcher runtime.
-    /// `None` runs clean.
+    /// plan (stream = lane index, occurrence = the lane thread's count of
+    /// visits to the site), so a [`ChaosPoint`](rbs_netfx::operators::ChaosPoint)
+    /// in the pipeline fires on schedule. `None` runs clean.
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -288,8 +290,7 @@ pub struct LaneOutcome {
     pub executed_packets: u64,
     /// Cycles spent inside `run_batch` on this lane.
     pub executed_cycles: u64,
-    /// Per-batch cycle histogram, the lane-side twin of the dispatcher
-    /// path's `WorkerStats` histogram (same precision, mergeable).
+    /// Per-batch cycle histogram (mergeable across lanes).
     pub cycle_hist: LogHistogram,
     /// Batches this lane stole from other deques.
     pub stolen_in_batches: u64,
@@ -362,8 +363,7 @@ impl LaneReport {
     }
 
     /// Summary of per-batch processing cycles merged across all lanes,
-    /// `None` when no lane executed a batch — the same shape the
-    /// dispatcher path reports via `RuntimeReport::cycles`.
+    /// `None` when no lane executed a batch.
     pub fn cycles(&self) -> Option<Summary> {
         let mut merged = LogHistogram::new(CYCLE_HIST_PRECISION);
         for lane in &self.lanes {
@@ -519,8 +519,7 @@ impl LaneRuntime {
             .map(|(index, (deque, gen))| {
                 // Everything thread-local (domain, pipeline, pool wiring)
                 // is constructed *inside* the lane thread — a lane's
-                // pipeline belongs to its CPU for the whole run, exactly
-                // like the dispatcher's workers.
+                // pipeline belongs to its CPU for the whole run.
                 let spec = spec.clone();
                 let shared = Arc::clone(&shared);
                 let manager = Arc::clone(&manager);

@@ -262,7 +262,8 @@ pub enum UpgradeOutcome {
     Committed {
         /// Present tenants moved onto the target.
         tenants: usize,
-        /// State items the migrator carried across a schema change.
+        /// State items the targets hold after a schema change: what the
+        /// migrator carried and the target kept, not what was sealed.
         state_items_migrated: u64,
     },
     /// One tenant's seal, migration or build failed, and every target

@@ -68,14 +68,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 
-use rbs_checkpoint::{Checkpoint, SnapshotStore, StateMigrator};
+use rbs_checkpoint::{Buffered, Checkpoint, SnapshotStore, StateMigrator};
 use rbs_core::fault::{self, FaultKind, FaultPlan, FaultSite};
 use rbs_core::sync::Mutex;
 use rbs_maglev::{Backend, MaglevTable};
 use rbs_netfx::flow::packet_flow_hash;
 use rbs_netfx::pool::recycle_local;
 use rbs_netfx::{Packet, PacketBatch, Pipeline, PipelineSpec, TickBucket};
-use rbs_sfi::backend::Crossing;
+use rbs_sfi::backend::{BackendTotals, Crossing};
 use rbs_sfi::{BackendKind, Domain, DomainManager};
 
 use crate::deque::{LaneDeque, Steal, Stealer};
@@ -179,6 +179,10 @@ struct TenantInner {
     cold_restores: u64,
     state_items_restored: u64,
     snapshots_taken: u64,
+    /// Seals attempted, faulted ones included: the occurrence of the
+    /// [`FaultSite::CheckpointEncode`] site, so a retried seal draws a
+    /// fresh decision.
+    seal_attempts: u64,
     delays: DelayLedger,
     batches_executed: u64,
     work_this_tick: u64,
@@ -304,6 +308,25 @@ impl TenantInner {
         let rate = self.spec.rate_per_tick;
         self.bucket.set_rate(rate);
         self.push_event(now, idx, TenantEventKind::Closed);
+    }
+
+    /// A fault in the tenant's live domain outside a batch: one strike,
+    /// then a warm respawn unless the strike opened the breaker. Returns
+    /// whether it did.
+    fn fault(
+        &mut self,
+        idx: usize,
+        now: u64,
+        policy: &BreakerPolicy,
+        manager: &DomainManager,
+    ) -> bool {
+        self.faults += 1;
+        self.strike(idx, now, policy, manager);
+        let open = self.phase == BreakerPhase::Open;
+        if !open {
+            self.respawn(idx, now, manager);
+        }
+        open
     }
 
     /// Rebuilds the tenant's chain in a fresh domain, restoring from the
@@ -731,6 +754,7 @@ impl TenantLaneRuntime {
                 cold_restores: 0,
                 state_items_restored: 0,
                 snapshots_taken: 0,
+                seal_attempts: 0,
                 delays: DelayLedger::default(),
                 batches_executed: 0,
                 work_this_tick: 0,
@@ -908,6 +932,21 @@ impl TenantLaneRuntime {
                 .unwrap_or(0),
             None => 0,
         }
+    }
+
+    /// Crossing totals of the backend every tenant domain runs on; zero
+    /// under the default zero-cost backend.
+    pub fn backend_totals(&self) -> BackendTotals {
+        self.shared.manager.backend_totals()
+    }
+
+    /// Flips one bit inside a buffered snapshot of tenant `idx` —
+    /// scripted corruption for recovery tests. Returns `false` when the
+    /// buffer is empty. A respawn must reject the damaged image and fall
+    /// back to the other buffer, then to a cold build: a corrupted
+    /// snapshot is never restored.
+    pub fn corrupt_snapshot(&mut self, idx: usize, which: Buffered) -> bool {
+        self.shared.slots[idx].lock().store.corrupt(which)
     }
 
     /// Steers one wave: run-batched Maglev lookup into the per-tenant
@@ -1102,13 +1141,22 @@ impl TenantLaneRuntime {
                     continue;
                 };
                 let (store, schema) = (&mut g.store, g.pipeline_spec.state_schema());
+                let fire = self.shared.faults.as_ref().and_then(|plan| {
+                    plan.decide(FaultSite::CheckpointEncode, idx as u64, g.seal_attempts)
+                });
+                g.seal_attempts += 1;
                 // The store drives: it asks the chain for a base or for
-                // what changed since the base it holds.
+                // what changed since the base it holds. A seal that dies
+                // commits nothing, so the store keeps its verified images.
                 let sealed = domain.execute(|| {
+                    inject(FaultSite::CheckpointEncode, fire);
                     let items = pipeline.state_items();
                     store.record_from(pipeline, now, items, schema);
                 });
                 if sealed.is_err() {
+                    if g.fault(idx, now, &self.shared.policy, &self.shared.manager) {
+                        self.open_watch.push(idx);
+                    }
                     continue;
                 }
                 g.snapshots_taken += 1;
@@ -1339,43 +1387,35 @@ impl TenantLaneRuntime {
 
         // The state to carry: the live chain's, sealed inside its own
         // domain, or an open breaker's latest verified snapshot.
-        let sealed: Option<(u32, Checkpoint, u64)> = match &g.chain {
+        let sealed: Option<(u32, Checkpoint)> = match &g.chain {
             Some(LaneChain { domain, pipeline }) => {
                 let fire = decide(FaultSite::UpgradeQuiesce);
                 let seal = domain.execute(|| {
                     inject(FaultSite::UpgradeQuiesce, fire);
-                    (pipeline.export_state(), pipeline.state_items())
+                    pipeline.export_state()
                 });
-                let Ok((cp, items)) = seal else {
-                    g.faults += 1;
-                    g.strike(idx, now, &shared.policy, &shared.manager);
-                    if g.phase == BreakerPhase::Open {
+                let Ok(cp) = seal else {
+                    if g.fault(idx, now, &shared.policy, &shared.manager) {
                         self.open_watch.push(idx);
-                    } else {
-                        g.respawn(idx, now, &shared.manager);
                     }
                     return None;
                 };
-                Some((g.pipeline_spec.state_schema(), cp, items))
+                Some((g.pipeline_spec.state_schema(), cp))
             }
             None => [g.store.latest(), g.store.previous()]
                 .into_iter()
                 .flatten()
-                .find_map(|sealed| {
-                    let meta = sealed.meta();
-                    Some((meta.schema, sealed.open().ok()?, meta.items))
-                }),
+                .find_map(|sealed| Some((sealed.meta().schema, sealed.open().ok()?))),
         };
 
         let to = target.state_schema();
-        let mut migrated = 0;
+        let migrating = matches!(sealed, Some((from, _)) if from != to);
         let state = match sealed {
-            Some((from, cp, items)) if from != to => {
+            Some((from, cp)) if from != to => {
                 let migrator = migrator.filter(|m| m.can_migrate(from, to))?;
-                migrated = items;
                 Some(migrator.migrate(&cp, from, to).ok()?)
             }
-            sealed => sealed.map(|(_, cp, _)| cp),
+            sealed => sealed.map(|(_, cp)| cp),
         };
 
         let name = format!("tlane-{}-e{}-u{}", g.spec.name, g.epoch, occurrence + 1);
@@ -1389,12 +1429,19 @@ impl TenantLaneRuntime {
                 Some(cp) => target.build_with_state(cp).ok()?,
                 None => target.build(),
             };
-            if let (Some(cp), true) = (&state, rebase) {
-                store.record(cp, now, pipeline.state_items(), to);
+            let mut migrated = 0;
+            if let Some(cp) = &state {
+                if rebase {
+                    store.record(cp, now, pipeline.state_items(), to);
+                }
+                // What a migration carried is what landed in the target.
+                if migrating {
+                    migrated = pipeline.carried_items(cp);
+                }
             }
-            Some(pipeline)
+            Some((pipeline, migrated))
         });
-        let Ok(Some(pipeline)) = built else {
+        let Ok(Some((pipeline, migrated))) = built else {
             shared.manager.destroy_domain(&domain);
             return None;
         };

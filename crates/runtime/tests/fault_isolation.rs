@@ -1,14 +1,16 @@
-//! End-to-end fault isolation: a panicking operator kills exactly one
-//! worker, the supervisor heals it, and the other workers never notice.
+//! End-to-end fault isolation on the tenant engine: a panicking operator
+//! kills exactly one tenant's chain, the engine heals it, and the other
+//! tenants never notice.
 
 use std::net::Ipv4Addr;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
-use rbs_netfx::flow::FiveTuple;
+use rbs_netfx::flow::{packet_flow_hash, FiveTuple};
 use rbs_netfx::headers::ethernet::MacAddr;
 use rbs_netfx::{Operator, Packet, PacketBatch, PipelineSpec};
-use rbs_runtime::{shard_of_packet, RuntimeConfig, ShardedRuntime, WorkerSnapshot};
-use rbs_sfi::DomainState;
+use rbs_runtime::{
+    BreakerPhase, BreakerPolicy, TenantLaneConfig, TenantLaneRuntime, TenantReport, TenantSpec,
+};
 
 /// The port that makes [`Poison`] panic.
 const POISON_PORT: u16 = 6666;
@@ -45,8 +47,20 @@ impl Operator for Poison {
     }
 }
 
-fn spec() -> PipelineSpec {
-    PipelineSpec::new().stage(|| Pass).stage(|| Poison)
+/// `tenants` tenants running Pass → Poison on two lanes.
+fn runtime(tenants: usize, breaker: BreakerPolicy) -> TenantLaneRuntime {
+    TenantLaneRuntime::new(TenantLaneConfig {
+        tenants: (0..tenants)
+            .map(|i| TenantSpec::new(format!("t{i}")))
+            .collect(),
+        lanes: 2,
+        breaker,
+        chain: Some(Arc::new(|_, _| {
+            PipelineSpec::new().stage(|| Pass).stage(|| Poison)
+        })),
+        ..TenantLaneConfig::default()
+    })
+    .expect("runtime construction")
 }
 
 fn udp(src_port: u16, dst_port: u16) -> Packet {
@@ -61,184 +75,162 @@ fn udp(src_port: u16, dst_port: u16) -> Packet {
     )
 }
 
-/// 64 one-packet flows; covers every shard of a 4-worker runtime.
-fn healthy_traffic() -> PacketBatch {
-    (0..64u16).map(|i| udp(1000 + i, 80)).collect()
+/// The tenant Maglev steers `p` to (every tenant present).
+fn tenant_of(rt: &TenantLaneRuntime, p: &Packet) -> usize {
+    rt.table().lookup(packet_flow_hash(p))
 }
 
-/// A poison packet whose flow hash lands on shard `target` (out of `n`).
-fn poison_for_shard(target: usize, n: usize) -> Packet {
-    for sp in 1..u16::MAX {
-        let p = udp(sp, POISON_PORT);
-        if shard_of_packet(&p, n) == target {
-            return p;
-        }
-    }
-    unreachable!("some source port maps to every shard");
+/// 64 one-packet flows; covers every tenant of a 4-tenant runtime.
+fn healthy_traffic(base: u16) -> PacketBatch {
+    (0..64u16).map(|i| udp(base + i, 80)).collect()
 }
 
-fn wait_for<F: Fn(&[WorkerSnapshot]) -> bool>(rt: &ShardedRuntime, cond: F) -> Vec<WorkerSnapshot> {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let snaps = rt.snapshots();
-        if cond(&snaps) {
-            return snaps;
-        }
-        assert!(Instant::now() < deadline, "condition not met: {snaps:#?}");
-        std::thread::yield_now();
+/// `count` healthy one-packet flows all steered to `target`.
+fn traffic_for(rt: &TenantLaneRuntime, target: usize, count: usize) -> PacketBatch {
+    (1..u16::MAX)
+        .map(|sp| udp(sp, 80))
+        .filter(|p| tenant_of(rt, p) == target)
+        .take(count)
+        .collect()
+}
+
+/// A poison packet steered to tenant `target`.
+fn poison_for(rt: &TenantLaneRuntime, target: usize) -> PacketBatch {
+    let p = (1..u16::MAX)
+        .map(|sp| udp(sp, POISON_PORT))
+        .find(|p| tenant_of(rt, p) == target)
+        .expect("some source port steers to every tenant");
+    PacketBatch::from_packets(vec![p])
+}
+
+fn tick(rt: &mut TenantLaneRuntime, batch: PacketBatch) {
+    rt.offer(batch);
+    rt.step();
+}
+
+fn assert_conserved(report: &TenantReport) {
+    assert_eq!(report.unaccounted_packets(), 0, "{report:#?}");
+    for t in &report.tenants {
+        let l = t.ledger;
+        assert_eq!(l.processed, l.out + l.drops, "{}", t.name);
     }
 }
 
 #[test]
 fn fault_is_contained_healed_and_accounted() {
     const TARGET: usize = 2;
-    let mut rt = ShardedRuntime::new(
-        spec(),
-        RuntimeConfig {
-            workers: 4,
-            queue_capacity: 16,
-            ..RuntimeConfig::default()
-        },
-    )
-    .unwrap();
+    let mut rt = runtime(4, BreakerPolicy::default());
 
-    rt.dispatch(healthy_traffic()).unwrap();
-    assert!(rt.drain(Duration::from_secs(10)), "healthy drain");
-    let before = rt.snapshots();
-    assert!(before.iter().all(|w| w.state == DomainState::Active));
-    assert!(before.iter().all(|w| w.faults == 0));
-    let processed_before: Vec<u64> = before.iter().map(|w| w.processed).collect();
+    tick(&mut rt, healthy_traffic(1000));
+    let processed_before: Vec<u64> = (0..4).map(|i| rt.ledger(i).processed).collect();
     assert!(
         processed_before.iter().all(|&p| p > 0),
-        "64 flows reach all 4 workers"
+        "64 flows reach all 4 tenants"
     );
 
-    let mut poison = PacketBatch::new();
-    poison.push(poison_for_shard(TARGET, 4));
-    rt.dispatch(poison).unwrap();
-    wait_for(&rt, |s| s[TARGET].faults == 1);
+    let poison = poison_for(&rt, TARGET);
+    tick(&mut rt, poison);
+    assert_eq!(rt.ledger(TARGET).lost, 1, "the poison packet died");
+    assert_ne!(rt.phase(TARGET), BreakerPhase::Open, "one strike heals");
 
-    // A second wave heals the target inside dispatch() and feeds every
-    // worker again.
-    rt.dispatch(healthy_traffic()).unwrap();
-    assert!(rt.drain(Duration::from_secs(10)), "drain after fault");
-
-    let after = rt.snapshots();
-    for w in &after {
-        // Conservation: every batch routed to a shard is eventually
-        // processed or written off.
-        assert_eq!(w.processed + w.lost, w.dispatched, "worker {}", w.index);
-        if w.index == TARGET {
-            assert_eq!(w.faults, 1);
-            assert_eq!(w.respawns, 1, "healed exactly once");
-            assert!(w.generation >= 1, "recovery bumps the generation");
-            assert_eq!(w.lost, 1, "only the poison batch was lost");
+    // The healed chain takes the second wave like everyone else.
+    tick(&mut rt, healthy_traffic(1000));
+    let report = rt.finish();
+    assert_conserved(&report);
+    for (i, t) in report.tenants.iter().enumerate() {
+        if i == TARGET {
+            assert_eq!(t.faults, 1);
+            assert_eq!(t.respawns, 1, "healed exactly once");
+            assert_eq!(t.ledger.lost, 1, "only the poison packet was lost");
             assert!(
-                w.processed > processed_before[w.index],
-                "worker rejoined and processed the second wave"
+                t.ledger.processed > processed_before[i],
+                "the tenant rejoined and processed the second wave"
             );
         } else {
-            assert_eq!(w.faults, 0, "fault leaked to worker {}", w.index);
-            assert_eq!(w.lost, 0);
-            assert_eq!(w.respawns, 0);
-            assert_eq!(w.state, DomainState::Active);
+            assert_eq!(t.faults, 0, "fault leaked to tenant {i}");
+            assert_eq!(t.ledger.lost, 0);
+            assert_eq!(t.respawns, 0);
+            assert_eq!(t.final_phase, BreakerPhase::Running);
         }
     }
-
-    let report = rt.shutdown();
-    assert_eq!(report.faults, 1);
-    assert_eq!(report.respawns, 1);
-    assert_eq!(report.lost_batches, 1);
-    // The pass/poison pipeline drops nothing it survives.
-    assert_eq!(report.packets_in, report.packets_out);
-    assert_eq!(report.packets_in, 128, "two healthy waves of 64");
-    assert!(report.cycles.is_some());
+    assert_eq!(report.tenants.iter().map(|t| t.faults).sum::<u64>(), 1);
+    // The pass/poison chain drops nothing it survives.
+    assert_eq!(report.out(), 128, "two healthy waves of 64");
 }
 
 #[test]
 fn other_workers_process_while_one_is_down() {
     const VICTIM: usize = 1;
-    let mut rt = ShardedRuntime::new(
-        spec(),
-        RuntimeConfig {
-            workers: 4,
-            queue_capacity: 16,
-            ..RuntimeConfig::default()
+    // One strike opens the breaker for four ticks.
+    let mut rt = runtime(
+        4,
+        BreakerPolicy {
+            open_after_strikes: 1,
+            open_ticks: 4,
+            ..BreakerPolicy::default()
         },
-    )
-    .unwrap();
-
-    // Kill the victim without touching anyone else: send_to() bypasses
-    // flow hashing.
-    let mut poison = PacketBatch::new();
-    poison.push(udp(1, POISON_PORT));
-    rt.send_to(VICTIM, poison).unwrap();
-    let snaps = wait_for(&rt, |s| s[VICTIM].faults == 1);
-    assert_eq!(snaps[VICTIM].state, DomainState::Failed);
-
-    // While the victim's domain sits failed, the survivors keep taking
-    // and finishing work.
-    for index in [0usize, 2, 3] {
-        for wave in 0..3u16 {
-            let batch: PacketBatch = (0..8u16).map(|i| udp(100 + wave * 8 + i, 80)).collect();
-            rt.send_to(index, batch).unwrap();
-        }
-    }
-    let snaps = wait_for(&rt, |s| [0usize, 2, 3].iter().all(|&i| s[i].processed == 3));
-    assert_eq!(
-        snaps[VICTIM].state,
-        DomainState::Failed,
-        "survivors finished without the victim being healed"
     );
-    for i in [0usize, 2, 3] {
-        assert_eq!(snaps[i].state, DomainState::Active);
-        assert_eq!(snaps[i].packets_in, 24);
-        assert_eq!(snaps[i].faults, 0);
+    let poison = poison_for(&rt, VICTIM);
+    tick(&mut rt, poison);
+    assert_eq!(rt.phase(VICTIM), BreakerPhase::Open);
+
+    // While the victim's breaker is open its traffic is shed at ingress
+    // and the others keep taking and finishing work.
+    for wave in 0..3 {
+        let mut batch = PacketBatch::new();
+        for i in 0..4 {
+            batch.append(traffic_for(&rt, i, 8 + wave));
+        }
+        tick(&mut rt, batch);
+        assert_eq!(rt.phase(VICTIM), BreakerPhase::Open);
     }
+    for i in [0usize, 2, 3] {
+        assert_eq!(rt.ledger(i).processed, 8 + 9 + 10, "tenant {i}");
+        assert_eq!(rt.phase(i), BreakerPhase::Running);
+    }
+    assert_eq!(rt.ledger(VICTIM).processed, 0);
+    assert_eq!(rt.ledger(VICTIM).shed_open, 8 + 9 + 10);
 
-    // Explicit supervision pass: exactly the victim is repaired.
-    assert_eq!(rt.heal().unwrap(), 1);
-    let snaps = rt.snapshots();
-    assert_eq!(snaps[VICTIM].state, DomainState::Active);
-    assert_eq!(snaps[VICTIM].respawns, 1);
+    // The open timer expires, the half-open probe rebuilds the chain,
+    // and it takes work again.
+    tick(&mut rt, PacketBatch::new());
+    assert_eq!(rt.phase(VICTIM), BreakerPhase::HalfOpen);
+    let batch = traffic_for(&rt, VICTIM, 8);
+    tick(&mut rt, batch);
+    assert_eq!(rt.ledger(VICTIM).processed, 8);
 
-    // And it takes work again.
-    let batch: PacketBatch = (0..8u16).map(|i| udp(500 + i, 80)).collect();
-    rt.send_to(VICTIM, batch).unwrap();
-    wait_for(&rt, |s| s[VICTIM].processed == 1);
-
-    let report = rt.shutdown();
-    assert_eq!(report.faults, 1);
-    assert_eq!(report.lost_batches, 1);
-    assert_eq!(report.packets_in, 3 * 24 + 8);
+    let report = rt.finish();
+    assert_conserved(&report);
+    assert_eq!(report.tenants[VICTIM].faults, 1);
+    assert_eq!(report.tenants[VICTIM].ledger.lost, 1);
+    assert_eq!(report.tenants[VICTIM].respawns, 1, "the half-open probe");
+    assert_eq!(report.out(), 3 * 27 + 8);
 }
 
 #[test]
 fn repeated_faults_keep_healing() {
     const VICTIM: usize = 0;
-    let mut rt = ShardedRuntime::new(
-        spec(),
-        RuntimeConfig {
-            workers: 2,
-            queue_capacity: 8,
-            ..RuntimeConfig::default()
-        },
-    )
-    .unwrap();
+    let mut rt = runtime(2, BreakerPolicy::default());
 
     for round in 1..=3u64 {
-        let mut poison = PacketBatch::new();
-        poison.push(udp(round as u16, POISON_PORT));
-        rt.send_to(VICTIM, poison).unwrap();
-        wait_for(&rt, |s| s[VICTIM].faults == round);
-        assert_eq!(rt.heal().unwrap(), 1);
-        let snaps = rt.snapshots();
-        assert_eq!(snaps[VICTIM].state, DomainState::Active);
-        assert_eq!(snaps[VICTIM].respawns, round);
+        let poison = poison_for(&rt, VICTIM);
+        tick(&mut rt, poison);
+        assert_eq!(rt.ledger(VICTIM).lost, round);
+        assert_ne!(rt.phase(VICTIM), BreakerPhase::Open, "round {round}");
+        let batch = traffic_for(&rt, VICTIM, 4);
+        tick(&mut rt, batch);
+        assert_eq!(
+            rt.ledger(VICTIM).processed,
+            4 * round,
+            "healed chain serves"
+        );
     }
 
-    let report = rt.shutdown();
-    assert_eq!(report.faults, 3);
-    assert_eq!(report.respawns, 3);
-    assert_eq!(report.lost_batches, 3);
+    let report = rt.finish();
+    assert_conserved(&report);
+    let victim = &report.tenants[VICTIM];
+    assert_eq!(victim.faults, 3);
+    assert_eq!(victim.respawns, 3);
+    assert_eq!(victim.ledger.lost, 3);
+    assert_eq!(report.tenants[1].faults, 0);
 }

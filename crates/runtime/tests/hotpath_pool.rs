@@ -8,23 +8,23 @@
 //!    the buffers still live outside the pool plus the ones leaked (as
 //!    on a fault). The type system makes aliasing unrepresentable; the
 //!    proptest pins the *accounting* to a pointer-level model.
-//! 2. **Conservation through the runtime** — with recycling on, a full
-//!    generate → dispatch → pipeline → recycle cycle returns every
-//!    buffer (fault-free), and under random fault injection the buffers
-//!    that do *not* come back are exactly the lost + shed packets.
-//! 3. **Hash-cache agreement** — the cached flow hash the dispatcher's
-//!    fast path serves is always what [`shard_of_packet`] would
-//!    recompute from the bytes, including for arbitrary garbage frames
-//!    the 5-tuple extractor rejects.
+//! 2. **Conservation through the lane engine** — a full generate →
+//!    pipeline → recycle cycle on every lane returns every buffer to
+//!    some lane's pool (fault-free, stealing on), and under random fault
+//!    injection the buffers that do *not* come back are exactly the lost
+//!    packets: a dead lane's shed backlog is recycled.
+//! 3. **Hash-cache agreement** — the cached flow hash steering reads is
+//!    always what [`packet_flow_hash`] recomputes from the bytes,
+//!    including for arbitrary garbage frames the 5-tuple extractor
+//!    rejects.
 
 use std::collections::HashSet;
-use std::time::Duration;
 
 use proptest::prelude::*;
 use rbs_netfx::flow::packet_flow_hash;
 use rbs_netfx::operators::{MacSwap, TtlDecrement};
 use rbs_netfx::{Packet, PacketBatch, PacketGen, PacketPool, PipelineSpec, TrafficConfig};
-use rbs_runtime::{shard_of_packet, shard_of_packet_mut, RuntimeConfig, ShardedRuntime};
+use rbs_runtime::{LaneConfig, LaneReport, LaneRuntime};
 
 /// Pops every buffer the pool holds — free or inside a banked batch —
 /// out of it and asserts their slab addresses are pairwise distinct — a
@@ -140,50 +140,51 @@ proptest! {
         assert_free_list_has_no_duplicates(&mut pool);
     }
 
-    /// The dispatcher fast path's cached hash agrees with the reference
-    /// recomputation for *any* frame bytes — parseable or garbage — and
-    /// keeps agreeing after the cache is invalidated by mutation.
+    /// The cached hash agrees with the reference recomputation for
+    /// *any* frame bytes — parseable or garbage — and keeps agreeing
+    /// after the cache is invalidated by mutation.
     #[test]
     fn cached_hash_agrees_with_reference_on_arbitrary_frames(
         bytes in proptest::collection::vec(any::<u8>(), 0..192),
-        n_workers in 1usize..9,
     ) {
-        let reference = shard_of_packet(&Packet::from_slice(&bytes), n_workers);
+        let reference = packet_flow_hash(&Packet::from_slice(&bytes));
         let mut p = Packet::from_slice(&bytes);
-        prop_assert_eq!(shard_of_packet_mut(&mut p, n_workers), reference, "first (stamping) access");
-        prop_assert_eq!(shard_of_packet_mut(&mut p, n_workers), reference, "cached access");
-        prop_assert_eq!(p.cached_flow_hash(), Some(packet_flow_hash(&p)), "tag is the hash of the bytes");
-        // A pre-stamped packet read through the immutable reference
-        // mapping gives the same answer.
-        prop_assert_eq!(shard_of_packet(&p, n_workers), reference);
+        prop_assert_eq!(p.flow_hash(), reference, "first (stamping) access");
+        prop_assert_eq!(p.flow_hash(), reference, "cached access");
+        prop_assert_eq!(p.cached_flow_hash(), Some(reference), "tag is the hash of the bytes");
 
         // Mutate the frame: the stale tag must not survive, and the
-        // recomputed mapping must match a fresh packet with the new bytes.
+        // recomputed hash must match a fresh packet with the new bytes.
         if !p.is_empty() {
             p.as_mut_slice()[0] ^= 0xFF;
             prop_assert_eq!(p.cached_flow_hash(), None, "mutation invalidates the tag");
-            let fresh = shard_of_packet(&Packet::from_slice(p.as_slice()), n_workers);
-            prop_assert_eq!(shard_of_packet_mut(&mut p, n_workers), fresh);
+            let fresh = packet_flow_hash(&Packet::from_slice(p.as_slice()));
+            prop_assert_eq!(p.flow_hash(), fresh);
         }
     }
 }
 
-/// Every pktgen-stamped hash is exactly what the reference mapping
-/// would recompute — the generator's "free" stamp never disagrees with
-/// the dispatcher's fallback parse.
+/// Every pktgen-stamped hash is exactly what a parse would recompute —
+/// the generator's "free" stamp never disagrees with the fallback — and
+/// a lane's RSS slice only ever carries flows whose hash maps to it.
 #[test]
 fn pktgen_stamped_hashes_match_recomputation() {
-    let mut gen = PacketGen::new(TrafficConfig {
+    let config = TrafficConfig {
         flows: 256,
         seed: 0xF00D,
         ..TrafficConfig::default()
-    });
-    let batch = gen.next_batch(512);
+    };
+    let batch = PacketGen::new(config.clone()).next_batch(512);
     for p in batch.iter() {
         let cached = p.cached_flow_hash().expect("pktgen stamps every packet");
         assert_eq!(cached, packet_flow_hash(p), "stamp == recomputation");
-        for n in [1usize, 2, 3, 4, 8] {
-            assert_eq!(shard_of_packet(p, n), (cached % n as u64) as usize);
+    }
+    for lanes in [2usize, 3, 4] {
+        for lane in 0..lanes {
+            let slice = PacketGen::rss_slice(config.clone(), lane, lanes).next_batch(64);
+            for p in slice.iter() {
+                assert_eq!(packet_flow_hash(p) % lanes as u64, lane as u64);
+            }
         }
     }
 }
@@ -194,148 +195,98 @@ fn hotpath_spec() -> PipelineSpec {
         .stage(MacSwap::new)
 }
 
-/// Fault-free round trip: with recycling enabled, every buffer the
-/// generator draws comes back to the pool — `outstanding == 0` at
-/// quiescence, nothing dropped from the recycle channel, and the free
-/// list holds no duplicate slabs.
+/// Fleet-wide pool books: buffers taken from some lane's pool, and
+/// buffers returned to one.
+fn pool_books(report: &LaneReport) -> (u64, u64) {
+    let taken = report.lanes.iter().map(|l| l.pool.taken).sum();
+    let returned = report.lanes.iter().map(|l| l.pool.returned).sum();
+    (taken, returned)
+}
+
+/// Fault-free round trip: every buffer a lane draws comes back to a
+/// lane pool — even with stealing on, when a thief recycles a stolen
+/// batch into its own pool — and nothing is lost or shed.
 #[test]
 fn pooled_round_trip_returns_every_buffer() {
-    const WORKERS: usize = 4;
+    const LANES: usize = 4;
     const BATCH: usize = 64;
-    const ROUNDS: usize = 32;
-    let mut rt = ShardedRuntime::new(
+    const BATCHES: u64 = 128;
+    let report = LaneRuntime::run(
         hotpath_spec(),
-        RuntimeConfig {
-            workers: WORKERS,
-            queue_capacity: 16,
-            recycle_capacity: WORKERS * 16 + 8,
-            scratch_capacity: BATCH,
-            ..RuntimeConfig::default()
+        LaneConfig {
+            lanes: LANES,
+            traffic: TrafficConfig {
+                flows: 1024,
+                seed: 0xB0B0,
+                ..TrafficConfig::default()
+            },
+            total_batches: BATCHES,
+            batch_size: BATCH,
+            ..LaneConfig::default()
         },
-    )
-    .expect("runtime construction");
-    let mut pool = PacketPool::new(512, BATCH * 8);
-    pool.prewarm(BATCH * 8);
-    pool.prewarm_shells(WORKERS * 6, BATCH);
-    let mut gen = PacketGen::new(TrafficConfig {
-        flows: 1024,
-        seed: 0xB0B0,
-        ..TrafficConfig::default()
-    });
-
-    for round in 0..ROUNDS {
-        rt.reclaim_buffers(&mut pool);
-        let batch = gen.next_batch_from_pool(BATCH, &mut pool);
-        rt.dispatch(batch).expect("dispatch");
-        assert!(rt.drain(Duration::from_secs(30)), "round {round} drained");
-    }
-    rt.reclaim_buffers(&mut pool);
-    let report = rt.shutdown();
-
-    assert_eq!(report.offered_packets, (ROUNDS * BATCH) as u64);
-    assert_eq!(
-        report.offered_packets,
-        report.packets_in + report.lost_packets + report.shed_packets,
-        "packet conservation"
     );
-    assert_eq!(report.lost_packets, 0);
-    assert_eq!(report.shed_packets, 0);
-    assert_eq!(report.recycle_drops, 0, "nothing fell off the recycle path");
-    assert!(report.recycled_batches > 0, "the recycle path actually ran");
-    let stats = pool.stats();
-    assert_eq!(pool.outstanding(), 0, "every buffer came home");
-    assert_eq!(stats.taken, stats.returned);
-    assert_eq!(stats.misses, 0, "a prewarmed pool never allocates");
-    assert_free_list_has_no_duplicates(&mut pool);
+
+    assert_eq!(report.offered(), BATCHES * BATCH as u64);
+    assert_eq!(report.unaccounted_packets(), 0, "packet conservation");
+    assert_eq!(report.lost(), 0);
+    assert_eq!(report.shed(), 0);
+    let (taken, returned) = pool_books(&report);
+    assert!(taken >= report.offered(), "every packet came from a pool");
+    assert_eq!(taken, returned, "every buffer came home");
+    assert_eq!(report.outstanding_buffers(), 0);
 }
 
 mod chaos {
     use super::*;
     use rbs_core::fault::{FaultKind, FaultPlan, FaultSite};
     use rbs_netfx::operators::ChaosPoint;
-    use rbs_runtime::RestartPolicy;
     use std::sync::Arc;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Pool linearity under chaos: whatever mix of operator panics,
-        /// torn channels, and spawn-time crashes is injected, the
-        /// buffers that fail to return are *exactly* the lost + shed
-        /// packets (when the recycle channel itself dropped nothing) —
-        /// a poisoned domain leaks its in-flight buffers to the books,
-        /// never corrupts the pool.
+        /// Pool linearity under chaos: whatever mix of pipeline panics
+        /// is injected — enough, at the top of the range, to exhaust a
+        /// lane's respawn budget and kill it — the buffers that fail to
+        /// return are *exactly* the lost packets. A faulted domain leaks
+        /// its in-flight batch to the books, never corrupts a pool; a
+        /// dead lane recycles the backlog it sheds.
         #[test]
-        fn faulted_runs_leak_exactly_the_lost_and_shed_buffers(
+        fn faulted_runs_leak_exactly_the_lost_buffers(
             seed in any::<u64>(),
-            panic_ppm in 0u32..80_000,
-            close_ppm in 0u32..30_000,
-            attach_ppm in 0u32..20_000,
-            rounds in 2usize..6,
+            panic_ppm in 0u32..300_000,
+            batches in 8u64..48,
+            steal in any::<bool>(),
         ) {
-            const WORKERS: usize = 3;
+            const LANES: usize = 3;
             const BATCH: usize = 24;
             let plan = FaultPlan::new(seed)
-                .inject(FaultSite::Operator(0), FaultKind::Panic, panic_ppm)
-                .inject(FaultSite::ChannelSend, FaultKind::CloseChannel, close_ppm)
-                .inject(FaultSite::DomainAttach, FaultKind::Panic, attach_ppm);
-            let mut rt = ShardedRuntime::new(
+                .inject(FaultSite::Operator(0), FaultKind::Panic, panic_ppm);
+            let report = LaneRuntime::run(
                 PipelineSpec::new().stage(|| ChaosPoint::new(0)),
-                RuntimeConfig {
-                    workers: WORKERS,
-                    queue_capacity: 8,
-                    recycle_capacity: WORKERS * 8 + 8,
-                    scratch_capacity: BATCH,
-                    restart: RestartPolicy {
-                        max_consecutive_faults: 2,
-                        backoff_base_ticks: 1,
-                        backoff_cap_ticks: 4,
-                        breaker_cooldown_ticks: 3,
-                        backoff_jitter_ticks: 2,
+                LaneConfig {
+                    lanes: LANES,
+                    traffic: TrafficConfig {
+                        flows: 256,
+                        seed,
+                        ..TrafficConfig::default()
                     },
+                    total_batches: batches,
+                    batch_size: BATCH,
+                    steal_batch: if steal { 2 } else { 0 },
+                    max_respawns: 2,
                     faults: Some(Arc::new(plan)),
-                    ..RuntimeConfig::default()
+                    ..LaneConfig::default()
                 },
-            )
-            .expect("runtime construction");
-            let mut pool = PacketPool::new(512, BATCH * 8);
-            pool.prewarm(BATCH * 8);
-            pool.prewarm_shells(WORKERS * 6, BATCH);
-            let mut gen = PacketGen::new(TrafficConfig {
-                flows: 256,
-                seed,
-                ..TrafficConfig::default()
-            });
-
-            for round in 0..rounds {
-                rt.reclaim_buffers(&mut pool);
-                let batch = gen.next_batch_from_pool(BATCH, &mut pool);
-                rt.dispatch(batch).expect("dispatch");
-                prop_assert!(rt.drain(Duration::from_secs(30)), "round {} drained", round);
-            }
-            rt.reclaim_buffers(&mut pool);
-            let report = rt.shutdown();
-
-            prop_assert_eq!(report.offered_packets, (rounds * BATCH) as u64);
-            prop_assert_eq!(
-                report.offered_packets,
-                report.packets_in + report.lost_packets + report.shed_packets,
-                "packet conservation under chaos"
             );
-            let owed = report.lost_packets + report.shed_packets;
-            if report.recycle_drops == 0 {
-                prop_assert_eq!(
-                    pool.outstanding(),
-                    owed,
-                    "outstanding buffers are exactly the faulted packets"
-                );
-            } else {
-                // Batches dropped from a torn recycle channel leak their
-                // buffers too, on top of the lost/shed ones.
-                prop_assert!(pool.outstanding() >= owed);
-                prop_assert!(pool.outstanding() <= report.offered_packets);
-            }
-            assert_free_list_has_no_duplicates(&mut pool);
+
+            prop_assert_eq!(report.unaccounted_packets(), 0, "packet conservation under chaos");
+            let (taken, returned) = pool_books(&report);
+            prop_assert_eq!(
+                taken - returned,
+                report.lost(),
+                "outstanding buffers are exactly the lost packets"
+            );
         }
     }
 }

@@ -1,25 +1,27 @@
-//! Warm-recovery tests: crashed workers resume from verified snapshots
-//! with exact, bounded state loss; corrupted snapshots are detected and
-//! never restored (the chain falls back latest → previous → cold); an
-//! injected encode fault cannot poison the store; and a clean shutdown
-//! seals a final snapshot equal to the live state.
+//! Warm-recovery tests on the tenant engine: a crashed chain resumes
+//! from a verified snapshot with exact, bounded state loss; a corrupted
+//! snapshot is detected and never restored (the respawn falls back
+//! latest → previous → cold); a seal that faults cannot poison the
+//! store; and the cadence seals the live state.
+//!
+//! Every scenario runs one tenant whose chain is a flow tracker fed 24
+//! new one-packet flows per tick, so state is exactly countable.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use rbs_core::fault::{FaultKind, FaultPlan, FaultSite};
 use rbs_netfx::headers::ethernet::MacAddr;
-use rbs_netfx::operators::ChaosPoint;
 use rbs_netfx::{FlowTracker, Packet, PacketBatch, PipelineSpec};
 use rbs_runtime::{
-    Buffered, RestartPolicy, RuntimeConfig, RuntimeReport, ShardedRuntime, SupervisorEventKind,
+    Buffered, TenantEventKind, TenantLaneConfig, TenantLaneRuntime, TenantReport, TenantSpec,
 };
 
-/// Flows per round. Every round's flows are distinct, so a worker's
+/// Flows per round. Every round's flows are distinct, so a chain's
 /// tracked-flow count grows by exactly this much per processed batch —
 /// which makes state loss exactly countable.
 const FLOWS_PER_ROUND: u16 = 24;
+const FLOWS: u64 = FLOWS_PER_ROUND as u64;
 
 fn udp(src_port: u16, dst_port: u16) -> Packet {
     Packet::build_udp(
@@ -39,376 +41,245 @@ fn wave(round: usize) -> PacketBatch {
         .collect()
 }
 
-/// The stateful pipeline under test: a chaos point in front of a flow
-/// tracker whose table is the state that must survive crashes.
-fn stateful_spec() -> PipelineSpec {
-    PipelineSpec::new()
-        .stage(|| ChaosPoint::new(0))
-        .stage(|| FlowTracker::new(100_000))
-}
-
-fn config(workers: usize, interval: u64, full_every: u32, plan: FaultPlan) -> RuntimeConfig {
-    RuntimeConfig {
-        workers,
-        queue_capacity: 8,
-        snapshot_interval_ticks: interval,
+/// `tenants` flow-tracking tenants sealing every `interval` ticks (0 =
+/// never), a full image every `full_every` seals.
+fn runtime(
+    tenants: usize,
+    lanes: usize,
+    interval: u64,
+    full_every: u32,
+    plan: FaultPlan,
+) -> TenantLaneRuntime {
+    TenantLaneRuntime::new(TenantLaneConfig {
+        tenants: (0..tenants)
+            .map(|i| TenantSpec::new(format!("t{i}")))
+            .collect(),
+        lanes,
+        snapshot_every_ticks: interval,
         snapshot_full_every: full_every,
-        restart: RestartPolicy::default(),
+        chain: Some(Arc::new(|_, _| {
+            PipelineSpec::new().stage(|| FlowTracker::new(100_000))
+        })),
         faults: Some(Arc::new(plan)),
-        ..RuntimeConfig::default()
-    }
+        ..TenantLaneConfig::default()
+    })
+    .expect("runtime construction")
 }
 
-fn assert_conserved(report: &RuntimeReport) {
-    assert_eq!(
-        report.unaccounted_packets(),
-        0,
-        "offered == packets_in + lost + shed must hold: {report:#?}"
-    );
-    assert_eq!(report.packets_in, report.packets_out + report.drops);
-}
-
-fn run_rounds(rt: &mut ShardedRuntime, rounds: std::ops::Range<usize>) {
+fn run_rounds(rt: &mut TenantLaneRuntime, rounds: std::ops::Range<usize>) {
     for round in rounds {
-        rt.dispatch(wave(round)).expect("dispatch");
-        assert!(rt.drain(Duration::from_secs(30)), "round {round} drained");
+        rt.offer(wave(round));
+        rt.step();
     }
 }
 
-/// The acceptance scenario: a worker crashing on a scripted batch
-/// recovers through a snapshot restore, and the state it loses is
-/// exactly the flows accumulated since that snapshot — bounded by the
-/// snapshot interval, never the whole table.
+/// Tenant 0's chain dies on its `n`-th batch (0-based).
+fn crash_on_batch(n: u64) -> FaultPlan {
+    FaultPlan::new(7).inject_window(FaultSite::Operator(0), FaultKind::Panic, 0, n, n + 1)
+}
+
+/// Every respawn in the journal, in order, as `(tick, warm, items)`.
+fn respawns(report: &TenantReport) -> Vec<(u64, bool, u64)> {
+    (report.events.iter())
+        .filter_map(|e| match e.kind {
+            TenantEventKind::Respawned { warm, items } => Some((e.tick, warm, items)),
+            _ => None,
+        })
+        .collect()
+}
+
+fn assert_conserved(report: &TenantReport) {
+    assert_eq!(report.unaccounted_packets(), 0, "{report:#?}");
+    for t in &report.tenants {
+        assert_eq!(t.ledger.processed, t.ledger.out + t.ledger.drops);
+    }
+}
+
+/// The acceptance scenario: a chain crashing on a scripted batch
+/// respawns from its latest snapshot, and the state it loses is exactly
+/// the flows accumulated since that snapshot — bounded by the cadence,
+/// never the whole table.
 #[test]
 fn crash_recovers_warm_with_exactly_bounded_state_loss() {
     const INTERVAL: u64 = 2;
-    // One worker so every round's 24 flows land in one table. The 3rd
-    // batch of each generation (occurrence 2) panics.
-    let plan = FaultPlan::new(7).inject_window(FaultSite::Operator(0), FaultKind::Panic, 0, 2, 3);
-    let mut rt = ShardedRuntime::new(stateful_spec(), config(1, INTERVAL, 2, plan)).unwrap();
+    let mut rt = runtime(1, 1, INTERVAL, 2, crash_on_batch(3));
 
-    // Rounds 0..2: batch 0 (24 flows), snapshot@tick2 (24 flows),
-    // batch 1 (48), batch 2 → panic at occurrence 2; gauge froze at 48.
+    // Ticks 0..3: 24, 48 (sealed at tick 1), 72 flows live.
     run_rounds(&mut rt, 0..3);
-
-    // The next dispatch heals the slot. The newest snapshot (tick 2,
-    // 24 flows) verifies; the 24 flows of batch 1 are the exact loss.
-    rt.dispatch(PacketBatch::new()).unwrap();
-    let warm: Vec<_> = rt
-        .events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            SupervisorEventKind::WarmRestore {
-                epoch,
-                age_ticks,
-                items_restored,
-                items_lost,
-            } => Some((epoch, age_ticks, items_restored, items_lost)),
-            _ => None,
-        })
-        .collect();
+    let live_at_crash = rt.state_items(0);
+    assert_eq!(live_at_crash, 3 * FLOWS);
+    // Tick 3: batch 3 dies; the respawn restores the tick-1 image.
+    run_rounds(&mut rt, 3..4);
+    assert_eq!(rt.state_items(0), 2 * FLOWS, "restored the 48-flow image");
+    let lost = live_at_crash - rt.state_items(0);
     assert_eq!(
-        warm,
-        vec![(1, 2, 24, 24)],
-        "restored epoch 1 (24 flows, 2 ticks old), lost exactly batch 1's 24 flows"
+        lost, FLOWS,
+        "exactly batch 2's flows, sealed after the image"
     );
-
-    // Loss is bounded by the snapshot cadence: at most
-    // interval × flows-per-tick flows can postdate the restored image
-    // (plus the heal lag, visible in age_ticks).
-    for &(_, age_ticks, _, items_lost) in &warm {
-        assert!(
-            items_lost <= age_ticks * u64::from(FLOWS_PER_ROUND),
-            "loss {items_lost} exceeds the {age_ticks}-tick staleness bound"
-        );
-    }
+    assert!(lost <= INTERVAL * FLOWS, "loss bounded by the cadence");
 
     // Keep running: the replacement continues from the restored table.
-    // Two rounds only — the scripted window fires at occurrence 2 of
-    // *every* generation, and the replacement should outlive the test.
-    run_rounds(&mut rt, 3..5);
-    let report = rt.shutdown();
+    run_rounds(&mut rt, 4..6);
+    let report = rt.finish();
     assert_conserved(&report);
-    assert_eq!(report.warm_restores, 1);
-    assert_eq!(report.cold_restores, 0);
-    assert_eq!(report.snapshot_rejects, 0);
-    assert_eq!(report.state_items_lost, 24);
-    assert_eq!(report.import_failures, 0);
-    // Final state: 24 restored + rounds 3..5 (batch 2's packets were
-    // lost with the crash, batch 1's flows were the accounted loss).
-    let w = &report.workers[0];
-    assert_eq!(w.state_items, 24 + 2 * u64::from(FLOWS_PER_ROUND));
-    let latest = w.latest_snapshot.expect("final snapshot sealed");
+    assert_eq!(respawns(&report), vec![(3, true, 2 * FLOWS)]);
+    let t = &report.tenants[0];
+    assert_eq!((t.warm_restores, t.cold_restores), (1, 0));
+    assert_eq!(t.state_items_restored, 2 * FLOWS);
     assert_eq!(
-        latest.items, w.state_items,
-        "shutdown sealed the live state"
+        t.ledger.lost, FLOWS,
+        "batch 3's packets died with the chain"
+    );
+    assert_eq!(
+        t.final_state_items,
+        4 * FLOWS,
+        "48 restored + rounds 4 and 5"
     );
 }
 
 /// Scripted corruption of the newest snapshot: the checksum rejects it,
-/// recovery falls back to the previous buffer, and the extra staleness
-/// is accounted as extra loss.
+/// the respawn falls back to the previous buffer, and the extra
+/// staleness is the extra loss.
 #[test]
 fn corrupt_latest_falls_back_to_previous() {
-    // Snapshot every tick, all full images; crash at occurrence 3
-    // (batch 3).
-    let plan = FaultPlan::new(7).inject_window(FaultSite::Operator(0), FaultKind::Panic, 0, 3, 4);
-    let mut rt = ShardedRuntime::new(stateful_spec(), config(1, 1, 1, plan)).unwrap();
-
-    // tick1: snap(0 flows), batch0→24. tick2: snap(24), batch1→48.
-    // tick3: snap(48), batch2→72. tick4: snap(72), batch3 → panic.
-    run_rounds(&mut rt, 0..4);
+    // A full image every tick: 24, 48, 72 flows; batch 3 dies.
+    let mut rt = runtime(1, 1, 1, 1, crash_on_batch(3));
+    run_rounds(&mut rt, 0..3);
     assert!(
         rt.corrupt_snapshot(0, Buffered::Latest),
-        "latest buffer holds the tick-4 snapshot"
+        "latest buffer holds the 72-flow image"
     );
-
-    rt.dispatch(PacketBatch::new()).unwrap();
-    let kinds: Vec<_> = rt
-        .events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            SupervisorEventKind::SnapshotRejected { which, reason } => {
-                Some(format!("reject {which}: {reason}"))
-            }
-            SupervisorEventKind::WarmRestore {
-                epoch,
-                age_ticks,
-                items_restored,
-                items_lost,
-            } => Some(format!(
-                "warm epoch={epoch} age={age_ticks} restored={items_restored} lost={items_lost}"
-            )),
-            SupervisorEventKind::ColdRestore { items_lost } => Some(format!("cold {items_lost}")),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(
-        kinds,
-        vec![
-            "reject latest: checksum-mismatch".to_owned(),
-            // Previous buffer: tick-3 image, 48 flows; the crash gauge
-            // held 72, so the extra tick of staleness costs 24 more.
-            "warm epoch=3 age=2 restored=48 lost=24".to_owned(),
-        ],
-        "fallback chain: latest rejected, previous restored"
-    );
-
-    run_rounds(&mut rt, 4..6);
-    let report = rt.shutdown();
+    run_rounds(&mut rt, 3..6);
+    let report = rt.finish();
     assert_conserved(&report);
-    assert_eq!(report.snapshot_rejects, 1);
-    assert_eq!(report.warm_restores, 1);
-    assert_eq!(report.cold_restores, 0);
+    assert_eq!(
+        respawns(&report),
+        vec![(3, true, 2 * FLOWS)],
+        "the previous 48-flow image restored, never the corrupted 72-flow one"
+    );
+    let t = &report.tenants[0];
+    assert_eq!((t.warm_restores, t.cold_restores), (1, 0));
+    assert_eq!(t.final_state_items, 4 * FLOWS);
 }
 
 /// Both buffers corrupted: nothing restorable survives verification, so
-/// recovery is cold — with the entire live table accounted as lost.
-/// A corrupted snapshot is *never* restored.
+/// the respawn is cold and the whole live table is lost. A corrupted
+/// snapshot is *never* restored.
 #[test]
 fn corrupt_both_buffers_falls_back_to_cold() {
-    let plan = FaultPlan::new(7).inject_window(FaultSite::Operator(0), FaultKind::Panic, 0, 3, 4);
-    let mut rt = ShardedRuntime::new(stateful_spec(), config(1, 1, 1, plan)).unwrap();
-
-    run_rounds(&mut rt, 0..4);
+    let mut rt = runtime(1, 1, 1, 1, crash_on_batch(3));
+    run_rounds(&mut rt, 0..3);
     assert!(rt.corrupt_snapshot(0, Buffered::Latest));
     assert!(rt.corrupt_snapshot(0, Buffered::Previous));
-
-    rt.dispatch(PacketBatch::new()).unwrap();
-    let rejects = rt
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, SupervisorEventKind::SnapshotRejected { .. }))
-        .count();
-    let cold: Vec<_> = rt
-        .events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            SupervisorEventKind::ColdRestore { items_lost } => Some(items_lost),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(rejects, 2, "both buffers rejected");
-    assert_eq!(cold, vec![72], "the whole live table was lost");
-    assert!(
-        !rt.events()
-            .iter()
-            .any(|e| matches!(e.kind, SupervisorEventKind::WarmRestore { .. })),
-        "corrupted snapshots were never restored"
-    );
-
-    // The cold worker starts an empty table and keeps serving.
-    run_rounds(&mut rt, 4..6);
-    let report = rt.shutdown();
+    run_rounds(&mut rt, 3..6);
+    let report = rt.finish();
     assert_conserved(&report);
-    assert_eq!(report.cold_restores, 1);
-    assert_eq!(report.state_items_lost, 72);
     assert_eq!(
-        report.workers[0].state_items,
-        2 * u64::from(FLOWS_PER_ROUND),
-        "post-recovery rounds only"
+        respawns(&report),
+        vec![(3, false, 0)],
+        "a cold, empty chain"
     );
+    let t = &report.tenants[0];
+    assert_eq!((t.warm_restores, t.cold_restores), (0, 1));
+    assert_eq!(t.state_items_restored, 0);
+    assert_eq!(t.final_state_items, 2 * FLOWS, "post-recovery rounds only");
 }
 
-/// The `CheckpointEncode` fault site, end to end: a panic injected into
-/// snapshot serialization kills the worker at the domain boundary, but
-/// the store's seal-before-commit discipline means both buffers still
-/// hold the *previous* verified snapshot — recovery is warm from it,
-/// and no garbage is ever restored.
+/// The `CheckpointEncode` site, end to end: a panic in a tenant's seal
+/// kills its domain at the boundary and counts as that tenant's fault,
+/// but the seal committed nothing, so the store still holds the previous
+/// verified image and the respawn restores it. The fault costs the
+/// flows since that image, never a packet.
 #[test]
 fn encode_fault_cannot_poison_the_store() {
-    // Snapshot every tick; the second encode (occurrence 1) of the
-    // first generation panics mid-snapshot.
+    // The second seal (attempt 1, tick 1) dies.
     let plan =
         FaultPlan::new(7).inject_window(FaultSite::CheckpointEncode, FaultKind::Panic, 0, 1, 2);
-    let mut rt = ShardedRuntime::new(stateful_spec(), config(1, 1, 1, plan)).unwrap();
-
-    // tick1: snap ok (epoch 1, 0 flows), batch0→24.
-    // tick2: snap → encode panic → worker dies; batch1 dies with it
-    // (lost or shed, conservation covers both).
-    run_rounds(&mut rt, 0..1);
-    rt.dispatch(wave(1)).unwrap();
-    assert!(rt.drain(Duration::from_secs(30)));
-
-    // Heal: the failed snapshot never reached a buffer; epoch 1
-    // verifies and restores.
-    rt.dispatch(PacketBatch::new()).unwrap();
-    let warm: Vec<_> = rt
-        .events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            SupervisorEventKind::WarmRestore {
-                epoch,
-                items_restored,
-                ..
-            } => Some((epoch, items_restored)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(
-        warm,
-        vec![(1, 0)],
-        "restored the pre-fault snapshot, not a half-written one"
-    );
-    assert_eq!(
-        rt.events()
-            .iter()
-            .filter(|e| matches!(e.kind, SupervisorEventKind::SnapshotRejected { .. }))
-            .count(),
-        0,
-        "nothing in the store ever failed verification"
-    );
-
-    // The window fires at encode occurrence 1 of every generation, so
-    // later generations crash mid-snapshot too — but each one's *first*
-    // snapshot succeeded, so every recovery stays warm and verified.
-    run_rounds(&mut rt, 2..5);
-    let report = rt.shutdown();
-    assert_conserved(&report);
-    assert!(report.faults >= 1, "the encode fault was a real fault");
-    assert!(report.warm_restores >= 1);
-    assert_eq!(report.cold_restores, 0);
-    assert_eq!(report.snapshot_rejects, 0);
-}
-
-/// Clean shutdown's final act is sealing one more snapshot, so the
-/// newest buffered image always equals the last live state — on every
-/// worker, with no faults involved.
-#[test]
-fn clean_shutdown_seals_live_state() {
-    let plan = FaultPlan::new(0); // no faults
-    let mut rt = ShardedRuntime::new(stateful_spec(), config(2, 4, 2, plan)).unwrap();
+    let mut rt = runtime(1, 1, 1, 1, plan);
     run_rounds(&mut rt, 0..5);
-
-    let live: Vec<u64> = rt.snapshots().iter().map(|w| w.state_items).collect();
-    let final_tick = rt.tick();
-    let report = rt.shutdown();
+    let report = rt.finish();
     assert_conserved(&report);
-    assert_eq!(report.warm_restores + report.cold_restores, 0);
-    let mut total = 0;
-    for (w, live_items) in report.workers.iter().zip(live) {
-        let latest = w
-            .latest_snapshot
-            .expect("every worker sealed a final snapshot");
-        assert_eq!(latest.items, live_items, "worker {}", w.index);
-        assert_eq!(latest.items, w.state_items, "worker {}", w.index);
-        assert_eq!(latest.tick, final_tick, "worker {}", w.index);
-        total += latest.items;
-    }
-    assert_eq!(total, 5 * u64::from(FLOWS_PER_ROUND), "all flows tracked");
-    assert!(report.snapshots_taken >= 2, "cadence snapshots plus finals");
+    assert_eq!(
+        respawns(&report),
+        vec![(1, true, FLOWS)],
+        "restored the tick-0 image, not a half-written one"
+    );
+    let t = &report.tenants[0];
+    assert_eq!(t.faults, 1, "the seal fault was a real fault");
+    assert_eq!((t.warm_restores, t.cold_restores), (1, 0));
+    assert_eq!(t.ledger.lost, 0, "the batch had already left the chain");
+    assert_eq!(t.ledger.out, 5 * FLOWS);
+    assert_eq!(t.snapshots_taken, 4, "every other seal committed");
+    assert_eq!(t.final_state_items, 4 * FLOWS, "batch 1's flows went");
 }
 
-/// With snapshotting disabled (the default), the journal carries no
-/// restore events at all — recovery behaves exactly as it did before
-/// warm recovery existed, so existing seeded chaos runs replay
-/// unchanged.
+/// A cadence of one seals the live state every tick: a crash on the
+/// next batch restores exactly what was live when the last tick ended.
+#[test]
+fn cadence_seals_the_live_state() {
+    let mut rt = runtime(2, 2, 1, 2, crash_on_batch(5));
+    run_rounds(&mut rt, 0..5);
+    let live = rt.state_items(0);
+    assert_eq!(rt.snapshots_taken(0), 5);
+    run_rounds(&mut rt, 5..6);
+    let report = rt.finish();
+    assert_conserved(&report);
+    let restored = respawns(&report);
+    assert_eq!(
+        restored,
+        vec![(5, true, live)],
+        "the last seal was the live state"
+    );
+    let sealed: u64 = report.tenants.iter().map(|t| t.snapshots_taken).sum();
+    assert!(sealed >= 10, "both tenants sealed every tick they ran");
+}
+
+/// With snapshotting disabled (the default), nothing is sealed and every
+/// respawn is cold: recovery behaves as it did before warm recovery
+/// existed.
 #[test]
 fn disabled_snapshots_leave_the_journal_unchanged() {
-    let plan = FaultPlan::new(7).inject_window(FaultSite::Operator(0), FaultKind::Panic, 0, 1, 2);
-    let mut rt = ShardedRuntime::new(stateful_spec(), config(1, 0, 2, plan)).unwrap();
-    run_rounds(&mut rt, 0..3);
-    rt.dispatch(PacketBatch::new()).unwrap();
-    run_rounds(&mut rt, 3..5);
-    let report = rt.shutdown();
+    let mut rt = runtime(1, 1, 0, 2, crash_on_batch(1));
+    run_rounds(&mut rt, 0..5);
+    let report = rt.finish();
     assert_conserved(&report);
-    assert!(report.respawns >= 1, "the crash was healed");
-    assert_eq!(report.snapshots_taken, 0);
-    assert_eq!(report.warm_restores + report.cold_restores, 0);
-    assert!(report.workers[0].latest_snapshot.is_none());
-    assert!(!report.events.iter().any(|e| matches!(
-        e.kind,
-        SupervisorEventKind::WarmRestore { .. }
-            | SupervisorEventKind::ColdRestore { .. }
-            | SupervisorEventKind::SnapshotRejected { .. }
-    )));
+    assert_eq!(respawns(&report), vec![(1, false, 0)]);
+    let t = &report.tenants[0];
+    assert_eq!(t.snapshots_taken, 0);
+    assert_eq!((t.warm_restores, t.cold_restores), (0, 1));
+    assert_eq!(
+        t.final_state_items,
+        3 * FLOWS,
+        "rounds after the crash only"
+    );
 }
 
 /// Determinism across the whole recovery machinery: same seed, same
-/// snapshot cadence → identical restore journals and identical state
-/// accounting, run to run.
+/// cadence → identical journals and identical state accounting, at one
+/// lane and at two.
 #[test]
 fn warm_recovery_replays_identically() {
-    let run = || {
+    let run = |lanes| {
         let plan = FaultPlan::new(0xBEEF)
             .inject(FaultSite::Operator(0), FaultKind::Panic, 50_000)
             .inject(FaultSite::CheckpointEncode, FaultKind::Panic, 30_000);
-        let mut rt = ShardedRuntime::new(stateful_spec(), config(3, 2, 3, plan)).unwrap();
-        run_rounds(&mut rt, 0..12);
-        rt.shutdown()
+        let mut rt = runtime(3, lanes, 2, 3, plan);
+        run_rounds(&mut rt, 0..24);
+        rt.finish()
     };
-    let (a, b) = (run(), run());
+    let (a, b) = (run(1), run(2));
     assert_conserved(&a);
     assert_conserved(&b);
-    let restores = |r: &RuntimeReport| {
-        let mut v: Vec<_> = r
-            .events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    SupervisorEventKind::WarmRestore { .. }
-                        | SupervisorEventKind::ColdRestore { .. }
-                        | SupervisorEventKind::SnapshotRejected { .. }
-                )
-            })
-            .map(|e| (e.tick, e.worker, e.kind))
-            .collect();
-        v.sort_by_key(|(tick, worker, kind)| (*tick, *worker, kind.name()));
-        v
-    };
-    assert_eq!(restores(&a), restores(&b), "restore journals diverged");
-    assert_eq!(a.warm_restores, b.warm_restores);
-    assert_eq!(a.cold_restores, b.cold_restores);
-    assert_eq!(a.snapshot_rejects, b.snapshot_rejects);
-    assert_eq!(a.state_items_lost, b.state_items_lost);
-    assert_eq!(a.snapshots_taken, b.snapshots_taken);
-    for (wa, wb) in a.workers.iter().zip(&b.workers) {
-        assert_eq!(wa.state_items, wb.state_items, "worker {}", wa.index);
-        assert_eq!(
-            wa.latest_snapshot, wb.latest_snapshot,
-            "worker {}",
-            wa.index
-        );
+    assert!(
+        a.tenants.iter().map(|t| t.warm_restores).sum::<u64>() > 0,
+        "the plan exercised warm recovery"
+    );
+    assert_eq!(a.events, b.events, "journals diverged");
+    for (ta, tb) in a.tenants.iter().zip(&b.tenants) {
+        assert_eq!(ta.warm_restores, tb.warm_restores, "{}", ta.name);
+        assert_eq!(ta.cold_restores, tb.cold_restores, "{}", ta.name);
+        assert_eq!(ta.state_items_restored, tb.state_items_restored);
+        assert_eq!(ta.snapshots_taken, tb.snapshots_taken, "{}", ta.name);
+        assert_eq!(ta.final_state_items, tb.final_state_items, "{}", ta.name);
     }
 }

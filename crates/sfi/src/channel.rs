@@ -171,7 +171,7 @@ impl<T: Exchangeable> DomainSender<T> {
     /// stayed full for `max_wait`, returning
     /// [`ChannelError::TimedOut`] with the value.
     ///
-    /// This is the dispatcher-safe send: a worker that stops draining
+    /// This is the producer-safe send: a consumer that stops draining
     /// its queue (hung, livelocked, stalled on I/O) can delay the caller
     /// by at most `max_wait` instead of wedging it forever. Revocation
     /// still ends the wait at once.

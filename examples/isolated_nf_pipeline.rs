@@ -5,11 +5,12 @@
 //! domains by ownership transfer, a fault in one stage is contained and
 //! recovered, and the rest of the pipeline never notices.
 //!
-//! Part 2 runs the same pipeline on the sharded runtime: four workers,
-//! each owning a full pipeline replica inside its own domain, flows
-//! RSS-hashed across them. A poison packet crashes one worker mid-run;
-//! the printout shows the other three unaffected while the supervisor
-//! recovers the victim's domain and it rejoins.
+//! Part 2 runs the same pipeline on the tenant engine: four tenants on
+//! two lanes, each owning a full pipeline replica inside its own domain,
+//! flows steered to them by a Maglev table. A poison packet crashes one
+//! tenant's chain mid-run; the printout shows the other three unaffected
+//! while the engine rebuilds the victim's chain in a fresh domain and it
+//! rejoins.
 //!
 //! ```sh
 //! cargo run --release --example isolated_nf_pipeline [-- --backend typed|mpk|copy]
@@ -23,15 +24,16 @@
 
 use rust_beyond_safety::fwtrie::{Action, FirewallOp, FwTrie, Rule};
 use rust_beyond_safety::maglev::{Backend, MaglevLb};
-use rust_beyond_safety::netfx::flow::FiveTuple;
+use rust_beyond_safety::netfx::flow::{packet_flow_hash, FiveTuple};
 use rust_beyond_safety::netfx::headers::ethernet::MacAddr;
 use rust_beyond_safety::netfx::operators::TtlDecrement;
 use rust_beyond_safety::netfx::pktgen::{FlowDistribution, PacketGen, TrafficConfig};
 use rust_beyond_safety::netfx::{Operator, Packet, PacketBatch, PipelineSpec};
-use rust_beyond_safety::runtime::{shard_of_packet, RuntimeConfig, ShardedRuntime};
+use rust_beyond_safety::runtime::{TenantLaneConfig, TenantLaneRuntime, TenantSpec};
 use rust_beyond_safety::sfi::BackendKind;
 use rust_beyond_safety::IsolatedPipeline;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Parses `--backend <kind>` from the argument list (default typed-sfi).
 fn backend_from_args() -> BackendKind {
@@ -167,14 +169,14 @@ fn main() {
         d.state()
     );
 
-    sharded_runtime_demo(&mut gen, backend);
+    tenant_runtime_demo(&mut gen, backend);
 }
 
 /// The port that makes [`PoisonPort`] panic.
 const POISON_PORT: u16 = 0xDEAD;
 
 /// A buggy operator: panics on a crafted input (a packet to
-/// [`POISON_PORT`]), crashing whichever worker its flow hashes to.
+/// [`POISON_PORT`]), crashing whichever tenant its flow is steered to.
 struct PoisonPort;
 
 impl Operator for PoisonPort {
@@ -192,30 +194,33 @@ impl Operator for PoisonPort {
     }
 }
 
-/// Part 2: the same NF pipeline sharded across 4 workers, one of which
-/// is crashed mid-run and healed without disturbing the others.
-fn sharded_runtime_demo(gen: &mut PacketGen, backend: BackendKind) {
-    const WORKERS: usize = 4;
-    const BATCHES: usize = 400;
+/// Part 2: the same NF pipeline as four tenants on two lanes, one of
+/// which is crashed mid-run and healed without disturbing the others.
+fn tenant_runtime_demo(gen: &mut PacketGen, backend: BackendKind) {
+    const TENANTS: usize = 4;
+    const WAVES: usize = 400;
 
-    println!("\n--- sharded runtime: {WORKERS} workers, one full pipeline replica each ---");
-    let spec = PipelineSpec::new()
-        .stage(|| PoisonPort)
-        .stage(build_firewall)
-        .stage(TtlDecrement::new)
-        .stage(build_maglev);
-    let mut rt = ShardedRuntime::new(
-        spec,
-        RuntimeConfig {
-            workers: WORKERS,
-            queue_capacity: 64,
-            backend,
-            ..RuntimeConfig::default()
-        },
-    )
+    println!(
+        "\n--- tenant engine: {TENANTS} tenants on 2 lanes, one full pipeline replica each ---"
+    );
+    let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
+        tenants: (0..TENANTS)
+            .map(|i| TenantSpec::new(format!("tenant-{i}")))
+            .collect(),
+        lanes: 2,
+        backend,
+        chain: Some(Arc::new(|_, _| {
+            PipelineSpec::new()
+                .stage(|| PoisonPort)
+                .stage(build_firewall)
+                .stage(TtlDecrement::new)
+                .stage(build_maglev)
+        })),
+        ..TenantLaneConfig::default()
+    })
     .expect("runtime construction");
 
-    // The crafted crash packet; the RSS hash decides which worker dies.
+    // The crafted crash packet; Maglev steering decides which tenant dies.
     let poison = Packet::build_udp(
         MacAddr::ZERO,
         MacAddr::ZERO,
@@ -225,41 +230,17 @@ fn sharded_runtime_demo(gen: &mut PacketGen, backend: BackendKind) {
         POISON_PORT,
         16,
     );
-    let victim = shard_of_packet(&poison, WORKERS);
-    println!("poison flow hashes to worker {victim}; dispatching {BATCHES} batches...");
+    let victim = rt.table().lookup(packet_flow_hash(&poison));
+    println!("poison flow steers to tenant {victim}; offering {WAVES} waves...");
     let mut poison = Some(poison);
 
-    for i in 0..BATCHES {
-        if i == BATCHES / 2 {
-            let mut b = PacketBatch::new();
-            b.push(poison.take().expect("dispatched once"));
-            rt.dispatch(b).expect("poison dispatch");
+    for i in 0..WAVES {
+        let mut wave = gen.next_batch(32);
+        if i == WAVES / 2 {
+            wave.push(poison.take().expect("offered once"));
         }
-        rt.dispatch(gen.next_batch(32)).expect("dispatch");
-    }
-    rt.drain(std::time::Duration::from_secs(30))
-        .then_some(())
-        .expect("drain");
-
-    for w in rt.snapshots() {
-        let role = if w.index == victim {
-            "victim "
-        } else {
-            "worker "
-        };
-        println!(
-            "  {role}{}: state={:?} gen={} respawns={} batches={} lost={} \
-             packets_in={} delivered={} faults={}",
-            w.index,
-            w.state,
-            w.generation,
-            w.respawns,
-            w.processed,
-            w.lost,
-            w.packets_in,
-            w.packets_out,
-            w.faults,
-        );
+        rt.offer(wave);
+        rt.step();
     }
 
     let totals = rt.backend_totals();
@@ -269,18 +250,35 @@ fn sharded_runtime_demo(gen: &mut PacketGen, backend: BackendKind) {
             totals.crossings, totals.bytes, totals.model_cycles
         );
     }
-    let report = rt.shutdown();
+    let report = rt.finish();
+    for (i, t) in report.tenants.iter().enumerate() {
+        let role = if i == victim { "victim " } else { "tenant " };
+        println!(
+            "  {role}{i}: phase={} respawns={} batches={} lost={} processed={} \
+             delivered={} faults={}",
+            t.final_phase.label(),
+            t.respawns,
+            t.batches_executed,
+            t.ledger.lost,
+            t.ledger.processed,
+            t.ledger.out,
+            t.faults,
+        );
+    }
+    let faults: u64 = report.tenants.iter().map(|t| t.faults).sum();
+    let respawns: u64 = report.tenants.iter().map(|t| t.respawns).sum();
+    let lost: u64 = report.tenants.iter().map(|t| t.ledger.lost).sum();
     println!(
-        "total: {} packets in, {} delivered, {} batches lost with the crash, \
-         {} fault(s) contained, {} respawn(s)",
-        report.packets_in, report.packets_out, report.lost_batches, report.faults, report.respawns,
+        "total: {} packets offered, {} delivered, {lost} lost with the crash, \
+         {faults} fault(s) contained, {respawns} respawn(s)",
+        report.offered(),
+        report.out(),
     );
-    assert_eq!(report.faults, 1, "exactly the injected fault");
-    let survivors_clean = report
-        .workers
-        .iter()
-        .filter(|w| w.index != victim)
-        .all(|w| w.faults == 0 && w.lost == 0);
-    assert!(survivors_clean, "no other worker was disturbed");
-    println!("the other {} workers were unaffected.", WORKERS - 1);
+    assert_eq!(faults, 1, "exactly the injected fault");
+    assert_eq!(report.unaccounted_packets(), 0, "every packet accounted");
+    let survivors_clean = (report.tenants.iter().enumerate())
+        .filter(|(i, _)| *i != victim)
+        .all(|(_, t)| t.faults == 0 && t.ledger.lost == 0);
+    assert!(survivors_clean, "no other tenant was disturbed");
+    println!("the other {} tenants were unaffected.", TENANTS - 1);
 }

@@ -24,12 +24,10 @@
 //! Substrates: [`netfx`] is a NetBricks-style packet-processing framework with
 //! a synthetic traffic generator, [`maglev`] is a Maglev consistent-hashing
 //! load balancer network function, and [`fwtrie`] is the firewall rule trie of
-//! the paper's Figure 3. The [`runtime`] crate composes them into three
+//! the paper's Figure 3. The [`runtime`] crate composes them into two
 //! engines, each running every pipeline inside its own [`sfi`] domain and
 //! healing a panic (domain recovery + respawn) without disturbing the rest:
 //!
-//! - [`runtime::ShardedRuntime`], the dispatcher: one thread RSS-hashes flows
-//!   across worker threads;
 //! - [`runtime::LaneRuntime`], run-to-completion lanes that each generate
 //!   their own RSS slice and steal from one another when idle;
 //! - [`runtime::TenantLaneRuntime`], tenant domains placed onto lanes under
