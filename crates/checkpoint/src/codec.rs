@@ -368,16 +368,9 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CodecError> {
 /// so a chaos schedule's rates apply uniformly regardless of the
 /// snapshot kind the store chose.
 fn chaos_checkpoint_encode() {
-    use rbs_core::fault::{self, FaultKind, FaultSite};
+    use rbs_core::fault::{self, FaultSite};
     let site = FaultSite::CheckpointEncode;
-    if let Some(kind) = fault::ambient_decide(site) {
-        match kind {
-            FaultKind::Panic | FaultKind::PoisonTable | FaultKind::CloseChannel => {
-                fault::fire_panic(site)
-            }
-            sleep => fault::fire_sleep(sleep),
-        }
-    }
+    fault::fire(site, fault::ambient_decide(site));
 }
 
 mod delta_tag {

@@ -75,17 +75,7 @@ impl FaultSite {
 pub enum FaultKind {
     /// Panic at the site (unwinds to the nearest domain boundary).
     Panic,
-    /// Poison the owning domain's reference table (revoking every
-    /// capability, including channels) without unwinding.
-    PoisonTable,
-    /// Force-close the channel the site is about to use.
-    CloseChannel,
-    /// Sleep long enough to look hung to a watchdog.
-    Stall {
-        /// Sleep duration in milliseconds.
-        millis: u64,
-    },
-    /// A short artificial processing delay (latency, not a hang).
+    /// An artificial processing delay: the site sleeps, then carries on.
     Delay {
         /// Sleep duration in microseconds.
         micros: u64,
@@ -97,9 +87,6 @@ impl FaultKind {
     pub fn name(&self) -> &'static str {
         match self {
             FaultKind::Panic => "panic",
-            FaultKind::PoisonTable => "poison-table",
-            FaultKind::CloseChannel => "close-channel",
-            FaultKind::Stall { .. } => "stall",
             FaultKind::Delay { .. } => "delay",
         }
     }
@@ -236,15 +223,6 @@ impl FaultPlan {
         }
         None
     }
-
-    /// Deterministic jitter in `[0, bound)` derived from the plan seed —
-    /// for backoff randomization that must still replay bit-identically.
-    pub fn jitter(&self, stream: u64, occurrence: u64, bound: u64) -> u64 {
-        if bound == 0 {
-            return 0;
-        }
-        splitmix64(self.seed ^ splitmix64(stream) ^ occurrence.wrapping_mul(0x9E37_79B9)) % bound
-    }
 }
 
 /// The panic payload used by injected panics, so tests and supervisors
@@ -255,21 +233,23 @@ pub struct InjectedFault {
     pub site: FaultSite,
 }
 
-/// Panics with an [`InjectedFault`] payload.
-///
-/// Sites call this for [`FaultKind::Panic`] decisions; the panic unwinds
-/// to the enclosing domain boundary like any operator bug.
+/// Panics with an [`InjectedFault`] payload; the panic unwinds to the
+/// enclosing domain boundary like any operator bug.
 pub fn fire_panic(site: FaultSite) -> ! {
     std::panic::panic_any(InjectedFault { site })
 }
 
-/// Sleeps out a [`FaultKind::Stall`] or [`FaultKind::Delay`]; no-op for
-/// other kinds.
-pub fn fire_sleep(kind: FaultKind) {
-    match kind {
-        FaultKind::Stall { millis } => std::thread::sleep(std::time::Duration::from_millis(millis)),
-        FaultKind::Delay { micros } => std::thread::sleep(std::time::Duration::from_micros(micros)),
-        _ => {}
+/// Acts on a decision taken at `site`: [`fire_panic`] for
+/// [`FaultKind::Panic`], a sleep for [`FaultKind::Delay`], nothing for
+/// `None`.
+#[inline]
+pub fn fire(site: FaultSite, decision: Option<FaultKind>) {
+    match decision {
+        Some(FaultKind::Panic) => fire_panic(site),
+        Some(FaultKind::Delay { micros }) => {
+            std::thread::sleep(std::time::Duration::from_micros(micros))
+        }
+        None => {}
     }
 }
 
@@ -377,8 +357,11 @@ mod tests {
 
     #[test]
     fn rate_is_roughly_respected() {
-        let p =
-            FaultPlan::new(7).inject(FaultSite::CheckpointEncode, FaultKind::CloseChannel, 10_000);
+        let p = FaultPlan::new(7).inject(
+            FaultSite::CheckpointEncode,
+            FaultKind::Delay { micros: 1 },
+            10_000,
+        );
         let fired = (0..100_000u64)
             .filter(|&n| p.decide(FaultSite::CheckpointEncode, 0, n).is_some())
             .count();
@@ -419,7 +402,7 @@ mod tests {
             .inject(FaultSite::Operator(0), FaultKind::Panic, 300_000)
             .inject(
                 FaultSite::CheckpointEncode,
-                FaultKind::CloseChannel,
+                FaultKind::Delay { micros: 1 },
                 300_000,
             );
         let op: Vec<_> = (0..64)
@@ -429,7 +412,10 @@ mod tests {
             .map(|n| p.decide(FaultSite::CheckpointEncode, 0, n))
             .collect();
         assert!(op.iter().flatten().all(|k| *k == FaultKind::Panic));
-        assert!(ch.iter().flatten().all(|k| *k == FaultKind::CloseChannel));
+        assert!(ch
+            .iter()
+            .flatten()
+            .all(|k| *k == FaultKind::Delay { micros: 1 }));
         assert_ne!(
             op.iter().map(|d| d.is_some()).collect::<Vec<_>>(),
             ch.iter().map(|d| d.is_some()).collect::<Vec<_>>(),
@@ -440,26 +426,21 @@ mod tests {
     fn first_matching_rule_wins() {
         let p = FaultPlan::new(1)
             .inject_window(FaultSite::Operator(0), FaultKind::Panic, 0, 0, 1)
-            .inject_window(FaultSite::Operator(0), FaultKind::PoisonTable, 0, 0, 10);
+            .inject_window(
+                FaultSite::Operator(0),
+                FaultKind::Delay { micros: 1 },
+                0,
+                0,
+                10,
+            );
         assert_eq!(
             p.decide(FaultSite::Operator(0), 0, 0),
             Some(FaultKind::Panic)
         );
         assert_eq!(
             p.decide(FaultSite::Operator(0), 0, 1),
-            Some(FaultKind::PoisonTable)
+            Some(FaultKind::Delay { micros: 1 })
         );
-    }
-
-    #[test]
-    fn jitter_is_bounded_and_deterministic() {
-        let p = FaultPlan::new(77);
-        for n in 0..100 {
-            let j = p.jitter(3, n, 16);
-            assert!(j < 16);
-            assert_eq!(j, p.jitter(3, n, 16));
-        }
-        assert_eq!(p.jitter(0, 0, 0), 0);
     }
 
     #[test]
@@ -550,7 +531,7 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(FaultSite::Operator(3).name(), "operator");
         assert_eq!(FaultSite::CheckpointEncode.name(), "checkpoint-encode");
-        assert_eq!(FaultKind::Stall { millis: 1 }.name(), "stall");
+        assert_eq!(FaultKind::Panic.name(), "panic");
         assert_eq!(FaultKind::Delay { micros: 1 }.name(), "delay");
     }
 }

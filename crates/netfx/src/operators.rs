@@ -313,15 +313,11 @@ impl Operator for PanicAfter {
 /// [`FaultSite::Operator(stage)`](rbs_core::fault::FaultSite) and acts on
 /// the decision:
 ///
-/// - [`Panic`](rbs_core::fault::FaultKind::Panic),
-///   [`PoisonTable`](rbs_core::fault::FaultKind::PoisonTable) and
-///   [`CloseChannel`](rbs_core::fault::FaultKind::CloseChannel) all
-///   panic with a typed [`rbs_core::fault::InjectedFault`] payload: from
-///   inside a pipeline, unwinding to the domain boundary *is* how the
-///   table gets poisoned and the channels get closed.
-/// - [`Stall`](rbs_core::fault::FaultKind::Stall) and
-///   [`Delay`](rbs_core::fault::FaultKind::Delay) sleep in place,
-///   holding the batch — a stall long enough looks hung to a watchdog.
+/// - [`Panic`](rbs_core::fault::FaultKind::Panic) panics with a typed
+///   [`rbs_core::fault::InjectedFault`] payload, which unwinds to the
+///   domain boundary like any operator bug;
+/// - [`Delay`](rbs_core::fault::FaultKind::Delay) sleeps in place,
+///   holding the batch.
 ///
 /// With no ambient plan installed (production, unrelated tests) the
 /// operator is a transparent forwarder costing one thread-local read per
@@ -341,16 +337,9 @@ impl ChaosPoint {
 
 impl Operator for ChaosPoint {
     fn process(&mut self, batch: PacketBatch) -> PacketBatch {
-        use rbs_core::fault::{self, FaultKind, FaultSite};
+        use rbs_core::fault::{self, FaultSite};
         let site = FaultSite::Operator(self.stage);
-        if let Some(kind) = fault::ambient_decide(site) {
-            match kind {
-                FaultKind::Panic | FaultKind::PoisonTable | FaultKind::CloseChannel => {
-                    fault::fire_panic(site)
-                }
-                sleep => fault::fire_sleep(sleep),
-            }
-        }
+        fault::fire(site, fault::ambient_decide(site));
         batch
     }
 

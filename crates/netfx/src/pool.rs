@@ -29,8 +29,8 @@
 //! one owner, so that needs no refcount, lock or copy, and no buffer
 //! makes a round trip through the free list. Banked packets count as
 //! returned, as held (against `max_free`) and as resident; what wants an
-//! empty shell ([`PacketPool::take_shell`], [`PacketPool::try_take_shell`])
-//! gets one, the banked buffers moved to the free list first.
+//! empty shell ([`PacketPool::take_shell`]) gets one, the banked buffers
+//! moved to the free list first.
 //!
 //! Every container here is pre-sized at construction, so the steady-state
 //! `take`/`put` cycle touches the allocator exactly zero times — the
@@ -218,20 +218,6 @@ impl PacketPool {
             }
             None => PacketBatch::with_capacity(cap),
         }
-    }
-
-    /// Takes an empty banked shell *without ever allocating*: `None`
-    /// when the bank is empty. Packets banked inside it move to the free
-    /// list.
-    ///
-    /// For a caller topping up a spare-shell bank on a path that must
-    /// not allocate: an allocating fallback would defeat the
-    /// zero-allocation claim, so the caller must tolerate `None`.
-    pub fn try_take_shell(&mut self) -> Option<PacketBatch> {
-        let mut shell = self.bank.pop()?;
-        self.unbank_into_free(&mut shell);
-        self.stats.shells_taken += 1;
-        Some(shell)
     }
 
     /// Moves the packets of a batch leaving the bank onto the free list.

@@ -9,13 +9,6 @@
 //! so one uncontended lock per operation is small beside the work an
 //! item carries.
 //!
-//! A `closed` latch serves live upgrades. A lane starting its upgrade
-//! stops advertising its deque: thieves see [`Steal::Closed`] and move
-//! on, while the owner keeps full access. The latch is read under the
-//! lock that guards the items, so closing is exact: once
-//! [`close_steals`](LaneDeque::close_steals) returns, no thief takes
-//! another item until [`open_steals`](LaneDeque::open_steals).
-//!
 //! The owner handle is not `Clone` (single owner, like the pool);
 //! [`Stealer`] handles are cheap clones shared with every other lane.
 
@@ -25,12 +18,6 @@ use std::sync::Arc;
 
 use rbs_core::sync::Mutex;
 
-struct State<T> {
-    items: VecDeque<T>,
-    /// Steal-advertising latch (see module docs).
-    closed: bool,
-}
-
 /// Result of a [`Stealer::steal`] attempt.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Steal<T> {
@@ -38,19 +25,16 @@ pub enum Steal<T> {
     Taken(T),
     /// The deque was empty.
     Empty,
-    /// The owner has closed the deque to thieves (e.g. mid-upgrade).
-    Closed,
 }
 
-/// The owner-side handle: push/pop at the back, plus the
-/// steal-advertising latch.
+/// The owner-side handle: push/pop at the back.
 pub struct LaneDeque<T> {
-    state: Arc<Mutex<State<T>>>,
+    state: Arc<Mutex<VecDeque<T>>>,
 }
 
 /// A thief-side handle; clone one per stealing lane.
 pub struct Stealer<T> {
-    state: Arc<Mutex<State<T>>>,
+    state: Arc<Mutex<VecDeque<T>>>,
 }
 
 impl<T> Clone for Stealer<T> {
@@ -79,10 +63,7 @@ impl<T> LaneDeque<T> {
     /// Creates a deque that holds at least `capacity` items before its
     /// first reallocation.
     pub fn with_capacity(capacity: usize) -> (LaneDeque<T>, Stealer<T>) {
-        let state = Arc::new(Mutex::new(State {
-            items: VecDeque::with_capacity(capacity),
-            closed: false,
-        }));
+        let state = Arc::new(Mutex::new(VecDeque::with_capacity(capacity)));
         (
             LaneDeque {
                 state: Arc::clone(&state),
@@ -93,44 +74,29 @@ impl<T> LaneDeque<T> {
 
     /// Pushes `value` at the back.
     pub fn push(&self, value: T) {
-        self.state.lock().items.push_back(value);
+        self.state.lock().push_back(value);
     }
 
     /// Pops from the back (LIFO relative to the owner's pushes).
     pub fn pop(&self) -> Option<T> {
-        self.state.lock().items.pop_back()
+        self.state.lock().pop_back()
     }
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
-        self.state.lock().items.len()
+        self.state.lock().len()
     }
 
     /// True when no items are queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Stops advertising the deque to thieves: steals return
-    /// [`Steal::Closed`] until [`open_steals`](Self::open_steals).
-    pub fn close_steals(&self) {
-        self.state.lock().closed = true;
-    }
-
-    /// Re-advertises the deque to thieves.
-    pub fn open_steals(&self) {
-        self.state.lock().closed = false;
-    }
 }
 
 impl<T> Stealer<T> {
-    /// Claims the front item, unless the deque is empty or closed.
+    /// Claims the front item, unless the deque is empty.
     pub fn steal(&self) -> Steal<T> {
-        let mut state = self.state.lock();
-        if state.closed {
-            return Steal::Closed;
-        }
-        match state.items.pop_front() {
+        match self.state.lock().pop_front() {
             Some(value) => Steal::Taken(value),
             None => Steal::Empty,
         }
@@ -140,7 +106,7 @@ impl<T> Stealer<T> {
     /// vanish immediately after; termination protocols must pair this
     /// with their own quiescence condition.
     pub fn is_empty(&self) -> bool {
-        self.state.lock().items.is_empty()
+        self.state.lock().is_empty()
     }
 }
 
@@ -149,7 +115,6 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Barrier;
     use std::thread;
 
     #[test]
@@ -179,18 +144,6 @@ mod tests {
             assert_eq!(d.pop(), Some(i));
         }
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn closed_latch_gates_thieves_not_owner() {
-        let (d, s) = LaneDeque::with_capacity(8);
-        d.push(1);
-        d.close_steals();
-        assert_eq!(s.steal(), Steal::Closed);
-        assert_eq!(d.pop(), Some(1));
-        d.push(2);
-        d.open_steals();
-        assert_eq!(s.steal(), Steal::Taken(2));
     }
 
     #[test]
@@ -232,7 +185,7 @@ mod tests {
                     loop {
                         match st.steal() {
                             Steal::Taken(v) => got.push(v),
-                            Steal::Empty | Steal::Closed => {
+                            Steal::Empty => {
                                 if done.load(Ordering::Acquire) && st.is_empty() {
                                     break;
                                 }
@@ -266,61 +219,5 @@ mod tests {
         assert_eq!(all.len(), ITEMS, "lost or duplicated items");
         let distinct: HashSet<usize> = all.iter().copied().collect();
         assert_eq!(distinct.len(), ITEMS, "duplicated items");
-    }
-
-    /// Once `close_steals` returns, no thief takes another item: the
-    /// length the owner reads right after closing holds while thieves
-    /// keep spinning, and with what they took before the close it
-    /// accounts for every push. An upgrading lane's drain-then-snapshot
-    /// step rests on this.
-    #[test]
-    fn close_is_exact_under_racing_thieves() {
-        const ITEMS: usize = 20_000;
-        const THIEVES: usize = 3;
-        let (d, s) = LaneDeque::with_capacity(ITEMS);
-        let start = Arc::new(Barrier::new(THIEVES + 1));
-        let refused = Arc::new(AtomicUsize::new(0));
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let handles: Vec<_> = (0..THIEVES)
-            .map(|_| {
-                let st = s.clone();
-                let (start, refused, stop) =
-                    (Arc::clone(&start), Arc::clone(&refused), Arc::clone(&stop));
-                thread::spawn(move || {
-                    let (mut taken, mut was_refused) = (0, false);
-                    start.wait();
-                    while !stop.load(Ordering::Acquire) {
-                        match st.steal() {
-                            Steal::Taken(_) => taken += 1,
-                            Steal::Closed if !was_refused => {
-                                was_refused = true;
-                                refused.fetch_add(1, Ordering::AcqRel);
-                            }
-                            Steal::Empty | Steal::Closed => {}
-                        }
-                    }
-                    taken
-                })
-            })
-            .collect();
-
-        start.wait();
-        for i in 0..ITEMS {
-            d.push(i);
-        }
-        d.close_steals();
-        let left = d.len();
-        // Once every thief has been refused, any steal that raced the
-        // close has returned; the thieves keep spinning regardless.
-        while refused.load(Ordering::Acquire) < THIEVES {
-            thread::yield_now();
-        }
-        let after = d.len();
-        stop.store(true, Ordering::Release);
-
-        let taken: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(after, left, "a thief took an item after close_steals");
-        assert_eq!(taken + left, ITEMS, "lost or duplicated items");
     }
 }

@@ -54,26 +54,14 @@
 //! tenant engine does. Past `max_respawns`
 //! the lane goes dead: it sheds its remaining backlog and stops
 //! offering its deque.
-//!
-//! # Live upgrade
-//!
-//! [`LaneRuntime::upgrade`] applies an equal-schema spec to every lane
-//! without stopping traffic. A lane entering its upgrade (1) closes its
-//! deque to thieves, (2) drains the stolen-in batches it already holds
-//! through the *old* pipeline, (3) seals a state snapshot, (4) swaps to
-//! a fresh domain and the new spec with state restored, and (5) reopens
-//! its deque — journalled as [`LaneEvent`]s in exactly that order so
-//! tests can pin the protocol.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use rbs_core::fault::FaultPlan;
 use rbs_core::histogram::LogHistogram;
 use rbs_core::stats::Summary;
-use rbs_core::sync::Mutex;
 use rbs_netfx::pktgen::{PacketGen, TrafficConfig};
 use rbs_netfx::pool::{PacketPool, PoolStats};
 use rbs_netfx::{PacketBatch, Pipeline, PipelineSpec};
@@ -153,27 +141,6 @@ impl Default for LaneConfig {
 /// One entry in a lane's protocol journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LaneEvent {
-    /// The lane closed its deque to thieves (upgrade step 1).
-    StealsClosed,
-    /// The lane processed the stolen-in batches it held through the old
-    /// pipeline before snapshotting (upgrade step 2).
-    StolenDrained {
-        /// Stolen-in batches drained.
-        batches: usize,
-    },
-    /// The lane sealed its pre-swap state snapshot (upgrade step 3).
-    SnapshotSealed {
-        /// State items captured.
-        items: u64,
-    },
-    /// The new spec restored state but no longer fit; the lane counted
-    /// an import failure and started the new generation cold.
-    UpgradeColdFallback,
-    /// The lane committed the upgrade and reopened its deque.
-    UpgradeCommitted {
-        /// The upgrade epoch the lane now runs.
-        epoch: u64,
-    },
     /// A domain fault was survived: fresh domain, cold pipeline.
     Respawned {
         /// Rebuild count (1 = first respawn).
@@ -242,21 +209,10 @@ struct LaneBatch {
     origin: usize,
 }
 
-struct PendingUpgrade {
-    spec: PipelineSpec,
-    epoch: u64,
-}
-
 /// Cross-thread state for one lane.
 struct LaneShared {
     stealer: Stealer<LaneBatch>,
     ledger: LaneLedger,
-    upgrade: Mutex<Option<PendingUpgrade>>,
-    upgrade_requested: AtomicBool,
-    /// Highest upgrade epoch this lane has committed.
-    epoch: AtomicU64,
-    /// Set when the lane thread is about to return.
-    finished: AtomicBool,
 }
 
 /// State shared by all lanes and the controller.
@@ -302,8 +258,6 @@ pub struct LaneOutcome {
     pub faults: u64,
     /// Domain rebuilds performed.
     pub respawns: u32,
-    /// Upgrade state restores that fell back to a cold build.
-    pub import_failures: u64,
     /// True when the lane exhausted its respawn budget.
     pub dead: bool,
     /// Deepest the lane's own deque ever got.
@@ -313,7 +267,7 @@ pub struct LaneOutcome {
     /// `taken - returned` is not meaningful — only the fleet-wide sum
     /// is (see [`LaneReport::outstanding_buffers`]).
     pub pool: PoolStats,
-    /// Protocol journal (upgrades, respawns, death).
+    /// Protocol journal (respawns, death).
     pub events: Vec<LaneEvent>,
 }
 
@@ -396,62 +350,9 @@ impl LaneReport {
     }
 }
 
-/// Typed rejection of a [`LaneRuntime::upgrade`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LaneUpgradeError {
-    /// The proposed spec declares a different state schema. Lane
-    /// upgrades restore state directly, with no migrator (the tenant
-    /// engine's upgrade takes one), so only equal-schema targets are
-    /// accepted; others are rejected before any lane is touched.
-    IncompatibleSchema {
-        /// Schema the fleet is running.
-        running: u32,
-        /// Schema the proposed spec declares.
-        proposed: u32,
-    },
-    /// A lane failed to acknowledge the upgrade before the deadline.
-    Timeout {
-        /// The unresponsive lane.
-        lane: usize,
-    },
-}
-
-impl std::fmt::Display for LaneUpgradeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LaneUpgradeError::IncompatibleSchema { running, proposed } => write!(
-                f,
-                "lane upgrade requires an equal state schema: running {running}, proposed {proposed}"
-            ),
-            LaneUpgradeError::Timeout { lane } => {
-                write!(f, "lane {lane} did not acknowledge the upgrade in time")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LaneUpgradeError {}
-
-/// How one lane finished an upgrade walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneUpgradeOutcome {
-    /// The lane committed the new spec (a dead lane adopts the epoch
-    /// without a pipeline so the fleet still lands uniform).
-    Upgraded {
-        /// The lane.
-        lane: usize,
-    },
-    /// The lane had already finished its run before the request landed.
-    Finished {
-        /// The lane.
-        lane: usize,
-    },
-}
-
 /// A running fleet of run-to-completion lanes.
 ///
-/// Construct with [`start`](Self::start), optionally
-/// [`upgrade`](Self::upgrade) it mid-run, then [`join`](Self::join) for
+/// Construct with [`start`](Self::start), then [`join`](Self::join) for
 /// the merged [`LaneReport`]. [`run`](Self::run) is the one-shot
 /// convenience.
 pub struct LaneRuntime {
@@ -459,8 +360,6 @@ pub struct LaneRuntime {
     handles: Vec<JoinHandle<LaneOutcome>>,
     manager: Arc<DomainManager>,
     backend: BackendKind,
-    schema: u32,
-    next_epoch: AtomicU64,
     lanes: usize,
 }
 
@@ -496,10 +395,6 @@ impl LaneRuntime {
             lane_shared.push(LaneShared {
                 stealer,
                 ledger: LaneLedger::default(),
-                upgrade: Mutex::new(None),
-                upgrade_requested: AtomicBool::new(false),
-                epoch: AtomicU64::new(0),
-                finished: AtomicBool::new(false),
             });
         }
         let shared = Arc::new(Shared {
@@ -511,7 +406,6 @@ impl LaneRuntime {
             exit_released: AtomicBool::new(false),
         });
 
-        let schema = spec.state_schema();
         let handles = deques
             .into_iter()
             .zip(slices)
@@ -550,8 +444,6 @@ impl LaneRuntime {
             handles,
             manager,
             backend: config.backend,
-            schema,
-            next_epoch: AtomicU64::new(0),
             lanes: config.lanes,
         }
     }
@@ -585,55 +477,6 @@ impl LaneRuntime {
     /// Releases parked lanes to exit.
     pub fn release_exit(&self) {
         self.shared.exit_released.store(true, Ordering::Release);
-    }
-
-    /// Rolls an equal-schema spec onto every lane without stopping
-    /// traffic; returns when the whole fleet runs the new epoch.
-    ///
-    /// Each lane performs close-steals → drain-stolen → snapshot →
-    /// fresh-domain swap → reopen (see module docs). Lanes that already
-    /// finished are reported [`LaneUpgradeOutcome::Finished`]; dead
-    /// lanes adopt the epoch without a pipeline. The fleet is never
-    /// left mixed: either every live lane lands on the new epoch or the
-    /// call errs.
-    pub fn upgrade(
-        &self,
-        new_spec: PipelineSpec,
-    ) -> Result<Vec<LaneUpgradeOutcome>, LaneUpgradeError> {
-        let proposed = new_spec.state_schema();
-        if proposed != self.schema {
-            return Err(LaneUpgradeError::IncompatibleSchema {
-                running: self.schema,
-                proposed,
-            });
-        }
-        let epoch = self.next_epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        for lane in &self.shared.lanes {
-            *lane.upgrade.lock() = Some(PendingUpgrade {
-                spec: new_spec.clone(),
-                epoch,
-            });
-            lane.upgrade_requested.store(true, Ordering::Release);
-        }
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let mut outcomes = Vec::with_capacity(self.lanes);
-        for (index, lane) in self.shared.lanes.iter().enumerate() {
-            loop {
-                if lane.epoch.load(Ordering::Acquire) >= epoch {
-                    outcomes.push(LaneUpgradeOutcome::Upgraded { lane: index });
-                    break;
-                }
-                if lane.finished.load(Ordering::Acquire) {
-                    outcomes.push(LaneUpgradeOutcome::Finished { lane: index });
-                    break;
-                }
-                if Instant::now() > deadline {
-                    return Err(LaneUpgradeError::Timeout { lane: index });
-                }
-                std::thread::yield_now();
-            }
-        }
-        Ok(outcomes)
     }
 
     /// Joins every lane and merges the report.
@@ -722,7 +565,7 @@ struct LaneCtx {
     domain: Domain,
     pipeline: Pipeline,
     /// Keeps the thread dedicated to the current domain; replaced on
-    /// every domain swap.
+    /// every respawn.
     attachment: Option<ThreadAttachment>,
     stolen_pending: Vec<LaneBatch>,
     phase: Phase,
@@ -741,7 +584,6 @@ struct LaneCtx {
     steal_bytes: u64,
     faults: u64,
     respawns: u32,
-    import_failures: u64,
     deque_hwm: usize,
     slice_flows: usize,
     share: f64,
@@ -813,17 +655,12 @@ impl LaneCtx {
             steal_bytes: 0,
             faults: 0,
             respawns: 0,
-            import_failures: 0,
             deque_hwm: 0,
             slice_flows,
             share,
             events: Vec::with_capacity(16),
             cfg,
         }
-    }
-
-    fn me(&self) -> &LaneShared {
-        &self.shared.lanes[self.index]
     }
 
     fn ledger(&self, origin: usize) -> &LaneLedger {
@@ -833,9 +670,6 @@ impl LaneCtx {
     fn run(mut self) -> LaneOutcome {
         self.attachment = self.domain.attach_thread().ok();
         loop {
-            if self.me().upgrade_requested.load(Ordering::Acquire) {
-                self.handle_upgrade();
-            }
             if self.dead {
                 break;
             }
@@ -986,7 +820,7 @@ impl LaneCtx {
                         self.steal_bytes += bytes as u64;
                         self.stolen_pending.push(item);
                     }
-                    Steal::Empty | Steal::Closed => break,
+                    Steal::Empty => break,
                 }
             }
             if !self.stolen_pending.is_empty() {
@@ -1005,84 +839,6 @@ impl LaneCtx {
             self.announced_done = true;
             self.shared.generating.fetch_sub(1, Ordering::AcqRel);
         }
-    }
-
-    /// The lane-side upgrade protocol: close → drain stolen-in →
-    /// snapshot → fresh-domain swap with state restore → reopen.
-    fn handle_upgrade(&mut self) {
-        let pending = self.me().upgrade.lock().take();
-        self.me().upgrade_requested.store(false, Ordering::Release);
-        let Some(PendingUpgrade { spec, epoch }) = pending else {
-            return;
-        };
-        if self.dead {
-            // No pipeline to swap; adopt the epoch so the fleet still
-            // lands uniform.
-            self.me().epoch.store(epoch, Ordering::Release);
-            return;
-        }
-        // 1. Stop advertising the deque: thieves must not pull work
-        //    from a lane whose pipeline is mid-swap. Closing is exact:
-        //    once `close_steals` returns, no thief takes another batch.
-        self.deque.close_steals();
-        self.events.push(LaneEvent::StealsClosed);
-        // 2. Drain stolen-in batches through the *old* pipeline — they
-        //    were claimed from other lanes and must not sit across the
-        //    swap (nor ever be re-queued).
-        let drained = self.stolen_pending.len();
-        while let Some(item) = self.stolen_pending.pop() {
-            self.process(item);
-            if self.dead {
-                // A drain fault spent the respawn budget: shed the rest
-                // (`process` does, once dead) and adopt the epoch.
-                while let Some(item) = self.stolen_pending.pop() {
-                    self.process(item);
-                }
-                self.me().epoch.store(epoch, Ordering::Release);
-                self.deque.open_steals();
-                return;
-            }
-        }
-        self.events
-            .push(LaneEvent::StolenDrained { batches: drained });
-        // 3. Seal the old generation's state.
-        let snapshot = match self.domain.execute(|| self.pipeline.export_state()) {
-            Ok(cp) => Some(cp),
-            Err(_) => {
-                self.faults += 1;
-                self.respawn_or_die();
-                None
-            }
-        };
-        let items = self.pipeline.state_items();
-        self.events.push(LaneEvent::SnapshotSealed { items });
-        // 4. Fresh domain, new spec, state restored (cold on mismatch —
-        //    counted, never half-applied).
-        self.attachment = None;
-        self.manager.destroy_domain(&self.domain);
-        let domain = self
-            .manager
-            .create_domain(format!("lane-{}-e{}", self.index, epoch))
-            .expect("recreating lane domain for upgrade");
-        self.attachment = domain.attach_thread().ok();
-        self.domain = domain;
-        self.pipeline = match snapshot.as_ref().map(|cp| spec.build_with_state(cp)) {
-            Some(Ok(p)) => p,
-            Some(Err(_)) => {
-                self.import_failures += 1;
-                self.events.push(LaneEvent::UpgradeColdFallback);
-                spec.build()
-            }
-            None => {
-                self.events.push(LaneEvent::UpgradeColdFallback);
-                spec.build()
-            }
-        };
-        self.spec = spec;
-        self.me().epoch.store(epoch, Ordering::Release);
-        // 5. Back in business.
-        self.deque.open_steals();
-        self.events.push(LaneEvent::UpgradeCommitted { epoch });
     }
 
     fn exit_cleanup(mut self) -> LaneOutcome {
@@ -1105,12 +861,6 @@ impl LaneCtx {
                 std::thread::yield_now();
             }
         }
-        // Adopt any still-pending upgrade epoch so the controller never
-        // waits on a lane that is already gone.
-        if let Some(PendingUpgrade { epoch, .. }) = self.me().upgrade.lock().take() {
-            self.me().epoch.store(epoch, Ordering::Release);
-        }
-        self.me().finished.store(true, Ordering::Release);
         LaneOutcome {
             lane: self.index,
             quota_batches: self.quota_total,
@@ -1125,7 +875,6 @@ impl LaneCtx {
             steal_bytes: self.steal_bytes,
             faults: self.faults,
             respawns: self.respawns,
-            import_failures: self.import_failures,
             dead: self.dead,
             deque_hwm: self.deque_hwm,
             pool: self.pool.stats(),
@@ -1248,84 +997,6 @@ mod tests {
         assert!(
             max > min,
             "Zipf shares should load lanes unevenly, got {quotas:?}"
-        );
-    }
-
-    #[test]
-    fn upgrade_rejects_schema_change_up_front() {
-        let rt = LaneRuntime::start(spec(), base_config(2));
-        let v2 = PipelineSpec::new()
-            .stage(NullFilter::new)
-            .with_state_schema(2);
-        let err = rt.upgrade(v2).unwrap_err();
-        assert_eq!(
-            err,
-            LaneUpgradeError::IncompatibleSchema {
-                running: 1,
-                proposed: 2
-            }
-        );
-        let report = rt.join();
-        // The rejected upgrade never touched a lane.
-        for lane in &report.lanes {
-            assert!(lane
-                .events
-                .iter()
-                .all(|e| !matches!(e, LaneEvent::StealsClosed)));
-        }
-        assert_eq!(report.unaccounted_packets(), 0);
-    }
-
-    /// Asserts a lane's journal shows the upgrade protocol in order:
-    /// close → drain → seal → commit.
-    fn assert_protocol_order(events: &[LaneEvent]) {
-        let pos = |p: fn(&LaneEvent) -> bool| events.iter().position(p);
-        let closed = pos(|e| matches!(e, LaneEvent::StealsClosed));
-        let drained = pos(|e| matches!(e, LaneEvent::StolenDrained { .. }));
-        let sealed = pos(|e| matches!(e, LaneEvent::SnapshotSealed { .. }));
-        let committed = pos(|e| matches!(e, LaneEvent::UpgradeCommitted { .. }));
-        match (closed, drained, sealed, committed) {
-            (Some(c), Some(d), Some(s), Some(u)) => {
-                assert!(
-                    c < d && d < s && s < u,
-                    "protocol order violated: {events:?}"
-                );
-            }
-            _ => panic!("upgrade protocol events missing: {events:?}"),
-        }
-    }
-
-    #[test]
-    fn upgrade_mid_run_keeps_conservation_and_orders_protocol() {
-        let mut cfg = base_config(2);
-        cfg.total_batches = 4000;
-        let rt = LaneRuntime::start(spec(), cfg);
-        let outcomes = rt.upgrade(spec()).expect("equal-schema upgrade");
-        assert_eq!(outcomes.len(), 2);
-        let report = rt.join();
-        assert_eq!(report.unaccounted_packets(), 0);
-        assert_eq!(report.lost(), 0);
-        let mut protocol_runs = 0;
-        for lane in &report.lanes {
-            if lane
-                .events
-                .iter()
-                .any(|e| matches!(e, LaneEvent::StealsClosed))
-            {
-                assert_protocol_order(&lane.events);
-                protocol_runs += 1;
-            }
-        }
-        // With a 4000-batch budget the request lands while lanes are
-        // mid-run; a lane can only miss the protocol by finishing
-        // first, which the controller reports explicitly.
-        let finished = outcomes
-            .iter()
-            .filter(|o| matches!(o, LaneUpgradeOutcome::Finished { .. }))
-            .count();
-        assert!(
-            protocol_runs + finished == 2 && protocol_runs >= 1,
-            "expected live lanes to walk the protocol: {outcomes:?}"
         );
     }
 }

@@ -69,7 +69,7 @@ use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 
 use rbs_checkpoint::{Buffered, Checkpoint, SnapshotStore, StateMigrator};
-use rbs_core::fault::{self, FaultKind, FaultPlan, FaultSite};
+use rbs_core::fault::{self, FaultPlan, FaultSite};
 use rbs_core::sync::Mutex;
 use rbs_maglev::{Backend, MaglevTable};
 use rbs_netfx::flow::packet_flow_hash;
@@ -208,18 +208,6 @@ struct StagedTenant {
     chain: Option<LaneChain>,
     /// A store holding only the target's state.
     store: SnapshotStore,
-}
-
-/// Fires an injected fault at `site`: a panic for the kill kinds, a
-/// sleep for the others.
-fn inject(site: FaultSite, fire: Option<FaultKind>) {
-    match fire {
-        Some(FaultKind::Panic | FaultKind::PoisonTable | FaultKind::CloseChannel) => {
-            fault::fire_panic(site)
-        }
-        Some(sleepy) => fault::fire_sleep(sleepy),
-        None => {}
-    }
 }
 
 /// Shells a tenant banks. With the staging buffer that is three vectors
@@ -570,7 +558,7 @@ impl LaneCtx {
         let pipeline = &mut chain.pipeline;
         let batch = work.batch;
         let result = chain.domain.execute(move || {
-            inject(FaultSite::Operator(0), fire);
+            fault::fire(FaultSite::Operator(0), fire);
             pipeline.run_batch(batch)
         });
         self.side.executed_batches += 1;
@@ -1149,7 +1137,7 @@ impl TenantLaneRuntime {
                 // what changed since the base it holds. A seal that dies
                 // commits nothing, so the store keeps its verified images.
                 let sealed = domain.execute(|| {
-                    inject(FaultSite::CheckpointEncode, fire);
+                    fault::fire(FaultSite::CheckpointEncode, fire);
                     let items = pipeline.state_items();
                     store.record_from(pipeline, now, items, schema);
                 });
@@ -1391,7 +1379,7 @@ impl TenantLaneRuntime {
             Some(LaneChain { domain, pipeline }) => {
                 let fire = decide(FaultSite::UpgradeQuiesce);
                 let seal = domain.execute(|| {
-                    inject(FaultSite::UpgradeQuiesce, fire);
+                    fault::fire(FaultSite::UpgradeQuiesce, fire);
                     pipeline.export_state()
                 });
                 let Ok(cp) = seal else {
@@ -1424,7 +1412,7 @@ impl TenantLaneRuntime {
         let mut store = SnapshotStore::new(self.snapshot_full_every);
         let rebase = self.snapshot_every > 0;
         let built = domain.execute(|| {
-            inject(FaultSite::UpgradeRestore, fire);
+            fault::fire(FaultSite::UpgradeRestore, fire);
             let pipeline = match &state {
                 Some(cp) => target.build_with_state(cp).ok()?,
                 None => target.build(),
@@ -1583,6 +1571,7 @@ impl Drop for TenantLaneRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbs_core::fault::FaultKind;
     use rbs_netfx::headers::ethernet::MacAddr;
     use std::net::Ipv4Addr;
 

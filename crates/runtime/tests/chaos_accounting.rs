@@ -156,7 +156,7 @@ proptest! {
     ) {
         let plan = FaultPlan::new(seed)
             .inject(FaultSite::Operator(0), FaultKind::Panic, panic_ppm)
-            .inject(FaultSite::Operator(0), FaultKind::Stall { millis: 2 }, stall_ppm)
+            .inject(FaultSite::Operator(0), FaultKind::Delay { micros: 2_000 }, stall_ppm)
             .inject(FaultSite::Operator(0), FaultKind::Delay { micros: 50 }, delay_ppm)
             .inject(FaultSite::CheckpointEncode, FaultKind::Panic, encode_ppm);
         // Conservation is proven backend-independent: half the cases run

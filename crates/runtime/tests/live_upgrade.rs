@@ -7,7 +7,7 @@
 //! with no tenant touched; chaos kills at the quiesce and restore sites
 //! discard every staged target and leave a uniform old-spec fleet; and a
 //! tenant whose breaker is open, or that was removed, comes back on the
-//! new spec. The lane engine's per-lane protocol closes the file.
+//! new spec.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -385,94 +385,4 @@ fn open_breaker_and_removed_tenants_come_back_on_the_new_spec() {
         "the probe restored the migrated snapshot: {:?}",
         report.events[probe + 1]
     );
-}
-
-// ---------------------------------------------------------------------------
-// Lane-mode upgrades: the run-to-completion engine's per-lane protocol
-// (close steals → drain stolen-in → seal snapshot → commit) under a
-// skewed mix with stealing active, so upgrade requests land on lanes
-// that are mid-theft.
-// ---------------------------------------------------------------------------
-
-use rbs_runtime::{LaneConfig, LaneEvent, LaneRuntime, LaneUpgradeOutcome};
-
-/// Asserts a lane's journal shows the upgrade protocol in order. The
-/// drain-before-seal ordering is the steals-closed semantics: once a
-/// lane stops advertising its deque, every batch it already stole must
-/// go through the *old* pipeline before the state snapshot is taken —
-/// otherwise the snapshot would miss flows the old generation handled.
-fn assert_lane_protocol_order(events: &[LaneEvent]) {
-    let pos = |p: fn(&LaneEvent) -> bool| events.iter().position(p);
-    let closed = pos(|e| matches!(e, LaneEvent::StealsClosed));
-    let drained = pos(|e| matches!(e, LaneEvent::StolenDrained { .. }));
-    let sealed = pos(|e| matches!(e, LaneEvent::SnapshotSealed { .. }));
-    let committed = pos(|e| matches!(e, LaneEvent::UpgradeCommitted { .. }));
-    match (closed, drained, sealed, committed) {
-        (Some(c), Some(d), Some(s), Some(u)) => {
-            assert!(
-                c < d && d < s && s < u,
-                "protocol order violated: {events:?}"
-            );
-        }
-        _ => panic!("upgrade protocol events missing: {events:?}"),
-    }
-}
-
-#[test]
-fn lane_upgrade_mid_steal_drains_stolen_batches_before_snapshot() {
-    // Zipf skew concentrates the quota on few lanes; aggressive
-    // stealing keeps batches crossing lanes while the upgrade walks.
-    let cfg = LaneConfig {
-        lanes: 4,
-        total_batches: 4000,
-        batch_size: 32,
-        steal_batch: 4,
-        traffic: rbs_netfx::pktgen::TrafficConfig {
-            flows: 512,
-            distribution: rbs_netfx::pktgen::FlowDistribution::Zipf(1.2),
-            ..Default::default()
-        },
-        ..LaneConfig::default()
-    };
-    let rt = LaneRuntime::start(spec_v1(), cfg);
-    let outcomes = rt.upgrade(spec_v1_fixed()).expect("equal-schema upgrade");
-    assert_eq!(outcomes.len(), 4);
-    let report = rt.join();
-
-    // Conservation survives upgrades interleaved with steals: every
-    // packet still handled exactly once, per origin and in aggregate.
-    for (origin, ledger) in report.ledgers.iter().enumerate() {
-        assert_eq!(ledger.unaccounted(), 0, "origin lane {origin} leaked");
-    }
-    assert_eq!(report.unaccounted_packets(), 0);
-    assert_eq!(report.lost(), 0, "no faults were injected");
-    assert_eq!(report.shed(), 0, "no lane died");
-
-    let mut protocol_runs = 0;
-    for lane in &report.lanes {
-        if lane
-            .events
-            .iter()
-            .any(|e| matches!(e, LaneEvent::StealsClosed))
-        {
-            assert_lane_protocol_order(&lane.events);
-            protocol_runs += 1;
-        }
-    }
-    let finished = outcomes
-        .iter()
-        .filter(|o| matches!(o, LaneUpgradeOutcome::Finished { .. }))
-        .count();
-    assert!(
-        protocol_runs + finished == 4 && protocol_runs >= 1,
-        "expected live lanes to walk the protocol: {outcomes:?}"
-    );
-
-    // The mix was skewed and stealing was on: work crossed lanes, and
-    // each theft paid the metered crossing.
-    let stolen: u64 = report.lanes.iter().map(|l| l.stolen_in_batches).sum();
-    if stolen > 0 {
-        let steal_bytes: u64 = report.lanes.iter().map(|l| l.steal_bytes).sum();
-        assert!(steal_bytes > 0, "steals must be charged to the thief");
-    }
 }

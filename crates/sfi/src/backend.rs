@@ -7,7 +7,7 @@
 //! and MPK-style guarded regions price every switch in `wrpkru` cycles.
 //! This module turns that argument into a seam: every cross-domain
 //! crossing in the crate (remote invocation entry/return, channel
-//! hand-off, recycle-path hand-off) reports through an
+//! hand-off) reports through an
 //! [`IsolationBackend`], and three backends span the cost spectrum:
 //!
 //! - [`TypedSfi`] — the paper's model and the **default**. Zero-cost by
@@ -47,7 +47,7 @@ pub enum Crossing {
     /// Return back out of a domain with the result value.
     Return,
     /// A value moved into a domain through a bounded channel
-    /// ([`crate::channel`]) or the recycle path.
+    /// ([`crate::channel`]).
     ChannelSend,
     /// A value received out of a channel by its owning domain.
     ChannelRecv,
@@ -163,7 +163,8 @@ pub trait IsolationBackend: Send + Sync + 'static {
         let _ = domain;
     }
 
-    /// Lifecycle observation: a domain faulted (panic or `force_fail`).
+    /// Lifecycle observation: a domain faulted (a panic unwound to its
+    /// boundary).
     fn domain_faulted(&self, domain: DomainId) {
         let _ = domain;
     }

@@ -41,7 +41,6 @@ use rbs_core::Exchangeable;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Why a channel operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,10 +54,6 @@ pub enum ChannelError {
     Disconnected,
     /// No message available right now (with `try_recv`).
     Empty,
-    /// The queue stayed full past the caller's deadline (with
-    /// [`DomainSender::send_deadline`]): the receiving domain is alive
-    /// but not draining — the signature of a stalled worker.
-    TimedOut,
 }
 
 impl fmt::Display for ChannelError {
@@ -68,7 +63,6 @@ impl fmt::Display for ChannelError {
             ChannelError::Full => write!(f, "channel is full"),
             ChannelError::Disconnected => write!(f, "receive endpoint dropped"),
             ChannelError::Empty => write!(f, "no message available"),
-            ChannelError::TimedOut => write!(f, "queue stayed full past the send deadline"),
         }
     }
 }
@@ -120,14 +114,6 @@ impl<T: Exchangeable> Drop for TableEntry<T> {
     }
 }
 
-/// How long a send may park on a full queue.
-#[derive(Clone, Copy)]
-enum Park {
-    Never,
-    Forever,
-    Until(Instant),
-}
-
 /// The sending endpoint, held outside the receiving domain.
 pub struct DomainSender<T: Exchangeable> {
     core: Arc<ChannelCore<T>>,
@@ -164,29 +150,17 @@ impl<T: Exchangeable> DomainSender<T> {
     /// ownership returns to the caller rather than being silently
     /// dropped.
     pub fn send(&self, value: T) -> Result<(), (ChannelError, T)> {
-        self.send_parked(value, Park::Forever)
-    }
-
-    /// Like [`DomainSender::send`] but gives up once the queue has
-    /// stayed full for `max_wait`, returning
-    /// [`ChannelError::TimedOut`] with the value.
-    ///
-    /// This is the producer-safe send: a consumer that stops draining
-    /// its queue (hung, livelocked, stalled on I/O) can delay the caller
-    /// by at most `max_wait` instead of wedging it forever. Revocation
-    /// still ends the wait at once.
-    pub fn send_deadline(&self, value: T, max_wait: Duration) -> Result<(), (ChannelError, T)> {
-        self.send_parked(value, Park::Until(Instant::now() + max_wait))
+        self.send_parked(value, true)
     }
 
     /// Like [`DomainSender::send`] but fails immediately when full.
     pub fn try_send(&self, value: T) -> Result<(), (ChannelError, T)> {
-        self.send_parked(value, Park::Never)
+        self.send_parked(value, false)
     }
 
-    /// Fails with `Revoked`, then `Disconnected`, then `Full` or
-    /// `TimedOut`: the first that holds when the sender looks.
-    fn send_parked(&self, value: T, park: Park) -> Result<(), (ChannelError, T)> {
+    /// Fails with `Revoked`, then `Disconnected`, then (unless `park`)
+    /// `Full`: the first that holds when the sender looks.
+    fn send_parked(&self, value: T, park: bool) -> Result<(), (ChannelError, T)> {
         let core = &*self.core;
         let bytes = if core.charged {
             (core.meter)(&value)
@@ -204,17 +178,10 @@ impl<T: Exchangeable> DomainSender<T> {
             if state.queue.len() < core.capacity {
                 break;
             }
-            state = match park {
-                Park::Never => return Err((ChannelError::Full, value)),
-                Park::Forever => core.not_full.wait(state),
-                Park::Until(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err((ChannelError::TimedOut, value));
-                    }
-                    core.not_full.wait_timeout(state, deadline - now).0
-                }
-            };
+            if !park {
+                return Err((ChannelError::Full, value));
+            }
+            state = core.not_full.wait(state);
         }
         state.queue.push_back(value);
         drop(state);
@@ -455,43 +422,6 @@ mod tests {
         // Fault cleanup cleared the table; the channel died with it.
         assert!(!tx.is_open());
         assert!(matches!(tx.send(1), Err((ChannelError::Revoked, 1))));
-    }
-
-    #[test]
-    fn send_deadline_times_out_on_full_queue() {
-        let d = setup();
-        let (tx, rx) = channel::<u32>(&d, 1);
-        tx.send(1).unwrap();
-        let start = std::time::Instant::now();
-        let (e, v) = tx
-            .send_deadline(2, std::time::Duration::from_millis(20))
-            .unwrap_err();
-        assert_eq!(e, ChannelError::TimedOut);
-        assert_eq!(v, 2, "ownership returns on timeout");
-        assert!(
-            start.elapsed() < std::time::Duration::from_secs(2),
-            "bounded wait must actually be bounded"
-        );
-        // The queue was never disturbed; draining it unblocks sends.
-        assert_eq!(rx.recv().unwrap(), 1);
-        tx.send_deadline(2, std::time::Duration::from_millis(100))
-            .unwrap();
-        assert_eq!(rx.recv().unwrap(), 2);
-    }
-
-    #[test]
-    fn send_deadline_observes_revocation_while_waiting() {
-        let d = setup();
-        let (tx, rx) = channel::<u32>(&d, 1);
-        tx.send(1).unwrap();
-        let waiter =
-            std::thread::spawn(move || tx.send_deadline(2, std::time::Duration::from_secs(30)));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        rx.revoke();
-        // Revocation, not the 30s deadline, ends the wait.
-        let (e, v) = waiter.join().unwrap().unwrap_err();
-        assert_eq!(e, ChannelError::Revoked);
-        assert_eq!(v, 2);
     }
 
     #[test]

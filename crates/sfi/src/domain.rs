@@ -311,28 +311,6 @@ impl Domain {
         self.try_recover()
     }
 
-    /// Forcibly fails an active domain from the outside — the
-    /// supervisor's tool for a domain whose thread is *hung* rather than
-    /// panicking: no unwind will ever reach the boundary, so the
-    /// watchdog declares the fault instead.
-    ///
-    /// Runs the same first two steps as panic handling (mark failed,
-    /// poison the table so every capability — channels included — is
-    /// revoked) but does **not** run the recovery function: the caller
-    /// decides if and when to [`Domain::recover`], typically after its
-    /// restart budget allows it. No-op unless the domain is active.
-    pub fn force_fail(&self) -> bool {
-        if self.state() != DomainState::Active {
-            return false;
-        }
-        self.inner.stats.record_fault();
-        self.inner.backend.domain_faulted(self.id());
-        self.inner.store_state(DomainState::Failed);
-        let (_revoked, inflight) = self.inner.ref_table.poison();
-        self.inner.stats.record_inflight_at_fault(inflight as u64);
-        true
-    }
-
     /// Attempts recovery of a failed domain; also callable manually when
     /// a recovery function is installed after the fault.
     ///
@@ -615,32 +593,6 @@ mod tests {
             rref.invoke(|v| *v).unwrap_err(),
             RpcError::Poisoned { domain: d.id() }
         );
-    }
-
-    #[test]
-    fn force_fail_poisons_without_recovery() {
-        let mgr = DomainManager::new();
-        let d = mgr.create_domain("d").unwrap();
-        // Recovery is installed but must NOT run: force_fail is the
-        // supervisor's hammer for hung workers, and the supervisor
-        // decides when (and on what) to respawn.
-        d.set_recovery(|_| ());
-        let rref = d.execute(|| RRef::new(&d, 9u32)).unwrap();
-        assert!(d.force_fail());
-        assert_eq!(d.state(), DomainState::Failed);
-        assert_eq!(d.stats().faults(), 1);
-        assert_eq!(d.stats().recoveries(), 0);
-        assert_eq!(
-            rref.invoke(|v| *v).unwrap_err(),
-            RpcError::Poisoned { domain: d.id() }
-        );
-        // Idempotent: only the Active→Failed transition counts.
-        assert!(!d.force_fail());
-        assert_eq!(d.stats().faults(), 1);
-        // The domain is still recoverable afterwards, on the
-        // supervisor's schedule.
-        assert!(d.recover());
-        assert_eq!(d.state(), DomainState::Active);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod domain;
 pub mod error;
 pub mod interface;
 pub mod policy;
-pub mod recycle;
 pub mod reftable;
 pub mod rref;
 pub mod stats;
@@ -55,7 +54,6 @@ pub use channel::{channel, channel_metered, ChannelError, DomainReceiver, Domain
 pub use domain::{Domain, DomainManager, DomainState};
 pub use error::RpcError;
 pub use policy::{AclPolicy, AllowAll, DenyAll, Policy};
-pub use recycle::{recycle_path, recycle_path_metered, RecycleReceiver, RecycleSender};
 pub use rref::RRef;
 pub use stats::DomainStats;
 pub use tls::{current_domain, DomainId, ThreadAttachment, KERNEL_DOMAIN};

@@ -11,9 +11,7 @@
 
 use proptest::prelude::*;
 use rbs_netfx::pool::PacketPool;
-use rbs_sfi::{
-    recycle_path_metered, BackendKind, Domain, DomainManager, DomainState, RRef, RpcError,
-};
+use rbs_sfi::{channel_metered, BackendKind, Domain, DomainManager, DomainState, RRef, RpcError};
 
 /// One step of a scripted rref workload. Generated once per proptest
 /// case and replayed verbatim under each backend.
@@ -137,16 +135,17 @@ fn run_rref_script(kind: BackendKind, ops: &[RRefOp]) -> (Vec<Outcome>, Vec<u64>
     (trace, post)
 }
 
-/// One step of a scripted pool workload over a recycle path.
+/// One step of a scripted pool workload over a return channel.
 #[derive(Debug, Clone, Copy)]
 enum PoolOp {
     /// Take a buffer from the pool and hold it in flight.
     Take,
-    /// Give in-flight buffer `i % held` back through the recycle path.
+    /// Send in-flight buffer `i % held` back through the return channel
+    /// without blocking.
     Give(usize),
     /// Drop in-flight buffer `i % held` on the floor (a faulting worker).
     Leak(usize),
-    /// Drain the recycle queue back into the pool.
+    /// Drain the return channel back into the pool.
     Reclaim,
 }
 
@@ -160,7 +159,7 @@ fn pool_op() -> impl Strategy<Value = PoolOp> {
 }
 
 /// Replays `ops` against a real [`PacketPool`] whose return path is an
-/// sfi recycle channel under `kind`. Returns (taken, returned,
+/// metered sfi channel under `kind`. Returns (taken, returned,
 /// outstanding, leaked, dropped_by_path) at quiescence.
 fn run_pool_script(kind: BackendKind, ops: &[PoolOp]) -> (u64, u64, u64, u64, u64) {
     let mgr = DomainManager::with_backend_kind(kind);
@@ -169,7 +168,7 @@ fn run_pool_script(kind: BackendKind, ops: &[PoolOp]) -> (u64, u64, u64, u64, u6
     pool.prewarm(16);
     // Meter by capacity: these are empty buffers, but a charging backend
     // still bills the hand-off per crossing.
-    let (tx, rx) = recycle_path_metered::<Vec<u8>>(&home, 8, |b| b.capacity());
+    let (tx, rx) = channel_metered::<Vec<u8>>(&home, 8, |b| b.capacity());
 
     let mut in_flight: Vec<Vec<u8>> = Vec::new();
     let mut leaked = 0u64;
@@ -180,7 +179,7 @@ fn run_pool_script(kind: BackendKind, ops: &[PoolOp]) -> (u64, u64, u64, u64, u6
             PoolOp::Give(i) => {
                 if !in_flight.is_empty() {
                     let buf = in_flight.remove(i % in_flight.len());
-                    if !tx.give(buf) {
+                    if tx.try_send(buf).is_err() {
                         // Bounded path was full: the buffer dropped to the
                         // allocator, exactly like a leak.
                         dropped_by_path += 1;
@@ -194,18 +193,24 @@ fn run_pool_script(kind: BackendKind, ops: &[PoolOp]) -> (u64, u64, u64, u64, u6
                 }
             }
             PoolOp::Reclaim => {
-                rx.reclaim(|buf| pool.put(buf));
+                while let Ok(buf) = rx.try_recv() {
+                    pool.put(buf);
+                }
             }
         }
     }
     // Quiesce: return everything still held, then drain the path.
     for buf in in_flight.drain(..) {
-        if !tx.give(buf) {
+        if tx.try_send(buf).is_err() {
             dropped_by_path += 1;
         }
-        rx.reclaim(|b| pool.put(b));
+        while let Ok(b) = rx.try_recv() {
+            pool.put(b);
+        }
     }
-    rx.reclaim(|buf| pool.put(buf));
+    while let Ok(buf) = rx.try_recv() {
+        pool.put(buf);
+    }
 
     let stats = pool.stats();
     (
@@ -257,7 +262,7 @@ proptest! {
     }
 }
 
-/// Non-proptest pin: a charging backend actually observed the recycle
+/// Non-proptest pin: a charging backend actually observed the return
 /// crossings the pool test exercises (so the "identical accounting"
 /// result above is not vacuous — the hooks really fired).
 #[test]
@@ -267,18 +272,20 @@ fn charging_backend_observes_recycle_crossings() {
         let mgr = DomainManager::with_backend_kind(kind);
         let home = mgr.create_domain("pool-home").unwrap();
         let mut pool = PacketPool::new(256, 64);
-        let (tx, rx) = recycle_path_metered::<Vec<u8>>(&home, 8, |b| b.capacity());
+        let (tx, rx) = channel_metered::<Vec<u8>>(&home, 8, |b| b.capacity());
         for op in ops {
             match op {
-                PoolOp::Take => assert!(tx.give(pool.take())),
+                PoolOp::Take => assert!(tx.try_send(pool.take()).is_ok()),
                 PoolOp::Reclaim => {
-                    rx.reclaim(|b| pool.put(b));
+                    while let Ok(b) = rx.try_recv() {
+                        pool.put(b);
+                    }
                 }
                 _ => {}
             }
         }
         let totals = mgr.backend_totals();
-        assert_eq!(totals.crossings, 2, "[{kind}] give + reclaim");
+        assert_eq!(totals.crossings, 2, "[{kind}] send + receive");
         assert_eq!(totals.bytes, 512, "[{kind}] 256-byte capacity each way");
         assert!(totals.model_cycles > 0, "[{kind}] model charged");
     }
