@@ -16,13 +16,14 @@
 //!
 //! The run list has one builder, [`byte_runs`] — where a run starts,
 //! which neighbours it absorbs, what becomes of the tail — and any
-//! number of *mismatch finders* behind the [`BlobView`] trait. A byte
-//! slice finds mismatches by scanning both blobs (what [`diff`] does, and
-//! the oracle every other finder is tested against); a structure that
-//! already knows which of its bytes may have changed since the base — a
-//! flow table that tracked the records it handed out mutably — answers
-//! from that knowledge, and gets the same list without materialising the
-//! blob.
+//! number of *span finders* behind the [`BlobView`] trait, each
+//! reporting the stretches of changed bytes the builder copies whole. A
+//! byte slice finds them by scanning both blobs a word at a time (what
+//! [`diff`] does, and the oracle every other finder is tested against);
+//! a structure that already knows which of its bytes may have changed
+//! since the base — a flow table that tracked the records it handed out
+//! mutably — answers from that knowledge, and gets the same list without
+//! materialising the blob.
 //!
 //! The diff is exact and total: `apply(base, &diff(base, next)) == next`
 //! for any two checkpoints (property-tested below and in
@@ -236,17 +237,12 @@ fn diff_snapshot(
     }
 }
 
-/// Changed runs separated by at most this many unchanged bytes ship as
-/// one run: a run's two varints and its turn of the splice loop cost
-/// about what the bytes between do.
-const RUN_GAP: usize = 8;
-
 /// The newer side of a byte-range diff: a blob at least as long as its
-/// base that can say where it next departs from the base, and with which
-/// byte. [`byte_runs`] turns the answers into a run list — the bytes of
-/// a run that did *not* change it copies from the base itself, so a view
-/// is asked for bytes only where it reported a change and past the
-/// base's end.
+/// base that can say where it next departs from the base, a *span* at a
+/// time. [`byte_runs`] turns the spans into a run list — the unchanged
+/// bytes between two spans it merges it copies from the base itself, so
+/// a view is asked for bytes only where it reported a change and past
+/// the base's end.
 ///
 /// A byte slice is one such view — it *finds* the changes by scanning,
 /// and serves any pair of blobs. A view that already *knows* which bytes
@@ -262,26 +258,37 @@ pub trait BlobView {
     /// Length of the blob this view stands for; at least the base's.
     fn len(&self) -> usize;
 
-    /// The first index at or after `from` (and below `base.len()`) where
-    /// the blob differs from `base`, with the blob's byte there; `None`
-    /// when the blob agrees with the rest of `base`. The run builder
-    /// asks in ascending order of `from`.
-    fn next_mismatch(&mut self, base: &[u8], from: usize) -> Option<(usize, u8)>;
+    /// The next span at or after `from` (and below `base.len()`) where
+    /// the blob differs from `base`: its start and the blob's bytes
+    /// there. A span's first and last bytes differ from the base's; the
+    /// bytes between may include unchanged stretches of at most
+    /// [`RUN_GAP`] bytes — the builder would merge across those anyway —
+    /// so a view may hand over a record's changes in one span. Every
+    /// byte no span covers equals the base's; two spans may abut. `None`
+    /// when the blob agrees with the rest of `base`. The run builder asks
+    /// in ascending order, each time from the end of the span it was
+    /// given last.
+    fn next_span(&mut self, base: &[u8], from: usize) -> Option<(usize, &[u8])>;
 
     /// Appends the blob's bytes from `from` — the base's length — to its
     /// end: what it grew by.
     fn copy_tail(&mut self, from: usize, out: &mut Vec<u8>);
 }
 
-/// The scan: compares all of both blobs, eight bytes at a time.
+/// The scan: compares all of both blobs, eight bytes at a time, and
+/// reports each stretch of changed bytes as a span.
 impl BlobView for &[u8] {
     fn len(&self) -> usize {
         <[u8]>::len(self)
     }
 
-    fn next_mismatch(&mut self, base: &[u8], from: usize) -> Option<(usize, u8)> {
+    fn next_span(&mut self, base: &[u8], from: usize) -> Option<(usize, &[u8])> {
         let at = first_mismatch(base, self, from);
-        (at < base.len()).then(|| (at, self[at]))
+        if at == base.len() {
+            return None;
+        }
+        let end = first_match(base, self, at);
+        Some((at, &self[at..end]))
     }
 
     fn copy_tail(&mut self, from: usize, out: &mut Vec<u8>) {
@@ -289,56 +296,84 @@ impl BlobView for &[u8] {
     }
 }
 
+/// Changed spans separated by at most this many unchanged bytes ship as
+/// one run: a run's two varints and its turn of the splice loop cost
+/// about what the bytes between do.
+pub const RUN_GAP: usize = 8;
+
 /// Appends to `runs` the run list ([`PathSeg::ByteRanges`]) that turns
 /// the blob `base` into the blob `next` stands for; everything past
 /// `base`'s end counts as changed. Nothing is appended when the two are
 /// equal.
 pub fn byte_runs(base: &[u8], next: &mut impl BlobView, runs: &mut Vec<u8>) {
     let len = next.len();
-    let mut written = 0;
-    // The next change within the base; where there is none left, the
-    // blob's growth past the base is the one change that remains.
-    let mut pending = next.next_mismatch(base, 0);
-    let mut start = pending.map_or(base.len(), |(at, _)| at);
-    while start < len {
-        codec::write_varint(runs, (start - written) as u64);
-        // The run's length goes here once it is known.
-        let len_at = runs.len();
-        runs.push(0);
-        // `start..end` is in `runs`, and the byte at `end` is a changed
-        // one: `pending`'s, or the first past the base.
-        let mut end = start;
-        let following = loop {
-            if let Some((_, byte)) = pending {
-                runs.push(byte);
-                end += 1;
+    // The run being built — where it starts, where its length byte sits
+    // in `runs` — and where the last change written ends.
+    let (mut open, mut end) = (None, 0);
+    while let Some((at, bytes)) = next.next_span(base, end) {
+        debug_assert!(at >= end && !bytes.is_empty() && at + bytes.len() <= base.len());
+        reach(runs, base, &mut open, end, at);
+        runs.extend_from_slice(bytes);
+        end = at + bytes.len();
+    }
+    // Past the base's end every byte counts as changed: the growth.
+    if len > base.len() {
+        reach(runs, base, &mut open, end, base.len());
+        next.copy_tail(base.len(), runs);
+        end = len;
+    }
+    if let Some((start, len_at)) = open {
+        close_run(runs, len_at, end - start);
+    }
+}
+
+/// Brings the run list to a change at `at`, the last one having ended at
+/// `end`: the open run takes in the unchanged bytes between when there
+/// are at most [`RUN_GAP`] of them (copied from the base); otherwise it
+/// is closed and a run starting at `at` is opened. (Left to choose, the
+/// compiler keeps this out of line, and a delta walk pays a call per
+/// span: 5–10 % of its cycles.)
+#[inline(always)]
+fn reach(
+    runs: &mut Vec<u8>,
+    base: &[u8],
+    open: &mut Option<(usize, usize)>,
+    end: usize,
+    at: usize,
+) {
+    match *open {
+        Some(_) if at - end <= RUN_GAP => runs.extend_from_slice(&base[end..at]),
+        _ => {
+            if let Some((start, len_at)) = *open {
+                close_run(runs, len_at, end - start);
             }
-            if end >= base.len() {
-                next.copy_tail(base.len(), runs);
-                end = len;
-                break end;
-            }
-            pending = next.next_mismatch(base, end);
-            let mismatch = pending.map_or(base.len(), |(at, _)| at);
-            if mismatch - end > RUN_GAP || mismatch == len {
-                break mismatch;
-            }
-            runs.extend_from_slice(&base[end..mismatch]);
-            end = mismatch;
-        };
-        // LEB128, as `write_varint` writes it: the low seven bits in the
-        // byte reserved, whatever is left — rarely anything — behind it.
-        let run = end - start;
-        runs[len_at] = (run & 0x7F) as u8;
-        if run >= 0x80 {
-            runs[len_at] |= 0x80;
-            let appended = runs.len();
-            codec::write_varint(runs, (run >> 7) as u64);
-            let width = runs.len() - appended;
-            runs[len_at + 1..].rotate_right(width);
+            *open = Some(start_run(runs, at, end));
         }
-        written = end;
-        start = following;
+    }
+}
+
+/// Writes a run's gap — `start` less `written`, where the previous run
+/// ended (0 for the first) — and reserves the byte its length goes in:
+/// the run's start and where that byte sits.
+#[inline]
+fn start_run(runs: &mut Vec<u8>, start: usize, written: usize) -> (usize, usize) {
+    codec::write_varint(runs, (start - written) as u64);
+    runs.push(0);
+    (start, runs.len() - 1)
+}
+
+/// Writes a finished run's length into the byte `start_run` reserved:
+/// LEB128, as `write_varint` writes it — the low seven bits in the byte
+/// reserved, whatever is left (rarely anything) behind it.
+#[inline]
+fn close_run(runs: &mut Vec<u8>, len_at: usize, run: usize) {
+    runs[len_at] = (run & 0x7F) as u8;
+    if run >= 0x80 {
+        runs[len_at] |= 0x80;
+        let appended = runs.len();
+        codec::write_varint(runs, (run >> 7) as u64);
+        let width = runs.len() - appended;
+        runs[len_at + 1..].rotate_right(width);
     }
 }
 
@@ -346,14 +381,33 @@ pub fn byte_runs(base: &[u8], next: &mut impl BlobView, runs: &mut Vec<u8>) {
 /// `a.len()` when `b` agrees with the rest of `a`. Eight bytes per
 /// comparison: an unchanged blob is skipped at word speed.
 fn first_mismatch(a: &[u8], b: &[u8], from: usize) -> usize {
+    first_where(a, b, from, |x| x)
+}
+
+/// The first index at or after `from` where `a` and `b` agree, or
+/// `a.len()` when they differ through the end of `a`.
+fn first_match(a: &[u8], b: &[u8], from: usize) -> usize {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    // The high bit of each zero byte of `x`: exact for the lowest one,
+    // which is the only one read (a borrow can only set bits above it).
+    first_where(a, b, from, |x| x.wrapping_sub(LOW) & !x & (LOW << 7))
+}
+
+/// The first index at or after `from` whose byte `hit` flags, eight
+/// bytes per step: `hit` maps the xor of a word of `a` and one of `b` to
+/// a word whose lowest set bit lies in the first flagged byte (zero when
+/// none is). The tail is compared a byte at a time.
+#[inline]
+fn first_where(a: &[u8], b: &[u8], from: usize, hit: impl Fn(u64) -> u64) -> usize {
     let (rest_a, rest_b) = (&a[from..], &b[from..a.len()]);
     let mut at = from;
     let (mut words_a, mut words_b) = (rest_a.chunks_exact(8), rest_b.chunks_exact(8));
     for (x, y) in (&mut words_a).zip(&mut words_b) {
         let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
         let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
-        if x != y {
-            return at + ((x ^ y).trailing_zeros() / 8) as usize;
+        let flagged = hit(x ^ y);
+        if flagged != 0 {
+            return at + (flagged.trailing_zeros() / 8) as usize;
         }
         at += 8;
     }
@@ -361,7 +415,7 @@ fn first_mismatch(a: &[u8], b: &[u8], from: usize) -> usize {
     at + tail_a
         .iter()
         .zip(tail_b)
-        .position(|(x, y)| x != y)
+        .position(|(x, y)| hit(u64::from(x ^ y)) & 0xFF != 0)
         .unwrap_or(tail_a.len())
 }
 

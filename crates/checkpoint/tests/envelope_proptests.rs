@@ -1,8 +1,11 @@
 //! Property tests for the sealed-envelope boundary: randomly aliased
 //! `CkRc`/`CkArc` graphs survive seal → open → restore with their
 //! sharing structure rebuilt exactly; any single bit flip anywhere in a
-//! sealed envelope is detected (an error, never a wrong value); and
-//! `open` is total over arbitrary bytes.
+//! sealed envelope is detected, as the typed error its position calls
+//! for (never a wrong value); `open` is total over arbitrary bytes; and
+//! an envelope of another format version — version 3, which differs
+//! from this one in the version byte and the footer alone, among them —
+//! is a typed version mismatch.
 
 use proptest::prelude::*;
 use rbs_checkpoint::envelope::{open, seal_delta, seal_full, Payload, VERSION};
@@ -76,6 +79,18 @@ fn meta(epoch: u64) -> SnapshotMeta {
     }
 }
 
+/// Whether `error` is the one a flip in byte `at` must give: the magic
+/// is a bad header, the version byte a foreign version, and anything
+/// else — header, payload or footer — a checksum mismatch, found before
+/// a byte of it is parsed.
+fn names_the_flip(at: usize, error: &RestoreError) -> bool {
+    match at {
+        0..4 => *error == RestoreError::BadHeader,
+        4 => matches!(error, RestoreError::VersionMismatch { .. }),
+        _ => matches!(error, RestoreError::ChecksumMismatch { .. }),
+    }
+}
+
 /// Reseals an envelope the way format version 2 did — 64-bit FNV-1a over
 /// everything before the 8-byte footer — which is the footer an older
 /// build's snapshot arrives with. This build never computes it.
@@ -87,6 +102,74 @@ fn reseal_as_version_2(bytes: &mut [u8]) {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     bytes[content_len..].copy_from_slice(&h.to_le_bytes());
+}
+
+/// Reseals an envelope the way format version 3 did — version byte 3,
+/// and the single-lane checksum: `h ← m(h ^ v)` over every whole word,
+/// then every tail byte, then the length — which is what an envelope an
+/// older build sealed arrives as. This build never computes it.
+fn reseal_as_version_3(bytes: &mut [u8]) {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let step = |h: u64, v: u64| {
+        let x = (h ^ v).wrapping_mul(K);
+        x ^ (x >> 32)
+    };
+    bytes[4] = 3;
+    let content_len = bytes.len() - 8;
+    let content = &bytes[..content_len];
+    let mut words = content.chunks_exact(8);
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for word in &mut words {
+        h = step(
+            h,
+            u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+        );
+    }
+    for &b in words.remainder() {
+        h = step(h, u64::from(b));
+    }
+    let footer = step(h, content_len as u64);
+    bytes[content_len..].copy_from_slice(&footer.to_le_bytes());
+}
+
+/// An envelope a version-3 build sealed, byte for byte.
+const SEALED_BY_VERSION_3: [u8; 41] = [
+    82, 66, 83, 69, 3, 0, 7, 7, 3, 2, 1, 21, 82, 66, 83, 67, 1, 9, 2, 9, 3, 3, 1, 3, 2, 3, 3, 7, 3,
+    114, 98, 115, 0, 219, 72, 46, 104, 231, 188, 112, 29,
+];
+
+#[test]
+fn version_4_differs_from_version_3_in_the_version_byte_and_footer_alone() {
+    assert_eq!(VERSION, 4);
+    let m = SnapshotMeta {
+        epoch: 7,
+        base_epoch: 7,
+        tick: 3,
+        items: 2,
+        schema: 1,
+    };
+    let sealed = seal_full(m, &checkpoint(&(vec![1u64, 2, 3], String::from("rbs"))));
+    let mut resealed = sealed.clone();
+    reseal_as_version_3(&mut resealed);
+    assert_eq!(
+        resealed, SEALED_BY_VERSION_3,
+        "the helper is version 3's sealer"
+    );
+    let differing: Vec<usize> = (0..sealed.len())
+        .filter(|&i| sealed[i] != SEALED_BY_VERSION_3[i])
+        .collect();
+    assert_eq!(differing[0], 4, "the version byte");
+    assert!(
+        differing[1..].iter().all(|&i| i >= sealed.len() - 8),
+        "{differing:?}"
+    );
+    assert_eq!(
+        open(&SEALED_BY_VERSION_3).unwrap_err(),
+        RestoreError::VersionMismatch {
+            found: 3,
+            expected: 4
+        }
+    );
 }
 
 proptest! {
@@ -150,7 +233,8 @@ proptest! {
         let bit = (raw_bit % (sealed.len() as u64 * 8)) as usize;
         let mut flipped = sealed;
         flipped[bit / 8] ^= 1 << (bit % 8);
-        prop_assert!(open(&flipped).is_err(), "bit {} flipped undetected", bit);
+        let error = open(&flipped).expect_err("a flipped bit opened");
+        prop_assert!(names_the_flip(bit / 8, &error), "bit {}: {:?}", bit, error);
     }
 
     /// Incremental envelopes get the same guarantees: a sealed delta
@@ -193,7 +277,8 @@ proptest! {
         let bit = (raw_bit % (sealed.len() as u64 * 8)) as usize;
         let mut flipped = sealed;
         flipped[bit / 8] ^= 1 << (bit % 8);
-        prop_assert!(open(&flipped).is_err(), "bit {} flipped undetected", bit);
+        let error = open(&flipped).expect_err("a flipped bit opened");
+        prop_assert!(names_the_flip(bit / 8, &error), "bit {}: {:?}", bit, error);
     }
 
     /// `open` is total: arbitrary bytes produce `Ok` or `Err`, never a
@@ -238,6 +323,26 @@ proptest! {
         prop_assert_eq!(
             open(&sealed).unwrap_err(),
             RestoreError::VersionMismatch { found: foreign_version, expected: VERSION }
+        );
+    }
+
+    /// A version-3 envelope — the previous format, whose footer alone
+    /// differs — is a typed version mismatch, whatever it holds.
+    #[test]
+    fn version_3_envelopes_fail_typed(
+        arc_labels in proptest::collection::vec(any::<u64>(), 1..5),
+        rc_pool in proptest::collection::vec(
+            proptest::collection::vec(any::<u64>(), 0..4), 1..4),
+        arc_picks in proptest::collection::vec(any::<u64>(), 0..10),
+        rc_picks in proptest::collection::vec(any::<u64>(), 0..8),
+        epoch in any::<u64>(),
+    ) {
+        let (doc, _, _) = build_doc(&arc_labels, &arc_picks, &rc_pool, &rc_picks);
+        let mut sealed = seal_full(meta(epoch), &checkpoint(&doc));
+        reseal_as_version_3(&mut sealed);
+        prop_assert_eq!(
+            open(&sealed).unwrap_err(),
+            RestoreError::VersionMismatch { found: 3, expected: 4 }
         );
     }
 

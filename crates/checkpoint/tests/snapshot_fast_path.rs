@@ -20,17 +20,22 @@
 //!   and compared, to the same bytes; a `CheckpointEncode` panic inside
 //!   a base record or a delta record commits nothing, and the record
 //!   taken next is the one a store that never saw the failure takes;
-//! - the word-wise envelope checksum detects every single-bit flip and
-//!   every truncation, on an envelope of more than 16 KiB and on every
-//!   tail length from 0 to 17 bytes, and two flips of the same high bit
-//!   do not cancel.
+//! - the four-lane envelope checksum detects every single-bit flip and
+//!   every truncation — each with the typed error that names it — on an
+//!   envelope of more than 16 KiB (every lane position) and on every tail
+//!   length from 0 to 31 bytes; two flips of the same high bit do not
+//!   cancel, nor do two flips of the same bit at the same word index in
+//!   two lanes of a block of a zeroed blob;
+//! - the run builder over spans emits, for arbitrary blob pairs and
+//!   however the spans are cut, the list a byte-at-a-time reading of the
+//!   run format's rules gives.
 
 use proptest::prelude::*;
 use rbs_checkpoint::diff::{DiffError, PathSeg, Replacement, Target};
 use rbs_checkpoint::envelope::{open, seal_full};
 use rbs_checkpoint::{
-    apply, checkpoint, decode_delta, diff, encode, encode_delta, Checkpoint, Delta, Snapshot,
-    SnapshotMeta, SnapshotStore,
+    apply, checkpoint, decode_delta, diff, encode, encode_delta, Checkpoint, Delta, RestoreError,
+    Snapshot, SnapshotMeta, SnapshotStore,
 };
 
 /// A pipeline-shaped checkpoint: a stateless stage, then `state`.
@@ -177,6 +182,95 @@ proptest! {
                 prop_assert!(encode(&next).len() <= encode(&a).len() + payload.len());
             }
         }
+    }
+}
+
+/// The run list by the format's rules, a byte at a time: a byte has
+/// changed when it differs from the base's or lies past the base's end;
+/// a run starts at a changed byte, takes in every later changed byte
+/// that follows the last one taken by at most eight unchanged bytes, and
+/// carries the new blob's bytes from its first to its last changed byte.
+fn runs_by_the_rules(base: &[u8], next: &[u8]) -> Vec<u8> {
+    let changed = |i: usize| i >= base.len() || base[i] != next[i];
+    let (mut out, mut written, mut i) = (Vec::new(), 0, 0);
+    while i < next.len() {
+        if !changed(i) {
+            i += 1;
+            continue;
+        }
+        let (start, mut end) = (i, i + 1);
+        let mut j = end;
+        while j < next.len() && j - end <= 8 {
+            if changed(j) {
+                end = j + 1;
+            }
+            j += 1;
+        }
+        rbs_checkpoint::codec::write_varint(&mut out, (start - written) as u64);
+        rbs_checkpoint::codec::write_varint(&mut out, (end - start) as u64);
+        out.extend_from_slice(&next[start..end]);
+        (written, i) = (end, end);
+    }
+    out
+}
+
+/// A view that reports each stretch of changed bytes cut into pieces of
+/// the lengths `pieces` cycles through: abutting spans.
+struct Chopped<'a> {
+    next: &'a [u8],
+    pieces: &'a [usize],
+    turn: usize,
+}
+
+impl BlobView for Chopped<'_> {
+    fn len(&self) -> usize {
+        self.next.len()
+    }
+
+    fn next_span(&mut self, base: &[u8], from: usize) -> Option<(usize, &[u8])> {
+        let at = (from..base.len()).find(|&i| base[i] != self.next[i])?;
+        let end = (at..base.len())
+            .find(|&i| base[i] == self.next[i])
+            .unwrap_or(base.len());
+        let piece = self.pieces[self.turn % self.pieces.len()].clamp(1, end - at);
+        self.turn += 1;
+        Some((at, &self.next[at..at + piece]))
+    }
+
+    fn copy_tail(&mut self, from: usize, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.next[from..]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `byte_runs` over the scan's spans, and over the same spans cut
+    /// anywhere, is the list the rules give. A three-letter alphabet and
+    /// sparse edits make equal and changed stretches of every length
+    /// common.
+    #[test]
+    fn the_span_builder_is_the_byte_at_a_time_rules(
+        base in proptest::collection::vec(0u8..3, 0..200),
+        edits in proptest::collection::vec(0u8..8, 0..200),
+        grown in proptest::collection::vec(0u8..3, 0..24),
+        pieces in proptest::collection::vec(1usize..6, 1..4),
+    ) {
+        // An edit of 3 or more keeps the base's byte.
+        let mut next = base.clone();
+        for (byte, &edit) in next.iter_mut().zip(&edits) {
+            if edit < 3 {
+                *byte = edit;
+            }
+        }
+        next.extend_from_slice(&grown);
+        let rules = runs_by_the_rules(&base, &next);
+        let mut scanned = vec![0xEE];
+        byte_runs(&base, &mut next.as_slice(), &mut scanned);
+        prop_assert_eq!(&scanned[1..], &rules[..], "appended after what the buffer held");
+        let mut chopped = Vec::new();
+        byte_runs(&base, &mut Chopped { next: &next, pieces: &pieces, turn: 0 }, &mut chopped);
+        prop_assert_eq!(chopped, rules);
     }
 }
 
@@ -398,23 +492,47 @@ fn meta() -> SnapshotMeta {
     }
 }
 
+/// Every single-bit flip and every cut of `sealed` fails to open, with
+/// the error that says why: a flip in the magic is a bad header, one in
+/// the version byte a foreign version, any other a checksum mismatch; a
+/// cut too short for a header and footer is truncated, any longer one a
+/// checksum mismatch (its last eight bytes are no footer of the rest).
 fn assert_every_flip_and_cut_is_detected(sealed: &[u8]) {
     assert!(open(sealed).is_ok());
     let mut tampered = sealed.to_vec();
     for byte in 0..sealed.len() {
         for bit in 0..8 {
             tampered[byte] ^= 1 << bit;
-            assert!(open(&tampered).is_err(), "bit {bit} of byte {byte}");
+            let error = open(&tampered).expect_err("a flipped bit opened");
+            match byte {
+                0..4 => assert_eq!(error, RestoreError::BadHeader, "bit {bit} of byte {byte}"),
+                4 => assert!(
+                    matches!(error, RestoreError::VersionMismatch { .. }),
+                    "bit {bit} of the version byte: {error:?}"
+                ),
+                _ => assert!(
+                    matches!(error, RestoreError::ChecksumMismatch { .. }),
+                    "bit {bit} of byte {byte}: {error:?}"
+                ),
+            }
             tampered[byte] ^= 1 << bit;
         }
     }
     for cut in 0..sealed.len() {
-        assert!(open(&sealed[..cut]).is_err(), "cut at {cut}");
+        let error = open(&sealed[..cut]).expect_err("a cut envelope opened");
+        assert!(
+            matches!(
+                error,
+                RestoreError::Truncated | RestoreError::ChecksumMismatch { .. }
+            ),
+            "cut at {cut}: {error:?}"
+        );
     }
 }
 
 #[test]
 fn checksum_detects_every_flip_and_truncation_of_a_16k_envelope() {
+    // Every word of every lane of more than 500 blocks.
     let sealed = seal_full(meta(), &staged(Snapshot::Bytes(image(565))));
     assert!(sealed.len() > 16 * 1024);
     assert_every_flip_and_cut_is_detected(&sealed);
@@ -422,9 +540,10 @@ fn checksum_detects_every_flip_and_truncation_of_a_16k_envelope() {
 
 #[test]
 fn checksum_detects_every_flip_and_truncation_at_every_tail_length() {
-    // Eighteen consecutive content lengths: every tail from 0 to 7
-    // bytes, after none, one and two whole words beyond the header.
-    let lengths: Vec<usize> = (0..=17)
+    // Thirty-two consecutive content lengths past two whole blocks: every
+    // tail from 0 to 31 bytes — 0 to 3 whole words left for the fold,
+    // then 0 to 7 bytes.
+    let lengths: Vec<usize> = (64..96)
         .map(|n| {
             let sealed = seal_full(meta(), &checkpoint(&vec![0xA5u8; n]));
             assert_every_flip_and_cut_is_detected(&sealed);
@@ -432,6 +551,9 @@ fn checksum_detects_every_flip_and_truncation_at_every_tail_length() {
         })
         .collect();
     assert!(lengths.windows(2).all(|w| w[1] == w[0] + 1), "{lengths:?}");
+    let tails: std::collections::BTreeSet<usize> =
+        lengths.iter().map(|len| (len - 8) % 32).collect();
+    assert_eq!(tails.len(), 32, "every tail length once");
 }
 
 #[test]
@@ -456,9 +578,35 @@ fn checksum_does_not_let_two_high_bit_flips_cancel() {
     assert_eq!(tampered, sealed);
 }
 
+#[test]
+fn checksum_detects_the_same_flip_in_two_lanes_of_a_block() {
+    // Inside a zeroed blob every lane reads the same words, and the two
+    // flips change the same bit of the same word index in two lanes.
+    let sealed = seal_full(meta(), &staged(Snapshot::Bytes(vec![0; 1024])));
+    let blocks = 2..(sealed.len() - 8) / 32 - 1;
+    assert!(blocks.len() >= 28, "the blob spans the blocks flipped");
+    let mut tampered = sealed.clone();
+    for block in blocks {
+        for (a, b) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
+            for (byte, bit) in [(0, 0), (3, 5), (7, 7)] {
+                let (x, y) = (block * 32 + 8 * a + byte, block * 32 + 8 * b + byte);
+                tampered[x] ^= 1 << bit;
+                tampered[y] ^= 1 << bit;
+                assert!(
+                    matches!(open(&tampered), Err(RestoreError::ChecksumMismatch { .. })),
+                    "block {block}, lanes {a} and {b}, byte {byte} bit {bit}"
+                );
+                tampered[x] ^= 1 << bit;
+                tampered[y] ^= 1 << bit;
+            }
+        }
+    }
+    assert_eq!(tampered, sealed);
+}
+
 // ---- `SnapshotStore::record_from`: the store drives a source ----
 
-use rbs_checkpoint::{byte_runs, BaseId, SnapshotSource};
+use rbs_checkpoint::{byte_runs, BaseId, BlobView, SnapshotSource};
 use rbs_core::fault::{self, FaultKind, FaultPlan, FaultSite};
 use std::cell::Cell;
 use std::sync::Arc;

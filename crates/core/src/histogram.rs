@@ -344,7 +344,7 @@ mod tests {
         for &s in &samples {
             h.record(s);
         }
-        let direct = crate::stats::Summary::of_cycles(&samples).unwrap();
+        let direct = crate::stats::Summary::of(&samples.map(|s| s as f64)).unwrap();
         assert!((h.stddev().unwrap() - direct.stddev).abs() < 1e-9);
 
         let mut single = LogHistogram::new(16);

@@ -61,12 +61,6 @@ impl Summary {
         })
     }
 
-    /// Computes a summary of integer cycle counts.
-    pub fn of_cycles(samples: &[u64]) -> Option<Summary> {
-        let f: Vec<f64> = samples.iter().map(|&s| s as f64).collect();
-        Summary::of(&f)
-    }
-
     /// Computes a summary after dropping the top `trim_fraction` of samples.
     ///
     /// Useful for cycle measurements where the far tail is scheduler noise
@@ -168,14 +162,6 @@ mod tests {
     #[should_panic(expected = "trim fraction")]
     fn trim_rejects_half() {
         Summary::of_trimmed(&[1.0], 0.5).unwrap();
-    }
-
-    #[test]
-    fn of_cycles_matches_of() {
-        let c = [1u64, 2, 3];
-        let a = Summary::of_cycles(&c).unwrap();
-        let b = Summary::of(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -110,17 +110,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as tab-separated values (header first).
-    pub fn render_tsv(&self) -> String {
-        let mut out = self.header.join("\t");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with `digits` decimal places, trimming to a compact form.
@@ -157,14 +146,6 @@ mod tests {
         assert_eq!(lines[0].len(), lines[1].len());
         assert!(lines[3].starts_with("longer"));
         assert!(lines[3].ends_with("12345"));
-    }
-
-    #[test]
-    fn tsv_roundtrip_structure() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(&["1", "2"]);
-        let tsv = t.render_tsv();
-        assert_eq!(tsv, "a\tb\n1\t2\n");
     }
 
     #[test]

@@ -46,11 +46,14 @@
 //! set*; records appended since the export need no mark — they lie past
 //! the base's length), and [`checkpoint_delta`](FlowTable::checkpoint_delta)
 //! builds the byte-range run list against the base image from the marked
-//! records alone: each is packed into a stack buffer and compared with
-//! its bytes in the base, every other byte is known equal, and the same
-//! run builder the byte scan uses ([`rbs_checkpoint::byte_runs`]) turns
-//! that into the same list, byte for byte — without exporting, scanning
-//! or allocating anything the size of the table.
+//! records alone, read off the bitmap a word at a time. No method
+//! rewrites a key in place, so only a marked record's *value* can differ:
+//! the value is packed into a stack buffer and compared with its bytes
+//! in the base, the differing bytes become spans with a few bit
+//! operations, every other byte is known equal, and the same run builder
+//! the byte scan uses ([`rbs_checkpoint::byte_runs`]) turns the spans
+//! into the same list, byte for byte — without exporting, scanning or
+//! allocating anything the size of the table.
 //!
 //! Marking too much is always safe: a record marked and left equal costs
 //! one comparison and contributes no byte. Marking too little is the
@@ -66,6 +69,7 @@
 use crate::flow::{FiveTuple, Fx64};
 use crate::headers::ipv4::IpProto;
 use crate::pipeline::StageDelta;
+use rbs_checkpoint::diff::RUN_GAP;
 use rbs_checkpoint::{
     byte_runs, BlobView, CheckpointCtx, Checkpointable, RestoreCtx, Snapshot, SnapshotError,
 };
@@ -212,17 +216,53 @@ impl DirtySet {
         }
     }
 
+    /// How many base positions are marked: a population count per word,
+    /// the last one's bits past `base_len` left out.
+    fn marked_len(&self) -> usize {
+        let (whole, rest) = (self.base_len / 64, self.base_len % 64);
+        let words = self.marks[..whole].iter().map(|word| word.count_ones());
+        let last = self
+            .marks
+            .get(whole)
+            .map(|word| (word & ((1 << rest) - 1)).count_ones());
+        words.chain(last).sum::<u32>() as usize
+    }
+
     /// The marked base positions, ascending.
-    fn marked(&self) -> impl Iterator<Item = usize> + '_ {
-        let words = self.marks.iter().enumerate();
-        words
-            .flat_map(|(i, &word)| {
-                // Lowest set bit first, cleared as it is yielded.
-                std::iter::successors(Some(word), |rest| Some(rest & rest.wrapping_sub(1)))
-                    .take_while(|&rest| rest != 0)
-                    .map(move |rest| i * 64 + rest.trailing_zeros() as usize)
-            })
-            .take_while(|&pos| pos < self.base_len)
+    fn marked(&self) -> Marked<'_> {
+        Marked {
+            marks: &self.marks,
+            next_word: 0,
+            bits: 0,
+            base_len: self.base_len,
+        }
+    }
+}
+
+/// The marked positions of a [`DirtySet`], read off its bitmap a word at
+/// a time: the lowest set bit first, cleared as it is yielded.
+struct Marked<'a> {
+    marks: &'a [u64],
+    /// The word after the one `bits` came from.
+    next_word: usize,
+    /// What is left of that word.
+    bits: u64,
+    base_len: usize,
+}
+
+impl Iterator for Marked<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.bits = *self.marks.get(self.next_word)?;
+            self.next_word += 1;
+        }
+        let pos = (self.next_word - 1) * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        // Positions ascend: the first past the base ends the walk.
+        (pos < self.base_len).then_some(pos)
     }
 }
 
@@ -451,8 +491,8 @@ impl<K, V> std::fmt::Debug for FlowTable<K, V> {
     }
 }
 
-/// Widest record a table packs: what the stack buffer a record is
-/// packed into holds, and one mismatch bit per byte of it fits a word.
+/// Widest record a table packs: the stack buffers a value is packed and
+/// compared in hold it, and one mismatch bit per byte of it fits a word.
 const MAX_RECORD_WIDTH: usize = 64;
 
 impl<K: TableKey + Pack, V: Pack> FlowTable<K, V> {
@@ -464,15 +504,6 @@ impl<K: TableKey + Pack, V: Pack> FlowTable<K, V> {
         );
         K::WIDTH + V::WIDTH
     };
-
-    /// One entry's record, in the first `RECORD_WIDTH` bytes.
-    #[inline]
-    fn pack_entry((key, value): &(K, V)) -> [u8; MAX_RECORD_WIDTH] {
-        let mut record = [0; MAX_RECORD_WIDTH];
-        key.pack(&mut record[..K::WIDTH]);
-        value.pack(&mut record[K::WIDTH..Self::RECORD_WIDTH]);
-        record
-    }
 
     /// Appends the records of the entries from position `first` on.
     fn append_records(&self, first: usize, out: &mut Vec<u8>) {
@@ -528,7 +559,7 @@ impl<K: TableKey + Pack, V: Pack> FlowTable<K, V> {
         }
         let mut list = std::mem::take(runs);
         list.clear();
-        byte_runs(base, &mut DirtyView::new(self, dirty.marked()), &mut list);
+        byte_runs(base, &mut DirtyWalk::new(self, dirty.marked()), &mut list);
         if list.is_empty() {
             *runs = list;
             StageDelta::Unchanged
@@ -543,7 +574,7 @@ impl<K: TableKey + Pack, V: Pack> FlowTable<K, V> {
     /// of a tracked base.
     pub fn dirty_len(&self) -> Option<usize> {
         let dirty = self.dirty.as_ref()?;
-        Some(dirty.marked().count() + (self.entries.len() - dirty.base_len))
+        Some(dirty.marked_len() + (self.entries.len() - dirty.base_len))
     }
 
     /// Rebuilds a table from the packed image in `snap`, admitting at
@@ -584,7 +615,10 @@ impl<K: TableKey + Pack, V: Pack> FlowTable<K, V> {
             let (Some(key), Some(value)) = (K::unpack(key), V::unpack(value)) else {
                 return Err(mismatch("packed flow record", "invalid field encoding"));
             };
-            if table.insert(key, value).is_some() {
+            // One probe: a key already present is found, not replaced.
+            let held = table.len();
+            table.get_or_insert_with(key.table_hash(), key, || Some(value));
+            if table.len() == held {
                 return Err(mismatch("map with distinct keys", "repeated key"));
             }
         }
@@ -592,94 +626,90 @@ impl<K: TableKey + Pack, V: Pack> FlowTable<K, V> {
     }
 }
 
-/// Marked records a [`DirtyView`] loads at a time.
-const AHEAD: usize = 16;
-
-/// The table's present image as a [`BlobView`] that looks only where the
-/// dirty set points: a marked base record is packed and compared with
-/// its bytes in the base, everything between marked records is equal to
-/// the base by the write-barrier argument, and the appended tail is
-/// copied out record by record.
-///
-/// Marked records are loaded [`AHEAD`] at a time — each packed, and its
-/// bytes in the base copied out beside it — before any is compared: the
-/// loads of one record do not wait on another's, so the misses of a
-/// table and a base image gone cold overlap, and the word-wise compare
-/// does not read bytes the narrower stores of `pack` have yet to retire.
-struct DirtyView<'a, K, V, M> {
+/// The table's present image as a [`BlobView`] that reads only where the
+/// dirty set points. No method rewrites a key in place — a key is set
+/// when its record is appended and moves only with a removal, which ends
+/// tracking — so of a marked base record only the `V::WIDTH` value bytes
+/// can differ from the base: the walk packs the value alone, compares it
+/// with the base's a word at a time, and hands over the differing bytes
+/// as spans. Everything else is equal to the base by the write-barrier
+/// argument, and the appended tail is copied out record by record.
+struct DirtyWalk<'a, K, V> {
     table: &'a FlowTable<K, V>,
-    /// The marked positions not yet loaded.
-    marked: M,
-    /// The loaded records: position, packed bytes, and one bit per byte
-    /// that differs from the base's.
-    at: [usize; AHEAD],
-    record: [[u8; MAX_RECORD_WIDTH]; AHEAD],
-    differs: [u64; AHEAD],
-    /// `cursor..loaded` of them are still to be reported on.
-    cursor: usize,
-    loaded: usize,
+    /// The marked base positions not yet visited.
+    marked: Marked<'a>,
+    /// Where in the image the current record's value starts, the value
+    /// packed, and one bit per value byte that differs from the base's
+    /// and is not yet handed over.
+    value_at: usize,
+    value: [u8; MAX_RECORD_WIDTH],
+    differs: u64,
 }
 
-impl<'a, K: TableKey + Pack, V: Pack, M: Iterator<Item = usize>> DirtyView<'a, K, V, M> {
-    fn new(table: &'a FlowTable<K, V>, marked: M) -> Self {
+impl<'a, K: TableKey + Pack, V: Pack> DirtyWalk<'a, K, V> {
+    fn new(table: &'a FlowTable<K, V>, marked: Marked<'a>) -> Self {
         Self {
             table,
             marked,
-            at: [0; AHEAD],
-            record: [[0; MAX_RECORD_WIDTH]; AHEAD],
-            differs: [0; AHEAD],
-            cursor: 0,
-            loaded: 0,
+            value_at: 0,
+            value: [0; MAX_RECORD_WIDTH],
+            differs: 0,
         }
     }
 
-    /// Loads the next marked records; false when none is left.
-    #[inline(never)]
-    fn load(&mut self, base: &[u8]) -> bool {
-        let width = FlowTable::<K, V>::RECORD_WIDTH;
-        (self.cursor, self.loaded) = (0, 0);
-        let mut old = [[0; MAX_RECORD_WIDTH]; AHEAD];
-        while self.loaded < AHEAD {
-            let Some(pos) = self.marked.next() else {
-                break;
-            };
-            self.at[self.loaded] = pos;
-            self.record[self.loaded] = FlowTable::pack_entry(&self.table.entries[pos]);
-            old[self.loaded][..width].copy_from_slice(&base[pos * width..][..width]);
-            self.loaded += 1;
-        }
-        for (i, old) in old.iter().enumerate().take(self.loaded) {
-            self.differs[i] = differing_bytes(&self.record[i], old, width);
-        }
-        self.loaded > 0
+    /// Compares the value of the record at `pos` with its bytes in the
+    /// base.
+    #[inline]
+    fn visit(&mut self, base: &[u8], pos: usize) {
+        let start = pos * FlowTable::<K, V>::RECORD_WIDTH;
+        let (key, value) = &self.table.entries[pos];
+        debug_assert!(
+            {
+                let mut packed = [0; MAX_RECORD_WIDTH];
+                key.pack(&mut packed[..K::WIDTH]);
+                packed[..K::WIDTH] == base[start..start + K::WIDTH]
+            },
+            "the key of marked record {pos} differs from the base's"
+        );
+        self.value_at = start + K::WIDTH;
+        let value_bytes = &mut self.value[..V::WIDTH];
+        value.pack(value_bytes);
+        self.differs = differing_bytes(value_bytes, &base[self.value_at..][..V::WIDTH]);
     }
 }
 
-impl<K: TableKey + Pack, V: Pack, M: Iterator<Item = usize>> BlobView for DirtyView<'_, K, V, M> {
+impl<K: TableKey + Pack, V: Pack> BlobView for DirtyWalk<'_, K, V> {
     fn len(&self) -> usize {
         self.table.entries.len() * FlowTable::<K, V>::RECORD_WIDTH
     }
 
     #[inline]
-    fn next_mismatch(&mut self, base: &[u8], from: usize) -> Option<(usize, u8)> {
-        let width = FlowTable::<K, V>::RECORD_WIDTH;
-        loop {
-            if self.cursor == self.loaded && !self.load(base) {
-                return None;
-            }
-            // The run builder asks in ascending order, so `from` lies in
-            // the record the cursor is on or short of it.
-            let start = self.at[self.cursor] * width;
-            let skip = from.saturating_sub(start);
-            if skip < width {
-                let ahead = self.differs[self.cursor] >> skip;
-                if ahead != 0 {
-                    let at = skip + ahead.trailing_zeros() as usize;
-                    return Some((start + at, self.record[self.cursor][at]));
-                }
-            }
-            self.cursor += 1;
+    fn next_span(&mut self, base: &[u8], from: usize) -> Option<(usize, &[u8])> {
+        while self.differs == 0 {
+            let pos = self.marked.next()?;
+            self.visit(base, pos);
         }
+        // The lowest stretch of set bits, then every further stretch no
+        // more than `RUN_GAP` clear bits on — the unchanged bytes between
+        // are the base's, in the packed value as in the image.
+        let differs = self.differs;
+        let first = differs.trailing_zeros();
+        let mut end = first + (differs >> first).trailing_ones();
+        loop {
+            let rest = differs.checked_shr(end).unwrap_or(0);
+            let gap = rest.trailing_zeros();
+            if rest == 0 || gap as usize > RUN_GAP {
+                break;
+            }
+            end += gap + (rest >> gap).trailing_ones();
+        }
+        self.differs &= u64::MAX.checked_shl(end).unwrap_or(0);
+        let (first, end) = (first as usize, end as usize);
+        debug_assert!(
+            self.value_at + first >= from,
+            "spans are asked for in order"
+        );
+        Some((self.value_at + first, &self.value[first..end]))
     }
 
     fn copy_tail(&mut self, from: usize, out: &mut Vec<u8>) {
@@ -688,20 +718,20 @@ impl<K: TableKey + Pack, V: Pack, M: Iterator<Item = usize>> BlobView for DirtyV
     }
 }
 
-/// One bit per byte among the first `width` of `new` that differs from
-/// `old`'s, eight bytes per step.
+/// One bit per byte of `new` that differs from `old`'s (the two the same
+/// length, at most 64), eight bytes per step.
 #[inline]
-fn differing_bytes(
-    new: &[u8; MAX_RECORD_WIDTH],
-    old: &[u8; MAX_RECORD_WIDTH],
-    width: usize,
-) -> u64 {
+fn differing_bytes(new: &[u8], old: &[u8]) -> u64 {
     const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
-    let words = new.chunks_exact(8).zip(old.chunks_exact(8));
+    debug_assert!(new.len() == old.len() && new.len() <= 64);
+    let word = |bytes: &[u8]| {
+        let mut word = [0; 8];
+        word[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(word)
+    };
     let mut bits = 0;
-    for (i, (new, old)) in words.take(width.div_ceil(8)).enumerate() {
-        let x = u64::from_le_bytes(new.try_into().expect("8-byte chunk"))
-            ^ u64::from_le_bytes(old.try_into().expect("8-byte chunk"));
+    for (i, (new, old)) in new.chunks(8).zip(old.chunks(8)).enumerate() {
+        let x = word(new) ^ word(old);
         // The high bit of every non-zero byte of `x`…
         let nonzero = (((x & LOW7) + LOW7) | x) & !LOW7;
         // …gathered into the top byte: byte k's lands on bit 56 + k, and
@@ -843,20 +873,22 @@ mod tests {
         let naive = |a: &[u8; 64], b: &[u8; 64], width: usize| {
             (0..width).fold(0u64, |bits, i| bits | u64::from(a[i] != b[i]) << i)
         };
+        let swar =
+            |a: &[u8; 64], b: &[u8; 64], width: usize| differing_bytes(&a[..width], &b[..width]);
         let old: [u8; 64] = std::array::from_fn(|i| (i * 37) as u8);
-        for width in [1, 5, 8, 9, 29, 45, 63, 64] {
-            assert_eq!(differing_bytes(&old, &old, width), 0);
+        for width in [1, 5, 7, 8, 9, 16, 29, 45, 63, 64] {
+            assert_eq!(swar(&old, &old, width), 0);
             // Every single byte, by its lowest and by its highest bit;
             // then every byte at once, then every other one.
             for at in 0..width {
                 for flip in [0x01, 0x80, 0xFF] {
                     let mut new = old;
                     new[at] ^= flip;
-                    assert_eq!(differing_bytes(&new, &old, width), 1 << at, "byte {at}");
+                    assert_eq!(swar(&new, &old, width), 1 << at, "byte {at}");
                 }
             }
             let all: [u8; 64] = std::array::from_fn(|i| if i < width { !old[i] } else { old[i] });
-            assert_eq!(differing_bytes(&all, &old, width), naive(&all, &old, width));
+            assert_eq!(swar(&all, &old, width), naive(&all, &old, width));
             assert_eq!(naive(&all, &old, width).count_ones() as usize, width);
             let odd: [u8; 64] = std::array::from_fn(|i| {
                 if i % 2 == 1 && i < width {
@@ -865,7 +897,7 @@ mod tests {
                     old[i]
                 }
             });
-            assert_eq!(differing_bytes(&odd, &old, width), naive(&odd, &old, width));
+            assert_eq!(swar(&odd, &old, width), naive(&odd, &old, width));
         }
     }
 
@@ -888,6 +920,7 @@ mod tests {
             dirty.marked().collect::<Vec<_>>(),
             vec![0, 7, 63, 64, 128, 129]
         );
+        assert_eq!(dirty.marked_len(), 6);
     }
 
     #[test]

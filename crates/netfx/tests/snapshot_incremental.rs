@@ -11,11 +11,17 @@
 //!   declining `make`), `get_mut_hashed` (changing the value, or taking
 //!   the `&mut` and leaving it: over-marking), `insert` (replace, new),
 //!   `remove`, `retain`, restore-from-image and `checkpoint_base` steps,
-//!   and checked against the oracle **after every step**;
+//!   and checked against the oracle **after every step** — and so are a
+//!   table of 16-byte values whose changes lie eight and nine bytes
+//!   apart within a value, and a table of the shape the NAT's inbound
+//!   map seals, a 3-byte key and a 7-byte value, whose value spans
+//!   straddle the image's words and whose runs merge across the keys
+//!   between;
 //! - the named shapes — runs merged across adjacent records, gaps of
 //!   7/8/9 bytes, a pure-append tail, a tail merged into the last run,
-//!   an empty base, nothing changed, an invalid set — each pinned by a
-//!   deterministic case that also says what the list looks like;
+//!   an empty base, nothing changed, an invalid set, a whole 7-byte
+//!   value across a word boundary — each pinned by a deterministic case
+//!   that also says what the list looks like;
 //! - at tracker level, `packets`/`bytes` counters carrying across byte
 //!   boundaries (0xFF → 0x100, 0xFFFF → 0x1_0000);
 //! - at pipeline level, a store driven by `record_from` over random
@@ -24,10 +30,12 @@
 //!
 //! Mutation-checked: dropping the mark from `get_mut_hashed` or from the
 //! hit arm of `get_or_insert_with`, keeping the dirty set across
-//! `remove` or `retain`, keeping the old marks at a new base, or moving
-//! one byte's mismatch bit, each fails this file. (`checkpoint_delta`
-//! takes `&self`: resetting the set there — every delta is against the
-//! *base*, not against the previous delta — does not compile.)
+//! `remove` or `retain`, keeping the old marks at a new base, moving
+//! one byte's mismatch bit, or letting the walk merge changes nine
+//! unchanged bytes apart within a value, each fails this file.
+//! (`checkpoint_delta` takes `&self`: resetting the set there — every
+//! delta is against the *base*, not against the previous delta — does
+//! not compile.)
 
 use proptest::prelude::*;
 use rbs_checkpoint::{
@@ -66,7 +74,167 @@ const RECORD: usize = 10;
 /// Offset of the value in a record.
 const VALUE: usize = 2;
 
-fn image_of(table: &Table) -> Vec<u8> {
+/// A three-byte key — a port and a protocol, as the NAT's inbound table
+/// keys its records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PortKey(u16, u8);
+
+impl TableKey for PortKey {
+    fn table_hash(&self) -> u64 {
+        (u64::from(self.0) << 8 | u64::from(self.1)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7
+    }
+}
+
+impl Pack for PortKey {
+    const WIDTH: usize = 3;
+
+    fn pack(&self, out: &mut [u8]) {
+        out[..2].copy_from_slice(&self.0.to_be_bytes());
+        out[2] = self.1;
+    }
+
+    fn unpack(bytes: &[u8]) -> Option<Self> {
+        let b: &[u8; 3] = bytes.try_into().ok()?;
+        Some(PortKey(u16::from_be_bytes([b[0], b[1]]), b[2]))
+    }
+}
+
+/// A seven-byte value — an inside address, port and protocol, as the
+/// NAT's inbound table holds — kept as the low 56 bits of a word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Inside(u64);
+
+impl Pack for Inside {
+    const WIDTH: usize = 7;
+
+    fn pack(&self, out: &mut [u8]) {
+        out.copy_from_slice(&self.0.to_le_bytes()[..7]);
+    }
+
+    fn unpack(bytes: &[u8]) -> Option<Self> {
+        let mut word = [0; 8];
+        word[..7].copy_from_slice(bytes);
+        Some(Inside(u64::from_le_bytes(word)))
+    }
+}
+
+/// A 10-byte record too, split 3 + 7: a value's bytes straddle the
+/// image's words, and a change at a value's end and one at the next
+/// value's start are three key bytes apart, so runs merge across records.
+type PortTable = FlowTable<PortKey, Inside>;
+
+/// A 16-byte value, as wide as the flow tracker's counters: the raw
+/// number, then the same rotated by two bytes. A change to byte `a < 6`
+/// recurs at byte `a + 10`, nine unchanged bytes on — two runs — while a
+/// change to bytes `a` and `a + 1` leaves eight between — one run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Wide(u64);
+
+impl Pack for Wide {
+    const WIDTH: usize = 16;
+
+    fn pack(&self, out: &mut [u8]) {
+        out[..8].copy_from_slice(&self.0.to_le_bytes());
+        out[8..].copy_from_slice(&self.0.rotate_left(16).to_le_bytes());
+    }
+
+    fn unpack(bytes: &[u8]) -> Option<Self> {
+        let raw = u64::from_le_bytes(bytes[..8].try_into().ok()?);
+        let rotated = u64::from_le_bytes(bytes[8..].try_into().ok()?);
+        (rotated == raw.rotate_left(16)).then_some(Wide(raw))
+    }
+}
+
+/// A two-byte key in front of a [`Wide`] value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WideKey(u16);
+
+impl TableKey for WideKey {
+    fn table_hash(&self) -> u64 {
+        Key(self.0).table_hash()
+    }
+}
+
+impl Pack for WideKey {
+    const WIDTH: usize = 2;
+
+    fn pack(&self, out: &mut [u8]) {
+        Key(self.0).pack(out);
+    }
+
+    fn unpack(bytes: &[u8]) -> Option<Self> {
+        Key::unpack(bytes).map(|key| WideKey(key.0))
+    }
+}
+
+/// What the step oracle needs of a table shape: its keys and values
+/// from small numbers, and its values as numbers again.
+trait Shape {
+    type K: TableKey + Pack + Copy + std::fmt::Debug;
+    type V: Pack + Copy + PartialEq + std::fmt::Debug;
+    /// The value bits a record holds.
+    const BITS: u64;
+    fn key(n: u16) -> Self::K;
+    fn number(key: &Self::K) -> u16;
+    fn value(raw: u64) -> Self::V;
+    fn raw(value: &Self::V) -> u64;
+}
+
+impl Shape for Key {
+    type K = Key;
+    type V = u64;
+    const BITS: u64 = u64::MAX;
+    fn key(n: u16) -> Key {
+        Key(n)
+    }
+    fn number(key: &Key) -> u16 {
+        key.0
+    }
+    fn value(raw: u64) -> u64 {
+        raw
+    }
+    fn raw(value: &u64) -> u64 {
+        *value
+    }
+}
+
+impl Shape for PortKey {
+    type K = PortKey;
+    type V = Inside;
+    const BITS: u64 = (1 << 56) - 1;
+    fn key(n: u16) -> PortKey {
+        PortKey(40_000 + n, if n.is_multiple_of(3) { 6 } else { 17 })
+    }
+    fn number(key: &PortKey) -> u16 {
+        key.0 - 40_000
+    }
+    fn value(raw: u64) -> Inside {
+        Inside(raw & Self::BITS)
+    }
+    fn raw(value: &Inside) -> u64 {
+        value.0
+    }
+}
+
+impl Shape for WideKey {
+    type K = WideKey;
+    type V = Wide;
+    const BITS: u64 = u64::MAX;
+    fn key(n: u16) -> WideKey {
+        WideKey(n)
+    }
+    fn number(key: &WideKey) -> u16 {
+        key.0
+    }
+    fn value(raw: u64) -> Wide {
+        Wide(raw)
+    }
+    fn raw(value: &Wide) -> u64 {
+        value.0
+    }
+}
+
+fn image_of<K: TableKey + Pack, V: Pack>(table: &FlowTable<K, V>) -> Vec<u8> {
     match checkpoint(table).root {
         Snapshot::Bytes(image) => image,
         other => panic!("a table checkpoints as one blob, not {other:?}"),
@@ -89,7 +257,7 @@ fn scanned(base: &[u8], next: &[u8]) -> StageDelta {
 
 /// The walk: what the table says, starting from a scratch buffer that
 /// still holds an earlier answer.
-fn walked(table: &Table, base: &[u8]) -> StageDelta {
+fn walked<K: TableKey + Pack, V: Pack>(table: &FlowTable<K, V>, base: &[u8]) -> StageDelta {
     let mut scratch = vec![0xEE; 7];
     let answer = table.checkpoint_delta(&Snapshot::Bytes(base.to_vec()), &mut scratch);
     if matches!(answer, StageDelta::Runs(_)) {
@@ -186,92 +354,127 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(op, 1..60)
 }
 
+/// Drives a table of shape `S` through `ops` from `seed` records, and
+/// holds the walk to the scan after every step.
+fn walk_is_scan_after_every_step<S: Shape>(seed: u16, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut table = FlowTable::<S::K, S::V>::new();
+    let mut oracle = BTreeMap::new();
+    for key in 0..seed {
+        table.insert(S::key(key), S::value(u64::from(key) << 20));
+        oracle.insert(key, u64::from(key) << 20);
+    }
+    // The last base image, and whether the table still tracks it.
+    let mut base: Option<Vec<u8>> = None;
+    let mut tracked = false;
+    for op in ops {
+        match *op {
+            Op::Upsert { key, mask, decline } => {
+                let mask = mask & S::BITS;
+                let hash = S::key(key).table_hash();
+                let made = (!decline).then(|| S::value(mask));
+                match table.get_or_insert_with(hash, S::key(key), || made) {
+                    Some(value) if oracle.contains_key(&key) => {
+                        *value = S::value(S::raw(value) ^ mask);
+                    }
+                    Some(value) => prop_assert_eq!(S::raw(value), mask),
+                    None => prop_assert!(decline && !oracle.contains_key(&key)),
+                }
+                match oracle.get_mut(&key) {
+                    Some(value) => *value ^= mask,
+                    None if !decline => drop(oracle.insert(key, mask)),
+                    None => {}
+                }
+            }
+            Op::Touch { key, mask } => {
+                let mask = mask & S::BITS;
+                let held = table.get_mut_hashed(S::key(key).table_hash(), &S::key(key));
+                prop_assert_eq!(held.is_some(), oracle.contains_key(&key));
+                if let (Some(value), Some(known)) = (held, oracle.get_mut(&key)) {
+                    *value = S::value(S::raw(value) ^ mask);
+                    *known ^= mask;
+                }
+            }
+            Op::Insert { key, value } => {
+                let value = value & S::BITS;
+                prop_assert_eq!(
+                    table
+                        .insert(S::key(key), S::value(value))
+                        .map(|v| S::raw(&v)),
+                    oracle.insert(key, value)
+                );
+            }
+            Op::Remove { key } => {
+                let removed = oracle.remove(&key);
+                prop_assert_eq!(table.remove(&S::key(key)).map(|v| S::raw(&v)), removed);
+                tracked &= removed.is_none();
+            }
+            Op::Retain { modulus } => {
+                table.retain(|k, v| {
+                    *v = S::value(S::raw(v).wrapping_add(1));
+                    S::number(k) % modulus != 0
+                });
+                oracle.retain(|k, v| {
+                    *v = v.wrapping_add(1) & S::BITS;
+                    k % modulus != 0
+                });
+                tracked = false;
+            }
+            Op::Restore => {
+                let image = Snapshot::Bytes(image_of(&table));
+                table = FlowTable::from_image(&image, usize::MAX).expect("own image");
+                tracked = false;
+            }
+            Op::Base { recycle } => {
+                let spent = base.take().filter(|_| recycle).map(Snapshot::Bytes);
+                let Snapshot::Bytes(image) = table.checkpoint_base(spent) else {
+                    panic!("a table checkpoints as one blob");
+                };
+                prop_assert_eq!(&image, &image_of(&table), "a base is the full image");
+                base = Some(image);
+                tracked = true;
+            }
+        }
+        prop_assert_eq!(table.len(), oracle.len());
+        let now = image_of(&table);
+        match &base {
+            Some(base) if tracked => {
+                prop_assert_eq!(walked(&table, base), scanned(base, &now), "after {:?}", op);
+                prop_assert!(table.dirty_len().is_some());
+            }
+            // A base the table no longer (or never did) vouch for.
+            Some(base) => {
+                prop_assert_eq!(walked(&table, base), StageDelta::Whole, "after {:?}", op);
+            }
+            None => prop_assert_eq!(walked(&table, &now), StageDelta::Whole),
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
 
     #[test]
     fn the_dirty_walk_is_the_scan_after_every_step(seed in 0u16..24, ops in ops()) {
-        let mut table = Table::new();
-        let mut oracle = BTreeMap::new();
-        for key in 0..seed {
-            table.insert(Key(key), u64::from(key) << 20);
-            oracle.insert(key, u64::from(key) << 20);
-        }
-        // The last base image, and whether the table still tracks it.
-        let mut base: Option<Vec<u8>> = None;
-        let mut tracked = false;
-        for op in &ops {
-            match *op {
-                Op::Upsert { key, mask, decline } => {
-                    let hash = Key(key).table_hash();
-                    let made = (!decline).then_some(mask);
-                    match table.get_or_insert_with(hash, Key(key), || made) {
-                        Some(value) if oracle.contains_key(&key) => *value ^= mask,
-                        Some(value) => prop_assert_eq!(*value, mask),
-                        None => prop_assert!(decline && !oracle.contains_key(&key)),
-                    }
-                    match oracle.get_mut(&key) {
-                        Some(value) => *value ^= mask,
-                        None if !decline => drop(oracle.insert(key, mask)),
-                        None => {}
-                    }
-                }
-                Op::Touch { key, mask } => {
-                    let held = table.get_mut_hashed(Key(key).table_hash(), &Key(key));
-                    prop_assert_eq!(held.is_some(), oracle.contains_key(&key));
-                    if let (Some(value), Some(known)) = (held, oracle.get_mut(&key)) {
-                        *value ^= mask;
-                        *known ^= mask;
-                    }
-                }
-                Op::Insert { key, value } => {
-                    prop_assert_eq!(table.insert(Key(key), value), oracle.insert(key, value));
-                }
-                Op::Remove { key } => {
-                    let removed = oracle.remove(&key);
-                    prop_assert_eq!(table.remove(&Key(key)), removed);
-                    tracked &= removed.is_none();
-                }
-                Op::Retain { modulus } => {
-                    table.retain(|k, v| {
-                        *v = v.wrapping_add(1);
-                        k.0 % modulus != 0
-                    });
-                    oracle.retain(|k, v| {
-                        *v = v.wrapping_add(1);
-                        k % modulus != 0
-                    });
-                    tracked = false;
-                }
-                Op::Restore => {
-                    let image = Snapshot::Bytes(image_of(&table));
-                    table = Table::from_image(&image, usize::MAX).expect("own image");
-                    tracked = false;
-                }
-                Op::Base { recycle } => {
-                    let spent = base.take().filter(|_| recycle).map(Snapshot::Bytes);
-                    let Snapshot::Bytes(image) = table.checkpoint_base(spent) else {
-                        panic!("a table checkpoints as one blob");
-                    };
-                    prop_assert_eq!(&image, &image_of(&table), "a base is the full image");
-                    base = Some(image);
-                    tracked = true;
-                }
-            }
-            prop_assert_eq!(table.len(), oracle.len());
-            let now = image_of(&table);
-            match &base {
-                Some(base) if tracked => {
-                    prop_assert_eq!(walked(&table, base), scanned(base, &now), "after {:?}", op);
-                    prop_assert!(table.dirty_len().is_some());
-                }
-                // A base the table no longer (or never did) vouch for.
-                Some(base) => {
-                    prop_assert_eq!(walked(&table, base), StageDelta::Whole, "after {:?}", op);
-                }
-                None => prop_assert_eq!(walked(&table, &now), StageDelta::Whole),
-            }
-        }
+        walk_is_scan_after_every_step::<Key>(seed, &ops)?;
+    }
+
+    /// Values of 16 bytes whose changes lie eight and nine unchanged
+    /// bytes apart within one value: the walk's spans must merge across
+    /// the one and stop at the other, as the builder's runs do.
+    #[test]
+    fn the_dirty_walk_is_the_scan_for_a_sixteen_byte_value(seed in 0u16..24, ops in ops()) {
+        walk_is_scan_after_every_step::<WideKey>(seed, &ops)?;
+    }
+
+    /// The shape the NAT's inbound table seals: a 3-byte key and a
+    /// 7-byte value.
+    #[test]
+    fn the_dirty_walk_is_the_scan_for_a_three_and_seven_byte_record(
+        seed in 0u16..24,
+        ops in ops(),
+    ) {
+        walk_is_scan_after_every_step::<PortKey>(seed, &ops)?;
     }
 }
 
@@ -319,6 +522,59 @@ fn changes_in_adjacent_records_merge_up_to_a_gap_of_eight() {
             );
         }
     }
+}
+
+/// A `PortTable` of `n` records, `n → n << 16`, exported as a base.
+fn port_based(n: u16) -> (PortTable, Vec<u8>) {
+    let mut table = PortTable::new();
+    for n in 0..n {
+        table.insert(PortKey::key(n), Inside(u64::from(n) << 16));
+    }
+    let Snapshot::Bytes(base) = table.checkpoint_base(None) else {
+        panic!("a table checkpoints as one blob");
+    };
+    (table, base)
+}
+
+#[test]
+fn seven_byte_values_merge_across_three_byte_keys_and_straddle_words() {
+    const RECORD: usize = 10;
+    const VALUE: usize = 3;
+    let poke = |table: &mut PortTable, record: u16, byte: usize| {
+        table.get_mut(&PortKey::key(record)).expect("present").0 ^= 0x55 << (8 * byte);
+    };
+    let spans = |table: &PortTable, base: &[u8]| {
+        let answer = walked(table, base);
+        assert_eq!(answer, scanned(base, &image_of(table)));
+        runs_of(&answer)
+            .iter()
+            .map(|(at, bytes)| (*at, bytes.len()))
+            .collect::<Vec<_>>()
+    };
+    // A value's last byte and the next value's first: the three key
+    // bytes between ride in one run.
+    let (mut table, base) = port_based(8);
+    poke(&mut table, 2, 6);
+    poke(&mut table, 3, 0);
+    assert_eq!(spans(&table, &base), vec![(2 * RECORD + VALUE + 6, 5)]);
+
+    // A whole value, bytes 43..50 of the image: across the word
+    // boundary at 48, one span.
+    let (mut table, base) = port_based(8);
+    table.get_mut(&PortKey::key(4)).expect("present").0 ^= (1 << 56) - 1;
+    assert_eq!(spans(&table, &base), vec![(4 * RECORD + VALUE, 7)]);
+
+    // Value byte 6 of record 5 and byte 5 or 6 of record 6: eight
+    // unchanged bytes between merge, nine do not.
+    let (mut table, base) = port_based(8);
+    poke(&mut table, 5, 6);
+    poke(&mut table, 6, 5);
+    assert_eq!(spans(&table, &base), vec![(5 * RECORD + VALUE + 6, 10)]);
+    let (mut table, base) = port_based(8);
+    poke(&mut table, 5, 6);
+    poke(&mut table, 6, 6);
+    assert_eq!(spans(&table, &base), vec![(59, 1), (69, 1)]);
+    assert_eq!(table.dirty_len(), Some(2));
 }
 
 #[test]

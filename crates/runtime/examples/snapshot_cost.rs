@@ -16,13 +16,23 @@
 //!   — export the whole image, compare it with the base byte for byte;
 //! - the **walk** path: `SnapshotStore::record_from` — the store asks the
 //!   chain, and the flow table answers from the records it handed out
-//!   mutably since the base;
+//!   mutably since the base: it reads its dirty bitmap a word at a time,
+//!   compares each marked record's value bytes (never its key, which no
+//!   method rewrites in place) with the base's, and hands the run
+//!   builder each stretch of changed bytes as one span;
 //!
 //! both *hot* (back to back) and *evicted* (a 4 MiB sweep between
 //! records, which is how the engine meets them: a tick of packet work
-//! runs between any two records of a tenant). Beside the cycles: bytes
-//! the allocator handed out during a steady-state delta record, its
-//! sealed size, and the records the walk visited.
+//! runs between any two records of a tenant). Either path seals what it
+//! built under the same footer, a four-lane checksum over 32-byte
+//! blocks. Beside the cycles: bytes the allocator handed out during a
+//! steady-state delta record, its sealed size, and the records the walk
+//! visited.
+//!
+//! To compare two commits, build this example in each and alternate the
+//! two binaries a few times, one process at a time: the cycle columns
+//! move with the host, the byte and `visited` columns must not move at
+//! all.
 //!
 //! Both paths run over the same chain in the same states, and every
 //! record of one is checked to open to the same checkpoint and to have
