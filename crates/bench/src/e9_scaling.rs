@@ -316,7 +316,7 @@ pub fn measure_lane_point(n: usize, batches: usize, host: &HostInfo) -> ScalingP
     }
 }
 
-/// One skew-cell run: [`SKEW_LANES`] lanes, Zipf([`ZIPF_S`]) mix.
+/// One skew-cell run: `SKEW_LANES` lanes, Zipf(`ZIPF_S`) mix.
 pub fn measure_skew_run(batches: usize, steal: bool) -> SkewRun {
     let mix = TrafficConfig {
         flows: 4096,
@@ -345,7 +345,7 @@ const RECOVERY_LANES: usize = 4;
 /// The lane whose pipeline the recovery run crashes.
 const VICTIM: usize = 1;
 
-/// Crashes one of [`RECOVERY_LANES`] lanes halfway through its quota
+/// Crashes one of `RECOVERY_LANES` lanes halfway through its quota
 /// and verifies containment + rejoin. Stealing is off, so every lane
 /// runs exactly its own slice and the fault lands on the victim's
 /// `batches / (2 × lanes)`-th batch.

@@ -18,7 +18,7 @@
 //! judging its footer by this version's rule.
 //!
 //! Envelopes come in two kinds: `Full` (a complete checkpoint) and
-//! `Delta` (an incremental [`Delta`](crate::diff::Delta) against an
+//! `Delta` (an incremental [`Delta`] against an
 //! earlier full envelope, identified by `base_epoch`). The
 //! [`store`](crate::store) pairs them into restorable units.
 

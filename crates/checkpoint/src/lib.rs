@@ -29,7 +29,7 @@
 //! - [`checkpointable!`](crate::checkpointable): a `macro_rules!` stand-in
 //!   for the paper's compiler plugin, generating the inductive impl for
 //!   user structs;
-//! - [`diff`]: structural deltas between checkpoints — subtree
+//! - [`diff`](mod@diff): structural deltas between checkpoints — subtree
 //!   replacements, and byte runs inside `Bytes` blobs;
 //! - [`envelope`] / [`store`]: sealed snapshots with integrity metadata
 //!   (checksum footer, monotonic epochs, typed [`RestoreError`]) and the

@@ -3,7 +3,7 @@
 //! A [`SnapshotStore`] is what a supervised worker records its periodic
 //! state snapshots into, and what the supervisor restores from after a
 //! crash. Every `full_every`-th record seals a complete checkpoint; the
-//! records between seal an incremental [`Delta`](crate::diff::Delta)
+//! records between seal an incremental [`Delta`]
 //! against the last full one, so steady-state snapshot cost scales with
 //! what *changed* since the base, not with total state size (§5's
 //! replication argument applied to recovery). That holds inside a packed

@@ -9,12 +9,12 @@
 //!
 //! # Layout
 //!
-//! A *node* is 256 [`Slot`]s, indexed by one byte of the destination
+//! A *node* is 256 `Slot`s, indexed by one byte of the destination
 //! address; the node at level `L` (0..=3) stands for a binary-trie node
 //! at depth `8L` and spans the binary depths `8L+1 ..= 8L+8` below it.
 //! A slot holds the index of the child node (when the binary trie goes
 //! on below depth `8L+8` on that byte's path) and a *candidate chain*: a
-//! run of [`Candidate`]s in one shared array, one per rule reference
+//! run of `Candidate`s in one shared array, one per rule reference
 //! attached on the byte's path at the depths the node spans — a
 //! reference at depth `8L+k` appears in the chains of the `2^(8-k)` slots
 //! its prefix covers. Rules attached at the root (`/0`) form a chain of
@@ -31,7 +31,7 @@
 //! and lets a deeper hit overwrite a shallower one. A chain lists its
 //! slot's references deepest depth first, `id` ascending within a depth,
 //! attachment order within an `id` — so the *first* match in a chain is
-//! the bit walk's answer over those ≤ 8 depths — and [`Index::find`]
+//! the bit walk's answer over those ≤ 8 depths — and `Index::find`
 //! takes the root chain, then one chain per level, a later level's hit
 //! overwriting an earlier one. That is the same maximum over the same
 //! set, read in at most four dependent node loads.

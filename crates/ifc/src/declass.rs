@@ -7,7 +7,7 @@
 //!
 //! # Model
 //!
-//! Following the decentralized label model the paper cites [29], code
+//! Following the decentralized label model the paper cites \[29\], code
 //! runs with an *authority*: the set of secrecy atoms it is trusted to
 //! release. `declassify e` strips exactly those atoms from `e`'s label.
 //! Two safety conditions apply:

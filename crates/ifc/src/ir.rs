@@ -148,7 +148,7 @@ pub enum Stmt {
     },
     /// `let dst = declassify expr` — strips the atoms the enclosing
     /// function holds authority over from the expression's label (the
-    /// decentralized-label-model escape hatch [29]). The analyses
+    /// decentralized-label-model escape hatch \[29\]). The analyses
     /// additionally require the *program counter* to be covered by the
     /// authority — "robust declassification": secret data must not
     /// control whether a declassification happens.

@@ -1,7 +1,7 @@
 //! The Maglev software load balancer, as a `rbs-netfx` network function.
 //!
 //! Figure 2 of the paper compares SFI overhead against "the NetBricks
-//! implementation of the Maglev load balancer [13]", a realistic but
+//! implementation of the Maglev load balancer \[13\]", a realistic but
 //! lightweight network function. This crate is a from-scratch
 //! implementation of Maglev's two data-path pieces:
 //!

@@ -72,7 +72,7 @@ impl Budget {
 
     /// How many cache misses fit in the budget, at `miss_ns` each — the
     /// paper's "handful of cache misses in the critical path" point,
-    /// using the 96–146 ns Haswell-EP latencies it cites [28].
+    /// using the 96–146 ns Haswell-EP latencies it cites \[28\].
     pub fn cache_misses_in_budget(&self, miss_ns: f64) -> f64 {
         assert!(miss_ns > 0.0, "miss latency must be positive");
         self.ns_per_packet() / miss_ns

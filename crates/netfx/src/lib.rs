@@ -1,6 +1,6 @@
 //! A NetBricks-style packet-processing framework.
 //!
-//! The paper's isolation experiments (§3, Figure 2) run on NetBricks [31],
+//! The paper's isolation experiments (§3, Figure 2) run on NetBricks \[31\],
 //! a network-function framework written in Rust that passes packet batches
 //! between pipeline stages *by move*: the linear type system guarantees
 //! that only one stage can touch a batch at a time. This crate rebuilds the

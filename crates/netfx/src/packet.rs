@@ -212,7 +212,7 @@ impl Packet {
     /// The value must equal what [`crate::flow::packet_flow_hash`] would
     /// compute for the current frame bytes — stamping anything else makes
     /// flow-affine dispatch silently unstable. Callers that cannot
-    /// guarantee that should let [`crate::flow::Packet::flow_hash`]
+    /// guarantee that should let [`Packet::flow_hash`]
     /// (first access) compute it instead.
     pub fn set_cached_flow_hash(&mut self, hash: u64) {
         self.flow.hash = hash;

@@ -5,7 +5,7 @@
 //! around a ring forever — NIC → pipeline → NIC — without the allocator
 //! on the data path. In C that ring is guarded by conventions (a
 //! use-after-free away from silent corruption); here it is guarded by the
-//! type system. A [`Packet`](crate::packet::Packet) owns its buffer, a
+//! type system. A [`Packet`] owns its buffer, a
 //! plain `Vec<u8>`, outright, so a buffer can only re-enter the pool by
 //! *moving* back
 //! ([`Packet::into_bytes`](crate::packet::Packet::into_bytes)),

@@ -138,18 +138,6 @@ impl Default for LaneConfig {
     }
 }
 
-/// One entry in a lane's protocol journal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LaneEvent {
-    /// A domain fault was survived: fresh domain, cold pipeline.
-    Respawned {
-        /// Rebuild count (1 = first respawn).
-        seq: u32,
-    },
-    /// The respawn budget is exhausted; the lane sheds from here on.
-    Dead,
-}
-
 /// Per-origin-lane packet ledger: every counter is credited by whoever
 /// *handles* the origin's traffic, not who generated it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -267,8 +255,6 @@ pub struct LaneOutcome {
     /// `taken - returned` is not meaningful — only the fleet-wide sum
     /// is (see [`LaneReport::outstanding_buffers`]).
     pub pool: PoolStats,
-    /// Protocol journal (respawns, death).
-    pub events: Vec<LaneEvent>,
 }
 
 /// Merged end-of-run report for a lane fleet.
@@ -587,7 +573,6 @@ struct LaneCtx {
     deque_hwm: usize,
     slice_flows: usize,
     share: f64,
-    events: Vec<LaneEvent>,
 }
 
 impl LaneCtx {
@@ -658,7 +643,6 @@ impl LaneCtx {
             deque_hwm: 0,
             slice_flows,
             share,
-            events: Vec::with_capacity(16),
             cfg,
         }
     }
@@ -787,7 +771,6 @@ impl LaneCtx {
         self.manager.destroy_domain(&self.domain);
         if self.respawns >= self.cfg.max_respawns {
             self.dead = true;
-            self.events.push(LaneEvent::Dead);
             return;
         }
         self.respawns += 1;
@@ -798,8 +781,6 @@ impl LaneCtx {
         self.attachment = domain.attach_thread().ok();
         self.pipeline = self.spec.build();
         self.domain = domain;
-        self.events
-            .push(LaneEvent::Respawned { seq: self.respawns });
     }
 
     /// One steal attempt: scan victims ring-nearest first, take up
@@ -878,7 +859,6 @@ impl LaneCtx {
             dead: self.dead,
             deque_hwm: self.deque_hwm,
             pool: self.pool.stats(),
-            events: self.events,
         }
     }
 }

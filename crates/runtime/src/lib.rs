@@ -65,7 +65,7 @@ pub mod tenant;
 pub mod tenant_lanes;
 
 pub use deque::{LaneDeque, Steal, Stealer};
-pub use lane::{LaneConfig, LaneEvent, LaneLedgerSnapshot, LaneOutcome, LaneReport, LaneRuntime};
+pub use lane::{LaneConfig, LaneLedgerSnapshot, LaneOutcome, LaneReport, LaneRuntime};
 pub use rbs_checkpoint::{Buffered, SnapshotMeta};
 pub use rbs_sfi::backend::{BackendKind, BackendTotals};
 pub use tenant::{

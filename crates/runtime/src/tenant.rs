@@ -48,7 +48,8 @@ use std::net::Ipv4Addr;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
-use rbs_core::fault::FaultPlan;
+use rbs_checkpoint::Buffered;
+use rbs_core::fault::{FaultPlan, FaultSite};
 use rbs_maglev::{MaglevTable, TableError};
 use rbs_netfx::operators::DstPortFilter;
 use rbs_netfx::{FlowTracker, PacketBatch, PipelineSpec, SourceNat};
@@ -373,6 +374,11 @@ pub struct TenantEvent {
 /// The event alphabet of the tenant supervision journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TenantEventKind {
+    /// The tenant's live domain died; the strike's own events follow.
+    Faulted {
+        /// Where the domain died.
+        site: FaultSite,
+    },
     /// Strikes crossed the throttle threshold.
     Throttled {
         /// Strike count at the transition.
@@ -389,6 +395,15 @@ pub enum TenantEventKind {
     Closed,
     /// A half-open probe faulted; straight back to open.
     Reopened,
+    /// A respawn refused a buffered snapshot and fell back past it.
+    SnapshotRejected {
+        /// The buffer it refused.
+        which: Buffered,
+        /// Why: the [`RestoreError::kind`](rbs_checkpoint::RestoreError::kind)
+        /// the image failed to open with, or `"snapshot"` when the chain
+        /// refused the state.
+        reason: &'static str,
+    },
     /// The chain was rebuilt after a fault.
     Respawned {
         /// Whether a snapshot restore succeeded.
@@ -423,6 +438,66 @@ pub struct RebuildRecord {
     pub remapped_entries: usize,
 }
 
+impl RebuildRecord {
+    /// The rebuild a `Removed` or `Added` event records.
+    pub(crate) fn of(event: &TenantEvent) -> Option<Self> {
+        let (action, remapped_entries) = match event.kind {
+            TenantEventKind::Removed { remapped_entries } => ("remove", remapped_entries),
+            TenantEventKind::Added {
+                remapped_entries, ..
+            } => ("add", remapped_entries),
+            _ => return None,
+        };
+        Some(Self {
+            tick: event.tick,
+            action,
+            tenant: event.tenant,
+            remapped_entries,
+        })
+    }
+}
+
+/// The supervision counts of a [`TenantOutcome`]: a fold of the
+/// tenant's journal, the one place each of them is recorded.
+#[derive(Default)]
+pub(crate) struct SupervisionCounts {
+    pub(crate) faults: u64,
+    pub(crate) respawns: u64,
+    pub(crate) opens: u64,
+    pub(crate) throttles: u64,
+    pub(crate) warm_restores: u64,
+    pub(crate) cold_restores: u64,
+    pub(crate) state_items_restored: u64,
+}
+
+impl SupervisionCounts {
+    pub(crate) fn fold<'a>(journal: impl IntoIterator<Item = &'a TenantEvent>) -> Self {
+        let mut n = Self::default();
+        for e in journal {
+            match e.kind {
+                TenantEventKind::Faulted { .. } => n.faults += 1,
+                TenantEventKind::Throttled { .. } => n.throttles += 1,
+                TenantEventKind::Opened { .. } | TenantEventKind::Reopened => n.opens += 1,
+                TenantEventKind::Respawned { warm: true, items } => {
+                    n.respawns += 1;
+                    n.warm_restores += 1;
+                    n.state_items_restored += items;
+                }
+                TenantEventKind::Respawned { warm: false, .. } => {
+                    n.respawns += 1;
+                    n.cold_restores += 1;
+                }
+                TenantEventKind::HalfOpened
+                | TenantEventKind::Closed
+                | TenantEventKind::SnapshotRejected { .. }
+                | TenantEventKind::Removed { .. }
+                | TenantEventKind::Added { .. } => {}
+            }
+        }
+        n
+    }
+}
+
 /// Final per-tenant outcome in a [`TenantReport`].
 #[derive(Debug, Clone)]
 pub struct TenantOutcome {
@@ -439,19 +514,19 @@ pub struct TenantOutcome {
     /// Committed upgrades behind the chain the tenant runs: 0 for the
     /// chain it started on.
     pub generation: u64,
-    /// Domain faults absorbed.
+    /// Domain faults absorbed: the journal's `Faulted` events.
     pub faults: u64,
-    /// Chain rebuilds after faults or half-open probes.
+    /// Chain rebuilds after faults or half-open probes (`Respawned`).
     pub respawns: u64,
-    /// Times the breaker opened.
+    /// Times the breaker opened (`Opened` and `Reopened`).
     pub opens: u64,
-    /// Times the breaker throttled.
+    /// Times the breaker throttled (`Throttled`).
     pub throttles: u64,
-    /// Respawns that restored from a verified snapshot.
+    /// Respawns restored from a verified snapshot (`Respawned`, warm).
     pub warm_restores: u64,
-    /// Respawns that fell back to a cold build.
+    /// Respawns that fell back to a cold build (`Respawned`, cold).
     pub cold_restores: u64,
-    /// Total state items recovered across warm restores.
+    /// State items the warm `Respawned` events came back with, summed.
     pub state_items_restored: u64,
     /// Live state items in the chain at shutdown (0 if no chain).
     pub final_state_items: u64,
@@ -502,9 +577,9 @@ pub struct TenantReport {
     pub lane_depth_hwm: Vec<usize>,
     /// Batches shed by the lane high-water mark.
     pub hwm_sheds: u64,
-    /// Every Maglev rebuild, in order.
+    /// Every Maglev rebuild: the journal's `Removed` and `Added` events.
     pub rebuilds: Vec<RebuildRecord>,
-    /// The full supervision journal.
+    /// The full supervision journal, in (tick, tenant, firing) order.
     pub events: Vec<TenantEvent>,
     /// Ticks the runtime ran (including the drain at finish).
     pub ticks: u64,
@@ -758,6 +833,89 @@ mod tests {
                 ..TenantLaneConfig::default()
             });
             assert!(matches!(refused, Err(TenantError::BadConfig(_))));
+        }
+    }
+
+    mod journal_fold {
+        use rbs_checkpoint::Buffered;
+        use rbs_core::fault::FaultSite;
+
+        use crate::tenant::TenantEventKind::*;
+        use crate::tenant::{RebuildRecord, SupervisionCounts, TenantEvent, TenantEventKind};
+
+        /// The fold's counts as one row: faults, respawns, opens,
+        /// throttles, warm restores, cold restores, items restored.
+        fn row(n: SupervisionCounts) -> [u64; 7] {
+            [
+                n.faults,
+                n.respawns,
+                n.opens,
+                n.throttles,
+                n.warm_restores,
+                n.cold_restores,
+                n.state_items_restored,
+            ]
+        }
+
+        /// One tenant's journal holding every event kind, each event with
+        /// what it alone folds to; the whole journal folds to the sum, and
+        /// its churn to its rebuilds in order.
+        #[test]
+        fn each_event_kind_folds_to_its_count() {
+            let fault = |site| Faulted { site };
+            let rejected = |which, reason| SnapshotRejected { which, reason };
+            let respawned = |warm, items| Respawned { warm, items };
+            let removed = |remapped_entries| Removed { remapped_entries };
+            let added = |epoch, remapped_entries| Added {
+                epoch,
+                remapped_entries,
+            };
+            let table: [(u64, TenantEventKind, [u64; 7]); 15] = [
+                (1, fault(FaultSite::Operator(0)), [1, 0, 0, 0, 0, 0, 0]),
+                (1, Throttled { strikes: 2 }, [0, 0, 0, 1, 0, 0, 0]),
+                (1, fault(FaultSite::CheckpointEncode), [1, 0, 0, 0, 0, 0, 0]),
+                (1, Opened { strikes: 4 }, [0, 0, 1, 0, 0, 0, 0]),
+                (17, HalfOpened, [0; 7]),
+                (17, rejected(Buffered::Latest, "checksum-mismatch"), [0; 7]),
+                // The half-open probe's respawn is a respawn.
+                (17, respawned(true, 48), [0, 1, 0, 0, 1, 0, 48]),
+                (18, fault(FaultSite::UpgradeQuiesce), [1, 0, 0, 0, 0, 0, 0]),
+                // A failed probe reopens: one more opening.
+                (18, Reopened, [0, 0, 1, 0, 0, 0, 0]),
+                (34, HalfOpened, [0; 7]),
+                (34, rejected(Buffered::Previous, "snapshot"), [0; 7]),
+                // A cold chain's items were never restored.
+                (34, respawned(false, 5), [0, 1, 0, 0, 0, 1, 0]),
+                (35, Closed, [0; 7]),
+                (40, removed(36), [0; 7]),
+                (50, added(1, 35), [0; 7]),
+            ];
+            let journal: Vec<TenantEvent> = (table.iter())
+                .map(|&(tick, kind, _)| TenantEvent {
+                    tick,
+                    tenant: 3,
+                    kind,
+                })
+                .collect();
+            for (event, (_, _, counts)) in journal.iter().zip(&table) {
+                assert_eq!(row(SupervisionCounts::fold([event])), *counts, "{event:?}");
+            }
+            assert_eq!(
+                row(SupervisionCounts::fold(&journal)),
+                [3, 2, 2, 1, 1, 1, 48]
+            );
+
+            let rebuilds: Vec<_> = journal.iter().filter_map(RebuildRecord::of).collect();
+            let rebuild = |tick, action, remapped_entries| RebuildRecord {
+                tick,
+                action,
+                tenant: 3,
+                remapped_entries,
+            };
+            assert_eq!(
+                rebuilds,
+                [rebuild(40, "remove", 36), rebuild(50, "add", 35)]
+            );
         }
     }
 

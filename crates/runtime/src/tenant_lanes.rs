@@ -81,8 +81,8 @@ use rbs_sfi::{BackendKind, Domain, DomainManager};
 use crate::deque::{LaneDeque, Steal, Stealer};
 use crate::tenant::{
     default_tenant_chain, BreakerPhase, BreakerPolicy, DelayLedger, LaneOccupancy, RebuildRecord,
-    TenantChainFactory, TenantError, TenantEvent, TenantEventKind, TenantOutcome, TenantReport,
-    TenantSpec, UpgradeError, UpgradeOutcome, STOCK_CHAIN_MAX_TENANTS,
+    SupervisionCounts, TenantChainFactory, TenantError, TenantEvent, TenantEventKind,
+    TenantOutcome, TenantReport, TenantSpec, UpgradeError, UpgradeOutcome, STOCK_CHAIN_MAX_TENANTS,
 };
 
 /// Configuration for a [`TenantLaneRuntime`].
@@ -171,13 +171,6 @@ struct TenantInner {
     bucket: TickBucket,
     ledger: crate::tenant::TenantLedger,
     occurrence: u64,
-    faults: u64,
-    respawns: u64,
-    opens: u64,
-    throttles: u64,
-    warm_restores: u64,
-    cold_restores: u64,
-    state_items_restored: u64,
     snapshots_taken: u64,
     /// Seals attempted, faulted ones included: the occurrence of the
     /// [`FaultSite::CheckpointEncode`] site, so a retried seal draws a
@@ -226,18 +219,19 @@ impl TenantInner {
 
     /// One strike: throttle or open per the policy thresholds. A strike
     /// in half-open reopens immediately — the probe failed.
-    fn strike(&mut self, idx: usize, now: u64, policy: &BreakerPolicy, manager: &DomainManager) {
+    fn strike(&mut self, idx: usize, now: u64, shared: &Shared) {
+        let policy = &shared.policy;
         self.strikes += 1;
         match self.phase {
-            BreakerPhase::HalfOpen => self.open(idx, now, policy, manager, true),
+            BreakerPhase::HalfOpen => self.open(idx, now, shared, TenantEventKind::Reopened),
             BreakerPhase::Running | BreakerPhase::Throttled => {
                 if self.strikes >= policy.open_after_strikes {
-                    self.open(idx, now, policy, manager, false);
+                    let strikes = self.strikes;
+                    self.open(idx, now, shared, TenantEventKind::Opened { strikes });
                 } else if self.phase == BreakerPhase::Running
                     && self.strikes >= policy.throttle_after_strikes
                 {
                     self.phase = BreakerPhase::Throttled;
-                    self.throttles += 1;
                     let throttled = (self.spec.rate_per_tick / policy.throttle_divisor).max(1);
                     self.bucket.set_rate(throttled);
                     let strikes = self.strikes;
@@ -251,42 +245,26 @@ impl TenantInner {
     /// Opens the breaker: destroy the domain and refuse ingress until
     /// the timer expires. Batches still queued this tick are shed lazily
     /// by the tokens that claim them (each token accounts exactly one
-    /// batch, open or not — conservation holds per token).
-    fn open(
-        &mut self,
-        idx: usize,
-        now: u64,
-        policy: &BreakerPolicy,
-        manager: &DomainManager,
-        reopen: bool,
-    ) {
+    /// batch, open or not — conservation holds per token). `kind` is
+    /// `Opened` or `Reopened`.
+    fn open(&mut self, idx: usize, now: u64, shared: &Shared, kind: TenantEventKind) {
         self.phase = BreakerPhase::Open;
-        self.open_until = now + policy.open_ticks;
-        self.opens += 1;
+        self.open_until = now + shared.policy.open_ticks;
         if let Some(chain) = self.chain.take() {
-            manager.destroy_domain(&chain.domain);
+            shared.manager.destroy_domain(&chain.domain);
         }
-        let strikes = self.strikes;
-        self.push_event(
-            now,
-            idx,
-            if reopen {
-                TenantEventKind::Reopened
-            } else {
-                TenantEventKind::Opened { strikes }
-            },
-        );
+        self.push_event(now, idx, kind);
     }
 
     /// Open timer expired: rebuild the chain (warm if a snapshot
     /// verifies) and probe at the throttled admission rate.
-    fn half_open(&mut self, idx: usize, now: u64, policy: &BreakerPolicy, manager: &DomainManager) {
+    fn half_open(&mut self, idx: usize, now: u64, shared: &Shared) {
         self.phase = BreakerPhase::HalfOpen;
-        self.probes_left = policy.half_open_probes.max(1);
-        let throttled = (self.spec.rate_per_tick / policy.throttle_divisor).max(1);
+        self.probes_left = shared.policy.half_open_probes.max(1);
+        let throttled = (self.spec.rate_per_tick / shared.policy.throttle_divisor).max(1);
         self.bucket.set_rate(throttled);
         self.push_event(now, idx, TenantEventKind::HalfOpened);
-        self.respawn(idx, now, manager);
+        self.respawn(idx, now, &shared.manager);
     }
 
     /// Probes passed: full admission restored, strikes forgiven.
@@ -298,60 +276,52 @@ impl TenantInner {
         self.push_event(now, idx, TenantEventKind::Closed);
     }
 
-    /// A fault in the tenant's live domain outside a batch: one strike,
-    /// then a warm respawn unless the strike opened the breaker. Returns
-    /// whether it did.
-    fn fault(
-        &mut self,
-        idx: usize,
-        now: u64,
-        policy: &BreakerPolicy,
-        manager: &DomainManager,
-    ) -> bool {
-        self.faults += 1;
-        self.strike(idx, now, policy, manager);
+    /// The tenant's live domain died at `site`: one strike, then a warm
+    /// respawn unless the strike opened the breaker. Returns whether it
+    /// did.
+    fn fault(&mut self, idx: usize, now: u64, site: FaultSite, shared: &Shared) -> bool {
+        self.push_event(now, idx, TenantEventKind::Faulted { site });
+        self.strike(idx, now, shared);
         let open = self.phase == BreakerPhase::Open;
         if !open {
-            self.respawn(idx, now, manager);
+            self.respawn(idx, now, &shared.manager);
         }
         open
     }
 
     /// Rebuilds the tenant's chain in a fresh domain, restoring from the
-    /// latest verified snapshot (then the previous; then cold).
+    /// latest verified snapshot (then the previous; then cold). Each
+    /// buffered snapshot it passes over is journalled as rejected.
     fn respawn(&mut self, idx: usize, now: u64, manager: &DomainManager) {
         if let Some(chain) = self.chain.take() {
             manager.destroy_domain(&chain.domain);
         }
-        self.respawns += 1;
-        let name = format!(
-            "tlane-{}-e{}-g{}",
-            self.spec.name, self.epoch, self.respawns
-        );
+        let name = format!("tlane-{}-e{}-t{now}", self.spec.name, self.epoch);
         let domain = manager.create_domain(name).expect("tenant domain");
         let mut pipeline: Option<Pipeline> = None;
-        for sealed in [self.store.latest(), self.store.previous()]
-            .into_iter()
-            .flatten()
-        {
-            if let Ok(cp) = sealed.open() {
-                if let Ok(p) = self.pipeline_spec.build_with_state(&cp) {
-                    pipeline = Some(p);
-                    break;
-                }
-            }
+        for which in [Buffered::Latest, Buffered::Previous] {
+            let reason = match self.store.open_buffered(which) {
+                None => continue,
+                Some(Err(e)) => e.kind(),
+                Some(Ok(cp)) => match self.pipeline_spec.build_with_state(&cp) {
+                    Ok(p) => {
+                        pipeline = Some(p);
+                        break;
+                    }
+                    Err(_) => "snapshot",
+                },
+            };
+            self.push_event(
+                now,
+                idx,
+                TenantEventKind::SnapshotRejected { which, reason },
+            );
         }
         let (pipeline, warm) = match pipeline {
             Some(p) => (p, true),
             None => (self.pipeline_spec.build(), false),
         };
         let items = pipeline.state_items();
-        if warm {
-            self.warm_restores += 1;
-            self.state_items_restored += items;
-        } else {
-            self.cold_restores += 1;
-        }
         self.chain = Some(LaneChain { domain, pipeline });
         self.push_event(now, idx, TenantEventKind::Respawned { warm, items });
     }
@@ -591,13 +561,11 @@ impl LaneCtx {
                 }
             }
             Err(_) => {
-                // The batch moved into the domain and died with it.
+                // The batch moved into the domain and died with it. A
+                // breaker this opens joins the open watch in `step`'s
+                // supervision pass.
                 g.ledger.lost += n_in;
-                g.faults += 1;
-                g.strike(idx, now, &shared.policy, &shared.manager);
-                if g.phase != BreakerPhase::Open {
-                    g.respawn(idx, now, &shared.manager);
-                }
+                g.fault(idx, now, FaultSite::Operator(0), shared);
             }
         }
     }
@@ -640,7 +608,6 @@ pub struct TenantLaneRuntime {
     open_watch: Vec<usize>,
     /// `snap_buckets[(now + 1) % cadence]` = tenants snapshotting then.
     snap_buckets: Vec<Vec<usize>>,
-    rebuilds: Vec<RebuildRecord>,
     now: u64,
     lanes: usize,
     table_size: usize,
@@ -734,13 +701,6 @@ impl TenantLaneRuntime {
                 probes_left: 0,
                 ledger: crate::tenant::TenantLedger::default(),
                 occurrence: 0,
-                faults: 0,
-                respawns: 0,
-                opens: 0,
-                throttles: 0,
-                warm_restores: 0,
-                cold_restores: 0,
-                state_items_restored: 0,
                 snapshots_taken: 0,
                 seal_attempts: 0,
                 delays: DelayLedger::default(),
@@ -854,7 +814,6 @@ impl TenantLaneRuntime {
             lane_weight,
             open_watch: Vec::new(),
             snap_buckets,
-            rebuilds: Vec::new(),
             now: 0,
             lanes: config.lanes,
             table_size: config.table_size,
@@ -1089,7 +1048,7 @@ impl TenantLaneRuntime {
                 && g.phase != BreakerPhase::Open
                 && spent > self.work_budget
             {
-                g.strike(idx, now, &self.shared.policy, &self.shared.manager);
+                g.strike(idx, now, &self.shared);
             }
             if g.phase == BreakerPhase::Open {
                 drop(g);
@@ -1110,7 +1069,7 @@ impl TenantLaneRuntime {
             }
             let expired = now >= g.open_until;
             if expired {
-                g.half_open(idx, now, &shared.policy, &shared.manager);
+                g.half_open(idx, now, shared);
             }
             !expired
         });
@@ -1142,7 +1101,7 @@ impl TenantLaneRuntime {
                     store.record_from(pipeline, now, items, schema);
                 });
                 if sealed.is_err() {
-                    if g.fault(idx, now, &self.shared.policy, &self.shared.manager) {
+                    if g.fault(idx, now, FaultSite::CheckpointEncode, &self.shared) {
                         self.open_watch.push(idx);
                     }
                     continue;
@@ -1191,21 +1150,10 @@ impl TenantLaneRuntime {
         self.present[idx] = false;
         self.residents[home].retain(|&t| t != idx);
         self.lane_weight[home] -= u64::from(self.specs[idx].weight.max(1));
-        let remapped = self.rebuild_table()?;
-        self.rebuilds.push(RebuildRecord {
-            tick: now,
-            action: "remove",
-            tenant: idx,
-            remapped_entries: remapped,
-        });
-        self.shared.slots[idx].lock().push_event(
-            now,
-            idx,
-            TenantEventKind::Removed {
-                remapped_entries: remapped,
-            },
-        );
-        Ok(remapped)
+        let remapped_entries = self.rebuild_table()?;
+        let removed = TenantEventKind::Removed { remapped_entries };
+        self.shared.slots[idx].lock().push_event(now, idx, removed);
+        Ok(remapped_entries)
     }
 
     /// Re-adds a removed tenant under a fresh epoch: cold chain, empty
@@ -1249,22 +1197,13 @@ impl TenantLaneRuntime {
         self.residents[lane].push(idx);
         self.residents[lane].sort_unstable();
         self.lane_weight[lane] += u64::from(self.specs[idx].weight.max(1));
-        let remapped = self.rebuild_table()?;
-        self.rebuilds.push(RebuildRecord {
-            tick: now,
-            action: "add",
-            tenant: idx,
-            remapped_entries: remapped,
-        });
-        self.shared.slots[idx].lock().push_event(
-            now,
-            idx,
-            TenantEventKind::Added {
-                epoch,
-                remapped_entries: remapped,
-            },
-        );
-        Ok(remapped)
+        let remapped_entries = self.rebuild_table()?;
+        let added = TenantEventKind::Added {
+            epoch,
+            remapped_entries,
+        };
+        self.shared.slots[idx].lock().push_event(now, idx, added);
+        Ok(remapped_entries)
     }
 
     /// Moves every present tenant onto the chain `chain` builds for it,
@@ -1383,7 +1322,7 @@ impl TenantLaneRuntime {
                     pipeline.export_state()
                 });
                 let Ok(cp) = seal else {
-                    if g.fault(idx, now, &shared.policy, &shared.manager) {
+                    if g.fault(idx, now, FaultSite::UpgradeQuiesce, shared) {
                         self.open_watch.push(idx);
                     }
                     return None;
@@ -1488,6 +1427,7 @@ impl TenantLaneRuntime {
         for idx in 0..tcount {
             let final_state_items = self.state_items(idx);
             let mut g = self.shared.slots[idx].lock();
+            let counts = SupervisionCounts::fold(&g.events);
             events.append(&mut g.events);
             outcomes.push(TenantOutcome {
                 name: g.spec.name.clone(),
@@ -1496,13 +1436,13 @@ impl TenantLaneRuntime {
                 final_phase: g.phase,
                 epoch: g.epoch,
                 generation: g.generation,
-                faults: g.faults,
-                respawns: g.respawns,
-                opens: g.opens,
-                throttles: g.throttles,
-                warm_restores: g.warm_restores,
-                cold_restores: g.cold_restores,
-                state_items_restored: g.state_items_restored,
+                faults: counts.faults,
+                respawns: counts.respawns,
+                opens: counts.opens,
+                throttles: counts.throttles,
+                warm_restores: counts.warm_restores,
+                cold_restores: counts.cold_restores,
+                state_items_restored: counts.state_items_restored,
                 final_state_items,
                 snapshots_taken: g.snapshots_taken,
                 p99_delay_ticks: g.delays.p99(),
@@ -1516,6 +1456,7 @@ impl TenantLaneRuntime {
         // Canonical journal order: per-tenant streams are already
         // tick-ordered; a stable sort on tick yields (tick, tenant, seq).
         events.sort_by_key(|e| e.tick);
+        let rebuilds = events.iter().filter_map(RebuildRecord::of).collect();
 
         let occupancy = sides
             .into_iter()
@@ -1542,7 +1483,7 @@ impl TenantLaneRuntime {
             tenants: outcomes,
             lane_depth_hwm: self.lane_depth_hwm.clone(),
             hwm_sheds: self.hwm_sheds,
-            rebuilds: self.rebuilds.clone(),
+            rebuilds,
             events,
             ticks: self.now,
             occupancy,

@@ -78,6 +78,14 @@ fn crash_on_batch(n: u64) -> FaultPlan {
     FaultPlan::new(7).inject_window(FaultSite::Operator(0), FaultKind::Panic, 0, n, n + 1)
 }
 
+/// Tenant 0's journal, in order.
+fn journal(report: &TenantReport) -> Vec<TenantEventKind> {
+    (report.events.iter())
+        .filter(|e| e.tenant == 0)
+        .map(|e| e.kind)
+        .collect()
+}
+
 /// Every respawn in the journal, in order, as `(tick, warm, items)`.
 fn respawns(report: &TenantReport) -> Vec<(u64, bool, u64)> {
     (report.events.iter())
@@ -138,8 +146,8 @@ fn crash_recovers_warm_with_exactly_bounded_state_loss() {
 }
 
 /// Scripted corruption of the newest snapshot: the checksum rejects it,
-/// the respawn falls back to the previous buffer, and the extra
-/// staleness is the extra loss.
+/// the journal records the rejection, the respawn falls back to the
+/// previous buffer, and the extra staleness is the extra loss.
 #[test]
 fn corrupt_latest_falls_back_to_previous() {
     // A full image every tick: 24, 48, 72 flows; batch 3 dies.
@@ -157,14 +165,30 @@ fn corrupt_latest_falls_back_to_previous() {
         vec![(3, true, 2 * FLOWS)],
         "the previous 48-flow image restored, never the corrupted 72-flow one"
     );
+    assert_eq!(
+        journal(&report),
+        vec![
+            TenantEventKind::Faulted {
+                site: FaultSite::Operator(0)
+            },
+            TenantEventKind::SnapshotRejected {
+                which: Buffered::Latest,
+                reason: "checksum-mismatch"
+            },
+            TenantEventKind::Respawned {
+                warm: true,
+                items: 2 * FLOWS
+            },
+        ]
+    );
     let t = &report.tenants[0];
     assert_eq!((t.warm_restores, t.cold_restores), (1, 0));
     assert_eq!(t.final_state_items, 4 * FLOWS);
 }
 
 /// Both buffers corrupted: nothing restorable survives verification, so
-/// the respawn is cold and the whole live table is lost. A corrupted
-/// snapshot is *never* restored.
+/// the journal records two rejections, the respawn is cold and the whole
+/// live table is lost. A corrupted snapshot is *never* restored.
 #[test]
 fn corrupt_both_buffers_falls_back_to_cold() {
     let mut rt = runtime(1, 1, 1, 1, crash_on_batch(3));
@@ -178,6 +202,24 @@ fn corrupt_both_buffers_falls_back_to_cold() {
         respawns(&report),
         vec![(3, false, 0)],
         "a cold, empty chain"
+    );
+    let rejected = |which| TenantEventKind::SnapshotRejected {
+        which,
+        reason: "checksum-mismatch",
+    };
+    assert_eq!(
+        journal(&report),
+        vec![
+            TenantEventKind::Faulted {
+                site: FaultSite::Operator(0)
+            },
+            rejected(Buffered::Latest),
+            rejected(Buffered::Previous),
+            TenantEventKind::Respawned {
+                warm: false,
+                items: 0
+            },
+        ]
     );
     let t = &report.tenants[0];
     assert_eq!((t.warm_restores, t.cold_restores), (0, 1));

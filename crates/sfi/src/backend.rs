@@ -47,7 +47,7 @@ pub enum Crossing {
     /// Return back out of a domain with the result value.
     Return,
     /// A value moved into a domain through a bounded channel
-    /// ([`crate::channel`]).
+    /// ([`crate::channel`](mod@crate::channel)).
     ChannelSend,
     /// A value received out of a channel by its owning domain.
     ChannelRecv,

@@ -14,7 +14,7 @@
 //! code to the caller. Next, we clear the domain reference table and
 //! finally run the user-provided recovery function to re-initialize the
 //! domain from clean state." (§3) That sequence is implemented in
-//! [`Domain::handle_fault`], invoked from [`Domain::execute`] and from
+//! `Domain::handle_fault`, invoked from [`Domain::execute`] and from
 //! [`crate::RRef`] invocation when the callee panics.
 
 use crate::backend::{BackendKind, BackendTotals, Crossing, IsolationBackend};

@@ -1,4 +1,4 @@
-//! Typed remote interfaces over [`RRef`].
+//! Typed remote interfaces over [`RRef`](crate::RRef).
 //!
 //! The paper's listing invokes *named methods* on rrefs:
 //!

@@ -6,7 +6,7 @@
 //! asymmetry is the whole revocation mechanism: removing the entry drops
 //! the strong count to zero, after which every outstanding weak pointer
 //! fails to upgrade and the object is deallocated. Clearing the table
-//! therefore "automatically deallocate[s] all memory and resources owned
+//! therefore "automatically deallocate\[s\] all memory and resources owned
 //! by the domain" (§3), which is the first step of fault recovery.
 
 use rbs_core::sync::Mutex;

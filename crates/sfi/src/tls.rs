@@ -1,6 +1,6 @@
 //! Thread-local tracking of the current protection domain.
 //!
-//! The paper: "we use thread-local store [7] to store ID of the current
+//! The paper: "we use thread-local store \[7\] to store ID of the current
 //! protection domain." Every cross-domain invocation swaps the marker for
 //! the duration of the call (scoped-tls style: set, run, restore), so
 //! code can always ask "which domain am I executing in?" — the policy
