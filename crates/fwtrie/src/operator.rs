@@ -58,11 +58,6 @@ impl FirewallOp {
         &self.trie
     }
 
-    /// Mutable access to the rule database (control plane).
-    pub fn trie_mut(&mut self) -> &mut FwTrie {
-        &mut self.trie
-    }
-
     /// Packets forwarded so far.
     pub fn allowed(&self) -> u64 {
         self.allowed
@@ -247,7 +242,7 @@ mod tests {
         let mut fw = firewall();
         let cp = fw.checkpoint_rules();
         // Control plane mutates: everything to 30/8 allowed.
-        fw.trie_mut().insert(Rule::new(
+        fw.trie.insert(Rule::new(
             4,
             "new",
             Ipv4Addr::new(30, 0, 0, 0),
@@ -288,7 +283,7 @@ mod tests {
         // No mutable stage access on Pipeline; drive state through a
         // fresh op instead and checkpoint at the operator level.
         let mut fw = firewall();
-        fw.trie_mut().insert(Rule::new(
+        fw.trie.insert(Rule::new(
             9,
             "extra",
             Ipv4Addr::new(30, 0, 0, 0),

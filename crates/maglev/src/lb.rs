@@ -53,9 +53,6 @@ pub struct MaglevLb {
     /// Most connections `conn_table` remembers.
     conn_capacity: usize,
     stats: LbStats,
-    /// When false, skip the connection table entirely (pure consistent
-    /// hashing; used to measure the marginal cost of tracking).
-    track_connections: bool,
 }
 
 impl MaglevLb {
@@ -87,7 +84,6 @@ impl MaglevLb {
                 per_backend: vec![0; n],
                 ..Default::default()
             },
-            track_connections: true,
         })
     }
 
@@ -100,12 +96,6 @@ impl MaglevLb {
     /// beyond that are steered by consistent hash alone.
     pub fn with_connection_capacity(mut self, capacity: usize) -> Self {
         self.conn_capacity = capacity.max(1);
-        self
-    }
-
-    /// Disables the connection table (pure consistent hashing).
-    pub fn without_connection_tracking(mut self) -> Self {
-        self.track_connections = false;
         self
     }
 
@@ -176,12 +166,7 @@ impl MaglevLb {
     /// for packets without a five-tuple (dropped).
     pub fn steer(&mut self, packet: &mut Packet) -> Option<usize> {
         let (tuple, hash) = packet.flow_key().ok()?;
-        let remembered = if self.track_connections {
-            self.conn_table.get_hashed(hash, &tuple).copied()
-        } else {
-            None
-        };
-        let idx = match remembered {
+        let idx = match self.conn_table.get_hashed(hash, &tuple).copied() {
             Some(idx) => {
                 self.stats.conn_table_hits += 1;
                 idx as usize
@@ -189,12 +174,10 @@ impl MaglevLb {
             None => {
                 let idx = self.table.lookup(hash);
                 self.stats.hash_lookups += 1;
-                if self.track_connections {
-                    if self.conn_table.len() < self.conn_capacity {
-                        self.conn_table.insert(tuple, idx as u32);
-                    } else {
-                        self.stats.untracked_flows += 1;
-                    }
+                if self.conn_table.len() < self.conn_capacity {
+                    self.conn_table.insert(tuple, idx as u32);
+                } else {
+                    self.stats.untracked_flows += 1;
                 }
                 idx
             }
@@ -416,18 +399,6 @@ mod tests {
         let out = lb.process(std::iter::once(Packet::from_slice(&bytes)).collect());
         assert!(out.is_empty());
         assert_eq!(lb.stats().dropped, 1);
-        assert_eq!(lb.tracked_connections(), 0);
-    }
-
-    #[test]
-    fn without_tracking_uses_hash_only() {
-        let mut lb = lb(3).without_connection_tracking();
-        for _ in 0..5 {
-            let mut p = udp_packet(1234);
-            lb.steer(&mut p).unwrap();
-        }
-        assert_eq!(lb.stats().hash_lookups, 5);
-        assert_eq!(lb.stats().conn_table_hits, 0);
         assert_eq!(lb.tracked_connections(), 0);
     }
 

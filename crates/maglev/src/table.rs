@@ -136,12 +136,6 @@ impl MaglevTable {
         self.entries[fast_rem(flow_hash, self.magic, self.entries.len() as u64)] as usize
     }
 
-    /// Looks up the backend itself.
-    #[inline]
-    pub fn lookup_backend(&self, flow_hash: u64) -> &Backend {
-        &self.backends[self.lookup(flow_hash)]
-    }
-
     /// Entry counts per backend, parallel to [`MaglevTable::backends`].
     pub fn entry_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.backends.len()];
@@ -508,14 +502,6 @@ mod tests {
                     proptest::prop_assert_eq!(fast_rem(h, magic, size) as u64, h % size);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn lookup_backend_matches_lookup() {
-        let t = MaglevTable::new(names(5), 503).unwrap();
-        for h in [0u64, 1, 99, 12345, u64::MAX] {
-            assert_eq!(t.lookup_backend(h).name, t.backends()[t.lookup(h)].name);
         }
     }
 }

@@ -1,7 +1,9 @@
 //! The lanes' work-stealing deque: one lock around a `VecDeque`.
 //!
-//! One owner pushes and pops work at the *back*; any number of thieves
-//! steal from the *front*. Every operation takes the same
+//! Work is pushed and popped at the *back*; any number of thieves steal
+//! from the *front*. The lane engine's owner pushes its own work, while
+//! the tenant engine's caller pushes each tick's tokens between ticks,
+//! with every lane parked. Every operation takes the same
 //! [`rbs_core::sync::Mutex`], so each item is claimed exactly once by
 //! construction: no `unsafe`, no memory-ordering argument, and a thief
 //! never loses a race it has to retry. The items are coarse — a lane

@@ -312,6 +312,97 @@ impl BreakerPhase {
     }
 }
 
+/// What a tenant's breaker is told.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Signal {
+    /// A fault or a work-budget overrun.
+    Strike,
+    /// A batch ran clean.
+    Probe,
+    /// The supervision pass looked at an open breaker.
+    Tick,
+}
+
+/// A tenant's circuit breaker: the whole state machine, with no engine
+/// state and no effects. The engine applies the transition
+/// [`Breaker::on`] names; the table test in this module is its spec.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Breaker {
+    phase: BreakerPhase,
+    /// Strikes since the breaker last closed.
+    strikes: u32,
+    /// The tick an open breaker half-opens on.
+    open_until: u64,
+    /// Clean batches half-open still needs before it closes.
+    probes_left: u64,
+}
+
+impl Default for Breaker {
+    fn default() -> Self {
+        Self {
+            phase: BreakerPhase::Running,
+            strikes: 0,
+            open_until: 0,
+            probes_left: 0,
+        }
+    }
+}
+
+impl Breaker {
+    pub(crate) fn phase(&self) -> BreakerPhase {
+        self.phase
+    }
+
+    /// Takes one transition and returns the journal event that names it,
+    /// or `None` when `signal` changes nothing in this phase.
+    pub(crate) fn on(
+        &mut self,
+        signal: Signal,
+        now: u64,
+        policy: &BreakerPolicy,
+    ) -> Option<TenantEventKind> {
+        use BreakerPhase::{HalfOpen, Open, Running, Throttled};
+        match (self.phase, signal) {
+            (Open, Signal::Strike) => None,
+            (phase, Signal::Strike) => {
+                self.strikes += 1;
+                let strikes = self.strikes;
+                let kind = if phase == HalfOpen {
+                    TenantEventKind::Reopened
+                } else if strikes >= policy.open_after_strikes {
+                    TenantEventKind::Opened { strikes }
+                } else if phase == Running && strikes >= policy.throttle_after_strikes {
+                    self.phase = Throttled;
+                    return Some(TenantEventKind::Throttled { strikes });
+                } else {
+                    return None;
+                };
+                *self = Self {
+                    phase: Open,
+                    strikes,
+                    open_until: now + policy.open_ticks,
+                    probes_left: 0,
+                };
+                Some(kind)
+            }
+            (HalfOpen, Signal::Probe) => {
+                self.probes_left = self.probes_left.saturating_sub(1);
+                if self.probes_left > 0 {
+                    return None;
+                }
+                *self = Self::default();
+                Some(TenantEventKind::Closed)
+            }
+            (Open, Signal::Tick) if now >= self.open_until => {
+                self.phase = HalfOpen;
+                self.probes_left = policy.half_open_probes.max(1);
+                Some(TenantEventKind::HalfOpened)
+            }
+            _ => None,
+        }
+    }
+}
+
 /// Exact per-tenant packet conservation. Every offered packet ends in
 /// exactly one bucket; [`TenantLedger::unaccounted`] is the audit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -916,6 +1007,94 @@ mod tests {
                 rebuilds,
                 [rebuild(40, "remove", 36), rebuild(50, "add", 35)]
             );
+        }
+    }
+
+    mod breaker {
+        use crate::tenant::BreakerPhase::{self, HalfOpen, Open, Running, Throttled};
+        use crate::tenant::Signal::{self, Probe, Strike, Tick};
+        use crate::tenant::TenantEventKind::{self as Event, Closed, HalfOpened, Reopened};
+        use crate::tenant::{Breaker, BreakerPolicy};
+
+        fn at(phase: BreakerPhase, strikes: u32, open_until: u64, probes_left: u64) -> Breaker {
+            Breaker {
+                phase,
+                strikes,
+                open_until,
+                probes_left,
+            }
+        }
+
+        /// `Breaker::on`'s spec. Each row is (state, signal, now, policy)
+        /// → (state after, event): every phase × signal under the default
+        /// policy, then the policy's edges.
+        #[test]
+        fn breaker_table() {
+            let policy = |throttle_after_strikes, half_open_probes, open_ticks| BreakerPolicy {
+                throttle_after_strikes,
+                half_open_probes,
+                open_ticks,
+                ..BreakerPolicy::default()
+            };
+            // The default: throttle at 2 strikes, open at 4 for 16 ticks, 2 probes.
+            let p = policy(2, 2, 16);
+            let (equal, past) = (policy(4, 2, 16), policy(5, 2, 16));
+            let (no_probes, no_wait) = (policy(2, 0, 16), policy(2, 2, 0));
+            let opened = Some(Event::Opened { strikes: 4 });
+            let throttled_at_2 = Some(Event::Throttled { strikes: 2 });
+            let closed = Breaker::default();
+            let running = at(Running, 1, 0, 0);
+            let (two_strikes, throttled) = (at(Throttled, 2, 0, 0), at(Throttled, 3, 0, 0));
+            let open = at(Open, 4, 21, 0);
+            let half_open = at(HalfOpen, 4, 21, 2);
+            let last_probe = at(HalfOpen, 4, 21, 1);
+            let (open_now, half_now) = (at(Open, 4, 7, 0), at(HalfOpen, 4, 7, 2));
+            let half = Some(HalfOpened);
+            type Row = (Breaker, Signal, u64, BreakerPolicy, Breaker, Option<Event>);
+            let rows: [Row; 22] = [
+                // 0: one strike below the throttle threshold. `closed`
+                // is also the state `Closed` leaves, so a strike after it
+                // counts from 1 again.
+                (closed, Strike, 5, p, running, None),
+                // 1: at the throttle threshold.
+                (running, Strike, 5, p, two_strikes, throttled_at_2),
+                (running, Probe, 5, p, running, None),
+                (running, Tick, 5, p, running, None),
+                // 4: one strike below the open threshold.
+                (two_strikes, Strike, 5, p, throttled, None),
+                // 5: at the open threshold: open until 5 + 16.
+                (throttled, Strike, 5, p, open, opened),
+                (throttled, Probe, 5, p, throttled, None),
+                (throttled, Tick, 5, p, throttled, None),
+                // 8: an open breaker ignores strikes and probes.
+                (open, Strike, 9, p, open, None),
+                (open, Probe, 9, p, open, None),
+                // 10: a tick one early, then on time.
+                (open, Tick, 20, p, open, None),
+                (open, Tick, 21, p, half_open, half),
+                // 12: a strike in half-open reopens at once.
+                (half_open, Strike, 22, p, at(Open, 5, 38, 0), Some(Reopened)),
+                (half_open, Probe, 22, p, last_probe, None),
+                // 14: the last probe closes and forgives the strikes.
+                (last_probe, Probe, 23, p, closed, Some(Closed)),
+                (half_open, Tick, 22, p, half_open, None),
+                // 16: a throttle threshold at or past the open one opens
+                // with no `Throttled`.
+                (at(Running, 3, 0, 0), Strike, 5, equal, open, opened),
+                (at(Running, 3, 0, 0), Strike, 5, past, open, opened),
+                // 18: zero probes still probe once, and one clean probe
+                // closes.
+                (open, Tick, 21, no_probes, last_probe, half),
+                (last_probe, Probe, 22, no_probes, closed, Some(Closed)),
+                // 20: zero open ticks half-open on the tick they opened.
+                (throttled, Strike, 7, no_wait, open_now, opened),
+                (open_now, Tick, 7, no_wait, half_now, half),
+            ];
+            for (row, &(before, signal, now, policy, after, event)) in rows.iter().enumerate() {
+                let mut breaker = before;
+                assert_eq!(breaker.on(signal, now, &policy), event, "row {row}: event");
+                assert_eq!(breaker, after, "row {row}: state");
+            }
         }
     }
 

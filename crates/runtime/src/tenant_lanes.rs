@@ -18,13 +18,13 @@
 //! The design walks a narrow line: wall-clock parallel execution whose
 //! *accounting* is still byte-deterministic.
 //!
-//! - **Tick barrier.** The caller steers, admits, and stages a tick's
-//!   work while the helper lanes are parked on `start`; `step` joins
-//!   that barrier and then runs the same tick body the helpers run, as
-//!   lane 0: adopt staged tokens, `pushed` rendezvous, run the tick's
-//!   work set to completion, `done` rendezvous. All three barriers have
+//! - **Tick barrier.** The caller steers, admits, and pushes a tick's
+//!   claim tokens straight onto the lanes' band deques while the helper
+//!   lanes are parked on `start`; `step` joins that barrier and then
+//!   runs the same tick body the helpers run, as lane 0: run the tick's
+//!   work set to completion, `done` rendezvous. Both barriers have
 //!   `lanes` participants, so with one lane nothing is spawned and
-//!   nothing blocks. Nothing is pushed after `pushed`, so every deque
+//!   nothing blocks. Nothing is pushed after `start`, so every deque
 //!   only shrinks while thieves scan — the lemma behind the
 //!   no-inversion guarantee. Admission takes each touched tenant's lock
 //!   once per wave.
@@ -52,7 +52,7 @@
 //!   to the executing thread's spare list ([`rbs_netfx::pool`]), where a
 //!   client generating on that thread finds them. Helper lanes' lists
 //!   fill and overflow to `free`; returning those to the origin lane is
-//!   ROADMAP item 7(a).
+//!   ROADMAP item 10(a).
 //!
 //! - **Between ticks, one owner.** While the helpers are parked on
 //!   `start`, the caller owns every chain: churn and live upgrade
@@ -80,9 +80,10 @@ use rbs_sfi::{BackendKind, Domain, DomainManager};
 
 use crate::deque::{LaneDeque, Steal, Stealer};
 use crate::tenant::{
-    default_tenant_chain, BreakerPhase, BreakerPolicy, DelayLedger, LaneOccupancy, RebuildRecord,
-    SupervisionCounts, TenantChainFactory, TenantError, TenantEvent, TenantEventKind,
-    TenantOutcome, TenantReport, TenantSpec, UpgradeError, UpgradeOutcome, STOCK_CHAIN_MAX_TENANTS,
+    default_tenant_chain, Breaker, BreakerPhase, BreakerPolicy, DelayLedger, LaneOccupancy,
+    RebuildRecord, Signal, SupervisionCounts, TenantChainFactory, TenantError, TenantEvent,
+    TenantEventKind, TenantOutcome, TenantReport, TenantSpec, UpgradeError, UpgradeOutcome,
+    STOCK_CHAIN_MAX_TENANTS,
 };
 
 /// Configuration for a [`TenantLaneRuntime`].
@@ -163,11 +164,8 @@ struct LaneChain {
 struct TenantInner {
     spec: TenantSpec,
     present: bool,
-    phase: BreakerPhase,
+    breaker: Breaker,
     epoch: u64,
-    strikes: u32,
-    open_until: u64,
-    probes_left: u64,
     bucket: TickBucket,
     ledger: crate::tenant::TenantLedger,
     occurrence: u64,
@@ -217,63 +215,32 @@ impl TenantInner {
         });
     }
 
-    /// One strike: throttle or open per the policy thresholds. A strike
-    /// in half-open reopens immediately — the probe failed.
-    fn strike(&mut self, idx: usize, now: u64, shared: &Shared) {
-        let policy = &shared.policy;
-        self.strikes += 1;
-        match self.phase {
-            BreakerPhase::HalfOpen => self.open(idx, now, shared, TenantEventKind::Reopened),
-            BreakerPhase::Running | BreakerPhase::Throttled => {
-                if self.strikes >= policy.open_after_strikes {
-                    let strikes = self.strikes;
-                    self.open(idx, now, shared, TenantEventKind::Opened { strikes });
-                } else if self.phase == BreakerPhase::Running
-                    && self.strikes >= policy.throttle_after_strikes
-                {
-                    self.phase = BreakerPhase::Throttled;
-                    let throttled = (self.spec.rate_per_tick / policy.throttle_divisor).max(1);
-                    self.bucket.set_rate(throttled);
-                    let strikes = self.strikes;
-                    self.push_event(now, idx, TenantEventKind::Throttled { strikes });
+    /// Tells the breaker `signal` and applies the transition it names:
+    /// the admission rate it sets, the domain an opening destroys, and
+    /// the half-open probe's respawn. Batches still queued when it opens
+    /// are shed lazily by the tokens that claim them (each token accounts
+    /// exactly one batch, open or not — conservation holds per token).
+    fn signal(&mut self, idx: usize, now: u64, signal: Signal, shared: &Shared) {
+        let Some(kind) = self.breaker.on(signal, now, &shared.policy) else {
+            return;
+        };
+        let throttled = (self.spec.rate_per_tick / shared.policy.throttle_divisor).max(1);
+        match kind {
+            TenantEventKind::Throttled { .. } | TenantEventKind::HalfOpened => {
+                self.bucket.set_rate(throttled)
+            }
+            TenantEventKind::Closed => self.bucket.set_rate(self.spec.rate_per_tick),
+            // `Opened` or `Reopened`: the blast is contained.
+            _ => {
+                if let Some(chain) = self.chain.take() {
+                    shared.manager.destroy_domain(&chain.domain);
                 }
             }
-            BreakerPhase::Open => {}
-        }
-    }
-
-    /// Opens the breaker: destroy the domain and refuse ingress until
-    /// the timer expires. Batches still queued this tick are shed lazily
-    /// by the tokens that claim them (each token accounts exactly one
-    /// batch, open or not — conservation holds per token). `kind` is
-    /// `Opened` or `Reopened`.
-    fn open(&mut self, idx: usize, now: u64, shared: &Shared, kind: TenantEventKind) {
-        self.phase = BreakerPhase::Open;
-        self.open_until = now + shared.policy.open_ticks;
-        if let Some(chain) = self.chain.take() {
-            shared.manager.destroy_domain(&chain.domain);
         }
         self.push_event(now, idx, kind);
-    }
-
-    /// Open timer expired: rebuild the chain (warm if a snapshot
-    /// verifies) and probe at the throttled admission rate.
-    fn half_open(&mut self, idx: usize, now: u64, shared: &Shared) {
-        self.phase = BreakerPhase::HalfOpen;
-        self.probes_left = shared.policy.half_open_probes.max(1);
-        let throttled = (self.spec.rate_per_tick / shared.policy.throttle_divisor).max(1);
-        self.bucket.set_rate(throttled);
-        self.push_event(now, idx, TenantEventKind::HalfOpened);
-        self.respawn(idx, now, &shared.manager);
-    }
-
-    /// Probes passed: full admission restored, strikes forgiven.
-    fn close(&mut self, idx: usize, now: u64) {
-        self.phase = BreakerPhase::Running;
-        self.strikes = 0;
-        let rate = self.spec.rate_per_tick;
-        self.bucket.set_rate(rate);
-        self.push_event(now, idx, TenantEventKind::Closed);
+        if kind == TenantEventKind::HalfOpened {
+            self.respawn(idx, now, &shared.manager);
+        }
     }
 
     /// The tenant's live domain died at `site`: one strike, then a warm
@@ -281,8 +248,8 @@ impl TenantInner {
     /// did.
     fn fault(&mut self, idx: usize, now: u64, site: FaultSite, shared: &Shared) -> bool {
         self.push_event(now, idx, TenantEventKind::Faulted { site });
-        self.strike(idx, now, shared);
-        let open = self.phase == BreakerPhase::Open;
+        self.signal(idx, now, Signal::Strike, shared);
+        let open = self.breaker.phase() == BreakerPhase::Open;
         if !open {
             self.respawn(idx, now, &shared.manager);
         }
@@ -329,10 +296,10 @@ impl TenantInner {
 
 /// Per-lane state shared with thieves and the caller.
 struct LaneShared {
-    /// Tokens `step` staged for this lane's coming tick, band-indexed.
-    /// The lane (deque owner) adopts them at tick start.
-    staged: Mutex<Vec<Vec<u32>>>,
-    /// Steal handles onto this lane's band deques.
+    /// This lane's band deques (band 0 = highest): `step` pushes a
+    /// tick's tokens while every lane is parked, the lane pops them.
+    bands: Vec<LaneDeque<u32>>,
+    /// Steal handles onto the same deques.
     stealers: Vec<Stealer<u32>>,
 }
 
@@ -340,18 +307,16 @@ struct LaneShared {
 struct Shared {
     slots: Vec<Mutex<TenantInner>>,
     lanes: Vec<LaneShared>,
-    /// Tokens staged for the current tick and not yet consumed. Lanes
+    /// Tokens pushed for the current tick and not yet consumed. Lanes
     /// run until this hits zero, then park at the tick barrier.
     outstanding: AtomicU64,
     /// The tick the lanes are currently executing.
     tick: AtomicU64,
     shutdown: AtomicBool,
-    /// Releases a staged tick (or the shutdown flag) to the helpers.
-    /// Like `pushed` and `done`, one participant per lane.
+    /// Releases a pushed tick (or the shutdown flag) to the helpers.
+    /// Like `done`, one participant per lane. No deque grows after it
+    /// for the rest of the tick.
     start: Barrier,
-    /// Every owner has adopted its staged tokens. After this point no
-    /// deque grows for the rest of the tick.
-    pushed: Barrier,
     /// The tick's work set is fully consumed.
     done: Barrier,
     manager: DomainManager,
@@ -377,8 +342,6 @@ struct LaneSideOutcome {
 /// and runs on the calling thread, the others move into their threads.
 struct LaneCtx {
     index: usize,
-    /// Owner handles of this lane's band deques (band 0 = highest).
-    bands: Vec<LaneDeque<u32>>,
     side: LaneSideOutcome,
 }
 
@@ -397,24 +360,12 @@ impl LaneCtx {
     /// One tick on this lane, entered once `start` has released it: the
     /// body the caller (lane 0) and every helper thread share.
     fn tick(&mut self, shared: &Shared) {
-        // Adopt the staged tokens: only the deque owner may push, so
-        // `step` stages and the lane publishes.
-        {
-            let mut staged = shared.lanes[self.index].staged.lock();
-            for (band, list) in staged.iter_mut().enumerate() {
-                for &t in list.iter() {
-                    self.bands[band].push(t);
-                }
-                list.clear();
-            }
-        }
-        shared.pushed.wait();
         let now = shared.tick.load(Ordering::Acquire);
         // Consume tokens until the tick's work set is exhausted: own
         // bands highest-priority first, then a band-major steal sweep,
         // then spin (some token is in flight on another lane).
         while shared.outstanding.load(Ordering::Acquire) > 0 {
-            if let Some(t) = self.pop_own() {
+            if let Some(t) = self.pop_own(shared) {
                 self.run_token(shared, t, now, false);
                 continue;
             }
@@ -432,13 +383,11 @@ impl LaneCtx {
     }
 
     /// Pops this lane's own work, highest band first.
-    fn pop_own(&mut self) -> Option<u32> {
-        for band in &self.bands {
-            if let Some(t) = band.pop() {
-                return Some(t);
-            }
-        }
-        None
+    fn pop_own(&self, shared: &Shared) -> Option<u32> {
+        shared.lanes[self.index]
+            .bands
+            .iter()
+            .find_map(LaneDeque::pop)
     }
 
     /// Band-major steal sweep: every victim's band 0 is scanned before
@@ -446,7 +395,7 @@ impl LaneCtx {
     /// higher-priority work.
     fn steal_token(&mut self, shared: &Shared) -> Option<(u32, usize)> {
         let lanes = shared.lanes.len();
-        for band in 0..self.bands.len() {
+        for band in 0..shared.lanes[self.index].bands.len() {
             for step in 1..lanes {
                 let victim = (self.index + step) % lanes;
                 let stealer = &shared.lanes[victim].stealers[band];
@@ -459,13 +408,10 @@ impl LaneCtx {
     }
 
     /// Audits a theft from `band`: within a tick deques only shrink, so
-    /// any non-empty higher band here would be a genuine inversion.
+    /// any non-empty higher band on any lane, this one included, would
+    /// be a genuine inversion.
     fn audit_no_inversion(&mut self, shared: &Shared, band: usize) {
         for b in 0..band {
-            if !self.bands[b].is_empty() {
-                self.side.priority_inversions += 1;
-                return;
-            }
             for lane in &shared.lanes {
                 if !lane.stealers[b].is_empty() {
                     self.side.priority_inversions += 1;
@@ -479,10 +425,7 @@ impl LaneCtx {
     /// next queued batch, releases the tick's outstanding count.
     fn run_token(&mut self, shared: &Shared, t: u32, now: u64, stolen: bool) {
         let idx = t as usize;
-        {
-            let mut g = shared.slots[idx].lock();
-            self.execute_one(shared, idx, &mut g, now, stolen);
-        }
+        self.execute_one(shared, idx, &mut shared.slots[idx].lock(), now, stolen);
         shared.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 
@@ -504,7 +447,7 @@ impl LaneCtx {
             g.ledger.shed_removed += n_in;
             return;
         }
-        if g.phase == BreakerPhase::Open {
+        if g.breaker.phase() == BreakerPhase::Open {
             g.ledger.shed_open += n_in;
             return;
         }
@@ -553,12 +496,7 @@ impl LaneCtx {
                 if stolen {
                     g.ledger.stolen += n_in;
                 }
-                if g.phase == BreakerPhase::HalfOpen {
-                    g.probes_left = g.probes_left.saturating_sub(1);
-                    if g.probes_left == 0 {
-                        g.close(idx, now);
-                    }
-                }
+                g.signal(idx, now, Signal::Probe, shared);
             }
             Err(_) => {
                 // The batch moved into the domain and died with it. A
@@ -694,11 +632,8 @@ impl TenantLaneRuntime {
                 bucket: TickBucket::new(spec.rate_per_tick, spec.burst),
                 spec: spec.clone(),
                 present: true,
-                phase: BreakerPhase::Running,
+                breaker: Breaker::default(),
                 epoch: 0,
-                strikes: 0,
-                open_until: 0,
-                probes_left: 0,
                 ledger: crate::tenant::TenantLedger::default(),
                 occurrence: 0,
                 snapshots_taken: 0,
@@ -718,24 +653,12 @@ impl TenantLaneRuntime {
             }));
         }
 
-        // Band deques: owners move into the lanes' executors, stealers
-        // are published to everyone.
-        let mut owners: Vec<Vec<LaneDeque<u32>>> = Vec::with_capacity(config.lanes);
-        let mut lane_shared = Vec::with_capacity(config.lanes);
-        for _ in 0..config.lanes {
-            let mut lane_owners = Vec::with_capacity(bands);
-            let mut stealers = Vec::with_capacity(bands);
-            for _ in 0..bands {
-                let (deque, stealer) = LaneDeque::with_capacity(64);
-                lane_owners.push(deque);
-                stealers.push(stealer);
-            }
-            owners.push(lane_owners);
-            lane_shared.push(LaneShared {
-                staged: Mutex::new(vec![Vec::new(); bands]),
-                stealers,
-            });
-        }
+        let lane_shared = (0..config.lanes)
+            .map(|_| {
+                let (bands, stealers) = (0..bands).map(|_| LaneDeque::with_capacity(64)).unzip();
+                LaneShared { bands, stealers }
+            })
+            .collect();
 
         let backends: Vec<Backend> = config
             .tenants
@@ -763,7 +686,6 @@ impl TenantLaneRuntime {
             tick: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             start: Barrier::new(config.lanes),
-            pushed: Barrier::new(config.lanes),
             done: Barrier::new(config.lanes),
             manager,
             policy: config.breaker,
@@ -772,17 +694,13 @@ impl TenantLaneRuntime {
             faults: config.faults.clone(),
         });
 
-        let mut ctxs = owners
-            .into_iter()
-            .enumerate()
-            .map(|(index, bands)| LaneCtx {
-                index,
-                bands,
-                side: LaneSideOutcome {
-                    stolen_from: vec![0; tcount],
-                    ..LaneSideOutcome::default()
-                },
-            });
+        let mut ctxs = (0..config.lanes).map(|index| LaneCtx {
+            index,
+            side: LaneSideOutcome {
+                stolen_from: vec![0; tcount],
+                ..LaneSideOutcome::default()
+            },
+        });
         let lane0 = ctxs.next().expect("at least one lane");
         let handles = ctxs
             .map(|ctx| {
@@ -839,7 +757,7 @@ impl TenantLaneRuntime {
 
     /// A tenant's breaker phase.
     pub fn phase(&self, idx: usize) -> BreakerPhase {
-        self.shared.slots[idx].lock().phase
+        self.shared.slots[idx].lock().breaker.phase()
     }
 
     /// A tenant's conservation ledger so far.
@@ -938,7 +856,7 @@ impl TenantLaneRuntime {
             let n = staged.len() as u64;
             let mut g = self.shared.slots[idx].lock();
             g.ledger.offered += n;
-            if g.phase == BreakerPhase::Open {
+            if g.breaker.phase() == BreakerPhase::Open {
                 g.ledger.shed_open += n;
                 recycle_local(staged.drain(..));
                 continue;
@@ -1007,8 +925,9 @@ impl TenantLaneRuntime {
         }
     }
 
-    /// Executes one tick: stage claim tokens for every queued batch,
-    /// release the helper lanes through the tick barrier, run the tick
+    /// Executes one tick: push a claim token for every queued batch onto
+    /// its home lane's band deque while the helper lanes are parked,
+    /// release them through the tick barrier, run the tick
     /// to completion as lane 0, then apply the deterministic supervision
     /// pass (work-budget strikes, open-timer expiry, the staggered
     /// snapshot cadence). Advances the clock.
@@ -1018,18 +937,11 @@ impl TenantLaneRuntime {
         let mut total = 0u64;
         for &idx in &self.active {
             let g = self.shared.slots[idx].lock();
-            let n = g.queue.len();
-            let lane = g.home_lane;
-            drop(g);
-            if n == 0 {
-                continue;
+            let deque = &self.shared.lanes[g.home_lane].bands[self.shared.band_of[idx]];
+            for _ in 0..g.queue.len() {
+                deque.push(idx as u32);
             }
-            let band = self.shared.band_of[idx];
-            let mut staged = self.shared.lanes[lane].staged.lock();
-            for _ in 0..n {
-                staged[band].push(idx as u32);
-            }
-            total += n as u64;
+            total += g.queue.len() as u64;
         }
         self.shared.outstanding.store(total, Ordering::Release);
         self.shared.tick.store(now, Ordering::Release);
@@ -1043,14 +955,10 @@ impl TenantLaneRuntime {
             let mut g = self.shared.slots[idx].lock();
             let spent = g.work_this_tick;
             g.work_this_tick = 0;
-            if self.work_budget > 0
-                && g.present
-                && g.phase != BreakerPhase::Open
-                && spent > self.work_budget
-            {
-                g.strike(idx, now, &self.shared);
+            if self.work_budget > 0 && g.present && spent > self.work_budget {
+                g.signal(idx, now, Signal::Strike, &self.shared);
             }
-            if g.phase == BreakerPhase::Open {
+            if g.breaker.phase() == BreakerPhase::Open {
                 drop(g);
                 self.open_watch.push(idx);
             }
@@ -1064,14 +972,8 @@ impl TenantLaneRuntime {
         let shared = &self.shared;
         self.open_watch.retain(|&idx| {
             let mut g = shared.slots[idx].lock();
-            if !g.present || g.phase != BreakerPhase::Open {
-                return false;
-            }
-            let expired = now >= g.open_until;
-            if expired {
-                g.half_open(idx, now, shared);
-            }
-            !expired
+            g.signal(idx, now, Signal::Tick, shared);
+            g.breaker.phase() == BreakerPhase::Open
         });
 
         // Staggered snapshots: one bucket of tenants per tick.
@@ -1080,7 +982,8 @@ impl TenantLaneRuntime {
             for pos in 0..self.snap_buckets[bucket].len() {
                 let idx = self.snap_buckets[bucket][pos];
                 let mut g = self.shared.slots[idx].lock();
-                if !g.present || g.phase == BreakerPhase::Open || !g.dirty_since_snapshot {
+                if !g.present || g.breaker.phase() == BreakerPhase::Open || !g.dirty_since_snapshot
+                {
                     continue;
                 }
                 let g = &mut *g;
@@ -1139,8 +1042,7 @@ impl TenantLaneRuntime {
                 self.shared.manager.destroy_domain(&chain.domain);
             }
             g.present = false;
-            g.phase = BreakerPhase::Running;
-            g.strikes = 0;
+            g.breaker = Breaker::default();
             g.snapshots_taken = 0;
             // Epoch keying: the departed epoch's snapshots can never
             // serve a future incarnation of this tenant.
@@ -1175,9 +1077,7 @@ impl TenantLaneRuntime {
             let mut g = self.shared.slots[idx].lock();
             g.epoch += 1;
             g.present = true;
-            g.phase = BreakerPhase::Running;
-            g.strikes = 0;
-            g.probes_left = 0;
+            g.breaker = Breaker::default();
             g.bucket = TickBucket::new(g.spec.rate_per_tick, g.spec.burst);
             g.home_lane = lane;
             g.pipeline_spec = (self.factory)(idx, &g.spec);
@@ -1433,7 +1333,7 @@ impl TenantLaneRuntime {
                 name: g.spec.name.clone(),
                 priority: g.spec.priority,
                 ledger: g.ledger,
-                final_phase: g.phase,
+                final_phase: g.breaker.phase(),
                 epoch: g.epoch,
                 generation: g.generation,
                 faults: counts.faults,
