@@ -449,10 +449,9 @@ pub fn encode_delta(delta: &Delta) -> Vec<u8> {
 /// Bytes [`encode_delta`] produces for `delta`.
 pub fn encoded_delta_len(delta: &Delta) -> usize {
     let replacements = delta.replacements.iter().map(|rep| {
-        let target = match &rep.target {
-            Target::Root(path) => path_len(path),
-            Target::Shared(id, path) => varint_len(*id as u64) + path_len(path),
-        };
+        let target = rep.target.with_path(|shared, path| {
+            shared.map_or(0, |id| varint_len(id as u64)) + path_len(path)
+        });
         1 + target + snapshot_len(&rep.subtree)
     });
     DELTA_MAGIC.len()
@@ -476,17 +475,16 @@ pub fn encode_delta_into(out: &mut Vec<u8>, delta: &Delta) {
     out.push(VERSION);
     write_varint(out, delta.replacements.len() as u64);
     for rep in &delta.replacements {
-        match &rep.target {
-            Target::Root(path) => {
-                out.push(delta_tag::TARGET_ROOT);
-                encode_path(out, path);
+        rep.target.with_path(|shared, path| {
+            match shared {
+                None => out.push(delta_tag::TARGET_ROOT),
+                Some(id) => {
+                    out.push(delta_tag::TARGET_SHARED);
+                    write_varint(out, id as u64);
+                }
             }
-            Target::Shared(id, path) => {
-                out.push(delta_tag::TARGET_SHARED);
-                write_varint(out, *id as u64);
-                encode_path(out, path);
-            }
-        }
+            encode_path(out, path);
+        });
         encode_snapshot(out, &rep.subtree);
     }
     write_varint(out, delta.appended_shared.len() as u64);
@@ -543,6 +541,7 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, CodecError> {
         replacements,
         appended_shared,
         truncate_shared_to,
+        ..Delta::default()
     })
 }
 

@@ -14,16 +14,14 @@
 //! costs those records, not the table, and costs no heap node per
 //! record either.
 //!
-//! The run list has one builder, [`byte_runs`] — where a run starts,
-//! which neighbours it absorbs, what becomes of the tail — and any
-//! number of *span finders* behind the [`BlobView`] trait, each
-//! reporting the stretches of changed bytes the builder copies whole. A
-//! byte slice finds them by scanning both blobs a word at a time (what
-//! [`diff`] does, and the oracle every other finder is tested against);
-//! a structure that already knows which of its bytes may have changed
-//! since the base — a flow table that tracked the records it handed out
-//! mutably — answers from that knowledge, and gets the same list without
-//! materialising the blob.
+//! A run list is written by one [`RunWriter`]: a run's header once its
+//! extent is known, then its bytes, into room reserved up front. Two
+//! builders decide where the runs lie, one per input: [`byte_runs`]
+//! scans two byte slices a word at a time (what [`diff`] does, and the
+//! oracle the other is tested against), and a flow table that tracked
+//! the records it handed out mutably emits its runs from those records
+//! alone, without materialising the image. Both follow the same rule:
+//! changes at most [`RUN_GAP`] unchanged bytes apart share a run.
 //!
 //! The diff is exact and total: `apply(base, &diff(base, next)) == next`
 //! for any two checkpoints (property-tested below and in
@@ -71,13 +69,42 @@ pub enum Side {
     Value,
 }
 
-/// Where a replacement applies.
-#[derive(Debug, Clone, PartialEq)]
+/// Where a replacement applies. Two targets are equal when they name
+/// the same place, whichever arm names it.
+#[derive(Debug, Clone)]
 pub enum Target {
     /// Within the root snapshot.
     Root(Vec<PathSeg>),
     /// Within shared-table entry `id`.
     Shared(usize, Vec<PathSeg>),
+    /// Into the bytes of stage `i`'s blob in a pipeline's checkpoint:
+    /// `Root([Index(i), OptInner, ByteRanges])`, the path held inline —
+    /// the target of every stage delta a pipeline assembles, so building
+    /// one allocates no path. It encodes as that `Root` path does.
+    Stage(usize),
+}
+
+impl Target {
+    /// Hands `f` the shared-table entry the target lies in (`None` for
+    /// the root) and its path there.
+    pub(crate) fn with_path<R>(&self, f: impl FnOnce(Option<usize>, &[PathSeg]) -> R) -> R {
+        match self {
+            Target::Root(path) => f(None, path),
+            Target::Shared(id, path) => f(Some(*id), path),
+            Target::Stage(i) => f(
+                None,
+                &[PathSeg::Index(*i), PathSeg::OptInner, PathSeg::ByteRanges],
+            ),
+        }
+    }
+}
+
+impl PartialEq for Target {
+    fn eq(&self, other: &Self) -> bool {
+        self.with_path(|id, path| {
+            other.with_path(|other_id, other_path| (id, path) == (other_id, other_path))
+        })
+    }
 }
 
 /// One subtree replacement.
@@ -89,8 +116,9 @@ pub struct Replacement {
     pub subtree: Snapshot,
 }
 
-/// The delta between two checkpoints.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The delta between two checkpoints. Equality compares the three
+/// public fields.
+#[derive(Debug, Clone, Default)]
 pub struct Delta {
     /// Subtree replacements, in application order.
     pub replacements: Vec<Replacement>,
@@ -99,9 +127,57 @@ pub struct Delta {
     /// New shared-table length when the table *shrank* (rare: only a
     /// structurally different re-checkpoint does this).
     pub truncate_shared_to: Option<usize>,
+    /// Run-list buffers kept by [`clear`](Self::clear), for
+    /// [`with_spare_buffer`](Self::with_spare_buffer) to lend out again.
+    pub(crate) spare: Vec<Vec<u8>>,
+}
+
+impl PartialEq for Delta {
+    fn eq(&self, other: &Self) -> bool {
+        (
+            &self.replacements,
+            &self.appended_shared,
+            self.truncate_shared_to,
+        ) == (
+            &other.replacements,
+            &other.appended_shared,
+            other.truncate_shared_to,
+        )
+    }
 }
 
 impl Delta {
+    /// Empties the delta for the next one to be built in it, keeping its
+    /// buffers: the lists' capacity, and the run list of every
+    /// [`Target::Stage`] replacement, which
+    /// [`with_spare_buffer`](Self::with_spare_buffer) lends out again. A
+    /// delta cleared before each use allocates nothing once its buffers
+    /// have grown to the deltas it holds.
+    pub(crate) fn clear(&mut self) {
+        for Replacement { target, subtree } in self.replacements.drain(..) {
+            if let (Target::Stage(_), Snapshot::Bytes(mut runs)) = (target, subtree) {
+                runs.clear();
+                self.spare.push(runs);
+            }
+        }
+        self.appended_shared.clear();
+        self.truncate_shared_to = None;
+    }
+
+    /// Lends `build` an empty buffer to write a run list in — one kept
+    /// from a [`Target::Stage`] replacement the delta held before the
+    /// store last cleared it, when there is one — and keeps what `build`
+    /// leaves in it (nothing, when it took the buffer for a replacement).
+    pub fn with_spare_buffer<R>(&mut self, build: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+        let mut buffer = self.spare.pop().unwrap_or_default();
+        let built = build(&mut buffer);
+        if buffer.capacity() > 0 {
+            buffer.clear();
+            self.spare.push(buffer);
+        }
+        built
+    }
+
     /// True when the checkpoints were identical.
     pub fn is_empty(&self) -> bool {
         self.replacements.is_empty()
@@ -226,7 +302,7 @@ fn diff_snapshot(
         // a full record and the deltas on it.)
         (Snapshot::Bytes(xs), Snapshot::Bytes(ys)) if xs.len() <= ys.len() => {
             let mut runs = Vec::new();
-            byte_runs(xs, &mut ys.as_slice(), &mut runs);
+            byte_runs(xs, ys, &mut runs);
             let mut target = Vec::with_capacity(path.len() + 1);
             target.extend_from_slice(path);
             target.push(PathSeg::ByteRanges);
@@ -237,144 +313,144 @@ fn diff_snapshot(
     }
 }
 
-/// The newer side of a byte-range diff: a blob at least as long as its
-/// base that can say where it next departs from the base, a *span* at a
-/// time. [`byte_runs`] turns the spans into a run list — the unchanged
-/// bytes between two spans it merges it copies from the base itself, so
-/// a view is asked for bytes only where it reported a change and past
-/// the base's end.
-///
-/// A byte slice is one such view — it *finds* the changes by scanning,
-/// and serves any pair of blobs. A view that already *knows* which bytes
-/// may have changed (a flow table that tracked the records it handed out
-/// mutably) answers without materialising the blob; whatever it skips it
-/// asserts equal to the base, and its run list is then the scan's, byte
-/// for byte.
-#[expect(
-    clippy::len_without_is_empty,
-    reason = "a length to diff against, not a collection"
-)]
-pub trait BlobView {
-    /// Length of the blob this view stands for; at least the base's.
-    fn len(&self) -> usize;
-
-    /// The next span at or after `from` (and below `base.len()`) where
-    /// the blob differs from `base`: its start and the blob's bytes
-    /// there. A span's first and last bytes differ from the base's; the
-    /// bytes between may include unchanged stretches of at most
-    /// [`RUN_GAP`] bytes — the builder would merge across those anyway —
-    /// so a view may hand over a record's changes in one span. Every
-    /// byte no span covers equals the base's; two spans may abut. `None`
-    /// when the blob agrees with the rest of `base`. The run builder asks
-    /// in ascending order, each time from the end of the span it was
-    /// given last.
-    fn next_span(&mut self, base: &[u8], from: usize) -> Option<(usize, &[u8])>;
-
-    /// Appends the blob's bytes from `from` — the base's length — to its
-    /// end: what it grew by.
-    fn copy_tail(&mut self, from: usize, out: &mut Vec<u8>);
-}
-
-/// The scan: compares all of both blobs, eight bytes at a time, and
-/// reports each stretch of changed bytes as a span.
-impl BlobView for &[u8] {
-    fn len(&self) -> usize {
-        <[u8]>::len(self)
-    }
-
-    fn next_span(&mut self, base: &[u8], from: usize) -> Option<(usize, &[u8])> {
-        let at = first_mismatch(base, self, from);
-        if at == base.len() {
-            return None;
-        }
-        let end = first_match(base, self, at);
-        Some((at, &self[at..end]))
-    }
-
-    fn copy_tail(&mut self, from: usize, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self[from..]);
-    }
-}
-
-/// Changed spans separated by at most this many unchanged bytes ship as
+/// Changed bytes separated by at most this many unchanged bytes ship as
 /// one run: a run's two varints and its turn of the splice loop cost
 /// about what the bytes between do.
 pub const RUN_GAP: usize = 8;
 
 /// Appends to `runs` the run list ([`PathSeg::ByteRanges`]) that turns
-/// the blob `base` into the blob `next` stands for; everything past
-/// `base`'s end counts as changed. Nothing is appended when the two are
-/// equal.
-pub fn byte_runs(base: &[u8], next: &mut impl BlobView, runs: &mut Vec<u8>) {
-    let len = next.len();
-    // The run being built — where it starts, where its length byte sits
-    // in `runs` — and where the last change written ends.
-    let (mut open, mut end) = (None, 0);
-    while let Some((at, bytes)) = next.next_span(base, end) {
-        debug_assert!(at >= end && !bytes.is_empty() && at + bytes.len() <= base.len());
-        reach(runs, base, &mut open, end, at);
-        runs.extend_from_slice(bytes);
-        end = at + bytes.len();
-    }
-    // Past the base's end every byte counts as changed: the growth.
-    if len > base.len() {
-        reach(runs, base, &mut open, end, base.len());
-        next.copy_tail(base.len(), runs);
-        end = len;
-    }
-    if let Some((start, len_at)) = open {
-        close_run(runs, len_at, end - start);
-    }
-}
-
-/// Brings the run list to a change at `at`, the last one having ended at
-/// `end`: the open run takes in the unchanged bytes between when there
-/// are at most [`RUN_GAP`] of them (copied from the base); otherwise it
-/// is closed and a run starting at `at` is opened. (Left to choose, the
-/// compiler keeps this out of line, and a delta walk pays a call per
-/// span: 5–10 % of its cycles.)
-#[inline(always)]
-fn reach(
-    runs: &mut Vec<u8>,
-    base: &[u8],
-    open: &mut Option<(usize, usize)>,
-    end: usize,
-    at: usize,
-) {
-    match *open {
-        Some(_) if at - end <= RUN_GAP => runs.extend_from_slice(&base[end..at]),
-        _ => {
-            if let Some((start, len_at)) = *open {
-                close_run(runs, len_at, end - start);
-            }
-            *open = Some(start_run(runs, at, end));
+/// the blob `base` into `next`, which is at least as long; everything
+/// past `base`'s end counts as changed. Nothing is appended when the two
+/// are equal.
+///
+/// The scan: both blobs are compared eight bytes at a time, and each run
+/// is found whole — its first change, then every further change at most
+/// [`RUN_GAP`] bytes on — before the writer is handed it.
+pub fn byte_runs(base: &[u8], next: &[u8], runs: &mut Vec<u8>) {
+    debug_assert!(next.len() >= base.len(), "a blob diffed by runs only grows");
+    let grows = next.len() > base.len();
+    let mut out = RunWriter::new(runs, 0);
+    let mut at = first_mismatch(base, next, 0);
+    while at < base.len() {
+        let mut end = first_match(base, next, at);
+        let mut following = first_mismatch(base, next, end);
+        while following < base.len() && following - end <= RUN_GAP {
+            end = first_match(base, next, following);
+            following = first_mismatch(base, next, end);
         }
+        // The last run takes in the growth when it ends close enough.
+        if following == base.len() && grows && base.len() - end <= RUN_GAP {
+            end = next.len();
+        }
+        out.put_run(at, end - at, &next[at..end]);
+        at = following;
+    }
+    if grows && out.end() <= base.len() {
+        out.put_run(base.len(), next.len() - base.len(), &next[base.len()..]);
+    }
+    out.finish();
+}
+
+/// Appends a run list ([`PathSeg::ByteRanges`]) to a buffer, a run at a
+/// time, in ascending order: each run's header — its gap from the
+/// previous run's end, its length — is written once its extent is known,
+/// then its bytes. Capacity for the room asked for is reserved once; the
+/// buffer is lengthened ahead of the cursor geometrically, within that
+/// capacity, and cut back to what was written by
+/// [`finish`](Self::finish). A run costs two short varints and a copy
+/// into bytes already there, with no capacity check per byte.
+pub struct RunWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// Where the next byte goes in `out`.
+    pos: usize,
+    /// Where in the blob the last run ended (0 before the first).
+    end: usize,
+}
+
+/// Bytes two varint headers may take.
+const MAX_HEADER: usize = 20;
+
+impl<'a> RunWriter<'a> {
+    /// A writer appending to `out`, with capacity for `room` bytes of
+    /// runs reserved.
+    pub fn new(out: &'a mut Vec<u8>, room: usize) -> Self {
+        let pos = out.len();
+        out.reserve(room + MAX_HEADER);
+        Self { out, pos, end: 0 }
+    }
+
+    /// Where in the blob the last run ended.
+    pub(crate) fn end(&self) -> usize {
+        self.end
+    }
+
+    /// Writes the header of a run of `len` bytes at `at` — at or past
+    /// the last run's end — and returns the `len` bytes of `out` for the
+    /// caller to fill with the run's bytes.
+    #[inline]
+    pub fn run(&mut self, at: usize, len: usize) -> &mut [u8] {
+        let data = self.header(at, len, len);
+        self.pos += len;
+        &mut self.out[data..data + len]
+    }
+
+    /// Writes a run of `len` bytes at `at` — at or past the last run's
+    /// end — taking its bytes from the front of `bytes`. What `bytes`
+    /// holds past `len` is written too, and overwritten by whatever comes
+    /// next: a caller that passes a slice of constant length gets a copy
+    /// of constant length, which compiles to a few moves.
+    #[inline]
+    pub fn put_run(&mut self, at: usize, len: usize, bytes: &[u8]) {
+        debug_assert!(len <= bytes.len());
+        let data = self.header(at, len, bytes.len());
+        self.out[data..data + bytes.len()].copy_from_slice(bytes);
+        self.pos += len;
+    }
+
+    /// Writes a run's header with room for `room` bytes behind it, and
+    /// returns where its bytes go.
+    #[inline(always)]
+    fn header(&mut self, at: usize, len: usize, room: usize) -> usize {
+        debug_assert!(at >= self.end && len > 0, "runs ascend and are not empty");
+        let need = self.pos + MAX_HEADER + room;
+        if need > self.out.len() {
+            let doubled = (2 * self.out.len()).min(self.out.capacity());
+            self.out.resize(need.max(doubled), 0);
+        }
+        let pos = put_varint(self.out, self.pos, (at - self.end) as u64);
+        self.pos = put_varint(self.out, pos, len as u64);
+        self.end = at + len;
+        self.pos
+    }
+
+    /// Cuts the buffer back to the runs written.
+    pub fn finish(self) {
+        self.out.truncate(self.pos);
     }
 }
 
-/// Writes a run's gap — `start` less `written`, where the previous run
-/// ended (0 for the first) — and reserves the byte its length goes in:
-/// the run's start and where that byte sits.
-#[inline]
-fn start_run(runs: &mut Vec<u8>, start: usize, written: usize) -> (usize, usize) {
-    codec::write_varint(runs, (start - written) as u64);
-    runs.push(0);
-    (start, runs.len() - 1)
-}
-
-/// Writes a finished run's length into the byte `start_run` reserved:
-/// LEB128, as `write_varint` writes it — the low seven bits in the byte
-/// reserved, whatever is left (rarely anything) behind it.
-#[inline]
-fn close_run(runs: &mut Vec<u8>, len_at: usize, run: usize) {
-    runs[len_at] = (run & 0x7F) as u8;
-    if run >= 0x80 {
-        runs[len_at] |= 0x80;
-        let appended = runs.len();
-        codec::write_varint(runs, (run >> 7) as u64);
-        let width = runs.len() - appended;
-        runs[len_at + 1..].rotate_right(width);
+/// Writes `v` at `at` as LEB128, as `codec::write_varint` does, and
+/// returns where it ends. `out` has room for ten bytes there. Below
+/// 2¹⁴ — every gap and length of a table's runs short of a 16 KiB
+/// stride — two bytes are written whatever the length: the continuation
+/// bit and the length are arithmetic, not branches.
+#[inline(always)]
+fn put_varint(out: &mut [u8], at: usize, v: u64) -> usize {
+    if v < 1 << 14 {
+        let long = u8::from(v >= 0x80);
+        let pair: &mut [u8; 2] = (&mut out[at..at + 2]).try_into().expect("two bytes");
+        *pair = [v as u8 & 0x7F | long << 7, (v >> 7) as u8];
+        return at + 1 + usize::from(long);
     }
+    let mut at = at;
+    let mut v = v;
+    while v >= 0x80 {
+        out[at] = v as u8 | 0x80;
+        v >>= 7;
+        at += 1;
+    }
+    out[at] = v as u8;
+    at + 1
 }
 
 /// The first index at or after `from` where `a` and `b` differ, or
@@ -437,17 +513,14 @@ pub fn apply(base: &Checkpoint, delta: &Delta) -> Result<Checkpoint, DiffError> 
 /// on failure (a warm restore's freshly decoded envelope); everything
 /// else wants [`apply`].
 pub fn apply_in_place(cp: &mut Checkpoint, delta: Delta) -> Result<(), DiffError> {
-    for r in delta.replacements {
-        let (tree, path) = match &r.target {
-            Target::Root(path) => (&mut cp.root, path),
-            Target::Shared(id, path) => (
-                cp.shared
-                    .get_mut(*id)
-                    .ok_or(DiffError::BadSharedIndex(*id))?,
-                path,
-            ),
-        };
-        replace(tree, path, r.subtree)?;
+    for Replacement { target, subtree } in delta.replacements {
+        target.with_path(|shared, path| {
+            let tree = match shared {
+                None => &mut cp.root,
+                Some(id) => cp.shared.get_mut(id).ok_or(DiffError::BadSharedIndex(id))?,
+            };
+            replace(tree, path, subtree)
+        })?;
     }
     if let Some(n) = delta.truncate_shared_to {
         cp.shared.truncate(n);

@@ -280,7 +280,9 @@ fn seal_into(
     ];
     let header_len = FIXED_HEADER_LEN + fields.map(codec::varint_len).iter().sum::<usize>();
     out.clear();
-    out.reserve_exact(header_len + payload_len + FOOTER_LEN);
+    // Amortised: a buffer sealed into again and again soon has room for
+    // the records to come.
+    out.reserve(header_len + payload_len + FOOTER_LEN);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     out.push(kind);

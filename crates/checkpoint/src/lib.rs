@@ -76,7 +76,7 @@ pub use ctx::{
     checkpoint, checkpoint_scope, checkpoint_with_mode, restore, restore_scope, Checkpoint,
     CheckpointCtx, CheckpointStats, DedupMode, RestoreCtx,
 };
-pub use diff::{apply, apply_in_place, byte_runs, diff, BlobView, Delta};
+pub use diff::{apply, apply_in_place, byte_runs, diff, Delta, RunWriter};
 pub use envelope::{RestoreError, SnapshotMeta};
 pub use migrate::{MigrateError, MigratorSet, StateMigrator};
 pub use snapshot::{Snapshot, SnapshotError};

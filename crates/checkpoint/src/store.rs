@@ -40,14 +40,15 @@
 //! branch, produced a record.
 //!
 //! Envelopes are sized before the first byte and serialized in place,
-//! and the store seals into the buffers of records that rotated out of
-//! `previous`, so in steady state `record_from` allocates nothing the
-//! size of the state.
+//! the store seals into the buffers of records that rotated out of
+//! `previous`, and the delta a source fills is the store's own, cleared
+//! with its buffers kept, so a steady-state incremental `record_from`
+//! allocates nothing (`rbs-runtime`'s `tests/delta_record_alloc.rs`
+//! counts).
 
 use crate::ctx::Checkpoint;
-use crate::diff::{self, Delta, Replacement};
+use crate::diff::{self, Delta};
 use crate::envelope::{self, Payload, RestoreError, SnapshotMeta};
-use crate::snapshot::Snapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -83,14 +84,15 @@ pub trait SnapshotSource {
     /// buffers are the source's to reuse.
     fn export_base(&mut self, spent: Option<Checkpoint>) -> (Checkpoint, BaseId);
 
-    /// The delta from `base` — the checkpoint `export_base` returned
-    /// with `id` — to the present state: exactly
+    /// Fills `delta` with the delta from `base` — the checkpoint
+    /// `export_base` returned with `id` — to the present state: exactly
     /// `diff(base, &self.export_state())`, found without the export.
-    /// `None` when the source cannot answer for `id` (it never produced
-    /// it, or has lost track since); the caller then exports and diffs.
-    /// `scratch` is a buffer the source may take for a run list it
-    /// builds; the caller recovers it from the delta.
-    fn export_delta(&self, id: BaseId, base: &Checkpoint, scratch: &mut Vec<u8>) -> Option<Delta>;
+    /// `delta` is the caller's, lent empty but with the buffers of the
+    /// deltas built in it before, so a source that builds its run lists
+    /// in [`Delta::with_spare_buffer`] allocates nothing in steady state. `false` when the source cannot answer for `id` (it
+    /// never produced it, or has lost track since); the caller then
+    /// ignores `delta`, exports and diffs.
+    fn export_delta(&self, id: BaseId, base: &Checkpoint, delta: &mut Delta) -> bool;
 }
 
 /// Which of the two buffered records.
@@ -210,8 +212,11 @@ pub struct SnapshotStore {
     /// two records held are at times both full ones.)
     spare_full: Vec<u8>,
     spare_delta: Vec<Vec<u8>>,
-    /// The run-list buffer lent to [`SnapshotSource::export_delta`].
-    scratch: Vec<u8>,
+    /// The largest capacity a delta buffer has reached.
+    delta_room: usize,
+    /// The delta lent to [`SnapshotSource::export_delta`], cleared with
+    /// its buffers kept before each incremental record.
+    delta: Delta,
 }
 
 /// The last full record: the diff base of the incremental records.
@@ -240,7 +245,8 @@ impl SnapshotStore {
             stats: StoreStats::default(),
             spare_full: Vec::new(),
             spare_delta: Vec::new(),
-            scratch: Vec::new(),
+            delta_room: 0,
+            delta: Delta::default(),
         }
     }
 
@@ -275,10 +281,14 @@ impl SnapshotStore {
     /// store asks for what the record needs instead of being handed an
     /// export. A full record takes `source`'s base export by value (and
     /// hands it the base being replaced, to build the new one in); an
-    /// incremental record asks for the delta against the base the store
-    /// holds, and only a source that cannot answer — it was rebuilt or
-    /// restored since, a stage of it does not track changes, its state
-    /// shrank — is exported whole and compared, as `record` does.
+    /// incremental record lends the source a [`Delta`] the store owns —
+    /// cleared, its buffers kept — to fill against the base the store
+    /// holds, and seals it into the buffer of a rotated-out record. Only
+    /// a source that cannot answer — it was rebuilt or restored since, a
+    /// stage of it does not track changes, its state shrank — is
+    /// exported whole and compared, as `record` does. A steady-state
+    /// incremental record from a source that answers therefore
+    /// allocates nothing.
     ///
     /// A panic mid-record (the `CheckpointEncode` chaos site) leaves
     /// `latest`, `previous`, the epoch counter and the stats as they
@@ -293,18 +303,18 @@ impl SnapshotStore {
     ) -> SnapshotMeta {
         match &self.base {
             Some(base) if !self.full_is_due() => {
-                let mut delta = base
+                let mut delta = std::mem::take(&mut self.delta);
+                delta.clear();
+                let answered = base
                     .id
-                    .and_then(|id| source.export_delta(id, &base.cp, &mut self.scratch))
-                    .unwrap_or_else(|| diff::diff(&base.cp, &source.export_state()));
-                let meta = self.seal_delta(&delta, tick, items, schema);
-                if let Some(Replacement {
-                    subtree: Snapshot::Bytes(runs),
-                    ..
-                }) = delta.replacements.pop()
-                {
-                    self.scratch = runs;
-                }
+                    .is_some_and(|id| source.export_delta(id, &base.cp, &mut delta));
+                let meta = if answered {
+                    self.seal_delta(&delta, tick, items, schema)
+                } else {
+                    let found = diff::diff(&base.cp, &source.export_state());
+                    self.seal_delta(&found, tick, items, schema)
+                };
+                self.delta = delta;
                 meta
             }
             _ => {
@@ -367,8 +377,14 @@ impl SnapshotStore {
             schema,
         };
         let base_bytes = Arc::clone(&base.sealed);
+        // Every buffer in rotation is grown to the roomiest one's
+        // capacity: once one has room for the cadence's largest delta,
+        // all do within a cycle, and sealing stops reallocating.
         let mut delta_bytes = self.spare_delta.pop().unwrap_or_default();
+        delta_bytes.clear();
+        delta_bytes.reserve(self.delta_room);
         envelope::seal_delta_into(&mut delta_bytes, meta, delta);
+        self.delta_room = self.delta_room.max(delta_bytes.capacity());
         self.next_epoch += 1;
         self.since_full += 1;
         self.stats.delta_snapshots += 1;

@@ -26,9 +26,8 @@
 //!   length from 0 to 31 bytes; two flips of the same high bit do not
 //!   cancel, nor do two flips of the same bit at the same word index in
 //!   two lanes of a block of a zeroed blob;
-//! - the run builder over spans emits, for arbitrary blob pairs and
-//!   however the spans are cut, the list a byte-at-a-time reading of the
-//!   run format's rules gives.
+//! - the scan emits, for arbitrary blob pairs, the list a byte-at-a-time
+//!   reading of the run format's rules gives.
 
 use proptest::prelude::*;
 use rbs_checkpoint::diff::{DiffError, PathSeg, Replacement, Target};
@@ -214,47 +213,17 @@ fn runs_by_the_rules(base: &[u8], next: &[u8]) -> Vec<u8> {
     out
 }
 
-/// A view that reports each stretch of changed bytes cut into pieces of
-/// the lengths `pieces` cycles through: abutting spans.
-struct Chopped<'a> {
-    next: &'a [u8],
-    pieces: &'a [usize],
-    turn: usize,
-}
-
-impl BlobView for Chopped<'_> {
-    fn len(&self) -> usize {
-        self.next.len()
-    }
-
-    fn next_span(&mut self, base: &[u8], from: usize) -> Option<(usize, &[u8])> {
-        let at = (from..base.len()).find(|&i| base[i] != self.next[i])?;
-        let end = (at..base.len())
-            .find(|&i| base[i] == self.next[i])
-            .unwrap_or(base.len());
-        let piece = self.pieces[self.turn % self.pieces.len()].clamp(1, end - at);
-        self.turn += 1;
-        Some((at, &self.next[at..at + piece]))
-    }
-
-    fn copy_tail(&mut self, from: usize, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.next[from..]);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// `byte_runs` over the scan's spans, and over the same spans cut
-    /// anywhere, is the list the rules give. A three-letter alphabet and
-    /// sparse edits make equal and changed stretches of every length
-    /// common.
+    /// `byte_runs` is the list the rules give, appended after what the
+    /// buffer held. A three-letter alphabet and sparse edits make equal
+    /// and changed stretches of every length common.
     #[test]
     fn the_span_builder_is_the_byte_at_a_time_rules(
         base in proptest::collection::vec(0u8..3, 0..200),
         edits in proptest::collection::vec(0u8..8, 0..200),
         grown in proptest::collection::vec(0u8..3, 0..24),
-        pieces in proptest::collection::vec(1usize..6, 1..4),
     ) {
         // An edit of 3 or more keeps the base's byte.
         let mut next = base.clone();
@@ -266,11 +235,8 @@ proptest! {
         next.extend_from_slice(&grown);
         let rules = runs_by_the_rules(&base, &next);
         let mut scanned = vec![0xEE];
-        byte_runs(&base, &mut next.as_slice(), &mut scanned);
+        byte_runs(&base, &next, &mut scanned);
         prop_assert_eq!(&scanned[1..], &rules[..], "appended after what the buffer held");
-        let mut chopped = Vec::new();
-        byte_runs(&base, &mut Chopped { next: &next, pieces: &pieces, turn: 0 }, &mut chopped);
-        prop_assert_eq!(chopped, rules);
     }
 }
 
@@ -307,13 +273,12 @@ fn hostile_runs() -> impl Strategy<Value = Vec<u8>> {
 /// A delta of one replacement at `path` + `ByteRanges`.
 fn byte_ranges(mut path: Vec<PathSeg>, subtree: Snapshot) -> Delta {
     path.push(PathSeg::ByteRanges);
-    Delta {
-        replacements: vec![Replacement {
-            target: Target::Root(path),
-            subtree,
-        }],
-        ..Delta::default()
-    }
+    let mut delta = Delta::default();
+    delta.replacements.push(Replacement {
+        target: Target::Root(path),
+        subtree,
+    });
+    delta
 }
 
 fn state_of(cp: &Checkpoint) -> &Snapshot {
@@ -606,7 +571,7 @@ fn checksum_detects_the_same_flip_in_two_lanes_of_a_block() {
 
 // ---- `SnapshotStore::record_from`: the store drives a source ----
 
-use rbs_checkpoint::{byte_runs, BaseId, BlobView, SnapshotSource};
+use rbs_checkpoint::{byte_runs, BaseId, SnapshotSource};
 use rbs_core::fault::{self, FaultKind, FaultPlan, FaultSite};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -657,21 +622,22 @@ impl SnapshotSource for Script {
         (staged(Snapshot::Bytes(self.blob.clone())), id)
     }
 
-    fn export_delta(&self, id: BaseId, base: &Checkpoint, scratch: &mut Vec<u8>) -> Option<Delta> {
-        let (based, old) = self.based.as_ref()?;
+    fn export_delta(&self, id: BaseId, base: &Checkpoint, delta: &mut Delta) -> bool {
+        let Some((based, old)) = self.based.as_ref() else {
+            return false;
+        };
         if *based != id || self.whole || self.blob.len() < old.len() {
-            return None;
+            return false;
         }
         assert_eq!(state_of(base), &Snapshot::Bytes(old.clone()), "not my base");
-        let mut runs = std::mem::take(scratch);
-        runs.clear();
-        byte_runs(old, &mut self.blob.as_slice(), &mut runs);
-        Some(if runs.is_empty() {
-            *scratch = runs;
-            Delta::default()
-        } else {
-            byte_ranges(state_path(), Snapshot::Bytes(runs))
-        })
+        let mut runs = Vec::new();
+        byte_runs(old, &self.blob, &mut runs);
+        if !runs.is_empty() {
+            delta
+                .replacements
+                .append(&mut byte_ranges(state_path(), Snapshot::Bytes(runs)).replacements);
+        }
+        true
     }
 }
 

@@ -45,15 +45,19 @@
 //! those methods mark the positions they touch in a bitmap (the *dirty
 //! set*; records appended since the export need no mark — they lie past
 //! the base's length), and [`checkpoint_delta`](FlowTable::checkpoint_delta)
-//! builds the byte-range run list against the base image from the marked
+//! emits the byte-range run list against the base image from the marked
 //! records alone, read off the bitmap a word at a time. No method
 //! rewrites a key in place, so only a marked record's *value* can differ:
 //! the value is packed into a stack buffer and compared with its bytes
-//! in the base, the differing bytes become spans with a few bit
-//! operations, every other byte is known equal, and the same run builder
-//! the byte scan uses ([`rbs_checkpoint::byte_runs`]) turns the spans
-//! into the same list, byte for byte — without exporting, scanning or
-//! allocating anything the size of the table.
+//! in the base, and the differing bytes become runs with a few bit
+//! operations, each written through the checkpoint layer's
+//! [`RunWriter`] as soon as no later change can extend it — a copy of
+//! the value's width from the packed value. Every other byte is known
+//! equal, and the list is the one a scan of the two images
+//! ([`rbs_checkpoint::byte_runs`]) yields, byte for byte, for every
+//! record shape: runs stop at a key wider than [`RUN_GAP`] and merge
+//! across a narrower one. Nothing the size of the table is exported,
+//! scanned or allocated.
 //!
 //! Marking too much is always safe: a record marked and left equal costs
 //! one comparison and contributes no byte. Marking too little is the
@@ -69,10 +73,8 @@
 use crate::flow::{FiveTuple, Fx64};
 use crate::headers::ipv4::IpProto;
 use crate::pipeline::StageDelta;
-use rbs_checkpoint::diff::RUN_GAP;
-use rbs_checkpoint::{
-    byte_runs, BlobView, CheckpointCtx, Checkpointable, RestoreCtx, Snapshot, SnapshotError,
-};
+use rbs_checkpoint::diff::{RunWriter, RUN_GAP};
+use rbs_checkpoint::{CheckpointCtx, Checkpointable, RestoreCtx, Snapshot, SnapshotError};
 use std::net::Ipv4Addr;
 
 /// A key the table can place: equality plus a hash that does not vary
@@ -559,12 +561,105 @@ impl<K: TableKey + Pack, V: Pack> FlowTable<K, V> {
         }
         let mut list = std::mem::take(runs);
         list.clear();
-        byte_runs(base, &mut DirtyWalk::new(self, dirty.marked()), &mut list);
+        self.write_runs(base, dirty, &mut list);
         if list.is_empty() {
             *runs = list;
             StageDelta::Unchanged
         } else {
             StageDelta::Runs(list)
+        }
+    }
+
+    /// The record emitter: writes the run list from `base` to the
+    /// present image into `list`, visiting the marked records and the
+    /// appended tail alone. No method rewrites a key in place — a key is
+    /// set when its record is appended and moves only with a removal,
+    /// which ends tracking — so of a marked base record only the value
+    /// can differ: it is packed and compared with the base's bytes, and
+    /// each stretch of changed bytes, merged across unchanged stretches
+    /// of at most [`RUN_GAP`], is one run. A run that ends within
+    /// `RUN_GAP` of what may change next — the next record's value, when
+    /// keys are that narrow, or the appended tail — is held open, and
+    /// written once the next change shows whether it extends it; its
+    /// bytes are then packed afresh from the table.
+    fn write_runs(&self, base: &[u8], dirty: &DirtySet, list: &mut Vec<u8>) {
+        let width = Self::RECORD_WIDTH;
+        let (base_end, end) = (base.len(), self.entries.len() * width);
+        let grows = end > base_end;
+        // Room for every marked value to change whole, and the tail.
+        let room = dirty.marked_len() * (V::WIDTH + 8) + (end - base_end) + V::WIDTH;
+        let mut out = RunWriter::new(list, room);
+        // Packed in the front half; the back half lets a run copy a
+        // value's width from any offset in the value.
+        let mut value = [0; 2 * MAX_RECORD_WIDTH];
+        // A run `[start, end)` the next change may still extend.
+        let mut open: Option<(usize, usize)> = None;
+        for pos in dirty.marked() {
+            let value_at = pos * width + K::WIDTH;
+            let (key, held) = &self.entries[pos];
+            debug_assert!(
+                {
+                    let mut packed = [0; MAX_RECORD_WIDTH];
+                    key.pack(&mut packed[..K::WIDTH]);
+                    packed[..K::WIDTH] == base[value_at - K::WIDTH..value_at]
+                },
+                "the key of marked record {pos} differs from the base's"
+            );
+            held.pack(&mut value[..V::WIDTH]);
+            let mut differs = differing_bytes(&value[..V::WIDTH], &base[value_at..][..V::WIDTH]);
+            while differs != 0 {
+                let (first, stop) = take_run(&mut differs);
+                let (at, run_end) = (value_at + first, value_at + stop);
+                if let Some((start, held_end)) = open.take() {
+                    if at - held_end <= RUN_GAP {
+                        open = Some((start, run_end));
+                        continue;
+                    }
+                    self.present_bytes(start, out.run(start, held_end - start));
+                }
+                // The next change lies past this record's value, or in
+                // the appended tail: a run within `RUN_GAP` of either
+                // waits for it.
+                let to_record_end = V::WIDTH - stop;
+                let may_extend = differs == 0
+                    && (to_record_end + K::WIDTH <= RUN_GAP
+                        || (grows && base_end - run_end <= RUN_GAP));
+                if may_extend {
+                    open = Some((at, run_end));
+                } else {
+                    out.put_run(at, stop - first, &value[first..first + V::WIDTH]);
+                }
+            }
+        }
+        // Every byte past the base's end has changed: the appended
+        // records are a run of their own, or the end of the open one.
+        let tail_start = match open {
+            Some((start, held_end)) if grows && base_end - held_end <= RUN_GAP => start,
+            Some((start, held_end)) => {
+                self.present_bytes(start, out.run(start, held_end - start));
+                base_end
+            }
+            None => base_end,
+        };
+        if grows {
+            self.present_bytes(tail_start, out.run(tail_start, end - tail_start));
+        }
+        out.finish();
+    }
+
+    /// Writes the present image's bytes from `at` on into `out`, packed
+    /// from the records they belong to.
+    fn present_bytes(&self, at: usize, out: &mut [u8]) {
+        let width = Self::RECORD_WIDTH;
+        let mut record = [0; MAX_RECORD_WIDTH];
+        let (mut pos, mut skip, mut done) = (at / width, at % width, 0);
+        while done < out.len() {
+            let (key, value) = &self.entries[pos];
+            key.pack(&mut record[..K::WIDTH]);
+            value.pack(&mut record[K::WIDTH..width]);
+            let n = (width - skip).min(out.len() - done);
+            out[done..done + n].copy_from_slice(&record[skip..skip + n]);
+            (pos, skip, done) = (pos + 1, 0, done + n);
         }
     }
 
@@ -626,96 +721,26 @@ impl<K: TableKey + Pack, V: Pack> FlowTable<K, V> {
     }
 }
 
-/// The table's present image as a [`BlobView`] that reads only where the
-/// dirty set points. No method rewrites a key in place — a key is set
-/// when its record is appended and moves only with a removal, which ends
-/// tracking — so of a marked base record only the `V::WIDTH` value bytes
-/// can differ from the base: the walk packs the value alone, compares it
-/// with the base's a word at a time, and hands over the differing bytes
-/// as spans. Everything else is equal to the base by the write-barrier
-/// argument, and the appended tail is copied out record by record.
-struct DirtyWalk<'a, K, V> {
-    table: &'a FlowTable<K, V>,
-    /// The marked base positions not yet visited.
-    marked: Marked<'a>,
-    /// Where in the image the current record's value starts, the value
-    /// packed, and one bit per value byte that differs from the base's
-    /// and is not yet handed over.
-    value_at: usize,
-    value: [u8; MAX_RECORD_WIDTH],
-    differs: u64,
-}
-
-impl<'a, K: TableKey + Pack, V: Pack> DirtyWalk<'a, K, V> {
-    fn new(table: &'a FlowTable<K, V>, marked: Marked<'a>) -> Self {
-        Self {
-            table,
-            marked,
-            value_at: 0,
-            value: [0; MAX_RECORD_WIDTH],
-            differs: 0,
+/// Takes the run at the lowest set bit out of `differs` — one bit per
+/// changed byte of a value — and returns its first byte and the byte
+/// after its last: the lowest stretch of set bits, then every further
+/// stretch no more than [`RUN_GAP`] clear bits on (the unchanged bytes
+/// between ride in the run).
+#[inline]
+fn take_run(differs: &mut u64) -> (usize, usize) {
+    let bits = *differs;
+    let first = bits.trailing_zeros();
+    let mut end = first + (bits >> first).trailing_ones();
+    loop {
+        let rest = bits.checked_shr(end).unwrap_or(0);
+        let gap = rest.trailing_zeros();
+        if rest == 0 || gap as usize > RUN_GAP {
+            break;
         }
+        end += gap + (rest >> gap).trailing_ones();
     }
-
-    /// Compares the value of the record at `pos` with its bytes in the
-    /// base.
-    #[inline]
-    fn visit(&mut self, base: &[u8], pos: usize) {
-        let start = pos * FlowTable::<K, V>::RECORD_WIDTH;
-        let (key, value) = &self.table.entries[pos];
-        debug_assert!(
-            {
-                let mut packed = [0; MAX_RECORD_WIDTH];
-                key.pack(&mut packed[..K::WIDTH]);
-                packed[..K::WIDTH] == base[start..start + K::WIDTH]
-            },
-            "the key of marked record {pos} differs from the base's"
-        );
-        self.value_at = start + K::WIDTH;
-        let value_bytes = &mut self.value[..V::WIDTH];
-        value.pack(value_bytes);
-        self.differs = differing_bytes(value_bytes, &base[self.value_at..][..V::WIDTH]);
-    }
-}
-
-impl<K: TableKey + Pack, V: Pack> BlobView for DirtyWalk<'_, K, V> {
-    fn len(&self) -> usize {
-        self.table.entries.len() * FlowTable::<K, V>::RECORD_WIDTH
-    }
-
-    #[inline]
-    fn next_span(&mut self, base: &[u8], from: usize) -> Option<(usize, &[u8])> {
-        while self.differs == 0 {
-            let pos = self.marked.next()?;
-            self.visit(base, pos);
-        }
-        // The lowest stretch of set bits, then every further stretch no
-        // more than `RUN_GAP` clear bits on — the unchanged bytes between
-        // are the base's, in the packed value as in the image.
-        let differs = self.differs;
-        let first = differs.trailing_zeros();
-        let mut end = first + (differs >> first).trailing_ones();
-        loop {
-            let rest = differs.checked_shr(end).unwrap_or(0);
-            let gap = rest.trailing_zeros();
-            if rest == 0 || gap as usize > RUN_GAP {
-                break;
-            }
-            end += gap + (rest >> gap).trailing_ones();
-        }
-        self.differs &= u64::MAX.checked_shl(end).unwrap_or(0);
-        let (first, end) = (first as usize, end as usize);
-        debug_assert!(
-            self.value_at + first >= from,
-            "spans are asked for in order"
-        );
-        Some((self.value_at + first, &self.value[first..end]))
-    }
-
-    fn copy_tail(&mut self, from: usize, out: &mut Vec<u8>) {
-        self.table
-            .append_records(from / FlowTable::<K, V>::RECORD_WIDTH, out);
-    }
+    *differs = bits & u64::MAX.checked_shl(end).unwrap_or(0);
+    (first as usize, end as usize)
 }
 
 /// One bit per byte of `new` that differs from `old`'s (the two the same

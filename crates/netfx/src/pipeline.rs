@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use rbs_checkpoint::diff::{Delta, PathSeg, Replacement, Target};
+use rbs_checkpoint::diff::{Delta, Replacement, Target};
 use rbs_checkpoint::{
     checkpoint_scope, restore_scope, BaseId, Checkpoint, CheckpointCtx, DedupMode, RestoreCtx,
     Snapshot, SnapshotError, SnapshotSource,
@@ -106,8 +106,9 @@ pub enum StageDelta {
     /// The state is what the base holds.
     Unchanged,
     /// The state is a `Bytes` blob, like the base, and this run list
-    /// ([`PathSeg::ByteRanges`]) turns the base's into it: exactly the
-    /// list a byte-for-byte comparison of the two blobs produces.
+    /// ([`PathSeg::ByteRanges`](rbs_checkpoint::diff::PathSeg::ByteRanges))
+    /// turns the base's into it: exactly the list a byte-for-byte
+    /// comparison of the two blobs produces.
     Runs(Vec<u8>),
     /// The stage cannot tell: export it whole and compare.
     Whole,
@@ -299,7 +300,10 @@ impl Pipeline {
 /// Incremental snapshots of a pipeline (see [`SnapshotSource`]): the
 /// base is [`Pipeline::export_state`]'s checkpoint taken through
 /// [`Operator::checkpoint_base`], and a delta is assembled from the
-/// stages' [`Operator::checkpoint_delta`] answers. The [`BaseId`] lives
+/// stages' [`Operator::checkpoint_delta`] answers: each stage builds its
+/// run list in a buffer the lent delta keeps
+/// ([`Delta::with_spare_buffer`]), and the list goes in under
+/// [`Target::Stage`], a path held inline. The [`BaseId`] lives
 /// in the pipeline, so a pipeline that is rebuilt from its spec or has
 /// state imported — and whose stages therefore track nothing, or track
 /// against some other export — declines every id it is asked about.
@@ -336,36 +340,31 @@ impl SnapshotSource for Pipeline {
         (cp, id)
     }
 
-    fn export_delta(&self, id: BaseId, base: &Checkpoint, scratch: &mut Vec<u8>) -> Option<Delta> {
+    fn export_delta(&self, id: BaseId, base: &Checkpoint, delta: &mut Delta) -> bool {
         let Snapshot::Seq(items) = &base.root else {
-            return None;
+            return false;
         };
         // A stage that answers for itself holds no aliased node, so a
         // base with a shared table has a stage that must be exported.
         if self.base_id != Some(id) || items.len() != self.stages.len() || !base.shared.is_empty() {
-            return None;
+            return false;
         }
-        let mut delta = Delta::default();
         for (i, (stage, item)) in self.stages.iter().zip(items).enumerate() {
             let Snapshot::Opt(held) = item else {
-                return None;
+                return false;
             };
             // A stage that exported nothing into the base is stateless.
             let Some(held) = held else { continue };
-            match stage.checkpoint_delta(held, scratch) {
+            match delta.with_spare_buffer(|runs| stage.checkpoint_delta(held, runs)) {
                 StageDelta::Unchanged => {}
                 StageDelta::Runs(runs) => delta.replacements.push(Replacement {
-                    target: Target::Root(vec![
-                        PathSeg::Index(i),
-                        PathSeg::OptInner,
-                        PathSeg::ByteRanges,
-                    ]),
+                    target: Target::Stage(i),
                     subtree: Snapshot::Bytes(runs),
                 }),
-                StageDelta::Whole => return None,
+                StageDelta::Whole => return false,
             }
         }
-        Some(delta)
+        true
     }
 }
 

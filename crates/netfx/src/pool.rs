@@ -353,18 +353,26 @@ thread_local! {
 /// Parks the buffers of spent `packets` on the calling thread's spare
 /// list, up to its bounds; the rest are freed and counted. Pass a
 /// `drain` to keep the emptied shell.
+///
+/// `packets` is always run to its end, so an iterator that sorts a
+/// wave — handing back the packets to recycle and moving the rest
+/// elsewhere as it goes — moves every packet whether or not the list is
+/// reachable.
 pub fn recycle_local(packets: impl IntoIterator<Item = Packet>) {
-    // `try_with`: a thread that is tearing its locals down just frees.
+    let mut packets = packets.into_iter();
+    // `try_with`: a thread that is tearing its locals down just frees,
+    // below.
     let _ = SPARES.try_with(|spares| {
         let spares = &mut *spares.borrow_mut();
         if spares.bufs.capacity() == 0 {
             spares.bufs.reserve_exact(SPARE_SLOTS);
         }
-        for packet in packets {
+        // Internal iteration: an adapter's closure inlines into the loop.
+        packets.by_ref().for_each(|packet| {
             let buf = packet.into_bytes();
             let cap = buf.capacity();
             if cap == 0 {
-                continue;
+                return;
             }
             if spares.bufs.len() < SPARE_SLOTS && spares.bytes + cap <= SPARE_BYTES_MAX {
                 spares.bytes += cap;
@@ -372,9 +380,10 @@ pub fn recycle_local(packets: impl IntoIterator<Item = Packet>) {
             } else {
                 spares.overflow_dropped += 1;
             }
-        }
+        });
         SPARE_COUNT.set(spares.bufs.len());
     });
+    packets.for_each(drop);
 }
 
 /// A buffer for one unpooled packet: the calling thread's most recently
@@ -634,6 +643,41 @@ mod tests {
         assert_eq!((stats.buffers, stats.bytes), (SPARE_SLOTS, SPARE_SLOTS * 8));
         assert_eq!(dropped() - before, 9);
         drain_spares();
+    }
+
+    #[test]
+    fn recycling_on_a_thread_tearing_down_runs_the_packets_to_their_end() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        /// Recycles from its destructor, after the spare list's own.
+        struct Late(Arc<AtomicUsize>, Arc<AtomicUsize>);
+        impl Drop for Late {
+            fn drop(&mut self) {
+                let gone = SPARES.try_with(|_| ()).is_err();
+                self.0.store(usize::from(gone), Ordering::Relaxed);
+                let seen = &self.1;
+                recycle_local((0..5).map(|_| {
+                    seen.fetch_add(1, Ordering::Relaxed);
+                    spent(64)
+                }));
+            }
+        }
+        thread_local! {
+            static LATE: std::cell::RefCell<Option<Late>> = const { std::cell::RefCell::new(None) };
+        }
+
+        let (gone, seen) = (Arc::new(AtomicUsize::new(2)), Arc::new(AtomicUsize::new(0)));
+        let (g, s) = (Arc::clone(&gone), Arc::clone(&seen));
+        std::thread::spawn(move || {
+            // Registered first, so torn down last.
+            LATE.with(|late| *late.borrow_mut() = Some(Late(g, s)));
+            recycle_local([spent(64)]);
+        })
+        .join()
+        .expect("the thread exits cleanly");
+        assert_eq!(gone.load(Ordering::Relaxed), 1, "the list was gone first");
+        assert_eq!(seen.load(Ordering::Relaxed), 5, "every packet was taken");
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //!   `remove`, `retain`, restore-from-image and `checkpoint_base` steps,
 //!   and checked against the oracle **after every step** — and so are a
 //!   table of 16-byte values whose changes lie eight and nine bytes
-//!   apart within a value, and a table of the shape the NAT's inbound
-//!   map seals, a 3-byte key and a 7-byte value, whose value spans
-//!   straddle the image's words and whose runs merge across the keys
-//!   between;
+//!   apart within a value, a table of the shape the NAT's inbound map
+//!   seals, a 3-byte key and a 7-byte value, whose value spans straddle
+//!   the image's words and whose runs merge across the keys between,
+//!   and a table of the shape the flow tracker seals, a 13-byte
+//!   five-tuple and a 16-byte `FlowEntry`, whose runs never cross a key;
 //! - the named shapes — runs merged across adjacent records, gaps of
-//!   7/8/9 bytes, a pure-append tail, a tail merged into the last run,
+//!   7/8/9 bytes, a pure-append tail, a tail merged into the last run
+//!   (up to a gap of eight bytes, for a tracker record),
 //!   an empty base, nothing changed, an invalid set, a whole 7-byte
 //!   value across a word boundary — each pinned by a deterministic case
 //!   that also says what the list looks like;
@@ -39,11 +41,14 @@
 
 use proptest::prelude::*;
 use rbs_checkpoint::{
-    byte_runs, checkpoint, diff, Checkpoint, Snapshot, SnapshotSource, SnapshotStore,
+    byte_runs, checkpoint, diff, BaseId, Checkpoint, Delta, Snapshot, SnapshotSource, SnapshotStore,
 };
 use rbs_netfx::flowtable::{FlowTable, Pack, TableKey};
+use rbs_netfx::headers::ipv4::IpProto;
 use rbs_netfx::headers::MacAddr;
-use rbs_netfx::{FlowTracker, Operator, Packet, PacketBatch, PipelineSpec, StageDelta};
+use rbs_netfx::{
+    FiveTuple, FlowEntry, FlowTracker, Operator, Packet, PacketBatch, PipelineSpec, StageDelta,
+};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -234,6 +239,42 @@ impl Shape for WideKey {
     }
 }
 
+/// The shape the flow tracker seals — the storm's delta records: a
+/// 13-byte five-tuple, wider than the merge gap, so a run never crosses
+/// a key; then a 16-byte `FlowEntry` whose `bytes` is `packets` rotated
+/// by three bytes, so a changed byte recurs three to eleven bytes on —
+/// within one run or in a second.
+impl Shape for FiveTuple {
+    type K = FiveTuple;
+    type V = FlowEntry;
+    const BITS: u64 = u64::MAX;
+    fn key(n: u16) -> FiveTuple {
+        FiveTuple {
+            src_ip: Ipv4Addr::new(10, 0, (n >> 8) as u8, n as u8),
+            dst_ip: Ipv4Addr::new(192, 0, 2, 1),
+            src_port: 1_000 + n,
+            dst_port: 80,
+            proto: if n.is_multiple_of(3) {
+                IpProto::Tcp
+            } else {
+                IpProto::Udp
+            },
+        }
+    }
+    fn number(key: &FiveTuple) -> u16 {
+        key.src_port - 1_000
+    }
+    fn value(raw: u64) -> FlowEntry {
+        FlowEntry {
+            packets: raw,
+            bytes: raw.rotate_left(24),
+        }
+    }
+    fn raw(value: &FlowEntry) -> u64 {
+        value.packets
+    }
+}
+
 fn image_of<K: TableKey + Pack, V: Pack>(table: &FlowTable<K, V>) -> Vec<u8> {
     match checkpoint(table).root {
         Snapshot::Bytes(image) => image,
@@ -247,7 +288,7 @@ fn scanned(base: &[u8], next: &[u8]) -> StageDelta {
         return StageDelta::Whole;
     }
     let mut runs = Vec::new();
-    byte_runs(base, &mut &next[..], &mut runs);
+    byte_runs(base, next, &mut runs);
     if runs.is_empty() {
         StageDelta::Unchanged
     } else {
@@ -460,7 +501,7 @@ proptest! {
     }
 
     /// Values of 16 bytes whose changes lie eight and nine unchanged
-    /// bytes apart within one value: the walk's spans must merge across
+    /// bytes apart within one value: the walk's runs must merge across
     /// the one and stop at the other, as the builder's runs do.
     #[test]
     fn the_dirty_walk_is_the_scan_for_a_sixteen_byte_value(seed in 0u16..24, ops in ops()) {
@@ -475,6 +516,13 @@ proptest! {
         ops in ops(),
     ) {
         walk_is_scan_after_every_step::<PortKey>(seed, &ops)?;
+    }
+
+    /// The shape the flow tracker seals: a 13-byte key no run crosses,
+    /// then a 16-byte value.
+    #[test]
+    fn the_dirty_walk_is_the_scan_for_the_tracker_record(seed in 0u16..24, ops in ops()) {
+        walk_is_scan_after_every_step::<FiveTuple>(seed, &ops)?;
     }
 }
 
@@ -643,6 +691,37 @@ fn appended_records_are_the_tail_alone_or_on_the_last_run() {
 }
 
 #[test]
+fn a_tracker_record_takes_in_the_tail_up_to_a_gap_of_eight() {
+    // The last base record's `packets` byte 7 or 6 and the appended
+    // record after it: 8 and 9 unchanged bytes apart, the `bytes` word
+    // between.
+    const RECORD: usize = 29;
+    for (byte, merged) in [(7, true), (6, false)] {
+        let mut table = FlowTable::<FiveTuple, FlowEntry>::new();
+        for n in 0..4 {
+            table.insert(FiveTuple::key(n), FlowEntry::default());
+        }
+        let Snapshot::Bytes(base) = table.checkpoint_base(None) else {
+            panic!("a table checkpoints as one blob");
+        };
+        table.get_mut(&FiveTuple::key(3)).expect("present").packets = 0x55 << (8 * byte);
+        table.insert(FiveTuple::key(4), FlowEntry::default());
+        let answer = walked(&table, &base);
+        assert_eq!(answer, scanned(&base, &image_of(&table)));
+        let at = 3 * RECORD + 13 + byte;
+        let runs: Vec<(usize, usize)> = runs_of(&answer)
+            .iter()
+            .map(|(at, bytes)| (*at, bytes.len()))
+            .collect();
+        if merged {
+            assert_eq!(runs, vec![(at, 4 * RECORD + RECORD - at)]);
+        } else {
+            assert_eq!(runs, vec![(at, 1), (base.len(), RECORD)]);
+        }
+    }
+}
+
+#[test]
 fn an_empty_base_and_an_unchanged_table() {
     let (mut table, base) = based(0);
     assert!(base.is_empty());
@@ -755,6 +834,13 @@ fn tracker_image(cp: &mut Checkpoint) -> &mut Vec<u8> {
     }
 }
 
+/// What `source` answers for `id`: the delta it fills, or `None` when
+/// it declines.
+fn delta_of(source: &impl SnapshotSource, id: BaseId, base: &Checkpoint) -> Option<Delta> {
+    let mut delta = Delta::default();
+    source.export_delta(id, base, &mut delta).then_some(delta)
+}
+
 #[test]
 fn tracker_counters_carry_across_byte_boundaries() {
     // Three flows; the middle one's counters are set just short of a
@@ -780,9 +866,7 @@ fn tracker_counters_carry_across_byte_boundaries() {
         let (base, id) = live.export_base(None);
         assert_eq!(base.root, cp.root);
         live.run_batch(batch([6]));
-        let delta = live
-            .export_delta(id, &base, &mut Vec::new())
-            .expect("the pipeline produced this base");
+        let delta = delta_of(&live, id, &base).expect("the pipeline produced this base");
         let mut next = live.export_state();
         assert_eq!(delta, diff(&base, &next), "{packets:#x}/{bytes:#x}");
         assert_eq!(
@@ -802,15 +886,11 @@ fn a_pipeline_answers_only_for_the_base_it_produced() {
     live.run_batch(batch(0..10));
     let (base, id) = live.export_base(None);
     assert_eq!(base, live.export_state(), "a base is the full export");
-    let scratch = &mut Vec::new();
 
     // Nothing happened: the empty delta, as `diff` gives.
-    assert_eq!(
-        live.export_delta(id, &base, scratch),
-        Some(diff(&base, &base))
-    );
+    assert_eq!(delta_of(&live, id, &base), Some(diff(&base, &base)));
     live.run_batch(batch([3, 4, 11]));
-    let delta = live.export_delta(id, &base, scratch).expect("tracked");
+    let delta = delta_of(&live, id, &base).expect("tracked");
     assert_eq!(delta, diff(&base, &live.export_state()));
     assert_eq!(delta.replacements.len(), 1);
 
@@ -820,20 +900,13 @@ fn a_pipeline_answers_only_for_the_base_it_produced() {
     let twin = spec
         .build_with_state(&live.export_state())
         .expect("own shape");
-    assert_eq!(twin.export_delta(id, &base, scratch), None);
+    assert_eq!(delta_of(&twin, id, &base), None);
     let (rebased, next_id) = live.export_base(Some(base.clone()));
     assert_ne!(next_id, id);
-    assert_eq!(live.export_delta(id, &base, scratch), None, "re-based");
-    assert_eq!(
-        live.export_delta(next_id, &rebased, scratch),
-        Some(Default::default())
-    );
+    assert_eq!(delta_of(&live, id, &base), None, "re-based");
+    assert_eq!(delta_of(&live, next_id, &rebased), Some(Default::default()));
     live.import_state(&rebased).expect("own state");
-    assert_eq!(
-        live.export_delta(next_id, &rebased, scratch),
-        None,
-        "restored"
-    );
+    assert_eq!(delta_of(&live, next_id, &rebased), None, "restored");
 
     // A stage that tracks nothing makes the whole pipeline decline.
     struct Seen(u64);
@@ -850,7 +923,7 @@ fn a_pipeline_answers_only_for_the_base_it_produced() {
         .add(FlowTracker::new(8))
         .add(Seen(0));
     let (base, id) = mixed.export_base(None);
-    assert_eq!(mixed.export_delta(id, &base, scratch), None);
+    assert_eq!(delta_of(&mixed, id, &base), None);
 }
 
 proptest! {

@@ -26,8 +26,9 @@
 //!   `lanes` participants, so with one lane nothing is spawned and
 //!   nothing blocks. Nothing is pushed after `start`, so every deque
 //!   only shrinks while thieves scan — the lemma behind the
-//!   no-inversion guarantee. Admission takes each touched tenant's lock
-//!   once per wave.
+//!   no-inversion guarantee. A wave is admitted before it is moved:
+//!   each touched tenant's lock is taken once to admit its share of the
+//!   wave, and once more to queue what it was granted, if anything.
 //! - **Per-tenant serialization.** Each tenant's admitted batches sit in
 //!   a FIFO behind the tenant's own mutex; the deques carry *claim
 //!   tokens*, not batches. Whichever lane claims a token executes the
@@ -46,13 +47,14 @@
 //!   watch list), and one staggered snapshot bucket — never the whole
 //!   tenant table. Scale to hundreds of tenants costs the lanes nothing.
 //! - **Buffers go home.** A warmed-up tick does not call the allocator:
-//!   an admitted wave's staging buffer leaves as the queued batch and an
-//!   emptied shell takes its place, and packets that die on the steady
-//!   path (egress, admission shed, open-breaker shed) hand their buffers
-//!   to the executing thread's spare list ([`rbs_netfx::pool`]), where a
-//!   client generating on that thread finds them. Helper lanes' lists
-//!   fill and overflow to `free`; returning those to the origin lane is
-//!   ROADMAP item 10(a).
+//!   only admitted packets enter a tenant's staging buffer, which leaves
+//!   as the queued batch while an emptied shell takes its place; a shed
+//!   packet (admission or open breaker) goes from the wave straight to
+//!   the calling thread's spare list ([`rbs_netfx::pool`]), one
+//!   [`recycle_local`] per wave, and an executed one's buffer goes to
+//!   the executing thread's list at egress. A client generating on that
+//!   thread finds them there. Helper lanes' lists fill and overflow to
+//!   `free`; returning those to the origin lane is ROADMAP item 10(a).
 //!
 //! - **Between ticks, one owner.** While the helpers are parked on
 //!   `start`, the caller owns every chain: churn and live upgrade
@@ -525,10 +527,16 @@ pub struct TenantLaneRuntime {
     present: Vec<bool>,
     table: MaglevTable,
     table_map: Vec<usize>,
-    /// Per-tenant staging buffers. An admitted wave leaves as the queued
-    /// batch itself and one of the tenant's emptied shells takes its
-    /// place, so the warmed-up offer path does not allocate.
+    /// Per-tenant staging buffers. Only admitted packets enter one; the
+    /// admitted part of a wave leaves as the queued batch itself and one
+    /// of the tenant's emptied shells takes its place, so the warmed-up
+    /// offer path does not allocate.
     staged: Vec<Vec<Packet>>,
+    /// The tenant of each packet of the wave being offered, in wave order.
+    steered: Vec<u32>,
+    /// Per tenant, the wave's packets steered to it; after admission,
+    /// those of them it still grants.
+    grants: Vec<u64>,
     /// Tenants the wave being offered has steered packets to.
     touched: Vec<usize>,
     /// Tenants with queued work since the last step (the dirty list).
@@ -722,6 +730,8 @@ impl TenantLaneRuntime {
             table,
             table_map,
             staged: (0..tcount).map(|_| Vec::new()).collect(),
+            steered: Vec::new(),
+            grants: vec![0; tcount],
             touched: Vec::new(),
             active: Vec::new(),
             is_active: vec![false; tcount],
@@ -814,24 +824,33 @@ impl TenantLaneRuntime {
         self.shared.slots[idx].lock().store.corrupt(which)
     }
 
-    /// Steers one wave: run-batched Maglev lookup into the per-tenant
-    /// staging buffers, then per touched tenant, in index order and
-    /// under one hold of its lock: ledger attribution → breaker gate →
-    /// admission → the tenant's FIFO on its home lane; then the per-lane
-    /// high-water mark. Phase and bucket are per-tenant and nothing
-    /// executes while the helper lanes are parked, so this is per-packet
-    /// admission (`take(now, 1)` behind the `Open` gate, packet by
-    /// packet) with its iterations regrouped by tenant — every ledger
-    /// and event is identical, which `tests/tenant_fast_path.rs` holds
-    /// it to.
+    /// Steers one wave in three passes:
+    ///
+    /// 1. **steer**: a run-batched Maglev lookup names each packet's
+    ///    tenant, and the packets per tenant are counted;
+    /// 2. **admit**: per touched tenant, in index order and under one
+    ///    hold of its lock: ledger attribution → breaker gate →
+    ///    admission, which decides how many of its packets it keeps;
+    /// 3. **move**: each packet moves once — into its tenant's staging
+    ///    buffer while the tenant's grant lasts, so a partial grant keeps
+    ///    the tenant's first packets of the wave, else back to this
+    ///    thread's spare list, in one [`recycle_local`] for the wave.
+    ///
+    /// Each staging buffer that received packets then joins its tenant's
+    /// FIFO on its home lane, and the per-lane high-water mark is
+    /// applied. Phase and bucket are per-tenant and nothing executes
+    /// while the helper lanes are parked, so this is per-packet admission
+    /// (`take(now, 1)` behind the `Open` gate, packet by packet) with its
+    /// iterations regrouped by tenant — every ledger, event and queued
+    /// packet is identical, which `tests/tenant_fast_path.rs` holds it to.
     pub fn offer(&mut self, batch: PacketBatch) {
         let now = self.now;
-        let mut last_hash = 0u64;
-        let mut last_idx = usize::MAX;
-        let mut touched_lanes = 0u64;
+        let mut wave = batch.into_packets();
 
-        for p in batch.into_packets() {
-            let hash = p.cached_flow_hash().unwrap_or_else(|| packet_flow_hash(&p));
+        let (mut last_hash, mut last_idx) = (0u64, usize::MAX);
+        self.steered.clear();
+        for p in &wave {
+            let hash = p.cached_flow_hash().unwrap_or_else(|| packet_flow_hash(p));
             let idx = if last_idx != usize::MAX && hash == last_hash {
                 last_idx
             } else {
@@ -840,33 +859,50 @@ impl TenantLaneRuntime {
                 last_idx = self.table_map[self.table.lookup(hash)];
                 last_idx
             };
-            // Staging buffers are empty between offers: first touch.
-            if self.staged[idx].is_empty() {
+            // Counts are zero between offers: first touch.
+            if self.grants[idx] == 0 {
                 self.touched.push(idx);
             }
-            self.staged[idx].push(p);
+            self.grants[idx] += 1;
+            self.steered.push(idx as u32);
         }
 
-        // Admit and queue one batch per touched tenant, canonical
-        // (index) order. A partial grant keeps the wave's first packets,
-        // exactly the ones per-packet admission would have let through.
         self.touched.sort_unstable();
-        for idx in self.touched.drain(..) {
-            let staged = &mut self.staged[idx];
-            let n = staged.len() as u64;
+        for &idx in &self.touched {
+            let n = self.grants[idx];
             let mut g = self.shared.slots[idx].lock();
             g.ledger.offered += n;
-            if g.breaker.phase() == BreakerPhase::Open {
+            self.grants[idx] = if g.breaker.phase() == BreakerPhase::Open {
                 g.ledger.shed_open += n;
-                recycle_local(staged.drain(..));
+                0
+            } else {
+                let granted = g.bucket.take(now, n);
+                g.ledger.shed_admission += n - granted;
+                granted
+            };
+        }
+
+        // Every packet is consumed by this pass, the spare list's state
+        // notwithstanding: `recycle_local` drains what it is given.
+        let (staged, grants) = (&mut self.staged, &mut self.grants);
+        recycle_local(wave.drain(..).zip(&self.steered).filter_map(|(p, &idx)| {
+            let grant = &mut grants[idx as usize];
+            if *grant == 0 {
+                return Some(p);
+            }
+            *grant -= 1;
+            staged[idx as usize].push(p);
+            None
+        }));
+
+        let mut touched_lanes = 0u64;
+        for idx in self.touched.drain(..) {
+            let staged = &mut self.staged[idx];
+            if staged.is_empty() {
                 continue;
             }
-            let granted = g.bucket.take(now, n);
-            g.ledger.shed_admission += n - granted;
-            recycle_local(staged.drain(granted as usize..));
-            if granted == 0 {
-                continue;
-            }
+            let granted = staged.len() as u64;
+            let mut g = self.shared.slots[idx].lock();
             // The staging buffer *is* the queued batch; an emptied shell
             // takes its place.
             let shell = g.shells.pop().unwrap_or_default();

@@ -15,6 +15,10 @@
 //! 3. **Containment on the caller's stack.** With one lane there is no
 //!    lane thread: injected panics unwind under `step()` itself, which
 //!    must still return every tick with exact conservation.
+//! 4. **Which packets a grant keeps.** Over waves that interleave
+//!    tenants, with partial grants and an open breaker, each tenant's
+//!    chain runs exactly the packets the per-packet model admitted for
+//!    it — its first of each wave, in wave order — at lanes 1 and 2.
 //!
 //! ```text
 //! cargo test -p rbs-runtime --test tenant_fast_path
@@ -25,13 +29,14 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rbs_core::fault::{FaultKind, FaultPlan, FaultSite};
+use rbs_core::sync::Mutex;
 use rbs_maglev::{Backend, MaglevTable};
 use rbs_netfx::flow::packet_flow_hash;
 use rbs_netfx::headers::ethernet::MacAddr;
-use rbs_netfx::{Packet, PacketBatch, TickBucket};
+use rbs_netfx::{FiveTuple, Packet, PacketBatch, PipelineSpec, TickBucket};
 use rbs_runtime::{
-    BreakerPhase, BreakerPolicy, TenantLaneConfig, TenantLaneRuntime, TenantLedger, TenantReport,
-    TenantSpec,
+    BreakerPhase, BreakerPolicy, TenantChainFactory, TenantLaneConfig, TenantLaneRuntime,
+    TenantLedger, TenantReport, TenantSpec,
 };
 
 /// Flow `n`. Every third flow targets a port the stock chain's filter
@@ -81,6 +86,8 @@ struct AdmissionModel {
     /// `offered`, `shed_open`, `shed_admission`, and the `out`/`drops`
     /// of a chain that runs every admitted packet.
     want: Vec<TenantLedger>,
+    /// Per tenant, the flows of the packets it admitted, in wave order.
+    admitted: Vec<Vec<u32>>,
 }
 
 impl AdmissionModel {
@@ -100,6 +107,7 @@ impl AdmissionModel {
                 })
                 .collect(),
             want: vec![TenantLedger::default(); specs.len()],
+            admitted: vec![Vec::new(); specs.len()],
         }
     }
 
@@ -121,10 +129,13 @@ impl AdmissionModel {
                 want.shed_open += 1;
             } else if self.buckets[idx].0.take(engine.now(), 1) == 0 {
                 want.shed_admission += 1;
-            } else if n.is_multiple_of(3) {
-                want.drops += 1;
             } else {
-                want.out += 1;
+                self.admitted[idx].push(n);
+                if n.is_multiple_of(3) {
+                    want.drops += 1;
+                } else {
+                    want.out += 1;
+                }
             }
         }
     }
@@ -195,6 +206,88 @@ proptest! {
                 prop_assert_eq!((l.out, l.drops), (want.out, want.drops), "{}", g.name);
             }
         }
+    }
+}
+
+/// The flow a [`packet`] was built for.
+fn flow_of(p: &Packet) -> u32 {
+    let tuple = FiveTuple::of(p).expect("a UDP packet");
+    u32::from(tuple.src_port - 1_024)
+}
+
+#[test]
+fn a_partial_grant_keeps_each_tenants_first_packets_in_wave_order() {
+    for lanes in [1, 2] {
+        // Four tenants the waves' fresh flows interleave over, each
+        // granted far fewer packets a tick than it is offered; tenant 0
+        // overruns the work budget with every batch, so its breaker
+        // throttles and then opens for the rest of the run.
+        let mut specs: Vec<TenantSpec> = (0..4)
+            .map(|i| TenantSpec::new(format!("grant-{i}")).rate(5, 12))
+            .collect();
+        specs[0] = specs[0].clone().cost_per_packet(1_000);
+        let breaker = BreakerPolicy {
+            open_ticks: 1_000,
+            ..BreakerPolicy::default()
+        };
+        // What each tenant's chain ran, in the order it ran it.
+        let seen: Arc<Vec<Mutex<Vec<u32>>>> =
+            Arc::new((0..4).map(|_| Mutex::new(Vec::new())).collect());
+        let record = Arc::clone(&seen);
+        let chain: TenantChainFactory = Arc::new(move |idx, _| {
+            let record = Arc::clone(&record);
+            PipelineSpec::new().stage(move || {
+                let record = Arc::clone(&record);
+                move |batch: PacketBatch| {
+                    record[idx].lock().extend(batch.iter().map(flow_of));
+                    batch
+                }
+            })
+        });
+        let mut model = AdmissionModel::new(&specs, &breaker);
+        let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
+            tenants: specs,
+            lanes,
+            breaker,
+            work_budget_per_tick: 500,
+            chain: Some(chain),
+            ..TenantLaneConfig::default()
+        })
+        .expect("valid config");
+        for tick in 0..12u32 {
+            for half in 0..2 {
+                let first = (2 * tick + half) * 64;
+                model.offer(&rt, flows(first, 64, 0, 0));
+                rt.offer(wave(first, 64, 0, 0));
+            }
+            rt.step();
+        }
+        let report = rt.finish();
+        assert_eq!(report.unaccounted_packets(), 0);
+        for (idx, (t, want)) in report.tenants.iter().zip(&model.want).enumerate() {
+            let l = &t.ledger;
+            assert_eq!(
+                (l.offered, l.shed_open, l.shed_admission),
+                (want.offered, want.shed_open, want.shed_admission),
+                "lanes {lanes}, {}",
+                t.name
+            );
+            assert!(
+                l.shed_admission > 0 && l.processed > 0,
+                "{}: no partial grant",
+                t.name
+            );
+            assert_eq!(
+                *seen[idx].lock(),
+                model.admitted[idx],
+                "lanes {lanes}, {}: the admitted packets are not its first in wave order",
+                t.name
+            );
+        }
+        assert!(
+            report.tenants[0].ledger.shed_open > 0,
+            "tenant 0 never opened"
+        );
     }
 }
 

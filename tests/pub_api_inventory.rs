@@ -110,10 +110,6 @@ const LISTED: &[(&str, &str)] = &[
         "codec API: the allocating form of `encode_delta_into`, the delta twin of `encode`",
     ),
     (
-        "crates/checkpoint/src/envelope.rs::is_delta",
-        "test oracle: the store tests check the full/delta cadence through it",
-    ),
-    (
         "crates/fwtrie/src/parse.rs::parse_config",
         "rule-file API: a configuration straight into a trie; the only caller of `parse_rules`",
     ),
