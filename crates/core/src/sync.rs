@@ -15,10 +15,26 @@
 //!
 //! Atomics, `Barrier` and `Arc` carry no such policy and stay plain
 //! `std::sync`.
+//!
+//! Every [`Mutex::lock`] also bumps a per-thread count,
+//! [`locks_taken`]: a plain thread-local cell, not an atomic, so
+//! counting adds no read-modify-write to the lock it counts. Reading it
+//! before and after a call gives the locks that call took on this
+//! thread.
 
+use std::cell::Cell;
 use std::sync::{self, PoisonError};
 
 pub use std::sync::MutexGuard;
+
+thread_local! {
+    static LOCKS_TAKEN: Cell<u64> = const { Cell::new(0) };
+}
+
+/// [`Mutex::lock`] calls made on the calling thread so far.
+pub fn locks_taken() -> u64 {
+    LOCKS_TAKEN.with(Cell::get)
+}
 
 /// A mutual-exclusion lock that does not poison on panic.
 #[derive(Default, Debug)]
@@ -38,6 +54,7 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until it is free.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        LOCKS_TAKEN.with(|n| n.set(n.get() + 1));
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -124,6 +141,20 @@ mod tests {
             panic!("poison attempt");
         });
         assert_eq!(*m.lock(), 1, "lock usable after a panic while held");
+    }
+
+    #[test]
+    fn lock_counts_this_threads_acquisitions_only() {
+        let m = Arc::new(Mutex::new(0u32));
+        let before = locks_taken();
+        *m.lock() += 1;
+        *m.lock() += 1;
+        let other = Arc::clone(&m);
+        std::thread::spawn(move || *other.lock() += 1)
+            .join()
+            .unwrap();
+        assert_eq!(locks_taken() - before, 2);
+        assert_eq!(*m.lock(), 3);
     }
 
     #[test]

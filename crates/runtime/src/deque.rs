@@ -2,14 +2,15 @@
 //!
 //! Work is pushed and popped at the *back*; any number of thieves steal
 //! from the *front*. The lane engine's owner pushes its own work, while
-//! the tenant engine's caller pushes each tick's tokens between ticks,
-//! with every lane parked. Every operation takes the same
-//! [`rbs_core::sync::Mutex`], so each item is claimed exactly once by
-//! construction: no `unsafe`, no memory-ordering argument, and a thief
-//! never loses a race it has to retry. The items are coarse — a lane
-//! trades 256-packet batches, a tenant lane one token per tenant tick —
-//! so one uncontended lock per operation is small beside the work an
-//! item carries.
+//! the tenant engine's caller pushes each tick's claims between ticks,
+//! with every lane parked: a claim is a whole tenant, moved, and the
+//! lane that pops or steals it owns that tenant for the tick. Every
+//! operation takes the same [`rbs_core::sync::Mutex`], so each item is
+//! claimed exactly once by construction: no `unsafe`, no memory-ordering
+//! argument, and a thief never loses a race it has to retry. The items
+//! are coarse — a lane trades 256-packet batches, a tenant lane one
+//! tenant-tick — so one uncontended lock per operation is small beside
+//! the work an item carries.
 //!
 //! The owner handle is not `Clone` (single owner, like the pool);
 //! [`Stealer`] handles are cheap clones shared with every other lane.

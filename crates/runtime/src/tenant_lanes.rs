@@ -7,35 +7,36 @@
 //! [`TenantLaneRuntime`] places tenant domains onto N
 //! **lanes** — the calling thread is lane 0, lanes `1..N` are threads —
 //! with a weighted placement policy, each lane tick-processes only its
-//! resident tenants with no cross-thread hand-off on the steady path,
-//! and idle lanes steal *whole tenant work items* through the same
-//! deques the lane engine trades batches on — under a priority-aware
-//! policy that never steals ahead of a higher-priority tenant's queued
-//! work. At `lanes: 1` it is the single-threaded driver: nothing is
-//! spawned, nothing blocks, and a fixed offered trace replays
-//! byte-identically.
+//! resident tenants, and idle lanes steal *whole tenant-ticks* through
+//! the same deques the lane engine trades batches on — under a
+//! priority-aware policy that never steals ahead of a higher-priority
+//! tenant's queued work. At `lanes: 1` it runs on the calling thread
+//! alone: nothing is spawned, nothing blocks, and a fixed offered
+//! trace replays byte-identically.
 //!
 //! The design walks a narrow line: wall-clock parallel execution whose
 //! *accounting* is still byte-deterministic.
 //!
-//! - **Tick barrier.** The caller steers, admits, and pushes a tick's
-//!   claim tokens straight onto the lanes' band deques while the helper
-//!   lanes are parked on `start`; `step` joins that barrier and then
-//!   runs the same tick body the helpers run, as lane 0: run the tick's
-//!   work set to completion, `done` rendezvous. Both barriers have
-//!   `lanes` participants, so with one lane nothing is spawned and
-//!   nothing blocks. Nothing is pushed after `start`, so every deque
-//!   only shrinks while thieves scan — the lemma behind the
-//!   no-inversion guarantee. A wave is admitted before it is moved:
-//!   each touched tenant's lock is taken once to admit its share of the
-//!   wave, and once more to queue what it was granted, if anything.
-//! - **Per-tenant serialization.** Each tenant's admitted batches sit in
-//!   a FIFO behind the tenant's own mutex; the deques carry *claim
-//!   tokens*, not batches. Whichever lane claims a token executes the
-//!   tenant's *next* batch, so a tenant's execution stream (and hence
-//!   its fault-plan occurrence stream, breaker transitions, and ledger)
-//!   is identical no matter which CPUs ran it. Only wall-clock-side
-//!   counters (Mpps, who-stole-what) vary between runs.
+//! - **Tick barrier.** The caller steers, admits and queues a tick's
+//!   waves, then `step` moves each tenant with queued work onto its home
+//!   lane's band deque while the helper lanes are parked on `start`,
+//!   joins that barrier and runs the same tick body the helpers run, as
+//!   lane 0: claim tenants until its own bands and a steal sweep come up
+//!   empty, hand the claimed tenants back, `done` rendezvous. Both
+//!   barriers have `lanes` participants, so with one lane nothing is
+//!   spawned and nothing blocks. Nothing is pushed after `start`, so
+//!   every deque only shrinks while thieves scan — the lemma behind the
+//!   no-inversion guarantee, and the reason a lane that finds no work
+//!   may leave: none can appear.
+//! - **Per-tenant serialization.** No lock guards a tenant: it is a box
+//!   with one owner, during a tick the lane that popped or stole its
+//!   *claim* — the box itself, moved through the deque. That lane runs
+//!   the tenant's queued batches in FIFO order and hands the box back
+//!   (a helper all of its claims at once, before `done`); `step` puts
+//!   every tenant home before supervision. So a tenant's execution
+//!   stream (and hence its fault-plan occurrence stream, breaker
+//!   transitions, and ledger) is identical no matter which CPUs ran it.
+//!   Only wall-clock-side counters (Mpps, who-stole-what) vary.
 //! - **Priority bands.** Every lane owns one deque per distinct
 //!   priority. Owners drain their highest band first; a thief sweeps
 //!   band-major (all victims' top bands before anyone's second band) and
@@ -57,8 +58,9 @@
 //!   `free`; returning those to the origin lane is ROADMAP item 10(a).
 //!
 //! - **Between ticks, one owner.** While the helpers are parked on
-//!   `start`, the caller owns every chain: churn and live upgrade
-//!   ([`TenantLaneRuntime::upgrade`]) swap chains with no protocol.
+//!   `start`, the caller owns every tenant: admission, supervision,
+//!   churn and live upgrade ([`TenantLaneRuntime::upgrade`]) touch
+//!   tenants and swap chains with no protocol.
 //!
 //! Thefts are metered as [`Crossing::Steal`] against the *origin
 //! tenant's* domain and credited to its ledger (`TenantLedger::stolen`,
@@ -159,11 +161,11 @@ struct LaneChain {
     pipeline: Pipeline,
 }
 
-/// Everything about one tenant, serialized behind one mutex. The caller
-/// holds it at ingress and supervision points; exactly one lane holds
-/// it while executing — which is what makes per-tenant streams
-/// executor-invariant.
+/// Everything about one tenant, in a box that has one owner at a time:
+/// the caller between ticks, the lane that claimed it during one —
+/// which is what makes per-tenant streams executor-invariant.
 struct TenantInner {
+    idx: usize,
     spec: TenantSpec,
     present: bool,
     breaker: Breaker,
@@ -193,6 +195,9 @@ struct TenantInner {
     dirty_since_snapshot: bool,
 }
 
+/// A tenant on the move from `step` through a band deque to its lane.
+type Claim = Box<TenantInner>;
+
 /// One tenant's target, built by an upgrade's first phase and installed
 /// by its second.
 struct StagedTenant {
@@ -203,16 +208,24 @@ struct StagedTenant {
     store: SnapshotStore,
 }
 
+/// What `step` restores before it returns.
+const HOME: &str = "every tenant is home between ticks";
+
+/// Tenant `slot` of the runtime's table, owned by the caller.
+fn home(slot: &mut Option<Claim>) -> &mut TenantInner {
+    slot.as_deref_mut().expect(HOME)
+}
+
 /// Shells a tenant banks. With the staging buffer that is three vectors
 /// in rotation, which a client offering each tick in two waves never
 /// exhausts; a tenant queued more often than that regrows a buffer.
 const MAX_SHELLS: usize = 2;
 
 impl TenantInner {
-    fn push_event(&mut self, tick: u64, idx: usize, kind: TenantEventKind) {
+    fn push_event(&mut self, tick: u64, kind: TenantEventKind) {
         self.events.push(TenantEvent {
             tick,
-            tenant: idx,
+            tenant: self.idx,
             kind,
         });
     }
@@ -220,9 +233,8 @@ impl TenantInner {
     /// Tells the breaker `signal` and applies the transition it names:
     /// the admission rate it sets, the domain an opening destroys, and
     /// the half-open probe's respawn. Batches still queued when it opens
-    /// are shed lazily by the tokens that claim them (each token accounts
-    /// exactly one batch, open or not — conservation holds per token).
-    fn signal(&mut self, idx: usize, now: u64, signal: Signal, shared: &Shared) {
+    /// are shed as the claim that holds them reaches each in turn.
+    fn signal(&mut self, now: u64, signal: Signal, shared: &Shared) {
         let Some(kind) = self.breaker.on(signal, now, &shared.policy) else {
             return;
         };
@@ -239,21 +251,21 @@ impl TenantInner {
                 }
             }
         }
-        self.push_event(now, idx, kind);
+        self.push_event(now, kind);
         if kind == TenantEventKind::HalfOpened {
-            self.respawn(idx, now, &shared.manager);
+            self.respawn(now, &shared.manager);
         }
     }
 
     /// The tenant's live domain died at `site`: one strike, then a warm
     /// respawn unless the strike opened the breaker. Returns whether it
     /// did.
-    fn fault(&mut self, idx: usize, now: u64, site: FaultSite, shared: &Shared) -> bool {
-        self.push_event(now, idx, TenantEventKind::Faulted { site });
-        self.signal(idx, now, Signal::Strike, shared);
+    fn fault(&mut self, now: u64, site: FaultSite, shared: &Shared) -> bool {
+        self.push_event(now, TenantEventKind::Faulted { site });
+        self.signal(now, Signal::Strike, shared);
         let open = self.breaker.phase() == BreakerPhase::Open;
         if !open {
-            self.respawn(idx, now, &shared.manager);
+            self.respawn(now, &shared.manager);
         }
         open
     }
@@ -261,7 +273,7 @@ impl TenantInner {
     /// Rebuilds the tenant's chain in a fresh domain, restoring from the
     /// latest verified snapshot (then the previous; then cold). Each
     /// buffered snapshot it passes over is journalled as rejected.
-    fn respawn(&mut self, idx: usize, now: u64, manager: &DomainManager) {
+    fn respawn(&mut self, now: u64, manager: &DomainManager) {
         if let Some(chain) = self.chain.take() {
             manager.destroy_domain(&chain.domain);
         }
@@ -280,11 +292,7 @@ impl TenantInner {
                     Err(_) => "snapshot",
                 },
             };
-            self.push_event(
-                now,
-                idx,
-                TenantEventKind::SnapshotRejected { which, reason },
-            );
+            self.push_event(now, TenantEventKind::SnapshotRejected { which, reason });
         }
         let (pipeline, warm) = match pipeline {
             Some(p) => (p, true),
@@ -292,26 +300,24 @@ impl TenantInner {
         };
         let items = pipeline.state_items();
         self.chain = Some(LaneChain { domain, pipeline });
-        self.push_event(now, idx, TenantEventKind::Respawned { warm, items });
+        self.push_event(now, TenantEventKind::Respawned { warm, items });
     }
 }
 
 /// Per-lane state shared with thieves and the caller.
 struct LaneShared {
     /// This lane's band deques (band 0 = highest): `step` pushes a
-    /// tick's tokens while every lane is parked, the lane pops them.
-    bands: Vec<LaneDeque<u32>>,
+    /// tick's claims while every lane is parked, the lane pops them.
+    bands: Vec<LaneDeque<Claim>>,
     /// Steal handles onto the same deques.
-    stealers: Vec<Stealer<u32>>,
+    stealers: Vec<Stealer<Claim>>,
 }
 
 /// State shared by every lane: the caller (lane 0) and the helper threads.
 struct Shared {
-    slots: Vec<Mutex<TenantInner>>,
     lanes: Vec<LaneShared>,
-    /// Tokens pushed for the current tick and not yet consumed. Lanes
-    /// run until this hits zero, then park at the tick barrier.
-    outstanding: AtomicU64,
+    /// The claims helper lanes ran this tick, handed back before `done`.
+    returned: Mutex<Vec<Claim>>,
     /// The tick the lanes are currently executing.
     tick: AtomicU64,
     shutdown: AtomicBool,
@@ -323,8 +329,6 @@ struct Shared {
     done: Barrier,
     manager: DomainManager,
     policy: BreakerPolicy,
-    /// Tenant index → priority band (0 = highest priority).
-    band_of: Vec<usize>,
     steal: bool,
     faults: Option<Arc<FaultPlan>>,
 }
@@ -345,6 +349,8 @@ struct LaneSideOutcome {
 struct LaneCtx {
     index: usize,
     side: LaneSideOutcome,
+    /// The tenants this lane ran in the current tick.
+    held: Vec<Claim>,
 }
 
 impl LaneCtx {
@@ -360,49 +366,57 @@ impl LaneCtx {
     }
 
     /// One tick on this lane, entered once `start` has released it: the
-    /// body the caller (lane 0) and every helper thread share.
+    /// body the caller (lane 0) and every helper thread share. Claims
+    /// tenants until its own bands and a steal sweep come up empty: no
+    /// claim appears after `start`, so none will.
     fn tick(&mut self, shared: &Shared) {
         let now = shared.tick.load(Ordering::Acquire);
-        // Consume tokens until the tick's work set is exhausted: own
-        // bands highest-priority first, then a band-major steal sweep,
-        // then spin (some token is in flight on another lane).
-        while shared.outstanding.load(Ordering::Acquire) > 0 {
-            if let Some(t) = self.pop_own(shared) {
-                self.run_token(shared, t, now, false);
-                continue;
+        let mut band = 0;
+        loop {
+            let own = self.pop_own(shared, &mut band);
+            let stolen = own.is_none();
+            let claim = own.or_else(|| shared.steal.then(|| self.steal_claim(shared)).flatten());
+            let Some(mut tenant) = claim else { break };
+            while let Some(work) = tenant.queue.pop_front() {
+                self.execute_one(shared, &mut tenant, work, now, stolen);
             }
-            if shared.steal {
-                if let Some((t, band)) = self.steal_token(shared) {
-                    self.audit_no_inversion(shared, band);
-                    self.run_token(shared, t, now, true);
-                    continue;
-                }
+            if stolen {
+                self.side.steals_in += 1;
+                self.side.stolen_from[tenant.idx] += 1;
             }
-            std::hint::spin_loop();
-            std::thread::yield_now();
+            self.held.push(tenant);
+        }
+        if self.index > 0 && !self.held.is_empty() {
+            shared.returned.lock().append(&mut self.held);
         }
         shared.done.wait();
     }
 
-    /// Pops this lane's own work, highest band first.
-    fn pop_own(&self, shared: &Shared) -> Option<u32> {
-        shared.lanes[self.index]
-            .bands
-            .iter()
-            .find_map(LaneDeque::pop)
+    /// Pops this lane's own work, highest band first, from `band` on: a
+    /// band found empty stays empty for the rest of the tick.
+    fn pop_own(&self, shared: &Shared, band: &mut usize) -> Option<Claim> {
+        let bands = &shared.lanes[self.index].bands;
+        while let Some(deque) = bands.get(*band) {
+            if let Some(t) = deque.pop() {
+                return Some(t);
+            }
+            *band += 1;
+        }
+        None
     }
 
     /// Band-major steal sweep: every victim's band 0 is scanned before
     /// anyone's band 1, so a theft can never jump ahead of queued
-    /// higher-priority work.
-    fn steal_token(&mut self, shared: &Shared) -> Option<(u32, usize)> {
+    /// higher-priority work; each theft is audited all the same.
+    fn steal_claim(&mut self, shared: &Shared) -> Option<Claim> {
         let lanes = shared.lanes.len();
         for band in 0..shared.lanes[self.index].bands.len() {
             for step in 1..lanes {
                 let victim = (self.index + step) % lanes;
                 let stealer = &shared.lanes[victim].stealers[band];
                 if let Steal::Taken(t) = stealer.steal() {
-                    return Some((t, band));
+                    self.audit_no_inversion(shared, band);
+                    return Some(t);
                 }
             }
         }
@@ -423,27 +437,16 @@ impl LaneCtx {
         }
     }
 
-    /// Redeems one token: locks the tenant, executes (or accounts) its
-    /// next queued batch, releases the tick's outstanding count.
-    fn run_token(&mut self, shared: &Shared, t: u32, now: u64, stolen: bool) {
-        let idx = t as usize;
-        self.execute_one(shared, idx, &mut shared.slots[idx].lock(), now, stolen);
-        shared.outstanding.fetch_sub(1, Ordering::AcqRel);
-    }
-
+    /// Runs one of a claimed tenant's batches in its domain — or sheds
+    /// it, if the tenant left or its breaker opened since it queued.
     fn execute_one(
         &mut self,
         shared: &Shared,
-        idx: usize,
         g: &mut TenantInner,
+        work: TenantWork,
         now: u64,
         stolen: bool,
     ) {
-        let Some(work) = g.queue.pop_front() else {
-            // The batch this token claimed was already accounted (HWM
-            // shed after staging); the token still pays its count.
-            return;
-        };
         let n_in = work.batch.len() as u64;
         if !g.present || work.epoch != g.epoch {
             g.ledger.shed_removed += n_in;
@@ -461,7 +464,7 @@ impl LaneCtx {
         let fire = shared
             .faults
             .as_ref()
-            .and_then(|plan| plan.decide(FaultSite::Operator(0), idx as u64, occurrence));
+            .and_then(|plan| plan.decide(FaultSite::Operator(0), g.idx as u64, occurrence));
         let chain = g.chain.as_mut().expect("live tenant has a chain");
         if stolen {
             // The batch is executing off its home lane: bill the steal
@@ -478,10 +481,6 @@ impl LaneCtx {
         });
         self.side.executed_batches += 1;
         self.side.executed_packets += n_in;
-        if stolen {
-            self.side.steals_in += 1;
-            self.side.stolen_from[idx] += 1;
-        }
         match result {
             Ok(out) => {
                 g.ledger.processed += n_in;
@@ -498,14 +497,14 @@ impl LaneCtx {
                 if stolen {
                     g.ledger.stolen += n_in;
                 }
-                g.signal(idx, now, Signal::Probe, shared);
+                g.signal(now, Signal::Probe, shared);
             }
             Err(_) => {
                 // The batch moved into the domain and died with it. A
                 // breaker this opens joins the open watch in `step`'s
                 // supervision pass.
                 g.ledger.lost += n_in;
-                g.fault(idx, now, FaultSite::Operator(0), shared);
+                g.fault(now, FaultSite::Operator(0), shared);
             }
         }
     }
@@ -522,6 +521,10 @@ pub struct TenantLaneRuntime {
     lane0: LaneCtx,
     /// Lanes `1..lanes`.
     handles: Vec<JoinHandle<LaneSideOutcome>>,
+    /// Every tenant, by index; `None` only while a tick has it on a lane.
+    tenants: Vec<Option<Claim>>,
+    /// Tenant index → priority band (0 = highest priority).
+    band_of: Vec<usize>,
     factory: TenantChainFactory,
     specs: Vec<TenantSpec>,
     present: Vec<bool>,
@@ -629,14 +632,15 @@ impl TenantLaneRuntime {
             lane.sort_unstable();
         }
 
-        let mut slots = Vec::with_capacity(tcount);
+        let mut tenants = Vec::with_capacity(tcount);
         for (idx, spec) in config.tenants.iter().enumerate() {
             let pipeline_spec = factory(idx, spec);
             let domain = manager
                 .create_domain(format!("tlane-{}-e0-g0", spec.name))
                 .expect("tenant domain");
             let pipeline = pipeline_spec.build();
-            slots.push(Mutex::new(TenantInner {
+            tenants.push(Some(Box::new(TenantInner {
+                idx,
                 bucket: TickBucket::new(spec.rate_per_tick, spec.burst),
                 spec: spec.clone(),
                 present: true,
@@ -658,7 +662,7 @@ impl TenantLaneRuntime {
                 store: SnapshotStore::new(config.snapshot_full_every),
                 events: Vec::new(),
                 dirty_since_snapshot: false,
-            }));
+            })));
         }
 
         let lane_shared = (0..config.lanes)
@@ -688,16 +692,14 @@ impl TenantLaneRuntime {
         };
 
         let shared = Arc::new(Shared {
-            slots,
             lanes: lane_shared,
-            outstanding: AtomicU64::new(0),
+            returned: Mutex::new(Vec::with_capacity(tcount)),
             tick: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             start: Barrier::new(config.lanes),
             done: Barrier::new(config.lanes),
             manager,
             policy: config.breaker,
-            band_of,
             steal: config.steal,
             faults: config.faults.clone(),
         });
@@ -708,6 +710,7 @@ impl TenantLaneRuntime {
                 stolen_from: vec![0; tcount],
                 ..LaneSideOutcome::default()
             },
+            held: Vec::with_capacity(tcount),
         });
         let lane0 = ctxs.next().expect("at least one lane");
         let handles = ctxs
@@ -724,6 +727,8 @@ impl TenantLaneRuntime {
             shared,
             lane0,
             handles,
+            tenants,
+            band_of,
             factory,
             specs: config.tenants.clone(),
             present: vec![true; tcount],
@@ -765,29 +770,33 @@ impl TenantLaneRuntime {
         &self.table
     }
 
+    fn tenant(&self, idx: usize) -> &TenantInner {
+        self.tenants[idx].as_deref().expect(HOME)
+    }
+
     /// A tenant's breaker phase.
     pub fn phase(&self, idx: usize) -> BreakerPhase {
-        self.shared.slots[idx].lock().breaker.phase()
+        self.tenant(idx).breaker.phase()
     }
 
     /// A tenant's conservation ledger so far.
     pub fn ledger(&self, idx: usize) -> crate::tenant::TenantLedger {
-        self.shared.slots[idx].lock().ledger
+        self.tenant(idx).ledger
     }
 
     /// A tenant's epoch (times re-added).
     pub fn epoch(&self, idx: usize) -> u64 {
-        self.shared.slots[idx].lock().epoch
+        self.tenant(idx).epoch
     }
 
     /// The lane a tenant is placed on.
     pub fn home_lane(&self, idx: usize) -> usize {
-        self.shared.slots[idx].lock().home_lane
+        self.tenant(idx).home_lane
     }
 
     /// Snapshots sealed in the tenant's current epoch.
     pub fn snapshots_taken(&self, idx: usize) -> u64 {
-        self.shared.slots[idx].lock().snapshots_taken
+        self.tenant(idx).snapshots_taken
     }
 
     /// Maglev lookups performed; with run-batched steering this counts
@@ -799,8 +808,7 @@ impl TenantLaneRuntime {
     /// Live state items in the tenant's chain, measured inside its
     /// domain (0 if the chain is down).
     pub fn state_items(&self, idx: usize) -> u64 {
-        let g = self.shared.slots[idx].lock();
-        match &g.chain {
+        match &self.tenant(idx).chain {
             Some(chain) => chain
                 .domain
                 .execute(|| chain.pipeline.state_items())
@@ -821,16 +829,16 @@ impl TenantLaneRuntime {
     /// back to the other buffer, then to a cold build: a corrupted
     /// snapshot is never restored.
     pub fn corrupt_snapshot(&mut self, idx: usize, which: Buffered) -> bool {
-        self.shared.slots[idx].lock().store.corrupt(which)
+        home(&mut self.tenants[idx]).store.corrupt(which)
     }
 
     /// Steers one wave in three passes:
     ///
     /// 1. **steer**: a run-batched Maglev lookup names each packet's
     ///    tenant, and the packets per tenant are counted;
-    /// 2. **admit**: per touched tenant, in index order and under one
-    ///    hold of its lock: ledger attribution → breaker gate →
-    ///    admission, which decides how many of its packets it keeps;
+    /// 2. **admit**: per touched tenant, in index order: ledger
+    ///    attribution → breaker gate → admission, which decides how many
+    ///    of its packets it keeps;
     /// 3. **move**: each packet moves once — into its tenant's staging
     ///    buffer while the tenant's grant lasts, so a partial grant keeps
     ///    the tenant's first packets of the wave, else back to this
@@ -870,7 +878,7 @@ impl TenantLaneRuntime {
         self.touched.sort_unstable();
         for &idx in &self.touched {
             let n = self.grants[idx];
-            let mut g = self.shared.slots[idx].lock();
+            let g = home(&mut self.tenants[idx]);
             g.ledger.offered += n;
             self.grants[idx] = if g.breaker.phase() == BreakerPhase::Open {
                 g.ledger.shed_open += n;
@@ -902,19 +910,17 @@ impl TenantLaneRuntime {
                 continue;
             }
             let granted = staged.len() as u64;
-            let mut g = self.shared.slots[idx].lock();
+            let g = home(&mut self.tenants[idx]);
             // The staging buffer *is* the queued batch; an emptied shell
             // takes its place.
             let shell = g.shells.pop().unwrap_or_default();
             let lane = g.home_lane;
-            let epoch = g.epoch;
             g.queue.push_back(TenantWork {
-                epoch,
+                epoch: g.epoch,
                 batch: PacketBatch::from_packets(std::mem::replace(staged, shell)),
                 enqueue_tick: now,
                 cost: granted * self.specs[idx].cost_per_packet.max(1),
             });
-            drop(g);
             if !self.is_active[idx] {
                 self.is_active[idx] = true;
                 self.active.push(idx);
@@ -940,7 +946,7 @@ impl TenantLaneRuntime {
             let mut victim = usize::MAX;
             let mut victim_prio = u8::MAX;
             for &idx in &self.residents[lane] {
-                if self.shared.slots[idx].lock().queue.is_empty() {
+                if self.tenant(idx).queue.is_empty() {
                     continue;
                 }
                 let prio = self.specs[idx].priority;
@@ -952,50 +958,49 @@ impl TenantLaneRuntime {
             if victim == usize::MAX {
                 break;
             }
-            let mut g = self.shared.slots[victim].lock();
+            let g = home(&mut self.tenants[victim]);
             let work = g.queue.pop_back().expect("victim has queued work");
             g.ledger.shed_backpressure += work.batch.len() as u64;
-            drop(g);
             self.lane_depth[lane] -= 1;
             self.hwm_sheds += 1;
         }
     }
 
-    /// Executes one tick: push a claim token for every queued batch onto
-    /// its home lane's band deque while the helper lanes are parked,
-    /// release them through the tick barrier, run the tick
-    /// to completion as lane 0, then apply the deterministic supervision
-    /// pass (work-budget strikes, open-timer expiry, the staggered
-    /// snapshot cadence). Advances the clock.
+    /// Executes one tick: move every tenant with queued work, as its
+    /// claim, onto its home lane's band deque while the helper lanes are
+    /// parked, release them through the tick barrier, run the tick to
+    /// completion as lane 0, put every claimed tenant home, then apply
+    /// the deterministic supervision pass (work-budget strikes,
+    /// open-timer expiry, the staggered snapshot cadence). Advances the
+    /// clock.
     pub fn step(&mut self) {
         let now = self.now;
         self.active.sort_unstable();
-        let mut total = 0u64;
         for &idx in &self.active {
-            let g = self.shared.slots[idx].lock();
-            let deque = &self.shared.lanes[g.home_lane].bands[self.shared.band_of[idx]];
-            for _ in 0..g.queue.len() {
-                deque.push(idx as u32);
+            // A tenant whose every batch the HWM shed stays home.
+            if let Some(tenant) = self.tenants[idx].take_if(|t| !t.queue.is_empty()) {
+                self.shared.lanes[tenant.home_lane].bands[self.band_of[idx]].push(tenant);
             }
-            total += g.queue.len() as u64;
         }
-        self.shared.outstanding.store(total, Ordering::Release);
         self.shared.tick.store(now, Ordering::Release);
         self.shared.start.wait();
         self.lane0.tick(&self.shared);
+        let returned = &self.shared.returned;
+        for tenant in self.lane0.held.drain(..).chain(returned.lock().drain(..)) {
+            let idx = tenant.idx;
+            self.tenants[idx] = Some(tenant);
+        }
 
         // Supervision pass, tenant-index order (active is sorted).
-        for pos in 0..self.active.len() {
-            let idx = self.active[pos];
+        for &idx in &self.active {
             self.is_active[idx] = false;
-            let mut g = self.shared.slots[idx].lock();
+            let g = home(&mut self.tenants[idx]);
             let spent = g.work_this_tick;
             g.work_this_tick = 0;
             if self.work_budget > 0 && g.present && spent > self.work_budget {
-                g.signal(idx, now, Signal::Strike, &self.shared);
+                g.signal(now, Signal::Strike, &self.shared);
             }
             if g.breaker.phase() == BreakerPhase::Open {
-                drop(g);
                 self.open_watch.push(idx);
             }
         }
@@ -1005,10 +1010,10 @@ impl TenantLaneRuntime {
         // Open-timer expiry over the watch list only.
         self.open_watch.sort_unstable();
         self.open_watch.dedup();
-        let shared = &self.shared;
+        let (shared, tenants) = (&self.shared, &mut self.tenants);
         self.open_watch.retain(|&idx| {
-            let mut g = shared.slots[idx].lock();
-            g.signal(idx, now, Signal::Tick, shared);
+            let g = home(&mut tenants[idx]);
+            g.signal(now, Signal::Tick, shared);
             g.breaker.phase() == BreakerPhase::Open
         });
 
@@ -1017,12 +1022,11 @@ impl TenantLaneRuntime {
             let bucket = ((now + 1) % self.snapshot_every) as usize;
             for pos in 0..self.snap_buckets[bucket].len() {
                 let idx = self.snap_buckets[bucket][pos];
-                let mut g = self.shared.slots[idx].lock();
+                let g = home(&mut self.tenants[idx]);
                 if !g.present || g.breaker.phase() == BreakerPhase::Open || !g.dirty_since_snapshot
                 {
                     continue;
                 }
-                let g = &mut *g;
                 let Some(LaneChain { domain, pipeline }) = &mut g.chain else {
                     continue;
                 };
@@ -1040,7 +1044,7 @@ impl TenantLaneRuntime {
                     store.record_from(pipeline, now, items, schema);
                 });
                 if sealed.is_err() {
-                    if g.fault(idx, now, FaultSite::CheckpointEncode, &self.shared) {
+                    if g.fault(now, FaultSite::CheckpointEncode, &self.shared) {
                         self.open_watch.push(idx);
                     }
                     continue;
@@ -1068,29 +1072,27 @@ impl TenantLaneRuntime {
             return Err(TenantError::LastTenant);
         }
         let now = self.now;
-        let home = {
-            let mut g = self.shared.slots[idx].lock();
-            while let Some(work) = g.queue.pop_front() {
-                g.ledger.shed_removed += work.batch.len() as u64;
-                self.lane_depth[g.home_lane] = self.lane_depth[g.home_lane].saturating_sub(1);
-            }
-            if let Some(chain) = g.chain.take() {
-                self.shared.manager.destroy_domain(&chain.domain);
-            }
-            g.present = false;
-            g.breaker = Breaker::default();
-            g.snapshots_taken = 0;
-            // Epoch keying: the departed epoch's snapshots can never
-            // serve a future incarnation of this tenant.
-            g.store = SnapshotStore::new(self.snapshot_full_every);
-            g.home_lane
-        };
+        let g = home(&mut self.tenants[idx]);
+        while let Some(work) = g.queue.pop_front() {
+            g.ledger.shed_removed += work.batch.len() as u64;
+            self.lane_depth[g.home_lane] = self.lane_depth[g.home_lane].saturating_sub(1);
+        }
+        if let Some(chain) = g.chain.take() {
+            self.shared.manager.destroy_domain(&chain.domain);
+        }
+        g.present = false;
+        g.breaker = Breaker::default();
+        g.snapshots_taken = 0;
+        // Epoch keying: the departed epoch's snapshots can never
+        // serve a future incarnation of this tenant.
+        g.store = SnapshotStore::new(self.snapshot_full_every);
+        let lane = g.home_lane;
         self.present[idx] = false;
-        self.residents[home].retain(|&t| t != idx);
-        self.lane_weight[home] -= u64::from(self.specs[idx].weight.max(1));
+        self.residents[lane].retain(|&t| t != idx);
+        self.lane_weight[lane] -= u64::from(self.specs[idx].weight.max(1));
         let remapped_entries = self.rebuild_table()?;
         let removed = TenantEventKind::Removed { remapped_entries };
-        self.shared.slots[idx].lock().push_event(now, idx, removed);
+        home(&mut self.tenants[idx]).push_event(now, removed);
         Ok(remapped_entries)
     }
 
@@ -1109,26 +1111,24 @@ impl TenantLaneRuntime {
         let lane = (0..self.lanes)
             .min_by_key(|&l| (self.lane_weight[l], l))
             .expect("at least one lane");
-        let epoch = {
-            let mut g = self.shared.slots[idx].lock();
-            g.epoch += 1;
-            g.present = true;
-            g.breaker = Breaker::default();
-            g.bucket = TickBucket::new(g.spec.rate_per_tick, g.spec.burst);
-            g.home_lane = lane;
-            g.pipeline_spec = (self.factory)(idx, &g.spec);
-            g.generation = self.generation;
-            let domain = self
-                .shared
-                .manager
-                .create_domain(format!("tlane-{}-e{}-g0", g.spec.name, g.epoch))
-                .expect("tenant domain");
-            let pipeline = g.pipeline_spec.build();
-            g.chain = Some(LaneChain { domain, pipeline });
-            g.store = SnapshotStore::new(self.snapshot_full_every);
-            g.dirty_since_snapshot = false;
-            g.epoch
-        };
+        let g = home(&mut self.tenants[idx]);
+        g.epoch += 1;
+        g.present = true;
+        g.breaker = Breaker::default();
+        g.bucket = TickBucket::new(g.spec.rate_per_tick, g.spec.burst);
+        g.home_lane = lane;
+        g.pipeline_spec = (self.factory)(idx, &g.spec);
+        g.generation = self.generation;
+        let domain = self
+            .shared
+            .manager
+            .create_domain(format!("tlane-{}-e{}-g0", g.spec.name, g.epoch))
+            .expect("tenant domain");
+        let pipeline = g.pipeline_spec.build();
+        g.chain = Some(LaneChain { domain, pipeline });
+        g.store = SnapshotStore::new(self.snapshot_full_every);
+        g.dirty_since_snapshot = false;
+        let epoch = g.epoch;
         self.present[idx] = true;
         self.residents[lane].push(idx);
         self.residents[lane].sort_unstable();
@@ -1138,7 +1138,7 @@ impl TenantLaneRuntime {
             epoch,
             remapped_entries,
         };
-        self.shared.slots[idx].lock().push_event(now, idx, added);
+        home(&mut self.tenants[idx]).push_event(now, added);
         Ok(remapped_entries)
     }
 
@@ -1180,7 +1180,7 @@ impl TenantLaneRuntime {
             .map(|idx| (idx, chain(idx, &self.specs[idx])))
             .collect();
         for (idx, target) in &targets {
-            let from = self.shared.slots[*idx].lock().pipeline_spec.state_schema();
+            let from = self.tenant(*idx).pipeline_spec.state_schema();
             let to = target.state_schema();
             if from != to && !migrator.as_ref().is_some_and(|m| m.can_migrate(from, to)) {
                 return Err(UpgradeError::IncompatibleSchema { from, to });
@@ -1212,7 +1212,7 @@ impl TenantLaneRuntime {
         self.generation += 1;
         let tenants = staged.len();
         for (idx, tenant) in staged {
-            let mut g = self.shared.slots[idx].lock();
+            let g = home(&mut self.tenants[idx]);
             if let Some(old) = std::mem::replace(&mut g.chain, tenant.chain) {
                 self.shared.manager.destroy_domain(&old.domain);
             }
@@ -1245,8 +1245,7 @@ impl TenantLaneRuntime {
             let plan = shared.faults.as_ref()?;
             plan.decide(site, idx as u64, occurrence)
         };
-        let mut guard = shared.slots[idx].lock();
-        let g = &mut *guard;
+        let g = home(&mut self.tenants[idx]);
 
         // The state to carry: the live chain's, sealed inside its own
         // domain, or an open breaker's latest verified snapshot.
@@ -1258,7 +1257,7 @@ impl TenantLaneRuntime {
                     pipeline.export_state()
                 });
                 let Ok(cp) = seal else {
-                    if g.fault(idx, now, FaultSite::UpgradeQuiesce, shared) {
+                    if g.fault(now, FaultSite::UpgradeQuiesce, shared) {
                         self.open_watch.push(idx);
                     }
                     return None;
@@ -1362,7 +1361,7 @@ impl TenantLaneRuntime {
         let mut events: Vec<TenantEvent> = Vec::new();
         for idx in 0..tcount {
             let final_state_items = self.state_items(idx);
-            let mut g = self.shared.slots[idx].lock();
+            let g = home(&mut self.tenants[idx]);
             let counts = SupervisionCounts::fold(&g.events);
             events.append(&mut g.events);
             outcomes.push(TenantOutcome {
@@ -1436,8 +1435,7 @@ impl Drop for TenantLaneRuntime {
                 let _ = h.join();
             }
         }
-        for slot in &self.shared.slots {
-            let mut g = slot.lock();
+        for g in self.tenants.iter_mut().flatten() {
             if let Some(chain) = g.chain.take() {
                 self.shared.manager.destroy_domain(&chain.domain);
             }
@@ -1845,7 +1843,7 @@ mod tests {
             }
         ));
         for idx in 0..3 {
-            let g = rt.shared.slots[idx].lock();
+            let g = rt.tenant(idx);
             let latest = g.store.latest().expect("a re-based store holds the seal");
             assert_eq!(latest.meta().schema, 2, "tenant {idx}");
             assert!(g.store.previous().is_none(), "tenant {idx}");
